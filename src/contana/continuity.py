@@ -10,8 +10,8 @@ search their increment sums sum |f(y_i) - f(x_i)|:
   increment dominates the collection's sum.
 * ``worst_ac_sum_oracle`` searches grid-aligned collections exhaustively by
   dynamic programming over (grid index, budget units, interval count).
-* ``ac_certificate`` / ``verify_certificate`` turn a tabulated modulus of
-  continuity into a concrete (epsilon, delta_1) certificate: every
+* ``ac_certificate`` / ``verify_certificate`` invert each piece's anchored
+  increment into a concrete (epsilon, delta_1) certificate: every
   collection of total length below delta_1 has increment sum below epsilon.
 """
 
@@ -54,17 +54,11 @@ DEFAULT_MAX_INTERVALS = 32
 #: grids at most this large use the exact sliding-window modulus path
 _EXACT_MODULUS_LIMIT = 20000
 
-#: invert_modulus shrinks the tabulated step by this factor
+#: invert_modulus and ac_certificate shrink the inverted step by this factor
 MODULUS_SAFETY = 0.9
 
 #: delta_1 keeps this fraction of the per-piece bound
 DELTA1_SAFETY = 0.99
-
-#: certificate curves refine until omega(2h) falls below this budget fraction
-_REFINE_FRACTION = 0.05
-
-#: certificate curves refine at most up to this grid size
-_REFINE_CAP = 2**20 + 1
 
 
 class Anchor(str, Enum):
@@ -563,19 +557,23 @@ def random_collection(rng, lo: float, hi: float, total: float,
     return IntervalCollection(tuple(pairs))
 
 
-def ac_certificate(f: FunctionSpec, p: Partition, pieces, epsilon: float,
-                   curve_resolution: int = 4001) -> Certificate:
+def ac_certificate(f: FunctionSpec, p: Partition, pieces, epsilon: float) -> Certificate:
     """Synthesize an (epsilon, delta_1) certificate from monotone pieces.
 
     With N monotone convex/concave pieces, each piece receives budget
-    epsilon / N.  A modulus curve per piece is inverted at that budget (the
-    curve is refined until its finest tabulated omega is a small fraction of
-    the budget, so the grid underestimate is absorbed by the safety
-    factors).  delta_1 is 0.99 * min(inverted step, min piece length); any
-    collection of total length below delta_1 then has increment sum below
-    epsilon.
+    epsilon / N.  By the increment lemma the exact modulus of such a piece
+    is its increment anchored at the favourable end, so the largest step
+    whose anchored increment stays below the budget is found by bisection
+    with exact evaluation (``_increment_step``).  delta_1 is
+    0.99 * min(0.9 * step, min piece length); any collection of total
+    length below delta_1 then has increment sum below epsilon.
+
+    The inversion is exact, but each piece's shape and monotonicity are
+    certified only at the detection resolution, so the 0.9 factor
+    (MODULUS_SAFETY) is kept as a margin against shape changes finer than
+    that resolution.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     pieces = tuple(pieces)
     if not pieces:
@@ -590,14 +588,10 @@ def ac_certificate(f: FunctionSpec, p: Partition, pieces, epsilon: float,
         if abs(a.interval.hi - b.interval.lo) > 1e-9 * span:
             raise PreconditionError("pieces do not tile the window contiguously")
 
-    n_pieces = len(pieces)
-    budget = epsilon / n_pieces
+    budget = epsilon / len(pieces)
     min_len = min(piece.interval.hi - piece.interval.lo for piece in pieces)
-    delta = math.inf
-    for piece in pieces:
-        curve = _refined_modulus_curve(f, piece.interval, budget, curve_resolution)
-        delta = min(delta, invert_modulus(curve, budget))
-    delta1 = DELTA1_SAFETY * min(delta, min_len)
+    step = min(_increment_step(f, piece, budget) for piece in pieces)
+    delta1 = DELTA1_SAFETY * min(MODULUS_SAFETY * step, min_len)
     boundaries = [pieces[0].interval.lo]
     boundaries.extend(piece.interval.hi for piece in pieces)
     return Certificate(epsilon=float(epsilon), delta1=float(delta1),
@@ -606,52 +600,37 @@ def ac_certificate(f: FunctionSpec, p: Partition, pieces, epsilon: float,
                        monotone_pieces=pieces)
 
 
-def _refined_modulus_curve(f: FunctionSpec, interval: IntervalSpec,
-                           budget: float, m: int) -> ModulusCurve:
-    # refine the grid until the finest increments are far below the budget,
-    # probing only omega(2h) per level; stop early when refinement stalls
-    # (jump-like data keeps omega(2h) pinned and can never qualify)
-    m = max(3, m)
-    prev_probe = math.inf
-    while True:
-        grid = sample(f, interval, m)
-        length = float(grid.abscissae[-1] - grid.abscissae[0])
-        h = length / (m - 1)
-        prepared = _PreparedGrid(grid)
-        probe = prepared.omega(2.0 * h)
-        if probe <= _REFINE_FRACTION * budget or m >= _REFINE_CAP:
-            break
-        if probe > 0.9 * prev_probe:
-            break
-        prev_probe = probe
-        m = 4 * (m - 1) + 1
-    # coarse ladder walked upward until the budget crossing is bracketed
-    # (larger steps cannot win the inversion), then a fine ladder inside
-    # the bracket so the inversion loses at most ~1% of the true step
-    coarse = [float(d) for d in np.unique(np.geomspace(2.0 * h, length, 33))]
-    samples = []
-    crossed = False
-    for d in coarse:
-        w = prepared.omega(d)
-        samples.append((d, w))
-        if w >= budget:
-            crossed = True
-            break
-    if crossed and len(samples) > 1:
-        d_lo, d_hi = samples[-2][0], samples[-1][0]
-        fine = [float(d) for d in
-                np.unique(np.geomspace(d_lo, d_hi, 34))[1:-1]
-                if d_lo < d < d_hi]
-        for d in fine:
-            samples.append((d, prepared.omega(d)))
-    best = 0.0
-    mono = []
-    for d, w in sorted(samples):
-        if mono and d == mono[-1][0]:
-            continue
-        best = max(best, w)
-        mono.append((d, best))
-    return ModulusCurve(tuple(mono))
+def _increment_step(f: FunctionSpec, piece: ShapePiece, budget: float) -> float:
+    """Largest step whose increment anchored at the favourable end is < budget.
+
+    The anchored increment is |f(lo + d) - f(lo)| for a left-anchored piece
+    and |f(hi) - f(hi - d)| for a right-anchored one; on a monotone piece it
+    is nondecreasing in d.  Returns the piece length when the whole piece
+    qualifies, else bisects (0, length) until the midpoint no longer splits
+    the bracket.  Raises Unachievable when no positive step qualifies.
+    """
+    lo, hi = float(piece.interval.lo), float(piece.interval.hi)
+    length = hi - lo
+    left = _anchor_for(piece) is Anchor.LEFT
+    base = evaluate(f, lo if left else hi)
+
+    def increment(d):
+        x = min(hi, lo + d) if left else max(lo, hi - d)
+        return abs(evaluate(f, x) - base)
+
+    if increment(length) < budget:
+        return length
+    a, b = 0.0, length
+    while a < (mid := 0.5 * (a + b)) < b:
+        if increment(mid) < budget:
+            a = mid
+        else:
+            b = mid
+    if a == 0.0:
+        raise Unachievable(
+            f"no positive step keeps the anchored increment on "
+            f"[{lo}, {hi}] below {budget}")
+    return a
 
 
 def verify_certificate(f: FunctionSpec, cert: Certificate, trials: int = 10000,

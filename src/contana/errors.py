@@ -42,7 +42,7 @@ class EmptyCollection(ContanaError):
 
 
 class Unachievable(ContanaError):
-    """No tabulated step size meets the requested increment bound."""
+    """No positive step size meets the requested increment bound."""
 
 
 class PreconditionError(ContanaError):

@@ -532,6 +532,17 @@ def _parse_floats(text: str) -> list:
         raise ParseError(f"bad number list {text!r}") from exc
 
 
+def _parse_epsilon(text: str) -> float:
+    # raises ParseError, which argparse passes through to main's handler
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ParseError(f"bad --epsilon {text!r}") from exc
+    if not 0 < value < math.inf:
+        raise ParseError(f"--epsilon must be positive and finite, got {text!r}")
+    return value
+
+
 def _parse_pairs_arg(text: str) -> list:
     pairs = []
     for item in text.split(","):
@@ -558,7 +569,7 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full pipeline with JSON report")
     add_common(p)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=_parse_epsilon, default=0.1)
     p.add_argument("--grid", type=int, default=4001)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--seed", type=int, default=default_seed)
@@ -593,7 +604,7 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="synthesize a certificate")
     add_common(p)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=_parse_epsilon, required=True)
     p.add_argument("--grid", type=int, default=4001)
     p.set_defaults(func=cmd_certify)
 
@@ -612,8 +623,8 @@ def main(argv=None) -> int:
     except ValueError:
         default_seed = 0
     parser = build_parser(default_seed)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ParseError, KindError, DomainError, BudgetError) as exc:
         # bad function/interval/delta arguments, not an internal failure

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contana import (
     Anchor,
@@ -41,7 +43,7 @@ from contana import (
     worst_ac_sum_oracle,
 )
 from contana import catalog
-from contana.continuity import ModulusCurve
+from contana.continuity import ModulusCurve, _increment_step, _omega_sliding
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +417,22 @@ class TestCertificates:
             ac_sum(f, ver.worst_collection), abs=1e-12)
 
     def test_unachievable_on_steep_data(self):
-        jump = FunctionSpec.piecewise_linear(
-            ((0.0, 0.0), (1e-7, 1.0), (1.0, 1.0000001)))
-        res = detect_partition(sample(jump, IntervalSpec(0.0, 1.0), 2001))
-        assert isinstance(res, PiecewiseConvexPartition)
-        pieces = [p for s in res.shapes for p in refine_to_monotone(jump, s)]
+        def certify(knot):
+            f = FunctionSpec.piecewise_linear(
+                ((0.0, 0.0), (knot, 1.0), (1.0, 1.0000001)))
+            res = detect_partition(sample(f, IntervalSpec(0.0, 1.0), 2001))
+            assert isinstance(res, PiecewiseConvexPartition)
+            pieces = [p for s in res.shapes for p in refine_to_monotone(f, s)]
+            return f, ac_certificate(f, res.partition, pieces, 0.5)
+
+        # one concave increasing piece of initial slope 1e7: the anchored
+        # increment reaches the budget 0.5 at 5e-8, however steep that is
+        f, cert = certify(1e-7)
+        assert cert.delta1 == pytest.approx(0.99 * 0.9 * 0.5 / 1e7, rel=1e-6)
+        assert verify_certificate(f, cert, trials=500, seed=0).passed
+        # a jump at float resolution: every positive step overshoots
         with pytest.raises(Unachievable):
-            ac_certificate(jump, res.partition, pieces, 0.5)
+            certify(5e-324)
 
     def test_certificate_bound_is_semantic(self):
         # the certified guarantee: every collection under the budget stays
@@ -429,6 +440,79 @@ class TestCertificates:
         f, partition, pieces = sqrt_on_unit_pieces()
         cert = ac_certificate(f, partition, pieces, 0.1)
         assert math.sqrt(cert.delta1) < 0.1
+
+
+SINE = catalog.sine_table(knots=2001)
+SINE_QUARTERS = (
+    (Shape.CONCAVE, Monotonicity.INCREASING),
+    (Shape.CONCAVE, Monotonicity.DECREASING),
+    (Shape.CONVEX, Monotonicity.DECREASING),
+    (Shape.CONVEX, Monotonicity.INCREASING),
+)
+
+
+@st.composite
+def monotone_pieces(draw):
+    """(function, monotone convex/concave piece, left-anchored?)."""
+    kind = draw(st.sampled_from(["sqrt", "poly", "sine"]))
+    if kind == "sqrt":
+        b = draw(st.floats(0.01, 100.0))
+        window = IntervalSpec(0.0, b)
+        return (FunctionSpec.sqrt(window),
+                ShapePiece(window, Shape.CONCAVE, Monotonicity.INCREASING), True)
+    if kind == "poly":
+        p = draw(st.integers(2, 5))
+        a = draw(st.floats(0.0, 5.0))
+        window = IntervalSpec(a, a + draw(st.floats(0.01, 5.0)))
+        f = FunctionSpec.polynomial((0.0,) * p + (1.0,), window)
+        return f, ShapePiece(window, Shape.CONVEX, Monotonicity.INCREASING), False
+    q = draw(st.integers(0, 3))
+    window = IntervalSpec(q * math.pi / 2, (q + 1) * math.pi / 2)
+    shape, mono = SINE_QUARTERS[q]
+    return SINE, ShapePiece(window, shape, mono), q in (0, 2)
+
+
+class TestIncrementStep:
+    """The closed-form step against the increment it inverts and a grid scan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(monotone_pieces(), st.floats(0.01, 1.2), st.integers(1, 60))
+    def test_matches_dense_grid_inversion(self, case, fraction, per_step):
+        f, piece, left = case
+        lo, hi = piece.interval.lo, piece.interval.hi
+        length = hi - lo
+
+        def at(d):  # the point d away from the favourable end
+            return min(hi, lo + d) if left else max(lo, hi - d)
+
+        def inc(d):
+            return abs(evaluate(f, at(d)) - evaluate(f, at(0.0)))
+
+        budget = fraction * inc(length)
+        step = _increment_step(f, piece, budget)
+        assert 0.0 < step <= length
+        assert inc(step) < budget
+        if step < length:
+            assert budget <= inc(min(length, step * (1 + 1e-9)))
+
+        # uniform grid from the favourable end; by the increment lemma the
+        # exact pair scan at k*h is the grid's anchored increment at gap k,
+        # or at gap k-1 when rounding drops the anchored pair
+        h = step / per_step
+        n = min(int(length / h), 2 * per_step) + 1
+        anchored = [inc(k * h) for k in range(n)]
+        xs = [at(k * h) for k in range(n)]
+        vs = [evaluate(f, x) for x in xs]
+        if not left:
+            xs.reverse()
+            vs.reverse()
+        tol = 1e-12 * max(1.0, budget)
+        for k in range(1, n):
+            if k * h > step:
+                break
+            w = _omega_sliding(xs, vs, k * h)
+            assert w < budget
+            assert anchored[k - 1] - tol <= w <= anchored[k] + tol
 
 
 class TestRandomCollection:

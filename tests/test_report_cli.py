@@ -102,6 +102,17 @@ class TestCLI:
         assert main(["analyze", "--fn", "cantor", "--interval", "[2,3]",
                      ]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("command", ["analyze", "certify"])
+    @pytest.mark.parametrize("epsilon", ["-1", "0", "inf", "nan"])
+    def test_bad_epsilon_parse_error(self, capsys, command, epsilon):
+        code = main([command, "--fn", "sqrt", "--interval", "[0,1]",
+                     "--epsilon", epsilon, "--grid", "501"])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ")
+        assert captured.err.count("\n") == 1
+
     def test_modulus_stdout(self, capsys):
         code = main(["modulus", "--fn", "sqrt", "--interval", "[0,1]",
                      "--deltas", "0.01,0.04,0.25", "--grid", "401"])
