@@ -41,6 +41,7 @@ from .convexity import (
     detect_partition,
     expected_direction,
     g_sigma,
+    monotone_partition,
     refine_to_monotone,
 )
 from .continuity import (

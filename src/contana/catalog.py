@@ -48,17 +48,8 @@ def sine_table(knots: int = 20001) -> FunctionSpec:
     return FunctionSpec.sampled_table(tuple((x, math.sin(x)) for x in xs))
 
 
-def x2sininv_on_unit() -> FunctionSpec:
-    return FunctionSpec.x_squared_sin_inv(IntervalSpec(0.0, 1.0))
-
-
 def cantor_on_unit() -> FunctionSpec:
     return FunctionSpec.cantor(IntervalSpec(0.0, 1.0))
-
-
-def zigzag_pwl() -> FunctionSpec:
-    return FunctionSpec.piecewise_linear(
-        ((0.0, 0.0), (0.3, 0.6), (0.7, 0.2), (1.0, 0.5)))
 
 
 def cantor_stage_cover(k: int) -> IntervalCollection:

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .convexity import (
     Direction,
@@ -50,9 +48,6 @@ from .function_model import (
 
 #: default interval cap for the worst-sum search
 DEFAULT_MAX_INTERVALS = 32
-
-#: grids at most this large use the exact sliding-window modulus path
-_EXACT_MODULUS_LIMIT = 20000
 
 #: invert_modulus and ac_certificate shrink the inverted step by this factor
 MODULUS_SAFETY = 0.9
@@ -177,42 +172,19 @@ def modulus(f: FunctionSpec, window: IntervalSpec, deltas, m: int = 4001) -> Mod
     return modulus_on_grid(grid, deltas)
 
 
-class _PreparedGrid:
-    """Grid staged for repeated omega evaluations at different deltas."""
-
-    __slots__ = ("xs", "vs", "v_arr", "h", "use_fast", "span")
-
-    def __init__(self, grid: SampleGrid):
-        self.xs = grid.abscissae
-        self.vs = grid.values
-        self.span = grid.span
-        m = len(self.xs)
-        x_arr = np.asarray(self.xs)
-        use_fast = False
-        if x_arr.dtype == np.float64 and m > _EXACT_MODULUS_LIMIT:
-            gaps = np.diff(x_arr)
-            h = float(gaps.mean())
-            use_fast = bool(np.max(np.abs(gaps - h)) <= 1e-9 * h)
-        self.use_fast = use_fast
-        self.h = (self.xs[-1] - self.xs[0]) / (m - 1)
-        self.v_arr = np.asarray(self.vs, dtype=float) if use_fast else None
-
-    def omega(self, delta) -> float:
-        if self.use_fast:
-            k = min(len(self.xs) - 1,
-                    int(math.floor(float(delta) / float(self.h) + 1e-9)))
-            return _omega_indexed(self.v_arr, k + 1)
-        return _omega_sliding(self.xs, self.vs, delta)
-
-
 def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
-    """Modulus curve on an explicit grid.
+    """Modulus curve on an explicit grid, exact at every grid size.
 
-    Small or exact (rational-abscissa) grids use an exact two-pointer
-    sliding-window scan whose pair set is {(x, y): |x - y| <= delta} under
-    exact comparison.  Large uniform float grids use C-speed running
-    max/min filters with the window measured in index steps, which can
-    differ from the exact pair set by at most one boundary pair per point.
+    omega(delta) is the largest |v_j - v_i| over grid pairs with
+    x_j - x_i <= delta, compared in the abscissae's own arithmetic (float or
+    exact rational), and the curve is made nondecreasing by a running
+    maximum.  Each point's window starts at the first point within delta
+    (``_window_starts``); a sparse table of maxima and minima over
+    power-of-two blocks then answers every window with two lookups.  The
+    table costs O(m log w) time once and 16 * m * (floor(log2 w) + 1) bytes,
+    w being the longest window at the largest delta (at most m points:
+    about 27 MB at m = 100001); each delta then costs O(m log m) for the
+    window starts and O(m) for the lookups.
     """
     ds = list(deltas)
     if not ds:
@@ -224,50 +196,53 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
     span = grid.span
     if any(d > span for d in ds):
         raise BudgetError(f"delta exceeds the window length {span}")
-    prepared = _PreparedGrid(grid)
+    xs, vs = grid.abscissae, grid.values
+    ends = np.arange(len(xs))
+    widest = int(np.max(ends - _window_starts(xs, ds[-1]))) + 1
+    top, bottom = _block_extrema(vs, widest.bit_length())
     best = 0.0
     samples = []
     for d in ds:
-        best = max(best, prepared.omega(d))
+        starts = _window_starts(xs, d)
+        level = np.frexp(ends - starts + 1)[1] - 1  # floor(log2(length))
+        tail = ends - (1 << level) + 1
+        hi = np.maximum(top[level, starts], top[level, tail])
+        lo = np.minimum(bottom[level, starts], bottom[level, tail])
+        best = max(best, float(np.max(hi - vs)), float(np.max(vs - lo)))
         samples.append((d, best))
     return ModulusCurve(tuple(samples))
 
 
-def _omega_sliding(xs, vs, delta) -> float:
-    maxq: deque = deque()
-    minq: deque = deque()
-    best = 0.0
-    lo = 0
-    for j, xj in enumerate(xs):
-        vj = vs[j]
-        while maxq and vs[maxq[-1]] <= vj:
-            maxq.pop()
-        maxq.append(j)
-        while minq and vs[minq[-1]] >= vj:
-            minq.pop()
-        minq.append(j)
-        while xj - xs[lo] > delta:
-            lo += 1
-        while maxq[0] < lo:
-            maxq.popleft()
-        while minq[0] < lo:
-            minq.popleft()
-        cand = vs[maxq[0]] - vj
-        other = vj - vs[minq[0]]
-        if other > cand:
-            cand = other
-        if cand > best:
-            best = cand
-    return best
+def _window_starts(xs: np.ndarray, delta) -> np.ndarray:
+    """For every j, the smallest i with xs[j] - xs[i] <= delta.
+
+    ``searchsorted`` answers xs[i] >= xs[j] - delta, which may round
+    differently; the loops then step each start to the exact boundary of
+    the difference test, which is monotone in i.
+    """
+    starts = np.searchsorted(xs, xs - delta)
+    while (down := (starts > 0) & (xs - xs[starts - 1] <= delta)).any():
+        starts -= down
+    while (up := xs - xs[starts] > delta).any():
+        starts += up
+    return starts
 
 
-def _omega_indexed(v: np.ndarray, window: int) -> float:
-    if window <= 1:
-        return 0.0
-    origin = (window - 1) // 2  # trailing window [j - window + 1, j]
-    mx = maximum_filter1d(v, size=window, mode="nearest", origin=origin)
-    mn = minimum_filter1d(v, size=window, mode="nearest", origin=origin)
-    return float(max(np.max(mx - v), np.max(v - mn), 0.0))
+def _block_extrema(vs: np.ndarray, levels: int):
+    """Sparse tables: row k holds max/min of vs[i : i + 2**k] at column i.
+
+    Columns whose block would run past the end are left unset; a window
+    lookup never reads them.
+    """
+    top = np.empty((levels, len(vs)))
+    bottom = np.empty((levels, len(vs)))
+    top[0] = bottom[0] = vs
+    for k in range(1, levels):
+        half = 1 << (k - 1)
+        np.maximum(top[k - 1, :-half], top[k - 1, half:], out=top[k, :-half])
+        np.minimum(bottom[k - 1, :-half], bottom[k - 1, half:],
+                   out=bottom[k, :-half])
+    return top, bottom
 
 
 def invert_modulus(curve: ModulusCurve, epsilon: float) -> float:
@@ -376,9 +351,9 @@ def worst_ac_sum_oracle(f: FunctionSpec, grid: SampleGrid, delta,
     if max_intervals < 1:
         raise ValueError("max_intervals must be >= 1")
     m = len(grid)
-    xs, vs = grid.abscissae, grid.values
-    gaps = [b - a for a, b in zip(xs, xs[1:])]
-    hmin, hmax = min(gaps), max(gaps)
+    xs, v = grid.abscissae, grid.values
+    gaps = np.diff(xs)
+    hmin, hmax = gaps.min(), gaps.max()
     if float(hmax - hmin) > 1e-9 * float(hmax):
         raise InsufficientData("the worst-sum search requires a uniform grid")
     if not delta > grid.spacing:
@@ -398,7 +373,6 @@ def worst_ac_sum_oracle(f: FunctionSpec, grid: SampleGrid, delta,
     if 3 * m * (units + 1) * (kmax + 1) > 400_000_000:
         raise BudgetError("worst-sum state space too large; coarsen the grid")
 
-    v = np.asarray(vs, dtype=float)
     neg = -math.inf
     shape = (units + 1, kmax + 1)
     closed = np.full(shape, neg)
@@ -443,7 +417,8 @@ def worst_ac_sum_oracle(f: FunctionSpec, grid: SampleGrid, delta,
     flat = int(np.argmax(closed))
     u, k = divmod(flat, kmax + 1)
     pairs_idx = _backtrack(hist, u, k, m)
-    pairs = tuple((xs[s], xs[e]) for s, e in pairs_idx)
+    points = xs.tolist()
+    pairs = tuple((points[s], points[e]) for s, e in pairs_idx)
     witness = IntervalCollection(pairs)
     best_sum = math.fsum(abs(v[e] - v[s]) for s, e in pairs_idx)
     return ACWorstReport(delta=delta, best_sum=best_sum, witness=witness,

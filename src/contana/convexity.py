@@ -22,7 +22,13 @@ from .errors import (
     InsufficientData,
     ShapeError,
 )
-from .function_model import FunctionSpec, IntervalSpec, SampleGrid, evaluate
+from .function_model import (
+    FunctionSpec,
+    IntervalSpec,
+    SampleGrid,
+    evaluate,
+    uniform_abscissae,
+)
 
 #: partitions with more pieces than this are reported as not piecewise convex
 DEFAULT_MAX_PIECES = 64
@@ -198,8 +204,8 @@ def detect_partition(grid: SampleGrid, eta: float | None = None,
     """
     if len(grid) < 3:
         raise InsufficientData("partition detection needs at least 3 points")
-    xs = np.asarray([float(x) for x in grid.abscissae])
-    vs = np.asarray([float(v) for v in grid.values])
+    xs = np.asarray(grid.abscissae, dtype=float)
+    vs = grid.values
     gaps = np.diff(xs)
     h = float(np.mean(gaps))
     if np.max(np.abs(gaps - h)) > 1e-6 * h:
@@ -219,15 +225,7 @@ def detect_partition(grid: SampleGrid, eta: float | None = None,
     signs[d2 < -band] = -1
 
     # runs of nonzero sign over interior grid indices 1..m-2
-    runs = []  # (sign, first_grid_idx, last_grid_idx)
-    for j, s in enumerate(signs):
-        if s == 0:
-            continue
-        gidx = j + 1
-        if runs and runs[-1][0] == s:
-            runs[-1][2] = gidx
-        else:
-            runs.append([int(s), gidx, gidx])
+    runs = [(s, first + 1, last + 1) for s, first, last in _sign_runs(signs)]
 
     m = len(grid)
     tol = float(grid.spacing)
@@ -260,6 +258,16 @@ def detect_partition(grid: SampleGrid, eta: float | None = None,
     return PiecewiseConvexPartition(partition=Partition(points),
                                     shapes=tuple(shapes),
                                     sign_change_count=sign_changes)
+
+
+def _sign_runs(signs: np.ndarray) -> list:
+    """Maximal runs of equal nonzero signs, zeros skipped: (sign, first, last)."""
+    nonzero = np.flatnonzero(signs)
+    run_signs = signs[nonzero]
+    firsts = np.flatnonzero(np.diff(run_signs, prepend=0))
+    lasts = np.append(firsts[1:] - 1, len(nonzero) - 1)
+    return [(int(run_signs[a]), int(nonzero[a]), int(nonzero[b]))
+            for a, b in zip(firsts, lasts)]
 
 
 def _monotonicity_of(vs: np.ndarray, lo_idx: int, hi_idx: int,
@@ -330,6 +338,22 @@ def refine_to_monotone(f: FunctionSpec, piece: ShapePiece,
     )
 
 
+def monotone_partition(f: FunctionSpec, grid: SampleGrid,
+                       eta: float | None = None,
+                       max_pieces: int = DEFAULT_MAX_PIECES):
+    """Detect the partition on a grid of f and refine it to monotone pieces.
+
+    Returns (detection, pieces): the ``detect_partition`` result and the
+    monotone pieces tiling its window, in order.  ``pieces`` is empty when
+    the detection is NotPiecewiseConvex.
+    """
+    detection = detect_partition(grid, eta=eta, max_pieces=max_pieces)
+    if isinstance(detection, NotPiecewiseConvex):
+        return detection, ()
+    return detection, tuple(piece for shape in detection.shapes
+                            for piece in refine_to_monotone(f, shape))
+
+
 # ---------------------------------------------------------------------------
 # Increment curve
 # ---------------------------------------------------------------------------
@@ -339,6 +363,14 @@ def g_sigma(f: FunctionSpec, x, sigma) -> float:
     if sigma <= 0:
         raise GeometryError("sigma must be positive")
     return abs(evaluate(f, x + sigma) - evaluate(f, x))
+
+
+def gsigma_abscissae(lo: float, hi: float, sigma: float, m: int) -> list:
+    """m equally spaced x from lo to the largest float top with top + sigma <= hi."""
+    top = hi - sigma
+    while top + sigma > hi:
+        top = math.nextafter(top, -math.inf)
+    return uniform_abscissae(lo, top, m).tolist()
 
 
 #: (monotonicity, shape) -> certified increment-curve direction
@@ -377,12 +409,7 @@ def check_gsigma_monotone(f: FunctionSpec, piece: ShapePiece, sigma: float,
     if hi - lo <= sigma:
         raise GeometryError(
             f"piece length {hi - lo} must exceed sigma {sigma}")
-    top = hi - sigma
-    while top + sigma > hi:
-        top = math.nextafter(top, -math.inf)
-    step = (top - lo) / (m - 1)
-    xs = [lo + i * step for i in range(m - 1)]
-    xs.append(top)
+    xs = gsigma_abscissae(lo, hi, sigma, m)
     values = [g_sigma(f, x, sigma) for x in xs]
     diffs = [b - a for a, b in zip(values, values[1:])]
     viol_ni = max(0.0, max(diffs))       # violations of nonincreasing

@@ -303,34 +303,39 @@ def _interp_knots(knots, x: float) -> float:
 # Sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleGrid:
     """Strictly increasing abscissae with their function values.
 
-    ``spacing`` is the largest gap between consecutive abscissae.  Abscissae
-    may be floats or exact rationals; values are always floats.
+    Both are read-only numpy arrays.  ``values`` is float64; ``abscissae``
+    is float64, or ``object`` dtype when the points are exact rationals
+    (``fractions.Fraction``), which then stay exact.  ``spacing`` is the
+    largest gap between consecutive abscissae.
     """
 
-    abscissae: tuple
-    values: tuple
+    abscissae: np.ndarray
+    values: np.ndarray
     spacing: float = field(default=0.0)
 
     def __post_init__(self) -> None:
-        xs = self.abscissae
-        if len(xs) != len(self.values):
+        xs = np.asarray(self.abscissae)
+        if xs.dtype != object:
+            xs = xs.astype(float, copy=False)
+        vs = np.asarray(self.values, dtype=float)
+        if xs.ndim != 1 or xs.shape != vs.shape:
             raise KindError("abscissae and values must have equal length")
         if len(xs) < 2:
             raise InsufficientData("a grid needs at least two points")
-        if len(xs) > 4096 and all(map(lambda x: type(x) is float, xs)):
-            gaps = np.diff(np.asarray(xs))
-            if np.any(gaps <= 0.0):
-                raise KindError("grid abscissae must be strictly increasing")
-            spacing = float(np.max(gaps))
-        else:
-            if any(b <= a for a, b in zip(xs, xs[1:])):
-                raise KindError("grid abscissae must be strictly increasing")
-            spacing = max(b - a for a, b in zip(xs, xs[1:]))
-        object.__setattr__(self, "spacing", spacing)
+        gaps = np.diff(xs)
+        if np.any(gaps <= 0):
+            raise KindError("grid abscissae must be strictly increasing")
+        spacing = gaps.max()
+        xs, vs = xs.view(), vs.view()
+        xs.flags.writeable = vs.flags.writeable = False
+        object.__setattr__(self, "abscissae", xs)
+        object.__setattr__(self, "values", vs)
+        object.__setattr__(self, "spacing",
+                           spacing if xs.dtype == object else float(spacing))
 
     def __len__(self) -> int:
         return len(self.abscissae)
@@ -341,8 +346,9 @@ class SampleGrid:
 
     @classmethod
     def from_abscissae(cls, f: FunctionSpec, xs) -> "SampleGrid":
-        xs = tuple(xs)
-        return cls(xs, tuple(evaluate(f, x) for x in xs))
+        xs = list(xs)
+        return cls(np.asarray(xs),
+                   np.fromiter((evaluate(f, x) for x in xs), float, len(xs)))
 
 
 def clip_window(domain: IntervalSpec, width: float = DEFAULT_WINDOW_WIDTH,
@@ -390,33 +396,33 @@ def sample(f: FunctionSpec, window: IntervalSpec, m: int,
     if effective is None:
         raise DomainError(f"window {window} is disjoint from domain {f.domain}")
     clipped = clip_window(effective, width=width, margin=margin)
-    lo, hi = clipped.lo, clipped.hi
+    xs = uniform_abscissae(clipped.lo, clipped.hi, m)
+    return SampleGrid(xs, _bulk_values(f, xs))
+
+
+def uniform_abscissae(lo: float, hi: float, m: int) -> np.ndarray:
+    """m points lo + i * (hi - lo) / (m - 1), the last one exactly hi."""
     step = (hi - lo) / (m - 1)
-    xs = [lo + i * step for i in range(m - 1)]
-    xs.append(hi)
-    values = _bulk_values(f, xs)
-    return SampleGrid(tuple(xs), tuple(values))
+    return np.append(lo + np.arange(m - 1) * step, hi)
 
 
-def _bulk_values(f: FunctionSpec, xs: list) -> list:
+def _bulk_values(f: FunctionSpec, xs: np.ndarray) -> np.ndarray:
     """Values on an in-domain float grid, bit-identical to evaluate().
 
     Square roots, affine maps and Horner polynomials round identically in
-    numpy and scalar arithmetic, so large grids for those kinds vectorize;
-    every other kind falls back to the scalar path.
+    numpy and scalar arithmetic, so those kinds vectorize; every other kind
+    is evaluated point by point.
     """
-    if len(xs) > 4096 and f.kind in (SQRT, AFFINE, POLY):
-        ax = np.asarray(xs)
-        if f.kind == SQRT:
-            out = np.sqrt(ax)
-        elif f.kind == AFFINE:
-            out = f.slope * ax + f.intercept
-        else:
-            out = np.full_like(ax, 0.0)
-            for c in reversed(f.coefficients):
-                out = out * ax + c
-        return out.tolist()
-    return [evaluate(f, x) for x in xs]
+    if f.kind == SQRT:
+        return np.sqrt(xs)
+    if f.kind == AFFINE:
+        return f.slope * xs + f.intercept
+    if f.kind == POLY:
+        out = np.zeros_like(xs)
+        for c in reversed(f.coefficients):
+            out = out * xs + c
+        return out
+    return np.fromiter((evaluate(f, x) for x in xs.tolist()), float, len(xs))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from .convexity import (
     check_gsigma_monotone,
     detect_partition,
     g_sigma,
-    refine_to_monotone,
+    gsigma_abscissae,
+    monotone_partition,
 )
 from .continuity import (
     IntervalCollection,
@@ -96,11 +97,14 @@ def analyze(fn_text: str, interval_text: str,
 
     m = settings.grid_m
     resolutions = [m, 2 * (m - 1) + 1, 4 * (m - 1) + 1]
-    detections = []
-    for r in resolutions:
-        grid = sample(f, clipped, r)
-        detections.append(detect_partition(grid, eta=settings.eta,
-                                           max_pieces=settings.max_pieces))
+    base_grid = sample(f, clipped, m)
+    detections = [detect_partition(grid, eta=settings.eta,
+                                   max_pieces=settings.max_pieces)
+                  for grid in (base_grid, sample(f, clipped, resolutions[1]))]
+    finest, pieces = monotone_partition(f, sample(f, clipped, resolutions[2]),
+                                        eta=settings.eta,
+                                        max_pieces=settings.max_pieces)
+    detections.append(finest)
     counts = [d.sign_change_count for d in detections]
     all_partitioned = all(isinstance(d, PiecewiseConvexPartition)
                           for d in detections)
@@ -140,9 +144,7 @@ def analyze(fn_text: str, interval_text: str,
         "verification": None,
     }
 
-    base_grid = sample(f, clipped, m)
-    values = [float(v) for v in base_grid.values]
-    value_range = max(values) - min(values)
+    value_range = float(base_grid.values.max() - base_grid.values.min())
     span = float(base_grid.span)
     h = span / (m - 1)
     ladder = _geom_ladder(2.0 * h, span, settings.modulus_points)
@@ -155,14 +157,10 @@ def analyze(fn_text: str, interval_text: str,
     uc_at_resolution = (omega_min <= UC_THRESHOLD * max(value_range, 1e-300)
                         or omega_min <= 0.35 * omega_mid)
 
-    pieces = []
     certificate = None
     verification = None
     if stable:
-        result = detections[-1]
-        report["partition"] = list(result.partition.points)
-        for shape in result.shapes:
-            pieces.extend(refine_to_monotone(f, shape))
+        report["partition"] = list(finest.partition.points)
         report["pieces"] = [
             {"interval": [p.interval.lo, p.interval.hi],
              "shape": p.shape.value,
@@ -184,7 +182,7 @@ def analyze(fn_text: str, interval_text: str,
                 "ok": rep.max_violation <= 1e-9 * scale,
             })
         try:
-            certificate = ac_certificate(f, result.partition, pieces,
+            certificate = ac_certificate(f, finest.partition, pieces,
                                          settings.epsilon)
             report["certificate"] = {
                 "epsilon": certificate.epsilon,
@@ -244,13 +242,8 @@ def _geom_ladder(lo: float, hi: float, n: int) -> list:
 
 
 def _gsigma_table(f, lo: float, hi: float, sigma: float, m: int = 201):
-    top = hi - sigma
-    while top + sigma > hi:
-        top = math.nextafter(top, -math.inf)
-    step = (top - lo) / (m - 1)
-    xs = [lo + i * step for i in range(m - 1)]
-    xs.append(top)
-    return [(x, g_sigma(f, x, sigma)) for x in xs]
+    return [(x, g_sigma(f, x, sigma))
+            for x in gsigma_abscissae(lo, hi, sigma, m)]
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +276,14 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
+def _probe_dir(path: str) -> None:
+    """Create directory path if needed and check that files can be made in it."""
+    os.makedirs(path, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path, prefix=".contana-")
+    os.close(fd)
+    os.unlink(tmp)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -311,7 +312,7 @@ def cmd_modulus(args) -> int:
     window = parse_interval(args.interval)
     f = parse_function(args.fn, window)
     deltas = _parse_floats(args.deltas)
-    grid = sample(f, clip_window(_effective(f, window)), args.grid)
+    grid = sample(f, window, args.grid)
     curve = modulus_on_grid(grid, deltas)
     sys.stdout.write("delta,omega\n")
     for d, w in curve.samples:
@@ -322,7 +323,7 @@ def cmd_modulus(args) -> int:
 def cmd_worst_sum(args) -> int:
     window = parse_interval(args.interval)
     f = parse_function(args.fn, window)
-    grid = sample(f, clip_window(_effective(f, window)), args.grid)
+    grid = sample(f, window, args.grid)
     rep = worst_ac_sum_oracle(f, grid, args.delta, args.max_intervals)
     payload = {
         "delta": float(rep.delta),
@@ -339,7 +340,7 @@ def cmd_worst_sum(args) -> int:
 def cmd_check_lemma1(args) -> int:
     window = parse_interval(args.interval)
     f = parse_function(args.fn, window)
-    pieces = _pipeline_pieces(f, window, args.grid)
+    pieces = _monotone_pieces(f, window, args.grid)
     violated = False
     for piece in pieces:
         plen = piece.interval.hi - piece.interval.lo
@@ -370,7 +371,7 @@ def cmd_check_glue(args) -> int:
     if not (window.closure_contains(c.pairs[0][0])
             and window.closure_contains(c.pairs[-1][1])):
         raise ParseError(f"pairs must lie inside the window {window}")
-    pieces = _pipeline_pieces(f, window, args.grid)
+    pieces = _monotone_pieces(f, window, args.grid)
     lo_needed = c.pairs[0][0]
     hi_needed = c.pairs[-1][1]
     enclosing = None
@@ -391,9 +392,7 @@ def cmd_check_glue(args) -> int:
 def cmd_certify(args) -> int:
     window = parse_interval(args.interval)
     f = parse_function(args.fn, window)
-    clipped = clip_window(_effective(f, window))
-    grid = sample(f, clipped, args.grid)
-    result = detect_partition(grid)
+    result, pieces = monotone_partition(f, sample(f, window, args.grid))
     if isinstance(result, NotPiecewiseConvex):
         sys.stdout.write(_dump_json({
             "certificate": None,
@@ -401,9 +400,6 @@ def cmd_certify(args) -> int:
             "sign_change_count": result.sign_change_count,
         }).decode())
         return EXIT_VIOLATED
-    pieces = []
-    for shape in result.shapes:
-        pieces.extend(refine_to_monotone(f, shape))
     cert = ac_certificate(f, result.partition, pieces, args.epsilon)
     sys.stdout.write(_dump_json({
         "epsilon": cert.epsilon,
@@ -431,6 +427,7 @@ _SUITE_ENTRIES = (
 
 def cmd_suite(args) -> int:
     out_dir = args.out
+    _probe_dir(out_dir)  # an unwritable --out fails before any work
     outputs = []  # (filename, bytes)
 
     for name, fn_text, interval_text, epsilon in _SUITE_ENTRIES:
@@ -478,7 +475,6 @@ def cmd_suite(args) -> int:
 
     written = []
     try:
-        os.makedirs(out_dir, exist_ok=True)
         for filename, data in outputs:
             path = os.path.join(out_dir, filename)
             _atomic_write(path, data)
@@ -505,23 +501,12 @@ def cmd_suite(args) -> int:
 # Plumbing
 # ---------------------------------------------------------------------------
 
-def _effective(f, window: IntervalSpec) -> IntervalSpec:
-    eff = window.intersect(f.domain)
-    if eff is None:
-        raise ParseError(f"window {window} is disjoint from domain {f.domain}")
-    return eff
-
-
-def _pipeline_pieces(f, window: IntervalSpec, m: int):
-    clipped = clip_window(_effective(f, window))
-    result = detect_partition(sample(f, clipped, m))
+def _monotone_pieces(f, window: IntervalSpec, m: int):
+    result, pieces = monotone_partition(f, sample(f, window, m))
     if isinstance(result, NotPiecewiseConvex):
         raise ParseError(
             f"function is not piecewise convex at resolution {m} "
             f"({result.sign_change_count} sign changes)")
-    pieces = []
-    for shape in result.shapes:
-        pieces.extend(refine_to_monotone(f, shape))
     return pieces
 
 
@@ -532,15 +517,30 @@ def _parse_floats(text: str) -> list:
         raise ParseError(f"bad number list {text!r}") from exc
 
 
-def _parse_epsilon(text: str) -> float:
-    # raises ParseError, which argparse passes through to main's handler
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise ParseError(f"bad --epsilon {text!r}") from exc
-    if not 0 < value < math.inf:
-        raise ParseError(f"--epsilon must be positive and finite, got {text!r}")
-    return value
+def _checked(name: str, convert, rule: str, ok):
+    """argparse type for option ``name``: convert, then require ok(value).
+
+    It raises ParseError, which argparse passes through to main's handler,
+    so bad input ends with one ``parse error:`` line and exit code 2.
+    """
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise ParseError(f"bad {name} {text!r}") from exc
+        if not ok(value):
+            raise ParseError(f"{name} must be {rule}, got {text!r}")
+        return value
+    return parse
+
+
+def _positive(name: str):
+    return _checked(name, float, "positive and finite",
+                    lambda v: 0 < v < math.inf)
+
+
+def _at_least(name: str, low: int):
+    return _checked(name, int, f"at least {low}", lambda v: v >= low)
 
 
 def _parse_pairs_arg(text: str) -> list:
@@ -569,49 +569,52 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full pipeline with JSON report")
     add_common(p)
-    p.add_argument("--epsilon", type=_parse_epsilon, default=0.1)
-    p.add_argument("--grid", type=int, default=4001)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--epsilon", type=_positive("--epsilon"), default=0.1)
+    p.add_argument("--grid", type=_at_least("--grid", 3), default=4001)
+    p.add_argument("--eta", default=None,
+                   type=_checked("--eta", float, "nonnegative and finite",
+                                 lambda v: 0 <= v < math.inf))
+    p.add_argument("--seed", type=_at_least("--seed", 0), default=default_seed)
     p.add_argument("--json", default=None, help="write the report here")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("modulus", help="tabulate the modulus of continuity")
     add_common(p)
     p.add_argument("--deltas", required=True)
-    p.add_argument("--grid", type=int, default=4001)
+    p.add_argument("--grid", type=_at_least("--grid", 2), default=4001)
     p.set_defaults(func=cmd_modulus)
 
     p = sub.add_parser("worst-sum", help="search the worst increment sum")
     add_common(p)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--grid", type=int, default=2001)
-    p.add_argument("--max-intervals", type=int, default=32)
+    p.add_argument("--delta", type=_positive("--delta"), required=True)
+    p.add_argument("--grid", type=_at_least("--grid", 2), default=2001)
+    p.add_argument("--max-intervals", type=_at_least("--max-intervals", 1),
+                   default=32)
     p.set_defaults(func=cmd_worst_sum)
 
     p = sub.add_parser("check-lemma1",
                        help="certify increment-curve directions per piece")
     add_common(p)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--grid", type=int, default=4001)
+    p.add_argument("--sigma", type=_positive("--sigma"), required=True)
+    p.add_argument("--grid", type=_at_least("--grid", 3), default=4001)
     p.set_defaults(func=cmd_check_lemma1)
 
     p = sub.add_parser("check-glue", help="check the gluing bound on pairs")
     add_common(p)
     p.add_argument("--pairs", required=True, help="x1:y1,x2:y2,...")
-    p.add_argument("--grid", type=int, default=4001)
+    p.add_argument("--grid", type=_at_least("--grid", 3), default=4001)
     p.set_defaults(func=cmd_check_glue)
 
     p = sub.add_parser("certify", help="synthesize a certificate")
     add_common(p)
-    p.add_argument("--epsilon", type=_parse_epsilon, required=True)
-    p.add_argument("--grid", type=int, default=4001)
+    p.add_argument("--epsilon", type=_positive("--epsilon"), required=True)
+    p.add_argument("--grid", type=_at_least("--grid", 3), default=4001)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("suite", help="run the demonstration suite")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--seed", type=_at_least("--seed", 0), default=default_seed)
+    p.add_argument("--trials", type=_at_least("--trials", 1), default=10000)
     p.set_defaults(func=cmd_suite)
 
     return parser
@@ -619,12 +622,8 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        default_seed = int(os.environ.get("CONTANA_SEED", "0"))
-    except ValueError:
-        default_seed = 0
-    parser = build_parser(default_seed)
-    try:
-        args = parser.parse_args(argv)
+        seed = _at_least("CONTANA_SEED", 0)(os.environ.get("CONTANA_SEED", "0"))
+        args = build_parser(seed).parse_args(argv)
         return args.func(args)
     except (ParseError, KindError, DomainError, BudgetError) as exc:
         # bad function/interval/delta arguments, not an internal failure

@@ -19,11 +19,10 @@ from .convexity import (
     Direction,
     NotPiecewiseConvex,
     Partition,
-    PiecewiseConvexPartition,
     Shape,
     check_gsigma_monotone,
     detect_partition,
-    refine_to_monotone,
+    monotone_partition,
 )
 from .continuity import (
     ac_certificate,
@@ -48,13 +47,10 @@ class CriterionResult:
 
 
 def _monotone_pieces(f: FunctionSpec, window: IntervalSpec, m: int = 4001):
-    res = detect_partition(sample(f, window, m))
-    if not isinstance(res, PiecewiseConvexPartition):
+    res, pieces = monotone_partition(f, sample(f, window, m))
+    if isinstance(res, NotPiecewiseConvex):
         raise AssertionError(f"expected a convex partition for {f.kind}")
-    pieces = []
-    for shape in res.shapes:
-        pieces.extend(refine_to_monotone(f, shape))
-    return res.partition, tuple(pieces)
+    return res.partition, pieces
 
 
 def _single_piece(f: FunctionSpec, window: IntervalSpec, m: int = 1001):

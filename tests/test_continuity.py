@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -43,7 +44,8 @@ from contana import (
     worst_ac_sum_oracle,
 )
 from contana import catalog
-from contana.continuity import ModulusCurve, _increment_step, _omega_sliding
+from contana.continuity import ModulusCurve, _increment_step
+from contana.function_model import uniform_abscissae
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +54,7 @@ from contana.continuity import ModulusCurve, _increment_step, _omega_sliding
 
 def omega_pair_scan(grid, delta):
     """O(m^2) dense pair scan: the defining maximum, no sliding window."""
-    xs, vs = grid.abscissae, grid.values
+    xs, vs = grid.abscissae.tolist(), grid.values.tolist()
     best = 0.0
     for i in range(len(xs)):
         for j in range(i, len(xs)):
@@ -84,6 +86,51 @@ def brute_force_worst_sum(values, units, k_max):
 
     rec(0, units, k_max, 0.0)
     return best
+
+
+@st.composite
+def grids_with_deltas(draw):
+    """(grid, ascending deltas): uniform float, nonuniform float or Fraction
+    abscissae.  Deltas mix pair distances, their float neighbours and
+    arbitrary lengths; the first pair may carry the extreme values, so that
+    omega changes exactly when the window boundary crosses it."""
+    kind = draw(st.sampled_from(["uniform", "nonuniform", "fraction"]))
+    m = draw(st.integers(2, 40))
+    values = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, -1.0]),
+                  st.floats(-1e3, 1e3, allow_nan=False)),
+        min_size=m, max_size=m))
+    lo = draw(st.integers(-5, 5))
+    if kind == "uniform":
+        xs = uniform_abscissae(lo / 3, lo / 3 + draw(st.floats(1e-3, 100.0)),
+                               m).tolist()
+    elif kind == "nonuniform":
+        gaps = draw(st.lists(st.floats(1e-6, 10.0), min_size=m - 1,
+                             max_size=m - 1))
+        xs = list(accumulate(gaps, initial=lo / 3))
+    else:
+        gaps = draw(st.lists(st.fractions(Fraction(1, 60), 3,
+                                          max_denominator=60),
+                             min_size=m - 1, max_size=m - 1))
+        xs = list(accumulate(gaps, initial=Fraction(lo, 3)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                    st.integers(0, m - 1)), max_size=6))
+    pairs = [(min(i, j), max(i, j)) for i, j in pairs]
+    if pairs and pairs[0][0] < pairs[0][1] and draw(st.booleans()):
+        i, j = pairs[0]
+        values[i], values[j] = min(values) - 1.0, max(values) + 1.0
+    deltas = set()
+    for i, j in pairs:
+        d = xs[j] - xs[i]
+        deltas.add(d)
+        if kind != "fraction":
+            # one ulp either side: where x_j - delta and x_j - x_i round apart
+            deltas.update((math.nextafter(d, 0.0), math.nextafter(d, math.inf)))
+    span = xs[-1] - xs[0]
+    for share in draw(st.lists(st.integers(1, 1000), max_size=4)):
+        deltas.add(span * share / 1000)
+    deltas = sorted(d for d in deltas if 0 < d <= span) or [span]
+    return SampleGrid(xs, values), deltas
 
 
 def sqrt_on_unit_pieces():
@@ -146,17 +193,28 @@ class TestModulus:
                         [0.001, 0.01, 0.1, 0.3, 0.9], m=801)
         assert all(b >= a for a, b in zip(curve.omegas, curve.omegas[1:]))
 
-    def test_fast_path_agrees_with_exact(self):
-        # 24001 points crosses the fast-path threshold
-        f = catalog.sqrt_on_unit()
-        grid = sample(f, IntervalSpec(0.0, 1.0), 24001)
-        deltas = [0.001, 0.02, 0.3]
-        fast = modulus_on_grid(grid, deltas)
-        from contana.continuity import _omega_sliding
-        for (d, w) in fast.samples:
-            assert w == pytest.approx(_omega_sliding(grid.abscissae,
-                                                     grid.values, d),
-                                      abs=1e-12)
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_pair_scan(self, data):
+        grid, deltas = data.draw(grids_with_deltas())
+        curve = modulus_on_grid(grid, deltas)
+        assert curve.deltas == tuple(deltas)
+        running = 0.0
+        for d, w in curve.samples:
+            running = max(running, omega_pair_scan(grid, d))
+            assert w == running, d
+
+    def test_large_grid_matches_pair_scan(self):
+        # windows of a few dozen points on a 24001-point oscillating grid
+        f = FunctionSpec.x_squared_sin_inv(IntervalSpec(0.0, 1.0))
+        grid = sample(f, IntervalSpec(1e-3, 1.0), 24001)
+        h = float(grid.spacing)
+        deltas = [h, 7.5 * h, 30 * h]
+        curve = modulus_on_grid(grid, deltas)
+        running = 0.0
+        for d, w in curve.samples:
+            running = max(running, omega_pair_scan(grid, d))
+            assert w == running, d
 
 
 class TestInvertModulus:
@@ -506,11 +564,13 @@ class TestIncrementStep:
         if not left:
             xs.reverse()
             vs.reverse()
+        grid = SampleGrid(xs, vs)
         tol = 1e-12 * max(1.0, budget)
         for k in range(1, n):
             if k * h > step:
                 break
-            w = _omega_sliding(xs, vs, k * h)
+            # a delta beyond the span admits the same pairs as the span
+            w = modulus_on_grid(grid, [min(k * h, grid.span)]).omegas[0]
             assert w < budget
             assert anchored[k - 1] - tol <= w <= anchored[k] + tol
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from contana import (
     Direction,
@@ -23,19 +25,31 @@ from contana import (
     evaluate,
     expected_direction,
     g_sigma,
+    monotone_partition,
     refine_to_monotone,
     sample,
 )
 from contana import catalog
+from contana.convexity import _sign_runs
 
 
 def monotone_pieces(f, window, m=2001):
-    res = detect_partition(sample(f, window, m))
+    res, pieces = monotone_partition(f, sample(f, window, m))
     assert isinstance(res, PiecewiseConvexPartition)
-    out = []
-    for s in res.shapes:
-        out.extend(refine_to_monotone(f, s))
-    return out
+    return list(pieces)
+
+
+def sign_runs_loop(signs):
+    """Reference: the scalar scan over the sign array."""
+    runs = []
+    for j, s in enumerate(signs):
+        if s == 0:
+            continue
+        if runs and runs[-1][0] == s:
+            runs[-1][2] = j
+        else:
+            runs.append([s, j, j])
+    return [tuple(r) for r in runs]
 
 
 class TestConvexityInequality:
@@ -126,6 +140,30 @@ class TestDetectPartition:
     def test_idempotent(self):
         grid = sample(catalog.cubed(), IntervalSpec(-1.0, 1.0), 501)
         assert detect_partition(grid) == detect_partition(grid)
+
+    @given(st.lists(st.sampled_from([-1, 0, 1]), max_size=60))
+    def test_sign_runs_match_scalar_scan(self, signs):
+        assert _sign_runs(np.array(signs, dtype=np.int8)) == \
+            sign_runs_loop(signs)
+
+
+class TestMonotonePartition:
+    def test_refines_every_shape(self):
+        f = catalog.squared(-1.0, 2.0)
+        res, pieces = monotone_partition(
+            f, sample(f, IntervalSpec(-1.0, 2.0), 1001))
+        assert isinstance(res, PiecewiseConvexPartition)
+        assert [p.monotonicity for p in pieces] == [Monotonicity.DECREASING,
+                                                    Monotonicity.INCREASING]
+        assert pieces[0].interval.lo == -1.0 and pieces[-1].interval.hi == 2.0
+        assert pieces[0].interval.hi == pieces[1].interval.lo
+
+    def test_not_piecewise_convex_has_no_pieces(self):
+        f = FunctionSpec.x_squared_sin_inv(IntervalSpec(0.0, 1.0))
+        res, pieces = monotone_partition(
+            f, sample(f, IntervalSpec(1e-3, 1.0), 10001), max_pieces=32)
+        assert isinstance(res, NotPiecewiseConvex)
+        assert pieces == ()
 
 
 class TestRefineToMonotone:

@@ -234,18 +234,18 @@ class TestSample:
     def test_sqrt_three_points(self):
         grid = sample(FunctionSpec.sqrt(IntervalSpec(0.0, 1.0)),
                       IntervalSpec(0.0, 1.0), 3)
-        assert grid.abscissae == (0.0, 0.5, 1.0)
-        assert grid.values == (0.0, math.sqrt(0.5), 1.0)
+        assert grid.abscissae.tolist() == [0.0, 0.5, 1.0]
+        assert grid.values.tolist() == [0.0, math.sqrt(0.5), 1.0]
         assert grid.spacing == 0.5
 
     def test_affine_two_points(self):
         grid = sample(FunctionSpec.affine(1.0, 0.0), IntervalSpec(0.0, 2.0), 2)
-        assert grid.abscissae == (0.0, 2.0)
-        assert grid.values == (0.0, 2.0)
+        assert grid.abscissae.tolist() == [0.0, 2.0]
+        assert grid.values.tolist() == [0.0, 2.0]
 
     def test_unbounded_domain_clipped(self):
         grid = sample(FunctionSpec.sqrt(), IntervalSpec(0.0, INF, True, False), 2)
-        assert grid.abscissae == (0.0, 10.0)
+        assert grid.abscissae.tolist() == [0.0, 10.0]
 
     def test_disjoint_window(self):
         with pytest.raises(DomainError):
@@ -253,13 +253,19 @@ class TestSample:
                    IntervalSpec(2.0, 3.0), 5)
 
     def test_values_match_pointwise_evaluation(self):
-        # includes the vectorized large-grid path, which must be bit-identical
+        # sqrt, affine and poly grids are vectorized and must be bit-identical
         for f in (FunctionSpec.sqrt(IntervalSpec(0.0, 1.0)),
                   FunctionSpec.affine(-2.5, 0.75),
                   FunctionSpec.polynomial((0.5, -1.0, 2.0, 0.25))):
-            grid = sample(f, IntervalSpec(0.0, 1.0), 5001)
-            assert all(v == evaluate(f, x)
-                       for x, v in zip(grid.abscissae, grid.values))
+            for m in (3, 5001):
+                grid = sample(f, IntervalSpec(0.0, 1.0), m)
+                assert all(v == evaluate(f, x)
+                           for x, v in zip(grid.abscissae.tolist(),
+                                           grid.values.tolist()))
+                # the abscissae are lo + i * step, the last one exactly hi
+                step = 1.0 / (m - 1)
+                assert grid.abscissae.tolist() == (
+                    [i * step for i in range(m - 1)] + [1.0])
 
 
 class TestParseFunction:

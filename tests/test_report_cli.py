@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -113,6 +115,40 @@ class TestCLI:
         assert captured.err.startswith("parse error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        # --grid below 3 where the partition is detected, below 2 elsewhere
+        ["analyze", "--epsilon", "0.1", "--grid", "2"],
+        ["certify", "--epsilon", "0.1", "--grid", "2"],
+        ["check-lemma1", "--sigma", "0.5", "--grid", "2"],
+        ["check-glue", "--pairs", "0:0.1", "--grid", "2"],
+        ["modulus", "--deltas", "0.1", "--grid", "1"],
+        ["worst-sum", "--delta", "0.25", "--grid", "1"],
+        ["worst-sum", "--delta", "0.25", "--grid", "many"],
+        ["worst-sum", "--delta", "0.25", "--max-intervals", "0"],
+        ["check-lemma1", "--sigma", "-1"],
+        ["check-lemma1", "--sigma", "inf"],
+        ["worst-sum", "--delta", "nan"],
+        ["worst-sum", "--delta", "0"],
+        ["analyze", "--eta", "-1", "--grid", "101"],
+        ["analyze", "--eta", "nan", "--grid", "101"],
+        ["analyze", "--seed", "-1", "--grid", "101"],
+    ])
+    def test_bad_numeric_option_parse_error(self, capsys, argv):
+        code = main(argv[:1] + ["--fn", "sqrt", "--interval", "[0,1]"]
+                    + argv[1:])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_suite_zero_trials_parse_error(self, tmp_path, capsys):
+        code = main(["suite", "--out", str(tmp_path / "s"), "--trials", "0"])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and err.count("\n") == 1
+        assert not (tmp_path / "s").exists()
+
     def test_modulus_stdout(self, capsys):
         code = main(["modulus", "--fn", "sqrt", "--interval", "[0,1]",
                      "--deltas", "0.01,0.04,0.25", "--grid", "401"])
@@ -163,6 +199,29 @@ class TestCLI:
         code = main(["suite", "--out", "/proc/contana-nope/x"])
         assert code == EXIT_IO
         assert not os.path.exists("/proc/contana-nope")
+
+    def test_no_scipy_import(self):
+        # numpy is the only runtime dependency: loading the CLI pulls in
+        # every module of the package, and none may import scipy
+        src = os.path.dirname(os.path.dirname(
+            sys.modules["contana.report_cli"].__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import contana.report_cli, sys; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("seed", ["-1", "seven"])
+    def test_bad_env_seed_parse_error(self, monkeypatch, capsys, seed):
+        monkeypatch.setenv("CONTANA_SEED", seed)
+        code = main(["analyze", "--fn", "sqrt", "--interval", "[0,1]",
+                     "--grid", "101"])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and err.count("\n") == 1
 
     def test_env_seed_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONTANA_SEED", "7")
