@@ -8,8 +8,10 @@ search their increment sums sum |f(y_i) - f(x_i)|:
   contiguous interval of the same total length, anchored at the end where
   increments are largest; on monotone convex/concave pieces the packed
   increment dominates the collection's sum.
-* ``worst_ac_sum_oracle`` searches grid-aligned collections exhaustively by
-  dynamic programming over (grid index, budget units, interval count).
+* ``worst_ac_sum_oracle`` finds the grid-aligned collection with the largest
+  increment sum: in closed form when the largest grid steps within the
+  budget form few enough same-sign runs, else by dynamic programming over
+  (grid index, budget units, interval count).
 * ``ac_certificate`` / ``verify_certificate`` invert each piece's anchored
   increment into a concrete (epsilon, delta_1) certificate: every
   collection of total length below delta_1 has increment sum below epsilon.
@@ -339,14 +341,26 @@ def gluing_bound_check(f: FunctionSpec, piece: ShapePiece, c: IntervalCollection
 
 def worst_ac_sum_oracle(f: FunctionSpec, grid: SampleGrid, delta,
                         max_intervals: int = DEFAULT_MAX_INTERVALS) -> ACWorstReport:
-    """Maximize the increment sum over grid-aligned collections by DP.
+    """Maximize the increment sum over grid-aligned collections.
 
     Interval endpoints are restricted to the (uniform) grid, so every
     interval length is an exact multiple of the grid unit and the strict
     total-length constraint `< delta` becomes the exact unit budget
-    `<= delta - one unit`.  The search runs over states (grid index, units
-    used, intervals used) with open-interval carry states for both increment
-    signs, and reconstructs the maximizing witness from recorded choices.
+    `<= delta - one unit`.
+
+    Splitting an interval never lowers its increment sum, and touching
+    pairs are legal, so the sum of the `units` largest steps
+    |v[j+1] - v[j]| bounds every collection.  The bound-first path
+    (method "OracleBound") takes those steps, ties going to the lowest
+    index, and groups the nonzero ones into maximal runs of consecutive
+    same-sign steps; when there are at most `max_intervals` runs, one
+    interval per run attains the bound, in O(m log m) time and O(m)
+    memory.  Otherwise a dynamic program (method "OracleDP", ``_dp_pairs``)
+    searches states (grid index, units used, intervals used) in
+    m * (units + 1) * (kmax + 1) bytes of choice history plus
+    O((units + 1) * (kmax + 1)) floats, kmax = min(max_intervals, units).
+    Only the DP is limited by the state-space guard (BudgetError), and its
+    result never exceeds the bound.
     """
     if max_intervals < 1:
         raise ValueError("max_intervals must be >= 1")
@@ -362,99 +376,141 @@ def worst_ac_sum_oracle(f: FunctionSpec, grid: SampleGrid, delta,
     h = (xs[-1] - xs[0]) / (m - 1)
     units = int(math.floor(float(delta) / float(h) - 1.0 + 1e-9))
     units = min(units, m - 1)
-    spacing = float(grid.spacing)
-    if units < 1:
-        return ACWorstReport(delta=delta, best_sum=0.0,
-                             witness=IntervalCollection(()),
-                             method="OracleDP", grid_spacing=spacing)
-    # touching pairs (y_i = x_{i+1}) are legal, so up to min(units, m-1)
-    # intervals can fit
-    kmax = min(max_intervals, units, m - 1)
-    if 3 * m * (units + 1) * (kmax + 1) > 400_000_000:
-        raise BudgetError("worst-sum state space too large; coarsen the grid")
+    # touching pairs (y_i = x_{i+1}) are legal, so up to `units` intervals fit
+    kmax = min(max_intervals, units)
+    pairs_idx, bound = _top_step_runs(np.diff(v), units)
+    if len(pairs_idx) <= kmax:
+        method = "OracleBound"
+    else:
+        if 3 * m * (units + 1) * (kmax + 1) > 400_000_000:
+            raise BudgetError(
+                "worst-sum state space too large; coarsen the grid")
+        method = "OracleDP"
+        pairs_idx = _dp_pairs(v, units, kmax)
+    points = xs.tolist()
+    witness = IntervalCollection(
+        tuple((points[s], points[e]) for s, e in pairs_idx))
+    best_sum = math.fsum(abs(v[e] - v[s]) for s, e in pairs_idx)
+    assert best_sum <= bound * (1.0 + 1e-9), (best_sum, bound)
+    return ACWorstReport(delta=delta, best_sum=best_sum, witness=witness,
+                         method=method, grid_spacing=float(grid.spacing))
 
+
+def _top_step_runs(steps: np.ndarray, units: int):
+    """(runs, bound) for the `units` largest |steps|.
+
+    Ties go to the lowest index, as in a stable descending sort.  Zero
+    steps are dropped and the rest grouped into maximal runs of consecutive
+    same-sign steps; run (s, e) covers steps s .. e - 1, i.e. the grid
+    interval from index s to index e.  ``bound`` is the selected steps'
+    summed magnitude.
+    """
+    magnitude = np.abs(steps)
+    top = np.argsort(-magnitude, kind="stable")[:units]
+    bound = math.fsum(magnitude[top])
+    sign = np.zeros(len(steps) + 2)
+    sign[top + 1] = np.sign(steps[top])
+    change = sign[1:] != sign[:-1]
+    starts = np.flatnonzero(change & (sign[1:] != 0))
+    ends = np.flatnonzero(change & (sign[:-1] != 0))
+    return list(zip(starts.tolist(), ends.tolist())), bound
+
+
+#: bits of the DP's one-byte choice code per state: the rising (+v[end] -
+#: v[start]) or falling interval closed here improved the closed state (the
+#: falling one is tried last, so its bit wins), or the rising or falling
+#: open state was opened here
+_CLOSED_P, _CLOSED_M, _OPENED_P, _OPENED_M = 1, 2, 4, 8
+
+
+def _dp_pairs(v: np.ndarray, units: int, kmax: int):
+    """Index pairs of a best collection of at most `kmax` intervals covering
+    at most `units` grid steps in total.
+
+    The DP walks the grid with states (intervals used, units used): a closed
+    value, and open-interval carries for a rising and a falling interval.
+    Every buffer is allocated once and updated in place, and each state
+    records one uint8 choice code per grid point, so the memory is
+    m * (units + 1) * (kmax + 1) bytes of history plus
+    O((units + 1) * (kmax + 1)) floats.
+    """
+    m = len(v)
+    shape = (kmax + 1, units + 1)
     neg = -math.inf
-    shape = (units + 1, kmax + 1)
     closed = np.full(shape, neg)
     closed[0, 0] = 0.0
-    open_p = np.full(shape, neg)
-    open_m = np.full(shape, neg)
-    hist = []
-    for j in range(m):
-        vj = v[j]
-        ext_p = np.full(shape, neg)
-        ext_p[1:, :] = open_p[:-1, :]
-        ext_m = np.full(shape, neg)
-        ext_m[1:, :] = open_m[:-1, :]
-
-        c_code = np.zeros(shape, dtype=np.int8)
-        cand = ext_p + vj
-        better = cand > closed
-        closed = np.where(better, cand, closed)
-        c_code[better] = 1
-        cand = ext_m - vj
-        better = cand > closed
-        closed = np.where(better, cand, closed)
-        c_code[better] = 2
-
-        base = np.full(shape, neg)
-        base[:, 1:] = closed[:, :-1]
-
-        p_code = np.zeros(shape, dtype=np.int8)
-        cand = base - vj
-        better = cand > ext_p
-        open_p = np.where(better, cand, ext_p)
-        p_code[better] = 1
-
-        m_code = np.zeros(shape, dtype=np.int8)
-        cand = base + vj
-        better = cand > ext_m
-        open_m = np.where(better, cand, ext_m)
-        m_code[better] = 1
-
-        hist.append((c_code, p_code, m_code))
-
-    flat = int(np.argmax(closed))
-    u, k = divmod(flat, kmax + 1)
-    pairs_idx = _backtrack(hist, u, k, m)
-    points = xs.tolist()
-    pairs = tuple((points[s], points[e]) for s, e in pairs_idx)
-    witness = IntervalCollection(pairs)
-    best_sum = math.fsum(abs(v[e] - v[s]) for s, e in pairs_idx)
-    return ACWorstReport(delta=delta, best_sum=best_sum, witness=witness,
-                         method="OracleDP", grid_spacing=spacing)
-
-
-_CLOSED, _OPEN_P, _OPEN_M = 0, 1, 2
+    # an open state counts its interval, so row 0 of the open states and
+    # column 0 (no unit yet) of the extended ones stay -inf
+    open_p, open_m = np.full(shape, neg), np.full(shape, neg)
+    ext_p, ext_m = np.full(shape, neg), np.full(shape, neg)
+    cand = np.empty(shape)
+    closed_p, closed_m = np.empty(shape, bool), np.empty(shape, bool)
+    opened_p = np.empty((kmax, units + 1), bool)
+    opened_m = np.empty((kmax, units + 1), bool)
+    opened = np.empty((kmax, units + 1), np.uint8)
+    # the same flags as 0/1 bytes, to assemble the codes from
+    closed_p8, closed_m8, opened_p8, opened_m8 = (
+        a.view(np.uint8) for a in (closed_p, closed_m, opened_p, opened_m))
+    hist = np.empty((m,) + shape, np.uint8)
+    # rows 1.. (one interval more) and the closed states they open from
+    closed_fewer, cand_k = closed[:-1], cand[1:]
+    ext_p_k, ext_m_k = ext_p[1:], ext_m[1:]
+    open_p_k, open_m_k = open_p[1:], open_m[1:]
+    for j, vj in enumerate(v.tolist()):
+        code = hist[j]
+        # an open interval runs on to grid point j: one more unit
+        ext_p[:, 1:] = open_p[:, :-1]
+        ext_m[:, 1:] = open_m[:, :-1]
+        # close it at j
+        np.add(ext_p, vj, out=cand)
+        np.greater(cand, closed, out=closed_p)
+        np.maximum(closed, cand, out=closed)
+        np.subtract(ext_m, vj, out=cand)
+        np.greater(cand, closed, out=closed_m)
+        np.maximum(closed, cand, out=closed)
+        # or open one more interval at j
+        np.subtract(closed_fewer, vj, out=cand_k)
+        np.greater(cand_k, ext_p_k, out=opened_p)
+        np.maximum(ext_p_k, cand_k, out=open_p_k)
+        np.add(closed_fewer, vj, out=cand_k)
+        np.greater(cand_k, ext_m_k, out=opened_m)
+        np.maximum(ext_m_k, cand_k, out=open_m_k)
+        # code = closed_p + 2 closed_m + 4 (opened_p + 2 opened_m)
+        np.add(closed_m8, closed_m8, out=code)
+        np.add(code, closed_p8, out=code)
+        np.add(opened_m8, opened_m8, out=opened)
+        np.add(opened, opened_p8, out=opened)
+        np.multiply(opened, _OPENED_P, out=opened)
+        np.add(code[1:], opened, out=code[1:])
+    # among equal sums, the fewest units, then the fewest intervals
+    u, k = divmod(int(np.argmax(closed.T)), kmax + 1)
+    return _backtrack(hist, u, k)
 
 
-def _backtrack(hist, u: int, k: int, m: int):
+def _backtrack(hist: np.ndarray, u: int, k: int):
+    """Follow the choice codes back from the closed state (k, u) at the
+    last grid point; returns the intervals as (start, end) index pairs."""
     pairs = []
-    state = _CLOSED
+    state = 0  # 0 closed, else the bit of the open state being followed
     end = -1
-    j = m - 1
+    j = len(hist) - 1
     while j >= 0:
-        c_code, p_code, m_code = hist[j]
-        if state == _CLOSED:
+        code = int(hist[j, k, u])
+        if state == 0:
             if u == 0 and k == 0:
                 break
-            code = c_code[u, k]
-            if code == 0:
-                j -= 1
-            else:
+            if code & (_CLOSED_P | _CLOSED_M):
                 end = j
-                state = _OPEN_P if code == 1 else _OPEN_M
+                state = _OPENED_M if code & _CLOSED_M else _OPENED_P
                 u -= 1
-                j -= 1
+            j -= 1
+        elif code & state:
+            pairs.append((j, end))
+            k -= 1
+            state = 0
         else:
-            code = p_code[u, k] if state == _OPEN_P else m_code[u, k]
-            if code == 1:
-                pairs.append((j, end))
-                k -= 1
-                state = _CLOSED
-            else:
-                u -= 1
-                j -= 1
+            u -= 1
+            j -= 1
     pairs.reverse()
     return pairs
 
@@ -614,8 +670,9 @@ def verify_certificate(f: FunctionSpec, cert: Certificate, trials: int = 10000,
 
     Random collections mix many-small-interval and single-interval shapes;
     adversarial collections anchor the budget at the favorable end of each
-    piece; the DP oracle searches a grid sized so the budget spans about 128
-    units.  Passes iff every observed increment sum stays below epsilon.
+    piece; the worst-sum oracle searches a grid sized so the budget spans
+    about 128 units.  Passes iff every observed increment sum stays below
+    epsilon.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -182,6 +182,8 @@ class FunctionSpec:
             )
         if self.kind in (PWL, TABLE):
             ks = tuple((float(x), float(y)) for x, y in self.knots)
+            if not all(map(math.isfinite, (c for knot in ks for c in knot))):
+                raise DomainError("knots must be finite")
             if len(ks) < 2:
                 raise KindError("piecewise data requires at least two knots")
             xs = [x for x, _ in ks]
@@ -329,6 +331,10 @@ class SampleGrid:
         gaps = np.diff(xs)
         if np.any(gaps <= 0):
             raise KindError("grid abscissae must be strictly increasing")
+        bad = np.flatnonzero(~np.isfinite(vs))
+        if len(bad):
+            i = bad[0]
+            raise DomainError(f"non-finite value {vs[i]} at x = {xs[i]}")
         spacing = gaps.max()
         xs, vs = xs.view(), vs.view()
         xs.flags.writeable = vs.flags.writeable = False
@@ -397,7 +403,9 @@ def sample(f: FunctionSpec, window: IntervalSpec, m: int,
         raise DomainError(f"window {window} is disjoint from domain {f.domain}")
     clipped = clip_window(effective, width=width, margin=margin)
     xs = uniform_abscissae(clipped.lo, clipped.hi, m)
-    return SampleGrid(xs, _bulk_values(f, xs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _bulk_values(f, xs)  # SampleGrid rejects non-finite values
+    return SampleGrid(xs, values)
 
 
 def uniform_abscissae(lo: float, hi: float, m: int) -> np.ndarray:
@@ -435,8 +443,8 @@ def parse_function(text: str, window: IntervalSpec | None = None) -> FunctionSpe
     Supported forms: ``sqrt``, ``x2sininv``, ``cantor``,
     ``affine:<slope>,<intercept>``, ``poly:<c0>,<c1>,...``,
     ``pwl:<x0>:<y0>,<x1>:<y1>,...`` and ``table@<path>`` (two-column CSV,
-    header optional).  When ``window`` is given, the natural domain of the
-    kind is intersected with it.
+    the first row may be a header).  When ``window`` is given, the natural
+    domain of the kind is intersected with it.
     """
     s = text.strip()
     if not s:
@@ -497,20 +505,23 @@ def _parse_pairs(body: str):
 
 
 def _load_table(path: str):
+    """Knots from a two-column CSV; the first nonblank row may be a header.
+
+    A file that cannot be opened or read raises OSError (an I/O error, not
+    a parse error).
+    """
+    with open(path, newline="") as fh:
+        try:
+            rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ParseError(f"unreadable table {path}: {exc}") from exc
     knots = []
-    try:
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or not "".join(row).strip():
-                    continue
-                try:
-                    knots.append((float(row[0]), float(row[1])))
-                except (ValueError, IndexError):
-                    if not knots:
-                        continue  # tolerate a single header row
-                    raise ParseError(f"bad table row {row!r} in {path}")
-    except OSError as exc:
-        raise ParseError(f"cannot read table {path}: {exc}") from exc
+    for i, row in enumerate(rows):
+        try:
+            knots.append((float(row[0]), float(row[1])))
+        except (ValueError, IndexError):
+            if i > 0:  # only the first row may be a header
+                raise ParseError(f"bad table row {row!r} in {path}") from None
     if len(knots) < 2:
         raise ParseError(f"table {path} needs at least two rows")
     return knots

@@ -1,6 +1,7 @@
 """Tests for the modulus, gluing, worst-sum search and certificates."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -44,7 +45,7 @@ from contana import (
     worst_ac_sum_oracle,
 )
 from contana import catalog
-from contana.continuity import ModulusCurve, _increment_step
+from contana.continuity import ModulusCurve, _dp_pairs, _increment_step
 from contana.function_model import uniform_abscissae
 
 
@@ -86,6 +87,24 @@ def brute_force_worst_sum(values, units, k_max):
 
     rec(0, units, k_max, 0.0)
     return best
+
+
+def top_step_runs(values, units):
+    """The bound-first selection, step by step: the `units` largest |steps|
+    (the stable sort keeps the lowest index among ties), zero steps dropped,
+    consecutive same-sign steps merged into one (start, end) interval."""
+    steps = [b - a for a, b in zip(values, values[1:])]
+    order = sorted(range(len(steps)), key=lambda i: -abs(steps[i]))
+    chosen = sorted(order[:units])
+    runs = []
+    for i in chosen:
+        if steps[i] == 0:
+            continue
+        if runs and runs[-1][1] == i and (steps[i] > 0) == (steps[i - 1] > 0):
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
+    return [tuple(run) for run in runs]
 
 
 @st.composite
@@ -349,6 +368,56 @@ class TestWorstSumOracle:
                 want = brute_force_worst_sum(values, units, kmax)
                 assert rep.best_sum == pytest.approx(want, abs=1e-12), (
                     trial, units, kmax)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bound_first_and_dp_match_brute_force(self, data):
+        # small integer values plant ties, zero steps and sign flips; the
+        # budgets and interval caps fall on both sides of the run count
+        values = [float(v) for v in data.draw(st.lists(
+            st.one_of(st.integers(-3, 3), st.floats(-4.0, 4.0)),
+            min_size=2, max_size=9))]
+        m = len(values)
+        units = data.draw(st.integers(0, m - 1))
+        kmax = data.draw(st.integers(1, 4))
+        xs = uniform_abscissae(0.0, 1.0, m)
+        f = FunctionSpec.piecewise_linear(tuple(zip(xs.tolist(), values)))
+        grid = SampleGrid(xs, values)
+        delta = (units + 1) / (m - 1) * (1.0 + 1e-7)
+        rep = worst_ac_sum_oracle(f, grid, delta, kmax)
+        want = brute_force_worst_sum(values, units, kmax)
+        assert rep.best_sum == pytest.approx(want, rel=1e-12, abs=1e-12)
+        runs = top_step_runs(values, units)
+        if len(runs) <= min(kmax, units):
+            assert rep.method == "OracleBound"
+            assert rep.witness.pairs == tuple(
+                (xs[s], xs[e]) for s, e in runs)
+        else:
+            assert rep.method == "OracleDP"
+        assert ac_sum(f, rep.witness) == rep.best_sum
+        assert len(rep.witness) <= kmax
+        assert float(rep.witness.total_length) < delta
+        # the DP alone reaches the same sum on the same input
+        dp = _dp_pairs(grid.values, units, min(kmax, units))
+        assert math.fsum(abs(values[e] - values[s]) for s, e in dp) == \
+            pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_dp_memory_within_stated_bound(self):
+        # Cantor's top steps form far more runs than intervals allowed, so
+        # the DP runs; its history is one byte per state
+        f = catalog.cantor_on_unit()
+        m, units, kmax = 8193, 100, 32
+        grid = sample(f, IntervalSpec(0.0, 1.0), m)
+        tracemalloc.start()
+        try:
+            rep = worst_ac_sum_oracle(f, grid, (units + 1) / (m - 1), kmax)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.method == "OracleDP"
+        assert len(rep.witness) == kmax
+        history = m * (units + 1) * (kmax + 1)
+        assert peak <= history + 16 * 8 * ((units + 1) * (kmax + 1) + m)
 
     def test_sqrt_single_left_interval(self):
         f = catalog.sqrt_on_unit()

@@ -111,6 +111,14 @@ class TestFunctionSpec:
         with pytest.raises(KindError):
             FunctionSpec("mystery", IntervalSpec(0.0, 1.0))
 
+    def test_non_finite_knots(self):
+        nan = float("nan")
+        for knots in (((0.0, nan), (1.0, 1.0)),
+                      ((0.0, 0.0), (0.5, INF), (1.0, 1.0)),
+                      ((0.0, 0.0), (nan, 0.5), (1.0, 1.0))):
+            with pytest.raises(DomainError):
+                FunctionSpec.piecewise_linear(knots, IntervalSpec(0.0, 1.0))
+
     def test_domain_must_lie_in_knot_span(self):
         with pytest.raises(KindError):
             FunctionSpec.sampled_table(((0.0, 0.0), (1.0, 1.0)),
@@ -252,6 +260,13 @@ class TestSample:
             sample(FunctionSpec.sqrt(IntervalSpec(0.0, 1.0)),
                    IntervalSpec(2.0, 3.0), 5)
 
+    def test_non_finite_values(self):
+        with pytest.raises(DomainError):
+            sample(FunctionSpec.polynomial((float("nan"), 1.0)),
+                   IntervalSpec(0.0, 1.0), 5)
+        with pytest.raises(DomainError):
+            sample(FunctionSpec.affine(1e308, 0.0), IntervalSpec(0.0, 1e10), 5)
+
     def test_values_match_pointwise_evaluation(self):
         # sqrt, affine and poly grids are vectorized and must be bit-identical
         for f in (FunctionSpec.sqrt(IntervalSpec(0.0, 1.0)),
@@ -294,9 +309,24 @@ class TestParseFunction:
         assert f.knots == ((0.0, 1.0), (1.0, 2.0), (2.0, 0.0))
         assert evaluate(f, 0.5) == 1.5
 
+    def test_table_tolerates_one_header_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\nx,y\n\n0,1\n1,2\n")
+        f = parse_function(f"table@{path}")
+        assert f.knots == ((0.0, 1.0), (1.0, 2.0))
+        for text in ("x,y\nfoo,bar\n0,1\n1,2\n", "0,1\nx,y\n1,2\n",
+                     "0,1\n1,2\n2\n"):
+            path.write_text(text)
+            with pytest.raises(ParseError):
+                parse_function(f"table@{path}")
+
+    def test_unreadable_table_is_io_error(self, tmp_path):
+        for missing in (tmp_path / "missing.csv", tmp_path):
+            with pytest.raises(OSError):
+                parse_function(f"table@{missing}")
+
     def test_errors(self):
-        for bad in ["", "mystery", "affine:1", "poly:", "pwl:0:0",
-                    "table@/nonexistent/file.csv"]:
+        for bad in ["", "mystery", "affine:1", "poly:", "pwl:0:0"]:
             with pytest.raises(ParseError):
                 parse_function(bad)
         with pytest.raises(ParseError):

@@ -142,6 +142,46 @@ class TestCLI:
         assert captured.err.startswith("parse error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--fn", "poly:nan,1", "--interval", "[0,1]"],
+        ["analyze", "--fn", "affine:1e308,0", "--interval", "[0,1e10]"],
+        ["worst-sum", "--fn", "pwl:0:nan,1:1", "--interval", "[0,1]",
+         "--delta", "0.25", "--grid", "11"],
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_input_parse_error(self, capsys, argv):
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_missing_table_io_error(self, tmp_path, capsys):
+        code = main(["analyze", "--fn", f"table@{tmp_path / 'missing.csv'}",
+                     "--interval", "[0,1]", "--grid", "101"])
+        assert code == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("I/O error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_worst_sum_state_guard_limits_only_the_dp(self, capsys):
+        # 3 * 5001 * 1250 * 33 states exceed the DP's guard; the top steps
+        # of x^2 form one run, so the bound answers, while Cantor's do not
+        argv = ["worst-sum", "--interval", "[0,1]", "--delta", "0.25",
+                "--grid", "5001", "--max-intervals", "32"]
+        assert main(argv + ["--fn", "poly:0,0,1"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "OracleBound"
+        assert payload["witness"] == [[pytest.approx(0.7502, abs=1e-15), 1.0]]
+        assert payload["best_sum"] == pytest.approx(1 - 0.7502**2, rel=1e-12)
+        assert main(argv + ["--fn", "cantor"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ")
+        assert "state space too large" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_suite_zero_trials_parse_error(self, tmp_path, capsys):
         code = main(["suite", "--out", str(tmp_path / "s"), "--trials", "0"])
         assert code == EXIT_PARSE
