@@ -58,8 +58,6 @@ from .continuity import (
     glue_chain,
     glued_single_interval,
     gluing_bound_check,
-    invert_modulus,
-    modulus,
     modulus_on_grid,
     random_collection,
     split_collection_at_partition,

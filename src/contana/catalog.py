@@ -1,7 +1,7 @@
 """Canonical analysis targets used by the demonstration suite and tests.
 
 Functions without a native catalog kind (the reciprocal and the sine) are
-realized as dense sampled tables; linear interpolation preserves both
+realized as dense piecewise-linear tables; linear interpolation preserves both
 monotonicity and convexity of the data, so every certified property of the
 table holds exactly for the interpolant.
 """
@@ -37,7 +37,7 @@ def reciprocal_table(lo: float = 0.1, hi: float = 10.0,
     """Dense piecewise-linear version of 1/x: decreasing and convex."""
     xs = [lo + i * (hi - lo) / (knots - 1) for i in range(knots - 1)]
     xs.append(hi)
-    return FunctionSpec.sampled_table(tuple((x, 1.0 / x) for x in xs))
+    return FunctionSpec.piecewise_linear(tuple((x, 1.0 / x) for x in xs))
 
 
 def sine_table(knots: int = 20001) -> FunctionSpec:
@@ -45,7 +45,7 @@ def sine_table(knots: int = 20001) -> FunctionSpec:
     hi = 2.0 * math.pi
     xs = [i * hi / (knots - 1) for i in range(knots - 1)]
     xs.append(hi)
-    return FunctionSpec.sampled_table(tuple((x, math.sin(x)) for x in xs))
+    return FunctionSpec.piecewise_linear(tuple((x, math.sin(x)) for x in xs))
 
 
 def cantor_on_unit() -> FunctionSpec:

@@ -51,7 +51,7 @@ from .function_model import (
 #: default interval cap for the worst-sum search
 DEFAULT_MAX_INTERVALS = 32
 
-#: invert_modulus and ac_certificate shrink the inverted step by this factor
+#: ac_certificate shrinks each piece's inverted step by this factor
 MODULUS_SAFETY = 0.9
 
 #: delta_1 keeps this fraction of the per-piece bound
@@ -168,12 +168,6 @@ def ac_sum(f: FunctionSpec, c: IntervalCollection) -> float:
 # Modulus of continuity
 # ---------------------------------------------------------------------------
 
-def modulus(f: FunctionSpec, window: IntervalSpec, deltas, m: int = 4001) -> ModulusCurve:
-    """Tabulate omega(delta) = max |f(x) - f(y)| over grid pairs |x - y| <= delta."""
-    grid = sample(f, window, m)
-    return modulus_on_grid(grid, deltas)
-
-
 def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
     """Modulus curve on an explicit grid, exact at every grid size.
 
@@ -191,7 +185,7 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
     ds = list(deltas)
     if not ds:
         raise InsufficientData("at least one delta is required")
-    if any(d <= 0 for d in ds):
+    if any(not d > 0 for d in ds):
         raise BudgetError("deltas must be positive")
     if any(b <= a for a, b in zip(ds, ds[1:])):
         raise BudgetError("deltas must be sorted ascending")
@@ -247,18 +241,6 @@ def _block_extrema(vs: np.ndarray, levels: int):
     return top, bottom
 
 
-def invert_modulus(curve: ModulusCurve, epsilon: float) -> float:
-    """Largest tabulated delta with omega(delta) < epsilon, shrunk by 0.9."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    qualifying = [d for d, w in curve.samples if w < epsilon]
-    if not qualifying:
-        raise Unachievable(
-            f"no tabulated step keeps increments below {epsilon}; "
-            "refine the curve or lower expectations")
-    return MODULUS_SAFETY * float(max(qualifying))
-
-
 # ---------------------------------------------------------------------------
 # Gluing
 # ---------------------------------------------------------------------------
@@ -295,6 +277,17 @@ def _anchor_for(piece: ShapePiece) -> Anchor:
     if direction is Direction.NONDECREASING:
         return Anchor.RIGHT
     return Anchor.LEFT
+
+
+def _favourable_interval(piece: ShapePiece, d):
+    """The interval of length d at the piece's favourable end, clamped to
+    the piece: (lo, lo + d) when left-anchored, (hi - d, hi) when
+    right-anchored.  By the increment lemma its increment is the largest of
+    any interval of length d in the piece."""
+    lo, hi = piece.interval.lo, piece.interval.hi
+    if _anchor_for(piece) is Anchor.LEFT:
+        return lo, min(hi, lo + d)
+    return max(lo, hi - d), hi
 
 
 def _clamp_into(x, lo, hi, slack):
@@ -526,11 +519,7 @@ def glued_single_interval(f: FunctionSpec, piece: ShapePiece,
     if not 0 < budget < hi - lo:
         raise GeometryError(
             f"budget {budget} must lie strictly inside (0, {hi - lo})")
-    if _anchor_for(piece) is Anchor.LEFT:
-        pair = (lo, lo + budget)
-    else:
-        pair = (hi - budget, hi)
-    witness = IntervalCollection((pair,))
+    witness = IntervalCollection((_favourable_interval(piece, budget),))
     return ACWorstReport(delta=budget, best_sum=ac_sum(f, witness),
                          witness=witness, method="GluedClosedForm",
                          grid_spacing=0.0)
@@ -640,14 +629,12 @@ def _increment_step(f: FunctionSpec, piece: ShapePiece, budget: float) -> float:
     qualifies, else bisects (0, length) until the midpoint no longer splits
     the bracket.  Raises Unachievable when no positive step qualifies.
     """
-    lo, hi = float(piece.interval.lo), float(piece.interval.hi)
+    lo, hi = piece.interval.lo, piece.interval.hi
     length = hi - lo
-    left = _anchor_for(piece) is Anchor.LEFT
-    base = evaluate(f, lo if left else hi)
 
     def increment(d):
-        x = min(hi, lo + d) if left else max(lo, hi - d)
-        return abs(evaluate(f, x) - base)
+        x, y = _favourable_interval(piece, d)
+        return abs(evaluate(f, y) - evaluate(f, x))
 
     if increment(length) < budget:
         return length
@@ -700,11 +687,8 @@ def verify_certificate(f: FunctionSpec, cert: Certificate, trials: int = 10000,
         length = min(d1 * 0.999, plen * 0.999)
         if length <= 0:
             continue
+        consider(IntervalCollection((_favourable_interval(piece, length),)))
         at_left = _anchor_for(piece) is Anchor.LEFT
-        if at_left:
-            consider(IntervalCollection(((plo, plo + length),)))
-        else:
-            consider(IntervalCollection(((phi - length, phi),)))
         for parts in (2, 4, 8):
             seg = length / parts
             gap = min(seg / 2.0, (plen * 0.999 - length) / max(1, parts - 1))

@@ -1,8 +1,10 @@
 """Interval semantics, the analyzable function catalog, and grid sampling.
 
-The catalog is deliberately small: square root, x^2*sin(1/x) (with value 0
-at the origin), the Cantor staircase, polynomials, affine maps, piecewise
-linear interpolants and sampled tables.  Evaluation is exact where the
+The catalog is deliberately small: five kinds, square root, x^2*sin(1/x)
+(with value 0 at the origin), the Cantor staircase, polynomials and
+piecewise linear interpolants.  Affine maps are degree-one polynomials and
+sampled tables are piecewise linear interpolants of their rows; both keep
+their own spellings in the mini-language.  Evaluation is exact where the
 function allows it; the Cantor function is evaluated by ternary digit
 scanning on the exact rational value of the input, so it accepts floats,
 ints and fractions.Fraction alike.
@@ -13,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -143,11 +145,9 @@ SQRT = "sqrt"
 X2SININV = "x2sininv"
 CANTOR = "cantor"
 POLY = "poly"
-AFFINE = "affine"
 PWL = "pwl"
-TABLE = "table"
 
-_KINDS = (SQRT, X2SININV, CANTOR, POLY, AFFINE, PWL, TABLE)
+_KINDS = (SQRT, X2SININV, CANTOR, POLY, PWL)
 
 
 @dataclass(frozen=True)
@@ -155,15 +155,14 @@ class FunctionSpec:
     """A catalog member bound to a domain interval.
 
     Only the fields relevant to ``kind`` are meaningful: ``coefficients``
-    for polynomials (ascending degree), ``slope``/``intercept`` for affine
-    maps, ``knots`` for piecewise linear data and sampled tables.
+    for polynomials (ascending degree, so the affine map a*x + b is
+    ``(b, a)``) and ``knots`` for piecewise linear data (sampled tables
+    included).
     """
 
     kind: str
     domain: IntervalSpec
     coefficients: tuple = ()
-    slope: float = 0.0
-    intercept: float = 0.0
     knots: tuple = ()
 
     def __post_init__(self) -> None:
@@ -180,7 +179,7 @@ class FunctionSpec:
             object.__setattr__(
                 self, "coefficients", tuple(float(c) for c in self.coefficients)
             )
-        if self.kind in (PWL, TABLE):
+        if self.kind == PWL:
             ks = tuple((float(x), float(y)) for x, y in self.knots)
             if not all(map(math.isfinite, (c for knot in ks for c in knot))):
                 raise DomainError("knots must be finite")
@@ -215,20 +214,14 @@ class FunctionSpec:
     @classmethod
     def affine(cls, slope: float, intercept: float,
                domain: IntervalSpec | None = None) -> "FunctionSpec":
-        return cls(AFFINE, domain or IntervalSpec(-INF, INF, False, False),
-                   slope=float(slope), intercept=float(intercept))
+        """The affine map as the degree-one polynomial (intercept, slope)."""
+        return cls.polynomial((intercept, slope), domain)
 
     @classmethod
     def piecewise_linear(cls, knots, domain: IntervalSpec | None = None) -> "FunctionSpec":
         ks = tuple(knots)
         dom = domain or IntervalSpec(ks[0][0], ks[-1][0])
         return cls(PWL, dom, knots=ks)
-
-    @classmethod
-    def sampled_table(cls, knots, domain: IntervalSpec | None = None) -> "FunctionSpec":
-        ks = tuple(knots)
-        dom = domain or IntervalSpec(ks[0][0], ks[-1][0])
-        return cls(TABLE, dom, knots=ks)
 
 
 def eval_cantor(x, depth: int = CANTOR_DEPTH) -> float:
@@ -279,14 +272,14 @@ def evaluate(f: FunctionSpec, x) -> float:
     if kind == CANTOR:
         return eval_cantor(x)
     if kind == POLY:
+        # Horner from the leading coefficient: degree one gives exactly
+        # the bits of a*x + b, signed zeros included
         xf = float(x)
-        acc = 0.0
-        for c in reversed(f.coefficients):
+        *rest, acc = f.coefficients
+        for c in reversed(rest):
             acc = acc * xf + c
         return acc
-    if kind == AFFINE:
-        return f.slope * float(x) + f.intercept
-    if kind in (PWL, TABLE):
+    if kind == PWL:
         return _interp_knots(f.knots, float(x))
     raise KindError(f"unknown function kind {kind!r}")
 
@@ -417,17 +410,16 @@ def uniform_abscissae(lo: float, hi: float, m: int) -> np.ndarray:
 def _bulk_values(f: FunctionSpec, xs: np.ndarray) -> np.ndarray:
     """Values on an in-domain float grid, bit-identical to evaluate().
 
-    Square roots, affine maps and Horner polynomials round identically in
-    numpy and scalar arithmetic, so those kinds vectorize; every other kind
-    is evaluated point by point.
+    Square roots and Horner polynomials round identically in numpy and
+    scalar arithmetic, so those kinds vectorize; every other kind is
+    evaluated point by point.
     """
     if f.kind == SQRT:
         return np.sqrt(xs)
-    if f.kind == AFFINE:
-        return f.slope * xs + f.intercept
     if f.kind == POLY:
-        out = np.zeros_like(xs)
-        for c in reversed(f.coefficients):
+        *rest, lead = f.coefficients
+        out = np.full_like(xs, lead)
+        for c in reversed(rest):
             out = out * xs + c
         return out
     return np.fromiter((evaluate(f, x) for x in xs.tolist()), float, len(xs))
@@ -441,10 +433,12 @@ def parse_function(text: str, window: IntervalSpec | None = None) -> FunctionSpe
     """Parse a function spec string, e.g. ``sqrt`` or ``affine:2,1``.
 
     Supported forms: ``sqrt``, ``x2sininv``, ``cantor``,
-    ``affine:<slope>,<intercept>``, ``poly:<c0>,<c1>,...``,
-    ``pwl:<x0>:<y0>,<x1>:<y1>,...`` and ``table@<path>`` (two-column CSV,
-    the first row may be a header).  When ``window`` is given, the natural
-    domain of the kind is intersected with it.
+    ``poly:<c0>,<c1>,...``, ``pwl:<x0>:<y0>,<x1>:<y1>,...``, and two
+    spellings of these: ``affine:<a>,<b>`` for ``poly:<b>,<a>`` (a*x + b)
+    and ``table@<path>`` (two-column CSV, the first row may be a header)
+    for ``pwl:`` through the file's rows.  When
+    ``window`` is given, the natural domain of the kind is intersected
+    with it.
     """
     s = text.strip()
     if not s:
@@ -469,7 +463,7 @@ def parse_function(text: str, window: IntervalSpec | None = None) -> FunctionSpe
         elif s.startswith("pwl:"):
             fn = FunctionSpec.piecewise_linear(_parse_pairs(s[len("pwl:"):]))
         elif s.startswith("table@"):
-            fn = FunctionSpec.sampled_table(_load_table(s[len("table@"):]))
+            fn = FunctionSpec.piecewise_linear(_load_table(s[len("table@"):]))
         else:
             raise ParseError(f"unknown function spec {text!r}")
     except KindError as exc:
@@ -480,8 +474,7 @@ def parse_function(text: str, window: IntervalSpec | None = None) -> FunctionSpe
             raise ParseError(
                 f"window {window} is disjoint from the natural domain {fn.domain}")
         try:
-            fn = FunctionSpec(fn.kind, dom, coefficients=fn.coefficients,
-                              slope=fn.slope, intercept=fn.intercept, knots=fn.knots)
+            fn = replace(fn, domain=dom)
         except KindError as exc:
             raise ParseError(str(exc)) from exc
     return fn

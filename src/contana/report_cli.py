@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from . import catalog, suite_checks
 from .convexity import (
+    DEFAULT_MAX_PIECES,
     NotPiecewiseConvex,
     PiecewiseConvexPartition,
     check_gsigma_monotone,
@@ -49,6 +50,7 @@ from .errors import (
 from .function_model import (
     CANTOR_DEPTH,
     IntervalSpec,
+    SampleGrid,
     clip_window,
     parse_function,
     parse_interval,
@@ -68,6 +70,15 @@ SCHEMA_VERSION = 1
 #: increment counts as "uniformly continuous at this resolution"
 UC_THRESHOLD = 0.05
 
+#: random collections per certificate verification in ``analyze``
+VERIFY_TRIALS = 2000
+
+#: increment-curve samples per piece in ``analyze``
+GSIGMA_SAMPLES = 257
+
+#: deltas per tabulated modulus curve
+MODULUS_POINTS = 33
+
 
 @dataclass(frozen=True)
 class AnalysisSettings:
@@ -75,10 +86,6 @@ class AnalysisSettings:
     grid_m: int = 4001
     eta: float | None = None
     seed: int = 0
-    max_pieces: int = 64
-    trials: int = 2000
-    gsigma_samples: int = 257
-    modulus_points: int = 33
 
 
 # ---------------------------------------------------------------------------
@@ -87,23 +94,26 @@ class AnalysisSettings:
 
 def analyze(fn_text: str, interval_text: str,
             settings: AnalysisSettings = AnalysisSettings()) -> dict:
-    """Full pipeline: clip, detect, refine, certify, verify; returns a report."""
+    """Full pipeline: clip, detect, refine, certify, verify; returns a report.
+
+    Detection runs at resolutions m, 2(m-1)+1 and 4(m-1)+1 on one sampled
+    grid: the coarser two take every second and every fourth point of the
+    finest, which are exactly the points (and values) that sampling them
+    separately gives.
+    """
     window = parse_interval(interval_text)
-    f = parse_function(fn_text, window)
-    effective = window.intersect(f.domain)
-    if effective is None:
-        raise ParseError(f"window {window} is disjoint from domain {f.domain}")
-    clipped = clip_window(effective)
+    f = parse_function(fn_text, window)  # its domain lies in the window
+    clipped = clip_window(f.domain)
 
     m = settings.grid_m
     resolutions = [m, 2 * (m - 1) + 1, 4 * (m - 1) + 1]
-    base_grid = sample(f, clipped, m)
-    detections = [detect_partition(grid, eta=settings.eta,
-                                   max_pieces=settings.max_pieces)
-                  for grid in (base_grid, sample(f, clipped, resolutions[1]))]
-    finest, pieces = monotone_partition(f, sample(f, clipped, resolutions[2]),
-                                        eta=settings.eta,
-                                        max_pieces=settings.max_pieces)
+    fine_grid = sample(f, clipped, resolutions[-1])
+    base_grid, mid_grid = (
+        SampleGrid(fine_grid.abscissae[::s], fine_grid.values[::s])
+        for s in (4, 2))
+    detections = [detect_partition(grid, eta=settings.eta)
+                  for grid in (base_grid, mid_grid)]
+    finest, pieces = monotone_partition(f, fine_grid, eta=settings.eta)
     detections.append(finest)
     counts = [d.sign_change_count for d in detections]
     all_partitioned = all(isinstance(d, PiecewiseConvexPartition)
@@ -121,12 +131,12 @@ def analyze(fn_text: str, interval_text: str,
             "grid": settings.grid_m,
             "eta": settings.eta,
             "seed": settings.seed,
-            "max_pieces": settings.max_pieces,
-            "trials": settings.trials,
+            "max_pieces": DEFAULT_MAX_PIECES,
+            "trials": VERIFY_TRIALS,
             "cantor_depth": CANTOR_DEPTH,
             "detection_resolutions": resolutions,
-            "gsigma_samples": settings.gsigma_samples,
-            "modulus_points": settings.modulus_points,
+            "gsigma_samples": GSIGMA_SAMPLES,
+            "modulus_points": MODULUS_POINTS,
             "uc_threshold": UC_THRESHOLD,
         },
         "detection": {
@@ -147,7 +157,7 @@ def analyze(fn_text: str, interval_text: str,
     value_range = float(base_grid.values.max() - base_grid.values.min())
     span = float(base_grid.span)
     h = span / (m - 1)
-    ladder = _geom_ladder(2.0 * h, span, settings.modulus_points)
+    ladder = _geom_ladder(2.0 * h, span, MODULUS_POINTS)
     curve = modulus_on_grid(base_grid, ladder)
     report["modulus"] = [[d, w] for d, w in curve.samples]
     # uniformly continuous at this resolution: the finest tabulated
@@ -171,8 +181,7 @@ def analyze(fn_text: str, interval_text: str,
         for i, piece in enumerate(pieces):
             plen = piece.interval.hi - piece.interval.lo
             sigma = plen / 4.0
-            rep = check_gsigma_monotone(f, piece, sigma,
-                                        m=settings.gsigma_samples)
+            rep = check_gsigma_monotone(f, piece, sigma, m=GSIGMA_SAMPLES)
             scale = max(1.0, max(rep.curve.values, default=1.0))
             report["gsigma"].append({
                 "piece": i,
@@ -194,12 +203,12 @@ def analyze(fn_text: str, interval_text: str,
             report["certificate_error"] = str(exc)
     if certificate is not None:
         verification = verify_certificate(f, certificate,
-                                          trials=settings.trials,
+                                          trials=VERIFY_TRIALS,
                                           seed=settings.seed)
         report["verification"] = {
             "passed": verification.passed,
             "worst_sum": verification.worst_sum,
-            "trials": settings.trials,
+            "trials": VERIFY_TRIALS,
             "worst_collection": [[float(x), float(y)] for x, y in
                                  verification.worst_collection.pairs],
         }
@@ -311,9 +320,8 @@ def cmd_analyze(args) -> int:
 def cmd_modulus(args) -> int:
     window = parse_interval(args.interval)
     f = parse_function(args.fn, window)
-    deltas = _parse_floats(args.deltas)
     grid = sample(f, window, args.grid)
-    curve = modulus_on_grid(grid, deltas)
+    curve = modulus_on_grid(grid, args.deltas)
     sys.stdout.write("delta,omega\n")
     for d, w in curve.samples:
         sys.stdout.write(f"{float(d)!r},{w!r}\n")
@@ -454,7 +462,7 @@ def cmd_suite(args) -> int:
     sine_grid = sample(sine, sine_window, 4001)
     sine_curve = modulus_on_grid(
         sine_grid, _geom_ladder(2.0 * float(sine_grid.spacing),
-                                float(sine_grid.span), 33))
+                                float(sine_grid.span), MODULUS_POINTS))
     outputs.append(("modulus_sine.csv",
                     _dump_csv("delta,omega", sine_curve.samples)))
     outputs.append(("gsigma_sine.csv",
@@ -508,13 +516,6 @@ def _monotone_pieces(f, window: IntervalSpec, m: int):
             f"function is not piecewise convex at resolution {m} "
             f"({result.sign_change_count} sign changes)")
     return pieces
-
-
-def _parse_floats(text: str) -> list:
-    try:
-        return [float(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError as exc:
-        raise ParseError(f"bad number list {text!r}") from exc
 
 
 def _checked(name: str, convert, rule: str, ok):
@@ -580,7 +581,10 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("modulus", help="tabulate the modulus of continuity")
     add_common(p)
-    p.add_argument("--deltas", required=True)
+    p.add_argument("--deltas", required=True, type=_checked(
+        "--deltas", lambda text: [float(t) for t in text.split(",") if t.strip()],
+        "a list of positive finite numbers",
+        lambda ds: ds and all(0 < d < math.inf for d in ds)))
     p.add_argument("--grid", type=_at_least("--grid", 2), default=4001)
     p.set_defaults(func=cmd_modulus)
 

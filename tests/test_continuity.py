@@ -34,8 +34,6 @@ from contana import (
     glue_chain,
     glued_single_interval,
     gluing_bound_check,
-    invert_modulus,
-    modulus,
     modulus_on_grid,
     random_collection,
     refine_to_monotone,
@@ -45,7 +43,7 @@ from contana import (
     worst_ac_sum_oracle,
 )
 from contana import catalog
-from contana.continuity import ModulusCurve, _dp_pairs, _increment_step
+from contana.continuity import _dp_pairs, _increment_step
 from contana.function_model import uniform_abscissae
 
 
@@ -185,7 +183,7 @@ class TestModulus:
 
     def test_affine_linear_law(self):
         f = FunctionSpec.affine(2.0, 0.0, IntervalSpec(0.0, 1.0))
-        curve = modulus(f, IntervalSpec(0.0, 1.0), [0.1], m=101)
+        curve = modulus_on_grid(sample(f, IntervalSpec(0.0, 1.0), 101), [0.1])
         assert curve.omegas[0] == pytest.approx(0.2, abs=1e-12)
 
     def test_cantor_self_similarity_exact(self):
@@ -200,16 +198,16 @@ class TestModulus:
             assert w == omega_pair_scan(grid, d)
 
     def test_budget_error(self):
-        f = catalog.sqrt_on_unit()
-        with pytest.raises(BudgetError):
-            modulus(f, IntervalSpec(0.0, 1.0), [2.0], m=51)
-        with pytest.raises(BudgetError):
-            modulus(f, IntervalSpec(0.0, 1.0), [0.2, 0.1], m=51)
+        grid = sample(catalog.sqrt_on_unit(), IntervalSpec(0.0, 1.0), 51)
+        for deltas in ([2.0], [0.2, 0.1], [0.0], [float("nan")],
+                       [0.1, float("nan")]):
+            with pytest.raises(BudgetError):
+                modulus_on_grid(grid, deltas)
 
     def test_nondecreasing(self):
         f = catalog.cantor_on_unit()
-        curve = modulus(f, IntervalSpec(0.0, 1.0),
-                        [0.001, 0.01, 0.1, 0.3, 0.9], m=801)
+        curve = modulus_on_grid(sample(f, IntervalSpec(0.0, 1.0), 801),
+                                [0.001, 0.01, 0.1, 0.3, 0.9])
         assert all(b >= a for a, b in zip(curve.omegas, curve.omegas[1:]))
 
     @settings(max_examples=100, deadline=None)
@@ -234,24 +232,6 @@ class TestModulus:
         for d, w in curve.samples:
             running = max(running, omega_pair_scan(grid, d))
             assert w == running, d
-
-
-class TestInvertModulus:
-    def test_sqrt_curve(self):
-        curve = ModulusCurve(((0.0625, 0.25), (0.125, math.sqrt(0.125)),
-                              (0.2, math.sqrt(0.2)), (0.24, math.sqrt(0.24)),
-                              (0.25, 0.5)))
-        # omega(0.25) = 0.5 does not qualify strictly; 0.24 is the largest
-        assert invert_modulus(curve, 0.5) == pytest.approx(0.9 * 0.24)
-
-    def test_affine_curve(self):
-        curve = ModulusCurve(((0.05, 0.1), (0.09, 0.18), (0.099, 0.198),
-                              (0.1, 0.2)))
-        assert invert_modulus(curve, 0.2) == pytest.approx(0.9 * 0.099)
-
-    def test_unachievable(self):
-        with pytest.raises(Unachievable):
-            invert_modulus(ModulusCurve(((0.1, 0.05),)), 0.01)
 
 
 class TestGlueChain:
@@ -359,7 +339,7 @@ class TestWorstSumOracle:
         for trial in range(6):
             values = [float(v) for v in rng.normal(size=12)]
             knots = tuple((i / 11.0, v) for i, v in enumerate(values))
-            f = FunctionSpec.sampled_table(knots)
+            f = FunctionSpec.piecewise_linear(knots)
             grid = SampleGrid.from_abscissae(f, [k[0] for k in knots])
             h = grid.spacing
             for units, kmax in ((3, 2), (5, 3), (7, 12)):

@@ -121,8 +121,8 @@ class TestFunctionSpec:
 
     def test_domain_must_lie_in_knot_span(self):
         with pytest.raises(KindError):
-            FunctionSpec.sampled_table(((0.0, 0.0), (1.0, 1.0)),
-                                       IntervalSpec(0.0, 2.0))
+            FunctionSpec.piecewise_linear(((0.0, 0.0), (1.0, 1.0)),
+                                          IntervalSpec(0.0, 2.0))
 
 
 class TestEvaluate:
@@ -144,7 +144,7 @@ class TestEvaluate:
 
     def test_table_knot_exact(self):
         knots = tuple((x / 7.0, math.sin(x)) for x in range(8))
-        f = FunctionSpec.sampled_table(knots)
+        f = FunctionSpec.piecewise_linear(knots)
         for x, y in knots:
             assert evaluate(f, x) == y
 
@@ -267,6 +267,19 @@ class TestSample:
         with pytest.raises(DomainError):
             sample(FunctionSpec.affine(1e308, 0.0), IntervalSpec(0.0, 1e10), 5)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1e3, 1e3), st.floats(1e-3, 1e6),
+           st.integers(2, 2000), st.sampled_from([2, 4]))
+    def test_strided_grid_is_the_coarser_grid(self, lo, width, m, s):
+        # analyze takes its coarser detection grids as every s-th point of
+        # the finest one; sampling them separately gives the same bits
+        f = FunctionSpec.polynomial((0.5, -1.0, 2.0))
+        window = IntervalSpec(lo, lo + width)
+        coarse = sample(f, window, m)
+        strided = sample(f, window, s * (m - 1) + 1)
+        assert strided.abscissae[::s].tobytes() == coarse.abscissae.tobytes()
+        assert strided.values[::s].tobytes() == coarse.values.tobytes()
+
     def test_values_match_pointwise_evaluation(self):
         # sqrt, affine and poly grids are vectorized and must be bit-identical
         for f in (FunctionSpec.sqrt(IntervalSpec(0.0, 1.0)),
@@ -289,7 +302,7 @@ class TestParseFunction:
         assert parse_function("x2sininv").kind == "x2sininv"
         assert parse_function("cantor").kind == "cantor"
         f = parse_function("affine:2,1")
-        assert (f.slope, f.intercept) == (2.0, 1.0)
+        assert (f.kind, f.coefficients) == ("poly", (1.0, 2.0))
         f = parse_function("poly:1,0,3")
         assert f.coefficients == (1.0, 0.0, 3.0)
         f = parse_function("pwl:0:0,0.5:1,1:0")
@@ -305,9 +318,36 @@ class TestParseFunction:
         path = tmp_path / "t.csv"
         path.write_text("x,y\n0,1\n1,2\n2,0\n")
         f = parse_function(f"table@{path}")
-        assert f.kind == "table"
+        assert f.kind == "pwl"
         assert f.knots == ((0.0, 1.0), (1.0, 2.0), (2.0, 0.0))
         assert evaluate(f, 0.5) == 1.5
+        # a table is a spelling of pwl: through its rows
+        assert f == parse_function("pwl:0:1,1:2,2:0")
+        window = parse_interval("[0.5,1.5]")
+        assert (parse_function(f"table@{path}", window)
+                == parse_function("pwl:0:1,1:2,2:0", window))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.floats(-1e6, 1e6, allow_subnormal=False)),
+           st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.floats(-1e6, 1e6, allow_subnormal=False)),
+           st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                              st.floats(-10.0, 10.0)),
+                    min_size=1, max_size=5))
+    def test_affine_is_a_poly_spelling(self, a, b, xs):
+        window = parse_interval("[-10,10]")
+        f = parse_function(f"affine:{a!r},{b!r}", window)
+        g = parse_function(f"poly:{b!r},{a!r}", window)
+        assert f.kind == g.kind == "poly"
+        assert f == FunctionSpec.affine(a, b, f.domain)
+        # bit-identical to slope*x + intercept, signed zeros included
+        for x in xs:
+            want = (a * x + b).hex()
+            assert evaluate(f, x).hex() == evaluate(g, x).hex() == want
+        grid = sample(f, window, 33)
+        assert grid.values.tobytes() == sample(g, window, 33).values.tobytes()
+        assert grid.values.tobytes() == (a * grid.abscissae + b).tobytes()
 
     def test_table_tolerates_one_header_row(self, tmp_path):
         path = tmp_path / "t.csv"

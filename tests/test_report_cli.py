@@ -17,8 +17,15 @@ from contana.report_cli import (
     analyze,
     main,
 )
+from contana import (
+    clip_window,
+    detect_partition,
+    parse_function,
+    parse_interval,
+    sample,
+)
 
-FAST = AnalysisSettings(epsilon=0.1, grid_m=501, trials=200)
+FAST = AnalysisSettings(epsilon=0.1, grid_m=501)
 
 
 class TestAnalyze:
@@ -48,7 +55,7 @@ class TestAnalyze:
 
     def test_oscillating_counterexample(self):
         report = analyze("x2sininv", "[0,1]",
-                         AnalysisSettings(grid_m=2001, trials=100))
+                         AnalysisSettings(grid_m=2001))
         counts = report["detection"]["sign_change_counts"]
         assert counts[0] < counts[-1]
         assert report["verdicts"]["piecewise_convex"] is False
@@ -58,7 +65,7 @@ class TestAnalyze:
 
     def test_cantor_counterexample(self):
         report = analyze("cantor", "[0,1]",
-                         AnalysisSettings(epsilon=0.5, grid_m=501, trials=100))
+                         AnalysisSettings(epsilon=0.5, grid_m=501))
         assert report["verdicts"]["piecewise_convex"] is False
         assert report["verdicts"]["uniformly_continuous_at_resolution"] is True
         # the worst sums stay large relative to the shrinking budget
@@ -85,6 +92,25 @@ class TestAnalyze:
         assert report["pieces"][0]["interval"][1] == pytest.approx(0.3, abs=1e-3)
         assert report["pieces"][2]["interval"][1] == pytest.approx(0.7, abs=1e-3)
         assert report["verdicts"]["certificate_verified"] is True
+
+    @pytest.mark.parametrize("fn, interval, m", [
+        ("sqrt", "(0,1]", 101),
+        ("x2sininv", "[0,1]", 257),
+        ("cantor", "[0.05,1]", 129),
+        ("pwl:0:0,0.3:0.6,0.7:0.2,1:0.5", "[0,1]", 101),
+        ("poly:0,0,0,1", "[-1,1]", 64),
+    ])
+    def test_detection_matches_separate_sampling(self, fn, interval, m):
+        # analyze detects on one sampled grid and on every second and every
+        # fourth of its points; separately sampled grids give the same counts
+        report = analyze(fn, interval, AnalysisSettings(grid_m=m))
+        f = parse_function(fn, parse_interval(interval))
+        window = clip_window(f.domain)
+        resolutions = [m, 2 * (m - 1) + 1, 4 * (m - 1) + 1]
+        counts = [detect_partition(sample(f, window, r)).sign_change_count
+                  for r in resolutions]
+        assert report["detection"]["resolutions"] == resolutions
+        assert report["detection"]["sign_change_counts"] == counts
 
 
 class TestCLI:
@@ -132,6 +158,9 @@ class TestCLI:
         ["analyze", "--eta", "-1", "--grid", "101"],
         ["analyze", "--eta", "nan", "--grid", "101"],
         ["analyze", "--seed", "-1", "--grid", "101"],
+        ["modulus", "--deltas", ","],
+        ["modulus", "--deltas", "nan"],
+        ["modulus", "--deltas", "0.1,nan"],
     ])
     def test_bad_numeric_option_parse_error(self, capsys, argv):
         code = main(argv[:1] + ["--fn", "sqrt", "--interval", "[0,1]"]
