@@ -27,6 +27,7 @@ from .function_model import (
     IntervalSpec,
     SampleGrid,
     evaluate,
+    evaluate_many,
     uniform_abscissae,
 )
 
@@ -365,12 +366,26 @@ def g_sigma(f: FunctionSpec, x, sigma) -> float:
     return abs(evaluate(f, x + sigma) - evaluate(f, x))
 
 
-def gsigma_abscissae(lo: float, hi: float, sigma: float, m: int) -> list:
+def gsigma_abscissae(lo: float, hi: float, sigma: float, m: int) -> np.ndarray:
     """m equally spaced x from lo to the largest float top with top + sigma <= hi."""
     top = hi - sigma
     while top + sigma > hi:
         top = math.nextafter(top, -math.inf)
-    return uniform_abscissae(lo, top, m).tolist()
+    return uniform_abscissae(lo, top, m)
+
+
+def gsigma_curve(f: FunctionSpec, lo: float, hi: float, sigma: float,
+                 m: int) -> tuple:
+    """The increment curve at the m gsigma_abscissae: lists (xs, g_sigma).
+
+    f(x + sigma) and f(x) come from one bulk evaluation, with the bits of
+    g_sigma at every point (numpy's x + sigma rounds as Python's does).
+    """
+    if sigma <= 0:
+        raise GeometryError("sigma must be positive")
+    xs = gsigma_abscissae(lo, hi, sigma, m)
+    v = evaluate_many(f, np.concatenate((xs + sigma, xs)))
+    return xs.tolist(), np.abs(v[:m] - v[m:]).tolist()
 
 
 #: (monotonicity, shape) -> certified increment-curve direction
@@ -409,8 +424,7 @@ def check_gsigma_monotone(f: FunctionSpec, piece: ShapePiece, sigma: float,
     if hi - lo <= sigma:
         raise GeometryError(
             f"piece length {hi - lo} must exceed sigma {sigma}")
-    xs = gsigma_abscissae(lo, hi, sigma, m)
-    values = [g_sigma(f, x, sigma) for x in xs]
+    xs, values = gsigma_curve(f, lo, hi, sigma, m)
     diffs = [b - a for a, b in zip(values, values[1:])]
     viol_ni = max(0.0, max(diffs))       # violations of nonincreasing
     viol_nd = max(0.0, -min(diffs))      # violations of nondecreasing

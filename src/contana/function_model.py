@@ -8,6 +8,12 @@ their own spellings in the mini-language.  Evaluation is exact where the
 function allows it; the Cantor function is evaluated by ternary digit
 scanning on the exact rational value of the input, so it accepts floats,
 ints and fractions.Fraction alike.
+
+``evaluate`` is the one-point reference.  Grids (``sample``) and point
+sets (``evaluate_many``) are evaluated in bulk by one vectorized evaluator
+per kind, ``_bulk_values``, which gives evaluate()'s bits at every float
+point and works in fixed-size blocks, so its memory is bounded (stated in
+its docstring).
 """
 
 from __future__ import annotations
@@ -268,7 +274,10 @@ def evaluate(f: FunctionSpec, x) -> float:
         if x == 0:
             return 0.0
         xf = float(x)
-        return xf * xf * math.sin(1.0 / xf)
+        inv = 1.0 / xf
+        if math.isinf(inv):  # |x| < 2**-1024: x*x has underflowed to 0 already
+            return 0.0
+        return xf * xf * math.sin(inv)
     if kind == CANTOR:
         return eval_cantor(x)
     if kind == POLY:
@@ -345,9 +354,8 @@ class SampleGrid:
 
     @classmethod
     def from_abscissae(cls, f: FunctionSpec, xs) -> "SampleGrid":
-        xs = list(xs)
-        return cls(np.asarray(xs),
-                   np.fromiter((evaluate(f, x) for x in xs), float, len(xs)))
+        xs = np.asarray(list(xs))
+        return cls(xs, evaluate_many(f, xs))
 
 
 def clip_window(domain: IntervalSpec, width: float = DEFAULT_WINDOW_WIDTH,
@@ -396,9 +404,7 @@ def sample(f: FunctionSpec, window: IntervalSpec, m: int,
         raise DomainError(f"window {window} is disjoint from domain {f.domain}")
     clipped = clip_window(effective, width=width, margin=margin)
     xs = uniform_abscissae(clipped.lo, clipped.hi, m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _bulk_values(f, xs)  # SampleGrid rejects non-finite values
-    return SampleGrid(xs, values)
+    return SampleGrid(xs, _bulk_values(f, xs))  # rejects non-finite values
 
 
 def uniform_abscissae(lo: float, hi: float, m: int) -> np.ndarray:
@@ -407,22 +413,128 @@ def uniform_abscissae(lo: float, hi: float, m: int) -> np.ndarray:
     return np.append(lo + np.arange(m - 1) * step, hi)
 
 
-def _bulk_values(f: FunctionSpec, xs: np.ndarray) -> np.ndarray:
-    """Values on an in-domain float grid, bit-identical to evaluate().
+def evaluate_many(f: FunctionSpec, xs) -> np.ndarray:
+    """evaluate() at every point of xs, as one float64 array.
 
-    Square roots and Horner polynomials round identically in numpy and
-    scalar arithmetic, so those kinds vectorize; every other kind is
-    evaluated point by point.
+    Every point is checked against the domain as evaluate() checks it,
+    and the first one outside raises the same DomainError.  Float points
+    are then evaluated in bulk; exact points (``fractions.Fraction``, an
+    ``object`` array) go through evaluate() one by one and stay exact.
     """
-    if f.kind == SQRT:
-        return np.sqrt(xs)
-    if f.kind == POLY:
-        *rest, lead = f.coefficients
-        out = np.full_like(xs, lead)
-        for c in reversed(rest):
-            out = out * xs + c
-        return out
-    return np.fromiter((evaluate(f, x) for x in xs.tolist()), float, len(xs))
+    xs = np.asarray(xs)
+    if xs.dtype == object:
+        return np.fromiter((evaluate(f, x) for x in xs.tolist()), float, len(xs))
+    xs = xs.astype(float, copy=False)
+    d = f.domain
+    inside = (xs > d.lo) | ((xs == d.lo) & d.lo_closed)
+    inside &= (xs < d.hi) | ((xs == d.hi) & d.hi_closed)
+    if not inside.all():
+        x = float(xs[np.argmin(inside)])
+        raise DomainError(f"{x!r} outside domain {f.domain}")
+    return _bulk_values(f, xs)
+
+
+#: points per block of _bulk_values; bounds its working memory
+BULK_BLOCK = 8192
+
+
+def _bulk_values(f: FunctionSpec, xs: np.ndarray) -> np.ndarray:
+    """Values on an in-domain float64 array, bit-identical to evaluate().
+
+    Every kind is vectorized with the scalar formula's own operations:
+    square roots and Horner polynomials; x*x*sin(1/x) with 0.0 where 1/x
+    is infinite (x == 0, or |x| < 2**-1024, where x*x is 0 already); the
+    Cantor digit scan in integer arithmetic (``_cantor_block``); and
+    piecewise linear interpolation from a binary search of the knots,
+    with knot hits exact.  The points are evaluated BULK_BLOCK at a time,
+    so besides the m-point output the working memory is 16 bytes per knot
+    (piecewise linear data) plus at most 128 bytes per block point
+    (1 MiB).  With its grid (abscissae, values, and the gaps and flags of
+    SampleGrid's checks: 26 bytes per point), sample() at m points peaks
+    below 26*m + 16*knots + 128*BULK_BLOCK bytes.  Overflow to inf is
+    silent, as in scalar arithmetic.
+    """
+    out = np.empty(len(xs))
+    if f.kind == PWL:
+        kx = np.fromiter((x for x, _ in f.knots), float, len(f.knots))
+        ky = np.fromiter((y for _, y in f.knots), float, len(f.knots))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(0, len(xs), BULK_BLOCK):
+            x = xs[i:i + BULK_BLOCK]
+            if f.kind == SQRT:
+                v = np.sqrt(x)
+            elif f.kind == X2SININV:
+                inv = 1.0 / x
+                inv[np.isinf(inv)] = 0.0
+                v = x * x * np.sin(inv)
+            elif f.kind == CANTOR:
+                v = _cantor_block(x)
+            elif f.kind == POLY:
+                *rest, v = f.coefficients
+                for c in reversed(rest):
+                    v = v * x + c
+            else:
+                v = _interp_block(kx, ky, x)
+            out[i:i + BULK_BLOCK] = v
+    return out
+
+
+#: largest denominator exponent s of x = n / 2**s for the integer Cantor
+#: scan: 3n < 3 * 2**61 < 2**63
+_CANTOR_MAX_EXPONENT = 61
+
+
+def _cantor_block(x: np.ndarray) -> np.ndarray:
+    """eval_cantor on in-domain floats, bit for bit.
+
+    Each x is n / 2**s in lowest terms (from frexp), so one ternary digit
+    is (3n) >> s with remainder (3n) & (2**s - 1), exact in 64-bit integers
+    while s <= 61.  The binary accumulator is uint64: 64 digits fill all
+    64 bits.  A point leaves the scan at its first digit 1; points with
+    s > 61 (below about 2**-9, or subnormal) go through eval_cantor.
+    """
+    out = np.where(x == 1.0, 1.0, 0.0)
+    mant, exp = np.frexp(x)
+    n = (mant * 2.0**53).astype(np.int64)        # x = n * 2**(exp - 53)
+    del mant
+    tz = np.frexp((n & -n).astype(float))[1] - 1  # trailing zero bits of n
+    s = 53 - exp - tz
+    interior = (x > 0.0) & (x < 1.0)
+    scan = interior & (s <= _CANTOR_MAX_EXPONENT)
+    for j in np.flatnonzero(interior & ~scan):
+        out[j] = eval_cantor(float(x[j]))
+    idx = np.flatnonzero(scan)
+    num = (n[idx] >> tz[idx]).astype(np.uint64)
+    shift = s[idx].astype(np.uint64)
+    del n, tz, s, exp, interior, scan
+    mask = (np.uint64(1) << shift) - np.uint64(1)
+    acc = np.zeros(len(idx), np.uint64)
+    for bits in range(1, CANTOR_DEPTH + 1):
+        num *= np.uint64(3)
+        digit = num >> shift
+        num &= mask
+        acc <<= np.uint64(1)
+        acc |= digit != 0
+        stop = digit == 1
+        if bits == CANTOR_DEPTH:
+            stop[:] = True
+        if stop.any():
+            out[idx[stop]] = acc[stop].astype(float) / 2.0**bits
+            keep = ~stop
+            idx, num, shift, mask, acc = (
+                idx[keep], num[keep], shift[keep], mask[keep], acc[keep])
+            if not len(idx):
+                break
+    return out
+
+
+def _interp_block(kx: np.ndarray, ky: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """_interp_knots on in-span floats, bit for bit."""
+    idx = np.searchsorted(kx, x, side="right")   # bisect_right
+    hit = kx[idx - 1] == x
+    j = np.minimum(idx, len(kx) - 1)             # idx == len(kx) is a hit
+    x0, y0, x1, y1 = kx[j - 1], ky[j - 1], kx[j], ky[j]
+    return np.where(hit, ky[idx - 1], y0 + (y1 - y0) * ((x - x0) / (x1 - x0)))
 
 
 # ---------------------------------------------------------------------------

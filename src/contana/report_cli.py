@@ -26,8 +26,7 @@ from .convexity import (
     PiecewiseConvexPartition,
     check_gsigma_monotone,
     detect_partition,
-    g_sigma,
-    gsigma_abscissae,
+    gsigma_curve,
     monotone_partition,
 )
 from .continuity import (
@@ -43,6 +42,7 @@ from .errors import (
     ContanaError,
     DomainError,
     GeometryError,
+    InsufficientData,
     KindError,
     ParseError,
     Unachievable,
@@ -251,8 +251,7 @@ def _geom_ladder(lo: float, hi: float, n: int) -> list:
 
 
 def _gsigma_table(f, lo: float, hi: float, sigma: float, m: int = 201):
-    return [(x, g_sigma(f, x, sigma))
-            for x in gsigma_abscissae(lo, hi, sigma, m)]
+    return list(zip(*gsigma_curve(f, lo, hi, sigma, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +628,10 @@ def main(argv=None) -> int:
         seed = _at_least("CONTANA_SEED", 0)(os.environ.get("CONTANA_SEED", "0"))
         args = build_parser(seed).parse_args(argv)
         return args.func(args)
-    except (ParseError, KindError, DomainError, BudgetError) as exc:
-        # bad function/interval/delta arguments, not an internal failure
+    except (ParseError, KindError, DomainError, BudgetError,
+            InsufficientData) as exc:
+        # bad function/interval/delta arguments, or a window too narrow for
+        # a uniform grid at the requested size: not an internal failure
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
     except Unachievable as exc:

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from contana import (
     detect_partition,
     evaluate,
     glue_chain,
+    monotone_partition,
     glued_single_interval,
     gluing_bound_check,
     modulus_on_grid,
@@ -42,7 +44,7 @@ from contana import (
     verify_certificate,
     worst_ac_sum_oracle,
 )
-from contana import catalog
+from contana import catalog, continuity
 from contana.continuity import _dp_pairs, _increment_step
 from contana.function_model import uniform_abscissae
 
@@ -522,6 +524,24 @@ class TestCertificates:
         assert ver.worst_sum >= 0.5
         assert ver.worst_sum == pytest.approx(
             ac_sum(f, ver.worst_collection), abs=1e-12)
+
+    @pytest.mark.parametrize("f, epsilon", [
+        (catalog.sqrt_on_unit(), 0.1),
+        (FunctionSpec.piecewise_linear(
+            ((0.0, 0.0), (0.3, 0.6), (0.7, 0.2), (1.0, 0.5))), 0.1),
+        (catalog.sine_table(), 0.4),
+    ], ids=["sqrt", "zigzag", "sine_table"])
+    def test_batched_sums_match_scalar_ac_sum(self, f, epsilon):
+        # the bulk-evaluated sums give the report of the scalar ac_sum loop
+        res, pieces = monotone_partition(f, sample(f, f.domain, 2001))
+        cert = ac_certificate(f, res.partition, pieces, epsilon)
+        for seed in (0, 1):
+            got = verify_certificate(f, cert, trials=500, seed=seed)
+            with mock.patch.object(continuity, "_ac_sums", lambda f, cs: [
+                    ac_sum(f, c) for c in cs]):
+                want = verify_certificate(f, cert, trials=500, seed=seed)
+            assert got == want
+            assert got.worst_sum.hex() == want.worst_sum.hex()
 
     def test_unachievable_on_steep_data(self):
         def certify(knot):

@@ -30,7 +30,7 @@ from contana import (
     sample,
 )
 from contana import catalog
-from contana.convexity import _sign_runs
+from contana.convexity import _sign_runs, gsigma_curve
 
 
 def monotone_pieces(f, window, m=2001):
@@ -228,6 +228,21 @@ class TestGSigma:
         f = FunctionSpec.sqrt(IntervalSpec(0.0, 1.0))
         with pytest.raises(Exception):
             g_sigma(f, 0.8, 0.5)
+
+
+    @pytest.mark.parametrize("f, lo, hi, sigma", [
+        (FunctionSpec.sqrt(IntervalSpec(0.0, 1.0)), 0.0, 1.0, 0.5),
+        (FunctionSpec.x_squared_sin_inv(IntervalSpec(-1.0, 1.0)), -1.0, 1.0, 0.01),
+        (FunctionSpec.cantor(), 0.0, 1.0, 0.1),
+        (FunctionSpec.polynomial((0.5, -1.0, 2.0)), -3.0, 3.0, 0.7),
+        (catalog.sine_table(), 0.0, 2 * math.pi, 0.3),
+    ], ids=lambda v: getattr(v, "kind", ""))
+    def test_curve_matches_g_sigma(self, f, lo, hi, sigma):
+        # one bulk evaluation gives g_sigma's bits at every abscissa
+        xs, values = gsigma_curve(f, lo, hi, sigma, 257)
+        assert len(xs) == 257 and xs[0] == lo and xs[-1] + sigma <= hi
+        assert np.array(values).tobytes() == np.array(
+            [g_sigma(f, x, sigma) for x in xs]).tobytes()
 
 
 class TestCheckGSigmaMonotone:

@@ -1,8 +1,11 @@
 """Tests for intervals, the function catalog, exact evaluation and sampling."""
 
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,8 @@ from contana import (
     parse_interval,
     sample,
 )
+from contana import catalog, function_model
+from contana.function_model import BULK_BLOCK, _bulk_values, evaluate_many
 
 INF = float("inf")
 
@@ -281,19 +286,143 @@ class TestSample:
         assert strided.values[::s].tobytes() == coarse.values.tobytes()
 
     def test_values_match_pointwise_evaluation(self):
-        # sqrt, affine and poly grids are vectorized and must be bit-identical
+        # every kind is vectorized and must be bit-identical, across blocks
         for f in (FunctionSpec.sqrt(IntervalSpec(0.0, 1.0)),
                   FunctionSpec.affine(-2.5, 0.75),
-                  FunctionSpec.polynomial((0.5, -1.0, 2.0, 0.25))):
-            for m in (3, 5001):
+                  FunctionSpec.polynomial((0.5, -1.0, 2.0, 0.25)),
+                  FunctionSpec.x_squared_sin_inv(),
+                  FunctionSpec.cantor(),
+                  ZIGZAG):
+            for m in (3, 5001, 2 * BULK_BLOCK + 3):
                 grid = sample(f, IntervalSpec(0.0, 1.0), m)
-                assert all(v == evaluate(f, x)
-                           for x, v in zip(grid.abscissae.tolist(),
-                                           grid.values.tolist()))
+                assert grid.values.tobytes() == np.array(
+                    [evaluate(f, x) for x in grid.abscissae.tolist()]).tobytes()
                 # the abscissae are lo + i * step, the last one exactly hi
                 step = 1.0 / (m - 1)
                 assert grid.abscissae.tolist() == (
                     [i * step for i in range(m - 1)] + [1.0])
+
+
+    @pytest.mark.parametrize("f, window", [
+        (FunctionSpec.sqrt(IntervalSpec(0.0, 1.0)), IntervalSpec(0.0, 1.0)),
+        (FunctionSpec.polynomial((0.5, -1.0, 2.0, 0.25)), IntervalSpec(0.0, 1.0)),
+        (FunctionSpec.x_squared_sin_inv(IntervalSpec(-1.0, 1.0)),
+         IntervalSpec(-1.0, 1.0)),
+        (FunctionSpec.cantor(), IntervalSpec(0.0, 1.0)),
+        (catalog.sine_table(), IntervalSpec(0.0, 2 * math.pi)),
+    ], ids=lambda v: getattr(v, "kind", ""))
+    def test_memory_within_stated_bound(self, f, window):
+        # _bulk_values' docstring: sample at m points peaks below
+        # 26*m + 16*knots + 128*BULK_BLOCK bytes
+        m = 100001
+        sample(f, window, 3)
+        tracemalloc.start()
+        try:
+            sample(f, window, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26 * m + 16 * len(f.knots) + 128 * BULK_BLOCK
+
+
+ZIGZAG = FunctionSpec.piecewise_linear(
+    ((0.0, 0.0), (0.3, 0.6), (0.7, 0.2), (1.0, 0.5)))
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _unit_points():
+    """Floats in [0, 1] stressing the Cantor digit scan: triadic points
+    (their first digit 1 ends the scan), non-terminating points whose 64
+    digits fill the accumulator, n / 2**s on both sides of the integer
+    scan's limit s = 61, and tiny and subnormal points (scalar fallback)."""
+    return st.one_of(
+        st.floats(0.0, 1.0),
+        st.integers(1, 20).flatmap(
+            lambda j: st.integers(0, 3**j).map(lambda k: k / 3**j)),
+        st.builds(lambda n, s: (2 * n + 1) / 2**s,
+                  st.integers(0, 2**52 - 1), st.integers(53, 64)),
+        st.floats(0.0, 2.0**-9),
+        st.sampled_from([0.0, -0.0, 1.0, 0.25, 0.75, 1 / 3, 2 / 3, 0.5,
+                         2.0**-9, 2.0**-61, 2.0**-62, 5e-324]))
+
+
+@st.composite
+def specs_with_points(draw):
+    """A function of each kind with points of its domain that stress it."""
+    kind = draw(st.sampled_from(("sqrt", "x2sininv", "cantor", "poly", "pwl")))
+    if kind == "sqrt":
+        f = FunctionSpec.sqrt()
+        points = st.one_of(st.floats(0.0, 1e300),
+                           st.sampled_from([0.0, -0.0, 5e-324, 2.0**-1022]))
+    elif kind == "x2sininv":
+        f = FunctionSpec.x_squared_sin_inv(IntervalSpec(-INF, INF, False, False))
+        tiny = [0.0, 5e-324, 1e-310, 2.0**-1024, math.nextafter(2.0**-1024, 1),
+                5.56e-309, 5.57e-309, 2.0**-1022, 1e-160]
+        points = st.one_of(_FINITE, st.floats(-1e-300, 1e-300),
+                           st.sampled_from(tiny + [-x for x in tiny]))
+    elif kind == "cantor":
+        f = FunctionSpec.cantor()
+        points = _unit_points()
+    elif kind == "poly":
+        coeffs = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5))
+        f = FunctionSpec.polynomial(coeffs)
+        points = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]))
+    else:
+        xs = sorted(set(draw(st.lists(st.floats(-10.0, 10.0), min_size=2,
+                                      max_size=8, unique=True))))
+        if len(xs) < 2:
+            xs = [-1.0, 1.0]
+        ys = draw(st.lists(st.one_of(st.floats(-1e3, 1e3),
+                                     st.sampled_from([0.0, -0.0, 0.1, 0.3])),
+                           min_size=len(xs), max_size=len(xs)))
+        f = FunctionSpec.piecewise_linear(tuple(zip(xs, ys)))
+        points = st.one_of(st.floats(xs[0], xs[-1]), st.sampled_from(xs),
+                           st.sampled_from([-0.0, 0.0]).filter(
+                               lambda x: xs[0] <= x <= xs[-1]))
+    return f, draw(st.lists(points, min_size=1, max_size=40))
+
+
+class TestBulkValues:
+    @settings(max_examples=400, deadline=None)
+    @given(specs_with_points(), st.sampled_from([1, 2, 3, 7, BULK_BLOCK]))
+    def test_matches_evaluate(self, spec, block):
+        # bit for bit, signed zeros included, with block seams everywhere
+        f, xs = spec
+        with mock.patch.object(function_model, "BULK_BLOCK", block):
+            got = _bulk_values(f, np.array(xs))
+        assert got.tobytes() == np.array([evaluate(f, x) for x in xs]).tobytes()
+
+    def test_sine_table(self):
+        f = catalog.sine_table()
+        kx = [x for x, _ in f.knots]
+        mids = [(a + b) / 2 for a, b in zip(kx, kx[1:])]
+        xs = np.array(kx + mids + function_model.uniform_abscissae(
+            kx[0], kx[-1], 16001).tolist())
+        assert _bulk_values(f, xs).tobytes() == np.array(
+            [evaluate(f, x) for x in xs.tolist()]).tobytes()
+
+    def test_x2sininv_underflow_is_zero(self):
+        # 1/x overflows to inf below 2**-1024, where x*x is already 0
+        f = FunctionSpec.x_squared_sin_inv(IntervalSpec(-1.0, 1.0))
+        for x in (1e-310, -1e-310, 5e-324, 2.0**-1024):
+            assert evaluate(f, x) == 0.0
+        assert _bulk_values(f, np.array([1e-310, -5e-324])).tolist() == [0.0, 0.0]
+
+    def test_evaluate_many_checks_the_domain(self):
+        f = FunctionSpec.sqrt(IntervalSpec(0.0, 1.0, lo_closed=False))
+        assert evaluate_many(f, [0.25, 1.0]).tolist() == [0.5, 1.0]
+        for bad in (0.0, -0.0, 1.5, float("nan")):
+            with pytest.raises(DomainError) as got:
+                evaluate_many(f, [0.25, bad, 2.0])
+            with pytest.raises(DomainError) as want:
+                evaluate(f, bad)
+            assert str(got.value) == str(want.value)
+
+    def test_evaluate_many_keeps_fractions_exact(self):
+        f = FunctionSpec.cantor()
+        xs = [Fraction(1, 3), Fraction(1, 4), Fraction(2, 9)]
+        assert evaluate_many(f, xs).tolist() == [evaluate(f, x) for x in xs]
 
 
 class TestParseFunction:

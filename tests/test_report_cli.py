@@ -171,6 +171,18 @@ class TestCLI:
         assert captured.err.startswith("parse error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("grid", ["3", "4001"])
+    def test_x2sininv_underflow_window_parse_error(self, capsys, grid):
+        # x^2 sin(1/x) is 0 where 1/x overflows; the window is then too
+        # narrow for a uniform grid, which is bad input, not a crash
+        assert main(["analyze", "--fn", "x2sininv", "--interval", "[0,1e-310]",
+                     "--grid", grid]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--fn", "poly:nan,1", "--interval", "[0,1]"],
         ["analyze", "--fn", "affine:1e308,0", "--interval", "[0,1e10]"],
