@@ -31,6 +31,7 @@ from .convexity import (
     GSigmaCurve,
     GSigmaReport,
     Monotonicity,
+    MonotonePartition,
     NotPiecewiseConvex,
     Partition,
     PiecewiseConvexPartition,

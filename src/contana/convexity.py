@@ -3,8 +3,8 @@
 A function that is monotone and convex (or concave) on an interval has a
 monotone increment curve: for a fixed step sigma > 0, x |-> |f(x+sigma) -
 f(x)| never changes direction.  This module detects a finite convex/concave
-partition from samples, refines its pieces to monotone pieces, and certifies
-the direction of the increment curve on each piece.
+partition from samples, decides by resolution whether it is stable, refines
+it to monotone pieces, and certifies the increment-curve direction on each.
 """
 
 from __future__ import annotations
@@ -26,8 +26,10 @@ from .function_model import (
     FunctionSpec,
     IntervalSpec,
     SampleGrid,
+    clip_window,
     evaluate,
     evaluate_many,
+    sample,
     uniform_abscissae,
 )
 
@@ -131,6 +133,32 @@ class GSigmaReport:
     direction: Direction
     max_violation: float
     curve: GSigmaCurve
+
+    @property
+    def ok(self) -> bool:
+        """No violation beyond 1e-9 of the curve's largest value (or of 1)."""
+        scale = max(1.0, max(self.curve.values, default=1.0))
+        return self.max_violation <= 1e-9 * scale
+
+
+@dataclass(frozen=True)
+class MonotonePartition:
+    """The piecewise-convexity verdict of ``monotone_partition``.
+
+    ``grids``, ``detections`` and their ``sign_change_counts`` run from the
+    coarsest resolution to the finest; ``pieces`` are the monotone pieces
+    of the finest partition, empty unless the verdict is ``stable``.
+    """
+
+    grids: tuple
+    detections: tuple
+    sign_change_counts: list
+    stable: bool
+    pieces: tuple
+
+    @property
+    def partition(self) -> Partition:
+        return self.detections[-1].partition
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +318,13 @@ def _monotonicity_of(vs: np.ndarray, lo_idx: int, hi_idx: int,
 # Monotone refinement
 # ---------------------------------------------------------------------------
 
-def refine_to_monotone(f: FunctionSpec, piece: ShapePiece,
-                       tol: float | None = None) -> tuple:
+def refine_to_monotone(f: FunctionSpec, piece: ShapePiece) -> tuple:
     """Split a certified convex/concave piece at its interior extremum.
 
     The shape certificate makes the restriction unimodal, so ternary search
-    localizes the extremum (minimum for convex, maximum for concave) to
-    within ``tol``.  Pieces already flagged monotone are returned unchanged;
-    otherwise two monotone pieces tiling the input exactly are returned.
+    localizes the extremum (minimum for convex, maximum for concave) to a
+    DEFAULT_EXTREMUM_TOL share of its length.  Monotone pieces are returned
+    unchanged; others as two monotone pieces tiling the input exactly.
     """
     if piece.shape not in (Shape.CONVEX, Shape.CONCAVE, Shape.AFFINE):
         raise ShapeError(f"piece shape {piece.shape!r} is not certified")
@@ -307,8 +334,7 @@ def refine_to_monotone(f: FunctionSpec, piece: ShapePiece,
     if piece.shape is Shape.AFFINE:
         raise ShapeError("an affine piece cannot have mixed monotonicity")
     lo, hi = piece.interval.lo, piece.interval.hi
-    if tol is None:
-        tol = DEFAULT_EXTREMUM_TOL * (hi - lo)
+    tol = DEFAULT_EXTREMUM_TOL * (hi - lo)
     find_min = piece.shape is Shape.CONVEX
     a, b = lo, hi
     while b - a > tol:
@@ -339,20 +365,29 @@ def refine_to_monotone(f: FunctionSpec, piece: ShapePiece,
     )
 
 
-def monotone_partition(f: FunctionSpec, grid: SampleGrid,
-                       eta: float | None = None,
-                       max_pieces: int = DEFAULT_MAX_PIECES):
-    """Detect the partition on a grid of f and refine it to monotone pieces.
+def monotone_partition(f: FunctionSpec, m: int,
+                       eta: float | None = None) -> MonotonePartition:
+    """Decide piecewise convexity of f by resolution; refine if it holds.
 
-    Returns (detection, pieces): the ``detect_partition`` result and the
-    monotone pieces tiling its window, in order.  ``pieces`` is empty when
-    the detection is NotPiecewiseConvex.
+    Samples ``clip_window(f.domain)`` once at 4(m-1)+1 points and detects
+    on every fourth point, every second point and all of them: the grids
+    of m, 2(m-1)+1 and 4(m-1)+1 points that sampling separately gives.
+    The verdict is stable when every detection is a partition and the
+    sign-change count grows by at most 2 from each resolution to the
+    next; only then is the finest partition refined to monotone pieces.
     """
-    detection = detect_partition(grid, eta=eta, max_pieces=max_pieces)
-    if isinstance(detection, NotPiecewiseConvex):
-        return detection, ()
-    return detection, tuple(piece for shape in detection.shapes
-                            for piece in refine_to_monotone(f, shape))
+    fine = sample(f, clip_window(f.domain), 4 * (m - 1) + 1)
+    grids = tuple(SampleGrid(fine.abscissae[::s], fine.values[::s])
+                  for s in (4, 2)) + (fine,)
+    detections = tuple(detect_partition(grid, eta=eta) for grid in grids)
+    counts = [d.sign_change_count for d in detections]
+    stable = (all(isinstance(d, PiecewiseConvexPartition) for d in detections)
+              and all(b <= a + 2 for a, b in zip(counts, counts[1:])))
+    pieces = ()
+    if stable:
+        pieces = tuple(piece for shape in detections[-1].shapes
+                       for piece in refine_to_monotone(f, shape))
+    return MonotonePartition(grids, detections, counts, stable, pieces)
 
 
 # ---------------------------------------------------------------------------

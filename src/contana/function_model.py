@@ -32,7 +32,7 @@ INF = float("inf")
 #: ternary digits scanned by default when evaluating the Cantor function
 CANTOR_DEPTH = 64
 
-#: default truncation width for unbounded domains
+#: truncation width for unbounded domains
 DEFAULT_WINDOW_WIDTH = 10.0
 
 #: open endpoints are pulled inward by max(RELATIVE_MARGIN * length, MARGIN_FLOOR)
@@ -319,7 +319,7 @@ class SampleGrid:
 
     abscissae: np.ndarray
     values: np.ndarray
-    spacing: float = field(default=0.0)
+    spacing: float = field(init=False)
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.abscissae)
@@ -358,32 +358,26 @@ class SampleGrid:
         return cls(xs, evaluate_many(f, xs))
 
 
-def clip_window(domain: IntervalSpec, width: float = DEFAULT_WINDOW_WIDTH,
-                margin: float | None = None) -> IntervalSpec:
+def clip_window(domain: IntervalSpec) -> IntervalSpec:
     """Produce a finite closed window from an arbitrary interval.
 
-    Infinite endpoints are truncated ``width`` away from the finite side
-    (symmetrically about 0 when both are infinite); open finite endpoints
-    are pulled inward by ``margin``.
+    Infinite endpoints are truncated DEFAULT_WINDOW_WIDTH away from the
+    finite side (symmetrically about 0 when both are infinite); open finite
+    endpoints are pulled inward (see RELATIVE_MARGIN).
     """
-    if width <= 0:
-        raise KindError("width must be positive")
     lo, hi = domain.lo, domain.hi
     lo_open = not domain.lo_closed
     hi_open = not domain.hi_closed
     if math.isinf(lo) and math.isinf(hi):
-        lo, hi = -width / 2.0, width / 2.0
+        lo, hi = -DEFAULT_WINDOW_WIDTH / 2.0, DEFAULT_WINDOW_WIDTH / 2.0
         lo_open = hi_open = False
     elif math.isinf(lo):
-        lo = hi - width
+        lo = hi - DEFAULT_WINDOW_WIDTH
         lo_open = False
     elif math.isinf(hi):
-        hi = lo + width
+        hi = lo + DEFAULT_WINDOW_WIDTH
         hi_open = False
-    if margin is None:
-        margin = max(RELATIVE_MARGIN * (hi - lo), MARGIN_FLOOR)
-    if margin <= 0:
-        raise KindError("margin must be positive")
+    margin = max(RELATIVE_MARGIN * (hi - lo), MARGIN_FLOOR)
     if lo_open:
         lo = lo + margin
     if hi_open:
@@ -393,16 +387,14 @@ def clip_window(domain: IntervalSpec, width: float = DEFAULT_WINDOW_WIDTH,
     return IntervalSpec(lo, hi)
 
 
-def sample(f: FunctionSpec, window: IntervalSpec, m: int,
-           width: float = DEFAULT_WINDOW_WIDTH,
-           margin: float | None = None) -> SampleGrid:
+def sample(f: FunctionSpec, window: IntervalSpec, m: int) -> SampleGrid:
     """Evaluate f on m equally spaced points spanning the clipped window."""
     if m < 2:
         raise InsufficientData("sampling needs m >= 2")
     effective = window.intersect(f.domain)
     if effective is None:
         raise DomainError(f"window {window} is disjoint from domain {f.domain}")
-    clipped = clip_window(effective, width=width, margin=margin)
+    clipped = clip_window(effective)
     xs = uniform_abscissae(clipped.lo, clipped.hi, m)
     return SampleGrid(xs, _bulk_values(f, xs))  # rejects non-finite values
 

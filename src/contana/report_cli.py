@@ -22,10 +22,7 @@ from dataclasses import dataclass
 from . import catalog, suite_checks
 from .convexity import (
     DEFAULT_MAX_PIECES,
-    NotPiecewiseConvex,
-    PiecewiseConvexPartition,
     check_gsigma_monotone,
-    detect_partition,
     gsigma_curve,
     monotone_partition,
 )
@@ -50,7 +47,6 @@ from .errors import (
 from .function_model import (
     CANTOR_DEPTH,
     IntervalSpec,
-    SampleGrid,
     clip_window,
     parse_function,
     parse_interval,
@@ -96,30 +92,16 @@ def analyze(fn_text: str, interval_text: str,
             settings: AnalysisSettings = AnalysisSettings()) -> dict:
     """Full pipeline: clip, detect, refine, certify, verify; returns a report.
 
-    Detection runs at resolutions m, 2(m-1)+1 and 4(m-1)+1 on one sampled
-    grid: the coarser two take every second and every fourth point of the
-    finest, which are exactly the points (and values) that sampling them
-    separately gives.
+    Detection and its verdict are ``monotone_partition``'s, at base
+    resolution ``settings.grid_m``.
     """
     window = parse_interval(interval_text)
     f = parse_function(fn_text, window)  # its domain lies in the window
     clipped = clip_window(f.domain)
 
-    m = settings.grid_m
-    resolutions = [m, 2 * (m - 1) + 1, 4 * (m - 1) + 1]
-    fine_grid = sample(f, clipped, resolutions[-1])
-    base_grid, mid_grid = (
-        SampleGrid(fine_grid.abscissae[::s], fine_grid.values[::s])
-        for s in (4, 2))
-    detections = [detect_partition(grid, eta=settings.eta)
-                  for grid in (base_grid, mid_grid)]
-    finest, pieces = monotone_partition(f, fine_grid, eta=settings.eta)
-    detections.append(finest)
-    counts = [d.sign_change_count for d in detections]
-    all_partitioned = all(isinstance(d, PiecewiseConvexPartition)
-                          for d in detections)
-    stable = all_partitioned and all(b <= a + 2 for a, b in
-                                     zip(counts, counts[1:]))
+    result = monotone_partition(f, settings.grid_m, eta=settings.eta)
+    base_grid = result.grids[0]
+    resolutions = [len(grid) for grid in result.grids]
 
     report = {
         "schema": SCHEMA_VERSION,
@@ -141,8 +123,8 @@ def analyze(fn_text: str, interval_text: str,
         },
         "detection": {
             "resolutions": resolutions,
-            "sign_change_counts": counts,
-            "stable": stable,
+            "sign_change_counts": result.sign_change_counts,
+            "stable": result.stable,
         },
         "partition": None,
         "pieces": [],
@@ -156,7 +138,7 @@ def analyze(fn_text: str, interval_text: str,
 
     value_range = float(base_grid.values.max() - base_grid.values.min())
     span = float(base_grid.span)
-    h = span / (m - 1)
+    h = span / (settings.grid_m - 1)
     ladder = _geom_ladder(2.0 * h, span, MODULUS_POINTS)
     curve = modulus_on_grid(base_grid, ladder)
     report["modulus"] = [[d, w] for d, w in curve.samples]
@@ -169,36 +151,30 @@ def analyze(fn_text: str, interval_text: str,
 
     certificate = None
     verification = None
-    if stable:
-        report["partition"] = list(finest.partition.points)
+    if result.stable:
+        report["partition"] = list(result.partition.points)
         report["pieces"] = [
             {"interval": [p.interval.lo, p.interval.hi],
              "shape": p.shape.value,
              "monotonicity": p.monotonicity.value,
              "tolerance": p.tolerance}
-            for p in pieces
+            for p in result.pieces
         ]
-        for i, piece in enumerate(pieces):
+        for i, piece in enumerate(result.pieces):
             plen = piece.interval.hi - piece.interval.lo
             sigma = plen / 4.0
             rep = check_gsigma_monotone(f, piece, sigma, m=GSIGMA_SAMPLES)
-            scale = max(1.0, max(rep.curve.values, default=1.0))
             report["gsigma"].append({
                 "piece": i,
                 "sigma": sigma,
                 "direction": rep.direction.value,
                 "max_violation": rep.max_violation,
-                "ok": rep.max_violation <= 1e-9 * scale,
+                "ok": rep.ok,
             })
         try:
-            certificate = ac_certificate(f, finest.partition, pieces,
+            certificate = ac_certificate(f, result.partition, result.pieces,
                                          settings.epsilon)
-            report["certificate"] = {
-                "epsilon": certificate.epsilon,
-                "delta1": certificate.delta1,
-                "per_piece_budget": certificate.per_piece_budget,
-                "partition": list(certificate.partition.points),
-            }
+            report["certificate"] = _certificate_block(certificate)
         except Unachievable as exc:
             report["certificate_error"] = str(exc)
     if certificate is not None:
@@ -229,7 +205,7 @@ def analyze(fn_text: str, interval_text: str,
             })
 
     report["verdicts"] = {
-        "piecewise_convex": stable,
+        "piecewise_convex": result.stable,
         "uniformly_continuous_at_resolution": uc_at_resolution,
         "certificate_verified": (verification.passed
                                  if verification is not None else "n/a"),
@@ -250,8 +226,17 @@ def _geom_ladder(lo: float, hi: float, n: int) -> list:
     return dedup
 
 
-def _gsigma_table(f, lo: float, hi: float, sigma: float, m: int = 201):
-    return list(zip(*gsigma_curve(f, lo, hi, sigma, m)))
+def _certificate_block(cert) -> dict:
+    return {
+        "epsilon": cert.epsilon,
+        "delta1": cert.delta1,
+        "per_piece_budget": cert.per_piece_budget,
+        "partition": list(cert.partition.points),
+    }
+
+
+def _gsigma_table(f, lo: float, hi: float, sigma: float):
+    return list(zip(*gsigma_curve(f, lo, hi, sigma, 201)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +284,12 @@ def _probe_dir(path: str) -> None:
 def cmd_analyze(args) -> int:
     settings = AnalysisSettings(epsilon=args.epsilon, grid_m=args.grid,
                                 eta=args.eta, seed=args.seed)
+    report = analyze(args.fn, args.interval, settings)
     code = EXIT_OK
-    try:
-        report = analyze(args.fn, args.interval, settings)
-    except Unachievable as exc:
-        report = {"schema": SCHEMA_VERSION, "function": args.fn,
-                  "certificate": None, "certificate_error": str(exc)}
+    if report["certificate_error"]:
         code = EXIT_UNACHIEVABLE
-    if report.get("certificate_error") and code == EXIT_OK:
-        code = EXIT_UNACHIEVABLE
+    elif report["verification"] and not report["verification"]["passed"]:
+        code = EXIT_VIOLATED
     payload = _dump_json(report)
     if args.json:
         _atomic_write(args.json, payload)
@@ -345,25 +327,24 @@ def cmd_worst_sum(args) -> int:
 
 
 def cmd_check_lemma1(args) -> int:
-    window = parse_interval(args.interval)
-    f = parse_function(args.fn, window)
-    pieces = _monotone_pieces(f, window, args.grid)
+    f = parse_function(args.fn, parse_interval(args.interval))
+    result = monotone_partition(f, args.grid)
+    if not result.stable:
+        return _not_piecewise_convex(result)
     violated = False
-    for piece in pieces:
+    for piece in result.pieces:
         plen = piece.interval.hi - piece.interval.lo
         if plen <= args.sigma:
             sys.stdout.write(
                 f"piece {piece.interval}: skipped (length <= sigma)\n")
             continue
         rep = check_gsigma_monotone(f, piece, args.sigma)
-        scale = max(1.0, max(rep.curve.values, default=1.0))
-        ok = rep.max_violation <= 1e-9 * scale
-        violated = violated or not ok
+        violated = violated or not rep.ok
         sys.stdout.write(
             f"piece {piece.interval} [{piece.monotonicity.value} "
             f"{piece.shape.value}]: direction={rep.direction.value} "
             f"max_violation={rep.max_violation!r} "
-            f"{'OK' if ok else 'VIOLATED'}\n")
+            f"{'OK' if rep.ok else 'VIOLATED'}\n")
     return EXIT_VIOLATED if violated else EXIT_OK
 
 
@@ -378,11 +359,13 @@ def cmd_check_glue(args) -> int:
     if not (window.closure_contains(c.pairs[0][0])
             and window.closure_contains(c.pairs[-1][1])):
         raise ParseError(f"pairs must lie inside the window {window}")
-    pieces = _monotone_pieces(f, window, args.grid)
+    result = monotone_partition(f, args.grid)
+    if not result.stable:
+        return _not_piecewise_convex(result)
     lo_needed = c.pairs[0][0]
     hi_needed = c.pairs[-1][1]
     enclosing = None
-    for piece in pieces:
+    for piece in result.pieces:
         if piece.interval.lo <= lo_needed and hi_needed <= piece.interval.hi:
             enclosing = piece
             break
@@ -397,22 +380,18 @@ def cmd_check_glue(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    window = parse_interval(args.interval)
-    f = parse_function(args.fn, window)
-    result, pieces = monotone_partition(f, sample(f, window, args.grid))
-    if isinstance(result, NotPiecewiseConvex):
+    f = parse_function(args.fn, parse_interval(args.interval))
+    result = monotone_partition(f, args.grid)
+    if not result.stable:
         sys.stdout.write(_dump_json({
             "certificate": None,
             "reason": "not piecewise convex at this resolution",
-            "sign_change_count": result.sign_change_count,
+            "sign_change_count": result.sign_change_counts[-1],
         }).decode())
         return EXIT_VIOLATED
-    cert = ac_certificate(f, result.partition, pieces, args.epsilon)
+    cert = ac_certificate(f, result.partition, result.pieces, args.epsilon)
     sys.stdout.write(_dump_json({
-        "epsilon": cert.epsilon,
-        "delta1": cert.delta1,
-        "per_piece_budget": cert.per_piece_budget,
-        "partition": list(cert.partition.points),
+        **_certificate_block(cert),
         "pieces": [{"interval": [p.interval.lo, p.interval.hi],
                     "shape": p.shape.value,
                     "monotonicity": p.monotonicity.value}
@@ -508,13 +487,11 @@ def cmd_suite(args) -> int:
 # Plumbing
 # ---------------------------------------------------------------------------
 
-def _monotone_pieces(f, window: IntervalSpec, m: int):
-    result, pieces = monotone_partition(f, sample(f, window, m))
-    if isinstance(result, NotPiecewiseConvex):
-        raise ParseError(
-            f"function is not piecewise convex at resolution {m} "
-            f"({result.sign_change_count} sign changes)")
-    return pieces
+def _not_piecewise_convex(result) -> int:
+    counts = " -> ".join(str(c) for c in result.sign_change_counts)
+    sys.stdout.write("not piecewise convex at this resolution "
+                     f"(sign changes {counts})\n")
+    return EXIT_VIOLATED
 
 
 def _checked(name: str, convert, rule: str, ok):

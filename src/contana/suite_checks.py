@@ -46,15 +46,15 @@ class CriterionResult:
     details: dict = field(default_factory=dict)
 
 
-def _monotone_pieces(f: FunctionSpec, window: IntervalSpec, m: int = 4001):
-    res, pieces = monotone_partition(f, sample(f, window, m))
-    if isinstance(res, NotPiecewiseConvex):
+def _monotone_pieces(f: FunctionSpec, m: int = 1001):
+    result = monotone_partition(f, m)
+    if not result.stable:
         raise AssertionError(f"expected a convex partition for {f.kind}")
-    return res.partition, pieces
+    return result.partition, result.pieces
 
 
-def _single_piece(f: FunctionSpec, window: IntervalSpec, m: int = 1001):
-    _, pieces = _monotone_pieces(f, window, m)
+def _single_piece(f: FunctionSpec):
+    _, pieces = _monotone_pieces(f, 251)
     if len(pieces) != 1:
         raise AssertionError(f"expected a single monotone piece for {f.kind}")
     return pieces[0]
@@ -62,16 +62,11 @@ def _single_piece(f: FunctionSpec, window: IntervalSpec, m: int = 1001):
 
 def _direction_cases():
     return (
-        ("sqrt", catalog.sqrt_on_unit(), IntervalSpec(0.0, 1.0),
-         Direction.NONINCREASING),
-        ("xsquared", catalog.squared(0.0, 10.0), IntervalSpec(0.0, 10.0),
-         Direction.NONDECREASING),
-        ("xcubed", catalog.cubed(0.0, 5.0), IntervalSpec(0.0, 5.0),
-         Direction.NONDECREASING),
-        ("affine", catalog.affine_fn(3.0, 1.0, 0.0, 5.0), IntervalSpec(0.0, 5.0),
-         Direction.CONSTANT),
-        ("reciprocal", catalog.reciprocal_table(), IntervalSpec(0.1, 10.0),
-         Direction.NONINCREASING),
+        ("sqrt", catalog.sqrt_on_unit(), Direction.NONINCREASING),
+        ("xsquared", catalog.squared(0.0, 10.0), Direction.NONDECREASING),
+        ("xcubed", catalog.cubed(0.0, 5.0), Direction.NONDECREASING),
+        ("affine", catalog.affine_fn(3.0, 1.0, 0.0, 5.0), Direction.CONSTANT),
+        ("reciprocal", catalog.reciprocal_table(), Direction.NONINCREASING),
     )
 
 
@@ -82,8 +77,8 @@ def check_increment_directions() -> CriterionResult:
     worst = 0.0
     rows = []
     ok = True
-    for name, f, window, expected in _direction_cases():
-        piece = _single_piece(f, window)
+    for name, f, expected in _direction_cases():
+        piece = _single_piece(f)
         for sigma in sigmas:
             rep = check_gsigma_monotone(f, piece, sigma, m=1000)
             worst = max(worst, rep.max_violation)
@@ -103,8 +98,8 @@ def check_gluing() -> CriterionResult:
     affine_tol = 1e-12
     rows = []
     ok = True
-    for name, f, window, _ in _direction_cases():
-        piece = _single_piece(f, window)
+    for name, f, _ in _direction_cases():
+        piece = _single_piece(f)
         plo, phi = piece.interval.lo, piece.interval.hi
         plen = phi - plo
         rng = np.random.default_rng(0)
@@ -136,7 +131,7 @@ def check_oracle_agreement() -> CriterionResult:
     """The searched worst sum agrees with the glued closed form."""
     f = catalog.sqrt_on_unit()
     window = IntervalSpec(0.0, 1.0)
-    piece = _single_piece(f, window)
+    piece = _single_piece(f)
     grid = sample(f, window, 401)
     rep = worst_ac_sum_oracle(f, grid, 0.25)
     spacing = float(grid.spacing)
@@ -165,7 +160,7 @@ def check_certificates(trials: int = 10000) -> CriterionResult:
     ok = True
 
     f = catalog.sqrt_on_unit()
-    partition, pieces = _monotone_pieces(f, IntervalSpec(0.0, 1.0))
+    partition, pieces = _monotone_pieces(f)
     sqrt_delta1 = None
     for eps in (0.4, 0.1, 0.02):
         cert = ac_certificate(f, partition, pieces, eps)
@@ -182,7 +177,7 @@ def check_certificates(trials: int = 10000) -> CriterionResult:
     ok = ok and delta1_in_range
 
     f = catalog.sine_table()
-    partition, pieces = _monotone_pieces(f, IntervalSpec(0.0, 2.0 * math.pi))
+    partition, pieces = _monotone_pieces(f)
     cert = ac_certificate(f, partition, pieces, 0.4)
     ver = verify_certificate(f, cert, trials=trials, seed=0)
     sine_ok = ver.passed and len(pieces) == 4
@@ -192,7 +187,7 @@ def check_certificates(trials: int = 10000) -> CriterionResult:
                  "passed": ver.passed})
 
     f = catalog.cubed(-1.0, 1.0)
-    partition, pieces = _monotone_pieces(f, IntervalSpec(-1.0, 1.0))
+    partition, pieces = _monotone_pieces(f)
     cert = ac_certificate(f, partition, pieces, 0.1)
     ver = verify_certificate(f, cert, trials=trials, seed=0)
     split_at_zero = any(abs(p) <= 1e-3 for p in partition.points)

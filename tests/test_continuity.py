@@ -533,8 +533,8 @@ class TestCertificates:
     ], ids=["sqrt", "zigzag", "sine_table"])
     def test_batched_sums_match_scalar_ac_sum(self, f, epsilon):
         # the bulk-evaluated sums give the report of the scalar ac_sum loop
-        res, pieces = monotone_partition(f, sample(f, f.domain, 2001))
-        cert = ac_certificate(f, res.partition, pieces, epsilon)
+        result = monotone_partition(f, 501)
+        cert = ac_certificate(f, result.partition, result.pieces, epsilon)
         for seed in (0, 1):
             got = verify_certificate(f, cert, trials=500, seed=seed)
             with mock.patch.object(continuity, "_ac_sums", lambda f, cs: [

@@ -29,14 +29,14 @@ from contana import (
     refine_to_monotone,
     sample,
 )
-from contana import catalog
+from contana import catalog, convexity
 from contana.convexity import _sign_runs, gsigma_curve
 
 
-def monotone_pieces(f, window, m=2001):
-    res, pieces = monotone_partition(f, sample(f, window, m))
-    assert isinstance(res, PiecewiseConvexPartition)
-    return list(pieces)
+def monotone_pieces(f, m=501):
+    result = monotone_partition(f, m)
+    assert result.stable
+    return list(result.pieces)
 
 
 def sign_runs_loop(signs):
@@ -150,20 +150,44 @@ class TestDetectPartition:
 class TestMonotonePartition:
     def test_refines_every_shape(self):
         f = catalog.squared(-1.0, 2.0)
-        res, pieces = monotone_partition(
-            f, sample(f, IntervalSpec(-1.0, 2.0), 1001))
-        assert isinstance(res, PiecewiseConvexPartition)
+        result = monotone_partition(f, 251)
+        assert result.stable
+        assert [len(g) for g in result.grids] == [251, 501, 1001]
+        pieces = result.pieces
         assert [p.monotonicity for p in pieces] == [Monotonicity.DECREASING,
                                                     Monotonicity.INCREASING]
         assert pieces[0].interval.lo == -1.0 and pieces[-1].interval.hi == 2.0
         assert pieces[0].interval.hi == pieces[1].interval.lo
 
     def test_not_piecewise_convex_has_no_pieces(self):
+        f = FunctionSpec.x_squared_sin_inv(IntervalSpec(1e-3, 1.0))
+        result = monotone_partition(f, 2501)
+        assert isinstance(result.detections[-1], NotPiecewiseConvex)
+        assert not result.stable
+        assert result.pieces == ()
+
+    def test_growing_partitions_are_unstable_and_not_refined(self, monkeypatch):
+        # x^2 sin(1/x) on [0, 1] at m = 1001: three partitions, but the
+        # sign changes multiply (28 -> 43 -> 57), so nothing is refined
+        def refine(f, piece):
+            raise AssertionError("an unstable detection was refined")
+        monkeypatch.setattr(convexity, "refine_to_monotone", refine)
         f = FunctionSpec.x_squared_sin_inv(IntervalSpec(0.0, 1.0))
-        res, pieces = monotone_partition(
-            f, sample(f, IntervalSpec(1e-3, 1.0), 10001), max_pieces=32)
-        assert isinstance(res, NotPiecewiseConvex)
-        assert pieces == ()
+        result = monotone_partition(f, 1001)
+        assert all(isinstance(d, PiecewiseConvexPartition)
+                   for d in result.detections)
+        counts = result.sign_change_counts
+        assert any(b > a + 2 for a, b in zip(counts, counts[1:]))
+        assert not result.stable and result.pieces == ()
+
+    def test_counts_may_grow_by_two(self):
+        # on [0.05, 1] the coarsest grid misses one inflection: 5 -> 6 -> 6
+        f = FunctionSpec.x_squared_sin_inv(IntervalSpec(0.05, 1.0))
+        result = monotone_partition(f, 251)
+        assert result.sign_change_counts == [5, 6, 6]
+        assert result.stable
+        assert result.partition == result.detections[-1].partition
+        assert len(result.pieces) == 12
 
 
 class TestRefineToMonotone:
@@ -282,16 +306,13 @@ class TestCheckGSigmaMonotone:
 
     def test_direction_table_across_catalog(self):
         cases = [
-            (catalog.sqrt_on_unit(), IntervalSpec(0.0, 1.0),
-             Direction.NONINCREASING),
-            (catalog.squared(), IntervalSpec(0.0, 10.0),
-             Direction.NONDECREASING),
-            (catalog.reciprocal_table(), IntervalSpec(0.1, 10.0),
-             Direction.NONINCREASING),
-            (catalog.affine_fn(), IntervalSpec(0.0, 5.0), Direction.CONSTANT),
+            (catalog.sqrt_on_unit(), Direction.NONINCREASING),
+            (catalog.squared(), Direction.NONDECREASING),
+            (catalog.reciprocal_table(), Direction.NONINCREASING),
+            (catalog.affine_fn(), Direction.CONSTANT),
         ]
-        for f, window, want in cases:
-            pieces = monotone_pieces(f, window)
+        for f, want in cases:
+            pieces = monotone_pieces(f)
             assert len(pieces) == 1
             piece = pieces[0]
             assert expected_direction(piece) is want

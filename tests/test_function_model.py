@@ -220,11 +220,11 @@ class TestEvalCantor:
 
 class TestClipWindow:
     def test_examples(self):
-        got = clip_window(IntervalSpec(0.0, INF, True, False), width=10.0)
+        got = clip_window(IntervalSpec(0.0, INF, True, False))
         assert (got.lo, got.hi) == (0.0, 10.0)
-        got = clip_window(IntervalSpec(0.0, 1.0, False, False), margin=1e-6)
-        assert (got.lo, got.hi) == (1e-6, 1.0 - 1e-6)
-        got = clip_window(IntervalSpec(-INF, INF, False, False), width=10.0)
+        got = clip_window(IntervalSpec(0.0, 1.0, False, False))
+        assert (got.lo, got.hi) == (1e-9, 1.0 - 1e-9)
+        got = clip_window(IntervalSpec(-INF, INF, False, False))
         assert (got.lo, got.hi) == (-5.0, 5.0)
 
     def test_default_margin(self):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from contana.report_cli import (
@@ -20,6 +21,7 @@ from contana.report_cli import (
 from contana import (
     clip_window,
     detect_partition,
+    monotone_partition,
     parse_function,
     parse_interval,
     sample,
@@ -101,14 +103,20 @@ class TestAnalyze:
         ("poly:0,0,0,1", "[-1,1]", 64),
     ])
     def test_detection_matches_separate_sampling(self, fn, interval, m):
-        # analyze detects on one sampled grid and on every second and every
-        # fourth of its points; separately sampled grids give the same counts
-        report = analyze(fn, interval, AnalysisSettings(grid_m=m))
+        # monotone_partition detects on one sampled grid and on every second
+        # and every fourth of its points, which are the grids that sampling
+        # each resolution separately gives; analyze reports its counts
         f = parse_function(fn, parse_interval(interval))
+        result = monotone_partition(f, m)
         window = clip_window(f.domain)
         resolutions = [m, 2 * (m - 1) + 1, 4 * (m - 1) + 1]
-        counts = [detect_partition(sample(f, window, r)).sign_change_count
-                  for r in resolutions]
+        grids = [sample(f, window, r) for r in resolutions]
+        for got, want in zip(result.grids, grids):
+            assert np.array_equal(got.abscissae, want.abscissae)
+            assert np.array_equal(got.values, want.values)
+        counts = [detect_partition(g).sign_change_count for g in grids]
+        assert result.sign_change_counts == counts
+        report = analyze(fn, interval, AnalysisSettings(grid_m=m))
         assert report["detection"]["resolutions"] == resolutions
         assert report["detection"]["sign_change_counts"] == counts
 
@@ -267,6 +275,65 @@ class TestCLI:
         payload = json.loads(capsys.readouterr().out)
         assert payload["partition"][1] == pytest.approx(0.0, abs=1e-2)
         assert 0.005 < payload["delta1"] < 0.05
+
+    def test_certify_matches_analyze(self, capsys):
+        # both take the verdict and pieces of monotone_partition at base
+        # resolution --grid, so they give the same certificate: on the
+        # suite's convex entries and on x^2 sin(1/x) away from the origin
+        for fn, interval, epsilon in (
+                ("sqrt", "[0,1]", 0.1),
+                ("affine:3,1", "[0,5]", 0.1),
+                ("poly:0,0,1", "[0,10]", 0.4),
+                ("poly:0,0,0,1", "[-1,1]", 0.1),
+                ("pwl:0:0,0.3:0.6,0.7:0.2,1:0.5", "[0,1]", 0.1),
+                ("x2sininv", "[0.05,1]", 0.1)):
+            code = main(["certify", "--fn", fn, "--interval", interval,
+                         "--epsilon", repr(epsilon), "--grid", "501"])
+            assert code == EXIT_OK
+            payload = json.loads(capsys.readouterr().out)
+            report = analyze(fn, interval,
+                             AnalysisSettings(epsilon=epsilon, grid_m=501))
+            pieces = payload.pop("pieces")
+            assert payload == report["certificate"], fn
+            assert pieces == [{key: p[key] for key in
+                               ("interval", "shape", "monotonicity")}
+                              for p in report["pieces"]], fn
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--epsilon", "0.1"],
+        ["check-lemma1", "--sigma", "0.05"],
+        ["check-glue", "--pairs", "0.1:0.2,0.3:0.35"],
+    ])
+    def test_unstable_verdict_exits_violated(self, capsys, argv):
+        # the sign changes of x^2 sin(1/x) and of the Cantor staircase
+        # multiply as the grid gets finer: no command reads pieces from them
+        for fn in ("x2sininv", "cantor"):
+            code = main(argv[:1] + ["--fn", fn, "--interval", "[0,1]"]
+                        + argv[1:])
+            assert code == EXIT_VIOLATED, fn
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            if argv[0] == "certify":
+                payload = json.loads(captured.out)
+                assert payload["certificate"] is None
+                assert payload["sign_change_count"] > 64
+            else:
+                assert captured.out.startswith(
+                    "not piecewise convex at this resolution (sign changes ")
+                assert captured.out.count("\n") == 1
+
+    def test_analyze_failed_verification_exits_violated(self, tmp_path,
+                                                        capsys):
+        # with a zero band of 1e300, x^2 reads as one constant affine piece;
+        # verification breaks the certificate, and the report is still written
+        out = tmp_path / "r.json"
+        code = main(["analyze", "--fn", "poly:0,0,1", "--interval", "[-1,1]",
+                     "--eta", "1e300", "--grid", "101", "--json", str(out)])
+        assert code == EXIT_VIOLATED
+        report = json.loads(out.read_text())
+        assert report["pieces"][0]["shape"] == "Affine"
+        assert report["verification"]["passed"] is False
+        assert report["verdicts"]["certificate_verified"] is False
 
     def test_certify_not_piecewise_convex(self, capsys):
         code = main(["certify", "--fn", "cantor", "--interval", "[0,1]",
