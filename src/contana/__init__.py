@@ -26,7 +26,6 @@ from .function_model import (
     sample,
 )
 from .convexity import (
-    ConvexityCheck,
     Direction,
     GSigmaCurve,
     GSigmaReport,
@@ -37,7 +36,6 @@ from .convexity import (
     PiecewiseConvexPartition,
     Shape,
     ShapePiece,
-    check_convexity_inequality,
     check_gsigma_monotone,
     detect_partition,
     expected_direction,
@@ -49,14 +47,12 @@ from .continuity import (
     ACWorstReport,
     Anchor,
     Certificate,
-    GluedChain,
     GluingCheck,
     IntervalCollection,
     ModulusCurve,
     VerificationReport,
     ac_certificate,
     ac_sum,
-    glue_chain,
     glued_single_interval,
     gluing_bound_check,
     modulus_on_grid,

@@ -4,7 +4,7 @@ The central objects are finite collections of nonoverlapping subintervals
 {(x_i, y_i)} with a total-length budget.  Three complementary tools bound or
 search their increment sums sum |f(y_i) - f(x_i)|:
 
-* ``glue_chain`` / ``gluing_bound_check`` pack a collection into one
+* ``gluing_bound_check`` packs a collection into one
   contiguous interval of the same total length, anchored at the end where
   increments are largest; on monotone convex/concave pieces the packed
   increment dominates the collection's sum.
@@ -96,14 +96,6 @@ class IntervalCollection:
 
 
 @dataclass(frozen=True)
-class GluedChain:
-    """Breakpoints z_1 < ... < z_{n+1} whose gaps reproduce the pair lengths."""
-
-    z: tuple
-    direction: Anchor
-
-
-@dataclass(frozen=True)
 class ModulusCurve:
     """Tabulated (delta, omega) pairs with delta strictly increasing."""
 
@@ -114,10 +106,6 @@ class ModulusCurve:
         if any(b[0] <= a[0] for a, b in zip(ss, ss[1:])):
             raise InsufficientData("modulus deltas must be strictly increasing")
         object.__setattr__(self, "samples", ss)
-
-    @property
-    def deltas(self) -> tuple:
-        return tuple(d for d, _ in self.samples)
 
     @property
     def omegas(self) -> tuple:
@@ -259,31 +247,31 @@ def _block_extrema(vs: np.ndarray, levels: int):
 # Gluing
 # ---------------------------------------------------------------------------
 
-def glue_chain(c: IntervalCollection, direction: Anchor) -> GluedChain:
-    """Pack a collection into one contiguous run of breakpoints.
+def _glued_ends(c: IntervalCollection, anchor: Anchor) -> tuple:
+    """Ends (z_1, z_{n+1}) of the collection packed into one interval.
 
-    Left-anchored: z_1 = x_1 and each gap reproduces the next pair length.
-    Right-anchored: z_{n+1} = y_n and gaps reproduce the lengths leading
-    backward from the right end.
+    Left-anchored: z_1 = x_1 and the pair lengths are added one by one from
+    the left.  Right-anchored: z_{n+1} = y_n and they are subtracted one by
+    one from the right.  Every partial sum must move the running end.
     """
     if len(c) == 0:
         raise EmptyCollection("cannot glue an empty collection")
     sigmas = [y - x for x, y in c.pairs]
-    if direction is Anchor.LEFT:
-        z = [c.pairs[0][0]]
+    if anchor is Anchor.LEFT:
+        start = end = c.pairs[0][0]
         for s in sigmas:
-            z.append(z[-1] + s)
+            end, previous = end + s, end
+            if not end > previous:
+                raise GeometryError(
+                    "chain breakpoints collapsed; lengths too small")
     else:
-        z_end = c.pairs[-1][1]
-        acc = z_end
-        rev = [acc]
+        start = end = c.pairs[-1][1]
         for s in reversed(sigmas):
-            acc = acc - s
-            rev.append(acc)
-        z = rev[::-1]
-    if any(b <= a for a, b in zip(z, z[1:])):
-        raise GeometryError("chain breakpoints collapsed; lengths too small")
-    return GluedChain(z=tuple(z), direction=direction)
+            start, previous = start - s, start
+            if not start < previous:
+                raise GeometryError(
+                    "chain breakpoints collapsed; lengths too small")
+    return start, end
 
 
 def _anchor_for(piece: ShapePiece) -> Anchor:
@@ -329,11 +317,11 @@ def gluing_bound_check(f: FunctionSpec, piece: ShapePiece, c: IntervalCollection
         if x < lo or y > hi:
             raise GeometryError(f"pair ({x}, {y}) leaves the piece [{lo}, {hi}]")
     anchor = _anchor_for(piece)
-    chain = glue_chain(c, anchor)
+    z_first, z_last = _glued_ends(c, anchor)
     span = hi - lo
     slack = 16.0 * sys.float_info.epsilon * (abs(lo) + abs(hi) + span) * max(1, len(c))
-    z_first = _clamp_into(chain.z[0], lo, hi, slack)
-    z_last = _clamp_into(chain.z[-1], lo, hi, slack)
+    z_first = _clamp_into(z_first, lo, hi, slack)
+    z_last = _clamp_into(z_last, lo, hi, slack)
     lhs = ac_sum(f, c)
     rhs = abs(evaluate(f, z_last) - evaluate(f, z_first))
     if tol is None:
@@ -346,7 +334,7 @@ def gluing_bound_check(f: FunctionSpec, piece: ShapePiece, c: IntervalCollection
 # Worst-sum search
 # ---------------------------------------------------------------------------
 
-def worst_ac_sum_oracle(f: FunctionSpec, grid: SampleGrid, delta,
+def worst_ac_sum_oracle(grid: SampleGrid, delta,
                         max_intervals: int = DEFAULT_MAX_INTERVALS) -> ACWorstReport:
     """Maximize the increment sum over grid-aligned collections.
 
@@ -592,7 +580,7 @@ def random_collection(rng, lo: float, hi: float, total: float,
     return IntervalCollection(tuple(pairs))
 
 
-def ac_certificate(f: FunctionSpec, p: Partition, pieces, epsilon: float) -> Certificate:
+def ac_certificate(f: FunctionSpec, pieces, epsilon: float) -> Certificate:
     """Synthesize an (epsilon, delta_1) certificate from monotone pieces.
 
     With N monotone convex/concave pieces, each piece receives budget
@@ -615,10 +603,7 @@ def ac_certificate(f: FunctionSpec, p: Partition, pieces, epsilon: float) -> Cer
         raise PreconditionError("at least one piece is required")
     for piece in pieces:
         expected_direction(piece)  # raises ShapeError if not certified
-    span = p.points[-1] - p.points[0]
-    if abs(pieces[0].interval.lo - p.points[0]) > 1e-9 * span or \
-       abs(pieces[-1].interval.hi - p.points[-1]) > 1e-9 * span:
-        raise PreconditionError("pieces do not span the partition window")
+    span = pieces[-1].interval.hi - pieces[0].interval.lo
     for a, b in zip(pieces, pieces[1:]):
         if abs(a.interval.hi - b.interval.lo) > 1e-9 * span:
             raise PreconditionError("pieces do not tile the window contiguously")
@@ -627,10 +612,8 @@ def ac_certificate(f: FunctionSpec, p: Partition, pieces, epsilon: float) -> Cer
     min_len = min(piece.interval.hi - piece.interval.lo for piece in pieces)
     step = min(_increment_step(f, piece, budget) for piece in pieces)
     delta1 = DELTA1_SAFETY * min(MODULUS_SAFETY * step, min_len)
-    boundaries = [pieces[0].interval.lo]
-    boundaries.extend(piece.interval.hi for piece in pieces)
     return Certificate(epsilon=float(epsilon), delta1=float(delta1),
-                       partition=Partition(tuple(boundaries)),
+                       partition=Partition.from_pieces(pieces),
                        per_piece_budget=float(budget),
                        monotone_pieces=pieces)
 
@@ -740,7 +723,7 @@ def verify_certificate(f: FunctionSpec, cert: Certificate, trials: int = 10000,
     m = max(257, min(8193, m_target))
     grid = sample(f, IntervalSpec(lo, hi), m)
     if d1 > grid.spacing:
-        report = worst_ac_sum_oracle(f, grid, d1, DEFAULT_MAX_INTERVALS)
+        report = worst_ac_sum_oracle(grid, d1, DEFAULT_MAX_INTERVALS)
         if report.best_sum > worst_sum:
             worst_sum, worst_c = report.best_sum, report.witness
 

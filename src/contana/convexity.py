@@ -17,7 +17,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    DomainError,
     GeometryError,
     InsufficientData,
     ShapeError,
@@ -76,9 +75,10 @@ class Partition:
             raise InsufficientData("partition points must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def piece_count(self) -> int:
-        return len(self.points) - 1
+    @classmethod
+    def from_pieces(cls, pieces) -> "Partition":
+        """The breakpoints of contiguous pieces: every lo, then the last hi."""
+        return cls((pieces[0].interval.lo, *(p.interval.hi for p in pieces)))
 
     @property
     def min_piece_length(self) -> float:
@@ -121,14 +121,6 @@ class NotPiecewiseConvex:
 
 
 @dataclass(frozen=True)
-class ConvexityCheck:
-    holds: bool
-    worst_violation: float
-    witness: tuple | None
-    tolerance: float
-
-
-@dataclass(frozen=True)
 class GSigmaReport:
     direction: Direction
     max_violation: float
@@ -159,58 +151,6 @@ class MonotonePartition:
     @property
     def partition(self) -> Partition:
         return self.detections[-1].partition
-
-
-# ---------------------------------------------------------------------------
-# Convexity inequality
-# ---------------------------------------------------------------------------
-
-def check_convexity_inequality(f: FunctionSpec, piece: IntervalSpec, claim: Shape,
-                               theta_steps: int = 16, pair_samples: int = 64,
-                               seed: int = 0, tol: float | None = None) -> ConvexityCheck:
-    """Sample the chord inequality for the claimed shape on a piece.
-
-    For a concave claim the defect at (a, b, theta) is
-    ``theta*f(a) + (1-theta)*f(b) - f(theta*a + (1-theta)*b)``; for a convex
-    claim the sign is flipped.  A positive defect is a violation.  Pairs are
-    the piece endpoints plus seeded random pairs; thetas form an interior
-    grid.  The default tolerance is four units of rounding in the largest
-    value encountered.
-    """
-    if theta_steps < 1:
-        raise ValueError("theta_steps must be >= 1")
-    if claim not in (Shape.CONVEX, Shape.CONCAVE):
-        raise ShapeError(f"claim must be Convex or Concave, got {claim!r}")
-    if not (f.domain.contains(piece.lo) and f.domain.contains(piece.hi)):
-        raise DomainError(f"piece {piece} exceeds domain {f.domain}")
-    rng = np.random.default_rng(seed)
-    pairs = [(piece.lo, piece.hi)]
-    raw = rng.uniform(piece.lo, piece.hi, size=(pair_samples, 2))
-    for a, b in raw:
-        if a > b:
-            a, b = b, a
-        if a < b:
-            pairs.append((float(a), float(b)))
-    thetas = [j / (theta_steps + 1) for j in range(1, theta_steps + 1)]
-    worst = -math.inf
-    witness = None
-    scale = 1.0
-    sign = 1.0 if claim is Shape.CONCAVE else -1.0
-    for a, b in pairs:
-        fa, fb = evaluate(f, a), evaluate(f, b)
-        scale = max(scale, abs(fa), abs(fb))
-        for theta in thetas:
-            mid = theta * a + (1.0 - theta) * b
-            fm = evaluate(f, mid)
-            scale = max(scale, abs(fm))
-            defect = sign * ((theta * fa + (1.0 - theta) * fb) - fm)
-            if defect > worst:
-                worst = defect
-                witness = (a, b, theta)
-    if tol is None:
-        tol = 4.0 * sys.float_info.epsilon * scale
-    return ConvexityCheck(holds=worst <= tol, worst_violation=worst,
-                          witness=witness, tolerance=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .errors import DomainError, InsufficientData, KindError, ParseError
 
 INF = float("inf")
 
-#: ternary digits scanned by default when evaluating the Cantor function
+#: ternary digits scanned when evaluating the Cantor function
 CANTOR_DEPTH = 64
 
 #: truncation width for unbounded domains
@@ -65,14 +65,6 @@ class IntervalSpec:
             raise KindError("an infinite upper endpoint cannot be closed")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def is_finite(self) -> bool:
-        return not (math.isinf(self.lo) or math.isinf(self.hi))
 
     def contains(self, x) -> bool:
         """Membership honoring open/closed endpoints; works for any real type."""
@@ -230,17 +222,16 @@ class FunctionSpec:
         return cls(PWL, dom, knots=ks)
 
 
-def eval_cantor(x, depth: int = CANTOR_DEPTH) -> float:
+def eval_cantor(x) -> float:
     """Cantor staircase value via ternary digit scanning.
 
     The input's exact rational value (``as_integer_ratio``) is expanded in
     base 3.  Digits 0 and 2 emit binary digits 0 and 1; the first digit 1
-    emits a binary 1 and terminates.  Up to ``depth`` ternary digits are
-    scanned, so the result is within 2**-depth of the exact staircase value
-    at the given rational point, and the digit arithmetic itself is exact.
+    emits a binary 1 and terminates.  Up to CANTOR_DEPTH ternary digits are
+    scanned, so the result is within 2**-CANTOR_DEPTH of the exact staircase
+    value at the given rational point, and the digit arithmetic itself is
+    exact.
     """
-    if depth < 1:
-        raise ValueError("depth must be a positive integer")
     try:
         num, den = x.as_integer_ratio()
     except (AttributeError, OverflowError, ValueError) as exc:
@@ -253,7 +244,7 @@ def eval_cantor(x, depth: int = CANTOR_DEPTH) -> float:
         return 1.0
     acc = 0
     bits = 0
-    for _ in range(depth):
+    for _ in range(CANTOR_DEPTH):
         num *= 3
         digit, num = divmod(num, den)
         bits += 1
@@ -565,7 +556,7 @@ def parse_function(text: str, window: IntervalSpec | None = None) -> FunctionSpe
                 raise ParseError(f"poly needs coefficients: {text!r}")
             fn = FunctionSpec.polynomial(coeffs)
         elif s.startswith("pwl:"):
-            fn = FunctionSpec.piecewise_linear(_parse_pairs(s[len("pwl:"):]))
+            fn = FunctionSpec.piecewise_linear(parse_pairs(s[len("pwl:"):]))
         elif s.startswith("table@"):
             fn = FunctionSpec.piecewise_linear(_load_table(s[len("table@"):]))
         else:
@@ -591,14 +582,15 @@ def _parse_num(token: str) -> float:
         raise ParseError(f"bad number {token!r}") from exc
 
 
-def _parse_pairs(body: str):
-    knots = []
+def parse_pairs(body: str) -> list:
+    """Parse ``x1:y1,x2:y2,...`` into a list of float pairs."""
+    pairs = []
     for item in body.split(","):
         bits = item.split(":")
         if len(bits) != 2:
-            raise ParseError(f"bad knot {item!r}, expected x:y")
-        knots.append((_parse_num(bits[0]), _parse_num(bits[1])))
-    return knots
+            raise ParseError(f"bad pair {item!r}, expected x:y")
+        pairs.append((_parse_num(bits[0]), _parse_num(bits[1])))
+    return pairs
 
 
 def _load_table(path: str):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from . import catalog, suite_checks
 from .convexity import (
     DEFAULT_MAX_PIECES,
+    Partition,
     check_gsigma_monotone,
     gsigma_curve,
     monotone_partition,
@@ -31,6 +32,7 @@ from .continuity import (
     ac_certificate,
     gluing_bound_check,
     modulus_on_grid,
+    split_collection_at_partition,
     verify_certificate,
     worst_ac_sum_oracle,
 )
@@ -42,6 +44,7 @@ from .errors import (
     InsufficientData,
     KindError,
     ParseError,
+    PreconditionError,
     Unachievable,
 )
 from .function_model import (
@@ -50,6 +53,7 @@ from .function_model import (
     clip_window,
     parse_function,
     parse_interval,
+    parse_pairs,
     sample,
 )
 
@@ -172,8 +176,7 @@ def analyze(fn_text: str, interval_text: str,
                 "ok": rep.ok,
             })
         try:
-            certificate = ac_certificate(f, result.partition, result.pieces,
-                                         settings.epsilon)
+            certificate = ac_certificate(f, result.pieces, settings.epsilon)
             report["certificate"] = _certificate_block(certificate)
         except Unachievable as exc:
             report["certificate_error"] = str(exc)
@@ -194,7 +197,7 @@ def analyze(fn_text: str, interval_text: str,
     oracle_grid = sample(f, clipped, 2001)
     for budget in budgets:
         if budget > oracle_grid.spacing:
-            rep = worst_ac_sum_oracle(f, oracle_grid, budget)
+            rep = worst_ac_sum_oracle(oracle_grid, budget)
             report["worst_sums"].append({
                 "delta": float(rep.delta),
                 "best_sum": rep.best_sum,
@@ -313,7 +316,7 @@ def cmd_worst_sum(args) -> int:
     window = parse_interval(args.interval)
     f = parse_function(args.fn, window)
     grid = sample(f, window, args.grid)
-    rep = worst_ac_sum_oracle(f, grid, args.delta, args.max_intervals)
+    rep = worst_ac_sum_oracle(grid, args.delta, args.max_intervals)
     payload = {
         "delta": float(rep.delta),
         "best_sum": rep.best_sum,
@@ -331,6 +334,10 @@ def cmd_check_lemma1(args) -> int:
     result = monotone_partition(f, args.grid)
     if not result.stable:
         return _not_piecewise_convex(result)
+    longest = max(p.interval.hi - p.interval.lo for p in result.pieces)
+    if args.sigma >= longest:
+        raise ParseError(f"--sigma must be below the longest monotone piece "
+                         f"length {longest!r}, got {args.sigma!r}")
     violated = False
     for piece in result.pieces:
         plen = piece.interval.hi - piece.interval.lo
@@ -349,34 +356,36 @@ def cmd_check_lemma1(args) -> int:
 
 
 def cmd_check_glue(args) -> int:
-    window = parse_interval(args.interval)
-    f = parse_function(args.fn, window)
-    pairs = _parse_pairs_arg(args.pairs)
+    f = parse_function(args.fn, parse_interval(args.interval))
     try:
-        c = IntervalCollection(tuple(pairs))
+        c = IntervalCollection(tuple(parse_pairs(args.pairs)))
     except GeometryError as exc:
         raise ParseError(str(exc)) from exc
+    window = clip_window(f.domain)  # the window the pieces tile
     if not (window.closure_contains(c.pairs[0][0])
             and window.closure_contains(c.pairs[-1][1])):
         raise ParseError(f"pairs must lie inside the window {window}")
     result = monotone_partition(f, args.grid)
     if not result.stable:
         return _not_piecewise_convex(result)
-    lo_needed = c.pairs[0][0]
-    hi_needed = c.pairs[-1][1]
-    enclosing = None
+    try:
+        split = split_collection_at_partition(
+            c, Partition.from_pieces(result.pieces))
+    except PreconditionError as exc:
+        raise ParseError(str(exc)) from exc
+    violated = False
     for piece in result.pieces:
-        if piece.interval.lo <= lo_needed and hi_needed <= piece.interval.hi:
-            enclosing = piece
-            break
-    if enclosing is None:
-        raise ParseError("the pairs do not fit inside a single monotone piece")
-    chk = gluing_bound_check(f, enclosing, c)
-    sys.stdout.write(
-        f"piece {enclosing.interval}: lhs={chk.lhs!r} rhs={chk.rhs!r} "
-        f"direction={chk.direction_used.value} "
-        f"{'HOLDS' if chk.holds else 'VIOLATED'}\n")
-    return EXIT_OK if chk.holds else EXIT_VIOLATED
+        lo, hi = piece.interval.lo, piece.interval.hi
+        held = tuple((x, y) for x, y in split.pairs if lo <= x and y <= hi)
+        if not held:
+            continue
+        chk = gluing_bound_check(f, piece, IntervalCollection(held))
+        violated = violated or not chk.holds
+        sys.stdout.write(
+            f"piece {piece.interval}: lhs={chk.lhs!r} rhs={chk.rhs!r} "
+            f"direction={chk.direction_used.value} "
+            f"{'HOLDS' if chk.holds else 'VIOLATED'}\n")
+    return EXIT_VIOLATED if violated else EXIT_OK
 
 
 def cmd_certify(args) -> int:
@@ -389,7 +398,7 @@ def cmd_certify(args) -> int:
             "sign_change_count": result.sign_change_counts[-1],
         }).decode())
         return EXIT_VIOLATED
-    cert = ac_certificate(f, result.partition, result.pieces, args.epsilon)
+    cert = ac_certificate(f, result.pieces, args.epsilon)
     sys.stdout.write(_dump_json({
         **_certificate_block(cert),
         "pieces": [{"interval": [p.interval.lo, p.interval.hi],
@@ -518,19 +527,6 @@ def _positive(name: str):
 
 def _at_least(name: str, low: int):
     return _checked(name, int, f"at least {low}", lambda v: v >= low)
-
-
-def _parse_pairs_arg(text: str) -> list:
-    pairs = []
-    for item in text.split(","):
-        bits = item.split(":")
-        if len(bits) != 2:
-            raise ParseError(f"bad pair {item!r}, expected x:y")
-        try:
-            pairs.append((float(bits[0]), float(bits[1])))
-        except ValueError as exc:
-            raise ParseError(f"bad pair {item!r}") from exc
-    return pairs
 
 
 def build_parser(default_seed: int) -> argparse.ArgumentParser:

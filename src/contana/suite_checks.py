@@ -50,11 +50,11 @@ def _monotone_pieces(f: FunctionSpec, m: int = 1001):
     result = monotone_partition(f, m)
     if not result.stable:
         raise AssertionError(f"expected a convex partition for {f.kind}")
-    return result.partition, result.pieces
+    return result.pieces
 
 
 def _single_piece(f: FunctionSpec):
-    _, pieces = _monotone_pieces(f, 251)
+    pieces = _monotone_pieces(f, 251)
     if len(pieces) != 1:
         raise AssertionError(f"expected a single monotone piece for {f.kind}")
     return pieces[0]
@@ -133,7 +133,7 @@ def check_oracle_agreement() -> CriterionResult:
     window = IntervalSpec(0.0, 1.0)
     piece = _single_piece(f)
     grid = sample(f, window, 401)
-    rep = worst_ac_sum_oracle(f, grid, 0.25)
+    rep = worst_ac_sum_oracle(grid, 0.25)
     spacing = float(grid.spacing)
     lower = math.sqrt(0.25 - spacing)
     upper = 0.5
@@ -160,10 +160,10 @@ def check_certificates(trials: int = 10000) -> CriterionResult:
     ok = True
 
     f = catalog.sqrt_on_unit()
-    partition, pieces = _monotone_pieces(f)
+    pieces = _monotone_pieces(f)
     sqrt_delta1 = None
     for eps in (0.4, 0.1, 0.02):
-        cert = ac_certificate(f, partition, pieces, eps)
+        cert = ac_certificate(f, pieces, eps)
         ver = verify_certificate(f, cert, trials=trials, seed=0)
         if eps == 0.1:
             sqrt_delta1 = cert.delta1
@@ -177,8 +177,8 @@ def check_certificates(trials: int = 10000) -> CriterionResult:
     ok = ok and delta1_in_range
 
     f = catalog.sine_table()
-    partition, pieces = _monotone_pieces(f)
-    cert = ac_certificate(f, partition, pieces, 0.4)
+    pieces = _monotone_pieces(f)
+    cert = ac_certificate(f, pieces, 0.4)
     ver = verify_certificate(f, cert, trials=trials, seed=0)
     sine_ok = ver.passed and len(pieces) == 4
     ok = ok and sine_ok
@@ -187,10 +187,10 @@ def check_certificates(trials: int = 10000) -> CriterionResult:
                  "passed": ver.passed})
 
     f = catalog.cubed(-1.0, 1.0)
-    partition, pieces = _monotone_pieces(f)
-    cert = ac_certificate(f, partition, pieces, 0.1)
+    pieces = _monotone_pieces(f)
+    cert = ac_certificate(f, pieces, 0.1)
     ver = verify_certificate(f, cert, trials=trials, seed=0)
-    split_at_zero = any(abs(p) <= 1e-3 for p in partition.points)
+    split_at_zero = any(abs(p) <= 1e-3 for p in cert.partition.points)
     cubed_ok = ver.passed and split_at_zero
     ok = ok and cubed_ok
     rows.append({"function": "xcubed", "epsilon": 0.1, "delta1": cert.delta1,

@@ -32,7 +32,6 @@ from contana import (
     ac_sum,
     detect_partition,
     evaluate,
-    glue_chain,
     monotone_partition,
     glued_single_interval,
     gluing_bound_check,
@@ -45,7 +44,7 @@ from contana import (
     worst_ac_sum_oracle,
 )
 from contana import catalog, continuity
-from contana.continuity import _dp_pairs, _increment_step
+from contana.continuity import _dp_pairs, _glued_ends, _increment_step
 from contana.function_model import uniform_abscissae
 
 
@@ -156,7 +155,7 @@ def sqrt_on_unit_pieces():
     f = catalog.sqrt_on_unit()
     res = detect_partition(sample(f, IntervalSpec(0.0, 1.0), 2001))
     pieces = [p for s in res.shapes for p in refine_to_monotone(f, s)]
-    return f, res.partition, tuple(pieces)
+    return f, tuple(pieces)
 
 
 class TestIntervalCollection:
@@ -217,7 +216,7 @@ class TestModulus:
     def test_matches_pair_scan(self, data):
         grid, deltas = data.draw(grids_with_deltas())
         curve = modulus_on_grid(grid, deltas)
-        assert curve.deltas == tuple(deltas)
+        assert [d for d, _ in curve.samples] == list(deltas)
         running = 0.0
         for d, w in curve.samples:
             running = max(running, omega_pair_scan(grid, d))
@@ -234,46 +233,6 @@ class TestModulus:
         for d, w in curve.samples:
             running = max(running, omega_pair_scan(grid, d))
             assert w == running, d
-
-
-class TestGlueChain:
-    def test_left_anchored(self):
-        c = IntervalCollection(((0.0, 0.1), (0.3, 0.4)))
-        chain = glue_chain(c, Anchor.LEFT)
-        assert chain.z[0] == 0.0
-        assert chain.z[1] == pytest.approx(0.1, abs=1e-15)
-        assert chain.z[2] == pytest.approx(0.2, abs=1e-15)
-
-    def test_right_anchored(self):
-        c = IntervalCollection(((0.0, 0.1), (0.3, 0.4)))
-        chain = glue_chain(c, Anchor.RIGHT)
-        assert chain.z[-1] == 0.4
-        assert chain.z[1] == pytest.approx(0.3, abs=1e-15)
-        assert chain.z[0] == pytest.approx(0.2, abs=1e-15)
-
-    def test_single_pair_identity(self):
-        c = IntervalCollection(((0.2, 0.7),))
-        for anchor in (Anchor.LEFT, Anchor.RIGHT):
-            assert glue_chain(c, anchor).z == (0.2, 0.7)
-
-    def test_empty(self):
-        with pytest.raises(EmptyCollection):
-            glue_chain(IntervalCollection(()), Anchor.LEFT)
-
-    def test_gaps_reproduce_lengths(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            c = random_collection(rng, 0.0, 1.0, 0.3, 5)
-            if len(c) == 0:
-                continue
-            sigmas = [y - x for x, y in c.pairs]
-            for anchor in (Anchor.LEFT, Anchor.RIGHT):
-                chain = glue_chain(c, anchor)
-                gaps = [b - a for a, b in zip(chain.z, chain.z[1:])]
-                assert gaps == pytest.approx(sigmas, abs=1e-14)
-                # budget conservation
-                assert chain.z[-1] - chain.z[0] == pytest.approx(
-                    float(c.total_length), abs=len(c) * 1e-15)
 
 
 class TestGluingBound:
@@ -320,19 +279,40 @@ class TestGluingBound:
         with pytest.raises(GeometryError):
             gluing_bound_check(f, piece, IntervalCollection(((0.4, 0.6),)))
 
-    def test_telescoping_identity(self):
-        # monotone f: interior chain increments collapse to the endpoints
-        f = catalog.sqrt_on_unit()
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            c = random_collection(rng, 0.0, 1.0, 0.25, 6)
+
+class TestGlueChain:
+    def test_left_anchored(self):
+        c = IntervalCollection(((0.0, 0.1), (0.3, 0.4)))
+        start, end = _glued_ends(c, Anchor.LEFT)
+        assert start == 0.0
+        assert end == pytest.approx(0.2, abs=1e-15)
+
+    def test_right_anchored(self):
+        c = IntervalCollection(((0.0, 0.1), (0.3, 0.4)))
+        start, end = _glued_ends(c, Anchor.RIGHT)
+        assert end == 0.4
+        assert start == pytest.approx(0.2, abs=1e-15)
+
+    def test_single_pair_identity(self):
+        c = IntervalCollection(((0.2, 0.7),))
+        for anchor in (Anchor.LEFT, Anchor.RIGHT):
+            assert _glued_ends(c, anchor) == (0.2, 0.7)
+
+    def test_empty(self):
+        for anchor in (Anchor.LEFT, Anchor.RIGHT):
+            with pytest.raises(EmptyCollection):
+                _glued_ends(IntervalCollection(()), anchor)
+
+    def test_glued_length_is_total_length(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            c = random_collection(rng, 0.0, 1.0, 0.3, 5)
             if len(c) == 0:
                 continue
-            chain = glue_chain(c, Anchor.LEFT)
-            step_sum = math.fsum(abs(evaluate(f, b) - evaluate(f, a))
-                                 for a, b in zip(chain.z, chain.z[1:]))
-            direct = abs(evaluate(f, chain.z[-1]) - evaluate(f, chain.z[0]))
-            assert step_sum == pytest.approx(direct, abs=len(c) * 1e-15)
+            for anchor in (Anchor.LEFT, Anchor.RIGHT):
+                start, end = _glued_ends(c, anchor)
+                assert abs((end - start) - c.total_length) <= (
+                    len(c) * math.ulp(max(abs(start), abs(end))))
 
 
 class TestWorstSumOracle:
@@ -346,7 +326,7 @@ class TestWorstSumOracle:
             h = grid.spacing
             for units, kmax in ((3, 2), (5, 3), (7, 12)):
                 delta = (units + 1) * h
-                rep = worst_ac_sum_oracle(f, grid, delta * 1.0000001, kmax)
+                rep = worst_ac_sum_oracle(grid, delta * 1.0000001, kmax)
                 want = brute_force_worst_sum(values, units, kmax)
                 assert rep.best_sum == pytest.approx(want, abs=1e-12), (
                     trial, units, kmax)
@@ -366,7 +346,7 @@ class TestWorstSumOracle:
         f = FunctionSpec.piecewise_linear(tuple(zip(xs.tolist(), values)))
         grid = SampleGrid(xs, values)
         delta = (units + 1) / (m - 1) * (1.0 + 1e-7)
-        rep = worst_ac_sum_oracle(f, grid, delta, kmax)
+        rep = worst_ac_sum_oracle(grid, delta, kmax)
         want = brute_force_worst_sum(values, units, kmax)
         assert rep.best_sum == pytest.approx(want, rel=1e-12, abs=1e-12)
         runs = top_step_runs(values, units)
@@ -392,7 +372,7 @@ class TestWorstSumOracle:
         grid = sample(f, IntervalSpec(0.0, 1.0), m)
         tracemalloc.start()
         try:
-            rep = worst_ac_sum_oracle(f, grid, (units + 1) / (m - 1), kmax)
+            rep = worst_ac_sum_oracle(grid, (units + 1) / (m - 1), kmax)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -404,7 +384,7 @@ class TestWorstSumOracle:
     def test_sqrt_single_left_interval(self):
         f = catalog.sqrt_on_unit()
         grid = sample(f, IntervalSpec(0.0, 1.0), 401)
-        rep = worst_ac_sum_oracle(f, grid, 0.25)
+        rep = worst_ac_sum_oracle(grid, 0.25)
         spacing = float(grid.spacing)
         assert math.sqrt(0.25 - spacing) - 1e-12 <= rep.best_sum <= 0.5 + 1e-12
         assert len(rep.witness) == 1
@@ -417,7 +397,7 @@ class TestWorstSumOracle:
     def test_affine_uses_whole_budget(self):
         f = FunctionSpec.affine(3.0, 0.0, IntervalSpec(0.0, 1.0))
         grid = sample(f, IntervalSpec(0.0, 1.0), 101)
-        rep = worst_ac_sum_oracle(f, grid, 0.15)
+        rep = worst_ac_sum_oracle(grid, 0.15)
         # 14 grid units of 0.01 fit strictly under 0.15
         assert rep.best_sum == pytest.approx(3.0 * 0.14, abs=1e-12)
         assert float(rep.witness.total_length) == pytest.approx(0.14, abs=1e-12)
@@ -426,7 +406,7 @@ class TestWorstSumOracle:
         f = catalog.cantor_on_unit()
         xs = [Fraction(i, 27) for i in range(28)]
         grid = SampleGrid.from_abscissae(f, xs)
-        rep = worst_ac_sum_oracle(f, grid, Fraction(1, 3))
+        rep = worst_ac_sum_oracle(grid, Fraction(1, 3))
         assert rep.best_sum == 1.0
         assert rep.witness.total_length <= Fraction(8, 27)
         assert ac_sum(f, rep.witness) == 1.0
@@ -435,14 +415,14 @@ class TestWorstSumOracle:
         f = catalog.sqrt_on_unit()
         grid = sample(f, IntervalSpec(0.0, 1.0), 101)
         with pytest.raises(BudgetError):
-            worst_ac_sum_oracle(f, grid, 0.005)
+            worst_ac_sum_oracle(grid, 0.005)
 
     def test_glued_closed_form_agreement(self):
         f = catalog.sqrt_on_unit()
         piece = ShapePiece(IntervalSpec(0.0, 1.0), Shape.CONCAVE,
                            Monotonicity.INCREASING, 0.0)
         grid = sample(f, IntervalSpec(0.0, 1.0), 401)
-        rep = worst_ac_sum_oracle(f, grid, 0.25)
+        rep = worst_ac_sum_oracle(grid, 0.25)
         glued = glued_single_interval(f, piece, rep.witness.total_length)
         omega_h = modulus_on_grid(grid, [grid.spacing]).omegas[0]
         assert abs(rep.best_sum - glued.best_sum) <= omega_h + 1e-12
@@ -489,23 +469,23 @@ class TestSplitCollection:
 
 class TestCertificates:
     def test_sqrt_delta1_band(self):
-        f, partition, pieces = sqrt_on_unit_pieces()
-        cert = ac_certificate(f, partition, pieces, 0.1)
+        f, pieces = sqrt_on_unit_pieces()
+        cert = ac_certificate(f, pieces, 0.1)
         assert 0.006 <= cert.delta1 <= 0.01
         assert cert.per_piece_budget == pytest.approx(0.1)
-        assert cert.delta1 < partition.min_piece_length
+        assert cert.delta1 < cert.partition.min_piece_length
 
     def test_affine_delta1(self):
         f = FunctionSpec.affine(3.0, 0.0, IntervalSpec(0.0, 1.0))
         res = detect_partition(sample(f, IntervalSpec(0.0, 1.0), 2001))
         pieces = [p for s in res.shapes for p in refine_to_monotone(f, s)]
-        cert = ac_certificate(f, res.partition, pieces, 0.1)
+        cert = ac_certificate(f, pieces, 0.1)
         # linear modulus: delta1 ~ 0.99 * 0.9 * (0.1 / 3)
         assert 0.023 <= cert.delta1 <= 0.0333
 
     def test_verify_sqrt_passes(self):
-        f, partition, pieces = sqrt_on_unit_pieces()
-        cert = ac_certificate(f, partition, pieces, 0.1)
+        f, pieces = sqrt_on_unit_pieces()
+        cert = ac_certificate(f, pieces, 0.1)
         ver = verify_certificate(f, cert, trials=500, seed=0)
         assert ver.passed
         assert ver.worst_sum < 0.1
@@ -534,7 +514,7 @@ class TestCertificates:
     def test_batched_sums_match_scalar_ac_sum(self, f, epsilon):
         # the bulk-evaluated sums give the report of the scalar ac_sum loop
         result = monotone_partition(f, 501)
-        cert = ac_certificate(f, result.partition, result.pieces, epsilon)
+        cert = ac_certificate(f, result.pieces, epsilon)
         for seed in (0, 1):
             got = verify_certificate(f, cert, trials=500, seed=seed)
             with mock.patch.object(continuity, "_ac_sums", lambda f, cs: [
@@ -550,7 +530,7 @@ class TestCertificates:
             res = detect_partition(sample(f, IntervalSpec(0.0, 1.0), 2001))
             assert isinstance(res, PiecewiseConvexPartition)
             pieces = [p for s in res.shapes for p in refine_to_monotone(f, s)]
-            return f, ac_certificate(f, res.partition, pieces, 0.5)
+            return f, ac_certificate(f, pieces, 0.5)
 
         # one concave increasing piece of initial slope 1e7: the anchored
         # increment reaches the budget 0.5 at 5e-8, however steep that is
@@ -564,8 +544,8 @@ class TestCertificates:
     def test_certificate_bound_is_semantic(self):
         # the certified guarantee: every collection under the budget stays
         # below epsilon, checked against the exact worst case sqrt(delta1)
-        f, partition, pieces = sqrt_on_unit_pieces()
-        cert = ac_certificate(f, partition, pieces, 0.1)
+        f, pieces = sqrt_on_unit_pieces()
+        cert = ac_certificate(f, pieces, 0.1)
         assert math.sqrt(cert.delta1) < 0.1
 
 

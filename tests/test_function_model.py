@@ -200,8 +200,6 @@ class TestEvalCantor:
             eval_cantor(-0.1)
         with pytest.raises(DomainError):
             eval_cantor(1.1)
-        with pytest.raises(ValueError):
-            eval_cantor(0.5, depth=0)
 
     @settings(max_examples=120, deadline=None)
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2,
@@ -210,12 +208,6 @@ class TestEvalCantor:
         xs = sorted(xs)
         vals = [eval_cantor(x) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.floats(min_value=0.0, max_value=1.0),
-           st.integers(min_value=4, max_value=40))
-    def test_depth_stability(self, x, d):
-        assert abs(eval_cantor(x, d) - eval_cantor(x, d + 8)) <= 2.0 ** -d
 
 
 class TestClipWindow:
@@ -239,7 +231,8 @@ class TestClipWindow:
     def test_subset_of_closure_finite_closed(self, lo, width, lo_closed, hi_closed):
         iv = IntervalSpec(lo, lo + width, lo_closed, hi_closed)
         got = clip_window(iv)
-        assert got.is_finite and got.lo_closed and got.hi_closed
+        assert math.isfinite(got.lo) and math.isfinite(got.hi)
+        assert got.lo_closed and got.hi_closed
         assert iv.lo <= got.lo < got.hi <= iv.hi
 
 

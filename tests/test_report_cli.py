@@ -268,6 +268,41 @@ class TestCLI:
         assert code == EXIT_OK
         assert "HOLDS" in capsys.readouterr().out
 
+    def test_check_glue_splits_pairs_at_piece_boundaries(self, capsys):
+        # ternary search puts the zigzag's peak at 0.3000000000045896, inside
+        # the pair (0.3, 0.35): each side is checked on its own piece
+        code = main(["check-glue", "--fn", "pwl:0:0,0.3:0.6,0.7:0.2,1:0.5",
+                     "--interval", "[0,1]", "--pairs", "0.1:0.2,0.3:0.35",
+                     "--grid", "3"])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 2
+        assert all(line.endswith(" HOLDS") for line in lines)
+
+    def test_check_glue_pair_over_two_boundaries_parse_error(self, capsys):
+        code = main(["check-glue", "--fn", "pwl:0:0,0.3:0.6,0.7:0.2,1:0.5",
+                     "--interval", "[0,1]", "--pairs", "0.2:0.8",
+                     "--grid", "501"])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("sigma", ["1", "2"])
+    def test_check_lemma1_sigma_covering_every_piece_parse_error(self, capsys,
+                                                                 sigma):
+        # no piece is longer than sigma, so nothing would be checked
+        code = main(["check-lemma1", "--fn", "sqrt", "--interval", "[0,1]",
+                     "--sigma", sigma, "--grid", "501"])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ")
+        assert captured.err.count("\n") == 1
+
     def test_certify(self, capsys):
         code = main(["certify", "--fn", "poly:0,0,0,1", "--interval", "[-1,1]",
                      "--epsilon", "0.1", "--grid", "501"])
