@@ -27,7 +27,6 @@ from .function_model import (
 )
 from .convexity import (
     Direction,
-    GSigmaCurve,
     GSigmaReport,
     Monotonicity,
     MonotonePartition,

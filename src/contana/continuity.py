@@ -101,12 +101,6 @@ class ModulusCurve:
 
     samples: tuple
 
-    def __post_init__(self) -> None:
-        ss = tuple((d, float(w)) for d, w in self.samples)
-        if any(b[0] <= a[0] for a, b in zip(ss, ss[1:])):
-            raise InsufficientData("modulus deltas must be strictly increasing")
-        object.__setattr__(self, "samples", ss)
-
     @property
     def omegas(self) -> tuple:
         return tuple(w for _, w in self.samples)
@@ -123,13 +117,19 @@ class ACWorstReport:
 
 @dataclass(frozen=True)
 class Certificate:
-    """(epsilon, delta_1) certificate over a monotone-refined partition."""
+    """(epsilon, delta_1) certificate; partition and budget follow the pieces."""
 
     epsilon: float
     delta1: float
-    partition: Partition
-    per_piece_budget: float
     monotone_pieces: tuple
+
+    @property
+    def partition(self) -> Partition:
+        return Partition.from_pieces(self.monotone_pieces)
+
+    @property
+    def per_piece_budget(self) -> float:
+        return self.epsilon / len(self.monotone_pieces)
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,6 @@ class GluingCheck:
     rhs: float
     holds: bool
     direction_used: Anchor
-    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -327,7 +326,7 @@ def gluing_bound_check(f: FunctionSpec, piece: ShapePiece, c: IntervalCollection
     if tol is None:
         tol = 1e-9 * max(1.0, abs(lhs), abs(rhs))
     return GluingCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol,
-                       direction_used=anchor, tolerance=tol)
+                       direction_used=anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +612,6 @@ def ac_certificate(f: FunctionSpec, pieces, epsilon: float) -> Certificate:
     step = min(_increment_step(f, piece, budget) for piece in pieces)
     delta1 = DELTA1_SAFETY * min(MODULUS_SAFETY * step, min_len)
     return Certificate(epsilon=float(epsilon), delta1=float(delta1),
-                       partition=Partition.from_pieces(pieces),
-                       per_piece_budget=float(budget),
                        monotone_pieces=pieces)
 
 

@@ -84,10 +84,6 @@ class Partition:
     def min_piece_length(self) -> float:
         return min(b - a for a, b in zip(self.points, self.points[1:]))
 
-    def pieces(self) -> tuple:
-        return tuple(IntervalSpec(a, b)
-                     for a, b in zip(self.points, self.points[1:]))
-
 
 @dataclass(frozen=True)
 class ShapePiece:
@@ -100,19 +96,13 @@ class ShapePiece:
 
 
 @dataclass(frozen=True)
-class GSigmaCurve:
-    """Samples of x |-> |f(x + sigma) - f(x)| along a piece."""
-
-    sigma: float
-    abscissae: tuple
-    values: tuple
-
-
-@dataclass(frozen=True)
 class PiecewiseConvexPartition:
-    partition: Partition
     shapes: tuple
     sign_change_count: int
+
+    @property
+    def partition(self) -> Partition:
+        return Partition.from_pieces(self.shapes)
 
 
 @dataclass(frozen=True)
@@ -122,15 +112,11 @@ class NotPiecewiseConvex:
 
 @dataclass(frozen=True)
 class GSigmaReport:
+    """``ok``: no violation beyond 1e-9 of the largest increment (or of 1)."""
+
     direction: Direction
     max_violation: float
-    curve: GSigmaCurve
-
-    @property
-    def ok(self) -> bool:
-        """No violation beyond 1e-9 of the curve's largest value (or of 1)."""
-        scale = max(1.0, max(self.curve.values, default=1.0))
-        return self.max_violation <= 1e-9 * scale
+    ok: bool
 
 
 @dataclass(frozen=True)
@@ -157,19 +143,18 @@ class MonotonePartition:
 # Partition detection
 # ---------------------------------------------------------------------------
 
-def detect_partition(grid: SampleGrid, eta: float | None = None,
-                     max_pieces: int = DEFAULT_MAX_PIECES):
+def detect_partition(grid: SampleGrid):
     """Detect a convex/concave partition from second differences.
 
     Works on (near-)uniform grids: raw second differences v[j+1] - 2 v[j] +
-    v[j-1] carry the curvature sign.  ``eta`` is a value-scale zero band
-    (default 1e-8 * max |value|); internally it is rescaled by (h / L)^2 so
-    that a given true curvature keeps the same margin at every resolution,
-    and floored at 16 ulps of the value scale so rounding noise on exactly
+    v[j-1] carry the curvature sign.  The zero band is the value-scale band
+    eta = DEFAULT_ETA_SCALE * max |value|, rescaled by (h / L)^2 so that a
+    given true curvature keeps the same margin at every resolution, and
+    floored at 16 ulps of the value scale so rounding noise on exactly
     affine data never registers as curvature.  Near-zero entries are
     treated as locally affine and absorbed into the adjacent run (leftward
     ties).  Returns a PiecewiseConvexPartition, or NotPiecewiseConvex when
-    the number of sign runs exceeds ``max_pieces``.
+    the number of sign runs exceeds DEFAULT_MAX_PIECES.
     """
     if len(grid) < 3:
         raise InsufficientData("partition detection needs at least 3 points")
@@ -180,10 +165,7 @@ def detect_partition(grid: SampleGrid, eta: float | None = None,
     if np.max(np.abs(gaps - h)) > 1e-6 * h:
         raise InsufficientData("partition detection requires a uniform grid")
     scale = float(np.max(np.abs(vs)))
-    if eta is None:
-        eta = DEFAULT_ETA_SCALE * scale
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
+    eta = DEFAULT_ETA_SCALE * scale
     length = float(xs[-1] - xs[0])
     noise_floor = 16.0 * sys.float_info.epsilon * scale
     band = max(eta * (h / length) ** 2, noise_floor)
@@ -203,12 +185,10 @@ def detect_partition(grid: SampleGrid, eta: float | None = None,
         piece = IntervalSpec(float(xs[0]), float(xs[-1]))
         shape = ShapePiece(piece, Shape.AFFINE,
                            _monotonicity_of(vs, 0, m - 1, mono_band), tol)
-        return PiecewiseConvexPartition(
-            partition=Partition((xs[0], xs[-1])), shapes=(shape,),
-            sign_change_count=0)
+        return PiecewiseConvexPartition(shapes=(shape,), sign_change_count=0)
 
     sign_changes = len(runs) - 1
-    if len(runs) > max_pieces:
+    if len(runs) > DEFAULT_MAX_PIECES:
         return NotPiecewiseConvex(sign_change_count=sign_changes)
 
     boundaries = [0]
@@ -216,7 +196,6 @@ def detect_partition(grid: SampleGrid, eta: float | None = None,
         boundaries.append((left[2] + right[1] + 1) // 2)
     boundaries.append(m - 1)
 
-    points = tuple(float(xs[b]) for b in boundaries)
     shapes = []
     for run, lo_idx, hi_idx in zip(runs, boundaries, boundaries[1:]):
         piece = IntervalSpec(float(xs[lo_idx]), float(xs[hi_idx]))
@@ -224,8 +203,7 @@ def detect_partition(grid: SampleGrid, eta: float | None = None,
         shapes.append(ShapePiece(piece, shape,
                                  _monotonicity_of(vs, lo_idx, hi_idx,
                                                   mono_band), tol))
-    return PiecewiseConvexPartition(partition=Partition(points),
-                                    shapes=tuple(shapes),
+    return PiecewiseConvexPartition(shapes=tuple(shapes),
                                     sign_change_count=sign_changes)
 
 
@@ -305,8 +283,7 @@ def refine_to_monotone(f: FunctionSpec, piece: ShapePiece) -> tuple:
     )
 
 
-def monotone_partition(f: FunctionSpec, m: int,
-                       eta: float | None = None) -> MonotonePartition:
+def monotone_partition(f: FunctionSpec, m: int) -> MonotonePartition:
     """Decide piecewise convexity of f by resolution; refine if it holds.
 
     Samples ``clip_window(f.domain)`` once at 4(m-1)+1 points and detects
@@ -319,7 +296,7 @@ def monotone_partition(f: FunctionSpec, m: int,
     fine = sample(f, clip_window(f.domain), 4 * (m - 1) + 1)
     grids = tuple(SampleGrid(fine.abscissae[::s], fine.values[::s])
                   for s in (4, 2)) + (fine,)
-    detections = tuple(detect_partition(grid, eta=eta) for grid in grids)
+    detections = tuple(detect_partition(grid) for grid in grids)
     counts = [d.sign_change_count for d in detections]
     stable = (all(isinstance(d, PiecewiseConvexPartition) for d in detections)
               and all(b <= a + 2 for a, b in zip(counts, counts[1:])))
@@ -399,21 +376,22 @@ def check_gsigma_monotone(f: FunctionSpec, piece: ShapePiece, sigma: float,
     if hi - lo <= sigma:
         raise GeometryError(
             f"piece length {hi - lo} must exceed sigma {sigma}")
-    xs, values = gsigma_curve(f, lo, hi, sigma, m)
+    _, values = gsigma_curve(f, lo, hi, sigma, m)
     diffs = [b - a for a, b in zip(values, values[1:])]
     viol_ni = max(0.0, max(diffs))       # violations of nonincreasing
     viol_nd = max(0.0, -min(diffs))      # violations of nondecreasing
-    curve = GSigmaCurve(sigma=float(sigma), abscissae=tuple(xs),
-                        values=tuple(values))
-    if expected is Direction.CONSTANT:
-        if piece.shape is Shape.AFFINE:
-            return GSigmaReport(Direction.CONSTANT,
-                                max(abs(d) for d in diffs), curve)
-        if viol_ni == viol_nd:
-            return GSigmaReport(Direction.CONSTANT, viol_ni, curve)
-        if viol_ni < viol_nd:
-            return GSigmaReport(Direction.NONINCREASING, viol_ni, curve)
-        return GSigmaReport(Direction.NONDECREASING, viol_nd, curve)
+    direction = expected
     if expected is Direction.NONINCREASING:
-        return GSigmaReport(expected, viol_ni, curve)
-    return GSigmaReport(expected, viol_nd, curve)
+        violation = viol_ni
+    elif expected is Direction.NONDECREASING:
+        violation = viol_nd
+    elif piece.shape is Shape.AFFINE:
+        violation = max(abs(d) for d in diffs)
+    elif viol_ni == viol_nd:
+        violation = viol_ni
+    elif viol_ni < viol_nd:
+        direction, violation = Direction.NONINCREASING, viol_ni
+    else:
+        direction, violation = Direction.NONDECREASING, viol_nd
+    return GSigmaReport(direction, violation,
+                        violation <= 1e-9 * max(1.0, max(values)))

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import traceback
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 from . import catalog, suite_checks
 from .convexity import (
+    DEFAULT_ETA_SCALE,
     DEFAULT_MAX_PIECES,
     Partition,
     check_gsigma_monotone,
@@ -64,7 +66,7 @@ EXIT_UNACHIEVABLE = 3
 EXIT_INTERNAL = 4
 EXIT_IO = 5
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: fraction of the sampled value range below which the finest tabulated
 #: increment counts as "uniformly continuous at this resolution"
@@ -84,7 +86,6 @@ MODULUS_POINTS = 33
 class AnalysisSettings:
     epsilon: float = 0.1
     grid_m: int = 4001
-    eta: float | None = None
     seed: int = 0
 
 
@@ -103,7 +104,7 @@ def analyze(fn_text: str, interval_text: str,
     f = parse_function(fn_text, window)  # its domain lies in the window
     clipped = clip_window(f.domain)
 
-    result = monotone_partition(f, settings.grid_m, eta=settings.eta)
+    result = monotone_partition(f, settings.grid_m)
     base_grid = result.grids[0]
     resolutions = [len(grid) for grid in result.grids]
 
@@ -115,7 +116,7 @@ def analyze(fn_text: str, interval_text: str,
         "settings": {
             "epsilon": settings.epsilon,
             "grid": settings.grid_m,
-            "eta": settings.eta,
+            "eta_scale": DEFAULT_ETA_SCALE,
             "seed": settings.seed,
             "max_pieces": DEFAULT_MAX_PIECES,
             "trials": VERIFY_TRIALS,
@@ -142,9 +143,7 @@ def analyze(fn_text: str, interval_text: str,
 
     value_range = float(base_grid.values.max() - base_grid.values.min())
     span = float(base_grid.span)
-    h = span / (settings.grid_m - 1)
-    ladder = _geom_ladder(2.0 * h, span, MODULUS_POINTS)
-    curve = modulus_on_grid(base_grid, ladder)
+    curve = _modulus_curve(base_grid)
     report["modulus"] = [[d, w] for d, w in curve.samples]
     # uniformly continuous at this resolution: the finest tabulated
     # increment is either small outright or still clearly decaying
@@ -216,17 +215,14 @@ def analyze(fn_text: str, interval_text: str,
     return report
 
 
-def _geom_ladder(lo: float, hi: float, n: int) -> list:
-    if not lo < hi:
-        return [hi]
-    ratio = (hi / lo) ** (1.0 / (n - 1))
-    out = [lo * ratio ** i for i in range(n - 1)]
-    out.append(hi)
-    dedup = []
-    for d in out:
-        if not dedup or d > dedup[-1]:
-            dedup.append(d)
-    return dedup
+def _modulus_curve(grid):
+    """The modulus on MODULUS_POINTS geometric deltas (duplicates dropped)
+    from two grid steps, 2 * span / (m - 1), up to the span."""
+    hi = float(grid.span)
+    lo = 2.0 * (hi / (len(grid) - 1))  # == hi at m = 3: one delta
+    ratio = (hi / lo) ** (1.0 / (MODULUS_POINTS - 1))
+    ladder = [lo * ratio ** i for i in range(MODULUS_POINTS - 1)] + [hi]
+    return modulus_on_grid(grid, sorted(set(ladder)))
 
 
 def _certificate_block(cert) -> dict:
@@ -286,7 +282,7 @@ def _probe_dir(path: str) -> None:
 
 def cmd_analyze(args) -> int:
     settings = AnalysisSettings(epsilon=args.epsilon, grid_m=args.grid,
-                                eta=args.eta, seed=args.seed)
+                                seed=args.seed)
     report = analyze(args.fn, args.interval, settings)
     code = EXIT_OK
     if report["certificate_error"]:
@@ -446,10 +442,7 @@ def cmd_suite(args) -> int:
 
     sine = catalog.sine_table()
     sine_window = IntervalSpec(0.0, 2.0 * math.pi)
-    sine_grid = sample(sine, sine_window, 4001)
-    sine_curve = modulus_on_grid(
-        sine_grid, _geom_ladder(2.0 * float(sine_grid.spacing),
-                                float(sine_grid.span), MODULUS_POINTS))
+    sine_curve = _modulus_curve(sample(sine, sine_window, 4001))
     outputs.append(("modulus_sine.csv",
                     _dump_csv("delta,omega", sine_curve.samples)))
     outputs.append(("gsigma_sine.csv",
@@ -529,8 +522,37 @@ def _at_least(name: str, low: int):
     return _checked(name, int, f"at least {low}", lambda v: v >= low)
 
 
+#: a value that starts with "-" and a digit or "."; argparse reads one that
+#: is not a plain negative number (say, ``-0.5:-0.4``) as an option
+_DASHED_VALUE = re.compile(r"-[\d.]")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with one-line errors and values that may start with "-".
+
+    Its errors raise ParseError, so that main reports them like every other
+    bad input.  A value that starts with "-" and a digit or "." is joined to
+    the option before it (``--pairs -0.5:-0.4`` becomes
+    ``--pairs=-0.5:-0.4``), which argparse reads as that option's value.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for arg in sys.argv[1:] if args is None else args:
+            last = joined[-1] if joined else ""
+            if (last.startswith("--") and "=" not in last
+                    and _DASHED_VALUE.match(arg)):
+                joined[-1] = f"{last}={arg}"
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser(default_seed: int) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="contana",
         description="Continuity analysis: convexity partitions, modulus "
                     "curves, worst-sum search and certificates.")
@@ -544,9 +566,6 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--epsilon", type=_positive("--epsilon"), default=0.1)
     p.add_argument("--grid", type=_at_least("--grid", 3), default=4001)
-    p.add_argument("--eta", default=None,
-                   type=_checked("--eta", float, "nonnegative and finite",
-                                 lambda v: 0 <= v < math.inf))
     p.add_argument("--seed", type=_at_least("--seed", 0), default=default_seed)
     p.add_argument("--json", default=None, help="write the report here")
     p.set_defaults(func=cmd_analyze)

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import catalog
 from .convexity import (
+    DEFAULT_MAX_PIECES,
     Direction,
     NotPiecewiseConvex,
     Partition,
@@ -238,16 +239,15 @@ def check_converse_counterexample() -> CriterionResult:
     """Oscillation defeats partition detection while the modulus stays linear."""
     f = FunctionSpec.x_squared_sin_inv(IntervalSpec(0.0, 1.0))
     window = IntervalSpec(1e-3, 1.0)
-    max_pieces = 32
     counts = []
     last = None
     for spacing in (1e-3, 1e-4, 1e-5):
         m = int(round((window.hi - window.lo) / spacing)) + 1
-        last = detect_partition(sample(f, window, m), max_pieces=max_pieces)
+        last = detect_partition(sample(f, window, m))
         counts.append(last.sign_change_count)
     increasing = all(b > a for a, b in zip(counts, counts[1:]))
     rejected = isinstance(last, NotPiecewiseConvex)
-    exceeded = counts[-1] > max_pieces
+    exceeded = counts[-1] > DEFAULT_MAX_PIECES
 
     grid = sample(f, window, 100001)
     deltas = [1e-3, 3e-3, 1e-2, 3e-2, 0.1]
@@ -256,7 +256,7 @@ def check_converse_counterexample() -> CriterionResult:
     ok = increasing and rejected and exceeded and lipschitz_ok
     return CriterionResult(6, "oscillating converse counterexample", ok,
                            {"sign_change_counts": counts,
-                            "max_pieces": max_pieces,
+                            "max_pieces": DEFAULT_MAX_PIECES,
                             "final_rejected": rejected,
                             "modulus": [[d, w] for d, w in curve.samples],
                             "lipschitz_bound_ok": lipschitz_ok})

@@ -475,6 +475,16 @@ class TestCertificates:
         assert cert.per_piece_budget == pytest.approx(0.1)
         assert cert.delta1 < cert.partition.min_piece_length
 
+    def test_partition_and_budget_follow_the_pieces(self):
+        f = catalog.sine_table()
+        pieces = monotone_partition(f, 1001).pieces
+        cert = ac_certificate(f, pieces, 0.4)
+        assert cert.partition == Partition.from_pieces(cert.monotone_pieces)
+        assert cert.partition.points[0] == pieces[0].interval.lo
+        assert cert.partition.points[-1] == pieces[-1].interval.hi
+        assert len(cert.partition.points) == len(pieces) + 1 == 5
+        assert cert.per_piece_budget == 0.4 / 4
+
     def test_affine_delta1(self):
         f = FunctionSpec.affine(3.0, 0.0, IntervalSpec(0.0, 1.0))
         res = detect_partition(sample(f, IntervalSpec(0.0, 1.0), 2001))
@@ -496,7 +506,6 @@ class TestCertificates:
         f = catalog.cantor_on_unit()
         fake = Certificate(
             epsilon=0.5, delta1=(2.0 / 3.0) ** 6,
-            partition=Partition((0.0, 1.0)), per_piece_budget=0.5,
             monotone_pieces=(ShapePiece(IntervalSpec(0.0, 1.0), Shape.CONCAVE,
                                         Monotonicity.INCREASING, 0.0),))
         ver = verify_certificate(f, fake, trials=500, seed=0)

@@ -29,7 +29,7 @@ from contana import (
     sample,
 )
 from contana import catalog, convexity
-from contana.convexity import _sign_runs, gsigma_curve
+from contana.convexity import DEFAULT_MAX_PIECES, _sign_runs, gsigma_curve
 
 
 def monotone_pieces(f, m=501):
@@ -88,11 +88,11 @@ class TestDetectPartition:
         last = None
         for spacing in (1e-3, 1e-4, 1e-5):
             m = int(round((window.hi - window.lo) / spacing)) + 1
-            last = detect_partition(sample(f, window, m), max_pieces=32)
+            last = detect_partition(sample(f, window, m))
             counts.append(last.sign_change_count)
         assert counts[0] < counts[1] < counts[2]
         assert isinstance(last, NotPiecewiseConvex)
-        assert counts[-1] > 32
+        assert counts[-1] > DEFAULT_MAX_PIECES
 
     def test_insufficient_data(self):
         f = FunctionSpec.affine(1.0, 0.0, IntervalSpec(0.0, 1.0))
@@ -246,8 +246,8 @@ class TestCheckGSigmaMonotone:
                            Monotonicity.INCREASING, 0.0)
         rep = check_gsigma_monotone(f, piece, 1.0, m=50)
         assert rep.direction is Direction.NONDECREASING
-        assert rep.max_violation <= 1e-12
-        for x, v in zip(rep.curve.abscissae, rep.curve.values):
+        assert rep.max_violation <= 1e-12 and rep.ok
+        for x, v in zip(*gsigma_curve(f, 0.0, 10.0, 1.0, 50)):
             assert v == pytest.approx(2.0 * x + 1.0, rel=1e-12)
 
     def test_affine_constant(self):
@@ -256,8 +256,9 @@ class TestCheckGSigmaMonotone:
                            Monotonicity.INCREASING, 0.0)
         rep = check_gsigma_monotone(f, piece, 0.25, m=60)
         assert rep.direction is Direction.CONSTANT
-        assert rep.curve.values[0] == pytest.approx(0.75, abs=1e-12)
-        assert rep.max_violation <= 1e-12
+        _, values = gsigma_curve(f, 0.0, 5.0, 0.25, 60)
+        assert values[0] == pytest.approx(0.75, abs=1e-12)
+        assert rep.max_violation <= 1e-12 and rep.ok
 
     def test_piece_shorter_than_sigma(self):
         piece = ShapePiece(IntervalSpec(0.0, 0.25), Shape.CONCAVE,
@@ -280,10 +281,13 @@ class TestCheckGSigmaMonotone:
             assert expected_direction(piece) is want
             plen = piece.interval.hi - piece.interval.lo
             for frac in (0.1, 0.3, 0.7):
-                rep = check_gsigma_monotone(f, piece, frac * plen, m=200)
-                scale = max(1.0, max(rep.curve.values))
+                sigma = frac * plen
+                rep = check_gsigma_monotone(f, piece, sigma, m=200)
+                _, values = gsigma_curve(f, piece.interval.lo,
+                                         piece.interval.hi, sigma, 200)
+                scale = max(1.0, max(values))
                 assert rep.direction is want
-                assert rep.max_violation <= 1e-9 * scale
+                assert rep.max_violation <= 1e-9 * scale and rep.ok
 
     def test_decreasing_concave_is_nondecreasing(self):
         # falling branch of the sine arch

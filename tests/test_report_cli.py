@@ -33,7 +33,7 @@ FAST = AnalysisSettings(epsilon=0.1, grid_m=501)
 class TestAnalyze:
     def test_sqrt_report(self):
         report = analyze("sqrt", "[0,1]", FAST)
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["verdicts"]["piecewise_convex"] is True
         assert report["verdicts"]["uniformly_continuous_at_resolution"] is True
         assert report["verdicts"]["certificate_verified"] is True
@@ -52,6 +52,8 @@ class TestAnalyze:
         assert s["epsilon"] == 0.1
         assert s["grid"] == 501
         assert s["seed"] == 0
+        assert s["eta_scale"] == 1e-8 and "eta" not in s
+        assert s["max_pieces"] == 64
         assert s["cantor_depth"] == 64
         assert s["detection_resolutions"] == [501, 1001, 2001]
 
@@ -163,8 +165,8 @@ class TestCLI:
         ["check-lemma1", "--sigma", "inf"],
         ["worst-sum", "--delta", "nan"],
         ["worst-sum", "--delta", "0"],
-        ["analyze", "--eta", "-1", "--grid", "101"],
-        ["analyze", "--eta", "nan", "--grid", "101"],
+        ["analyze", "--seed", "1.5", "--grid", "101"],
+        ["certify", "--epsilon", "0.1", "--grid", "nan"],
         ["analyze", "--seed", "-1", "--grid", "101"],
         ["modulus", "--deltas", ","],
         ["modulus", "--deltas", "nan"],
@@ -281,6 +283,40 @@ class TestCLI:
         assert len(lines) == 2
         assert all(line.endswith(" HOLDS") for line in lines)
 
+    def test_check_glue_pairs_may_start_with_minus(self, capsys):
+        # argparse reads "-0.5:..." as an option unless it is joined to
+        # --pairs; both spellings give the same two pieces
+        argv = ["check-glue", "--fn", "poly:0,0,1", "--interval", "[-1,1]"]
+        assert main(argv + ["--pairs=-0.5:-0.4,0.1:0.2"]) == EXIT_OK
+        joined = capsys.readouterr()
+        assert main(argv + ["--pairs", "-0.5:-0.4,0.1:0.2"]) == EXIT_OK
+        assert capsys.readouterr() == joined
+        lines = joined.out.splitlines()
+        assert len(lines) == 2
+        assert all(line.endswith(" HOLDS") for line in lines)
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus"],
+        ["analyze", "--fn", "sqrt"],
+        ["analyze", "--fn", "sqrt", "--interval", "[0,1]", "--bogus", "1"],
+        ["analyze", "--fn", "sqrt", "--interval", "[0,1]", "--eta", "1"],
+        ["analyze", "--fn", "sqrt", "--interval", "[0,1]", "--grid"],
+        ["suite"],
+    ])
+    def test_argparse_error_one_line(self, capsys, argv):
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: contana")
+        assert captured.err.count("\n") == 1
+
+    def test_help_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: contana analyze")
+
     def test_check_glue_pair_over_two_boundaries_parse_error(self, capsys):
         code = main(["check-glue", "--fn", "pwl:0:0,0.3:0.6,0.7:0.2,1:0.5",
                      "--interval", "[0,1]", "--pairs", "0.2:0.8",
@@ -359,15 +395,18 @@ class TestCLI:
 
     def test_analyze_failed_verification_exits_violated(self, tmp_path,
                                                         capsys):
-        # with a zero band of 1e300, x^2 reads as one constant affine piece;
-        # verification breaks the certificate, and the report is still written
+        # a spike between the points of the 3-, 5- and 9-point grids: the
+        # function reads as one increasing affine piece; verification breaks
+        # the certificate, and the report is still written
         out = tmp_path / "r.json"
-        code = main(["analyze", "--fn", "poly:0,0,1", "--interval", "[-1,1]",
-                     "--eta", "1e300", "--grid", "101", "--json", str(out)])
+        code = main(["analyze", "--fn", "pwl:0:0,0.55:0.55,0.555:3,0.56:0.56,1:1",
+                     "--interval", "[0,1]", "--grid", "3", "--json", str(out)])
         assert code == EXIT_VIOLATED
         report = json.loads(out.read_text())
-        assert report["pieces"][0]["shape"] == "Affine"
+        assert [(p["shape"], p["monotonicity"]) for p in report["pieces"]] == [
+            ("Affine", "Increasing")]
         assert report["verification"]["passed"] is False
+        assert report["verification"]["worst_sum"] > 4.9
         assert report["verdicts"]["certificate_verified"] is False
 
     def test_certify_not_piecewise_convex(self, capsys):
