@@ -350,11 +350,15 @@ def worst_ac_sum_oracle(grid: SampleGrid, delta,
     same-sign steps; when there are at most `max_intervals` runs, one
     interval per run attains the bound, in O(m log m) time and O(m)
     memory.  Otherwise a dynamic program (method "OracleDP", ``_dp_pairs``)
-    searches states (grid index, units used, intervals used) in
-    m * (units + 1) * (kmax + 1) bytes of choice history plus
-    O((units + 1) * (kmax + 1)) floats, kmax = min(max_intervals, units).
-    Only the DP is limited by the state-space guard (BudgetError), and its
-    result never exceeds the bound.
+    searches states (grid index, units used, intervals used), with
+    kmax = min(max_intervals, units).  It walks only the m' grid points
+    that do not lie strictly inside a run of zero steps, in
+    m' * (units + 1) * (kmax + 1) bytes of choice history plus
+    O(m + (units + 1) * (kmax + 1)) floats, and stops early once no state
+    can still reach the best sum; neither changes its answer.  Only the DP
+    is limited by the state-space guard (BudgetError when
+    3 * m' * (units + 1) * (kmax + 1) > 4e8), and its result never exceeds
+    the bound.
     """
     if max_intervals < 1:
         raise ValueError("max_intervals must be >= 1")
@@ -376,9 +380,6 @@ def worst_ac_sum_oracle(grid: SampleGrid, delta,
     if len(pairs_idx) <= kmax:
         method = "OracleBound"
     else:
-        if 3 * m * (units + 1) * (kmax + 1) > 400_000_000:
-            raise BudgetError(
-                "worst-sum state space too large; coarsen the grid")
         method = "OracleDP"
         pairs_idx = _dp_pairs(v, units, kmax)
     points = xs.tolist()
@@ -416,6 +417,10 @@ def _top_step_runs(steps: np.ndarray, units: int):
 #: open state was opened here
 _CLOSED_P, _CLOSED_M, _OPENED_P, _OPENED_M = 1, 2, 4, 8
 
+#: the DP bounds every live state's optimistic completion once per this many
+#: kept grid points, and stops when none can still reach the best sum
+_STOP_CHECK_PERIOD = 64
+
 
 def _dp_pairs(v: np.ndarray, units: int, kmax: int):
     """Index pairs of a best collection of at most `kmax` intervals covering
@@ -423,18 +428,67 @@ def _dp_pairs(v: np.ndarray, units: int, kmax: int):
 
     The DP walks the grid with states (intervals used, units used): a closed
     value, and open-interval carries for a rising and a falling interval.
+    Among equal sums the closed state with the fewest units, then the
+    fewest intervals, wins.  Two savings skip only work that cannot change
+    that answer:
+
+    * Zero runs are folded.  A point strictly inside a run of zero steps
+      |v[j+1] - v[j]| = 0 is never an endpoint of the winner: moving a
+      start there to the run's right end, or an end to its left end, or
+      dropping an interval inside the run, keeps the sum and frees units.
+      The winner has the fewest units among equal sums.  The DP walks only
+      the other m' points, and an open interval crosses a run of g steps in
+      one transition that costs g units.
+    * The scan stops once nothing can win.  Every ``_STOP_CHECK_PERIOD``
+      kept points, each live closed state (u < units) is bounded by its
+      optimistic completion closed + (units - u) S, S being the largest
+      |step| after the current point j: each remaining unit adds at most
+      S.  That bounds the open states too: closing a rising open state at j
+      gives closed[k, u] >= open_p[k, u] + v[j] (a falling one,
+      open_m - v[j]), and a state opened at j carries closed[k - 1, u].
+      When every bound is more than ``margin`` below the best closed value
+      B, no later candidate reaches B, so the argmax, and the backtrack
+      over the rows filled so far, equal those of the full scan.
+
+    ``margin`` = 16 (kmax + 2)^2 M eps, M = max |v|, covers the rounding
+    that these real-valued bounds ignore.  A DP value sums at most
+    2 kmax + 1 terms +-v[i], so it and every partial sum stay within
+    (2 kmax + 1) M, and the at most 2 kmax + 1 roundings of a completion
+    add at most (2 kmax + 1)^2 M eps / 2.  A bound that passes the test
+    has (units - u) S <= 4 kmax M, so rounding S, the bound and B - margin,
+    and the step from an open state to its closed one, add at most
+    (7 kmax + 1/2) M eps more.  The total, (2 kmax^2 + 9 kmax + 1) M eps,
+    is below 3 (kmax + 2)^2 M eps; the rest of the factor 16 is headroom.
+
     Every buffer is allocated once and updated in place, and each state
-    records one uint8 choice code per grid point, so the memory is
-    m * (units + 1) * (kmax + 1) bytes of history plus
-    O((units + 1) * (kmax + 1)) floats.
+    records one uint8 choice code per kept point, so the memory is
+    m' * (units + 1) * (kmax + 1) bytes of history (rows past a stop are
+    never written) plus O(m + (units + 1) * (kmax + 1)) floats.  Raises
+    BudgetError when the DP would hold more than 4e8 states,
+    3 * m' * (units + 1) * (kmax + 1).
     """
-    m = len(v)
+    flat = np.diff(v) == 0
+    inside = np.zeros(len(v), bool)
+    inside[1:-1] = flat[:-1] & flat[1:]
+    kept = np.flatnonzero(~inside)
+    n = len(kept)
+    if 3 * n * (units + 1) * (kmax + 1) > 400_000_000:
+        raise BudgetError("worst-sum state space too large; coarsen the grid")
+    vk = v[kept]
+    gaps = np.diff(kept, prepend=-1).tolist()
+    # S after each kept point, and the units left to each live state
+    after = np.zeros(n)
+    after[:-1] = np.maximum.accumulate(np.abs(np.diff(vk))[::-1])[::-1]
+    left = np.arange(units, 0, -1, dtype=float)
+    margin = 16.0 * (kmax + 2) ** 2 * float(np.max(np.abs(vk))) \
+        * sys.float_info.epsilon
     shape = (kmax + 1, units + 1)
     neg = -math.inf
     closed = np.full(shape, neg)
     closed[0, 0] = 0.0
     # an open state counts its interval, so row 0 of the open states and
-    # column 0 (no unit yet) of the extended ones stay -inf
+    # columns 0 .. g - 1 (fewer units than the crossing) of the extended
+    # ones stay -inf
     open_p, open_m = np.full(shape, neg), np.full(shape, neg)
     ext_p, ext_m = np.full(shape, neg), np.full(shape, neg)
     cand = np.empty(shape)
@@ -445,16 +499,19 @@ def _dp_pairs(v: np.ndarray, units: int, kmax: int):
     # the same flags as 0/1 bytes, to assemble the codes from
     closed_p8, closed_m8, opened_p8, opened_m8 = (
         a.view(np.uint8) for a in (closed_p, closed_m, opened_p, opened_m))
-    hist = np.empty((m,) + shape, np.uint8)
+    hist = np.empty((n,) + shape, np.uint8)
     # rows 1.. (one interval more) and the closed states they open from
     closed_fewer, cand_k = closed[:-1], cand[1:]
     ext_p_k, ext_m_k = ext_p[1:], ext_m[1:]
     open_p_k, open_m_k = open_p[1:], open_m[1:]
-    for j, vj in enumerate(v.tolist()):
+    for j, (vj, g) in enumerate(zip(vk.tolist(), gaps)):
         code = hist[j]
-        # an open interval runs on to grid point j: one more unit
-        ext_p[:, 1:] = open_p[:, :-1]
-        ext_m[:, 1:] = open_m[:, :-1]
+        # an open interval runs on to kept point j: g more units
+        if g > 1:
+            ext_p[:, :g] = neg
+            ext_m[:, :g] = neg
+        ext_p[:, g:] = open_p[:, :-g]
+        ext_m[:, g:] = open_m[:, :-g]
         # close it at j
         np.add(ext_p, vj, out=cand)
         np.greater(cand, closed, out=closed_p)
@@ -476,14 +533,22 @@ def _dp_pairs(v: np.ndarray, units: int, kmax: int):
         np.add(opened, opened_p8, out=opened)
         np.multiply(opened, _OPENED_P, out=opened)
         np.add(code[1:], opened, out=code[1:])
+        if (j + 1) % _STOP_CHECK_PERIOD == 0 and j + 1 < n:
+            bound = np.max(closed[:, :-1] + left * after[j], initial=neg)
+            if bound < closed.max() - margin:
+                break
     # among equal sums, the fewest units, then the fewest intervals
     u, k = divmod(int(np.argmax(closed.T)), kmax + 1)
-    return _backtrack(hist, u, k)
+    return _backtrack(hist[:j + 1], kept.tolist(), gaps, u, k)
 
 
-def _backtrack(hist: np.ndarray, u: int, k: int):
+def _backtrack(hist: np.ndarray, kept: list, gaps: list, u: int, k: int):
     """Follow the choice codes back from the closed state (k, u) at the
-    last grid point; returns the intervals as (start, end) index pairs."""
+    last filled row; returns the intervals as (start, end) grid index pairs.
+
+    Row j of ``hist`` belongs to grid point kept[j], and reaching it from
+    row j - 1 costs gaps[j] units.
+    """
     pairs = []
     state = 0  # 0 closed, else the bit of the open state being followed
     end = -1
@@ -496,14 +561,14 @@ def _backtrack(hist: np.ndarray, u: int, k: int):
             if code & (_CLOSED_P | _CLOSED_M):
                 end = j
                 state = _OPENED_M if code & _CLOSED_M else _OPENED_P
-                u -= 1
+                u -= gaps[j]
             j -= 1
         elif code & state:
-            pairs.append((j, end))
+            pairs.append((kept[j], kept[end]))
             k -= 1
             state = 0
         else:
-            u -= 1
+            u -= gaps[j]
             j -= 1
     pairs.reverse()
     return pairs

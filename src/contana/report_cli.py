@@ -11,6 +11,7 @@ certificate, 4 internal error, 5 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -551,7 +552,11 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+@functools.lru_cache(maxsize=4)
 def build_parser(default_seed: int) -> argparse.ArgumentParser:
+    """The CLI parser, built once per default seed and reused: parsing
+    leaves no state in it, and building its seven subparsers costs more
+    than a short command's own work."""
     parser = _Parser(
         prog="contana",
         description="Continuity analysis: convexity partitions, modulus "

@@ -364,6 +364,68 @@ class TestWorstSumOracle:
         assert math.fsum(abs(values[e] - values[s]) for s, e in dp) == \
             pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_compressed_dp_with_early_stop_matches_brute_force(self, data):
+        # repeated levels plant runs of zero steps; a steep start and a
+        # shallow tail let the early stop fire, checked here at every point
+        if data.draw(st.booleans()):
+            levels = data.draw(st.lists(
+                st.one_of(st.integers(-3, 3), st.floats(-4.0, 4.0)),
+                min_size=1, max_size=4))
+            values = [float(level) for level in levels
+                      for _ in range(data.draw(st.integers(1, 3)))]
+        else:
+            steep = [data.draw(st.floats(1.0, 4.0)) * data.draw(
+                st.sampled_from([1.0, -1.0]))
+                for _ in range(data.draw(st.integers(1, 4)))]
+            shallow = data.draw(st.lists(st.floats(-0.5, 0.5), max_size=7))
+            values = list(accumulate(steep + shallow, initial=0.0))
+        values = (values + [values[-1] + 1.0])[:12]  # brute force stays fast
+        m = len(values)
+        units = data.draw(st.integers(0, m - 1))
+        kmax = min(data.draw(st.integers(1, 4)), units)
+        v = np.array(values)
+        with mock.patch.object(continuity, "_STOP_CHECK_PERIOD", 1):
+            pairs = _dp_pairs(v, units, kmax)
+        with mock.patch.object(continuity, "_STOP_CHECK_PERIOD", m + 1):
+            assert _dp_pairs(v, units, kmax) == pairs
+        want = brute_force_worst_sum(values, units, kmax)
+        assert math.fsum(abs(values[e] - values[s]) for s, e in pairs) == \
+            pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert len(pairs) <= kmax
+        assert sum(e - s for s, e in pairs) <= units
+        assert all(s < e for s, e in pairs)
+        assert all(e <= s for (_, e), (s, _) in zip(pairs, pairs[1:]))
+        # no endpoint lies strictly inside a run of zero steps
+        inside = {j for j in range(1, m - 1)
+                  if values[j - 1] == values[j] == values[j + 1]}
+        assert not inside & {j for pair in pairs for j in pair}, pairs
+
+    @pytest.mark.parametrize("name", ["zigzag", "cantor"])
+    def test_dp_work_skipping_keeps_bench_sized_pairs(self, name):
+        # the benchmark's 8193-point worst-sum shapes: the zigzag's DP
+        # stops early, Cantor's folds its flat runs; the pairs equal those
+        # of a scan that never checks for a stop
+        if name == "zigzag":
+            f = FunctionSpec.piecewise_linear(
+                ((0.0, 0.0), (0.3, 0.6), (0.7, 0.2), (1.0, 0.5)))
+        else:
+            f = catalog.cantor_on_unit()
+        m = 8193
+        v = sample(f, IntervalSpec(0.0, 1.0), m).values
+        for units, kmax in ((97, 32), (286, 4)):
+            with mock.patch.object(continuity, "_backtrack",
+                                   wraps=continuity._backtrack) as walk:
+                pairs = _dp_pairs(v, units, kmax)
+            hist, kept = walk.call_args.args[:2]
+            with mock.patch.object(continuity, "_STOP_CHECK_PERIOD", m + 1):
+                assert _dp_pairs(v, units, kmax) == pairs
+            if name == "zigzag":
+                assert len(kept) == m and len(hist) < m // 2
+            else:
+                assert len(hist) == len(kept) < m // 10
+
     def test_dp_memory_within_stated_bound(self):
         # Cantor's top steps form far more runs than intervals allowed, so
         # the DP runs; its history is one byte per state
@@ -378,7 +440,10 @@ class TestWorstSumOracle:
             tracemalloc.stop()
         assert rep.method == "OracleDP"
         assert len(rep.witness) == kmax
-        history = m * (units + 1) * (kmax + 1)
+        # only points outside the runs of zero steps get a history row
+        steps = np.diff(grid.values)
+        kept = m - np.count_nonzero((steps[:-1] == 0) & (steps[1:] == 0))
+        history = kept * (units + 1) * (kmax + 1)
         assert peak <= history + 16 * 8 * ((units + 1) * (kmax + 1) + m)
 
     def test_sqrt_single_left_interval(self):

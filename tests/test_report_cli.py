@@ -16,9 +16,12 @@ from contana.report_cli import (
     EXIT_VIOLATED,
     AnalysisSettings,
     analyze,
+    build_parser,
     main,
 )
 from contana import (
+    IntervalCollection,
+    ac_sum,
     clip_window,
     detect_partition,
     monotone_partition,
@@ -218,7 +221,9 @@ class TestCLI:
 
     def test_worst_sum_state_guard_limits_only_the_dp(self, capsys):
         # 3 * 5001 * 1250 * 33 states exceed the DP's guard; the top steps
-        # of x^2 form one run, so the bound answers, while Cantor's do not
+        # of x^2 form one run, so the bound answers, while those of the
+        # identity differ by rounding, scatter into many runs and are not
+        # zero, so the DP keeps every point
         argv = ["worst-sum", "--interval", "[0,1]", "--delta", "0.25",
                 "--grid", "5001", "--max-intervals", "32"]
         assert main(argv + ["--fn", "poly:0,0,1"]) == EXIT_OK
@@ -226,12 +231,31 @@ class TestCLI:
         assert payload["method"] == "OracleBound"
         assert payload["witness"] == [[pytest.approx(0.7502, abs=1e-15), 1.0]]
         assert payload["best_sum"] == pytest.approx(1 - 0.7502**2, rel=1e-12)
-        assert main(argv + ["--fn", "cantor"]) == EXIT_PARSE
+        assert main(argv + ["--fn", "poly:0,1"]) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("parse error: ")
         assert "state space too large" in captured.err
         assert captured.err.count("\n") == 1
+
+    def test_worst_sum_guard_counts_kept_points(self, capsys):
+        # 16385 grid points, but only 1144 lie outside Cantor's runs of
+        # zero steps: 3 * 1144 * 819 * 33 states fit under the guard
+        grid_m, delta = 16385, 0.05
+        argv = ["worst-sum", "--fn", "cantor", "--interval", "[0,1]",
+                "--grid", str(grid_m), "--delta", str(delta)]
+        assert main(argv) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "OracleDP"
+        window = parse_interval("[0,1]")
+        f = parse_function("cantor", window)
+        witness = IntervalCollection(tuple(map(tuple, payload["witness"])))
+        assert ac_sum(f, witness) == payload["best_sum"]
+        assert float(witness.total_length) < delta
+        assert 0 < len(witness) <= 32
+        steps = np.abs(np.diff(sample(f, window, grid_m).values))
+        units = math.floor(delta * (grid_m - 1) - 1.0 + 1e-9)
+        assert payload["best_sum"] <= math.fsum(np.sort(steps)[-units:])
 
     def test_suite_zero_trials_parse_error(self, tmp_path, capsys):
         code = main(["suite", "--out", str(tmp_path / "s"), "--trials", "0"])
@@ -452,3 +476,37 @@ class TestCLI:
                      "--grid", "501", "--json", str(out)])
         assert code == EXIT_OK
         assert json.loads(out.read_text())["settings"]["seed"] == 7
+
+    def test_cached_parser_matches_fresh_parsers(self, monkeypatch, capsys):
+        # main reuses one parser per default seed; consecutive commands,
+        # with parse errors between them and a changed CONTANA_SEED, must
+        # print what a freshly built parser prints
+        sqrt = ["--fn", "sqrt", "--interval", "[0,1]"]
+        calls = [
+            ("0", ["worst-sum", *sqrt, "--delta", "0.25", "--grid", "401"]),
+            ("0", ["worst-sum", *sqrt, "--grid", "401"]),
+            ("0", ["modulus", *sqrt, "--deltas", "0.01,0.25", "--grid", "401"]),
+            ("3", ["analyze", *sqrt, "--grid", "101"]),
+            ("3", ["certify", *sqrt, "--epsilon", "nan"]),
+            ("0", ["analyze", *sqrt, "--grid", "101"]),
+            ("0", ["check-glue", *sqrt, "--pairs", "0.1:0.2", "--grid", "101"]),
+        ]
+
+        def run(fresh):
+            build_parser.cache_clear()
+            results = []
+            for seed, argv in calls:
+                monkeypatch.setenv("CONTANA_SEED", seed)
+                if fresh:
+                    build_parser.cache_clear()
+                code = main(argv)
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+            return results
+
+        reused = run(fresh=False)
+        assert build_parser(0) is build_parser(0)
+        assert reused == run(fresh=True)
+        assert [code for code, _, _ in reused] == [0, 2, 0, 0, 2, 0, 0]
+        assert json.loads(reused[3][1])["settings"]["seed"] == 3
+        assert json.loads(reused[5][1])["settings"]["seed"] == 0
