@@ -176,12 +176,15 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
     x_j - x_i <= delta, compared in the abscissae's own arithmetic (float or
     exact rational), and the curve is made nondecreasing by a running
     maximum.  Each point's window starts at the first point within delta
-    (``_window_starts``); a sparse table of maxima and minima over
-    power-of-two blocks then answers every window with two lookups.  The
-    table costs O(m log w) time once and 16 * m * (floor(log2 w) + 1) bytes,
-    w being the longest window at the largest delta (at most m points:
-    about 27 MB at m = 100001); each delta then costs O(m log m) for the
-    window starts and O(m) for the lookups.
+    (``_window_starts``: on a uniform grid a guess from the grid step, on
+    any other grid a binary search, both corrected to the exact difference
+    test); a sparse table of maxima and minima over power-of-two blocks
+    then answers every window with two flat lookups.  The table costs
+    O(m log w) time once and 16 * m * (floor(log2 w) + 1) bytes, w being
+    the longest window at the largest delta (at most m points: about 27 MB
+    at m = 100001); the largest delta's starts are found once, for w and
+    for its own lookups.  Each delta then costs O(m) on a uniform grid and
+    O(m log m) on any other, and a few int64 index arrays of m entries.
     """
     ds = list(deltas)
     if not ds:
@@ -193,31 +196,47 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
     span = grid.span
     if any(d > span for d in ds):
         raise BudgetError(f"delta exceeds the window length {span}")
-    xs, vs = grid.abscissae, grid.values
-    ends = np.arange(len(xs))
-    widest = int(np.max(ends - _window_starts(xs, ds[-1]))) + 1
-    top, bottom = _block_extrema(vs, widest.bit_length())
+    vs = grid.values
+    m = len(vs)
+    ends = np.arange(m)
+    widest_starts = _window_starts(grid, ds[-1])
+    widest = int(np.max(ends - widest_starts)) + 1
+    top, bottom = (t.ravel() for t in _block_extrema(vs, widest.bit_length()))
     best = 0.0
     samples = []
     for d in ds:
-        starts = _window_starts(xs, d)
+        starts = widest_starts if d == ds[-1] else _window_starts(grid, d)
         level = np.frexp(ends - starts + 1)[1] - 1  # floor(log2(length))
-        tail = ends - (1 << level) + 1
-        hi = np.maximum(top[level, starts], top[level, tail])
-        lo = np.minimum(bottom[level, starts], bottom[level, tail])
+        tail = ends + 1 - (1 << level)
+        head = np.multiply(level, m, dtype=np.int64)  # flat offset of the row
+        tail += head
+        head += starts
+        hi = np.maximum(np.take(top, head), np.take(top, tail))
+        lo = np.minimum(np.take(bottom, head), np.take(bottom, tail))
         best = max(best, float(np.max(hi - vs)), float(np.max(vs - lo)))
         samples.append((d, best))
     return ModulusCurve(tuple(samples))
 
 
-def _window_starts(xs: np.ndarray, delta) -> np.ndarray:
+def _window_starts(grid: SampleGrid, delta) -> np.ndarray:
     """For every j, the smallest i with xs[j] - xs[i] <= delta.
 
-    ``searchsorted`` answers xs[i] >= xs[j] - delta, which may round
-    differently; the loops then step each start to the exact boundary of
-    the difference test, which is monotone in i.
+    On a uniform grid (``SampleGrid.uniform``) the first guess is
+    j - floor(delta / h), clipped at 0, with h = span / (m - 1), in O(m);
+    on any other grid it is ``searchsorted`` on xs[i] >= xs[j] - delta, in
+    O(m log m).  Either guess may be off, the binary search's because
+    xs[j] - delta rounds differently from xs[j] - xs[i].  The loops then
+    step each start to the exact boundary of the difference test, which is
+    monotone in i; each pass moves a start by one point, so they run as
+    many passes as the guess is off, a point or two on a uniform grid.
     """
-    starts = np.searchsorted(xs, xs - delta)
+    xs = grid.abscissae
+    m = len(xs)
+    if grid.uniform:
+        starts = np.arange(m) - math.floor(delta / (grid.span / (m - 1)))
+        np.maximum(starts, 0, out=starts)
+    else:
+        starts = np.searchsorted(xs, xs - delta)
     while (down := (starts > 0) & (xs - xs[starts - 1] <= delta)).any():
         starts -= down
     while (up := xs - xs[starts] > delta).any():
@@ -364,9 +383,7 @@ def worst_ac_sum_oracle(grid: SampleGrid, delta,
         raise ValueError("max_intervals must be >= 1")
     m = len(grid)
     xs, v = grid.abscissae, grid.values
-    gaps = np.diff(xs)
-    hmin, hmax = gaps.min(), gaps.max()
-    if float(hmax - hmin) > 1e-9 * float(hmax):
+    if not grid.uniform:
         raise InsufficientData("the worst-sum search requires a uniform grid")
     if not delta > grid.spacing:
         raise BudgetError(

@@ -186,6 +186,11 @@ class FunctionSpec:
             xs = [x for x, _ in ks]
             if any(b <= a for a, b in zip(xs, xs[1:])):
                 raise KindError("knot abscissae must be strictly increasing")
+            for (x0, y0), (x1, y1) in zip(ks, ks[1:]):
+                if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+                    raise DomainError(f"knots ({x0}, {y0}) and ({x1}, {y1}) "
+                                      "are too far apart: their difference "
+                                      "overflows")
             if d.lo < xs[0] or d.hi > xs[-1]:
                 raise KindError("domain must lie within the knot span")
             object.__setattr__(self, "knots", ks)
@@ -305,12 +310,14 @@ class SampleGrid:
     Both are read-only numpy arrays.  ``values`` is float64; ``abscissae``
     is float64, or ``object`` dtype when the points are exact rationals
     (``fractions.Fraction``), which then stay exact.  ``spacing`` is the
-    largest gap between consecutive abscissae.
+    largest gap between consecutive abscissae.  ``uniform`` says that the
+    gaps are equal up to rounding: max gap - min gap <= 1e-9 * max gap.
     """
 
     abscissae: np.ndarray
     values: np.ndarray
     spacing: float = field(init=False)
+    uniform: bool = field(init=False)
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.abscissae)
@@ -329,12 +336,14 @@ class SampleGrid:
             i = bad[0]
             raise DomainError(f"non-finite value {vs[i]} at x = {xs[i]}")
         spacing = gaps.max()
+        uniform = float(spacing - gaps.min()) <= 1e-9 * float(spacing)
         xs, vs = xs.view(), vs.view()
         xs.flags.writeable = vs.flags.writeable = False
         object.__setattr__(self, "abscissae", xs)
         object.__setattr__(self, "values", vs)
         object.__setattr__(self, "spacing",
                            spacing if xs.dtype == object else float(spacing))
+        object.__setattr__(self, "uniform", uniform)
 
     def __len__(self) -> int:
         return len(self.abscissae)

@@ -44,8 +44,14 @@ from contana import (
     worst_ac_sum_oracle,
 )
 from contana import catalog, continuity
-from contana.continuity import _dp_pairs, _glued_ends, _increment_step
+from contana.continuity import (
+    _dp_pairs,
+    _glued_ends,
+    _increment_step,
+    _window_starts,
+)
 from contana.function_model import uniform_abscissae
+from contana.report_cli import _modulus_curve
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +114,16 @@ def top_step_runs(values, units):
 
 @st.composite
 def grids_with_deltas(draw):
-    """(grid, ascending deltas): uniform float, nonuniform float or Fraction
-    abscissae.  Deltas mix pair distances, their float neighbours and
-    arbitrary lengths; the first pair may carry the extreme values, so that
-    omega changes exactly when the window boundary crosses it."""
-    kind = draw(st.sampled_from(["uniform", "nonuniform", "fraction"]))
-    m = draw(st.integers(2, 40))
+    """(grid, ascending deltas): uniform float, near-uniform float jittered
+    by a few ulps, nonuniform float, skewed float (a dense run, then wide
+    gaps, so that a guess j - floor(delta / mean step) is off by many
+    points) or Fraction abscissae.  Deltas mix pair distances, their float
+    neighbours and arbitrary lengths; the first pair may carry the extreme
+    values, so that omega changes exactly when the window boundary crosses
+    it."""
+    kind = draw(st.sampled_from(
+        ["uniform", "jittered", "nonuniform", "skewed", "fraction"]))
+    m = draw(st.integers(20 if kind == "skewed" else 2, 40))
     values = draw(st.lists(
         st.one_of(st.sampled_from([0.0, 1.0, -1.0]),
                   st.floats(-1e3, 1e3, allow_nan=False)),
@@ -122,9 +132,21 @@ def grids_with_deltas(draw):
     if kind == "uniform":
         xs = uniform_abscissae(lo / 3, lo / 3 + draw(st.floats(1e-3, 100.0)),
                                m).tolist()
+    elif kind == "jittered":
+        xs = uniform_abscissae(lo / 3, lo / 3 + draw(st.floats(1.0, 100.0)),
+                               m).tolist()
+        for i in range(1, m - 1):
+            for _ in range(draw(st.integers(0, 3))):
+                xs[i] = math.nextafter(xs[i], draw(st.sampled_from(
+                    [-math.inf, math.inf])))
     elif kind == "nonuniform":
         gaps = draw(st.lists(st.floats(1e-6, 10.0), min_size=m - 1,
                              max_size=m - 1))
+        xs = list(accumulate(gaps, initial=lo / 3))
+    elif kind == "skewed":
+        dense = draw(st.integers(m // 2, m - 2))
+        gaps = ([draw(st.floats(1e-6, 1e-4))] * dense
+                + [draw(st.floats(0.5, 10.0))] * (m - 1 - dense))
         xs = list(accumulate(gaps, initial=lo / 3))
     else:
         gaps = draw(st.lists(st.fractions(Fraction(1, 60), 3,
@@ -148,7 +170,10 @@ def grids_with_deltas(draw):
     for share in draw(st.lists(st.integers(1, 1000), max_size=4)):
         deltas.add(span * share / 1000)
     deltas = sorted(d for d in deltas if 0 < d <= span) or [span]
-    return SampleGrid(xs, values), deltas
+    grid = SampleGrid(xs, values)
+    if kind in ("uniform", "jittered", "skewed"):
+        assert grid.uniform == (kind != "skewed")
+    return grid, deltas
 
 
 def sqrt_on_unit_pieces():
@@ -221,6 +246,67 @@ class TestModulus:
         for d, w in curve.samples:
             running = max(running, omega_pair_scan(grid, d))
             assert w == running, d
+
+    @staticmethod
+    def assert_exact_starts(grid, deltas):
+        """The defining property of every start s_j: xs[j] - xs[s_j] <= delta,
+        and s_j == 0 or xs[j] - xs[s_j - 1] > delta."""
+        xs = grid.abscissae
+        for d in deltas:
+            s = _window_starts(grid, d)
+            assert np.all(xs - xs[s] <= d), d
+            inner = s > 0
+            assert np.all(xs[inner] - xs[s[inner] - 1] > d), d
+
+    @staticmethod
+    def ladder_with_neighbours(grid):
+        ladder = [d for d, _ in _modulus_curve(grid).samples]
+        return sorted({e for d in ladder for e in
+                       (math.nextafter(d, 0.0), d, math.nextafter(d, math.inf))})
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (1e-3, 1.0),
+                                        (-5 / 3, 98.0)])
+    def test_window_starts_uniform_bench_scale(self, lo, hi):
+        m = 100001
+        grid = SampleGrid(uniform_abscissae(lo, hi, m), np.zeros(m))
+        assert grid.uniform
+        h = grid.span / (m - 1)
+        multiples = [k * h for k in (1, 2, 3, 7, 1000, 33333, 50000, m - 1)]
+        self.assert_exact_starts(grid, self.ladder_with_neighbours(grid)
+                                 + multiples)
+
+    def test_window_starts_far_from_zero(self):
+        # absolute rounding of the abscissae is ~1% of a gap here
+        m = 100001
+        grid = SampleGrid(uniform_abscissae(1e6, 1e6 + 1e-3, m), np.zeros(m))
+        self.assert_exact_starts(grid, self.ladder_with_neighbours(grid))
+
+    def test_window_starts_geometric_grid(self):
+        m = 100001
+        grid = SampleGrid(np.geomspace(1e-6, 1.0, m), np.zeros(m))
+        assert not grid.uniform
+        self.assert_exact_starts(grid, self.ladder_with_neighbours(grid))
+        # a guess from the mean step would be off by thousands of points
+        mean_guess = np.maximum(
+            np.arange(m) - math.floor(0.01 / (grid.span / (m - 1))), 0)
+        assert np.max(np.abs(_window_starts(grid, 0.01) - mean_guess)) > 1000
+
+    def test_window_starts_fraction_grids(self):
+        uniform = SampleGrid([Fraction(k, 3000) for k in range(3001)],
+                             np.zeros(3001))
+        assert uniform.uniform
+        tiny = Fraction(1, 10 ** 9)
+        self.assert_exact_starts(uniform, [
+            e for k in (1, 2, 17, 1000, 2999)
+            for e in (Fraction(k, 3000) - tiny, Fraction(k, 3000),
+                      Fraction(k, 3000) + tiny)] + [0.5])
+        ends = sorted({x for pair in catalog.cantor_stage_cover(7).pairs
+                       for x in pair})
+        cantor = SampleGrid(ends, np.zeros(len(ends)))
+        assert not cantor.uniform
+        self.assert_exact_starts(cantor, [Fraction(1, 3 ** k) + e
+                                          for k in range(7, 0, -1)
+                                          for e in (-tiny, 0, tiny)])
 
     def test_large_grid_matches_pair_scan(self):
         # windows of a few dozen points on a 24001-point oscillating grid

@@ -124,6 +124,22 @@ class TestFunctionSpec:
             with pytest.raises(DomainError):
                 FunctionSpec.piecewise_linear(knots, IntervalSpec(0.0, 1.0))
 
+    @pytest.mark.parametrize("text, halved, x, value", [
+        ("pwl:-1e308:0,1e308:1", "pwl:-5e307:0,5e307:1", 0.5, 0.5),
+        ("pwl:0:-1e308,1:1e308", "pwl:0:-5e307,1:5e307", 0.1, -4e307),
+    ])
+    def test_knot_differences_must_be_finite(self, text, halved, x, value):
+        # x1 - x0 or y1 - y0 overflowed to inf, so interpolation read 0.0
+        # or inf where the true values are finite
+        window = IntervalSpec(0.0, 1.0)
+        with pytest.raises(DomainError, match="too far apart"):
+            evaluate_many(parse_function(text, window), [0.1, 0.5])
+        # with halved knots the differences are finite again
+        f = parse_function(halved, window)
+        got = evaluate_many(f, [x])
+        assert got.tolist() == [evaluate(f, x)]
+        assert got[0] == pytest.approx(value)
+
     def test_domain_must_lie_in_knot_span(self):
         with pytest.raises(KindError):
             FunctionSpec.piecewise_linear(((0.0, 0.0), (1.0, 1.0)),

@@ -201,6 +201,9 @@ class TestCLI:
         ["analyze", "--fn", "affine:1e308,0", "--interval", "[0,1e10]"],
         ["worst-sum", "--fn", "pwl:0:nan,1:1", "--interval", "[0,1]",
          "--delta", "0.25", "--grid", "11"],
+        # knot differences that overflow to inf
+        ["analyze", "--fn", "pwl:-1e308:0,1e308:1", "--interval", "[0,1]"],
+        ["analyze", "--fn", "pwl:0:-1e308,1:1e308", "--interval", "[0,1]"],
     ])
     @pytest.mark.filterwarnings("error")
     def test_non_finite_input_parse_error(self, capsys, argv):
