@@ -58,6 +58,17 @@ MODULUS_SAFETY = 0.9
 #: delta_1 keeps this fraction of the per-piece bound
 DELTA1_SAFETY = 0.99
 
+#: the worst-sum oracle's answer never exceeds its step-sum bound times
+#: 1 + BOUND_SLACK (the slack absorbs the rounding of the grid steps)
+BOUND_SLACK = 1e-9
+
+#: trials per block of verify_certificate's random attack; bounds its memory
+VERIFY_BLOCK = 4096
+
+#: 64-bit draws one random trial uses at most: the total, then 16 width and
+#: 17 gap uniforms (a trial of 1..8 pairs uses at most 1 + 1 + 8 + 9)
+_RAW_PER_TRIAL = 34
+
 
 class Anchor(str, Enum):
     LEFT = "LeftAnchored"
@@ -381,8 +392,34 @@ def worst_ac_sum_oracle(grid: SampleGrid, delta,
     """
     if max_intervals < 1:
         raise ValueError("max_intervals must be >= 1")
+    units, pairs_idx, bound = _step_bound(grid, delta)
+    v = grid.values
+    # touching pairs (y_i = x_{i+1}) are legal, so up to `units` intervals fit
+    kmax = min(max_intervals, units)
+    if len(pairs_idx) <= kmax:
+        method = "OracleBound"
+    else:
+        method = "OracleDP"
+        pairs_idx = _dp_pairs(v, units, kmax)
+    points = grid.abscissae.tolist()
+    witness = IntervalCollection(
+        tuple((points[s], points[e]) for s, e in pairs_idx))
+    best_sum = math.fsum(abs(v[e] - v[s]) for s, e in pairs_idx)
+    assert best_sum <= bound * (1.0 + BOUND_SLACK), (best_sum, bound)
+    return ACWorstReport(delta=delta, best_sum=best_sum, witness=witness,
+                         method=method, grid_spacing=float(grid.spacing))
+
+
+def _step_bound(grid: SampleGrid, delta):
+    """(units, runs, bound) of a budget delta on a uniform grid.
+
+    ``units`` is the number of grid steps that fit strictly below delta,
+    and (runs, bound) are ``_top_step_runs`` of the grid's steps for that
+    many units: ``bound`` caps every grid-aligned collection's increment
+    sum, and ``worst_ac_sum_oracle``'s answer never exceeds it.
+    """
     m = len(grid)
-    xs, v = grid.abscissae, grid.values
+    xs = grid.abscissae
     if not grid.uniform:
         raise InsufficientData("the worst-sum search requires a uniform grid")
     if not delta > grid.spacing:
@@ -391,21 +428,8 @@ def worst_ac_sum_oracle(grid: SampleGrid, delta,
     h = (xs[-1] - xs[0]) / (m - 1)
     units = int(math.floor(float(delta) / float(h) - 1.0 + 1e-9))
     units = min(units, m - 1)
-    # touching pairs (y_i = x_{i+1}) are legal, so up to `units` intervals fit
-    kmax = min(max_intervals, units)
-    pairs_idx, bound = _top_step_runs(np.diff(v), units)
-    if len(pairs_idx) <= kmax:
-        method = "OracleBound"
-    else:
-        method = "OracleDP"
-        pairs_idx = _dp_pairs(v, units, kmax)
-    points = xs.tolist()
-    witness = IntervalCollection(
-        tuple((points[s], points[e]) for s, e in pairs_idx))
-    best_sum = math.fsum(abs(v[e] - v[s]) for s, e in pairs_idx)
-    assert best_sum <= bound * (1.0 + 1e-9), (best_sum, bound)
-    return ACWorstReport(delta=delta, best_sum=best_sum, witness=witness,
-                         method=method, grid_spacing=float(grid.spacing))
+    runs, bound = _top_step_runs(np.diff(grid.values), units)
+    return units, runs, bound
 
 
 def _top_step_runs(steps: np.ndarray, units: int):
@@ -638,27 +662,46 @@ def split_collection_at_partition(c: IntervalCollection,
 
 def random_collection(rng, lo: float, hi: float, total: float,
                       n: int) -> IntervalCollection:
-    """Seeded random collection of n nonoverlapping pairs with given total."""
+    """Seeded random collection of n nonoverlapping pairs with given total.
+
+    Draws n width and then n + 1 gap uniforms from rng and lays them out
+    with ``_collection_rows``, the kernel that ``verify_certificate`` runs
+    on many trials at once.
+    """
     span = hi - lo
     if not 0 < total < span:
         raise GeometryError(f"total {total} must lie in (0, {span})")
     if n < 1:
         raise ValueError("n must be >= 1")
-    w = rng.random(n)
-    w = (w * (total / w.sum())).tolist()
-    g = rng.random(n + 1)
-    g = (g * ((span - total) / g.sum())).tolist()
-    floor = 1e-13 * max(1.0, span)
-    pairs = []
-    pos, top = float(lo), float(hi)
-    for i in range(n):
-        pos += g[i]
-        x = pos
-        pos += w[i]
-        y = min(pos, top)
-        if y - x > floor:
-            pairs.append((x, y))
-    return IntervalCollection(tuple(pairs))
+    w = rng.random((1, n))
+    g = rng.random((1, n + 1))
+    x, y, keep = _collection_rows(w, g, np.array([total]), float(lo),
+                                  float(hi))
+    return IntervalCollection(tuple(zip(x[keep].tolist(), y[keep].tolist())))
+
+
+def _collection_rows(w: np.ndarray, g: np.ndarray, totals: np.ndarray,
+                     lo: float, hi: float):
+    """(x, y, keep) of one random collection per row.
+
+    Row r scales its n width uniforms w[r] to total totals[r] and its
+    n + 1 gap uniforms g[r] to span - totals[r], then walks from lo
+    adding gap, width, gap, width, ...; one ``np.cumsum`` adds them in that
+    left-to-right order, as a loop of ``pos += step`` would.  The last gap
+    is drawn but never walked.  Pair i runs from x[r, i] to y[r, i] =
+    min(position, hi); keep[r, i] is False for the pairs it drops, those
+    no longer than 1e-13 * max(1, span).
+    """
+    span = hi - lo
+    n = w.shape[1]
+    walk = np.empty((len(w), 2 * n + 1))
+    walk[:, 0] = lo
+    walk[:, 1::2] = g[:, :n] * ((span - totals) / g.sum(axis=1))[:, None]
+    walk[:, 2::2] = w * (totals / w.sum(axis=1))[:, None]
+    pos = np.cumsum(walk, axis=1)
+    x, y = pos[:, 1::2], pos[:, 2::2]
+    y = np.where(hi < y, hi, y)
+    return x, y, y - x > 1e-13 * max(1.0, span)
 
 
 def ac_certificate(f: FunctionSpec, pieces, epsilon: float) -> Certificate:
@@ -730,18 +773,32 @@ def _increment_step(f: FunctionSpec, piece: ShapePiece, budget: float) -> float:
 
 def verify_certificate(f: FunctionSpec, cert: Certificate, trials: int = 10000,
                        seed: int = 0) -> VerificationReport:
-    """Stress a certificate with random, adversarial and searched collections.
+    """Stress a certificate with adversarial, random and searched collections.
 
-    Random collections mix many-small-interval and single-interval shapes;
-    adversarial collections anchor the budget at the favorable end of each
-    piece; the worst-sum oracle searches a grid sized so the budget spans
-    about 128 units.  Passes iff every observed increment sum stays below
-    epsilon.  The random and adversarial sums are the ac_sum of each
-    collection, from one bulk evaluation of all their endpoints.
+    Adversarial collections anchor the budget at the favourable end of each
+    piece, as one interval and as 2, 4 and 8 parts.  Then ``trials`` random
+    collections mix many-small-interval and single-interval shapes: trial t
+    draws, from ``np.random.default_rng(seed)``, n pairs (1 + integers(0, 8),
+    or 16, or 1, by t mod 5) and their total, then ``random_collection``'s
+    n width and n + 1 gap uniforms.  ``_random_blocks`` reads that same
+    stream as raw 64-bit words and lays out every trial of a block at once,
+    bit for bit the collections a loop over ``random_collection`` would
+    draw.  Every sum is the exact ``math.fsum`` of the pair increments,
+    equal to ``ac_sum``; the first strictly largest one is the worst so far.
+
+    The worst-sum oracle searches a grid sized so the budget spans about
+    128 units, but only when it can win: its answer never exceeds the grid's
+    step-sum bound times 1 + BOUND_SLACK (``_step_bound``; the oracle
+    asserts it), so when that ceiling is at most the worst sum already
+    seen, the oracle could not replace it and is skipped.  A skipped oracle
+    raises nothing, such as the DP's state-space BudgetError.
+
+    Passes iff the worst sum stays below epsilon.  The random attack works
+    in blocks of VERIFY_BLOCK trials and holds at most about 4 KB per trial
+    of a block, ~16 MB at 4096 trials, on top of the oracle's grid.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
     lo = cert.partition.points[0]
     hi = cert.partition.points[-1]
     span = hi - lo
@@ -776,35 +833,124 @@ def verify_certificate(f: FunctionSpec, cert: Certificate, trials: int = 10000,
                 pairs.reverse()
             collections.append(IntervalCollection(tuple(pairs)))
 
-    for t in range(trials):
-        mode = t % 5
-        if mode == 3:
-            n = 1
-            total = d1 * (0.9 + 0.099 * rng.random())
-        elif mode == 4:
-            n = 16
-            total = d1 * (0.5 + 0.45 * rng.random())
-        else:
-            n = 1 + int(rng.integers(0, 8))
-            total = d1 * (0.3 + 0.69 * rng.random())
-        total = min(total, span * 0.5)
-        if total <= 0:
-            continue
-        collections.append(random_collection(rng, lo, hi, total, n))
-
     worst_sum = 0.0
     worst_c = IntervalCollection(())
     for c, s in zip(collections, _ac_sums(f, collections)):
         if s > worst_sum:
             worst_sum, worst_c = s, c
+    winner = None
+    for sums, rows in _random_blocks(f, np.random.default_rng(seed), lo, hi,
+                                     d1, trials):
+        top = int(np.argmax(sums))
+        if sums[top] > worst_sum:
+            worst_sum, winner = float(sums[top]), _row_pairs(rows, top)
+    if winner is not None:
+        worst_c = IntervalCollection(winner)
 
     m_target = int(span / (d1 / 128.0)) + 1
     m = max(257, min(8193, m_target))
     grid = sample(f, IntervalSpec(lo, hi), m)
     if d1 > grid.spacing:
-        report = worst_ac_sum_oracle(grid, d1, DEFAULT_MAX_INTERVALS)
-        if report.best_sum > worst_sum:
-            worst_sum, worst_c = report.best_sum, report.witness
+        bound = _step_bound(grid, d1)[2]
+        if bound * (1.0 + BOUND_SLACK) > worst_sum:
+            report = worst_ac_sum_oracle(grid, d1, DEFAULT_MAX_INTERVALS)
+            if report.best_sum > worst_sum:
+                worst_sum, worst_c = report.best_sum, report.witness
 
     return VerificationReport(passed=worst_sum < cert.epsilon,
                               worst_sum=worst_sum, worst_collection=worst_c)
+
+
+def _random_blocks(f: FunctionSpec, rng, lo, hi, d1, trials: int):
+    """Yield (sums, rows) for each block of random trials that draws any.
+
+    Trial t takes its pair count n by t mod 5 (3: one pair, 4: sixteen,
+    else 1 + integers(0, 8)) and its total from one ``random()``, scaled
+    into [0.9, 0.999), [0.5, 0.95) or [0.3, 0.99) times d1 and capped at
+    half the span (a trial whose total is not positive draws nothing more),
+    then n width and n + 1 gap uniforms, as ``random_collection`` does.
+    sums[i] is the i-th drawing trial's increment sum, the exact
+    ``math.fsum`` of its pair increments (so it equals ``ac_sum``); rows
+    holds (positions, x, y, keep) per pair count as ``_collection_rows``
+    returns them, positions being the indices into sums (``_row_pairs``).
+
+    The draws are read from rng's bit generator as raw 64-bit words, in the
+    generator's own order.  ``random()`` is (word >> 11) * 2**-53.
+    ``integers(0, 8)`` scales one uint32 by Lemire's method, which rejects
+    nothing for a range of 8, so it is the uint32's top three bits; PCG64
+    serves uint32s as the low half of a fresh word and then the held high
+    half of that word, whatever was drawn in between.  A scalar walk over
+    the block's trials finds each trial's n, total and first uniform, and
+    every trial with the same n is laid out at once; one ``evaluate_many``
+    call evaluates the block's kept endpoints.  The unused words and the
+    held half carry over to the next block.  Per trial a block holds 34
+    words and their uniforms, the gathered width and gap rows, the walk
+    and its positions, and the kept endpoints and their values: under 4 KB.
+    """
+    bits = rng.bit_generator
+    half_span = (hi - lo) * 0.5
+    raw = np.empty(0, np.uint64)
+    held = None  # the pair count in the held high uint32 half
+    for t0 in range(0, trials, VERIFY_BLOCK):
+        t1 = min(trials, t0 + VERIFY_BLOCK)
+        need = _RAW_PER_TRIAL * (t1 - t0) - len(raw)
+        if need > 0:
+            raw = np.concatenate([raw, bits.random_raw(need)])
+        uniform = (raw >> 11).astype(float) * 2.0 ** -53
+        counts, totals, firsts = [], [], []
+        c = 0
+        for t in range(t0, t1):
+            mode = t % 5
+            if mode == 3:
+                n, base, scale = 1, 0.9, 0.099
+            elif mode == 4:
+                n, base, scale = 16, 0.5, 0.45
+            else:
+                if held is None:
+                    word = int(raw[c])
+                    n, held = 1 + ((word & 0xFFFFFFFF) >> 29), 1 + (word >> 61)
+                    c += 1
+                else:
+                    n, held = held, None
+                base, scale = 0.3, 0.69
+            total = min(d1 * (base + scale * float(uniform[c])), half_span)
+            c += 1
+            if total <= 0:
+                continue
+            counts.append(n)
+            totals.append(total)
+            firsts.append(c)
+            c += 2 * n + 1
+        raw = raw[c:]
+        if not counts:
+            continue
+        counts, totals, firsts = (np.array(a) for a in (counts, totals, firsts))
+        rows = []
+        for n in np.unique(counts).tolist():
+            at = np.flatnonzero(counts == n)
+            w = uniform[firsts[at, None] + np.arange(n)]
+            g = uniform[firsts[at, None] + np.arange(n, 2 * n + 1)]
+            rows.append((at,) + _collection_rows(w, g, totals[at], lo, hi))
+        ends = np.concatenate([x[keep] for _, x, _, keep in rows]
+                              + [y[keep] for _, _, y, keep in rows])
+        v = evaluate_many(f, ends)
+        steps = np.abs(v[len(v) // 2:] - v[:len(v) // 2])
+        sums = np.empty(len(counts))
+        done = 0
+        for at, x, _, keep in rows:
+            increments = np.zeros(x.shape)
+            increments[keep] = steps[done:done + np.count_nonzero(keep)]
+            done += np.count_nonzero(keep)
+            sums[at] = [math.fsum(r) for r in increments.tolist()]
+        yield sums, rows
+
+
+def _row_pairs(rows, i: int) -> tuple:
+    """The kept pairs of the trial at position i of a ``_random_blocks``
+    block."""
+    for at, x, y, keep in rows:
+        hit = np.flatnonzero(at == i)
+        if len(hit):
+            r = hit[0]
+            return tuple(zip(x[r, keep[r]].tolist(), y[r, keep[r]].tolist()))
+    raise IndexError(i)

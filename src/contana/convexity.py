@@ -146,8 +146,9 @@ class MonotonePartition:
 def detect_partition(grid: SampleGrid):
     """Detect a convex/concave partition from second differences.
 
-    Works on (near-)uniform grids: raw second differences v[j+1] - 2 v[j] +
-    v[j-1] carry the curvature sign.  The zero band is the value-scale band
+    Works on uniform grids (``SampleGrid.uniform``; any other grid raises
+    InsufficientData): raw second differences v[j+1] - 2 v[j] + v[j-1]
+    carry the curvature sign.  The zero band is the value-scale band
     eta = DEFAULT_ETA_SCALE * max |value|, rescaled by (h / L)^2 so that a
     given true curvature keeps the same margin at every resolution, and
     floored at 16 ulps of the value scale so rounding noise on exactly
@@ -158,12 +159,11 @@ def detect_partition(grid: SampleGrid):
     """
     if len(grid) < 3:
         raise InsufficientData("partition detection needs at least 3 points")
+    if not grid.uniform:
+        raise InsufficientData("partition detection requires a uniform grid")
     xs = np.asarray(grid.abscissae, dtype=float)
     vs = grid.values
-    gaps = np.diff(xs)
-    h = float(np.mean(gaps))
-    if np.max(np.abs(gaps - h)) > 1e-6 * h:
-        raise InsufficientData("partition detection requires a uniform grid")
+    h = float(np.mean(np.diff(xs)))
     scale = float(np.max(np.abs(vs)))
     eta = DEFAULT_ETA_SCALE * scale
     length = float(xs[-1] - xs[0])

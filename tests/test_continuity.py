@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contana import (
@@ -19,6 +19,7 @@ from contana import (
     FunctionSpec,
     GeometryError,
     IntervalCollection,
+    InsufficientData,
     IntervalSpec,
     Monotonicity,
     Partition,
@@ -28,6 +29,7 @@ from contana import (
     Shape,
     ShapePiece,
     Unachievable,
+    VerificationReport,
     ac_certificate,
     ac_sum,
     detect_partition,
@@ -792,3 +794,209 @@ class TestRandomCollection:
             assert float(c.total_length) <= 0.2 + 1e-12
             for x, y in c.pairs:
                 assert 0.25 <= x < y <= 1.5
+
+
+def scalar_trials(rng, lo, hi, d1, trials):
+    """The random trials of verify_certificate drawn one by one: each
+    trial's pair count and total from rng, then random_collection."""
+    out = []
+    for t in range(trials):
+        mode = t % 5
+        if mode == 3:
+            n = 1
+            total = d1 * (0.9 + 0.099 * rng.random())
+        elif mode == 4:
+            n = 16
+            total = d1 * (0.5 + 0.45 * rng.random())
+        else:
+            n = 1 + int(rng.integers(0, 8))
+            total = d1 * (0.3 + 0.69 * rng.random())
+        total = min(total, (hi - lo) * 0.5)
+        if total <= 0:
+            continue
+        out.append(random_collection(rng, lo, hi, total, n))
+    return out
+
+
+def scalar_blocks(f, rng, lo, hi, d1, trials):
+    """_random_blocks as one block of scalar_trials, summed by ac_sum."""
+    cs = scalar_trials(rng, lo, hi, d1, trials)
+    if cs:
+        yield np.array([ac_sum(f, c) for c in cs]), [
+            (np.array([i]), np.array([[x for x, _ in c.pairs]]),
+             np.array([[y for _, y in c.pairs]]), np.ones((1, len(c)), bool))
+            for i, c in enumerate(cs)]
+
+
+def batched_trials(f, seed, lo, hi, d1, trials):
+    """(pairs, sum) of every trial that _random_blocks draws, in order."""
+    out = []
+    for sums, rows in continuity._random_blocks(
+            f, np.random.default_rng(seed), lo, hi, d1, trials):
+        out += [(continuity._row_pairs(rows, i), s)
+                for i, s in enumerate(sums.tolist())]
+    return out
+
+
+def verification(f, lo, hi, d1, trials, seed):
+    """verify_certificate's report for one convex increasing piece on
+    [lo, hi], or the type and message of the error it raises."""
+    piece = ShapePiece(IntervalSpec(lo, hi), Shape.CONVEX,
+                       Monotonicity.INCREASING, 0.0)
+    cert = Certificate(epsilon=1.0, delta1=d1, monotone_pieces=(piece,))
+    try:
+        return verify_certificate(f, cert, trials, seed)
+    except (GeometryError, InsufficientData) as e:
+        return type(e), str(e)
+
+
+ZIGZAG = FunctionSpec.piecewise_linear(
+    ((0.0, 0.0), (0.3, 0.6), (0.7, 0.2), (1.0, 0.5)))
+
+
+class TestRandomAttack:
+    """The batched random attack against random_collection drawn trial by
+    trial, and the skipped worst-sum oracle against the one that runs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lo=st.floats(-1e3, 1e3),
+           span=st.floats(1e-3, 1e3), exponent=st.floats(-15.0, 0.5),
+           trials=st.integers(1, 40), block=st.integers(1, 12))
+    @example(seed=3, lo=0.0, span=1.0, exponent=0.5, trials=12, block=5)
+    @example(seed=4, lo=-2.0, span=3.0, exponent=-11.8, trials=20, block=7)
+    def test_batched_pairs_match_scalar_loop(self, seed, lo, span, exponent,
+                                             trials, block):
+        # blocks of a few trials carry the raw words and the held uint32
+        # half across every boundary; exponent 0.5 makes d1 > span, so the
+        # total is capped at span * 0.5, and near -12 some or all pairs are
+        # no longer than the 1e-13 * span floor and are dropped
+        hi = lo + span
+        d1 = span * 10.0 ** exponent
+        f = FunctionSpec.polynomial((0.25, -1.0, 0.5, 0.125),
+                                    IntervalSpec(lo, hi))
+        want = scalar_trials(np.random.default_rng(seed), lo, hi, d1, trials)
+        with mock.patch.object(continuity, "VERIFY_BLOCK", block):
+            got = batched_trials(f, seed, lo, hi, d1, trials)
+            report = verification(f, lo, hi, d1, trials, seed)
+        assert [pairs for pairs, _ in got] == [c.pairs for c in want]
+        for (_, s), c in zip(got, want):
+            assert s.hex() == ac_sum(f, c).hex()
+        with mock.patch.object(continuity, "_random_blocks", scalar_blocks):
+            reference = verification(f, lo, hi, d1, trials, seed)
+        assert report == reference
+        if isinstance(report, VerificationReport):
+            assert report.worst_sum.hex() == reference.worst_sum.hex()
+
+    def test_stream_cases_are_covered(self):
+        # the explicit examples above reach every branch of the layout:
+        # both uint32 halves of one raw word are pair counts,
+        rng = np.random.default_rng(3)
+        word = int(np.random.default_rng(3).bit_generator.random_raw())
+        assert [int(rng.integers(0, 8)) for _ in range(2)] == [
+            word >> 29 & 7, word >> 61]
+        # sixteen pairs, and totals capped at half the span,
+        pairs = [p for p, _ in batched_trials(catalog.sqrt_on_unit(), 3,
+                                              0.0, 1.0, 10.0 ** 0.5, 12)]
+        assert len(pairs[4]) == 16
+        assert all(float(IntervalCollection(p).total_length) <= 0.5 + 1e-12
+                   for p in pairs)
+        # and sixteen-pair trials with some or all pairs dropped
+        f = FunctionSpec.polynomial((0.0, 1.0), IntervalSpec(-2.0, 1.0))
+        sixteen = [p for p, _ in batched_trials(f, 4, -2.0, 1.0,
+                                                3.0 * 10.0 ** -11.8, 20)][4::5]
+        assert any(len(p) == 0 for p in sixteen)
+        assert any(0 < len(p) < 16 for p in sixteen)
+
+    def test_random_collection_is_one_row_of_the_kernel(self):
+        # random_collection lays out the stream as the loop it replaced
+        rng = np.random.default_rng(11)
+        c = random_collection(rng, 0.25, 1.5, 0.2, 6)
+        rng = np.random.default_rng(11)
+        w, g = rng.random(6), rng.random(7)
+        w = (w * (0.2 / w.sum())).tolist()
+        g = (g * ((1.25 - 0.2) / g.sum())).tolist()
+        pos, pairs = 0.25, []
+        for i in range(6):
+            pos += g[i]
+            x = pos
+            pos += w[i]
+            pairs.append((x, min(pos, 1.5)))
+        assert c.pairs == tuple(pairs)
+
+    @pytest.mark.parametrize("f, epsilon", [
+        (catalog.sqrt_on_unit(), 0.4),
+        (catalog.sqrt_on_unit(), 0.1),
+        (catalog.sqrt_on_unit(), 0.02),
+        (catalog.squared(), 0.4),
+        (catalog.cubed(), 0.1),
+        (catalog.affine_fn(), 0.1),
+        (ZIGZAG, 0.1),
+        (catalog.sine_table(), 0.4),
+        (catalog.cantor_on_unit(), None),
+    ], ids=["sqrt-0.4", "sqrt-0.1", "sqrt-0.02", "xsquared", "xcubed",
+            "affine", "zigzag", "sine_table", "cantor-fake"])
+    def test_oracle_skip_keeps_the_report(self, f, epsilon):
+        # on monotone convex or concave pieces the anchored adversarial
+        # interval of length 0.999 d1 beats the grid's step bound, whose
+        # units * h <= d1 - h, so the oracle is skipped; on Cantor's
+        # staircase the bound is far above every sampled collection
+        if epsilon is None:
+            cert = Certificate(
+                epsilon=0.5, delta1=(2.0 / 3.0) ** 6,
+                monotone_pieces=(ShapePiece(
+                    IntervalSpec(0.0, 1.0), Shape.CONCAVE,
+                    Monotonicity.INCREASING, 0.0),))
+        else:
+            cert = ac_certificate(f, monotone_partition(f, 501).pieces,
+                                  epsilon)
+        with mock.patch.object(continuity, "worst_ac_sum_oracle",
+                               wraps=continuity.worst_ac_sum_oracle) as oracle:
+            got = verify_certificate(f, cert, trials=500, seed=1)
+        real = continuity._step_bound
+        # a step bound of inf makes every oracle call look as if it could win
+        with mock.patch.object(continuity, "_step_bound",
+                               lambda g, d: real(g, d)[:2] + (math.inf,)), \
+                mock.patch.object(continuity, "worst_ac_sum_oracle",
+                                  wraps=continuity.worst_ac_sum_oracle) as forced:
+            want = verify_certificate(f, cert, trials=500, seed=1)
+        assert forced.call_count == 1
+        assert oracle.call_count == (epsilon is None)
+        assert got == want
+        assert got.worst_sum.hex() == want.worst_sum.hex()
+
+    @pytest.mark.parametrize("f, epsilon", [
+        (catalog.sqrt_on_unit(), 0.1), (ZIGZAG, 0.1)], ids=["sqrt", "zigzag"])
+    def test_collections_and_bulk_calls_do_not_grow_with_trials(
+            self, f, epsilon, monkeypatch):
+        # adversarial collections (at most 4 per piece), the random winner
+        # and the oracle's witness are all that is built; the random
+        # trials are evaluated once per block, after one adversarial call
+        cert = ac_certificate(f, monotone_partition(f, 501).pieces, epsilon)
+        built = []
+        init = IntervalCollection.__post_init__
+
+        def counting(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(IntervalCollection, "__post_init__", counting)
+        monkeypatch.setattr(continuity, "VERIFY_BLOCK", 512)
+        with mock.patch.object(continuity, "evaluate_many",
+                               wraps=continuity.evaluate_many) as bulk:
+            verify_certificate(f, cert, trials=2000, seed=0)
+        assert len(built) <= 4 * len(cert.monotone_pieces) + 2
+        assert bulk.call_count == 1 + 4
+
+    def test_block_memory_within_stated_bound(self):
+        # under 4 KB per trial of a block
+        f = catalog.sqrt_on_unit()
+        trials = continuity.VERIFY_BLOCK
+        tracemalloc.start()
+        try:
+            for _ in continuity._random_blocks(
+                    f, np.random.default_rng(0), 0.0, 1.0, 0.05, trials):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4096 * trials

@@ -99,6 +99,15 @@ class TestDetectPartition:
         with pytest.raises(InsufficientData):
             detect_partition(sample(f, IntervalSpec(0.0, 1.0), 2))
 
+    def test_uses_the_grid_uniformity_rule(self):
+        # near 1000 the rounded abscissae of a 1e-3 window vary their gaps
+        # by ~2e-7 relative: within a 1e-6 band, but not SampleGrid.uniform
+        grid = sample(FunctionSpec.sqrt(),
+                      IntervalSpec(1000.0, 1000.001), 2001)
+        assert not grid.uniform
+        with pytest.raises(InsufficientData, match="uniform grid"):
+            detect_partition(grid)
+
     def test_idempotent(self):
         grid = sample(catalog.cubed(), IntervalSpec(-1.0, 1.0), 501)
         assert detect_partition(grid) == detect_partition(grid)

@@ -197,6 +197,22 @@ class TestCLI:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [
+        ["analyze", "--fn", "sqrt", "--interval", "[1000,1000.001]",
+         "--grid", "2001"],
+        ["check-lemma1", "--fn", "sqrt", "--interval", "[1000,1000.1]",
+         "--sigma", "0.01"],
+    ])
+    def test_window_too_narrow_for_a_uniform_grid_parse_error(self, capsys,
+                                                              argv):
+        # the abscissae round to unequal gaps, so detection refuses the
+        # grid before any certificate work
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "parse error: partition detection requires a uniform grid\n")
+
+    @pytest.mark.parametrize("argv", [
         ["analyze", "--fn", "poly:nan,1", "--interval", "[0,1]"],
         ["analyze", "--fn", "affine:1e308,0", "--interval", "[0,1e10]"],
         ["worst-sum", "--fn", "pwl:0:nan,1:1", "--interval", "[0,1]",
