@@ -14,14 +14,22 @@ sets (``evaluate_many``) are evaluated in bulk by one vectorized evaluator
 per kind, ``_bulk_values``, which gives evaluate()'s bits at every float
 point and works in fixed-size blocks, so its memory is bounded (stated in
 its docstring).
+
+Piecewise linear knots are checked once, when their spec is built, and
+held twice for the spec's lifetime: as the public tuple of float pairs
+that ``evaluate`` bisects, and as two read-only float64 arrays that
+``_bulk_values`` searches.  A ``table@`` file without quotes is parsed
+by numpy in C, any other by the csv module, into the same values.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,13 +163,20 @@ class FunctionSpec:
     Only the fields relevant to ``kind`` are meaningful: ``coefficients``
     for polynomials (ascending degree, so the affine map a*x + b is
     ``(b, a)``) and ``knots`` for piecewise linear data (sampled tables
-    included).
+    included).  ``knots`` may be given as (x, y) pairs or an (n, 2) array;
+    the spec keeps them as a tuple of float pairs, and as the read-only
+    arrays ``_kx`` and ``_ky`` for bulk evaluation.
     """
 
     kind: str
     domain: IntervalSpec
     coefficients: tuple = ()
     knots: tuple = ()
+    #: the knots' abscissae and ordinates, read-only float64 (kind pwl)
+    _kx: np.ndarray | None = field(default=None, init=False, compare=False,
+                                   repr=False)
+    _ky: np.ndarray | None = field(default=None, init=False, compare=False,
+                                   repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -178,22 +193,14 @@ class FunctionSpec:
                 self, "coefficients", tuple(float(c) for c in self.coefficients)
             )
         if self.kind == PWL:
-            ks = tuple((float(x), float(y)) for x, y in self.knots)
-            if not all(map(math.isfinite, (c for knot in ks for c in knot))):
-                raise DomainError("knots must be finite")
-            if len(ks) < 2:
-                raise KindError("piecewise data requires at least two knots")
-            xs = [x for x, _ in ks]
-            if any(b <= a for a, b in zip(xs, xs[1:])):
-                raise KindError("knot abscissae must be strictly increasing")
-            for (x0, y0), (x1, y1) in zip(ks, ks[1:]):
-                if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
-                    raise DomainError(f"knots ({x0}, {y0}) and ({x1}, {y1}) "
-                                      "are too far apart: their difference "
-                                      "overflows")
-            if d.lo < xs[0] or d.hi > xs[-1]:
+            ks = (self.knots if isinstance(self.knots, _Knots)
+                  else _knot_arrays(self.knots))
+            if d.lo < ks.x[0] or d.hi > ks.x[-1]:
                 raise KindError("domain must lie within the knot span")
-            object.__setattr__(self, "knots", ks)
+            object.__setattr__(self, "knots",
+                               tuple(zip(ks.x.tolist(), ks.y.tolist())))
+            object.__setattr__(self, "_kx", ks.x)
+            object.__setattr__(self, "_ky", ks.y)
 
     # -- constructors -------------------------------------------------------
 
@@ -222,9 +229,61 @@ class FunctionSpec:
 
     @classmethod
     def piecewise_linear(cls, knots, domain: IntervalSpec | None = None) -> "FunctionSpec":
-        ks = tuple(knots)
-        dom = domain or IntervalSpec(ks[0][0], ks[-1][0])
-        return cls(PWL, dom, knots=ks)
+        """The interpolant of the knots, by default on their whole span."""
+        ks = _knot_arrays(knots)
+        return cls(PWL, domain or _knot_span(ks), knots=ks)
+
+
+class _Knots(NamedTuple):
+    """Checked piecewise linear knots: read-only float64 arrays."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+
+def _knot_arrays(knots) -> _Knots:
+    """Check (x, y) pairs or an (n, 2) array as piecewise linear knots.
+
+    Each check names the first knot that fails it: every value must be
+    finite, there must be two knots or more, the abscissae must increase
+    strictly, and consecutive differences must not overflow.  The values
+    are float() of the input, bit for bit.
+    """
+    try:
+        a = np.asarray(knots, dtype=float)
+    except ValueError as exc:
+        raise KindError("knots must be (x, y) pairs") from exc
+    if a.size == 0:
+        a = a.reshape(0, 2)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise KindError("knots must be (x, y) pairs")
+    finite = np.isfinite(a).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        x, y = a[i].tolist()
+        raise DomainError(f"knots must be finite: knot {i} is ({x}, {y})")
+    if len(a) < 2:
+        raise KindError("piecewise data requires at least two knots")
+    kx, ky = a[:, 0].copy(), a[:, 1].copy()
+    rising = kx[1:] > kx[:-1]
+    if not rising.all():
+        i = int(np.argmin(rising))
+        x0, x1 = kx[i:i + 2].tolist()
+        raise KindError(f"knot abscissae must be strictly increasing: knot "
+                        f"{i} has x = {x0} and knot {i + 1} has x = {x1}")
+    with np.errstate(over="ignore"):
+        fits = np.isfinite(np.diff(kx)) & np.isfinite(np.diff(ky))
+    if not fits.all():
+        i = int(np.argmin(fits))
+        (x0, y0), (x1, y1) = a[i:i + 2].tolist()
+        raise DomainError(f"knots ({x0}, {y0}) and ({x1}, {y1}) are too far "
+                          "apart: their difference overflows")
+    kx.flags.writeable = ky.flags.writeable = False
+    return _Knots(kx, ky)
+
+
+def _knot_span(ks: _Knots) -> IntervalSpec:
+    return IntervalSpec(float(ks.x[0]), float(ks.x[-1]))
 
 
 def eval_cantor(x) -> float:
@@ -437,19 +496,17 @@ def _bulk_values(f: FunctionSpec, xs: np.ndarray) -> np.ndarray:
     square roots and Horner polynomials; x*x*sin(1/x) with 0.0 where 1/x
     is infinite (x == 0, or |x| < 2**-1024, where x*x is 0 already); the
     Cantor digit scan in integer arithmetic (``_cantor_block``); and
-    piecewise linear interpolation from a binary search of the knots,
-    with knot hits exact.  The points are evaluated BULK_BLOCK at a time,
-    so besides the m-point output the working memory is 16 bytes per knot
-    (piecewise linear data) plus at most 128 bytes per block point
+    piecewise linear interpolation from a binary search of the spec's knot
+    arrays, with knot hits exact.  Those arrays (16 bytes per knot) are
+    built once with the spec and held for its lifetime, not per call.
+    The points are evaluated BULK_BLOCK at a time, so besides the m-point
+    output the working memory is at most 128 bytes per block point
     (1 MiB).  With its grid (abscissae, values, and the gaps and flags of
     SampleGrid's checks: 26 bytes per point), sample() at m points peaks
-    below 26*m + 16*knots + 128*BULK_BLOCK bytes.  Overflow to inf is
-    silent, as in scalar arithmetic.
+    below 26*m + 128*BULK_BLOCK bytes.  Overflow to inf is silent, as in
+    scalar arithmetic.
     """
     out = np.empty(len(xs))
-    if f.kind == PWL:
-        kx = np.fromiter((x for x, _ in f.knots), float, len(f.knots))
-        ky = np.fromiter((y for _, y in f.knots), float, len(f.knots))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(0, len(xs), BULK_BLOCK):
             x = xs[i:i + BULK_BLOCK]
@@ -466,7 +523,7 @@ def _bulk_values(f: FunctionSpec, xs: np.ndarray) -> np.ndarray:
                 for c in reversed(rest):
                     v = v * x + c
             else:
-                v = _interp_block(kx, ky, x)
+                v = _interp_block(f._kx, f._ky, x)
             out[i:i + BULK_BLOCK] = v
     return out
 
@@ -548,40 +605,47 @@ def parse_function(text: str, window: IntervalSpec | None = None) -> FunctionSpe
     if not s:
         raise ParseError("empty function spec")
     try:
-        if s == SQRT:
-            fn = FunctionSpec.sqrt()
-        elif s == X2SININV:
-            fn = FunctionSpec.x_squared_sin_inv(IntervalSpec(-INF, INF, False, False))
-        elif s == CANTOR:
-            fn = FunctionSpec.cantor()
-        elif s.startswith("affine:"):
-            parts = s[len("affine:"):].split(",")
-            if len(parts) != 2:
-                raise ParseError(f"affine needs slope,intercept: {text!r}")
-            fn = FunctionSpec.affine(_parse_num(parts[0]), _parse_num(parts[1]))
-        elif s.startswith("poly:"):
-            coeffs = [_parse_num(p) for p in s[len("poly:"):].split(",") if p != ""]
-            if not coeffs:
-                raise ParseError(f"poly needs coefficients: {text!r}")
-            fn = FunctionSpec.polynomial(coeffs)
-        elif s.startswith("pwl:"):
-            fn = FunctionSpec.piecewise_linear(parse_pairs(s[len("pwl:"):]))
-        elif s.startswith("table@"):
-            fn = FunctionSpec.piecewise_linear(_load_table(s[len("table@"):]))
-        else:
-            raise ParseError(f"unknown function spec {text!r}")
+        kind, domain, params = _parse_spec(s, text)
+        if window is not None:
+            natural, domain = domain, domain.intersect(window)
+            if domain is None:
+                raise ParseError(f"window {window} is disjoint from the "
+                                 f"natural domain {natural}")
+        return FunctionSpec(kind, domain, **params)
     except KindError as exc:
         raise ParseError(str(exc)) from exc
-    if window is not None:
-        dom = fn.domain.intersect(window)
-        if dom is None:
-            raise ParseError(
-                f"window {window} is disjoint from the natural domain {fn.domain}")
-        try:
-            fn = replace(fn, domain=dom)
-        except KindError as exc:
-            raise ParseError(str(exc)) from exc
-    return fn
+
+
+def _parse_spec(s: str, text: str):
+    """(kind, natural domain, fields) of a stripped function spec.
+
+    Knots are checked here, once: the natural domain is their span.
+    """
+    if s == SQRT:
+        return SQRT, IntervalSpec(0.0, INF, True, False), {}
+    if s == X2SININV:
+        return X2SININV, IntervalSpec(-INF, INF, False, False), {}
+    if s == CANTOR:
+        return CANTOR, IntervalSpec(0.0, 1.0), {}
+    if s.startswith("affine:"):
+        parts = s[len("affine:"):].split(",")
+        if len(parts) != 2:
+            raise ParseError(f"affine needs slope,intercept: {text!r}")
+        coeffs = (_parse_num(parts[1]), _parse_num(parts[0]))
+    elif s.startswith("poly:"):
+        coeffs = tuple(_parse_num(p) for p in s[len("poly:"):].split(",")
+                       if p != "")
+        if not coeffs:
+            raise ParseError(f"poly needs coefficients: {text!r}")
+    elif s.startswith("pwl:"):
+        ks = _knot_arrays(parse_pairs(s[len("pwl:"):]))
+        return PWL, _knot_span(ks), {"knots": ks}
+    elif s.startswith("table@"):
+        ks = _knot_arrays(_load_table(s[len("table@"):]))
+        return PWL, _knot_span(ks), {"knots": ks}
+    else:
+        raise ParseError(f"unknown function spec {text!r}")
+    return POLY, IntervalSpec(-INF, INF, False, False), {"coefficients": coeffs}
 
 
 def _parse_num(token: str) -> float:
@@ -602,12 +666,68 @@ def parse_pairs(body: str) -> list:
     return pairs
 
 
-def _load_table(path: str):
-    """Knots from a two-column CSV; the first nonblank row may be a header.
+def _load_table(path: str) -> np.ndarray:
+    """Knots from a two-column CSV, as an (n, 2) float64 array.
 
-    A file that cannot be opened or read raises OSError (an I/O error, not
-    a parse error).
+    Blank rows are skipped and the first nonblank row may be a header; any
+    other row whose first two cells are not numbers is named in a
+    ParseError.  Extra columns are ignored, and each value is float() of
+    its cell, bit for bit.  A file that cannot be opened or read raises
+    OSError (an I/O error, not a parse error).
     """
+    knots = _plain_table(path)
+    return _csv_table(path) if knots is None else knots
+
+
+#: characters that send a table to the csv reader: the quote, and the
+#: ASCII separators that numpy strips from a cell as whitespace and
+#: float() refuses
+_NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
+
+
+def _plain_table(path: str) -> np.ndarray | None:
+    """_load_table's knots of a plain table, parsed in C; else None.
+
+    Without a quote, csv.reader's cells are the comma-separated pieces of
+    each line (unless one exceeds its field size limit), and numpy's
+    loadtxt converts a cell with Python's own correctly rounded parser,
+    as float() does.  It refuses some cells that float() reads (digit
+    underscores, non-ASCII digits, blank rows that are not empty) but
+    reads none that float() refuses, except those with the separators in
+    _NOT_PLAIN, which it strips as whitespace.  So on a table free of
+    those characters, when loadtxt accepts every line after the header,
+    it reads exactly the knots that _csv_table reads.  Every other table,
+    and every table that fails, returns None.
+    """
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        return None
+    text = "".join(lines)
+    if (any(c in text for c in _NOT_PLAIN)
+            or max(map(len, lines), default=0) > csv.field_size_limit()):
+        return None
+    first = next((i for i, line in enumerate(lines)
+                  if line.replace(",", "").strip()), len(lines))
+    if first < len(lines):
+        cells = lines[first].split(",")
+        try:
+            float(cells[0]), float(cells[1])
+        except (ValueError, IndexError):
+            first += 1  # only the first nonblank row may be a header
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on no data
+        try:
+            knots = np.loadtxt(lines[first:], delimiter=",", comments=None,
+                               usecols=(0, 1), ndmin=2)
+        except ValueError:
+            return None
+    return knots if len(knots) >= 2 else None
+
+
+def _csv_table(path: str) -> np.ndarray:
+    """_load_table by csv.reader and float() row by row: any table."""
     with open(path, newline="") as fh:
         try:
             rows = [row for row in csv.reader(fh) if "".join(row).strip()]
@@ -622,4 +742,5 @@ def _load_table(path: str):
                 raise ParseError(f"bad table row {row!r} in {path}") from None
     if len(knots) < 2:
         raise ParseError(f"table {path} needs at least two rows")
-    return knots
+    return np.array(knots)
+

@@ -82,6 +82,9 @@ GSIGMA_SAMPLES = 257
 #: deltas per tabulated modulus curve
 MODULUS_POINTS = 33
 
+#: points of ``analyze``'s worst-sum search grid
+ORACLE_POINTS = 2001
+
 
 @dataclass(frozen=True)
 class AnalysisSettings:
@@ -105,7 +108,12 @@ def analyze(fn_text: str, interval_text: str,
     f = parse_function(fn_text, window)  # its domain lies in the window
     clipped = clip_window(f.domain)
 
-    result = monotone_partition(f, settings.grid_m)
+    result = monotone_partition(f, settings.grid_m)  # checks its own grids
+    oracle_grid = sample(f, clipped, ORACLE_POINTS)
+    if not oracle_grid.uniform:  # refused before any certificate work
+        raise InsufficientData(
+            f"the window {clipped} is too narrow for a uniform "
+            f"{ORACLE_POINTS}-point grid (the worst-sum search needs one)")
     base_grid = result.grids[0]
     resolutions = [len(grid) for grid in result.grids]
 
@@ -194,7 +202,6 @@ def analyze(fn_text: str, interval_text: str,
         budgets = [certificate.delta1]
     else:
         budgets = [span / 20.0]
-    oracle_grid = sample(f, clipped, 2001)
     for budget in budgets:
         if budget > oracle_grid.spacing:
             rep = worst_ac_sum_oracle(oracle_grid, budget)

@@ -1,5 +1,6 @@
 """Tests for intervals, the function catalog, exact evaluation and sampling."""
 
+import csv
 import math
 import tracemalloc
 from fractions import Fraction
@@ -322,7 +323,7 @@ class TestSample:
     ], ids=lambda v: getattr(v, "kind", ""))
     def test_memory_within_stated_bound(self, f, window):
         # _bulk_values' docstring: sample at m points peaks below
-        # 26*m + 16*knots + 128*BULK_BLOCK bytes
+        # 26*m + 128*BULK_BLOCK bytes (the spec holds its knot arrays)
         m = 100001
         sample(f, window, 3)
         tracemalloc.start()
@@ -331,7 +332,7 @@ class TestSample:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 26 * m + 16 * len(f.knots) + 128 * BULK_BLOCK
+        assert peak <= 26 * m + 128 * BULK_BLOCK
 
 
 ZIGZAG = FunctionSpec.piecewise_linear(
@@ -509,3 +510,189 @@ class TestParseFunction:
                 parse_function(bad)
         with pytest.raises(ParseError):
             parse_function("cantor", parse_interval("[2,3]"))
+
+
+class TestKnots:
+    @pytest.mark.parametrize("rows, error, message", [
+        ([(0, 0), (1, "nan"), (2, 1)], DomainError,
+         "knots must be finite: knot 1 is (1.0, nan)"),
+        ([("-inf", 0), (1, 1)], DomainError,
+         "knots must be finite: knot 0 is (-inf, 0.0)"),
+        ([(0, 0), (1, 1), (1, 2)], ParseError,
+         "knot abscissae must be strictly increasing: "
+         "knot 1 has x = 1.0 and knot 2 has x = 1.0"),
+        ([(0, 0), (2, 1), (1, 2)], ParseError,
+         "knot abscissae must be strictly increasing: "
+         "knot 1 has x = 2.0 and knot 2 has x = 1.0"),
+        ([(0, 0), (0.5, -1e308), (1, 1e308)], DomainError,
+         "knots (0.5, -1e+308) and (1.0, 1e+308) are too far apart: "
+         "their difference overflows"),
+    ])
+    @pytest.mark.parametrize("spelling", ["pwl", "table"])
+    def test_errors_name_the_knot(self, tmp_path, spelling, rows, error,
+                                  message):
+        if spelling == "pwl":
+            text = "pwl:" + ",".join(f"{x}:{y}" for x, y in rows)
+        else:
+            path = tmp_path / "t.csv"
+            path.write_text("".join(f"{x},{y}\n" for x, y in rows))
+            text = f"table@{path}"
+        for window in (None, parse_interval("[0,1]")):
+            with pytest.raises(error) as got:
+                parse_function(text, window)
+            assert str(got.value) == message
+
+    def test_arrays_are_read_only_and_outside_equality(self):
+        f = FunctionSpec.piecewise_linear(((0.0, 1.0), (1.0, 3.0), (2, 0)))
+        assert f.knots == ((0.0, 1.0), (1.0, 3.0), (2.0, 0.0))
+        assert all(type(c) is float for knot in f.knots for c in knot)
+        assert f._kx.tolist() == [0.0, 1.0, 2.0]
+        assert f._ky.tolist() == [1.0, 3.0, 0.0]
+        for a in (f._kx, f._ky):
+            assert a.dtype == np.float64 and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 5.0
+        g = FunctionSpec.piecewise_linear(np.array(f.knots))
+        assert g == f and hash(g) == hash(f)
+        assert "_kx" not in repr(f)
+
+    def test_table_is_parsed_and_checked_once(self, tmp_path, monkeypatch):
+        # the bench's table: 20001 sine knots on [0, 2*pi] below a header
+        n, hi = 20001, 2.0 * math.pi
+        xs = [i * hi / (n - 1) for i in range(n - 1)] + [hi]
+        path = tmp_path / "sine.csv"
+        path.write_text("x,y\n" + "".join(f"{x!r},{math.sin(x)!r}\n"
+                                          for x in xs))
+        checked = []
+        knot_arrays = function_model._knot_arrays
+        monkeypatch.setattr(function_model, "_knot_arrays",
+                            lambda knots: checked.append(1) or knot_arrays(knots))
+        f = parse_function(f"table@{path}", parse_interval("[0.5,6]"))
+        assert len(checked) == 1
+        assert (f.domain.lo, f.domain.hi) == (0.5, 6.0)
+        assert f.knots == tuple((x, math.sin(x)) for x in xs)
+        kx, ky = f._kx, f._ky
+        assert not kx.flags.writeable and not ky.flags.writeable
+        # _bulk_values searches the spec's own arrays and builds none
+        seen = []
+        interp = function_model._interp_block
+        monkeypatch.setattr(function_model, "_interp_block",
+                            lambda a, b, x: seen.append((a, b)) or interp(a, b, x))
+        monkeypatch.setattr(np, "fromiter", None)
+        pts = function_model.uniform_abscissae(0.5, 6.0, 2 * BULK_BLOCK + 3)
+        first = _bulk_values(f, pts)
+        assert _bulk_values(f, pts).tobytes() == first.tobytes()
+        assert len(seen) == 6
+        assert all(a is kx and b is ky for a, b in seen)
+        assert f._kx is kx and f._ky is ky
+
+
+def reference_table(path):
+    """Table knots as csv.reader and float() read them, row by row."""
+    with open(path, newline="") as fh:
+        try:
+            rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ParseError(f"unreadable table {path}: {exc}") from exc
+    knots = []
+    for i, row in enumerate(rows):
+        try:
+            knots.append((float(row[0]), float(row[1])))
+        except (ValueError, IndexError):
+            if i > 0:  # only the first row may be a header
+                raise ParseError(f"bad table row {row!r} in {path}") from None
+    if len(knots) < 2:
+        raise ParseError(f"table {path} needs at least two rows")
+    return knots
+
+
+def _spellings(x: float):
+    """Ways to write x in a CSV cell: repr, exponents or an integer, with
+    spaces around or without."""
+    forms = [repr(x), f"{x:.17e}", f"{x:E}"]
+    if x == int(x) and abs(x) < 1e15:
+        forms.append(str(int(x)))
+    return st.sampled_from(forms).flatmap(lambda s: st.sampled_from(
+        [s, f" {s}", f"{s}  ", f"\t{s} "]))
+
+
+_CELLS = st.one_of(
+    st.floats(-1e6, 1e6).flatmap(_spellings),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["0.1", "1e-5", "-2.5E+3", "+7", "1_000", "nan", "-inf",
+                     "1e400", ".5", "5."]))
+
+#: cells float() refuses, or numpy and float() read differently
+_BAD_CELLS = st.sampled_from(
+    ["x", "", " ", "1.5.2", "0x10", "nan(1)", "1\x1c", "\x1f2", "١",
+     '"1', "1e", "--1"])
+
+_BLANK_ROWS = st.sampled_from(["", "", "  ", ",", " , ", "\t"])
+
+
+@st.composite
+def table_texts(draw):
+    """CSV text: rows of two or more cells, maybe a header, blank rows and
+    one bad row first, in the middle or last, with any line endings; in
+    half of the tables some cells are quoted."""
+    quoted = draw(st.booleans())
+
+    def cells(strategy, n):
+        out = [draw(strategy) for _ in range(n)]
+        return [f'"{c}"' if quoted and draw(st.booleans()) else c
+                for c in out]
+
+    rows = [",".join(cells(_CELLS, 2)
+                     + cells(_CELLS | _BAD_CELLS, draw(st.integers(0, 2))))
+            for _ in range(draw(st.integers(0, 8)))]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(_BLANK_ROWS))
+    if draw(st.booleans()):
+        bad = ",".join(cells(_CELLS | _BAD_CELLS, draw(st.integers(0, 3))))
+        rows.insert(draw(st.sampled_from([0, len(rows) // 2, len(rows)])),
+                    bad)
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, 1)), ",".join(
+            cells(st.sampled_from(["x", "y", "z"]), draw(st.integers(1, 3)))))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ending.join(rows)
+    if draw(st.booleans()):
+        text += ending
+    return text
+
+
+class TestLoadTable:
+    @settings(max_examples=400, deadline=None)
+    @given(table_texts())
+    def test_matches_reference_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("tables") / "t.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        try:
+            want = [(x.hex(), y.hex()) for x, y in reference_table(path)]
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                function_model._load_table(str(path))
+            assert str(got.value) == str(exc)
+            assert function_model._plain_table(str(path)) is None
+            return
+        got = function_model._load_table(str(path))
+        assert [(x.hex(), y.hex()) for x, y in got.tolist()] == want
+        # numpy's reading, where it is taken, is the csv reading
+        plain = function_model._plain_table(str(path))
+        assert plain is None or plain.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "x,y\n0,1\n0.5,2.5\n1,0\n",
+        "\r\nx,y\r\n\r\n0, 1\r\n 5e-1,\t2.5E0 \r\n\r\n1.0,0,extra\r\n",
+        "0,1\r0.5,2.5,7\r+1,-0\r",
+        "0,1\n0.5,2.5\n1,nan",
+    ])
+    def test_plain_tables_are_read_by_numpy(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        plain = function_model._plain_table(str(path))
+        assert plain is not None
+        want = [(x.hex(), y.hex()) for x, y in reference_table(path)]
+        assert [(x.hex(), y.hex()) for x, y in plain.tolist()] == want

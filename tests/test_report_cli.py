@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from contana import report_cli
 from contana.report_cli import (
     EXIT_IO,
     EXIT_OK,
@@ -228,6 +229,37 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err.startswith("parse error: ")
         assert captured.err.count("\n") == 1
+
+    def test_window_too_narrow_for_the_oracle_grid_fails_early(
+            self, capsys, monkeypatch):
+        # detection's 5- to 17-point grids are uniform near 1000, but the
+        # 2001-point worst-sum grid is not: the run stops before any
+        # certificate work and names the window and the grid
+        def no_certificate(*args, **kwargs):
+            raise AssertionError("certificate work ran")
+
+        monkeypatch.setattr(report_cli, "ac_certificate", no_certificate)
+        assert main(["analyze", "--fn", "sqrt", "--interval", "[1000,1000.1]",
+                     "--grid", "5", "--epsilon", "0.001"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "parse error: the window [1000.0,1000.1] is too narrow for a "
+            "uniform 2001-point grid (the worst-sum search needs one)\n")
+
+    @pytest.mark.parametrize("rows, message", [
+        ("x,y\n0,0\n1,nan\n2,1\n", "knots must be finite: knot 1 is (1.0, nan)"),
+        ("0,0\n1,1\n1,2\n", "knot abscissae must be strictly increasing: "
+                            "knot 1 has x = 1.0 and knot 2 has x = 1.0"),
+    ])
+    def test_bad_table_knot_named(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "t.csv"
+        path.write_text(rows)
+        assert main(["analyze", "--fn", f"table@{path}", "--interval",
+                     "[0,1]"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {message}\n"
 
     def test_missing_table_io_error(self, tmp_path, capsys):
         code = main(["analyze", "--fn", f"table@{tmp_path / 'missing.csv'}",
