@@ -186,16 +186,25 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
     omega(delta) is the largest |v_j - v_i| over grid pairs with
     x_j - x_i <= delta, compared in the abscissae's own arithmetic (float or
     exact rational), and the curve is made nondecreasing by a running
-    maximum.  Each point's window starts at the first point within delta
-    (``_window_starts``: on a uniform grid a guess from the grid step, on
-    any other grid a binary search, both corrected to the exact difference
-    test); a sparse table of maxima and minima over power-of-two blocks
-    then answers every window with two flat lookups.  The table costs
-    O(m log w) time once and 16 * m * (floor(log2 w) + 1) bytes, w being
-    the longest window at the largest delta (at most m points: about 27 MB
-    at m = 100001); the largest delta's starts are found once, for w and
-    for its own lookups.  Each delta then costs O(m) on a uniform grid and
-    O(m log m) on any other, and a few int64 index arrays of m entries.
+    maximum.  Each delta is answered on a constant lag L (``_lag``): every
+    window [s_j, j] then holds [j - L, j] for j >= L, so two contiguous
+    slices of one sparse-table row against vs[L:] answer all those windows
+    at once, with no index arrays (``max(a, b) - v == max(a - v, b - v)``
+    under rounding, so the values are those of a per-window lookup).
+    Windows clipped at the first point, [0, j] with j < L, are read from
+    one prefix array of running extremal differences.  The exceptions are
+    the points with xs[j] - xs[j - L - 1] <= delta too, ties with the grid
+    step on a uniform grid: only they get exact starts (``_window_starts``
+    on their indices) and flat ``np.take`` lookups.  On a non-uniform or
+    rational grid L is small and most points are exceptions.
+
+    Cost: the sparse table of maxima and minima over power-of-two blocks
+    takes O(m log w) time once and 16 * m * (floor(log2 w) + 1) bytes, w
+    being the longest window at the largest delta (at most m points: about
+    27 MB at m = 100001); the prefix array takes 8 * m bytes.  Each delta
+    then costs O(m) in contiguous slices, plus O(e) gathers and int64
+    arrays of e entries for its e exceptions (O(e log m) to find their
+    starts on a non-uniform grid).
     """
     ds = list(deltas)
     if not ds:
@@ -209,48 +218,103 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
         raise BudgetError(f"delta exceeds the window length {span}")
     vs = grid.values
     m = len(vs)
-    ends = np.arange(m)
-    widest_starts = _window_starts(grid, ds[-1])
-    widest = int(np.max(ends - widest_starts)) + 1
-    top, bottom = (t.ravel() for t in _block_extrema(vs, widest.bit_length()))
+    widest_lag, widest_ends = _lag(grid, ds[-1])
+    widest_starts = _window_starts(grid, ds[-1], widest_ends)
+    widest = max(widest_lag,
+                 int(np.max(widest_ends - widest_starts, initial=0))) + 1
+    top, bottom = _block_extrema(vs, widest.bit_length())
+    flat_top, flat_bottom = top.ravel(), bottom.ravel()
+    prefix = np.maximum(np.maximum.accumulate(vs) - vs,
+                        vs - np.minimum.accumulate(vs))
+    np.maximum.accumulate(prefix, out=prefix)
     best = 0.0
     samples = []
     for d in ds:
-        starts = widest_starts if d == ds[-1] else _window_starts(grid, d)
-        level = np.frexp(ends - starts + 1)[1] - 1  # floor(log2(length))
-        tail = ends + 1 - (1 << level)
-        head = np.multiply(level, m, dtype=np.int64)  # flat offset of the row
-        tail += head
-        head += starts
-        hi = np.maximum(np.take(top, head), np.take(top, tail))
-        lo = np.minimum(np.take(bottom, head), np.take(bottom, tail))
-        best = max(best, float(np.max(hi - vs)), float(np.max(vs - lo)))
+        if d == ds[-1]:
+            lag, ends, starts = widest_lag, widest_ends, widest_starts
+        else:
+            lag, ends = _lag(grid, d)
+            starts = _window_starts(grid, d, ends)
+        # windows [j - lag, j] for j >= lag: the blocks of row `level` at
+        # columns j - lag and j - lag + shift, i.e. two contiguous slices
+        level = (lag + 1).bit_length() - 1
+        shift = lag + 1 - (1 << level)
+        n = m - lag
+        v = vs[lag:]
+        hi = np.maximum(top[level, :n], top[level, shift:shift + n])
+        lo = np.minimum(bottom[level, :n], bottom[level, shift:shift + n])
+        found = [(hi - v).max(), (v - lo).max()]
+        if lag:  # windows [0, j] for j < lag
+            found.append(prefix[lag - 1])
+        if len(ends):
+            level = np.frexp(ends - starts + 1)[1] - 1  # floor(log2(length))
+            tail = ends + 1 - (1 << level)
+            head = np.multiply(level, m, dtype=np.int64)  # flat row offset
+            tail += head
+            head += starts
+            hi = np.maximum(np.take(flat_top, head), np.take(flat_top, tail))
+            lo = np.minimum(np.take(flat_bottom, head),
+                            np.take(flat_bottom, tail))
+            v = vs[ends]
+            found += [(hi - v).max(), (v - lo).max()]
+        best = max(best, *map(float, found))
         samples.append((d, best))
     return ModulusCurve(tuple(samples))
 
 
-def _window_starts(grid: SampleGrid, delta) -> np.ndarray:
-    """For every j, the smallest i with xs[j] - xs[i] <= delta.
+def _lag(grid: SampleGrid, delta) -> tuple:
+    """A lag L with xs[j] - xs[j - L] <= delta for every j >= L, and the
+    exceptions: the indices j > L with xs[j] - xs[j - L - 1] <= delta as
+    well, whose windows reach further back than L points.
 
-    On a uniform grid (``SampleGrid.uniform``) the first guess is
-    j - floor(delta / h), clipped at 0, with h = span / (m - 1), in O(m);
-    on any other grid it is ``searchsorted`` on xs[i] >= xs[j] - delta, in
-    O(m log m).  Either guess may be off, the binary search's because
-    xs[j] - delta rounds differently from xs[j] - xs[i].  The loops then
-    step each start to the exact boundary of the difference test, which is
-    monotone in i; each pass moves a start by one point, so they run as
-    many passes as the guess is off, a point or two on a uniform grid.
+    L is guessed as floor(delta / h) on a uniform grid (h = span / (m - 1))
+    and floor(delta / spacing) on any other, and stepped down while some
+    difference at that lag exceeds delta: one contiguous slice test per
+    step.  On a uniform grid L is the largest such lag, unless delta / h
+    rounds to just below an integer, and the exceptions are ties with the
+    grid step; on a non-uniform grid L is smaller and most points are
+    exceptions.
     """
     xs = grid.abscissae
     m = len(xs)
+    step = grid.span / (m - 1) if grid.uniform else grid.spacing
+    lag = min(math.floor(delta / step), m - 1)
+    while lag and (xs[lag:] - xs[:m - lag]).max() > delta:
+        lag -= 1
+    if lag < m - 1:
+        reach = xs[lag + 1:] - xs[:m - lag - 1]
+        if reach.min() <= delta:
+            return lag, np.flatnonzero(reach <= delta) + (lag + 1)
+    return lag, np.empty(0, dtype=np.intp)
+
+
+def _window_starts(grid: SampleGrid, delta, ends=None) -> np.ndarray:
+    """For every j in ``ends`` (default: every index), the smallest i with
+    xs[j] - xs[i] <= delta.
+
+    On a uniform grid (``SampleGrid.uniform``) the first guess is
+    j - floor(delta / h), clipped at 0, with h = span / (m - 1), in O(e)
+    for e ends; on any other grid it is ``searchsorted`` on
+    xs[i] >= xs[j] - delta, in O(e log m).  Either guess may be off, the
+    binary search's because xs[j] - delta rounds differently from
+    xs[j] - xs[i].  The loops then step each start to the exact boundary of
+    the difference test, which is monotone in i; each pass moves a start by
+    one point, so they run as many passes as the guess is off, a point or
+    two on a uniform grid.
+    """
+    xs = grid.abscissae
+    m = len(xs)
+    if ends is None:
+        ends = np.arange(m)
+    ys = xs[ends]
     if grid.uniform:
-        starts = np.arange(m) - math.floor(delta / (grid.span / (m - 1)))
+        starts = ends - math.floor(delta / (grid.span / (m - 1)))
         np.maximum(starts, 0, out=starts)
     else:
-        starts = np.searchsorted(xs, xs - delta)
-    while (down := (starts > 0) & (xs - xs[starts - 1] <= delta)).any():
+        starts = np.searchsorted(xs, ys - delta)
+    while (down := (starts > 0) & (ys - xs[starts - 1] <= delta)).any():
         starts -= down
-    while (up := xs - xs[starts] > delta).any():
+    while (up := ys - xs[starts] > delta).any():
         starts += up
     return starts
 

@@ -176,7 +176,10 @@ def detect_partition(grid: SampleGrid):
     signs[d2 < -band] = -1
 
     # runs of nonzero sign over interior grid indices 1..m-2
-    runs = [(s, first + 1, last + 1) for s, first, last in _sign_runs(signs)]
+    runs = _sign_runs(signs, DEFAULT_MAX_PIECES)
+    if isinstance(runs, int):
+        return NotPiecewiseConvex(sign_change_count=runs - 1)
+    runs = [(s, first + 1, last + 1) for s, first, last in runs]
 
     m = len(grid)
     tol = float(grid.spacing)
@@ -188,8 +191,6 @@ def detect_partition(grid: SampleGrid):
         return PiecewiseConvexPartition(shapes=(shape,), sign_change_count=0)
 
     sign_changes = len(runs) - 1
-    if len(runs) > DEFAULT_MAX_PIECES:
-        return NotPiecewiseConvex(sign_change_count=sign_changes)
 
     boundaries = [0]
     for left, right in zip(runs, runs[1:]):
@@ -207,11 +208,17 @@ def detect_partition(grid: SampleGrid):
                                     sign_change_count=sign_changes)
 
 
-def _sign_runs(signs: np.ndarray) -> list:
-    """Maximal runs of equal nonzero signs, zeros skipped: (sign, first, last)."""
+def _sign_runs(signs: np.ndarray, max_runs: int | None = None):
+    """Maximal runs of equal nonzero signs, zeros skipped: (sign, first, last).
+
+    With ``max_runs``, more runs than that are counted and not listed: the
+    result is then their number.
+    """
     nonzero = np.flatnonzero(signs)
     run_signs = signs[nonzero]
     firsts = np.flatnonzero(np.diff(run_signs, prepend=0))
+    if max_runs is not None and len(firsts) > max_runs:
+        return len(firsts)
     lasts = np.append(firsts[1:] - 1, len(nonzero) - 1)
     return [(int(run_signs[a]), int(nonzero[a]), int(nonzero[b]))
             for a, b in zip(firsts, lasts)]

@@ -164,8 +164,9 @@ class FunctionSpec:
     for polynomials (ascending degree, so the affine map a*x + b is
     ``(b, a)``) and ``knots`` for piecewise linear data (sampled tables
     included).  ``knots`` may be given as (x, y) pairs or an (n, 2) array;
-    the spec keeps them as a tuple of float pairs, and as the read-only
-    arrays ``_kx`` and ``_ky`` for bulk evaluation.
+    the spec keeps them as a tuple of float pairs, as the read-only arrays
+    ``_kx`` and ``_ky`` for bulk evaluation, and their abscissae as the
+    tuple ``_kx_tuple`` for scalar bisection.
     """
 
     kind: str
@@ -177,6 +178,9 @@ class FunctionSpec:
                                    repr=False)
     _ky: np.ndarray | None = field(default=None, init=False, compare=False,
                                    repr=False)
+    #: the knots' abscissae as a tuple of floats (kind pwl)
+    _kx_tuple: tuple = field(default=(), init=False, compare=False,
+                             repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -197,8 +201,9 @@ class FunctionSpec:
                   else _knot_arrays(self.knots))
             if d.lo < ks.x[0] or d.hi > ks.x[-1]:
                 raise KindError("domain must lie within the knot span")
-            object.__setattr__(self, "knots",
-                               tuple(zip(ks.x.tolist(), ks.y.tolist())))
+            xs = tuple(ks.x.tolist())
+            object.__setattr__(self, "knots", tuple(zip(xs, ks.y.tolist())))
+            object.__setattr__(self, "_kx_tuple", xs)
             object.__setattr__(self, "_kx", ks.x)
             object.__setattr__(self, "_ky", ks.y)
 
@@ -344,14 +349,14 @@ def evaluate(f: FunctionSpec, x) -> float:
             acc = acc * xf + c
         return acc
     if kind == PWL:
-        return _interp_knots(f.knots, float(x))
+        return _interp_knots(f.knots, f._kx_tuple, float(x))
     raise KindError(f"unknown function kind {kind!r}")
 
 
-def _interp_knots(knots, x: float) -> float:
-    # domain validation guarantees knots[0][0] <= x <= knots[-1][0]
-    idx = bisect_right(knots, x, key=lambda kv: kv[0])
-    if idx > 0 and knots[idx - 1][0] == x:
+def _interp_knots(knots, kx: tuple, x: float) -> float:
+    # domain validation guarantees kx[0] <= x <= kx[-1]
+    idx = bisect_right(kx, x)
+    if idx > 0 and kx[idx - 1] == x:
         return knots[idx - 1][1]
     x0, y0 = knots[idx - 1]
     x1, y1 = knots[idx]

@@ -74,6 +74,45 @@ def omega_pair_scan(grid, delta):
     return best
 
 
+def modulus_per_window(grid, deltas):
+    """The per-window modulus kernel that the constant-lag kernel replaced:
+    exact starts for every point, then two sparse-table lookups per window."""
+    xs, vs = grid.abscissae, grid.values
+    m = len(vs)
+    ends = np.arange(m)
+
+    def window_starts(delta):
+        if grid.uniform:
+            starts = ends - math.floor(delta / (grid.span / (m - 1)))
+            np.maximum(starts, 0, out=starts)
+        else:
+            starts = np.searchsorted(xs, xs - delta)
+        while (down := (starts > 0) & (xs - xs[starts - 1] <= delta)).any():
+            starts -= down
+        while (up := xs - xs[starts] > delta).any():
+            starts += up
+        return starts
+
+    levels = int(np.max(ends - window_starts(deltas[-1])) + 1).bit_length()
+    top, bottom = np.empty((levels, m)), np.empty((levels, m))
+    top[0] = bottom[0] = vs
+    for k in range(1, levels):
+        half = 1 << (k - 1)
+        np.maximum(top[k - 1, :-half], top[k - 1, half:], out=top[k, :-half])
+        np.minimum(bottom[k - 1, :-half], bottom[k - 1, half:],
+                   out=bottom[k, :-half])
+    best, samples = 0.0, []
+    for d in deltas:
+        starts = window_starts(d)
+        level = np.frexp(ends - starts + 1)[1] - 1
+        tail = ends + 1 - (1 << level)
+        hi = np.maximum(top[level, starts], top[level, tail])
+        lo = np.minimum(bottom[level, starts], bottom[level, tail])
+        best = max(best, float(np.max(hi - vs)), float(np.max(vs - lo)))
+        samples.append((d, best))
+    return tuple(samples)
+
+
 def brute_force_worst_sum(values, units, k_max):
     """Exhaustive search over grid-aligned collections on a tiny grid."""
     m = len(values)
@@ -254,11 +293,17 @@ class TestModulus:
         """The defining property of every start s_j: xs[j] - xs[s_j] <= delta,
         and s_j == 0 or xs[j] - xs[s_j - 1] > delta."""
         xs = grid.abscissae
+        subset = np.unique(np.random.default_rng(len(xs)).integers(
+            0, len(xs), 200))
         for d in deltas:
             s = _window_starts(grid, d)
             assert np.all(xs - xs[s] <= d), d
             inner = s > 0
             assert np.all(xs[inner] - xs[s[inner] - 1] > d), d
+            # the index-subset form finds the same starts
+            for ends in (subset, np.arange(len(xs) - 1, len(xs)),
+                         np.empty(0, dtype=np.intp)):
+                assert np.array_equal(_window_starts(grid, d, ends), s[ends]), d
 
     @staticmethod
     def ladder_with_neighbours(grid):
@@ -321,6 +366,98 @@ class TestModulus:
         for d, w in curve.samples:
             running = max(running, omega_pair_scan(grid, d))
             assert w == running, d
+
+
+class TestConstantLagKernel:
+    """modulus_on_grid against the per-window kernel, bit for bit, where the
+    lag test is decided by rounding: deltas on and next to multiples of the
+    grid step (most points are then exceptions) and far from zero."""
+
+    @staticmethod
+    def tie_deltas(grid):
+        m, span = len(grid), grid.span
+        h = span / (m - 1)
+        ladder = [d for d, _ in _modulus_curve(grid).samples]
+        near = {e for d in ladder for e in (math.nextafter(d, 0.0), d,
+                                            math.nextafter(d, math.inf))}
+        near |= {min(k * h, span) for k in (1, 2, 3, 7, 1000, m - 1)}
+        return sorted(d for d in near if d <= span)
+
+    def assert_matches_reference(self, grid, deltas):
+        assert modulus_on_grid(grid, deltas).samples == \
+            modulus_per_window(grid, deltas)
+        for d in deltas[:4] + deltas[-2:]:
+            assert modulus_on_grid(grid, [d]).samples == \
+                modulus_per_window(grid, [d])
+
+    @pytest.mark.parametrize("m", [20000, 20001, 25001, 100001])
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (1e6, 1e6 + 1e-3)])
+    def test_uniform_ties(self, m, lo, hi):
+        rng = np.random.default_rng(m)
+        grid = SampleGrid(uniform_abscissae(lo, hi, m), rng.standard_normal(m))
+        self.assert_matches_reference(grid, self.tie_deltas(grid))
+
+    @pytest.mark.parametrize("m", [20001, 100001])
+    def test_oscillating_values(self, m):
+        f = FunctionSpec.x_squared_sin_inv(IntervalSpec(0.0, 1.0))
+        grid = sample(f, IntervalSpec(0.0, 1.0), m)
+        self.assert_matches_reference(grid, self.tie_deltas(grid))
+
+    def test_geometric_grid(self):
+        m = 100001
+        grid = SampleGrid(np.geomspace(1e-6, 1.0, m),
+                          np.random.default_rng(3).standard_normal(m))
+        assert not grid.uniform
+        self.assert_matches_reference(grid, self.tie_deltas(grid))
+
+    def test_fraction_grids(self):
+        tiny = Fraction(1, 10 ** 9)
+        uniform = SampleGrid([Fraction(k, 3000) for k in range(3001)],
+                             np.random.default_rng(4).standard_normal(3001))
+        self.assert_matches_reference(uniform, [
+            e for k in (1, 2, 17, 1000, 2999)
+            for e in (Fraction(k, 3000) - tiny, Fraction(k, 3000),
+                      Fraction(k, 3000) + tiny)] + [Fraction(1)])
+        f = catalog.cantor_on_unit()
+        ends = sorted({x for pair in catalog.cantor_stage_cover(7).pairs
+                       for x in pair})
+        cantor = SampleGrid.from_abscissae(f, ends)
+        self.assert_matches_reference(cantor, [Fraction(1, 3 ** k) + e
+                                               for k in range(7, 0, -1)
+                                               for e in (-tiny, 0, tiny)])
+
+    def test_no_gathers_off_the_grid_step(self, monkeypatch):
+        # deltas between multiples of h: every window has the constant lag,
+        # so no exception index is built and nothing is gathered
+        m = 25001
+        grid = SampleGrid(uniform_abscissae(0.0, 1.0, m),
+                          np.random.default_rng(5).standard_normal(m))
+        h = grid.span / (m - 1)
+        deltas = [(k + 0.5) * h for k in (0, 1, 2, 7, 100, 5000, m - 2)]
+        expected = modulus_per_window(grid, deltas)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exception path taken")
+
+        monkeypatch.setattr(np, "take", forbidden)
+        monkeypatch.setattr(np, "flatnonzero", forbidden)
+        assert modulus_on_grid(grid, deltas).samples == expected
+
+    @pytest.mark.parametrize("xs", [uniform_abscissae(0.0, 1.0, 20001),
+                                    np.geomspace(1e-6, 1.0, 20001)])
+    def test_lag_and_exceptions(self, xs):
+        m = len(xs)
+        grid = SampleGrid(xs, np.zeros(m))
+        for d in self.tie_deltas(grid) + [2.5 * grid.span / (m - 1)]:
+            lag, ends = continuity._lag(grid, d)
+            assert np.all(xs[lag:] - xs[:m - lag] <= d)
+            if lag < m - 1:
+                reach = np.flatnonzero(xs[lag + 1:] - xs[:m - lag - 1] <= d)
+                assert np.array_equal(ends, reach + lag + 1)
+                if grid.uniform:
+                    assert len(ends) < m - lag - 1  # the largest lag
+            else:
+                assert len(ends) == 0
 
 
 class TestGluingBound:

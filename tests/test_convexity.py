@@ -16,6 +16,7 @@ from contana import (
     Monotonicity,
     NotPiecewiseConvex,
     PiecewiseConvexPartition,
+    SampleGrid,
     Shape,
     ShapePiece,
     ShapeError,
@@ -116,6 +117,31 @@ class TestDetectPartition:
     def test_sign_runs_match_scalar_scan(self, signs):
         assert _sign_runs(np.array(signs, dtype=np.int8)) == \
             sign_runs_loop(signs)
+
+    @given(st.lists(st.sampled_from([-1, 0, 1]), max_size=400),
+           st.integers(0, 80))
+    def test_sign_runs_beyond_the_limit_are_counted(self, signs, max_runs):
+        runs = sign_runs_loop(signs)
+        got = _sign_runs(np.array(signs, dtype=np.int8), max_runs)
+        assert got == (len(runs) if len(runs) > max_runs else runs)
+
+    @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=400))
+    def test_verdict_from_run_count(self, signs):
+        # integer values whose second differences are exactly `signs`
+        d2 = np.array(signs, dtype=float)
+        vs = np.concatenate(([0.0, 0.0], np.cumsum(np.cumsum(d2))))
+        vs += np.arange(len(vs))
+        result = detect_partition(SampleGrid(np.arange(len(vs), dtype=float),
+                                             vs))
+        runs = sign_runs_loop(signs)
+        assert result.sign_change_count == max(len(runs) - 1, 0)
+        if len(runs) > DEFAULT_MAX_PIECES:
+            assert isinstance(result, NotPiecewiseConvex)
+        else:
+            assert isinstance(result, PiecewiseConvexPartition)
+            assert [p.shape for p in result.shapes] == (
+                [Shape.CONVEX if s > 0 else Shape.CONCAVE for s, _, _ in runs]
+                or [Shape.AFFINE])
 
 
 class TestMonotonePartition:
