@@ -65,10 +65,6 @@ BOUND_SLACK = 1e-9
 #: trials per block of verify_certificate's random attack; bounds its memory
 VERIFY_BLOCK = 4096
 
-#: 64-bit draws one random trial uses at most: the total, then 16 width and
-#: 17 gap uniforms (a trial of 1..8 pairs uses at most 1 + 1 + 8 + 9)
-_RAW_PER_TRIAL = 34
-
 
 class Anchor(str, Enum):
     LEFT = "LeftAnchored"
@@ -828,7 +824,10 @@ def _increment_step(f: FunctionSpec, piece: ShapePiece, budget: float) -> float:
             a = mid
         else:
             b = mid
-    if a == 0.0:
+    # below float resolution at the anchor (a = 0 included) the increment
+    # tested was that of a degenerate interval, a rounded 0
+    x, y = _favourable_interval(piece, a)
+    if not x < y:
         raise Unachievable(
             f"no positive step keeps the anchored increment on "
             f"[{lo}, {hi}] below {budget}")
@@ -842,13 +841,12 @@ def verify_certificate(f: FunctionSpec, cert: Certificate, trials: int = 10000,
     Adversarial collections anchor the budget at the favourable end of each
     piece, as one interval and as 2, 4 and 8 parts.  Then ``trials`` random
     collections mix many-small-interval and single-interval shapes: trial t
-    draws, from ``np.random.default_rng(seed)``, n pairs (1 + integers(0, 8),
-    or 16, or 1, by t mod 5) and their total, then ``random_collection``'s
-    n width and n + 1 gap uniforms.  ``_random_blocks`` reads that same
-    stream as raw 64-bit words and lays out every trial of a block at once,
-    bit for bit the collections a loop over ``random_collection`` would
-    draw.  Every sum is the exact ``math.fsum`` of the pair increments,
-    equal to ``ac_sum``; the first strictly largest one is the worst so far.
+    is one row of 35 uniforms from ``np.random.default_rng(seed)``, which
+    gives its pair count (1 to 8, or 16, or 1, by t mod 5), its total and
+    its widths and gaps, and ``_random_blocks`` lays out every trial of a
+    block at once.  Every sum is the exact ``math.fsum`` of the pair
+    increments, equal to ``ac_sum``; the first strictly largest one is the
+    worst so far.
 
     The worst-sum oracle searches a grid sized so the budget spans about
     128 units, but only when it can win: its answer never exceeds the grid's
@@ -858,8 +856,8 @@ def verify_certificate(f: FunctionSpec, cert: Certificate, trials: int = 10000,
     raises nothing, such as the DP's state-space BudgetError.
 
     Passes iff the worst sum stays below epsilon.  The random attack works
-    in blocks of VERIFY_BLOCK trials and holds at most about 4 KB per trial
-    of a block, ~16 MB at 4096 trials, on top of the oracle's grid.
+    in blocks of VERIFY_BLOCK trials and holds at most about 3 KB per trial
+    of a block, ~12 MB at 4096 trials, on top of the oracle's grid.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -911,8 +909,10 @@ def verify_certificate(f: FunctionSpec, cert: Certificate, trials: int = 10000,
     if winner is not None:
         worst_c = IntervalCollection(winner)
 
-    m_target = int(span / (d1 / 128.0)) + 1
-    m = max(257, min(8193, m_target))
+    # about 128 grid steps per budget, sized in float: a subnormal d1 makes
+    # span / h infinite, or h itself 0
+    h = d1 / 128.0
+    m = max(257, int(min(8192.0, span / h if h > 0 else math.inf)) + 1)
     grid = sample(f, IntervalSpec(lo, hi), m)
     if d1 > grid.spacing:
         bound = _step_bound(grid, d1)[2]
@@ -928,73 +928,41 @@ def verify_certificate(f: FunctionSpec, cert: Certificate, trials: int = 10000,
 def _random_blocks(f: FunctionSpec, rng, lo, hi, d1, trials: int):
     """Yield (sums, rows) for each block of random trials that draws any.
 
-    Trial t takes its pair count n by t mod 5 (3: one pair, 4: sixteen,
-    else 1 + integers(0, 8)) and its total from one ``random()``, scaled
-    into [0.9, 0.999), [0.5, 0.95) or [0.3, 0.99) times d1 and capped at
-    half the span (a trial whose total is not positive draws nothing more),
-    then n width and n + 1 gap uniforms, as ``random_collection`` does.
-    sums[i] is the i-th drawing trial's increment sum, the exact
-    ``math.fsum`` of its pair increments (so it equals ``ac_sum``); rows
-    holds (positions, x, y, keep) per pair count as ``_collection_rows``
-    returns them, positions being the indices into sums (``_row_pairs``).
-
-    The draws are read from rng's bit generator as raw 64-bit words, in the
-    generator's own order.  ``random()`` is (word >> 11) * 2**-53.
-    ``integers(0, 8)`` scales one uint32 by Lemire's method, which rejects
-    nothing for a range of 8, so it is the uint32's top three bits; PCG64
-    serves uint32s as the low half of a fresh word and then the held high
-    half of that word, whatever was drawn in between.  A scalar walk over
-    the block's trials finds each trial's n, total and first uniform, and
-    every trial with the same n is laid out at once; one ``evaluate_many``
-    call evaluates the block's kept endpoints.  The unused words and the
-    held half carry over to the next block.  Per trial a block holds 34
-    words and their uniforms, the gathered width and gap rows, the walk
-    and its positions, and the kept endpoints and their values: under 4 KB.
+    Trial t is one row u of 35 uniforms; a block of VERIFY_BLOCK trials
+    draws its rows with one ``rng.random`` call, so the trials depend on
+    rng and trials only, not on the block size.  By t mod 5 the trial has
+    one pair (3), sixteen (4) or 1 + floor(8 u[0]) (else), and its total is
+    d1 times 0.9 + 0.099 u[1], 0.5 + 0.45 u[1] or 0.3 + 0.69 u[1], capped
+    at half the span; a trial whose total is not positive draws nothing.
+    Its n width and n + 1 gap uniforms are u[2:2n + 3], and every trial
+    with the same n is laid out at once by ``_collection_rows``; one
+    ``evaluate_many`` call evaluates the block's kept endpoints.  sums[i]
+    is the i-th drawing trial's increment sum, the exact ``math.fsum`` of
+    its pair increments (so it equals ``ac_sum``); rows holds (positions,
+    x, y, keep) per pair count as ``_collection_rows`` returns them,
+    positions being the indices into sums (``_row_pairs``).  Per trial a
+    block holds its 35 uniforms, the gathered width and gap rows, the walk
+    and its positions, and the kept endpoints and their values: under 3 KB.
     """
-    bits = rng.bit_generator
     half_span = (hi - lo) * 0.5
-    raw = np.empty(0, np.uint64)
-    held = None  # the pair count in the held high uint32 half
     for t0 in range(0, trials, VERIFY_BLOCK):
-        t1 = min(trials, t0 + VERIFY_BLOCK)
-        need = _RAW_PER_TRIAL * (t1 - t0) - len(raw)
-        if need > 0:
-            raw = np.concatenate([raw, bits.random_raw(need)])
-        uniform = (raw >> 11).astype(float) * 2.0 ** -53
-        counts, totals, firsts = [], [], []
-        c = 0
-        for t in range(t0, t1):
-            mode = t % 5
-            if mode == 3:
-                n, base, scale = 1, 0.9, 0.099
-            elif mode == 4:
-                n, base, scale = 16, 0.5, 0.45
-            else:
-                if held is None:
-                    word = int(raw[c])
-                    n, held = 1 + ((word & 0xFFFFFFFF) >> 29), 1 + (word >> 61)
-                    c += 1
-                else:
-                    n, held = held, None
-                base, scale = 0.3, 0.69
-            total = min(d1 * (base + scale * float(uniform[c])), half_span)
-            c += 1
-            if total <= 0:
-                continue
-            counts.append(n)
-            totals.append(total)
-            firsts.append(c)
-            c += 2 * n + 1
-        raw = raw[c:]
-        if not counts:
+        mode = np.arange(t0, min(trials, t0 + VERIFY_BLOCK)) % 5
+        u = rng.random((len(mode), 35))  # 2 + 16 widths + 17 gaps
+        counts = np.where(mode < 3, 1 + (8.0 * u[:, 0]).astype(np.int64),
+                          np.array([0, 0, 0, 1, 16])[mode])
+        base = np.array([0.3, 0.3, 0.3, 0.9, 0.5])[mode]
+        scale = np.array([0.69, 0.69, 0.69, 0.099, 0.45])[mode]
+        totals = np.minimum(d1 * (base + scale * u[:, 1]), half_span)
+        live = np.flatnonzero(totals > 0)
+        if not len(live):
             continue
-        counts, totals, firsts = (np.array(a) for a in (counts, totals, firsts))
+        counts, totals = counts[live], totals[live]
         rows = []
         for n in np.unique(counts).tolist():
             at = np.flatnonzero(counts == n)
-            w = uniform[firsts[at, None] + np.arange(n)]
-            g = uniform[firsts[at, None] + np.arange(n, 2 * n + 1)]
-            rows.append((at,) + _collection_rows(w, g, totals[at], lo, hi))
+            r = live[at]
+            rows.append((at,) + _collection_rows(
+                u[r, 2:n + 2], u[r, n + 2:2 * n + 3], totals[at], lo, hi))
         ends = np.concatenate([x[keep] for _, x, _, keep in rows]
                               + [y[keep] for _, _, y, keep in rows])
         v = evaluate_many(f, ends)

@@ -839,6 +839,12 @@ class TestCertificates:
         # a jump at float resolution: every positive step overshoots
         with pytest.raises(Unachievable):
             certify(5e-324)
+        # steps below the resolution at -1e150 leave lo + a == lo: the
+        # increment tested is a rounded 0, not a certified one
+        f = FunctionSpec.polynomial((0.0, 0.0, 1.0),
+                                    IntervalSpec(-1e150, 1e150))
+        with pytest.raises(Unachievable, match=r"\[-1e\+150, "):
+            ac_certificate(f, monotone_partition(f, 501).pieces, 0.1)
 
     def test_certificate_bound_is_semantic(self):
         # the certified guarantee: every collection under the budget stays
@@ -933,39 +939,26 @@ class TestRandomCollection:
                 assert 0.25 <= x < y <= 1.5
 
 
-def scalar_trials(rng, lo, hi, d1, trials):
-    """The random trials of verify_certificate drawn one by one: each
-    trial's pair count and total from rng, then random_collection."""
+def row_trials(seed, lo, hi, d1, trials):
+    """The pairs of the random trials as they are defined, decoded and laid
+    out one at a time: trial t is row t of one rng.random((trials, 35))."""
     out = []
-    for t in range(trials):
+    for t, row in enumerate(
+            np.random.default_rng(seed).random((trials, 35)).tolist()):
         mode = t % 5
-        if mode == 3:
-            n = 1
-            total = d1 * (0.9 + 0.099 * rng.random())
-        elif mode == 4:
-            n = 16
-            total = d1 * (0.5 + 0.45 * rng.random())
-        else:
-            n = 1 + int(rng.integers(0, 8))
-            total = d1 * (0.3 + 0.69 * rng.random())
-        total = min(total, (hi - lo) * 0.5)
+        n = 1 + int(8 * row[0]) if mode < 3 else (1, 16)[mode - 3]
+        base, scale = (((0.3, 0.69),) * 3 + ((0.9, 0.099), (0.5, 0.45)))[mode]
+        total = min(d1 * (base + scale * row[1]), (hi - lo) * 0.5)
         if total <= 0:
             continue
-        out.append(random_collection(rng, lo, hi, total, n))
+        x, y, keep = continuity._collection_rows(
+            np.array([row[2:n + 2]]), np.array([row[n + 2:2 * n + 3]]),
+            np.array([total]), lo, hi)
+        out.append(tuple(zip(x[keep].tolist(), y[keep].tolist())))
     return out
 
 
-def scalar_blocks(f, rng, lo, hi, d1, trials):
-    """_random_blocks as one block of scalar_trials, summed by ac_sum."""
-    cs = scalar_trials(rng, lo, hi, d1, trials)
-    if cs:
-        yield np.array([ac_sum(f, c) for c in cs]), [
-            (np.array([i]), np.array([[x for x, _ in c.pairs]]),
-             np.array([[y for _, y in c.pairs]]), np.ones((1, len(c)), bool))
-            for i, c in enumerate(cs)]
-
-
-def batched_trials(f, seed, lo, hi, d1, trials):
+def drawn_trials(f, seed, lo, hi, d1, trials):
     """(pairs, sum) of every trial that _random_blocks draws, in order."""
     out = []
     for sums, rows in continuity._random_blocks(
@@ -992,55 +985,51 @@ ZIGZAG = FunctionSpec.piecewise_linear(
 
 
 class TestRandomAttack:
-    """The batched random attack against random_collection drawn trial by
-    trial, and the skipped worst-sum oracle against the one that runs."""
+    """The batched random attack against its trials decoded one by one,
+    and the skipped worst-sum oracle against the one that runs."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), lo=st.floats(-1e3, 1e3),
            span=st.floats(1e-3, 1e3), exponent=st.floats(-15.0, 0.5),
-           trials=st.integers(1, 40), block=st.integers(1, 12))
-    @example(seed=3, lo=0.0, span=1.0, exponent=0.5, trials=12, block=5)
-    @example(seed=4, lo=-2.0, span=3.0, exponent=-11.8, trials=20, block=7)
-    def test_batched_pairs_match_scalar_loop(self, seed, lo, span, exponent,
-                                             trials, block):
-        # blocks of a few trials carry the raw words and the held uint32
-        # half across every boundary; exponent 0.5 makes d1 > span, so the
-        # total is capped at span * 0.5, and near -12 some or all pairs are
-        # no longer than the 1e-13 * span floor and are dropped
+           trials=st.integers(1, 40))
+    @example(seed=3, lo=0.0, span=1.0, exponent=0.5, trials=12)
+    @example(seed=2, lo=-2.0, span=3.0, exponent=-11.8, trials=20)
+    def test_trials_are_rows_of_one_draw(self, seed, lo, span, exponent,
+                                         trials):
+        # blocks of 1 and 7 trials split the draw at every boundary and
+        # give the trials, sums and report of one block; exponent 0.5
+        # makes d1 > span, so the total is capped at span * 0.5, and near
+        # -12 some or all pairs are no longer than the 1e-13 * span floor
+        # and are dropped
         hi = lo + span
         d1 = span * 10.0 ** exponent
         f = FunctionSpec.polynomial((0.25, -1.0, 0.5, 0.125),
                                     IntervalSpec(lo, hi))
-        want = scalar_trials(np.random.default_rng(seed), lo, hi, d1, trials)
-        with mock.patch.object(continuity, "VERIFY_BLOCK", block):
-            got = batched_trials(f, seed, lo, hi, d1, trials)
-            report = verification(f, lo, hi, d1, trials, seed)
-        assert [pairs for pairs, _ in got] == [c.pairs for c in want]
-        for (_, s), c in zip(got, want):
-            assert s.hex() == ac_sum(f, c).hex()
-        with mock.patch.object(continuity, "_random_blocks", scalar_blocks):
-            reference = verification(f, lo, hi, d1, trials, seed)
-        assert report == reference
-        if isinstance(report, VerificationReport):
-            assert report.worst_sum.hex() == reference.worst_sum.hex()
+        want = row_trials(seed, lo, hi, d1, trials)
+        reports = []
+        for block in (1, 7, 4096):
+            with mock.patch.object(continuity, "VERIFY_BLOCK", block):
+                got = drawn_trials(f, seed, lo, hi, d1, trials)
+                reports.append(verification(f, lo, hi, d1, trials, seed))
+            assert [pairs for pairs, _ in got] == want
+            for pairs, s in got:
+                assert s.hex() == ac_sum(f, IntervalCollection(pairs)).hex()
+        assert reports[0] == reports[1] == reports[2]
+        if isinstance(reports[0], VerificationReport):
+            assert len({r.worst_sum.hex() for r in reports}) == 1
 
     def test_stream_cases_are_covered(self):
         # the explicit examples above reach every branch of the layout:
-        # both uint32 halves of one raw word are pair counts,
-        rng = np.random.default_rng(3)
-        word = int(np.random.default_rng(3).bit_generator.random_raw())
-        assert [int(rng.integers(0, 8)) for _ in range(2)] == [
-            word >> 29 & 7, word >> 61]
         # sixteen pairs, and totals capped at half the span,
-        pairs = [p for p, _ in batched_trials(catalog.sqrt_on_unit(), 3,
-                                              0.0, 1.0, 10.0 ** 0.5, 12)]
+        pairs = [p for p, _ in drawn_trials(catalog.sqrt_on_unit(), 3,
+                                            0.0, 1.0, 10.0 ** 0.5, 12)]
         assert len(pairs[4]) == 16
         assert all(float(IntervalCollection(p).total_length) <= 0.5 + 1e-12
                    for p in pairs)
         # and sixteen-pair trials with some or all pairs dropped
         f = FunctionSpec.polynomial((0.0, 1.0), IntervalSpec(-2.0, 1.0))
-        sixteen = [p for p, _ in batched_trials(f, 4, -2.0, 1.0,
-                                                3.0 * 10.0 ** -11.8, 20)][4::5]
+        sixteen = [p for p, _ in drawn_trials(f, 2, -2.0, 1.0,
+                                              3.0 * 10.0 ** -11.8, 20)][4::5]
         assert any(len(p) == 0 for p in sixteen)
         assert any(0 < len(p) < 16 for p in sixteen)
 
@@ -1125,7 +1114,7 @@ class TestRandomAttack:
         assert bulk.call_count == 1 + 4
 
     def test_block_memory_within_stated_bound(self):
-        # under 4 KB per trial of a block
+        # under 3 KB per trial of a block
         f = catalog.sqrt_on_unit()
         trials = continuity.VERIFY_BLOCK
         tracemalloc.start()
@@ -1136,4 +1125,4 @@ class TestRandomAttack:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4096 * trials
+        assert peak <= 3072 * trials

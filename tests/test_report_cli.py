@@ -14,6 +14,7 @@ from contana.report_cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_UNACHIEVABLE,
     EXIT_VIOLATED,
     AnalysisSettings,
     analyze,
@@ -268,6 +269,34 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("I/O error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("fn, epsilon", [
+        ("sqrt", "1e-160"), ("poly:0,1", "1e-309")])
+    def test_subnormal_delta1_is_verified(self, capsys, fn, epsilon):
+        # the oracle grid is sized in float; delta_1 lies below its spacing,
+        # so the oracle is skipped
+        assert main(["analyze", "--fn", fn, "--interval", "[0,1]",
+                     "--epsilon", epsilon]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert 0 < payload["certificate"]["delta1"] < sys.float_info.min
+        assert payload["verdicts"]["certificate_verified"] is True
+
+    def test_step_below_float_resolution_is_unachievable(self, capsys):
+        argv = ["--fn", "poly:0,0,1", "--interval", "[-1e150,1e150]",
+                "--epsilon", "0.1"]
+        assert main(["analyze"] + argv) == EXIT_UNACHIEVABLE
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["certificate"] is None
+        assert payload["certificate_error"].startswith(
+            "no positive step keeps the anchored increment on [-1e+150, ")
+        assert main(["certify"] + argv) == EXIT_UNACHIEVABLE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("unachievable: no positive step ")
         assert captured.err.count("\n") == 1
 
     def test_worst_sum_state_guard_limits_only_the_dp(self, capsys):
