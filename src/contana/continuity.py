@@ -10,8 +10,9 @@ search their increment sums sum |f(y_i) - f(x_i)|:
   increment dominates the collection's sum.
 * ``worst_ac_sum_oracle`` finds the grid-aligned collection with the largest
   increment sum: in closed form when the largest grid steps within the
-  budget form few enough same-sign runs, else by dynamic programming over
-  (grid index, budget units, interval count).
+  budget, rounding-level ties taken lowest index first so that a linear
+  piece yields one glued run, form few enough same-sign runs, else by
+  dynamic programming over (grid index, budget units, interval count).
 * ``ac_certificate`` / ``verify_certificate`` invert each piece's anchored
   increment into a concrete (epsilon, delta_1) certificate: every
   collection of total length below delta_1 has increment sum below epsilon.
@@ -64,6 +65,12 @@ BOUND_SLACK = 1e-9
 
 #: trials per block of verify_certificate's random attack; bounds its memory
 VERIFY_BLOCK = 4096
+
+#: the worst-sum oracle treats steps within _TIE_BAND * eps * max|v| of the
+#: `units`-th largest |step| as tied (the DP's margin is on the same M eps
+#: scale), capped so that the band never costs more than BOUND_SLACK
+#: (``_tie_tau``)
+_TIE_BAND = 16
 
 
 class Anchor(str, Enum):
@@ -120,6 +127,9 @@ class ACWorstReport:
     witness: IntervalCollection
     method: str
     grid_spacing: float
+    #: the sum of the `units` largest grid steps, which caps best_sum (grid
+    #: searches only; None for a closed form)
+    step_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -434,13 +444,20 @@ def worst_ac_sum_oracle(grid: SampleGrid, delta,
 
     Splitting an interval never lowers its increment sum, and touching
     pairs are legal, so the sum of the `units` largest steps
-    |v[j+1] - v[j]| bounds every collection.  The bound-first path
-    (method "OracleBound") takes those steps, ties going to the lowest
-    index, and groups the nonzero ones into maximal runs of consecutive
-    same-sign steps; when there are at most `max_intervals` runs, one
-    interval per run attains the bound, in O(m log m) time and O(m)
-    memory.  Otherwise a dynamic program (method "OracleDP", ``_dp_pairs``)
-    searches states (grid index, units used, intervals used), with
+    |v[j+1] - v[j]| bounds every collection (``step_bound``).  The
+    bound-first path (method "OracleBound") takes `units` steps by one
+    tie-aware rule (``_top_step_runs``): every step above the band
+    t +- tau around the `units`-th largest |step| t, then band steps,
+    lowest index first, with tau = min(16 eps max|v|, BOUND_SLACK t / 2)
+    covering the steps' rounding (``_tie_tau``).  It groups the nonzero
+    ones into maximal runs of consecutive same-sign steps; when there are
+    at most `max_intervals` runs, one interval per run answers within
+    2 r tau <= BOUND_SLACK * bound of the bound, r being the number of band
+    steps taken, in O(m) time and memory.  On an affine piece the steps tie
+    up to rounding, so they form one glued interval, which by the gluing
+    bound dominates any collection there.  Otherwise a dynamic program
+    (method "OracleDP", ``_dp_pairs``) searches states (grid index, units
+    used, intervals used), with
     kmax = min(max_intervals, units).  It walks only the m' grid points
     that do not lie strictly inside a run of zero steps, in
     m' * (units + 1) * (kmax + 1) bytes of choice history plus
@@ -467,14 +484,15 @@ def worst_ac_sum_oracle(grid: SampleGrid, delta,
     best_sum = math.fsum(abs(v[e] - v[s]) for s, e in pairs_idx)
     assert best_sum <= bound * (1.0 + BOUND_SLACK), (best_sum, bound)
     return ACWorstReport(delta=delta, best_sum=best_sum, witness=witness,
-                         method=method, grid_spacing=float(grid.spacing))
+                         method=method, grid_spacing=float(grid.spacing),
+                         step_bound=bound)
 
 
 def _step_bound(grid: SampleGrid, delta):
     """(units, runs, bound) of a budget delta on a uniform grid.
 
     ``units`` is the number of grid steps that fit strictly below delta,
-    and (runs, bound) are ``_top_step_runs`` of the grid's steps for that
+    and (runs, bound) are ``_top_step_runs`` of the grid's values for that
     many units: ``bound`` caps every grid-aligned collection's increment
     sum, and ``worst_ac_sum_oracle``'s answer never exceeds it.
     """
@@ -488,28 +506,62 @@ def _step_bound(grid: SampleGrid, delta):
     h = (xs[-1] - xs[0]) / (m - 1)
     units = int(math.floor(float(delta) / float(h) - 1.0 + 1e-9))
     units = min(units, m - 1)
-    runs, bound = _top_step_runs(np.diff(grid.values), units)
+    runs, bound = _top_step_runs(grid.values, units)
     return units, runs, bound
 
 
-def _top_step_runs(steps: np.ndarray, units: int):
-    """(runs, bound) for the `units` largest |steps|.
+def _top_step_runs(values: np.ndarray, units: int):
+    """(runs, bound) for the `units` largest steps |values[j+1] - values[j]|.
 
-    Ties go to the lowest index, as in a stable descending sort.  Zero
-    steps are dropped and the rest grouped into maximal runs of consecutive
-    same-sign steps; run (s, e) covers steps s .. e - 1, i.e. the grid
-    interval from index s to index e.  ``bound`` is the selected steps'
-    summed magnitude.
+    ``bound`` is the exact sum of the `units` largest |steps|.  The steps
+    taken are chosen by one tie-aware rule: with t the `units`-th largest
+    |step| and tau = ``_tie_tau(values, t)``, every step above
+    t + tau is taken, then steps within tau of t, lowest index first, until
+    `units` are taken.  Zero steps are dropped and the rest grouped into
+    maximal runs of consecutive same-sign steps; run (s, e) covers steps
+    s .. e - 1, i.e. the grid interval from index s to index e.
+
+    tau covers the rounding of the steps themselves, so steps that differ
+    by less are treated as equal.  On an affine piece every step is the same
+    up to rounding, and the chosen steps then form one contiguous run: one
+    glued interval, as the gluing bound says, instead of the scatter a
+    strict order of the rounding noise would pick.  Each of the r steps
+    taken from the band is within 2 tau of the one it displaces, so the
+    runs' summed magnitude is within 2 r tau <= r BOUND_SLACK t
+    <= BOUND_SLACK * ``bound`` of ``bound``.  O(m) time.
     """
+    if units == 0:
+        return [], 0.0
+    steps = np.diff(values)
     magnitude = np.abs(steps)
-    top = np.argsort(-magnitude, kind="stable")[:units]
-    bound = math.fsum(magnitude[top])
-    sign = np.zeros(len(steps) + 2)
-    sign[top + 1] = np.sign(steps[top])
+    n = len(magnitude)
+    top = np.partition(magnitude, n - units)[n - units:]
+    bound = math.fsum(top)
+    t = top[0]
+    tau = _tie_tau(values, t)
+    taken = magnitude > t + tau
+    band = np.flatnonzero(np.abs(magnitude - t) <= tau)
+    taken[band[:units - np.count_nonzero(taken)]] = True
+    sign = np.zeros(n + 2)
+    sign[1:-1] = np.where(taken, np.sign(steps), 0.0)
     change = sign[1:] != sign[:-1]
     starts = np.flatnonzero(change & (sign[1:] != 0))
     ends = np.flatnonzero(change & (sign[:-1] != 0))
     return list(zip(starts.tolist(), ends.tolist())), bound
+
+
+def _tie_tau(values, t) -> float:
+    """Half-width of ``_top_step_runs``'s tie band around the step t.
+
+    _TIE_BAND * eps * max|values| covers the rounding of steps taken
+    between values of that size.  It is capped at BOUND_SLACK * t / 2: where
+    the steps are small next to the values' offset, every step would
+    otherwise fall in the band and the lowest-index steps would be taken
+    in place of the largest, while under the cap the r band steps cost at
+    most 2 r tau <= BOUND_SLACK times the step bound (t = 0 gives 0).
+    """
+    scale = _TIE_BAND * sys.float_info.epsilon * float(np.max(np.abs(values)))
+    return min(scale, 0.5 * BOUND_SLACK * float(t))
 
 
 #: bits of the DP's one-byte choice code per state: the rising (+v[end] -

@@ -324,6 +324,7 @@ def cmd_worst_sum(args) -> int:
     payload = {
         "delta": float(rep.delta),
         "best_sum": rep.best_sum,
+        "step_bound": rep.step_bound,
         "method": rep.method,
         "grid_spacing": rep.grid_spacing,
         "witness": [[float(x), float(y)] for x, y in rep.witness.pairs],

@@ -1,6 +1,7 @@
 """Tests for the modulus, gluing, worst-sum search and certificates."""
 
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
@@ -136,12 +137,19 @@ def brute_force_worst_sum(values, units, k_max):
 
 
 def top_step_runs(values, units):
-    """The bound-first selection, step by step: the `units` largest |steps|
-    (the stable sort keeps the lowest index among ties), zero steps dropped,
-    consecutive same-sign steps merged into one (start, end) interval."""
+    """The bound-first selection, step by step: with t the `units`-th
+    largest |step| and the program's tie band tau, every step above t + tau, then
+    the steps within tau of t, lowest index first, until `units` are taken;
+    zero steps dropped, consecutive same-sign steps merged into one
+    (start, end) interval."""
     steps = [b - a for a, b in zip(values, values[1:])]
-    order = sorted(range(len(steps)), key=lambda i: -abs(steps[i]))
-    chosen = sorted(order[:units])
+    chosen = []
+    if units:
+        t = sorted((abs(s) for s in steps), reverse=True)[units - 1]
+        tau = continuity._tie_tau(values, t)
+        above = [i for i, s in enumerate(steps) if abs(s) > t + tau]
+        band = [i for i, s in enumerate(steps) if abs(abs(s) - t) <= tau]
+        chosen = sorted(above + band[:units - len(above)])
     runs = []
     for i in chosen:
         if steps[i] == 0:
@@ -591,6 +599,44 @@ class TestWorstSumOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
+    def test_planted_rounding_ties_stay_within_the_band(self, data):
+        # a piecewise linear function sampled off its knots: the steps on
+        # each linear piece are equal in exact arithmetic and differ only by
+        # rounding, so the tie band decides which of them are taken
+        inner = data.draw(st.lists(st.floats(0.01, 0.99), max_size=3,
+                                   unique=True))
+        xs = [0.0] + sorted(inner) + [1.0]
+        ys = [float(y) for y in data.draw(st.lists(
+            st.one_of(st.integers(-3, 3), st.floats(-4.0, 4.0)),
+            min_size=len(xs), max_size=len(xs)))]
+        f = FunctionSpec.piecewise_linear(tuple(zip(xs, ys)))
+        m = data.draw(st.integers(2, 12))
+        grid = sample(f, IntervalSpec(0.0, 1.0), m)
+        values = grid.values.tolist()
+        units = data.draw(st.integers(0, m - 1))
+        kmax = data.draw(st.integers(1, 4))
+        delta = (units + 1) / (m - 1) * (1.0 + 1e-7)
+        rep = worst_ac_sum_oracle(grid, delta, kmax)
+        want = brute_force_worst_sum(values, units, kmax)
+        steps = np.abs(np.diff(values))
+        bound = math.fsum(np.sort(steps)[len(steps) - units:])
+        assert rep.step_bound == bound
+        # r band steps were taken, each within 2 tau of the one it
+        # displaced; 8 eps * bound covers the rounding of the sums
+        r = tau = 0
+        if rep.method == "OracleBound" and units:
+            t = np.sort(steps)[len(steps) - units]
+            tau = continuity._tie_tau(values, t)
+            r = units - int(np.count_nonzero(steps > t + tau))
+        assert want - 2 * r * tau - 8 * sys.float_info.epsilon * bound \
+            <= rep.best_sum
+        assert rep.best_sum <= bound * (1.0 + continuity.BOUND_SLACK)
+        assert len(rep.witness) <= kmax
+        assert float(rep.witness.total_length) < delta
+        assert ac_sum(f, rep.witness) == rep.best_sum
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
     def test_compressed_dp_with_early_stop_matches_brute_force(self, data):
         # repeated levels plant runs of zero steps; a steep start and a
         # shallow tail let the early stop fire, checked here at every point
@@ -650,6 +696,43 @@ class TestWorstSumOracle:
                 assert len(kept) == m and len(hist) < m // 2
             else:
                 assert len(hist) == len(kept) < m // 10
+
+    @pytest.mark.parametrize("units, kmax", [(97, 32), (286, 4)])
+    def test_bench_sized_zigzag_glues_without_the_dp(self, units, kmax):
+        # the zigzag's steepest piece is linear: its steps tie up to
+        # rounding, so the top ones form one glued interval at its start
+        f = FunctionSpec.piecewise_linear(
+            ((0.0, 0.0), (0.3, 0.6), (0.7, 0.2), (1.0, 0.5)))
+        m = 8193
+        grid = sample(f, IntervalSpec(0.0, 1.0), m)
+        delta = (units + 1) / (m - 1) * (1.0 + 1e-7)
+        with mock.patch.object(continuity, "_dp_pairs",
+                               side_effect=AssertionError("DP ran")):
+            rep = worst_ac_sum_oracle(grid, delta, kmax)
+        assert rep.method == "OracleBound"
+        assert rep.witness.pairs == ((0.0, grid.abscissae[units]),)
+        assert rep.best_sum == pytest.approx(rep.step_bound, rel=1e-12)
+
+    @pytest.mark.parametrize("m, kmax", [(501, 32), (2001, 32), (2001, 4)])
+    def test_large_offset_keeps_the_largest_steps(self, m, kmax):
+        # steps of a few ulps of the 1e6 offset lie far inside
+        # 16 eps max|v|; the band is capped at BOUND_SLACK t / 2, so the
+        # answer stays at the bound (or the DP's), not at the lowest-index
+        # steps, which sum to about a quarter of it
+        f = FunctionSpec.polynomial((1e6, 1e-6, 4.5e-6))
+        grid = sample(f, IntervalSpec(0.0, 1.0), m)
+        v = grid.values
+        rep = worst_ac_sum_oracle(grid, 0.25, kmax)
+        units = int(0.25 * (m - 1)) - 1
+        dp = math.fsum(abs(v[e] - v[s])
+                       for s, e in continuity._dp_pairs(v, units,
+                                                         min(kmax, units)))
+        assert rep.best_sum >= dp * (1.0 - continuity.BOUND_SLACK)
+        assert rep.best_sum >= \
+            rep.step_bound * (1.0 - continuity.BOUND_SLACK) or \
+            rep.method == "OracleDP"
+        assert rep.best_sum > 2e-6
+        assert ac_sum(f, rep.witness) == rep.best_sum
 
     def test_dp_memory_within_stated_bound(self):
         # Cantor's top steps form far more runs than intervals allowed, so

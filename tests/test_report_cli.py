@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from contana import report_cli
+from contana import continuity, report_cli
 from contana.report_cli import (
     EXIT_IO,
     EXIT_OK,
@@ -301,9 +301,9 @@ class TestCLI:
 
     def test_worst_sum_state_guard_limits_only_the_dp(self, capsys):
         # 3 * 5001 * 1250 * 33 states exceed the DP's guard; the top steps
-        # of x^2 form one run, so the bound answers, while those of the
-        # identity differ by rounding, scatter into many runs and are not
-        # zero, so the DP keeps every point
+        # of x^2 form one run, and those of the identity tie up to rounding,
+        # so they are taken lowest index first as one glued run: the bound
+        # answers both, within 2 r tau for the r = 1249 tied steps
         argv = ["worst-sum", "--interval", "[0,1]", "--delta", "0.25",
                 "--grid", "5001", "--max-intervals", "32"]
         assert main(argv + ["--fn", "poly:0,0,1"]) == EXIT_OK
@@ -311,7 +311,19 @@ class TestCLI:
         assert payload["method"] == "OracleBound"
         assert payload["witness"] == [[pytest.approx(0.7502, abs=1e-15), 1.0]]
         assert payload["best_sum"] == pytest.approx(1 - 0.7502**2, rel=1e-12)
-        assert main(argv + ["--fn", "poly:0,1"]) == EXIT_PARSE
+        assert main(argv + ["--fn", "poly:0,1"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "OracleBound"
+        assert payload["witness"] == [[0.0, pytest.approx(0.2498, abs=1e-15)]]
+        tau = continuity._tie_tau([0.0, 1.0], 2e-4)
+        assert payload["step_bound"] == pytest.approx(0.2498, rel=1e-12)
+        assert abs(payload["step_bound"] - payload["best_sum"]) <= \
+            2 * 1249 * tau
+        # the top steps of x^2 sin(1/x) near 0 really scatter, so the DP
+        # runs, and its state space is refused
+        argv = ["worst-sum", "--fn", "x2sininv", "--interval", "[0,0.05]",
+                "--delta", "0.0125", "--grid", "5001", "--max-intervals", "32"]
+        assert main(argv) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("parse error: ")
