@@ -72,6 +72,10 @@ VERIFY_BLOCK = 4096
 #: (``_tie_tau``)
 _TIE_BAND = 16
 
+#: relative slack of the modulus kernel's gap-extreme lag test: it covers the
+#: rounding of the float gaps, of the differences and of the test's products
+_GAP_SLACK = 8 * sys.float_info.epsilon
+
 
 class Anchor(str, Enum):
     LEFT = "LeftAnchored"
@@ -191,26 +195,20 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
 
     omega(delta) is the largest |v_j - v_i| over grid pairs with
     x_j - x_i <= delta, compared in the abscissae's own arithmetic (float or
-    exact rational), and the curve is made nondecreasing by a running
-    maximum.  Each delta is answered on a constant lag L (``_lag``): every
-    window [s_j, j] then holds [j - L, j] for j >= L, so two contiguous
-    slices of one sparse-table row against vs[L:] answer all those windows
-    at once, with no index arrays (``max(a, b) - v == max(a - v, b - v)``
-    under rounding, so the values are those of a per-window lookup).
-    Windows clipped at the first point, [0, j] with j < L, are read from
-    one prefix array of running extremal differences.  The exceptions are
-    the points with xs[j] - xs[j - L - 1] <= delta too, ties with the grid
-    step on a uniform grid: only they get exact starts (``_window_starts``
-    on their indices) and flat ``np.take`` lookups.  On a non-uniform or
-    rational grid L is small and most points are exceptions.
+    exact rational), made nondecreasing by a running maximum.  It is read as
+    the largest max - min over the windows [s_j, j] within delta of x_j
+    (float subtraction is monotone, so the values are a pair scan's).  On a
+    constant lag L the windows [j - L, j], j >= L, which contain the clipped
+    ones, are two contiguous slices of one row of block extrema.  L comes
+    from the grid's gap extremes (``_certified_lag``), or else from exact
+    slice tests (``_lag``), whose exceptions, the points with
+    xs[j] - xs[j - L - 1] <= delta too, get exact starts and gathers.
 
-    Cost: the sparse table of maxima and minima over power-of-two blocks
-    takes O(m log w) time once and 16 * m * (floor(log2 w) + 1) bytes, w
-    being the longest window at the largest delta (at most m points: about
-    27 MB at m = 100001); the prefix array takes 8 * m bytes.  Each delta
-    then costs O(m) in contiguous slices, plus O(e) gathers and int64
-    arrays of e entries for its e exceptions (O(e log m) to find their
-    starts on a non-uniform grid).
+    Cost: four O(m) passes per delta, plus O(e) for e exceptions.  The rows
+    of 2**k-point block maxima and minima are built as the lags ascend and
+    dropped below the current lag's row: a uniform grid keeps one or two
+    rows of 16 * m bytes, for a peak of a few arrays of m floats (under
+    8 MB at m = 100001); other grids keep the rows their exceptions read.
     """
     ds = list(deltas)
     if not ds:
@@ -222,91 +220,109 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
     span = grid.span
     if any(d > span for d in ds):
         raise BudgetError(f"delta exceeds the window length {span}")
-    vs = grid.values
+    xs, vs = grid.abscissae, grid.values
     m = len(vs)
-    widest_lag, widest_ends = _lag(grid, ds[-1])
-    widest_starts = _window_starts(grid, ds[-1], widest_ends)
-    widest = max(widest_lag,
-                 int(np.max(widest_ends - widest_starts, initial=0))) + 1
-    top, bottom = _block_extrema(vs, widest.bit_length())
-    flat_top, flat_bottom = top.ravel(), bottom.ravel()
-    prefix = np.maximum(np.maximum.accumulate(vs) - vs,
-                        vs - np.minimum.accumulate(vs))
-    np.maximum.accumulate(prefix, out=prefix)
+    # a rational grid's lags are all settled exactly (gmin 0)
+    gmin = 0.0 if xs.dtype == object else float(np.diff(xs).min())
+    hi, lo = np.empty(m), np.empty(m)  # scratch: no m-float array per delta
+    rows = {0: (vs, vs)}  # level k -> max and min of vs[i : i + 2**k]
     best = 0.0
     samples = []
     for d in ds:
-        if d == ds[-1]:
-            lag, ends, starts = widest_lag, widest_ends, widest_starts
-        else:
+        lag = _certified_lag(d, gmin, grid.spacing)
+        groups = []  # exceptions by row: (level, first and last block columns)
+        if lag is None:
             lag, ends = _lag(grid, d)
             starts = _window_starts(grid, d, ends)
+            levels = np.frexp(ends - starts + 1)[1] - 1  # floor(log2(length))
+            for k in np.unique(levels).tolist():
+                at = levels == k
+                groups.append((k, starts[at], ends[at] + 1 - (1 << k)))
+        level = (lag + 1).bit_length() - 1
+        high = max([level] + [k for k, _, _ in groups])
+        # rows up to `high`, each made from the one below it; the lags
+        # ascend with delta, so no later window reads a row below `level`
+        for k in range(min(rows), min(level, max(rows))):
+            del rows[k]
+        for k in range(max(rows), high):
+            top, bottom = rows.pop(k) if k < level else rows[k]
+            half = 1 << k
+            rows[k + 1] = (np.maximum(top[:-half], top[half:]),
+                           np.minimum(bottom[:-half], bottom[half:]))
         # windows [j - lag, j] for j >= lag: the blocks of row `level` at
         # columns j - lag and j - lag + shift, i.e. two contiguous slices
-        level = (lag + 1).bit_length() - 1
-        shift = lag + 1 - (1 << level)
-        n = m - lag
-        v = vs[lag:]
-        hi = np.maximum(top[level, :n], top[level, shift:shift + n])
-        lo = np.minimum(bottom[level, :n], bottom[level, shift:shift + n])
-        found = [(hi - v).max(), (v - lo).max()]
-        if lag:  # windows [0, j] for j < lag
-            found.append(prefix[lag - 1])
-        if len(ends):
-            level = np.frexp(ends - starts + 1)[1] - 1  # floor(log2(length))
-            tail = ends + 1 - (1 << level)
-            head = np.multiply(level, m, dtype=np.int64)  # flat row offset
-            tail += head
-            head += starts
-            hi = np.maximum(np.take(flat_top, head), np.take(flat_top, tail))
-            lo = np.minimum(np.take(flat_bottom, head),
-                            np.take(flat_bottom, tail))
-            v = vs[ends]
-            found += [(hi - v).max(), (v - lo).max()]
-        best = max(best, *map(float, found))
+        n, shift = m - lag, lag + 1 - (1 << level)
+        found = [_widest_range(rows[level], slice(0, n),
+                               slice(shift, shift + n), hi[:n], lo[:n])]
+        found += [_widest_range(rows[k], i, j, hi[:len(i)], lo[:len(i)])
+                  for k, i, j in groups]
+        best = max(best, *found)
         samples.append((d, best))
     return ModulusCurve(tuple(samples))
 
 
-def _lag(grid: SampleGrid, delta) -> tuple:
-    """A lag L with xs[j] - xs[j - L] <= delta for every j >= L, and the
-    exceptions: the indices j > L with xs[j] - xs[j - L - 1] <= delta as
-    well, whose windows reach further back than L points.
+def _certified_lag(delta, gmin: float, gmax: float):
+    """L = floor(delta / h) if L * gmax * (1 + s) <= delta and
+    delta < (L + 1) * gmin * (1 - s): every xs[j] - xs[j - L] is then within
+    delta and no xs[j] - xs[j - L - 1] is.  Else None, also for subnormal
+    gaps, whose products have no relative accuracy."""
+    if not gmin >= sys.float_info.min:
+        return None
+    lag = math.floor(delta / (gmax * (1 + _GAP_SLACK)))
+    if lag * gmax * (1 + _GAP_SLACK) <= delta < (
+            (lag + 1) * gmin * (1 - _GAP_SLACK)):
+        return lag
+    return None
 
-    L is guessed as floor(delta / h) on a uniform grid (h = span / (m - 1))
-    and floor(delta / spacing) on any other, and stepped down while some
-    difference at that lag exceeds delta: one contiguous slice test per
-    step.  On a uniform grid L is the largest such lag, unless delta / h
-    rounds to just below an integer, and the exceptions are ties with the
-    grid step; on a non-uniform grid L is smaller and most points are
-    exceptions.
+
+def _lag(grid: SampleGrid, delta) -> tuple:
+    """The largest lag L with xs[j] - xs[j - L] <= delta for every j >= L,
+    and the exceptions: the indices j > L with xs[j] - xs[j - L - 1] <= delta
+    as well, whose windows reach further back.
+
+    floor(delta / (gmax * (1 + s))) is a valid lag on every grid, since
+    ``_GAP_SLACK`` absorbs the rounding of the quotient; the search gallops
+    up from it, then bisects, with one contiguous slice test per probe (the
+    test is monotone in the lag).
     """
     xs = grid.abscissae
     m = len(xs)
-    step = grid.span / (m - 1) if grid.uniform else grid.spacing
-    lag = min(math.floor(delta / step), m - 1)
-    while lag and (xs[lag:] - xs[:m - lag]).max() > delta:
-        lag -= 1
-    if lag < m - 1:
-        reach = xs[lag + 1:] - xs[:m - lag - 1]
-        if reach.min() <= delta:
-            return lag, np.flatnonzero(reach <= delta) + (lag + 1)
-    return lag, np.empty(0, dtype=np.intp)
+
+    def fits(k):
+        return k < m and (xs[k:] - xs[:m - k]).max() <= delta
+
+    lag = min(math.floor(delta / (grid.spacing * (1 + _GAP_SLACK))), m - 1)
+    step = 1
+    while fits(lag + step):
+        lag += step
+        step *= 2
+    while step > 1:  # lag fits and lag + step does not
+        step //= 2
+        if fits(lag + step):
+            lag += step
+    reach = xs[lag + 1:] - xs[:m - lag - 1]  # empty at lag m - 1
+    return lag, np.flatnonzero(reach <= delta) + (lag + 1)
+
+
+def _widest_range(row: tuple, i, j, hi, lo) -> float:
+    """The largest max - min over the windows covered by the blocks of `row`
+    at columns i and j (slices or index arrays); hi and lo are scratch."""
+    top, bottom = row
+    np.maximum(top[i], top[j], out=hi)
+    np.minimum(bottom[i], bottom[j], out=lo)
+    return float(np.subtract(hi, lo, out=hi).max())
 
 
 def _window_starts(grid: SampleGrid, delta, ends=None) -> np.ndarray:
     """For every j in ``ends`` (default: every index), the smallest i with
     xs[j] - xs[i] <= delta.
 
-    On a uniform grid (``SampleGrid.uniform``) the first guess is
-    j - floor(delta / h), clipped at 0, with h = span / (m - 1), in O(e)
-    for e ends; on any other grid it is ``searchsorted`` on
-    xs[i] >= xs[j] - delta, in O(e log m).  Either guess may be off, the
-    binary search's because xs[j] - delta rounds differently from
-    xs[j] - xs[i].  The loops then step each start to the exact boundary of
-    the difference test, which is monotone in i; each pass moves a start by
-    one point, so they run as many passes as the guess is off, a point or
-    two on a uniform grid.
+    The first guess is j - floor(delta / h), clipped at 0, on a uniform grid
+    (``SampleGrid.uniform``), in O(e) for e ends, and ``searchsorted`` on
+    xs[i] >= xs[j] - delta on any other, in O(e log m).  The loops then step
+    each start, one point per pass, to the exact boundary of the difference
+    test (monotone in i); the guesses are off by a point or two, since
+    xs[j] - delta rounds differently from xs[j] - xs[i].
     """
     xs = grid.abscissae
     m = len(xs)
@@ -323,23 +339,6 @@ def _window_starts(grid: SampleGrid, delta, ends=None) -> np.ndarray:
     while (up := ys - xs[starts] > delta).any():
         starts += up
     return starts
-
-
-def _block_extrema(vs: np.ndarray, levels: int):
-    """Sparse tables: row k holds max/min of vs[i : i + 2**k] at column i.
-
-    Columns whose block would run past the end are left unset; a window
-    lookup never reads them.
-    """
-    top = np.empty((levels, len(vs)))
-    bottom = np.empty((levels, len(vs)))
-    top[0] = bottom[0] = vs
-    for k in range(1, levels):
-        half = 1 << (k - 1)
-        np.maximum(top[k - 1, :-half], top[k - 1, half:], out=top[k, :-half])
-        np.minimum(bottom[k - 1, :-half], bottom[k - 1, half:],
-                   out=bottom[k, :-half])
-    return top, bottom
 
 
 # ---------------------------------------------------------------------------

@@ -435,8 +435,8 @@ class TestConstantLagKernel:
                                                for e in (-tiny, 0, tiny)])
 
     def test_no_gathers_off_the_grid_step(self, monkeypatch):
-        # deltas between multiples of h: every window has the constant lag,
-        # so no exception index is built and nothing is gathered
+        # deltas between multiples of h: the gap extremes settle every lag,
+        # so no exact slice test runs and no exception index is built
         m = 25001
         grid = SampleGrid(uniform_abscissae(0.0, 1.0, m),
                           np.random.default_rng(5).standard_normal(m))
@@ -445,11 +445,107 @@ class TestConstantLagKernel:
         expected = modulus_per_window(grid, deltas)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("exception path taken")
+            raise AssertionError("exact path taken")
 
-        monkeypatch.setattr(np, "take", forbidden)
-        monkeypatch.setattr(np, "flatnonzero", forbidden)
+        monkeypatch.setattr(continuity, "_lag", forbidden)
+        monkeypatch.setattr(continuity, "_window_starts", forbidden)
         assert modulus_on_grid(grid, deltas).samples == expected
+
+    @pytest.mark.parametrize("m, exact", [(4001, 2), (25001, 2), (20001, 5)])
+    def test_exact_lags_only_at_ties(self, monkeypatch, m, exact):
+        # the analysis ladder from 2h to the span ties with the step at 2h
+        # and at the span; at m = 20001 its ratio is 10 ** (1 / 8), so
+        # 20h, 200h and 2000h tie as well.  A generic ladder never ties.
+        f = FunctionSpec.x_squared_sin_inv(IntervalSpec(0.0, 1.0))
+        grid = sample(f, IntervalSpec(0.0, 0.93), m)
+        calls = []
+        lag = continuity._lag
+        monkeypatch.setattr(continuity, "_lag",
+                            lambda g, d: calls.append(d) or lag(g, d))
+        ladder = _modulus_curve(grid).samples
+        assert len(ladder) == 33 and len(calls) == exact
+        h = 0.93 / (m - 1)
+        generic = [2.6 * h * 1.2 ** i for i in range(33)]
+        calls.clear()
+        assert modulus_on_grid(grid, generic).samples == \
+            modulus_per_window(grid, generic)
+        assert calls == []
+
+    def test_peak_memory(self):
+        # rows are built lazily and dropped below the current lag's row:
+        # the peak stays a few arrays of m floats, where a table of every
+        # row up to the widest window took 17 rows (about 27 MB)
+        m = 100001
+        f = FunctionSpec.x_squared_sin_inv(IntervalSpec(0.0, 1.0))
+        grid = sample(f, IntervalSpec(0.0, 1.0), m)
+        ladder = [d for d, _ in _modulus_curve(grid).samples]
+        tracemalloc.start()
+        try:
+            modulus_on_grid(grid, ladder)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * m
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_certified_lag_agrees_with_slice_tests(self, data):
+        # uniform grids at magnitudes 1e-300 to 1e300, from zero, straddling
+        # it or far from it, some jittered within the 1e-9 uniformity rule;
+        # deltas generic and on and next to multiples of the step and of the
+        # extreme gaps
+        m = data.draw(st.integers(2, 300))
+        span = data.draw(st.floats(1.0, 10.0)) * 10.0 ** data.draw(
+            st.integers(-300, 299))
+        lo = data.draw(st.sampled_from([
+            0.0, -span * data.draw(st.floats(0.0, 1.0)),
+            span * 10.0 ** data.draw(st.integers(1, 6))]))
+        xs = uniform_abscissae(lo, lo + span, m)
+        h = span / (m - 1)
+        if data.draw(st.booleans()):
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+            xs = xs + rng.uniform(-1e-10, 1e-10, m) * h
+        if not np.all(np.diff(xs) > 0):  # far from zero, rounding ties
+            return
+        grid = SampleGrid(xs, np.zeros(m))
+        gaps = np.diff(xs)
+        gmin, gmax = float(gaps.min()), float(gaps.max())
+        ks = data.draw(st.lists(st.integers(0, m - 1), max_size=6))
+        deltas = [data.draw(st.floats(0.0, float(grid.span),
+                                      exclude_min=True))
+                  for _ in range(4)]
+        deltas += [math.nextafter(k * h, side) for k in ks
+                   for side in (0.0, math.inf)] + [k * h for k in ks]
+        deltas += [e for k in ks for g in (gmin, gmax)
+                   for e in (k * g, math.nextafter(k * g, 0.0),
+                             math.nextafter(k * g, math.inf))]
+        for d in deltas:
+            if not 0 < d <= grid.span:
+                continue
+            lag = continuity._certified_lag(d, gmin, gmax)
+            if lag is None:
+                continue
+            assert 0 <= lag <= m - 1
+            assert np.all(xs[lag:] - xs[:m - lag] <= d), d
+            assert np.all(xs[lag + 1:] - xs[:m - lag - 1] > d), d
+            exact, ends = continuity._lag(grid, d)
+            assert exact == lag and len(ends) == 0, d
+
+    def test_subnormal_gaps_take_the_exact_path(self):
+        m = 201
+        grid = SampleGrid(uniform_abscissae(0.0, 1e-306, m),
+                          np.random.default_rng(6).standard_normal(m))
+        gaps = np.diff(grid.abscissae)
+        assert gaps.max() < sys.float_info.min
+        h = float(grid.span) / (m - 1)
+        deltas = [2.5 * h, 10 * h, 77.5 * h, float(grid.span)]
+        for d in deltas:
+            assert continuity._certified_lag(
+                d, float(gaps.min()), grid.spacing) is None
+        curve = modulus_on_grid(grid, deltas)
+        assert curve.samples == modulus_per_window(grid, deltas)
+        for d, w in curve.samples:
+            assert w == omega_pair_scan(grid, d)
 
     @pytest.mark.parametrize("xs", [uniform_abscissae(0.0, 1.0, 20001),
                                     np.geomspace(1e-6, 1.0, 20001)])
@@ -462,8 +558,7 @@ class TestConstantLagKernel:
             if lag < m - 1:
                 reach = np.flatnonzero(xs[lag + 1:] - xs[:m - lag - 1] <= d)
                 assert np.array_equal(ends, reach + lag + 1)
-                if grid.uniform:
-                    assert len(ends) < m - lag - 1  # the largest lag
+                assert len(ends) < m - lag - 1  # the largest lag
             else:
                 assert len(ends) == 0
 
