@@ -173,19 +173,6 @@ def ac_sum(f: FunctionSpec, c: IntervalCollection) -> float:
     return math.fsum(abs(evaluate(f, y) - evaluate(f, x)) for x, y in c.pairs)
 
 
-def _ac_sums(f: FunctionSpec, collections) -> list:
-    """ac_sum of each collection, bit for bit, from one bulk evaluation of
-    every endpoint (fsum is exact, so the order of the terms is free)."""
-    v = evaluate_many(f, [e for c in collections for pair in c.pairs
-                          for e in pair])
-    steps = np.abs(v[1::2] - v[0::2]).tolist()
-    sums, i = [], 0
-    for c in collections:
-        sums.append(math.fsum(steps[i:i + len(c)]))
-        i += len(c)
-    return sums
-
-
 # ---------------------------------------------------------------------------
 # Modulus of continuity
 # ---------------------------------------------------------------------------
@@ -512,7 +499,8 @@ def _step_bound(grid: SampleGrid, delta):
 def _top_step_runs(values: np.ndarray, units: int):
     """(runs, bound) for the `units` largest steps |values[j+1] - values[j]|.
 
-    ``bound`` is the exact sum of the `units` largest |steps|.  The steps
+    ``bound`` is the exact sum of the `units` largest |steps|; BudgetError
+    when it overflows, although every step is finite.  The steps
     taken are chosen by one tie-aware rule: with t the `units`-th largest
     |step| and tau = ``_tie_tau(values, t)``, every step above
     t + tau is taken, then steps within tau of t, lowest index first, until
@@ -535,7 +523,11 @@ def _top_step_runs(values: np.ndarray, units: int):
     magnitude = np.abs(steps)
     n = len(magnitude)
     top = np.partition(magnitude, n - units)[n - units:]
-    bound = math.fsum(top)
+    try:
+        bound = math.fsum(top)
+    except OverflowError:
+        raise BudgetError(f"the sum of the {units} largest grid steps "
+                          "overflows") from None
     t = top[0]
     tau = _tie_tau(values, t)
     taken = magnitude > t + tau
@@ -889,8 +881,11 @@ def verify_certificate(f: FunctionSpec, cert: Certificate, trials: int = 10000,
                        seed: int = 0) -> VerificationReport:
     """Stress a certificate with adversarial, random and searched collections.
 
-    Adversarial collections anchor the budget at the favourable end of each
-    piece, as one interval and as 2, 4 and 8 parts.  Then ``trials`` random
+    The adversarial stage is one glued interval per piece, of length
+    0.999 * min(delta_1, piece length) at the favourable end
+    (``glued_single_interval``): by the increment lemma and the gluing
+    bound its increment dominates every collection of that total length on
+    the piece, split ones included.  Then ``trials`` random
     collections mix many-small-interval and single-interval shapes: trial t
     is one row of 35 uniforms from ``np.random.default_rng(seed)``, which
     gives its pair count (1 to 8, or 16, or 1, by t mod 5), its total and
@@ -916,41 +911,16 @@ def verify_certificate(f: FunctionSpec, cert: Certificate, trials: int = 10000,
     hi = cert.partition.points[-1]
     span = hi - lo
     d1 = cert.delta1
-    collections = []
-
-    for piece in cert.monotone_pieces:
-        plo, phi = piece.interval.lo, piece.interval.hi
-        plen = phi - plo
-        length = min(d1 * 0.999, plen * 0.999)
-        if length <= 0:
-            continue
-        collections.append(
-            IntervalCollection((_favourable_interval(piece, length),)))
-        at_left = _anchor_for(piece) is Anchor.LEFT
-        for parts in (2, 4, 8):
-            seg = length / parts
-            gap = min(seg / 2.0, (plen * 0.999 - length) / max(1, parts - 1))
-            if gap <= 0 or seg <= 0:
-                continue
-            pairs = []
-            if at_left:
-                pos = plo
-                for _ in range(parts):
-                    pairs.append((pos, pos + seg))
-                    pos += seg + gap
-            else:
-                pos = phi
-                for _ in range(parts):
-                    pairs.append((pos - seg, pos))
-                    pos -= seg + gap
-                pairs.reverse()
-            collections.append(IntervalCollection(tuple(pairs)))
-
     worst_sum = 0.0
     worst_c = IntervalCollection(())
-    for c, s in zip(collections, _ac_sums(f, collections)):
-        if s > worst_sum:
-            worst_sum, worst_c = s, c
+    for piece in cert.monotone_pieces:
+        plen = piece.interval.hi - piece.interval.lo
+        # a subnormal piece length can round 0.999 * plen back to plen
+        length = 0.999 * min(d1, plen)
+        if 0 < length < plen:
+            rep = glued_single_interval(f, piece, length)
+            if rep.best_sum > worst_sum:
+                worst_sum, worst_c = rep.best_sum, rep.witness
     winner = None
     for sums, rows in _random_blocks(f, np.random.default_rng(seed), lo, hi,
                                      d1, trials):

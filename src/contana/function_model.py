@@ -373,7 +373,8 @@ class SampleGrid:
 
     Both are read-only numpy arrays.  ``values`` is float64; ``abscissae``
     is float64, or ``object`` dtype when the points are exact rationals
-    (``fractions.Fraction``), which then stay exact.  ``spacing`` is the
+    (``fractions.Fraction``), which then stay exact.  The values must be
+    finite, and so must their range max - min.  ``spacing`` is the
     largest gap between consecutive abscissae.  ``uniform`` says that the
     gaps are equal up to rounding: max gap - min gap <= 1e-9 * max gap.
     """
@@ -399,6 +400,11 @@ class SampleGrid:
         if len(bad):
             i = bad[0]
             raise DomainError(f"non-finite value {vs[i]} at x = {xs[i]}")
+        lo, hi = int(np.argmin(vs)), int(np.argmax(vs))
+        if math.isinf(float(vs[hi]) - float(vs[lo])):
+            raise DomainError(
+                f"values {vs[lo]} at x = {xs[lo]} and {vs[hi]} at "
+                f"x = {xs[hi]} are too far apart: their difference overflows")
         spacing = gaps.max()
         uniform = float(spacing - gaps.min()) <= 1e-9 * float(spacing)
         xs, vs = xs.view(), vs.view()

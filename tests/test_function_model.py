@@ -282,6 +282,18 @@ class TestSample:
         with pytest.raises(DomainError):
             sample(FunctionSpec.affine(1e308, 0.0), IntervalSpec(0.0, 1e10), 5)
 
+    def test_value_range_must_be_finite(self):
+        # every value is finite, but max - min overflows: every later
+        # difference of values (modulus, second differences, steps) would
+        # be inf
+        f = FunctionSpec.polynomial((0.0, 1.7e308))
+        with pytest.raises(DomainError, match=(
+                r"^values -1\.7e\+308 at x = -1\.0 and 1\.7e\+308 at "
+                r"x = 1\.0 are too far apart: their difference overflows$")):
+            sample(f, IntervalSpec(-1.0, 1.0), 5)
+        grid = sample(f, IntervalSpec(0.0, 1.0), 5)
+        assert grid.values.tolist()[-1] == 1.7e308
+
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-1e3, 1e3), st.floats(1e-3, 1e6),
            st.integers(2, 2000), st.sampled_from([2, 4]))

@@ -231,6 +231,29 @@ class TestCLI:
         assert captured.err.startswith("parse error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        # finite values whose range overflows
+        (["worst-sum", "--fn", "poly:0,1.7e308", "--interval", "[-1,1]",
+          "--delta", "1.5"], "values -1.7e+308 at x = -1.0 and 1.7e+308 at "
+                             "x = 1.0 are too far apart"),
+        (["modulus", "--fn", "poly:0,1.7e308", "--interval", "[-1,1]",
+          "--deltas", "1,2"], "values -1.7e+308 at x = -1.0"),
+        (["analyze", "--fn", "poly:0,1.7e308", "--interval", "[-1,1]"],
+         "values -1.7e+308 at x = -1.0"),
+        # a finite range whose largest steps sum past the float range
+        (["worst-sum", "--fn", "pwl:0:0,1:1e308,2:0,3:1e308,4:0",
+          "--interval", "[0,4]", "--delta", "3"],
+         "the sum of the 1499 largest grid steps overflows"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_value_differences_parse_error(self, capsys, argv,
+                                                       message):
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: {message}")
+        assert captured.err.count("\n") == 1
+
     def test_window_too_narrow_for_the_oracle_grid_fails_early(
             self, capsys, monkeypatch):
         # detection's 5- to 17-point grids are uniform near 1000, but the
