@@ -67,9 +67,8 @@ BOUND_SLACK = 1e-9
 VERIFY_BLOCK = 4096
 
 #: the worst-sum oracle treats steps within _TIE_BAND * eps * max|v| of the
-#: `units`-th largest |step| as tied (the DP's margin is on the same M eps
-#: scale), capped so that the band never costs more than BOUND_SLACK
-#: (``_tie_tau``)
+#: `units`-th largest |step| as tied, capped so that the band never costs
+#: more than BOUND_SLACK (``_tie_tau``)
 _TIE_BAND = 16
 
 #: relative slack of the modulus kernel's gap-extreme lag test: it covers the
@@ -203,7 +202,7 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
     if any(not d > 0 for d in ds):
         raise BudgetError("deltas must be positive")
     if any(b <= a for a, b in zip(ds, ds[1:])):
-        raise BudgetError("deltas must be sorted ascending")
+        raise BudgetError("deltas must be strictly increasing")
     span = grid.span
     if any(d > span for d in ds):
         raise BudgetError(f"delta exceeds the window length {span}")
@@ -447,11 +446,10 @@ def worst_ac_sum_oracle(grid: SampleGrid, delta,
     kmax = min(max_intervals, units).  It walks only the m' grid points
     that do not lie strictly inside a run of zero steps, in
     m' * (units + 1) * (kmax + 1) bytes of choice history plus
-    O(m + (units + 1) * (kmax + 1)) floats, and stops early once no state
-    can still reach the best sum; neither changes its answer.  Only the DP
-    is limited by the state-space guard (BudgetError when
-    3 * m' * (units + 1) * (kmax + 1) > 4e8), and its result never exceeds
-    the bound.
+    O(m + (units + 1) * (kmax + 1)) floats; the folding does not change its
+    answer.  Only the DP is limited by the state-space guard (BudgetError
+    when 3 * m' * (units + 1) * (kmax + 1) > 4e8), and its result never
+    exceeds the bound.
     """
     if max_intervals < 1:
         raise ValueError("max_intervals must be >= 1")
@@ -561,10 +559,6 @@ def _tie_tau(values, t) -> float:
 #: open state was opened here
 _CLOSED_P, _CLOSED_M, _OPENED_P, _OPENED_M = 1, 2, 4, 8
 
-#: the DP bounds every live state's optimistic completion once per this many
-#: kept grid points, and stops when none can still reach the best sum
-_STOP_CHECK_PERIOD = 64
-
 
 def _dp_pairs(v: np.ndarray, units: int, kmax: int):
     """Index pairs of a best collection of at most `kmax` intervals covering
@@ -573,43 +567,19 @@ def _dp_pairs(v: np.ndarray, units: int, kmax: int):
     The DP walks the grid with states (intervals used, units used): a closed
     value, and open-interval carries for a rising and a falling interval.
     Among equal sums the closed state with the fewest units, then the
-    fewest intervals, wins.  Two savings skip only work that cannot change
-    that answer:
-
-    * Zero runs are folded.  A point strictly inside a run of zero steps
-      |v[j+1] - v[j]| = 0 is never an endpoint of the winner: moving a
-      start there to the run's right end, or an end to its left end, or
-      dropping an interval inside the run, keeps the sum and frees units.
-      The winner has the fewest units among equal sums.  The DP walks only
-      the other m' points, and an open interval crosses a run of g steps in
-      one transition that costs g units.
-    * The scan stops once nothing can win.  Every ``_STOP_CHECK_PERIOD``
-      kept points, each live closed state (u < units) is bounded by its
-      optimistic completion closed + (units - u) S, S being the largest
-      |step| after the current point j: each remaining unit adds at most
-      S.  That bounds the open states too: closing a rising open state at j
-      gives closed[k, u] >= open_p[k, u] + v[j] (a falling one,
-      open_m - v[j]), and a state opened at j carries closed[k - 1, u].
-      When every bound is more than ``margin`` below the best closed value
-      B, no later candidate reaches B, so the argmax, and the backtrack
-      over the rows filled so far, equal those of the full scan.
-
-    ``margin`` = 16 (kmax + 2)^2 M eps, M = max |v|, covers the rounding
-    that these real-valued bounds ignore.  A DP value sums at most
-    2 kmax + 1 terms +-v[i], so it and every partial sum stay within
-    (2 kmax + 1) M, and the at most 2 kmax + 1 roundings of a completion
-    add at most (2 kmax + 1)^2 M eps / 2.  A bound that passes the test
-    has (units - u) S <= 4 kmax M, so rounding S, the bound and B - margin,
-    and the step from an open state to its closed one, add at most
-    (7 kmax + 1/2) M eps more.  The total, (2 kmax^2 + 9 kmax + 1) M eps,
-    is below 3 (kmax + 2)^2 M eps; the rest of the factor 16 is headroom.
+    fewest intervals, wins.  Zero runs are folded: a point strictly inside
+    a run of zero steps |v[j+1] - v[j]| = 0 is never an endpoint of the
+    winner, since moving a start there to the run's right end, or an end to
+    its left end, or dropping an interval inside the run, keeps the sum and
+    frees units, and the winner has the fewest units among equal sums.  The
+    DP walks only the other m' points, and an open interval crosses a run
+    of g steps in one transition that costs g units.
 
     Every buffer is allocated once and updated in place, and each state
     records one uint8 choice code per kept point, so the memory is
-    m' * (units + 1) * (kmax + 1) bytes of history (rows past a stop are
-    never written) plus O(m + (units + 1) * (kmax + 1)) floats.  Raises
-    BudgetError when the DP would hold more than 4e8 states,
-    3 * m' * (units + 1) * (kmax + 1).
+    m' * (units + 1) * (kmax + 1) bytes of history plus
+    O(m + (units + 1) * (kmax + 1)) floats.  Raises BudgetError when the DP
+    would hold more than 4e8 states, 3 * m' * (units + 1) * (kmax + 1).
     """
     flat = np.diff(v) == 0
     inside = np.zeros(len(v), bool)
@@ -620,12 +590,6 @@ def _dp_pairs(v: np.ndarray, units: int, kmax: int):
         raise BudgetError("worst-sum state space too large; coarsen the grid")
     vk = v[kept]
     gaps = np.diff(kept, prepend=-1).tolist()
-    # S after each kept point, and the units left to each live state
-    after = np.zeros(n)
-    after[:-1] = np.maximum.accumulate(np.abs(np.diff(vk))[::-1])[::-1]
-    left = np.arange(units, 0, -1, dtype=float)
-    margin = 16.0 * (kmax + 2) ** 2 * float(np.max(np.abs(vk))) \
-        * sys.float_info.epsilon
     shape = (kmax + 1, units + 1)
     neg = -math.inf
     closed = np.full(shape, neg)
@@ -677,18 +641,14 @@ def _dp_pairs(v: np.ndarray, units: int, kmax: int):
         np.add(opened, opened_p8, out=opened)
         np.multiply(opened, _OPENED_P, out=opened)
         np.add(code[1:], opened, out=code[1:])
-        if (j + 1) % _STOP_CHECK_PERIOD == 0 and j + 1 < n:
-            bound = np.max(closed[:, :-1] + left * after[j], initial=neg)
-            if bound < closed.max() - margin:
-                break
     # among equal sums, the fewest units, then the fewest intervals
     u, k = divmod(int(np.argmax(closed.T)), kmax + 1)
-    return _backtrack(hist[:j + 1], kept.tolist(), gaps, u, k)
+    return _backtrack(hist, kept.tolist(), gaps, u, k)
 
 
 def _backtrack(hist: np.ndarray, kept: list, gaps: list, u: int, k: int):
     """Follow the choice codes back from the closed state (k, u) at the
-    last filled row; returns the intervals as (start, end) grid index pairs.
+    last row; returns the intervals as (start, end) grid index pairs.
 
     Row j of ``hist`` belongs to grid point kept[j], and reaching it from
     row j - 1 costs gaps[j] units.

@@ -147,15 +147,16 @@ def detect_partition(grid: SampleGrid):
     """Detect a convex/concave partition from second differences.
 
     Works on uniform grids (``SampleGrid.uniform``; any other grid raises
-    InsufficientData): raw second differences v[j+1] - 2 v[j] + v[j-1]
-    carry the curvature sign.  The zero band is the value-scale band
-    eta = DEFAULT_ETA_SCALE * max |value|, rescaled by (h / L)^2 so that a
-    given true curvature keeps the same margin at every resolution, and
-    floored at 16 ulps of the value scale so rounding noise on exactly
-    affine data never registers as curvature.  Near-zero entries are
-    treated as locally affine and absorbed into the adjacent run (leftward
-    ties).  Returns a PiecewiseConvexPartition, or NotPiecewiseConvex when
-    the number of sign runs exceeds DEFAULT_MAX_PIECES.
+    InsufficientData): raw second differences, taken as differences of the
+    steps (v[j+1] - v[j]) - (v[j] - v[j-1]), carry the curvature sign.  The
+    zero band is the value-scale band eta = DEFAULT_ETA_SCALE * max |value|,
+    rescaled by (h / L)^2 so that a given true curvature keeps the same
+    margin at every resolution, and floored at 16 ulps of the value scale
+    so rounding noise on exactly affine data never registers as curvature.
+    Near-zero entries are treated as locally affine and absorbed into the
+    adjacent run (leftward ties).  Returns a PiecewiseConvexPartition, or
+    NotPiecewiseConvex when the number of sign runs exceeds
+    DEFAULT_MAX_PIECES.
     """
     if len(grid) < 3:
         raise InsufficientData("partition detection needs at least 3 points")
@@ -170,7 +171,11 @@ def detect_partition(grid: SampleGrid):
     noise_floor = 16.0 * sys.float_info.epsilon * scale
     band = max(eta * (h / length) ** 2, noise_floor)
 
-    d2 = vs[2:] - 2.0 * vs[1:-1] + vs[:-2]
+    # differences of the steps stay finite wherever twice the value range
+    # does; past that an entry overflows to an inf of the right sign
+    dv = np.diff(vs)
+    with np.errstate(over="ignore"):
+        d2 = dv[1:] - dv[:-1]
     signs = np.zeros(len(d2), dtype=np.int8)
     signs[d2 > band] = 1
     signs[d2 < -band] = -1

@@ -732,9 +732,9 @@ class TestWorstSumOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_compressed_dp_with_early_stop_matches_brute_force(self, data):
+    def test_compressed_dp_matches_brute_force(self, data):
         # repeated levels plant runs of zero steps; a steep start and a
-        # shallow tail let the early stop fire, checked here at every point
+        # shallow tail put the winner early and leave many small steps after
         if data.draw(st.booleans()):
             levels = data.draw(st.lists(
                 st.one_of(st.integers(-3, 3), st.floats(-4.0, 4.0)),
@@ -751,11 +751,7 @@ class TestWorstSumOracle:
         m = len(values)
         units = data.draw(st.integers(0, m - 1))
         kmax = min(data.draw(st.integers(1, 4)), units)
-        v = np.array(values)
-        with mock.patch.object(continuity, "_STOP_CHECK_PERIOD", 1):
-            pairs = _dp_pairs(v, units, kmax)
-        with mock.patch.object(continuity, "_STOP_CHECK_PERIOD", m + 1):
-            assert _dp_pairs(v, units, kmax) == pairs
+        pairs = _dp_pairs(np.array(values), units, kmax)
         want = brute_force_worst_sum(values, units, kmax)
         assert math.fsum(abs(values[e] - values[s]) for s, e in pairs) == \
             pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -771,50 +767,32 @@ class TestWorstSumOracle:
     @pytest.mark.parametrize("name", ["zigzag", "cantor"])
     def test_dp_work_skipping_keeps_bench_sized_pairs(self, name):
         # the DP called directly on the benchmark's 8193-point worst-sum
-        # shapes: the zigzag's stops early, Cantor's folds its flat runs;
-        # the pairs equal those of a scan that never checks for a stop.
-        # Through the oracle the zigzag's steps glue and never reach the DP
-        # (next test), and Cantor's DP walks every kept point
+        # shapes: Cantor's folds its flat runs, the zigzag has none to fold
+        # and fills a history row per grid point.  Through the oracle the
+        # zigzag's steps glue and never reach the DP (next test); called
+        # directly, the DP reaches the same step bound
         if name == "zigzag":
             f = FunctionSpec.piecewise_linear(
                 ((0.0, 0.0), (0.3, 0.6), (0.7, 0.2), (1.0, 0.5)))
         else:
             f = catalog.cantor_on_unit()
         m = 8193
-        v = sample(f, IntervalSpec(0.0, 1.0), m).values
+        grid = sample(f, IntervalSpec(0.0, 1.0), m)
+        v = grid.values
         for units, kmax in ((97, 32), (286, 4)):
             with mock.patch.object(continuity, "_backtrack",
                                    wraps=continuity._backtrack) as walk:
                 pairs = _dp_pairs(v, units, kmax)
             hist, kept = walk.call_args.args[:2]
-            with mock.patch.object(continuity, "_STOP_CHECK_PERIOD", m + 1):
-                assert _dp_pairs(v, units, kmax) == pairs
+            assert len(hist) == len(kept)
             if name == "zigzag":
-                assert len(kept) == m and len(hist) < m // 2
+                assert len(kept) == m
+                _, _, bound = continuity._step_bound(
+                    grid, (units + 1) / (m - 1) * (1.0 + 1e-7))
+                assert math.fsum(abs(v[e] - v[s]) for s, e in pairs) == \
+                    pytest.approx(bound, rel=1e-12)
             else:
-                assert len(hist) == len(kept) < m // 10
-
-    def test_oracle_dp_stops_early(self):
-        # large steps first, then small ones: the DP, reached through the
-        # public oracle, stops once no state can catch up, and its pairs
-        # equal those of a scan that never checks for a stop
-        m, units, kmax = 2049, 24, 8
-        rng = np.random.default_rng(0)
-        steps = np.concatenate([rng.normal(0.0, 1.0, 100),
-                                rng.normal(0.0, 1e-3, m - 101)])
-        grid = SampleGrid(uniform_abscissae(0.0, 1.0, m),
-                          np.concatenate([[0.0], np.cumsum(steps)]))
-        delta = (units + 1) / (m - 1) * (1.0 + 1e-7)
-        with mock.patch.object(continuity, "_backtrack",
-                               wraps=continuity._backtrack) as walk:
-            rep = worst_ac_sum_oracle(grid, delta, kmax)
-        hist, kept = walk.call_args.args[:2]
-        assert rep.method == "OracleDP"
-        assert len(hist) < len(kept) == m
-        with mock.patch.object(continuity, "_STOP_CHECK_PERIOD", m + 1):
-            full = worst_ac_sum_oracle(grid, delta, kmax)
-        assert full.witness == rep.witness
-        assert full.best_sum == rep.best_sum
+                assert len(kept) < m // 10
 
     @pytest.mark.parametrize("units, kmax", [(97, 32), (286, 4)])
     def test_bench_sized_zigzag_glues_without_the_dp(self, units, kmax):

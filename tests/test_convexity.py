@@ -1,6 +1,7 @@
 """Tests for partition detection, monotone refinement and increment curves."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,21 @@ class TestDetectPartition:
         assert not grid.uniform
         with pytest.raises(InsufficientData, match="uniform grid"):
             detect_partition(grid)
+
+    def test_values_near_the_float_limit_keep_their_shapes(self):
+        # twice the peaks overflows, while the steps and most of their
+        # differences stay finite: scaling by an exact power of two must not
+        # move a piece, and no overflow warning may be raised
+        f = FunctionSpec.piecewise_linear(
+            ((0.0, 0.0), (1.0, 1e308), (2.0, 0.0), (3.0, 1e308), (4.0, 0.0)))
+        grid = sample(f, IntervalSpec(0.0, 4.0), 4001)
+        small = SampleGrid(grid.abscissae, grid.values * 2.0 ** -1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big, scaled = detect_partition(grid), detect_partition(small)
+        assert big == scaled
+        assert [s.shape for s in big.shapes] == [Shape.CONCAVE, Shape.CONVEX,
+                                                 Shape.CONCAVE]
 
     def test_idempotent(self):
         grid = sample(catalog.cubed(), IntervalSpec(-1.0, 1.0), 501)

@@ -254,6 +254,25 @@ class TestCLI:
         assert captured.err.startswith(f"parse error: {message}")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("deltas", ["0.1,0.1", "0.2,0.1"])
+    def test_deltas_not_strictly_increasing_parse_error(self, capsys, deltas):
+        assert main(["modulus", "--fn", "sqrt", "--interval", "[0,1]",
+                     "--deltas", deltas]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "parse error: deltas must be strictly increasing\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_values_near_the_float_limit_analyze_quietly(self, capsys):
+        # twice the peaks overflows; detection still reads the curvature
+        # signs, and the certificate step, not a warning, ends the run
+        assert main(["analyze", "--fn", "pwl:0:0,1:1e308,2:0,3:1e308,4:0",
+                     "--interval", "[0,4]"]) == EXIT_UNACHIEVABLE
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["certificate"] is None
+
     def test_window_too_narrow_for_the_oracle_grid_fails_early(
             self, capsys, monkeypatch):
         # detection's 5- to 17-point grids are uniform near 1000, but the
