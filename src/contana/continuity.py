@@ -442,14 +442,18 @@ def worst_ac_sum_oracle(grid: SampleGrid, delta,
     up to rounding, so they form one glued interval, which by the gluing
     bound dominates any collection there.  Otherwise a dynamic program
     (method "OracleDP", ``_dp_pairs``) searches states (grid index, units
-    used, intervals used), with
-    kmax = min(max_intervals, units).  It walks only the m' grid points
-    that do not lie strictly inside a run of zero steps, in
+    used, intervals used), with kmax = min(max_intervals, units).  It
+    carries a rising open interval only if some step is > 0 and a falling
+    one only if some step is < 0: on monotone data the other direction
+    never wins, so one open state suffices.  It walks only the m' grid
+    points that do not lie strictly inside a run of zero steps, in
     m' * (units + 1) * (kmax + 1) bytes of choice history plus
     O(m + (units + 1) * (kmax + 1)) floats; the folding does not change its
     answer.  Only the DP is limited by the state-space guard (BudgetError
-    when 3 * m' * (units + 1) * (kmax + 1) > 4e8), and its result never
-    exceeds the bound.
+    when 3 * m' * (units + 1) * (kmax + 1) > 4e8, whichever directions it
+    carries), and its result never exceeds the bound.  The witness's
+    endpoints are the grid's own abscissae, looked up by index, so a grid
+    of Fractions gives exact ones.
     """
     if max_intervals < 1:
         raise ValueError("max_intervals must be >= 1")
@@ -462,9 +466,10 @@ def worst_ac_sum_oracle(grid: SampleGrid, delta,
     else:
         method = "OracleDP"
         pairs_idx = _dp_pairs(v, units, kmax)
-    points = grid.abscissae.tolist()
+    # only the pairs' endpoints, as Python floats (or exact Fractions)
+    idx = np.array(pairs_idx, dtype=np.intp).reshape(-1, 2)
     witness = IntervalCollection(
-        tuple((points[s], points[e]) for s, e in pairs_idx))
+        tuple(map(tuple, grid.abscissae[idx].tolist())))
     best_sum = math.fsum(abs(v[e] - v[s]) for s, e in pairs_idx)
     assert best_sum <= bound * (1.0 + BOUND_SLACK), (best_sum, bound)
     return ACWorstReport(delta=delta, best_sum=best_sum, witness=witness,
@@ -556,7 +561,7 @@ def _tie_tau(values, t) -> float:
 #: bits of the DP's one-byte choice code per state: the rising (+v[end] -
 #: v[start]) or falling interval closed here improved the closed state (the
 #: falling one is tried last, so its bit wins), or the rising or falling
-#: open state was opened here
+#: open state was opened here; a direction the DP does not carry sets none
 _CLOSED_P, _CLOSED_M, _OPENED_P, _OPENED_M = 1, 2, 4, 8
 
 
@@ -565,7 +570,20 @@ def _dp_pairs(v: np.ndarray, units: int, kmax: int):
     at most `units` grid steps in total.
 
     The DP walks the grid with states (intervals used, units used): a closed
-    value, and open-interval carries for a rising and a falling interval.
+    value, and an open-interval carry per direction the data can use.  A
+    rising interval scores v[end] - v[start], a falling one v[start] -
+    v[end].  The rising carry is kept iff some step v[j+1] - v[j] is > 0,
+    the falling one iff some step is < 0, so monotone data such as the
+    Cantor staircase carries one.  The dropped direction could not win:
+    with no step < 0, v[s] <= v[e] for every s < e, so a falling interval
+    never scores more than the rising one with the same start and units,
+    and symmetrically.  Each kept direction makes the same float
+    operations, the falling one on v those of the rising one on -v, so
+    monotone data costs half the float work per point of mixed-sign data;
+    only candidates that tie up to rounding can pick other pairs than a DP
+    carrying both directions.  At each point every direction closes before
+    any opens, so a falling interval and a rising one may touch there.
+
     Among equal sums the closed state with the fewest units, then the
     fewest intervals, wins.  Zero runs are folded: a point strictly inside
     a run of zero steps |v[j+1] - v[j]| = 0 is never an endpoint of the
@@ -579,7 +597,8 @@ def _dp_pairs(v: np.ndarray, units: int, kmax: int):
     records one uint8 choice code per kept point, so the memory is
     m' * (units + 1) * (kmax + 1) bytes of history plus
     O(m + (units + 1) * (kmax + 1)) floats.  Raises BudgetError when the DP
-    would hold more than 4e8 states, 3 * m' * (units + 1) * (kmax + 1).
+    would hold more than 4e8 states, 3 * m' * (units + 1) * (kmax + 1),
+    whichever directions it carries.
     """
     flat = np.diff(v) == 0
     inside = np.zeros(len(v), bool)
@@ -589,58 +608,64 @@ def _dp_pairs(v: np.ndarray, units: int, kmax: int):
     if 3 * n * (units + 1) * (kmax + 1) > 400_000_000:
         raise BudgetError("worst-sum state space too large; coarsen the grid")
     vk = v[kept]
+    steps = np.diff(vk)
     gaps = np.diff(kept, prepend=-1).tolist()
     shape = (kmax + 1, units + 1)
     neg = -math.inf
+    # one open state per direction that some step can use, the rising one
+    # first: its carries, their extension to the current point, and its
+    # close and open flags.  An open state counts its interval, so row 0 of
+    # the carries, of the extension and of the open flags, and columns
+    # 0 .. g - 1 (fewer units than the crossing) of the extension, stay -inf
+    # (False)
+    dirs, terms = [], []
+    for sign, closed_bit, opened_bit, used in (
+            (1.0, _CLOSED_P, _OPENED_P, steps > 0),
+            (-1.0, _CLOSED_M, _OPENED_M, steps < 0)):
+        if used.any():
+            closed_flag = np.empty(shape, bool)
+            opened_flag = np.zeros(shape, bool)
+            carry, ext = np.full(shape, neg), np.full(shape, neg)
+            dirs.append((sign, carry, ext, carry[1:], ext[1:], closed_flag,
+                         opened_flag[1:]))
+            terms += [(closed_bit, closed_flag.view(np.uint8)),
+                      (opened_bit, opened_flag.view(np.uint8))]
+    if not dirs:  # no nonzero step: the empty collection wins
+        return []
+    # a code row is the sum of bit * flag: the largest bit is written into
+    # the row, and a bit of 1 is added unscaled
+    (top_bit, top_flag), *rest = sorted(terms, key=lambda t: -t[0])
     closed = np.full(shape, neg)
     closed[0, 0] = 0.0
-    # an open state counts its interval, so row 0 of the open states and
-    # columns 0 .. g - 1 (fewer units than the crossing) of the extended
-    # ones stay -inf
-    open_p, open_m = np.full(shape, neg), np.full(shape, neg)
-    ext_p, ext_m = np.full(shape, neg), np.full(shape, neg)
     cand = np.empty(shape)
-    closed_p, closed_m = np.empty(shape, bool), np.empty(shape, bool)
-    opened_p = np.empty((kmax, units + 1), bool)
-    opened_m = np.empty((kmax, units + 1), bool)
-    opened = np.empty((kmax, units + 1), np.uint8)
-    # the same flags as 0/1 bytes, to assemble the codes from
-    closed_p8, closed_m8, opened_p8, opened_m8 = (
-        a.view(np.uint8) for a in (closed_p, closed_m, opened_p, opened_m))
+    bits = np.empty(shape, np.uint8)
     hist = np.empty((n,) + shape, np.uint8)
     # rows 1.. (one interval more) and the closed states they open from
     closed_fewer, cand_k = closed[:-1], cand[1:]
-    ext_p_k, ext_m_k = ext_p[1:], ext_m[1:]
-    open_p_k, open_m_k = open_p[1:], open_m[1:]
     for j, (vj, g) in enumerate(zip(vk.tolist(), gaps)):
+        # every direction closes at j before any opens there, so a falling
+        # interval and a rising one may touch at j
+        for sign, carry, ext, _, _, closed_flag, _ in dirs:
+            # an open interval runs on to kept point j: g more units
+            if g > 1:
+                ext[:, :g] = neg
+            ext[:, g:] = carry[:, :-g]
+            # close it at j (sign * vj is exact, so a falling interval on v
+            # makes a rising one's float operations on -v)
+            np.add(ext, sign * vj, out=cand)
+            np.greater(cand, closed, out=closed_flag)
+            np.maximum(closed, cand, out=closed)
+        for sign, _, _, carry_k, ext_k, _, opened_flag in dirs:
+            # or open one more interval at j
+            np.subtract(closed_fewer, sign * vj, out=cand_k)
+            np.greater(cand_k, ext_k, out=opened_flag)
+            np.maximum(ext_k, cand_k, out=carry_k)
         code = hist[j]
-        # an open interval runs on to kept point j: g more units
-        if g > 1:
-            ext_p[:, :g] = neg
-            ext_m[:, :g] = neg
-        ext_p[:, g:] = open_p[:, :-g]
-        ext_m[:, g:] = open_m[:, :-g]
-        # close it at j
-        np.add(ext_p, vj, out=cand)
-        np.greater(cand, closed, out=closed_p)
-        np.maximum(closed, cand, out=closed)
-        np.subtract(ext_m, vj, out=cand)
-        np.greater(cand, closed, out=closed_m)
-        np.maximum(closed, cand, out=closed)
-        # or open one more interval at j
-        np.subtract(closed_fewer, vj, out=cand_k)
-        np.greater(cand_k, ext_p_k, out=opened_p)
-        np.maximum(ext_p_k, cand_k, out=open_p_k)
-        np.add(closed_fewer, vj, out=cand_k)
-        np.greater(cand_k, ext_m_k, out=opened_m)
-        np.maximum(ext_m_k, cand_k, out=open_m_k)
-        # code = closed_p + 2 closed_m + 4 (opened_p + 2 opened_m)
-        np.add(closed_m8, closed_m8, out=code)
-        np.add(code, closed_p8, out=code)
-        np.add(opened_m8, opened_m8, out=opened)
-        np.add(opened, opened_p8, out=opened)
-        np.multiply(opened, _OPENED_P, out=opened)
-        np.add(code[1:], opened, out=code[1:])
+        np.multiply(top_flag, top_bit, out=code)
+        for bit, flag in rest:
+            if bit > 1:
+                flag = np.multiply(flag, bit, out=bits)
+            np.add(code, flag, out=code)
     # among equal sums, the fewest units, then the fewest intervals
     u, k = divmod(int(np.argmax(closed.T)), kmax + 1)
     return _backtrack(hist, kept.tolist(), gaps, u, k)

@@ -136,6 +136,38 @@ def brute_force_worst_sum(values, units, k_max):
     return best
 
 
+def check_dp_pairs(values, units, kmax):
+    """``_dp_pairs`` on values reaches the brute-force sum with a legal
+    collection: at most kmax ordered, nonoverlapping intervals covering at
+    most `units` steps, no endpoint strictly inside a run of zero steps."""
+    m = len(values)
+    pairs = _dp_pairs(np.array(values), units, kmax)
+    want = brute_force_worst_sum(values, units, kmax)
+    assert math.fsum(abs(values[e] - values[s]) for s, e in pairs) == \
+        pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert len(pairs) <= kmax
+    assert sum(e - s for s, e in pairs) <= units
+    assert all(s < e for s, e in pairs)
+    assert all(e <= s for (_, e), (s, _) in zip(pairs, pairs[1:]))
+    inside = {j for j in range(1, m - 1)
+              if values[j - 1] == values[j] == values[j + 1]}
+    assert not inside & {j for pair in pairs for j in pair}, pairs
+
+
+@st.composite
+def monotone_values(draw, max_size=12):
+    """Nondecreasing or nonincreasing values: integer or float steps, zero
+    steps for plateaus, at an offset of 0, -2.5 or 1e6."""
+    steps = draw(st.lists(
+        st.one_of(st.just(0.0), st.integers(0, 3).map(float),
+                  st.floats(0.0, 4.0)),
+        min_size=1, max_size=max_size - 1))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    offset = draw(st.sampled_from([0.0, -2.5, 1e6]))
+    return [offset + sign * level
+            for level in accumulate(steps, initial=0.0)]
+
+
 def top_step_runs(values, units):
     """The bound-first selection, step by step: with t the `units`-th
     largest |step| and the program's tie band tau, every step above t + tau, then
@@ -751,18 +783,42 @@ class TestWorstSumOracle:
         m = len(values)
         units = data.draw(st.integers(0, m - 1))
         kmax = min(data.draw(st.integers(1, 4)), units)
-        pairs = _dp_pairs(np.array(values), units, kmax)
-        want = brute_force_worst_sum(values, units, kmax)
-        assert math.fsum(abs(values[e] - values[s]) for s, e in pairs) == \
-            pytest.approx(want, rel=1e-12, abs=1e-12)
-        assert len(pairs) <= kmax
-        assert sum(e - s for s, e in pairs) <= units
-        assert all(s < e for s, e in pairs)
-        assert all(e <= s for (_, e), (s, _) in zip(pairs, pairs[1:]))
-        # no endpoint lies strictly inside a run of zero steps
-        inside = {j for j in range(1, m - 1)
-                  if values[j - 1] == values[j] == values[j + 1]}
-        assert not inside & {j for pair in pairs for j in pair}, pairs
+        check_dp_pairs(values, units, kmax)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=monotone_values(), data=st.data())
+    def test_monotone_dp_matches_brute_force(self, values, data):
+        # a monotone input carries one open state, rising or falling
+        m = len(values)
+        units = data.draw(st.integers(0, m - 1))
+        kmax = min(data.draw(st.integers(1, 4)), units)
+        check_dp_pairs(values, units, kmax)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=monotone_values(max_size=40), data=st.data())
+    def test_monotone_dp_is_sign_symmetric(self, values, data):
+        # the falling-only DP on -v makes the rising-only DP's float
+        # operations on v, so the pairs agree one for one
+        v = np.array(values)
+        units = data.draw(st.integers(0, len(v) - 1))
+        kmax = min(data.draw(st.integers(1, 6)), units)
+        assert _dp_pairs(-v, units, kmax) == _dp_pairs(v, units, kmax)
+
+    @pytest.mark.parametrize("units, kmax", [(97, 32), (286, 4)])
+    def test_bench_sized_cantor_dp_is_sign_symmetric(self, units, kmax):
+        grid = sample(catalog.cantor_on_unit(), IntervalSpec(0.0, 1.0), 8193)
+        v = grid.values
+        pairs = _dp_pairs(v, units, kmax)
+        assert len(pairs) == kmax
+        assert _dp_pairs(-v, units, kmax) == pairs
+
+    def test_touching_falling_then_rising_intervals(self):
+        # the only collection summing to 9 falls into the local minimum at
+        # index 2 and rises out of it: every close at a point comes before
+        # any open there
+        values = [0.0, 3.0, 0.0, 3.0]
+        assert brute_force_worst_sum(values, 3, 3) == 9.0
+        assert _dp_pairs(np.array(values), 3, 3) == [(0, 1), (1, 2), (2, 3)]
 
     @pytest.mark.parametrize("name", ["zigzag", "cantor"])
     def test_dp_work_skipping_keeps_bench_sized_pairs(self, name):
@@ -880,6 +936,9 @@ class TestWorstSumOracle:
         assert rep.best_sum == 1.0
         assert rep.witness.total_length <= Fraction(8, 27)
         assert ac_sum(f, rep.witness) == 1.0
+        # the witness's endpoints are the grid's own Fractions
+        assert all(type(x) is Fraction and x in xs
+                   for pair in rep.witness.pairs for x in pair)
 
     def test_budget_error(self):
         f = catalog.sqrt_on_unit()
