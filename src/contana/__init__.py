@@ -52,6 +52,8 @@ from .continuity import (
     VerificationReport,
     ac_certificate,
     ac_sum,
+    exact_budget,
+    exact_sup,
     glued_single_interval,
     gluing_bound_check,
     modulus_on_grid,

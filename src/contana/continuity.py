@@ -13,9 +13,15 @@ search their increment sums sum |f(y_i) - f(x_i)|:
   budget, rounding-level ties taken lowest index first so that a linear
   piece yields one glued run, form few enough same-sign runs, else by
   dynamic programming over (grid index, budget units, interval count).
+* ``exact_sup`` gives the supremum Phi(d) of the increment sums over
+  every collection of total length at most d, in closed form, for the
+  kinds whose |f'| is known exactly: piecewise linear data, polynomials of
+  degree at most one, and the square root.
 * ``ac_certificate`` / ``verify_certificate`` invert each piece's anchored
   increment into a concrete (epsilon, delta_1) certificate: every
   collection of total length below delta_1 has increment sum below epsilon.
+  Where Phi exists it proves the certificate; elsewhere random and searched
+  collections attack it.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +50,9 @@ from .errors import (
     Unachievable,
 )
 from .function_model import (
+    POLY,
+    PWL,
+    SQRT,
     FunctionSpec,
     IntervalSpec,
     SampleGrid,
@@ -163,8 +174,23 @@ class GluingCheck:
 @dataclass(frozen=True)
 class VerificationReport:
     passed: bool
+    #: the largest increment sum of the collections built, and one of them
     worst_sum: float
     worst_collection: IntervalCollection
+    #: "exact_sup" when Phi(delta_1) decided ``passed``, else "sampled"
+    method: str
+    #: random trials run (0 on the exact path)
+    trials: int
+    #: Phi(delta_1) in float on the exact path, else None
+    sup: float | None = None
+
+
+class ExactSup(NamedTuple):
+    """Phi(d) in float and a bound on its rounding:
+    |value - Phi(d)| <= rounding."""
+
+    value: float
+    rounding: float
 
 
 def ac_sum(f: FunctionSpec, c: IntervalCollection) -> float:
@@ -721,6 +747,188 @@ def glued_single_interval(f: FunctionSpec, piece: ShapePiece,
 
 
 # ---------------------------------------------------------------------------
+# The exact supremum Phi(d)
+# ---------------------------------------------------------------------------
+
+def exact_sup(f: FunctionSpec, lo: float, hi: float, d: float) -> ExactSup | None:
+    """Phi(d): the supremum of sum |f(b_i) - f(a_i)| over the collections of
+    nonoverlapping intervals in [lo, hi] of total length at most d.
+
+    Each increment is at most the integral of |f'| over its interval, with
+    equality where f is monotone, so Phi(d) is the integral over [0, d] of
+    the decreasing rearrangement of |f'|: the steepest total length d of
+    the window, wherever it lies.  It is a bound on every collection, with
+    no reference to detected pieces.  Three kinds have it without root
+    finding; every other kind returns None, as does a window whose slopes
+    or supremum overflow.
+
+    * ``pwl`` (``table@`` included), and ``poly`` of degree at most one as
+      one segment: a fractional knapsack over the segments clipped to the
+      window, steepest first.  With the cut level c, the |slope| of the
+      segment the budget ends in (0 when it covers them all), Phi is summed
+      as its LP dual c * d + sum of L_i * (s_i - c) over the k segments
+      taken whole, whose terms are nonnegative.  The rounding is at most
+      (k + 16) * eps * (c * d + sum L_i * s_i over those k segments)
+      + 16 * eps * c * T + (k + 16) * ulp(0), eps being the float epsilon
+      and T the length of the other segments whose |slope| is within
+      8 * eps * c of c.  It covers the rounding of the slopes, the
+      lengths and the sum, and a cut that their rounding, or that of the
+      running lengths, puts on a neighbouring segment.
+    * ``sqrt``: sqrt(min(lo + d, hi)) - sqrt(lo), rounded by at most
+      4 * eps * sqrt(min(lo + d, hi)) + ulp(0).
+
+    Phi is that of the exact function: the knots' interpolant, the
+    polynomial or the square root.  An increment of ``evaluate`` values is
+    within 16 * eps * Y of the exact one, where Y is the largest |y| of the
+    knots of the segments that meet the window, |c0| + |c1| * max(|lo|,
+    |hi|), or sqrt(hi).  ``_sup_below`` decides Phi(d) < epsilon exactly,
+    in rationals, where the rounding leaves it open.  Cost: O(n log n) for
+    the n segments that meet the window.
+    """
+    if f.kind == SQRT:
+        top = math.sqrt(min(lo + d, hi))
+        return ExactSup(top - math.sqrt(lo),
+                        4 * sys.float_info.epsilon * top + math.ulp(0.0))
+    knapsack = _knapsack(f, lo, hi)
+    return None if knapsack is None else _knapsack_sup(*knapsack, d)
+
+
+def exact_budget(f: FunctionSpec, lo: float, hi: float,
+                 epsilon: float) -> float | None:
+    """delta1_opt: the largest d <= hi - lo with Phi(d) < epsilon, rounded
+    down within ``exact_sup``'s rounding.
+
+    Phi is inverted at epsilon - m: the knapsack run backwards, or
+    (epsilon + sqrt(lo))**2 - lo for sqrt.  The first d whose upper end,
+    value plus rounding, is below epsilon is returned; m starts at 0 and
+    then grows to twice itself plus the rounding seen, so at most a few
+    roundings are given up, and 0 is returned once m reaches epsilon.
+    None where ``exact_sup`` is.
+    """
+    span = hi - lo
+    if f.kind == SQRT:
+        def invert(e):
+            top = e + math.sqrt(lo)
+            return top * top - lo
+
+        def sup_at(d):
+            return exact_sup(f, lo, hi, d)
+    else:
+        knapsack = _knapsack(f, lo, hi)
+        if knapsack is None:
+            return None
+        s, lengths = knapsack
+        reach, rises = np.cumsum(lengths), np.cumsum(lengths * s)
+
+        def invert(e):
+            k = int(np.searchsorted(rises, e, side="right"))  # whole below e
+            if k == len(s):
+                return span
+            if k == 0:
+                return float(e / s[0])
+            return float(reach[k - 1] + (e - rises[k - 1]) / s[k])
+
+        def sup_at(d):
+            return _knapsack_sup(s, lengths, d)
+    margin = 0.0
+    while margin < epsilon:
+        d = min(max(invert(epsilon - margin), 0.0), span)
+        sup = sup_at(d)
+        if sup is None:
+            return None
+        if d == 0.0 or sup.value + sup.rounding < epsilon:
+            return d
+        margin = 2.0 * (margin + sup.rounding)
+    return 0.0
+
+
+def _segments(f: FunctionSpec, lo, hi, exact: bool = False):
+    """(|slopes|, lengths) of f's linear segments clipped to [lo, hi]: float64
+    arrays, or lists of Fractions when exact; None unless f is piecewise
+    linear or a polynomial of degree at most one.  A slope is that of the
+    whole segment between its knots."""
+    num = Fraction if exact else float
+    if f.kind == POLY and len(f.coefficients) <= 2:
+        slopes = [abs(num((*f.coefficients, 0.0)[1]))]
+        lengths = [num(hi) - num(lo)]
+        return (slopes, lengths) if exact else (np.array(slopes),
+                                                np.array(lengths))
+    if f.kind != PWL:
+        return None
+    kx, ky = f._kx, f._ky
+    i = max(int(np.searchsorted(kx, lo, side="right")) - 1, 0)
+    j = int(np.searchsorted(kx, hi, side="left"))
+    x, y = kx[i:j + 1], ky[i:j + 1]
+    ends = x.copy()
+    ends[0], ends[-1] = lo, hi
+    if exact:
+        x, y, ends = ([Fraction(v) for v in a.tolist()] for a in (x, y, ends))
+        return ([abs(y1 - y0) / (x1 - x0)
+                 for x0, x1, y0, y1 in zip(x, x[1:], y, y[1:])],
+                [b - a for a, b in zip(ends, ends[1:])])
+    with np.errstate(over="ignore"):
+        return np.abs(np.diff(y)) / np.diff(x), np.diff(ends)
+
+
+def _knapsack(f: FunctionSpec, lo, hi):
+    """``_segments`` in float, steepest first; None where it is or where a
+    slope overflows."""
+    segments = _segments(f, lo, hi)
+    if segments is None or not np.isfinite(segments[0]).all():
+        return None
+    order = np.argsort(-segments[0], kind="stable")
+    return segments[0][order], segments[1][order]
+
+
+def _knapsack_sup(s: np.ndarray, lengths: np.ndarray, d) -> ExactSup | None:
+    """``exact_sup`` of the segments (s, lengths), steepest first."""
+    k = int(np.searchsorted(np.cumsum(lengths), d))  # segments taken whole
+    cut = float(s[k]) if k < len(s) else 0.0
+    taken, whole = lengths[:k], s[:k]
+    eps = sys.float_info.epsilon
+    tied = np.abs(s - cut) <= 8 * eps * cut
+    tied[k:k + 1] = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = cut * d + float(np.sum(taken * (whole - cut)))
+        rounding = ((k + 16) * (eps * (cut * d + float(np.sum(taken * whole)))
+                                + math.ulp(0.0))
+                    + 16 * eps * cut * float(np.sum(lengths[tied])))
+    if not math.isfinite(value + rounding):
+        return None
+    return ExactSup(value, rounding)
+
+
+def _sup_fraction(f: FunctionSpec, lo, hi, d) -> Fraction:
+    """Phi(d) of a ``pwl`` or degree-one ``poly`` in exact rational
+    arithmetic: the knapsack on the exact slopes and lengths."""
+    slopes, lengths = _segments(f, lo, hi, exact=True)
+    left, total = Fraction(d), Fraction(0)
+    for slope, length in sorted(zip(slopes, lengths), reverse=True):
+        take = min(length, left)
+        total += slope * take
+        left -= take
+        if not left:
+            break
+    return total
+
+
+def _sup_below(f: FunctionSpec, lo, hi, d, epsilon, sup: ExactSup) -> bool:
+    """Phi(d) < epsilon, from ``exact_sup``'s value where its rounding
+    decides, else in exact rational arithmetic."""
+    if sup.value + sup.rounding < epsilon:
+        return True
+    if sup.value - sup.rounding > epsilon:
+        return False
+    if f.kind == SQRT:
+        # sqrt(a) - sqrt(b) < e  <=>  a - b - e**2 < 2 e sqrt(b)
+        a = min(Fraction(lo) + Fraction(d), Fraction(hi))
+        b, e = Fraction(lo), Fraction(epsilon)
+        gap = a - b - e * e
+        return gap < 0 or gap * gap < 4 * e * e * b
+    return _sup_fraction(f, lo, hi, d) < epsilon
+
+
+# ---------------------------------------------------------------------------
 # Partition splitting and certificates
 # ---------------------------------------------------------------------------
 
@@ -864,20 +1072,72 @@ def _increment_step(f: FunctionSpec, piece: ShapePiece, budget: float) -> float:
 
 def verify_certificate(f: FunctionSpec, cert: Certificate, trials: int = 10000,
                        seed: int = 0) -> VerificationReport:
-    """Stress a certificate with adversarial, random and searched collections.
+    """Prove a certificate by Phi(delta_1), or attack it where no closed form
+    exists.
 
-    The adversarial stage is one glued interval per piece, of length
-    0.999 * min(delta_1, piece length) at the favourable end
-    (``glued_single_interval``): by the increment lemma and the gluing
-    bound its increment dominates every collection of that total length on
-    the piece, split ones included.  Then ``trials`` random
-    collections mix many-small-interval and single-interval shapes: trial t
-    is one row of 35 uniforms from ``np.random.default_rng(seed)``, which
-    gives its pair count (1 to 8, or 16, or 1, by t mod 5), its total and
-    its widths and gaps, and ``_random_blocks`` lays out every trial of a
-    block at once.  Every sum is the exact ``math.fsum`` of the pair
-    increments, equal to ``ac_sum``; the first strictly largest one is the
-    worst so far.
+    Both paths build the adversarial collections of ``_glued_attack``, one
+    glued interval per piece, which give the observed worst sum and its
+    witness.  Where ``exact_sup`` has a closed form (method "exact_sup"),
+    the certificate passes iff Phi(delta_1) < epsilon on its window
+    (``_sup_below``: the float value's rounding bound decides, and exact
+    rationals where it leaves the answer open) and no glued sum reaches
+    epsilon.  Phi bounds every collection on the window, so this is a proof
+    that does not rest on the detected pieces, and no random trial runs.
+    Every other kind (method "sampled") also takes ``_sampled_attack``'s
+    ``trials`` random collections and its searched one, and passes iff the
+    worst sum stays below epsilon.  The kind alone picks the path.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    lo, hi = cert.partition.points[0], cert.partition.points[-1]
+    sup = exact_sup(f, lo, hi, cert.delta1)
+    if sup is None:
+        worst_sum, worst_c = _sampled_attack(f, cert, trials, seed)
+        return VerificationReport(passed=worst_sum < cert.epsilon,
+                                  worst_sum=worst_sum, worst_collection=worst_c,
+                                  method="sampled", trials=trials)
+    worst_sum, worst_c = _glued_attack(f, cert)
+    passed = worst_sum < cert.epsilon and _sup_below(
+        f, lo, hi, cert.delta1, cert.epsilon, sup)
+    return VerificationReport(passed=passed, worst_sum=worst_sum,
+                              worst_collection=worst_c, method="exact_sup",
+                              trials=0, sup=sup.value)
+
+
+def _glued_attack(f: FunctionSpec, cert: Certificate) -> tuple:
+    """(worst sum, its collection) of one glued interval per piece.
+
+    Each is of length 0.999 * min(delta_1, piece length) at the piece's
+    favourable end (``glued_single_interval``): by the increment lemma and
+    the gluing bound its increment dominates every collection of that total
+    length on the piece, split ones included.  The first strictly largest
+    sum wins; none gives (0.0, the empty collection).
+    """
+    worst_sum = 0.0
+    worst_c = IntervalCollection(())
+    for piece in cert.monotone_pieces:
+        plen = piece.interval.hi - piece.interval.lo
+        # a subnormal piece length can round 0.999 * plen back to plen
+        length = 0.999 * min(cert.delta1, plen)
+        if 0 < length < plen:
+            rep = glued_single_interval(f, piece, length)
+            if rep.best_sum > worst_sum:
+                worst_sum, worst_c = rep.best_sum, rep.witness
+    return worst_sum, worst_c
+
+
+def _sampled_attack(f: FunctionSpec, cert: Certificate, trials: int,
+                    seed: int) -> tuple:
+    """(worst sum, its collection) of the glued, random and searched
+    collections.
+
+    After ``_glued_attack``, ``trials`` random collections mix
+    many-small-interval and single-interval shapes: trial t is one row of
+    35 uniforms from ``np.random.default_rng(seed)``, which gives its pair
+    count (1 to 8, or 16, or 1, by t mod 5), its total and its widths and
+    gaps, and ``_random_blocks`` lays out every trial of a block at once.
+    Every sum is the exact ``math.fsum`` of the pair increments, equal to
+    ``ac_sum``; the first strictly largest one is the worst so far.
 
     The worst-sum oracle searches a grid sized so the budget spans about
     128 units, but only when it can win: its answer never exceeds the grid's
@@ -886,26 +1146,15 @@ def verify_certificate(f: FunctionSpec, cert: Certificate, trials: int = 10000,
     seen, the oracle could not replace it and is skipped.  A skipped oracle
     raises nothing, such as the DP's state-space BudgetError.
 
-    Passes iff the worst sum stays below epsilon.  The random attack works
-    in blocks of VERIFY_BLOCK trials and holds at most about 3 KB per trial
-    of a block, ~12 MB at 4096 trials, on top of the oracle's grid.
+    The random attack works in blocks of VERIFY_BLOCK trials and holds at
+    most about 3 KB per trial of a block, ~12 MB at 4096 trials, on top of
+    the oracle's grid.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     lo = cert.partition.points[0]
     hi = cert.partition.points[-1]
     span = hi - lo
     d1 = cert.delta1
-    worst_sum = 0.0
-    worst_c = IntervalCollection(())
-    for piece in cert.monotone_pieces:
-        plen = piece.interval.hi - piece.interval.lo
-        # a subnormal piece length can round 0.999 * plen back to plen
-        length = 0.999 * min(d1, plen)
-        if 0 < length < plen:
-            rep = glued_single_interval(f, piece, length)
-            if rep.best_sum > worst_sum:
-                worst_sum, worst_c = rep.best_sum, rep.witness
+    worst_sum, worst_c = _glued_attack(f, cert)
     winner = None
     for sums, rows in _random_blocks(f, np.random.default_rng(seed), lo, hi,
                                      d1, trials):
@@ -926,9 +1175,7 @@ def verify_certificate(f: FunctionSpec, cert: Certificate, trials: int = 10000,
             report = worst_ac_sum_oracle(grid, d1, DEFAULT_MAX_INTERVALS)
             if report.best_sum > worst_sum:
                 worst_sum, worst_c = report.best_sum, report.witness
-
-    return VerificationReport(passed=worst_sum < cert.epsilon,
-                              worst_sum=worst_sum, worst_collection=worst_c)
+    return worst_sum, worst_c
 
 
 def _random_blocks(f: FunctionSpec, rng, lo, hi, d1, trials: int):

@@ -33,6 +33,7 @@ from .convexity import (
 from .continuity import (
     IntervalCollection,
     ac_certificate,
+    exact_budget,
     gluing_bound_check,
     modulus_on_grid,
     split_collection_at_partition,
@@ -67,13 +68,10 @@ EXIT_UNACHIEVABLE = 3
 EXIT_INTERNAL = 4
 EXIT_IO = 5
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
-#: fraction of the sampled value range below which the finest tabulated
-#: increment counts as "uniformly continuous at this resolution"
-UC_THRESHOLD = 0.05
-
-#: random collections per certificate verification in ``analyze``
+#: random collections per certificate verification in ``analyze``, for
+#: the kinds that ``exact_sup`` has no closed form for
 VERIFY_TRIALS = 2000
 
 #: increment-curve samples per piece in ``analyze``
@@ -133,7 +131,6 @@ def analyze(fn_text: str, interval_text: str,
             "detection_resolutions": resolutions,
             "gsigma_samples": GSIGMA_SAMPLES,
             "modulus_points": MODULUS_POINTS,
-            "uc_threshold": UC_THRESHOLD,
         },
         "detection": {
             "resolutions": resolutions,
@@ -150,16 +147,8 @@ def analyze(fn_text: str, interval_text: str,
         "verification": None,
     }
 
-    value_range = float(base_grid.values.max() - base_grid.values.min())
     span = float(base_grid.span)
-    curve = _modulus_curve(base_grid)
-    report["modulus"] = [[d, w] for d, w in curve.samples]
-    # uniformly continuous at this resolution: the finest tabulated
-    # increment is either small outright or still clearly decaying
-    omega_min = curve.omegas[0]
-    omega_mid = curve.omegas[len(curve.omegas) // 2]
-    uc_at_resolution = (omega_min <= UC_THRESHOLD * max(value_range, 1e-300)
-                        or omega_min <= 0.35 * omega_mid)
+    report["modulus"] = [[d, w] for d, w in _modulus_curve(base_grid).samples]
 
     certificate = None
     verification = None
@@ -185,7 +174,7 @@ def analyze(fn_text: str, interval_text: str,
             })
         try:
             certificate = ac_certificate(f, result.pieces, settings.epsilon)
-            report["certificate"] = _certificate_block(certificate)
+            report["certificate"] = _certificate_block(f, certificate)
         except Unachievable as exc:
             report["certificate_error"] = str(exc)
     if certificate is not None:
@@ -194,8 +183,10 @@ def analyze(fn_text: str, interval_text: str,
                                           seed=settings.seed)
         report["verification"] = {
             "passed": verification.passed,
+            "method": verification.method,
+            "sup": verification.sup,
             "worst_sum": verification.worst_sum,
-            "trials": VERIFY_TRIALS,
+            "trials": verification.trials,
             "worst_collection": [[float(x), float(y)] for x, y in
                                  verification.worst_collection.pairs],
         }
@@ -216,7 +207,10 @@ def analyze(fn_text: str, interval_text: str,
 
     report["verdicts"] = {
         "piecewise_convex": result.stable,
-        "uniformly_continuous_at_resolution": uc_at_resolution,
+        # every kind is continuous and every window compact (clip_window),
+        # so Heine-Cantor proves it for every input analyze accepts
+        "uniformly_continuous": True,
+        "uniformly_continuous_reason": "continuous on a compact window",
         "certificate_verified": (verification.passed
                                  if verification is not None else "n/a"),
     }
@@ -233,12 +227,16 @@ def _modulus_curve(grid):
     return modulus_on_grid(grid, sorted(set(ladder)))
 
 
-def _certificate_block(cert) -> dict:
+def _certificate_block(f, cert) -> dict:
+    """The certificate's numbers, and delta1_opt: the largest budget that
+    Phi proves on the certificate's window (None where Phi is unknown)."""
+    points = cert.partition.points
     return {
         "epsilon": cert.epsilon,
         "delta1": cert.delta1,
+        "delta1_opt": exact_budget(f, points[0], points[-1], cert.epsilon),
         "per_piece_budget": cert.per_piece_budget,
-        "partition": list(cert.partition.points),
+        "partition": list(points),
     }
 
 
@@ -405,7 +403,7 @@ def cmd_certify(args) -> int:
         return EXIT_VIOLATED
     cert = ac_certificate(f, result.pieces, args.epsilon)
     sys.stdout.write(_dump_json({
-        **_certificate_block(cert),
+        **_certificate_block(f, cert),
         "pieces": [{"interval": [p.interval.lo, p.interval.hi],
                     "shape": p.shape.value,
                     "monotonicity": p.monotonicity.value}

@@ -35,6 +35,8 @@ from contana import (
     ac_sum,
     detect_partition,
     evaluate,
+    exact_budget,
+    exact_sup,
     monotone_partition,
     glued_single_interval,
     gluing_bound_check,
@@ -51,6 +53,8 @@ from contana.continuity import (
     _dp_pairs,
     _glued_ends,
     _increment_step,
+    _sup_below,
+    _sup_fraction,
     _window_starts,
 )
 from contana.function_model import uniform_abscissae
@@ -1045,8 +1049,8 @@ class TestCertificates:
 
     def test_subnormal_piece_gets_no_glued_interval(self):
         # 0.999 * 5e-324 rounds back to the piece length, which
-        # glued_single_interval refuses; the piece is left to the random
-        # and searched attacks
+        # glued_single_interval refuses; the piece is left to Phi, which
+        # bounds the whole window
         f = catalog.sqrt_on_unit()
         cert = Certificate(epsilon=0.5, delta1=0.1, monotone_pieces=tuple(
             ShapePiece(IntervalSpec(lo, hi), Shape.CONCAVE,
@@ -1249,7 +1253,9 @@ ZIGZAG = FunctionSpec.piecewise_linear(
 
 class TestRandomAttack:
     """The batched random attack against its trials decoded one by one,
-    and the skipped worst-sum oracle against the one that runs."""
+    and the skipped worst-sum oracle against the one that runs.  Kinds
+    that ``verify_certificate`` proves by Phi take the sampled attack
+    through ``_sampled_attack`` itself, which works on every kind."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), lo=st.floats(-1e3, 1e3),
@@ -1328,7 +1334,9 @@ class TestRandomAttack:
         # on monotone convex or concave pieces the anchored adversarial
         # interval of length 0.999 d1 beats the grid's step bound, whose
         # units * h <= d1 - h, so the oracle is skipped; on Cantor's
-        # staircase the bound is far above every sampled collection
+        # staircase the bound is far above every sampled collection.  The
+        # sampled attack is called directly, as verify_certificate proves
+        # sqrt, affine and piecewise linear certificates by Phi instead
         if epsilon is None:
             cert = Certificate(
                 epsilon=0.5, delta1=(2.0 / 3.0) ** 6,
@@ -1340,18 +1348,29 @@ class TestRandomAttack:
                                   epsilon)
         with mock.patch.object(continuity, "worst_ac_sum_oracle",
                                wraps=continuity.worst_ac_sum_oracle) as oracle:
-            got = verify_certificate(f, cert, trials=500, seed=1)
+            got = continuity._sampled_attack(f, cert, 500, 1)
         real = continuity._step_bound
         # a step bound of inf makes every oracle call look as if it could win
         with mock.patch.object(continuity, "_step_bound",
                                lambda g, d: real(g, d)[:2] + (math.inf,)), \
                 mock.patch.object(continuity, "worst_ac_sum_oracle",
                                   wraps=continuity.worst_ac_sum_oracle) as forced:
-            want = verify_certificate(f, cert, trials=500, seed=1)
+            want = continuity._sampled_attack(f, cert, 500, 1)
         assert forced.call_count == 1
         assert oracle.call_count == (epsilon is None)
         assert got == want
-        assert got.worst_sum.hex() == want.worst_sum.hex()
+        assert got[0].hex() == want[0].hex()
+        # the kinds with a closed form are proved by it, and no sampled
+        # sum, searched ones included, exceeds it
+        lo, hi = cert.partition.points[0], cert.partition.points[-1]
+        sup = exact_sup(f, lo, hi, cert.delta1)
+        ver = verify_certificate(f, cert, trials=500, seed=1)
+        assert ver.method == ("sampled" if sup is None else "exact_sup")
+        if sup is not None:
+            assert ver.trials == 0 and ver.sup == sup.value
+            pairs = len(got[1])
+            assert got[0] <= (sup.value + sup.rounding
+                              + pairs * pair_rounding(f, lo, hi))
 
     @pytest.mark.parametrize("f, epsilon", [
         (catalog.sqrt_on_unit(), 0.1), (ZIGZAG, 0.1)], ids=["sqrt", "zigzag"])
@@ -1372,7 +1391,7 @@ class TestRandomAttack:
         monkeypatch.setattr(continuity, "VERIFY_BLOCK", 512)
         with mock.patch.object(continuity, "evaluate_many",
                                wraps=continuity.evaluate_many) as bulk:
-            verify_certificate(f, cert, trials=2000, seed=0)
+            continuity._sampled_attack(f, cert, 2000, 0)
         assert len(built) <= len(cert.monotone_pieces) + 2
         assert bulk.call_count == 4
 
@@ -1389,3 +1408,204 @@ class TestRandomAttack:
         finally:
             tracemalloc.stop()
         assert peak <= 3072 * trials
+
+
+# ---------------------------------------------------------------------------
+# The exact supremum Phi(d)
+# ---------------------------------------------------------------------------
+
+EPS = sys.float_info.epsilon
+
+
+def pair_rounding(f, lo, hi):
+    """exact_sup's stated bound on how far one pair's increment of evaluate()
+    values lies from the exact function's: 16 * eps * Y."""
+    if f.kind == "sqrt":
+        scale = math.sqrt(hi)
+    elif f.kind == "poly":
+        c0, c1 = (f.coefficients + (0.0,))[:2]
+        scale = abs(c0) + abs(c1) * max(abs(lo), abs(hi))
+    else:
+        kx = np.array([x for x, _ in f.knots])
+        i = max(int(np.searchsorted(kx, lo, side="right")) - 1, 0)
+        j = int(np.searchsorted(kx, hi, side="left"))
+        scale = max(abs(y) for _, y in f.knots[i:j + 1])
+    return 16 * EPS * scale
+
+
+@st.composite
+def pwl_windows(draw, ties=False):
+    """(piecewise linear f, lo, hi) with knots in [0, 1], a window inside
+    their span, and sub-grid spikes: a knot pair much closer together than
+    the others, with a large rise between them.  With ties, the knots lie
+    on one line up to rounding, so their slopes tie up to rounding."""
+    n = draw(st.integers(2, 8))
+    xs = sorted({k / 10**6 for k in draw(st.lists(
+        st.integers(0, 10**6), min_size=n, max_size=n))} | {0.0, 1.0})
+    if ties:
+        a, b = draw(st.floats(-10.0, 10.0)), draw(st.floats(-1.0, 1.0))
+        ys = [a * x + b for x in xs]
+    else:
+        ys = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(xs),
+                           max_size=len(xs)))
+    knots = list(zip(xs, ys))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.floats(0.01, 0.98))
+        width = draw(st.floats(1e-9, 1e-4))
+        height = draw(st.floats(-100.0, 100.0))
+        if all(not at - 1e-3 < x < at + 2e-3 for x, _ in knots):
+            knots += [(at, 0.0), (at + width, height),
+                      (at + 2 * width, 0.0)]
+    knots.sort()
+    f = FunctionSpec.piecewise_linear(tuple(knots))
+    u, v = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2,
+                                max_size=2)))
+    if not v - u > 1e-6:
+        u, v = 0.0, 1.0
+    return f, u, v
+
+
+@st.composite
+def sqrt_windows(draw):
+    lo = draw(st.sampled_from([0.0, draw(st.floats(0.0, 100.0))]))
+    return FunctionSpec.sqrt(IntervalSpec(0.0, 200.0)), lo, \
+        lo + draw(st.floats(1e-3, 100.0))
+
+
+class TestExactSup:
+    """Phi against every attack that builds collections, against an exact
+    rational reference, and on the repros that sampling missed."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(pwl_windows(), sqrt_windows()),
+           st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
+    def test_no_collection_exceeds_phi(self, case, share, seed):
+        f, lo, hi = case
+        d = share * (hi - lo)
+        sup = exact_sup(f, lo, hi, d)
+        per_pair = pair_rounding(f, lo, hi)
+
+        def below(total, pairs):
+            return total <= sup.value + sup.rounding + pairs * per_pair
+
+        for sums, rows in continuity._random_blocks(
+                f, np.random.default_rng(seed), lo, hi, d, 200):
+            for i, s in enumerate(sums.tolist()):
+                assert below(s, len(continuity._row_pairs(rows, i))), (s, sup)
+        window = IntervalSpec(lo, hi)
+        for shape in (Shape.CONVEX, Shape.CONCAVE):  # right, left anchor
+            piece = ShapePiece(window, shape, Monotonicity.INCREASING, 0.0)
+            if 0 < 0.999 * d < hi - lo:
+                rep = glued_single_interval(f, piece, 0.999 * d)
+                assert below(rep.best_sum, 1), (rep, sup)
+        grid = sample(f, window, 257)
+        if grid.uniform and d > grid.spacing:
+            rep = worst_ac_sum_oracle(grid, d, 8)
+            assert below(rep.best_sum, len(rep.witness)), (rep, sup)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(pwl_windows(), pwl_windows(ties=True)),
+           st.floats(0.0, 1.2), st.integers(0, 3))
+    def test_float_phi_matches_the_rational_knapsack(self, case, share, cut):
+        f, lo, hi = case
+        d = share * (hi - lo)
+        if cut:  # a budget that ends where some segments end, in float
+            lengths = np.sort(continuity._segments(f, lo, hi)[1])
+            d = float(np.cumsum(lengths)[min(cut, len(lengths)) - 1])
+        sup = exact_sup(f, lo, hi, d)
+        exact = _sup_fraction(f, lo, hi, d)
+        assert abs(Fraction(sup.value) - exact) <= Fraction(sup.rounding)
+        # the rational decision agrees with the reference on both sides
+        for epsilon in (sup.value, math.nextafter(sup.value, math.inf)):
+            if epsilon > 0:
+                assert _sup_below(f, lo, hi, d, epsilon, sup) == (
+                    exact < Fraction(epsilon))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(pwl_windows(), pwl_windows(ties=True), sqrt_windows()),
+           st.floats(1e-6, 10.0))
+    def test_budget_is_the_largest_proved_length(self, case, epsilon):
+        f, lo, hi = case
+        d = exact_budget(f, lo, hi, epsilon)
+        sup = exact_sup(f, lo, hi, d)
+        assert 0.0 <= d <= hi - lo
+        assert sup.value + sup.rounding < epsilon
+        if d < hi - lo:  # rounded down by no more than a few roundings
+            assert epsilon - sup.value <= 16 * sup.rounding
+
+    @settings(max_examples=25, deadline=None)
+    @given(pwl_windows(), st.sampled_from([0.05, 0.1, 0.5]))
+    def test_verified_pwl_certificates_are_sound(self, case, epsilon):
+        # detection may miss a sub-grid spike and certify pieces it never
+        # saw; a certificate verified anyway has Phi(delta1) < epsilon in
+        # exact arithmetic
+        f, lo, hi = case
+        f = FunctionSpec.piecewise_linear(f.knots, IntervalSpec(lo, hi))
+        result = monotone_partition(f, 65)
+        if not result.stable:
+            return
+        try:
+            cert = ac_certificate(f, result.pieces, epsilon)
+        except Unachievable:
+            return
+        ver = verify_certificate(f, cert, trials=20, seed=0)
+        assert ver.method == "exact_sup"
+        exact = _sup_fraction(f, lo, hi, cert.delta1)
+        assert ver.passed == (exact < epsilon and ver.worst_sum < epsilon)
+
+    def test_sqrt_straddle_is_decided_in_rationals(self):
+        # sqrt(0.01) rounds to 0.1, but the float 0.01 lies above 1/100 by
+        # less than the float 0.1 lies above 1/10
+        f = catalog.sqrt_on_unit()
+        sup = exact_sup(f, 0.0, 1.0, 0.01)
+        assert sup.value == 0.1
+        assert _sup_below(f, 0.0, 1.0, 0.01, 0.1, sup)
+        assert not _sup_below(f, 0.0, 1.0, 0.01, math.nextafter(0.1, 0), sup)
+        # and the affine map 0.1 * x reaches the float 0.1 exactly at d = 1
+        f = FunctionSpec.affine(0.1, 0.0, IntervalSpec(0.0, 1.0))
+        sup = exact_sup(f, 0.0, 1.0, 1.0)
+        assert not _sup_below(f, 0.0, 1.0, 1.0, 0.1, sup)
+        assert _sup_below(f, 0.0, 1.0, 1.0, math.nextafter(0.1, 1), sup)
+
+    def test_spike_between_grid_points_is_not_verified(self):
+        # the grids see one increasing affine piece, whose glued interval
+        # stays below epsilon; Phi takes both sides of the spike first
+        f = FunctionSpec.piecewise_linear(
+            ((0.0, 0.0), (0.300011, 0.300011), (0.300013, 5.0),
+             (0.300015, 0.300015), (1.0, 1.0)))
+        cert = ac_certificate(f, monotone_partition(f, 4001).pieces, 0.1)
+        ver = verify_certificate(f, cert, trials=2000, seed=0)
+        assert (ver.method, ver.trials, ver.passed) == ("exact_sup", 0, False)
+        assert ver.worst_sum < 0.1 <= ver.sup
+        assert ver.sup == pytest.approx(9.489, abs=1e-3)
+        assert exact_budget(f, 0.0, 1.0, 0.1) < 1e-7 < cert.delta1
+
+    @pytest.mark.parametrize("f", [
+        catalog.squared(), catalog.cubed(), catalog.cantor_on_unit(),
+        FunctionSpec.x_squared_sin_inv(IntervalSpec(0.0, 1.0))],
+        ids=["squared", "cubed", "cantor", "x2sininv"])
+    def test_other_kinds_have_no_closed_form(self, f):
+        lo, hi = f.domain.lo, f.domain.hi
+        assert exact_sup(f, lo, hi, 0.1) is None
+        assert exact_budget(f, lo, hi, 0.1) is None
+
+    def test_overflowing_slope_has_no_closed_form(self):
+        # a rise of 1 over a subnormal run: the slope overflows, and the
+        # certificate is attacked as for a kind without a closed form
+        f = FunctionSpec.piecewise_linear(
+            ((0.0, 0.0), (5e-324, 1.0), (1.0, 1.0)))
+        assert exact_sup(f, 0.0, 1.0, 0.5) is None
+        assert exact_budget(f, 0.0, 1.0, 0.5) is None
+        cert = Certificate(epsilon=2.0, delta1=0.5, monotone_pieces=(
+            ShapePiece(IntervalSpec(0.0, 1.0), Shape.CONCAVE,
+                       Monotonicity.INCREASING, 0.0),))
+        ver = verify_certificate(f, cert, trials=50, seed=0)
+        assert (ver.method, ver.trials, ver.sup) == ("sampled", 50, None)
+
+    def test_sine_table_window(self):
+        # |cos| rearranged: the steepest length d sits around 0, pi and
+        # 2 pi, and Phi(d) = 4 sin(d / 4) up to the table's knot spacing
+        f = catalog.sine_table()
+        sup = exact_sup(f, 0.0, 2 * math.pi, 0.4)
+        assert sup.value == pytest.approx(4 * math.sin(0.1), rel=1e-6)
+        assert sup.rounding < 1e-12

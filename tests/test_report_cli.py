@@ -38,9 +38,11 @@ FAST = AnalysisSettings(epsilon=0.1, grid_m=501)
 class TestAnalyze:
     def test_sqrt_report(self):
         report = analyze("sqrt", "[0,1]", FAST)
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert report["verdicts"]["piecewise_convex"] is True
-        assert report["verdicts"]["uniformly_continuous_at_resolution"] is True
+        assert report["verdicts"]["uniformly_continuous"] is True
+        assert report["verdicts"]["uniformly_continuous_reason"] == \
+            "continuous on a compact window"
         assert report["verdicts"]["certificate_verified"] is True
         assert report["partition"] == [0.0, 1.0]
         assert len(report["pieces"]) == 1
@@ -68,7 +70,7 @@ class TestAnalyze:
         counts = report["detection"]["sign_change_counts"]
         assert counts[0] < counts[-1]
         assert report["verdicts"]["piecewise_convex"] is False
-        assert report["verdicts"]["uniformly_continuous_at_resolution"] is True
+        assert report["verdicts"]["uniformly_continuous"] is True
         assert report["certificate"] is None
         assert report["verdicts"]["certificate_verified"] == "n/a"
 
@@ -76,9 +78,32 @@ class TestAnalyze:
         report = analyze("cantor", "[0,1]",
                          AnalysisSettings(epsilon=0.5, grid_m=501))
         assert report["verdicts"]["piecewise_convex"] is False
-        assert report["verdicts"]["uniformly_continuous_at_resolution"] is True
+        assert report["verdicts"]["uniformly_continuous"] is True
         # the worst sums stay large relative to the shrinking budget
         assert report["worst_sums"][0]["best_sum"] > 0.25
+
+    @pytest.mark.parametrize("fn, interval, method, ratio", [
+        ("sqrt", "[0,1]", "exact_sup", (1.12, 1.13)),
+        ("affine:3,1", "[0,5]", "exact_sup", (1.12, 1.13)),
+        ("pwl:0:0,0.3:0.6,0.7:0.2,1:0.5", "[0,1]", "exact_sup", (4.4, 4.6)),
+        ("poly:0,0,0,1", "[-1,1]", "sampled", None),
+    ])
+    def test_verification_path_follows_the_kind(self, fn, interval, method,
+                                                ratio):
+        # Phi proves the certificate where it has a closed form and runs no
+        # trial; delta1_opt, the largest budget Phi proves, sits next to the
+        # paper's delta1
+        report = analyze(fn, interval, FAST)
+        ver, cert = report["verification"], report["certificate"]
+        assert ver["passed"] is True and ver["method"] == method
+        if method == "sampled":
+            assert ver["sup"] is None and ver["trials"] == 2000
+            assert cert["delta1_opt"] is None
+            return
+        assert ver["trials"] == 0
+        assert ver["worst_sum"] <= ver["sup"] < 0.1
+        assert ratio[0] < cert["delta1_opt"] / cert["delta1"] < ratio[1]
+        assert report["settings"]["trials"] == 2000
 
     def test_deterministic(self):
         a = analyze("sqrt", "[0,1]", FAST)
@@ -563,8 +588,12 @@ class TestCLI:
         report = json.loads(out.read_text())
         assert [(p["shape"], p["monotonicity"]) for p in report["pieces"]] == [
             ("Affine", "Increasing")]
+        # Phi(delta1) takes both sides of the spike; the glued interval
+        # that the pieces suggest stays below epsilon
         assert report["verification"]["passed"] is False
-        assert report["verification"]["worst_sum"] > 4.9
+        assert report["verification"]["method"] == "exact_sup"
+        assert report["verification"]["sup"] > 4.9
+        assert report["verification"]["worst_sum"] < 0.1
         assert report["verdicts"]["certificate_verified"] is False
 
     def test_certify_not_piecewise_convex(self, capsys):
