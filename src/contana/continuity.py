@@ -1,7 +1,7 @@
 """Modulus of continuity, interval gluing, worst-sum search and certificates.
 
 The central objects are finite collections of nonoverlapping subintervals
-{(x_i, y_i)} with a total-length budget.  Three complementary tools bound or
+{(x_i, y_i)} with a total-length budget.  Four complementary tools bound or
 search their increment sums sum |f(y_i) - f(x_i)|:
 
 * ``gluing_bound_check`` packs a collection into one
@@ -14,14 +14,14 @@ search their increment sums sum |f(y_i) - f(x_i)|:
   piece yields one glued run, form few enough same-sign runs, else by
   dynamic programming over (grid index, budget units, interval count).
 * ``exact_sup`` gives the supremum Phi(d) of the increment sums over
-  every collection of total length at most d, in closed form, for the
-  kinds whose |f'| is known exactly: piecewise linear data, polynomials of
-  degree at most one, and the square root.
+  every collection of total length at most d: in closed form for
+  piecewise linear data, polynomials of degree at most one and the square
+  root, and as a certified bracket for polynomials of higher degree.
 * ``ac_certificate`` / ``verify_certificate`` invert each piece's anchored
   increment into a concrete (epsilon, delta_1) certificate: every
   collection of total length below delta_1 has increment sum below epsilon.
-  Where Phi exists it proves the certificate; elsewhere random and searched
-  collections attack it.
+  Where Phi decides it, it proves or refuses the certificate; elsewhere
+  random and searched collections attack it.
 """
 
 from __future__ import annotations
@@ -85,6 +85,12 @@ _TIE_BAND = 16
 #: relative slack of the modulus kernel's gap-extreme lag test: it covers the
 #: rounding of the float gaps, of the differences and of the test's products
 _GAP_SLACK = 8 * sys.float_info.epsilon
+
+#: equal cells of the |p'| envelope that brackets Phi for a polynomial of
+#: degree >= 2; ``_sup_below`` refines them fourfold, up to _MAX_CELLS,
+#: while the bracket leaves Phi(d) < epsilon open
+_CELLS = 1024
+_MAX_CELLS = 65536
 
 
 class Anchor(str, Enum):
@@ -181,7 +187,8 @@ class VerificationReport:
     method: str
     #: random trials run (0 on the exact path)
     trials: int
-    #: Phi(delta_1) in float on the exact path, else None
+    #: Phi(delta_1) in float on the exact path (a bracket's midpoint for a
+    #: polynomial of degree >= 2), else None
     sup: float | None = None
 
 
@@ -191,6 +198,17 @@ class ExactSup(NamedTuple):
 
     value: float
     rounding: float
+
+
+class _Knapsack(NamedTuple):
+    """Intervals tiling a window, steepest first: a bound s on |f'| over
+    each (its exact |slope| on a linear segment) and its length; interval
+    order[i] runs from ends[order[i]] to ends[order[i] + 1]."""
+
+    s: np.ndarray
+    lengths: np.ndarray
+    order: np.ndarray
+    ends: np.ndarray
 
 
 def ac_sum(f: FunctionSpec, c: IntervalCollection) -> float:
@@ -759,7 +777,7 @@ def exact_sup(f: FunctionSpec, lo: float, hi: float, d: float) -> ExactSup | Non
     the decreasing rearrangement of |f'|: the steepest total length d of
     the window, wherever it lies.  It is a bound on every collection, with
     no reference to detected pieces.  Three kinds have it without root
-    finding; every other kind returns None, as does a window whose slopes
+    finding; every other kind returns None, as does a window whose bounds
     or supremum overflow.
 
     * ``pwl`` (``table@`` included), and ``poly`` of degree at most one as
@@ -774,23 +792,35 @@ def exact_sup(f: FunctionSpec, lo: float, hi: float, d: float) -> ExactSup | Non
       8 * eps * c of c.  It covers the rounding of the slopes, the
       lengths and the sum, and a cut that their rounding, or that of the
       running lengths, puts on a neighbouring segment.
+    * ``poly`` of degree n >= 2: a certified bracket.  The window is cut
+      into _CELLS equal cells, and on a cell of midpoint m and half-width r
+      |p'| lies within |p'(m)| +- (r * M2 + E), floored at 0 below, where
+      M2 = sum k (k - 1) |c_k| R**(k - 2) bounds |p''| for R = max(|lo|,
+      |hi|) and E = 8 (n + 2) (eps * (M1 + r_max * M2) + ulp(0)), with
+      M1 = sum k |c_k| R**(k - 1), covers the Horner rounding of p'(m) and
+      of the bounds themselves.  The knapsack above on the upper bounds,
+      plus its rounding, gives Phi+ >= Phi, and on the lower ones, minus
+      its rounding, Phi- <= Phi; value is the midpoint of [Phi-, Phi+] and
+      rounding its half-width plus 4 * eps * (|Phi+| + |Phi-|) + ulp(0).
+      The width is about 2 r M2 d.
     * ``sqrt``: sqrt(min(lo + d, hi)) - sqrt(lo), rounded by at most
       4 * eps * sqrt(min(lo + d, hi)) + ulp(0).
 
     Phi is that of the exact function: the knots' interpolant, the
     polynomial or the square root.  An increment of ``evaluate`` values is
     within 16 * eps * Y of the exact one, where Y is the largest |y| of the
-    knots of the segments that meet the window, |c0| + |c1| * max(|lo|,
-    |hi|), or sqrt(hi).  ``_sup_below`` decides Phi(d) < epsilon exactly,
-    in rationals, where the rounding leaves it open.  Cost: O(n log n) for
-    the n segments that meet the window.
+    knots of the segments that meet the window, sqrt(hi), or for ``poly``
+    sum |c_k| R**k, and within (4 n + 16) * eps * Y for a polynomial of
+    degree n >= 2.  ``_sup_below`` decides Phi(d) < epsilon exactly, in
+    rationals, where the rounding leaves it open (it refines a polynomial's
+    bracket instead).  Cost: O(n log n) for the n segments or cells.
     """
     if f.kind == SQRT:
         top = math.sqrt(min(lo + d, hi))
         return ExactSup(top - math.sqrt(lo),
                         4 * sys.float_info.epsilon * top + math.ulp(0.0))
-    knapsack = _knapsack(f, lo, hi)
-    return None if knapsack is None else _knapsack_sup(*knapsack, d)
+    knapsacks = _knapsacks(f, lo, hi)
+    return None if knapsacks is None else _bracket(knapsacks, d)
 
 
 def exact_budget(f: FunctionSpec, lo: float, hi: float,
@@ -798,7 +828,8 @@ def exact_budget(f: FunctionSpec, lo: float, hi: float,
     """delta1_opt: the largest d <= hi - lo with Phi(d) < epsilon, rounded
     down within ``exact_sup``'s rounding.
 
-    Phi is inverted at epsilon - m: the knapsack run backwards, or
+    Phi is inverted at epsilon - m: the knapsack of the upper bounds run
+    backwards (the segments themselves where |f'| is exact), or
     (epsilon + sqrt(lo))**2 - lo for sqrt.  The first d whose upper end,
     value plus rounding, is below epsilon is returned; m starts at 0 and
     then grows to twice itself plus the rounding seen, so at most a few
@@ -814,10 +845,10 @@ def exact_budget(f: FunctionSpec, lo: float, hi: float,
         def sup_at(d):
             return exact_sup(f, lo, hi, d)
     else:
-        knapsack = _knapsack(f, lo, hi)
-        if knapsack is None:
+        knapsacks = _knapsacks(f, lo, hi)
+        if knapsacks is None:
             return None
-        s, lengths = knapsack
+        s, lengths = knapsacks[0].s, knapsacks[0].lengths
         reach, rises = np.cumsum(lengths), np.cumsum(lengths * s)
 
         def invert(e):
@@ -829,7 +860,7 @@ def exact_budget(f: FunctionSpec, lo: float, hi: float,
             return float(reach[k - 1] + (e - rises[k - 1]) / s[k])
 
         def sup_at(d):
-            return _knapsack_sup(s, lengths, d)
+            return _bracket(knapsacks, d)
     margin = 0.0
     while margin < epsilon:
         d = min(max(invert(epsilon - margin), 0.0), span)
@@ -843,16 +874,17 @@ def exact_budget(f: FunctionSpec, lo: float, hi: float,
 
 
 def _segments(f: FunctionSpec, lo, hi, exact: bool = False):
-    """(|slopes|, lengths) of f's linear segments clipped to [lo, hi]: float64
-    arrays, or lists of Fractions when exact; None unless f is piecewise
-    linear or a polynomial of degree at most one.  A slope is that of the
-    whole segment between its knots."""
+    """(|slopes|, ends) of f's linear segments clipped to [lo, hi], segment
+    i running from ends[i] to ends[i + 1]: float64 arrays, or lists of
+    Fractions when exact; None unless f is piecewise linear or a polynomial
+    of degree at most one.  A slope is that of the whole segment between
+    its knots."""
     num = Fraction if exact else float
     if f.kind == POLY and len(f.coefficients) <= 2:
         slopes = [abs(num((*f.coefficients, 0.0)[1]))]
-        lengths = [num(hi) - num(lo)]
-        return (slopes, lengths) if exact else (np.array(slopes),
-                                                np.array(lengths))
+        ends = [num(lo), num(hi)]
+        return (slopes, ends) if exact else (np.array(slopes),
+                                             np.array(ends))
     if f.kind != PWL:
         return None
     kx, ky = f._kx, f._ky
@@ -864,20 +896,70 @@ def _segments(f: FunctionSpec, lo, hi, exact: bool = False):
     if exact:
         x, y, ends = ([Fraction(v) for v in a.tolist()] for a in (x, y, ends))
         return ([abs(y1 - y0) / (x1 - x0)
-                 for x0, x1, y0, y1 in zip(x, x[1:], y, y[1:])],
-                [b - a for a, b in zip(ends, ends[1:])])
+                 for x0, x1, y0, y1 in zip(x, x[1:], y, y[1:])], ends)
     with np.errstate(over="ignore"):
-        return np.abs(np.diff(y)) / np.diff(x), np.diff(ends)
+        return np.abs(np.diff(y)) / np.diff(x), ends
 
 
-def _knapsack(f: FunctionSpec, lo, hi):
-    """``_segments`` in float, steepest first; None where it is or where a
-    slope overflows."""
-    segments = _segments(f, lo, hi)
-    if segments is None or not np.isfinite(segments[0]).all():
+def _poly_envelope(f: FunctionSpec, lo, hi, cells: int):
+    """(upper, lower, ends): bounds on |p'| over each of ``cells`` equal
+    cells of [lo, hi], from ends[i] to ends[i + 1], for a polynomial of
+    degree n >= 2 (``exact_sup`` states them); overflowed bounds come out
+    non-finite."""
+    c = f.coefficients
+    n = len(c) - 1
+    d1 = [k * c[k] for k in range(1, n + 1)]  # p', from the constant up
+    d2 = [k * (k - 1) * c[k] for k in range(2, n + 1)]  # p''
+    reach = max(abs(lo), abs(hi))
+    eps = sys.float_info.epsilon
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1 = _horner([abs(a) for a in d1], reach)
+        m2 = _horner([abs(a) for a in d2], reach)
+        ends = np.minimum(np.linspace(lo, hi, cells + 1), hi)
+        mid = 0.5 * (ends[:-1] + ends[1:])
+        half = np.maximum(mid - ends[:-1], ends[1:] - mid)
+        slope = np.abs(_horner(d1, mid))
+        spread = half * m2
+        slack = 8 * (n + 2) * (eps * (m1 + float(half.max()) * m2)
+                               + math.ulp(0.0))
+        upper = slope + spread + slack
+        lower = np.maximum(slope - spread - slack, 0.0)
+    return upper, lower, ends
+
+
+def _horner(coefficients, x):
+    """sum coefficients[k] * x**k by Horner's rule from the leading one, as
+    ``evaluate`` computes a polynomial."""
+    *rest, acc = coefficients
+    for c in reversed(rest):
+        acc = acc * x + c
+    return acc
+
+
+def _knapsacks(f: FunctionSpec, lo, hi, cells: int = _CELLS):
+    """(upper, lower) ``_Knapsack``s of f on [lo, hi]: bounds on |f'| from
+    above and from below.  Where |f'| is exact, on the segments of
+    ``_segments``, they are one object; for a polynomial of degree >= 2
+    they are ``_poly_envelope``'s ``cells`` cells.  None for the other
+    kinds, or where a bound overflows."""
+    if f.kind == POLY and len(f.coefficients) > 2:
+        upper, lower, ends = _poly_envelope(f, lo, hi, cells)
+    else:
+        segments = _segments(f, lo, hi)
+        if segments is None:
+            return None
+        upper, ends = segments
+        lower = None
+    if not np.isfinite(upper).all():
         return None
-    order = np.argsort(-segments[0], kind="stable")
-    return segments[0][order], segments[1][order]
+    lengths = np.diff(ends)
+
+    def knapsack(s):
+        order = np.argsort(-s, kind="stable")
+        return _Knapsack(s[order], lengths[order], order, ends)
+
+    top = knapsack(upper)
+    return top, top if lower is None else knapsack(lower)
 
 
 def _knapsack_sup(s: np.ndarray, lengths: np.ndarray, d) -> ExactSup | None:
@@ -898,10 +980,27 @@ def _knapsack_sup(s: np.ndarray, lengths: np.ndarray, d) -> ExactSup | None:
     return ExactSup(value, rounding)
 
 
+def _bracket(knapsacks, d) -> ExactSup | None:
+    """``exact_sup`` from ``_knapsacks``: the knapsack itself where |f'| is
+    exact, else the midpoint and half-width of [Phi-, Phi+]."""
+    upper, lower = knapsacks
+    top = _knapsack_sup(upper.s, upper.lengths, d)
+    if top is None or lower is upper:
+        return top
+    bottom = _knapsack_sup(lower.s, lower.lengths, d)
+    if bottom is None:
+        return None
+    a, b = top.value + top.rounding, bottom.value - bottom.rounding
+    return ExactSup(0.5 * (a + b),
+                    0.5 * (a - b) + 4 * sys.float_info.epsilon
+                    * (abs(a) + abs(b)) + math.ulp(0.0))
+
+
 def _sup_fraction(f: FunctionSpec, lo, hi, d) -> Fraction:
     """Phi(d) of a ``pwl`` or degree-one ``poly`` in exact rational
     arithmetic: the knapsack on the exact slopes and lengths."""
-    slopes, lengths = _segments(f, lo, hi, exact=True)
+    slopes, ends = _segments(f, lo, hi, exact=True)
+    lengths = [b - a for a, b in zip(ends, ends[1:])]
     left, total = Fraction(d), Fraction(0)
     for slope, length in sorted(zip(slopes, lengths), reverse=True):
         take = min(length, left)
@@ -912,13 +1011,27 @@ def _sup_fraction(f: FunctionSpec, lo, hi, d) -> Fraction:
     return total
 
 
-def _sup_below(f: FunctionSpec, lo, hi, d, epsilon, sup: ExactSup) -> bool:
+def _sup_below(f: FunctionSpec, lo, hi, d, epsilon,
+               sup: ExactSup) -> bool | None:
     """Phi(d) < epsilon, from ``exact_sup``'s value where its rounding
-    decides, else in exact rational arithmetic."""
-    if sup.value + sup.rounding < epsilon:
-        return True
-    if sup.value - sup.rounding > epsilon:
-        return False
+    decides, else in exact rational arithmetic; for a polynomial of degree
+    >= 2, by brackets on 4, 16 and 64 times as many cells (up to
+    _MAX_CELLS), and None if the last one still leaves it open."""
+    cells = _CELLS
+    while True:
+        if sup.value + sup.rounding < epsilon:
+            return True
+        if sup.value - sup.rounding > epsilon:
+            return False
+        if f.kind != POLY or len(f.coefficients) <= 2:
+            break
+        if cells >= _MAX_CELLS:
+            return None
+        cells *= 4
+        knapsacks = _knapsacks(f, lo, hi, cells)
+        sup = None if knapsacks is None else _bracket(knapsacks, d)
+        if sup is None:
+            return None
     if f.kind == SQRT:
         # sqrt(a) - sqrt(b) < e  <=>  a - b - e**2 < 2 e sqrt(b)
         a = min(Fraction(lo) + Fraction(d), Fraction(hi))
@@ -926,6 +1039,52 @@ def _sup_below(f: FunctionSpec, lo, hi, d, epsilon, sup: ExactSup) -> bool:
         gap = a - b - e * e
         return gap < 0 or gap * gap < 4 * e * e * b
     return _sup_fraction(f, lo, hi, d) < epsilon
+
+
+def _sup_witness(f: FunctionSpec, lo, hi, d) -> IntervalCollection:
+    """A collection in [lo, hi] of total length below d that nearly reaches
+    Phi(d): the intervals that ``exact_sup``'s knapsack of lower bounds
+    takes, steepest first, the last one cut short (for sqrt, the one
+    interval from lo).  Each interval lies in one segment or in one cell
+    where |p'| stays above its positive bound, so its exact increment is
+    at least that bound times its length; the exact sum is at least Phi-
+    at the collection's total length.  The last interval is shortened, or
+    dropped, until ``IntervalCollection.total_length`` is below d."""
+    if f.kind == SQRT:
+        pairs = [(lo, min(lo + d, hi))]
+    else:
+        lower = _knapsacks(f, lo, hi)[1]
+        reach = np.cumsum(lower.lengths)
+        k = int(np.searchsorted(reach, d))  # intervals taken whole
+        at = lower.order[:k + 1]
+        left, right = lower.ends[at].tolist(), lower.ends[at + 1].tolist()
+        if k < len(reach):  # the cut interval takes what is left of d
+            right[k] = min(right[k], left[k] + (d - (reach[k - 1] if k
+                                                     else 0.0)))
+        pairs = list(zip(left, right))
+    while pairs:
+        excess = math.fsum(y - x for x, y in pairs) - d
+        x, y = pairs[-1]
+        if excess < 0 and x < y:
+            break
+        y = min(math.nextafter(y, x), y - excess)
+        if x < y:
+            pairs[-1] = (x, y)
+        else:
+            pairs.pop()
+    return IntervalCollection(tuple(sorted(p for p in pairs if p[0] < p[1])))
+
+
+def certificate_sup(f: FunctionSpec, cert: Certificate) -> tuple:
+    """(sup, below) on the certificate's window: sup is ``exact_sup`` at
+    delta_1 and below whether Phi(delta_1) < epsilon (``_sup_below``).
+    (None, None) where no Phi exists, and (sup, None) where a polynomial's
+    bracket leaves it open."""
+    lo, hi = cert.partition.points[0], cert.partition.points[-1]
+    sup = exact_sup(f, lo, hi, cert.delta1)
+    if sup is None:
+        return None, None
+    return sup, _sup_below(f, lo, hi, cert.delta1, cert.epsilon, sup)
 
 
 # ---------------------------------------------------------------------------
@@ -1072,36 +1231,40 @@ def _increment_step(f: FunctionSpec, piece: ShapePiece, budget: float) -> float:
 
 def verify_certificate(f: FunctionSpec, cert: Certificate, trials: int = 10000,
                        seed: int = 0) -> VerificationReport:
-    """Prove a certificate by Phi(delta_1), or attack it where no closed form
-    exists.
+    """Prove or refuse a certificate by Phi(delta_1), or attack it where Phi
+    does not decide.
 
     Both paths build the adversarial collections of ``_glued_attack``, one
     glued interval per piece, which give the observed worst sum and its
-    witness.  Where ``exact_sup`` has a closed form (method "exact_sup"),
-    the certificate passes iff Phi(delta_1) < epsilon on its window
-    (``_sup_below``: the float value's rounding bound decides, and exact
-    rationals where it leaves the answer open) and no glued sum reaches
-    epsilon.  Phi bounds every collection on the window, so this is a proof
-    that does not rest on the detected pieces, and no random trial runs.
-    Every other kind (method "sampled") also takes ``_sampled_attack``'s
-    ``trials`` random collections and its searched one, and passes iff the
-    worst sum stays below epsilon.  The kind alone picks the path.
+    witness.  Where ``certificate_sup`` decides Phi(delta_1) < epsilon on
+    the certificate's window (method "exact_sup"), the certificate passes
+    iff it does and no glued sum reaches epsilon.  Phi bounds every
+    collection on the window, so this is a proof that does not rest on the
+    detected pieces, and no random trial runs.  A refused certificate also
+    gets ``_sup_witness``'s collection of total length below delta_1, whose
+    sum is near Phi(delta_1), when it beats the glued ones.  Where no Phi
+    exists, or a polynomial's bracket stays open (method "sampled"),
+    ``_sampled_attack`` adds ``trials`` random collections and a searched
+    one, and the certificate passes iff the worst sum stays below epsilon.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    lo, hi = cert.partition.points[0], cert.partition.points[-1]
-    sup = exact_sup(f, lo, hi, cert.delta1)
-    if sup is None:
+    sup, below = certificate_sup(f, cert)
+    if below is None:
         worst_sum, worst_c = _sampled_attack(f, cert, trials, seed)
         return VerificationReport(passed=worst_sum < cert.epsilon,
                                   worst_sum=worst_sum, worst_collection=worst_c,
                                   method="sampled", trials=trials)
     worst_sum, worst_c = _glued_attack(f, cert)
-    passed = worst_sum < cert.epsilon and _sup_below(
-        f, lo, hi, cert.delta1, cert.epsilon, sup)
-    return VerificationReport(passed=passed, worst_sum=worst_sum,
-                              worst_collection=worst_c, method="exact_sup",
-                              trials=0, sup=sup.value)
+    if not below:
+        lo, hi = cert.partition.points[0], cert.partition.points[-1]
+        witness = _sup_witness(f, lo, hi, cert.delta1)
+        witness_sum = ac_sum(f, witness)
+        if witness_sum > worst_sum:
+            worst_sum, worst_c = witness_sum, witness
+    return VerificationReport(passed=below and worst_sum < cert.epsilon,
+                              worst_sum=worst_sum, worst_collection=worst_c,
+                              method="exact_sup", trials=0, sup=sup.value)
 
 
 def _glued_attack(f: FunctionSpec, cert: Certificate) -> tuple:

@@ -33,6 +33,7 @@ from .convexity import (
 from .continuity import (
     IntervalCollection,
     ac_certificate,
+    certificate_sup,
     exact_budget,
     gluing_bound_check,
     modulus_on_grid,
@@ -71,7 +72,7 @@ EXIT_IO = 5
 SCHEMA_VERSION = 3
 
 #: random collections per certificate verification in ``analyze``, for
-#: the kinds that ``exact_sup`` has no closed form for
+#: the kinds where ``exact_sup`` does not decide the certificate
 VERIFY_TRIALS = 2000
 
 #: increment-curve samples per piece in ``analyze``
@@ -402,14 +403,17 @@ def cmd_certify(args) -> int:
         }).decode())
         return EXIT_VIOLATED
     cert = ac_certificate(f, result.pieces, args.epsilon)
+    sup, below = certificate_sup(f, cert)
     sys.stdout.write(_dump_json({
         **_certificate_block(f, cert),
+        "sup": None if sup is None else sup.value,
         "pieces": [{"interval": [p.interval.lo, p.interval.hi],
                     "shape": p.shape.value,
                     "monotonicity": p.monotonicity.value}
                    for p in cert.monotone_pieces],
     }).decode())
-    return EXIT_OK
+    # Phi(delta1) >= epsilon refuses the certificate; an open bracket does not
+    return EXIT_VIOLATED if below is False else EXIT_OK
 
 
 _SUITE_ENTRIES = (

@@ -30,7 +30,6 @@ from contana import (
     Shape,
     ShapePiece,
     Unachievable,
-    VerificationReport,
     ac_certificate,
     ac_sum,
     detect_partition,
@@ -1236,13 +1235,14 @@ def drawn_trials(f, seed, lo, hi, d1, trials):
 
 
 def verification(f, lo, hi, d1, trials, seed):
-    """verify_certificate's report for one convex increasing piece on
-    [lo, hi], or the type and message of the error it raises."""
+    """The sampled attack's (worst sum, collection) for one convex
+    increasing piece on [lo, hi], or the type and message of the error it
+    raises."""
     piece = ShapePiece(IntervalSpec(lo, hi), Shape.CONVEX,
                        Monotonicity.INCREASING, 0.0)
     cert = Certificate(epsilon=1.0, delta1=d1, monotone_pieces=(piece,))
     try:
-        return verify_certificate(f, cert, trials, seed)
+        return continuity._sampled_attack(f, cert, trials, seed)
     except (GeometryError, InsufficientData) as e:
         return type(e), str(e)
 
@@ -1284,8 +1284,8 @@ class TestRandomAttack:
             for pairs, s in got:
                 assert s.hex() == ac_sum(f, IntervalCollection(pairs)).hex()
         assert reports[0] == reports[1] == reports[2]
-        if isinstance(reports[0], VerificationReport):
-            assert len({r.worst_sum.hex() for r in reports}) == 1
+        if isinstance(reports[0][0], float):
+            assert len({r[0].hex() for r in reports}) == 1
 
     def test_stream_cases_are_covered(self):
         # the explicit examples above reach every branch of the layout:
@@ -1419,12 +1419,16 @@ EPS = sys.float_info.epsilon
 
 def pair_rounding(f, lo, hi):
     """exact_sup's stated bound on how far one pair's increment of evaluate()
-    values lies from the exact function's: 16 * eps * Y."""
+    values lies from the exact function's: 16 * eps * Y, or
+    (4 n + 16) * eps * Y for a polynomial of degree n >= 2."""
     if f.kind == "sqrt":
         scale = math.sqrt(hi)
     elif f.kind == "poly":
-        c0, c1 = (f.coefficients + (0.0,))[:2]
-        scale = abs(c0) + abs(c1) * max(abs(lo), abs(hi))
+        reach = max(abs(lo), abs(hi))
+        scale = sum(abs(c) * reach**k for k, c in enumerate(f.coefficients))
+        degree = len(f.coefficients) - 1
+        if degree >= 2:  # Horner's rounding, twice
+            return (4 * degree + 16) * EPS * scale
     else:
         kx = np.array([x for x, _ in f.knots])
         i = max(int(np.searchsorted(kx, lo, side="right")) - 1, 0)
@@ -1466,6 +1470,48 @@ def pwl_windows(draw, ties=False):
 
 
 @st.composite
+def poly_windows(draw, degrees=(2, 5)):
+    """(polynomial f, lo, hi) of degree 2 to 5 with coefficients in
+    [-10, 10], nonzero leading one, on a window of length 1e-3 to 10 at an
+    offset of up to 1e3 from zero."""
+    n = draw(st.integers(*degrees))
+    coefficients = draw(st.lists(st.floats(-10.0, 10.0), min_size=n,
+                                 max_size=n))
+    lead = draw(st.floats(0.01, 10.0)) * draw(st.sampled_from([1.0, -1.0]))
+    lo = draw(st.sampled_from([0.0, -1.0, draw(st.floats(-1e3, 1e3))]))
+    hi = lo + draw(st.floats(1e-3, 10.0))
+    f = FunctionSpec.polynomial(tuple(coefficients) + (lead,),
+                                IntervalSpec(lo, hi))
+    return f, lo, hi
+
+
+def quadratic_phi(f, lo, hi, d):
+    """Phi(d) of a quadratic in exact rationals.  |p'| = L |x - v| with
+    v = -c1 / (2 c2) and L = 2 |c2|, so on each side of v the window is
+    an interval [a, b] of distances u = |x - v| of density L u; the
+    steepest measure d is every u above a level t, and its integral is
+    the sum of L (b**2 - max(a, t)**2) / 2."""
+    c0, c1, c2 = map(Fraction, f.coefficients)
+    lo, hi, d = Fraction(lo), Fraction(hi), Fraction(d)
+    v, slope = -c1 / (2 * c2), 2 * abs(c2)
+    sides = [(a, b) for a, b in ((max(v - hi, 0), v - lo),
+                                 (max(lo - v, 0), hi - v)) if a < b]
+
+    def measure(t):
+        return sum(b - max(a, t) for a, b in sides if b > t)
+
+    levels = sorted({u for side in sides for u in side}, reverse=True)
+    t = levels[-1]
+    for top, below in zip(levels, levels[1:]):
+        if measure(below) >= d:  # measure is linear on [below, top]
+            count = sum(1 for a, b in sides if a <= below and top <= b)
+            t = top - (d - measure(top)) / count
+            break
+    return sum(slope * (b * b - max(a, t) ** 2) / 2
+               for a, b in sides if b > t)
+
+
+@st.composite
 def sqrt_windows(draw):
     lo = draw(st.sampled_from([0.0, draw(st.floats(0.0, 100.0))]))
     return FunctionSpec.sqrt(IntervalSpec(0.0, 200.0)), lo, \
@@ -1476,8 +1522,8 @@ class TestExactSup:
     """Phi against every attack that builds collections, against an exact
     rational reference, and on the repros that sampling missed."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.one_of(pwl_windows(), sqrt_windows()),
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(pwl_windows(), sqrt_windows(), poly_windows()),
            st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
     def test_no_collection_exceeds_phi(self, case, share, seed):
         f, lo, hi = case
@@ -1502,6 +1548,13 @@ class TestExactSup:
         if grid.uniform and d > grid.spacing:
             rep = worst_ac_sum_oracle(grid, d, 8)
             assert below(rep.best_sum, len(rep.witness)), (rep, sup)
+        # and the collection that Phi takes comes within the rounding of it
+        witness = continuity._sup_witness(f, lo, hi, d)
+        total = witness.total_length
+        assert total < d
+        at = exact_sup(f, lo, hi, total)
+        assert ac_sum(f, witness) >= (at.value - at.rounding
+                                      - len(witness) * per_pair), (witness, at)
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(pwl_windows(), pwl_windows(ties=True)),
@@ -1510,7 +1563,7 @@ class TestExactSup:
         f, lo, hi = case
         d = share * (hi - lo)
         if cut:  # a budget that ends where some segments end, in float
-            lengths = np.sort(continuity._segments(f, lo, hi)[1])
+            lengths = np.sort(np.diff(continuity._segments(f, lo, hi)[1]))
             d = float(np.cumsum(lengths)[min(cut, len(lengths)) - 1])
         sup = exact_sup(f, lo, hi, d)
         exact = _sup_fraction(f, lo, hi, d)
@@ -1521,8 +1574,18 @@ class TestExactSup:
                 assert _sup_below(f, lo, hi, d, epsilon, sup) == (
                     exact < Fraction(epsilon))
 
+    @settings(max_examples=150, deadline=None)
+    @given(poly_windows(degrees=(2, 2)), st.floats(0.0, 1.2))
+    def test_quadratic_bracket_holds_the_rational_phi(self, case, share):
+        f, lo, hi = case
+        d = share * (hi - lo)
+        sup = exact_sup(f, lo, hi, d)
+        exact = quadratic_phi(f, lo, hi, d)
+        assert abs(Fraction(sup.value) - exact) <= Fraction(sup.rounding)
+
     @settings(max_examples=60, deadline=None)
-    @given(st.one_of(pwl_windows(), pwl_windows(ties=True), sqrt_windows()),
+    @given(st.one_of(pwl_windows(), pwl_windows(ties=True), sqrt_windows(),
+                     poly_windows()),
            st.floats(1e-6, 10.0))
     def test_budget_is_the_largest_proved_length(self, case, epsilon):
         f, lo, hi = case
@@ -1576,18 +1639,71 @@ class TestExactSup:
         cert = ac_certificate(f, monotone_partition(f, 4001).pieces, 0.1)
         ver = verify_certificate(f, cert, trials=2000, seed=0)
         assert (ver.method, ver.trials, ver.passed) == ("exact_sup", 0, False)
-        assert ver.worst_sum < 0.1 <= ver.sup
         assert ver.sup == pytest.approx(9.489, abs=1e-3)
         assert exact_budget(f, 0.0, 1.0, 0.1) < 1e-7 < cert.delta1
+        # the glued interval misses the spike; the report shows the
+        # collection that Phi takes: both sides of the spike and the rest
+        # of delta1 on the slope-1 segments
+        assert continuity._glued_attack(f, cert)[0] < 0.1
+        assert ver.worst_collection.total_length < cert.delta1
+        assert ver.worst_sum == ac_sum(f, ver.worst_collection)
+        assert ver.worst_sum == pytest.approx(ver.sup, rel=1e-12)
 
     @pytest.mark.parametrize("f", [
-        catalog.squared(), catalog.cubed(), catalog.cantor_on_unit(),
+        catalog.cantor_on_unit(),
         FunctionSpec.x_squared_sin_inv(IntervalSpec(0.0, 1.0))],
-        ids=["squared", "cubed", "cantor", "x2sininv"])
+        ids=["cantor", "x2sininv"])
     def test_other_kinds_have_no_closed_form(self, f):
         lo, hi = f.domain.lo, f.domain.hi
         assert exact_sup(f, lo, hi, 0.1) is None
         assert exact_budget(f, lo, hi, 0.1) is None
+
+    @pytest.mark.parametrize("f, epsilon, phi, top", [
+        (catalog.squared(), 0.4, lambda d: 20 * d - d * d, 10.0),
+        (catalog.cubed(), 0.1, lambda d: 2 - 2 * (1 - d / 2) ** 3, 1.0)],
+        ids=["squared", "cubed"])
+    def test_polynomials_have_a_bracket(self, f, epsilon, phi, top):
+        # x^2 on [0, 10] is steepest at 10 and x^3 on [-1, 1] at both
+        # ends, so Phi is known; the bracket holds it, is narrow, and
+        # proves the paper's certificate without a trial
+        lo, hi = f.domain.lo, f.domain.hi
+        for d in (1e-3, 0.0179, 0.5, hi - lo):
+            sup = exact_sup(f, lo, hi, d)
+            assert abs(sup.value - phi(d)) <= sup.rounding
+            assert sup.rounding <= 0.01 * top * d  # about r * M2 * d
+        budget = exact_budget(f, lo, hi, epsilon)
+        assert phi(budget) < epsilon < phi(1.01 * budget)
+        cert = ac_certificate(f, monotone_partition(f, 501).pieces, epsilon)
+        assert budget > cert.delta1
+        with mock.patch.object(continuity, "_random_blocks") as blocks:
+            ver = verify_certificate(f, cert, trials=2000, seed=0)
+        assert blocks.call_count == 0
+        assert (ver.method, ver.trials, ver.passed) == ("exact_sup", 0, True)
+        assert ver.worst_sum < ver.sup < epsilon
+
+    def test_open_bracket_takes_the_sampled_attack(self):
+        # epsilon at Phi(delta1) itself: every refinement of the cells
+        # leaves the bracket straddling it, and the certificate is
+        # attacked instead; refined brackets still hold Phi
+        f = catalog.squared()
+        d = 0.0179
+        phi = 20 * d - d * d
+        for cells in (1024, 4096, 65536):
+            sup = continuity._bracket(
+                continuity._knapsacks(f, 0.0, 10.0, cells), d)
+            assert abs(sup.value - phi) <= sup.rounding
+        piece = ShapePiece(IntervalSpec(0.0, 10.0), Shape.CONVEX,
+                           Monotonicity.INCREASING, 0.0)
+        cert = Certificate(epsilon=phi, delta1=d, monotone_pieces=(piece,))
+        sup = exact_sup(f, 0.0, 10.0, d)
+        with mock.patch.object(continuity, "_knapsacks",
+                               wraps=continuity._knapsacks) as knapsacks:
+            assert _sup_below(f, 0.0, 10.0, d, phi, sup) is None
+        assert [c.args[3] for c in knapsacks.call_args_list] == [
+            4096, 16384, 65536]
+        ver = verify_certificate(f, cert, trials=50, seed=0)
+        assert (ver.method, ver.trials, ver.sup) == ("sampled", 50, None)
+        assert ver.passed
 
     def test_overflowing_slope_has_no_closed_form(self):
         # a rise of 1 over a subnormal run: the slope overflows, and the

@@ -86,13 +86,14 @@ class TestAnalyze:
         ("sqrt", "[0,1]", "exact_sup", (1.12, 1.13)),
         ("affine:3,1", "[0,5]", "exact_sup", (1.12, 1.13)),
         ("pwl:0:0,0.3:0.6,0.7:0.2,1:0.5", "[0,1]", "exact_sup", (4.4, 4.6)),
-        ("poly:0,0,0,1", "[-1,1]", "sampled", None),
+        ("poly:0,0,0,1", "[-1,1]", "exact_sup", (2.1, 2.3)),
+        ("x2sininv", "[0.05,1]", "sampled", None),
     ])
     def test_verification_path_follows_the_kind(self, fn, interval, method,
                                                 ratio):
-        # Phi proves the certificate where it has a closed form and runs no
-        # trial; delta1_opt, the largest budget Phi proves, sits next to the
-        # paper's delta1
+        # Phi proves the certificate where it exists (for the cubic, a
+        # bracket on it) and runs no trial; delta1_opt, the largest budget
+        # Phi proves, sits next to the paper's delta1
         report = analyze(fn, interval, FAST)
         ver, cert = report["verification"], report["certificate"]
         assert ver["passed"] is True and ver["method"] == method
@@ -547,6 +548,7 @@ class TestCLI:
             payload = json.loads(capsys.readouterr().out)
             report = analyze(fn, interval,
                              AnalysisSettings(epsilon=epsilon, grid_m=501))
+            assert payload.pop("sup") == report["verification"]["sup"], fn
             pieces = payload.pop("pieces")
             assert payload == report["certificate"], fn
             assert pieces == [{key: p[key] for key in
@@ -588,13 +590,31 @@ class TestCLI:
         report = json.loads(out.read_text())
         assert [(p["shape"], p["monotonicity"]) for p in report["pieces"]] == [
             ("Affine", "Increasing")]
-        # Phi(delta1) takes both sides of the spike; the glued interval
-        # that the pieces suggest stays below epsilon
-        assert report["verification"]["passed"] is False
-        assert report["verification"]["method"] == "exact_sup"
-        assert report["verification"]["sup"] > 4.9
-        assert report["verification"]["worst_sum"] < 0.1
+        # Phi(delta1) takes both sides of the spike, which the glued
+        # interval that the pieces suggest misses; the report shows the
+        # collection of total length below delta1 that Phi takes
+        ver = report["verification"]
+        assert ver["passed"] is False
+        assert ver["method"] == "exact_sup"
+        assert ver["sup"] > 4.9
+        assert ver["worst_sum"] > 4.9
+        assert [0.55, 0.555] in ver["worst_collection"]
+        assert [0.555, 0.56] in ver["worst_collection"]
+        assert math.fsum(y - x for x, y in ver["worst_collection"]) < (
+            report["certificate"]["delta1"])
         assert report["verdicts"]["certificate_verified"] is False
+
+    def test_certify_refuses_what_phi_refuses(self, capsys):
+        # the spike between grid points: certify prints sup = Phi(delta1)
+        # and exits 1, as analyze does
+        code = main(["certify", "--fn",
+                     "pwl:0:0,0.300011:0.300011,0.300013:5,"
+                     "0.300015:0.300015,1:1",
+                     "--interval", "[0,1]", "--epsilon", "0.1"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_VIOLATED
+        assert payload["sup"] == pytest.approx(9.489, abs=1e-3)
+        assert payload["delta1_opt"] < 1e-7 < payload["delta1"]
 
     def test_certify_not_piecewise_convex(self, capsys):
         code = main(["certify", "--fn", "cantor", "--interval", "[0,1]",
