@@ -52,8 +52,7 @@ from .continuity import (
     VerificationReport,
     ac_certificate,
     ac_sum,
-    exact_budget,
-    exact_sup,
+    exact_phi,
     glued_single_interval,
     gluing_bound_check,
     modulus_on_grid,

@@ -13,10 +13,13 @@ search their increment sums sum |f(y_i) - f(x_i)|:
   budget, rounding-level ties taken lowest index first so that a linear
   piece yields one glued run, form few enough same-sign runs, else by
   dynamic programming over (grid index, budget units, interval count).
-* ``exact_sup`` gives the supremum Phi(d) of the increment sums over
-  every collection of total length at most d: in closed form for
-  piecewise linear data, polynomials of degree at most one and the square
-  root, and as a certified bracket for polynomials of higher degree.
+* ``exact_phi`` builds Phi, the supremum Phi(d) of the increment sums
+  over every collection of total length at most d, once per window: in
+  closed form for piecewise linear data, polynomials of degree at most one
+  and the square root, and as a certified bracket for polynomials of
+  higher degree.  Its methods give Phi(d), the largest d proved to have
+  Phi(d) < epsilon, that decision for a given d, and a collection that
+  nearly reaches Phi(d).
 * ``ac_certificate`` / ``verify_certificate`` invert each piece's anchored
   increment into a concrete (epsilon, delta_1) certificate: every
   collection of total length below delta_1 has increment sum below epsilon.
@@ -26,12 +29,13 @@ search their increment sums sum |f(y_i) - f(x_i)|:
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -87,7 +91,7 @@ _TIE_BAND = 16
 _GAP_SLACK = 8 * sys.float_info.epsilon
 
 #: equal cells of the |p'| envelope that brackets Phi for a polynomial of
-#: degree >= 2; ``_sup_below`` refines them fourfold, up to _MAX_CELLS,
+#: degree >= 2; ``_envelope_phi`` refines them fourfold, up to _MAX_CELLS,
 #: while the bracket leaves Phi(d) < epsilon open
 _CELLS = 1024
 _MAX_CELLS = 65536
@@ -190,6 +194,9 @@ class VerificationReport:
     #: Phi(delta_1) in float on the exact path (a bracket's midpoint for a
     #: polynomial of degree >= 2), else None
     sup: float | None = None
+    #: the largest length that Phi proves on the certificate's window
+    #: (``Phi.budget``), None where no Phi exists
+    delta1_opt: float | None = None
 
 
 class ExactSup(NamedTuple):
@@ -198,17 +205,6 @@ class ExactSup(NamedTuple):
 
     value: float
     rounding: float
-
-
-class _Knapsack(NamedTuple):
-    """Intervals tiling a window, steepest first: a bound s on |f'| over
-    each (its exact |slope| on a linear segment) and its length; interval
-    order[i] runs from ends[order[i]] to ends[order[i] + 1]."""
-
-    s: np.ndarray
-    lengths: np.ndarray
-    order: np.ndarray
-    ends: np.ndarray
 
 
 def ac_sum(f: FunctionSpec, c: IntervalCollection) -> float:
@@ -768,145 +764,280 @@ def glued_single_interval(f: FunctionSpec, piece: ShapePiece,
 # The exact supremum Phi(d)
 # ---------------------------------------------------------------------------
 
-def exact_sup(f: FunctionSpec, lo: float, hi: float, d: float) -> ExactSup | None:
-    """Phi(d): the supremum of sum |f(b_i) - f(a_i)| over the collections of
-    nonoverlapping intervals in [lo, hi] of total length at most d.
+def exact_phi(f: FunctionSpec, lo: float, hi: float) -> Phi | None:
+    """Phi of f on the window [lo, hi], or None where none is known.
 
-    Each increment is at most the integral of |f'| over its interval, with
+    Phi(d) is the supremum of sum |f(b_i) - f(a_i)| over the collections of
+    nonoverlapping intervals in [lo, hi] of total length at most d.  Each
+    increment is at most the integral of |f'| over its interval, with
     equality where f is monotone, so Phi(d) is the integral over [0, d] of
     the decreasing rearrangement of |f'|: the steepest total length d of
-    the window, wherever it lies.  It is a bound on every collection, with
-    no reference to detected pieces.  Three kinds have it without root
-    finding; every other kind returns None, as does a window whose bounds
-    or supremum overflow.
+    the window, wherever it lies.  It bounds every collection, with no
+    reference to detected pieces.  This is the one place that tells the
+    kinds apart:
 
     * ``pwl`` (``table@`` included), and ``poly`` of degree at most one as
-      one segment: a fractional knapsack over the segments clipped to the
-      window, steepest first.  With the cut level c, the |slope| of the
-      segment the budget ends in (0 when it covers them all), Phi is summed
-      as its LP dual c * d + sum of L_i * (s_i - c) over the k segments
-      taken whole, whose terms are nonnegative.  The rounding is at most
-      (k + 16) * eps * (c * d + sum L_i * s_i over those k segments)
-      + 16 * eps * c * T + (k + 16) * ulp(0), eps being the float epsilon
-      and T the length of the other segments whose |slope| is within
-      8 * eps * c of c.  It covers the rounding of the slopes, the
-      lengths and the sum, and a cut that their rounding, or that of the
-      running lengths, puts on a neighbouring segment.
-    * ``poly`` of degree n >= 2: a certified bracket.  The window is cut
-      into _CELLS equal cells, and on a cell of midpoint m and half-width r
-      |p'| lies within |p'(m)| +- (r * M2 + E), floored at 0 below, where
-      M2 = sum k (k - 1) |c_k| R**(k - 2) bounds |p''| for R = max(|lo|,
-      |hi|) and E = 8 (n + 2) (eps * (M1 + r_max * M2) + ulp(0)), with
-      M1 = sum k |c_k| R**(k - 1), covers the Horner rounding of p'(m) and
-      of the bounds themselves.  The knapsack above on the upper bounds,
-      plus its rounding, gives Phi+ >= Phi, and on the lower ones, minus
-      its rounding, Phi- <= Phi; value is the midpoint of [Phi-, Phi+] and
-      rounding its half-width plus 4 * eps * (|Phi+| + |Phi-|) + ulp(0).
-      The width is about 2 r M2 d.
-    * ``sqrt``: sqrt(min(lo + d, hi)) - sqrt(lo), rounded by at most
-      4 * eps * sqrt(min(lo + d, hi)) + ulp(0).
+      one segment: one exact ``_Knapsack`` over the segments clipped to the
+      window, its ties with epsilon decided in rationals;
+    * ``poly`` of degree n >= 2: a certified bracket (``_envelope_phi``);
+    * ``sqrt``: sqrt(min(lo + d, hi)) - sqrt(lo) (``_SqrtCurve``);
+    * any other kind, or slopes or bounds that overflow: None.
 
     Phi is that of the exact function: the knots' interpolant, the
     polynomial or the square root.  An increment of ``evaluate`` values is
     within 16 * eps * Y of the exact one, where Y is the largest |y| of the
     knots of the segments that meet the window, sqrt(hi), or for ``poly``
     sum |c_k| R**k, and within (4 n + 16) * eps * Y for a polynomial of
-    degree n >= 2.  ``_sup_below`` decides Phi(d) < epsilon exactly, in
-    rationals, where the rounding leaves it open (it refines a polynomial's
-    bracket instead).  Cost: O(n log n) for the n segments or cells.
+    degree n >= 2.  Cost: O(n log n) for the n segments or cells.
     """
     if f.kind == SQRT:
-        top = math.sqrt(min(lo + d, hi))
-        return ExactSup(top - math.sqrt(lo),
-                        4 * sys.float_info.epsilon * top + math.ulp(0.0))
-    knapsacks = _knapsacks(f, lo, hi)
-    return None if knapsacks is None else _bracket(knapsacks, d)
-
-
-def exact_budget(f: FunctionSpec, lo: float, hi: float,
-                 epsilon: float) -> float | None:
-    """delta1_opt: the largest d <= hi - lo with Phi(d) < epsilon, rounded
-    down within ``exact_sup``'s rounding.
-
-    Phi is inverted at epsilon - m: the knapsack of the upper bounds run
-    backwards (the segments themselves where |f'| is exact), or
-    (epsilon + sqrt(lo))**2 - lo for sqrt.  The first d whose upper end,
-    value plus rounding, is below epsilon is returned; m starts at 0 and
-    then grows to twice itself plus the rounding seen, so at most a few
-    roundings are given up, and 0 is returned once m reaches epsilon.
-    None where ``exact_sup`` is.
-    """
-    span = hi - lo
-    if f.kind == SQRT:
-        def invert(e):
-            top = e + math.sqrt(lo)
-            return top * top - lo
-
-        def sup_at(d):
-            return exact_sup(f, lo, hi, d)
+        curve = _SqrtCurve(lo, hi)
+        return Phi(lo, hi, curve, curve, curve.settle)
+    if f.kind == POLY and len(f.coefficients) > 2:
+        return _envelope_phi(f.coefficients, lo, hi, _CELLS)
+    if f.kind == POLY:  # one segment of slope c_1
+        x, y = np.array([0.0, 1.0]), np.array([0.0, (*f.coefficients, 0.0)[1]])
+        ends = np.array([lo, hi], dtype=float)
+    elif f.kind == PWL:
+        kx, ky = f._kx, f._ky
+        i = max(int(np.searchsorted(kx, lo, side="right")) - 1, 0)
+        j = int(np.searchsorted(kx, hi, side="left"))
+        x, y = kx[i:j + 1], ky[i:j + 1]
+        ends = x.copy()
+        ends[0], ends[-1] = lo, hi
     else:
-        knapsacks = _knapsacks(f, lo, hi)
-        if knapsacks is None:
+        return None
+    with np.errstate(over="ignore"):
+        knapsack = _Knapsack.build(np.abs(np.diff(y)) / np.diff(x), ends)
+    if knapsack is None:
+        return None
+    return Phi(lo, hi, knapsack, knapsack,
+               functools.partial(_rational_below, x, y, ends))
+
+
+@dataclass(frozen=True, eq=False)
+class Phi:
+    """Phi on one window [lo, hi] of one f, built by ``exact_phi``.
+
+    ``upper`` and ``lower`` bound the decreasing rearrangement of |f'| from
+    above and from below (one object where it is exact); each gives
+    sup(d), its own Phi with a rounding bound, invert(e), a d where that
+    Phi is about e, and pairs(d), the intervals it takes.
+    ``settle(d, epsilon)`` decides Phi(d) < epsilon where the rounding
+    leaves it open (True, False, or None where it cannot).
+    """
+
+    lo: float
+    hi: float
+    upper: _Knapsack | _SqrtCurve
+    lower: _Knapsack | _SqrtCurve
+    settle: Callable
+
+    def sup(self, d) -> ExactSup | None:
+        """Phi(d) in float and a bound on its rounding; None where it
+        overflows.  From two bounds, the midpoint and half-width of
+        [Phi-, Phi+], each widened by its own rounding, plus
+        4 * eps * (|Phi+| + |Phi-|) + ulp(0)."""
+        top = self.upper.sup(d)
+        if top is None or self.lower is self.upper:
+            return top
+        bottom = self.lower.sup(d)
+        if bottom is None:
             return None
-        s, lengths = knapsacks[0].s, knapsacks[0].lengths
-        reach, rises = np.cumsum(lengths), np.cumsum(lengths * s)
+        a, b = top.value + top.rounding, bottom.value - bottom.rounding
+        return ExactSup(0.5 * (a + b),
+                        0.5 * (a - b) + 4 * sys.float_info.epsilon
+                        * (abs(a) + abs(b)) + math.ulp(0.0))
 
-        def invert(e):
-            k = int(np.searchsorted(rises, e, side="right"))  # whole below e
-            if k == len(s):
-                return span
-            if k == 0:
-                return float(e / s[0])
-            return float(reach[k - 1] + (e - rises[k - 1]) / s[k])
+    def budget(self, epsilon) -> float | None:
+        """delta1_opt: the largest d <= hi - lo with Phi(d) < epsilon,
+        rounded down by a few roundings of the upper bound.
 
-        def sup_at(d):
-            return _bracket(knapsacks, d)
-    margin = 0.0
-    while margin < epsilon:
-        d = min(max(invert(epsilon - margin), 0.0), span)
-        sup = sup_at(d)
+        The upper bound is inverted at epsilon - m, and the first d whose
+        ``sup`` is below epsilon with its rounding is returned; m starts at
+        0 and then grows to twice itself plus the upper bound's own
+        rounding at d (not a bracket's half-width), and 0 is returned once
+        m reaches epsilon.  None where ``sup`` overflows.
+        """
+        span = self.hi - self.lo
+        margin = 0.0
+        while margin < epsilon:
+            d = min(max(self.upper.invert(epsilon - margin), 0.0), span)
+            sup = self.sup(d)
+            if sup is None:
+                return None
+            if d == 0.0 or sup.value + sup.rounding < epsilon:
+                return d
+            margin = 2.0 * (margin + self.upper.sup(d).rounding)
+        return 0.0
+
+    def below(self, d, epsilon) -> bool | None:
+        """Phi(d) < epsilon by ``sup``, else ``settle``; None if neither."""
+        sup = self.sup(d)
         if sup is None:
             return None
-        if d == 0.0 or sup.value + sup.rounding < epsilon:
-            return d
-        margin = 2.0 * (margin + sup.rounding)
-    return 0.0
+        if sup.value + sup.rounding < epsilon:
+            return True
+        if sup.value - sup.rounding > epsilon:
+            return False
+        return self.settle(d, epsilon)
+
+    def witness(self, d) -> IntervalCollection:
+        """A collection of total length below d whose sum nearly reaches
+        Phi(d): the lower bound's intervals, steepest first (``pairs``).
+        Each lies where that bound holds, so its exact increment is at
+        least the bound times its length; the exact sum is at least Phi- at
+        the collection's total length.  The last interval is shortened, or
+        dropped, until ``IntervalCollection.total_length`` is below d."""
+        pairs = self.lower.pairs(d)
+        while pairs:
+            excess = math.fsum(y - x for x, y in pairs) - d
+            x, y = pairs[-1]
+            if excess < 0 and x < y:
+                break
+            y = min(math.nextafter(y, x), y - excess)
+            if x < y:
+                pairs[-1] = (x, y)
+            else:
+                pairs.pop()
+        return IntervalCollection(tuple(sorted(p for p in pairs if p[0] < p[1])))
 
 
-def _segments(f: FunctionSpec, lo, hi, exact: bool = False):
-    """(|slopes|, ends) of f's linear segments clipped to [lo, hi], segment
-    i running from ends[i] to ends[i + 1]: float64 arrays, or lists of
-    Fractions when exact; None unless f is piecewise linear or a polynomial
-    of degree at most one.  A slope is that of the whole segment between
-    its knots."""
-    num = Fraction if exact else float
-    if f.kind == POLY and len(f.coefficients) <= 2:
-        slopes = [abs(num((*f.coefficients, 0.0)[1]))]
-        ends = [num(lo), num(hi)]
-        return (slopes, ends) if exact else (np.array(slopes),
-                                             np.array(ends))
-    if f.kind != PWL:
-        return None
-    kx, ky = f._kx, f._ky
-    i = max(int(np.searchsorted(kx, lo, side="right")) - 1, 0)
-    j = int(np.searchsorted(kx, hi, side="left"))
-    x, y = kx[i:j + 1], ky[i:j + 1]
-    ends = x.copy()
-    ends[0], ends[-1] = lo, hi
-    if exact:
-        x, y, ends = ([Fraction(v) for v in a.tolist()] for a in (x, y, ends))
-        return ([abs(y1 - y0) / (x1 - x0)
-                 for x0, x1, y0, y1 in zip(x, x[1:], y, y[1:])], ends)
-    with np.errstate(over="ignore"):
-        return np.abs(np.diff(y)) / np.diff(x), ends
+class _SqrtCurve(NamedTuple):
+    """sqrt on [lo, hi]: |f'| decreases, so Phi takes [lo, lo + d]."""
+
+    lo: float
+    hi: float
+
+    def sup(self, d) -> ExactSup:
+        """sqrt(min(lo + d, hi)) - sqrt(lo), rounded by at most
+        4 * eps * sqrt(min(lo + d, hi)) + ulp(0)."""
+        top = math.sqrt(min(self.lo + d, self.hi))
+        return ExactSup(top - math.sqrt(self.lo),
+                        4 * sys.float_info.epsilon * top + math.ulp(0.0))
+
+    def invert(self, e) -> float:
+        top = e + math.sqrt(self.lo)
+        return top * top - self.lo
+
+    def pairs(self, d) -> list:
+        return [(self.lo, min(self.lo + d, self.hi))]
+
+    def settle(self, d, epsilon) -> bool:
+        """Phi(d) < epsilon in rationals: sqrt(a) - sqrt(b) < e iff
+        a - b - e**2 < 2 e sqrt(b)."""
+        a = min(Fraction(self.lo) + Fraction(d), Fraction(self.hi))
+        b, e = Fraction(self.lo), Fraction(epsilon)
+        gap = a - b - e * e
+        return gap < 0 or gap * gap < 4 * e * e * b
 
 
-def _poly_envelope(f: FunctionSpec, lo, hi, cells: int):
-    """(upper, lower, ends): bounds on |p'| over each of ``cells`` equal
-    cells of [lo, hi], from ends[i] to ends[i + 1], for a polynomial of
-    degree n >= 2 (``exact_sup`` states them); overflowed bounds come out
-    non-finite."""
-    c = f.coefficients
+class _Knapsack(NamedTuple):
+    """Intervals tiling a window, steepest first: a bound s on |f'| over
+    each (its exact |slope| on a linear segment), its length, and their
+    running sums; interval order[i] runs from ends[order[i]] to
+    ends[order[i] + 1].
+
+    Its Phi is a fractional knapsack.  With the cut level c, the s of the
+    interval the budget d ends in (0 when it covers them all), Phi is
+    summed as its LP dual c * d + sum of L_i * (s_i - c) over the k
+    intervals taken whole, whose terms are nonnegative.  The rounding is at
+    most (k + 16) * eps * (c * d + sum L_i * s_i over those k)
+    + 16 * eps * c * T + (k + 16) * ulp(0), eps being the float epsilon
+    and T the length of the other intervals whose s is within 8 * eps * c
+    of c.  It covers the rounding of the slopes, the lengths and the sum,
+    and a cut that their rounding, or that of the running lengths, puts on
+    a neighbouring interval.
+    """
+
+    s: np.ndarray
+    lengths: np.ndarray
+    order: np.ndarray
+    ends: np.ndarray
+    reach: np.ndarray
+    rises: np.ndarray
+
+    @classmethod
+    def build(cls, s: np.ndarray, ends: np.ndarray) -> _Knapsack | None:
+        """The knapsack of bounds s between ends; None if one is not finite."""
+        if not np.isfinite(s).all():
+            return None
+        order = np.argsort(-s, kind="stable")
+        s, lengths = s[order], np.diff(ends)[order]
+        with np.errstate(over="ignore"):
+            return cls(s, lengths, order, ends, np.cumsum(lengths),
+                       np.cumsum(lengths * s))
+
+    def sup(self, d) -> ExactSup | None:
+        s, lengths = self.s, self.lengths
+        k = int(np.searchsorted(self.reach, d))  # intervals taken whole
+        cut = float(s[k]) if k < len(s) else 0.0
+        taken, whole = lengths[:k], s[:k]
+        eps = sys.float_info.epsilon
+        tied = np.abs(s - cut) <= 8 * eps * cut
+        tied[k:k + 1] = False
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = cut * d + float(np.sum(taken * (whole - cut)))
+            rounding = ((k + 16) * (eps * (cut * d
+                                           + float(np.sum(taken * whole)))
+                                    + math.ulp(0.0))
+                        + 16 * eps * cut * float(np.sum(lengths[tied])))
+        if not math.isfinite(value + rounding):
+            return None
+        return ExactSup(value, rounding)
+
+    def invert(self, e) -> float:
+        """The d at which the knapsack's rise reaches e (inf past it)."""
+        k = int(np.searchsorted(self.rises, e, side="right"))  # whole below e
+        if k == len(self.s):
+            return math.inf
+        if k == 0:
+            return float(e / self.s[0])
+        return float(self.reach[k - 1] + (e - self.rises[k - 1]) / self.s[k])
+
+    def pairs(self, d) -> list:
+        """The intervals taken at budget d, the last one cut short."""
+        k = int(np.searchsorted(self.reach, d))  # intervals taken whole
+        at = self.order[:k + 1]
+        left, right = self.ends[at].tolist(), self.ends[at + 1].tolist()
+        if k < len(self.reach):  # the cut interval takes what is left of d
+            right[k] = min(right[k], left[k] + (d - (self.reach[k - 1] if k
+                                                     else 0.0)))
+        return list(zip(left, right))
+
+
+def _rational_below(x, y, ends, d, epsilon) -> bool:
+    """Phi(d) < epsilon in rationals: the knapsack on the exact slopes of
+    the segments between the knots (x, y) and their lengths between ends."""
+    x, y, ends = ([Fraction(v) for v in a.tolist()] for a in (x, y, ends))
+    slopes = [abs(y1 - y0) / (x1 - x0)
+              for x0, x1, y0, y1 in zip(x, x[1:], y, y[1:])]
+    lengths = [b - a for a, b in zip(ends, ends[1:])]
+    left, total = Fraction(d), Fraction(0)
+    for slope, length in sorted(zip(slopes, lengths), reverse=True):
+        take = min(length, left)
+        total += slope * take
+        left -= take
+        if not left:
+            break
+    return total < epsilon
+
+
+def _envelope_phi(c, lo, hi, cells: int) -> Phi | None:
+    """Phi of the polynomial with coefficients c, of degree n >= 2, as a
+    certified bracket.
+
+    The window is cut into ``cells`` equal cells, and on a cell of midpoint
+    m and half-width r |p'| lies within |p'(m)| +- (r * M2 + E), floored at
+    0 below, where M2 = sum k (k - 1) |c_k| R**(k - 2) bounds |p''| for
+    R = max(|lo|, |hi|) and E = 8 (n + 2) (eps * (M1 + r_max * M2)
+    + ulp(0)), with M1 = sum k |c_k| R**(k - 1), covers the Horner rounding
+    of p'(m) and of the bounds themselves.  The knapsack on the upper
+    bounds gives Phi+ >= Phi, and on the lower ones Phi- <= Phi; the width
+    is about 2 r M2 d.  Where the bracket leaves Phi(d) < epsilon open, it
+    is refined on 4 times as many cells, up to _MAX_CELLS.  None where a
+    bound overflows.
+    """
     n = len(c) - 1
     d1 = [k * c[k] for k in range(1, n + 1)]  # p', from the constant up
     d2 = [k * (k - 1) * c[k] for k in range(2, n + 1)]  # p''
@@ -924,7 +1055,16 @@ def _poly_envelope(f: FunctionSpec, lo, hi, cells: int):
                                + math.ulp(0.0))
         upper = slope + spread + slack
         lower = np.maximum(slope - spread - slack, 0.0)
-    return upper, lower, ends
+    top = _Knapsack.build(upper, ends)
+    if top is None:
+        return None
+
+    def refined_below(d, epsilon):
+        finer = (None if cells >= _MAX_CELLS
+                 else _envelope_phi(c, lo, hi, 4 * cells))
+        return None if finer is None else finer.below(d, epsilon)
+
+    return Phi(lo, hi, top, _Knapsack.build(lower, ends), refined_below)
 
 
 def _horner(coefficients, x):
@@ -934,157 +1074,6 @@ def _horner(coefficients, x):
     for c in reversed(rest):
         acc = acc * x + c
     return acc
-
-
-def _knapsacks(f: FunctionSpec, lo, hi, cells: int = _CELLS):
-    """(upper, lower) ``_Knapsack``s of f on [lo, hi]: bounds on |f'| from
-    above and from below.  Where |f'| is exact, on the segments of
-    ``_segments``, they are one object; for a polynomial of degree >= 2
-    they are ``_poly_envelope``'s ``cells`` cells.  None for the other
-    kinds, or where a bound overflows."""
-    if f.kind == POLY and len(f.coefficients) > 2:
-        upper, lower, ends = _poly_envelope(f, lo, hi, cells)
-    else:
-        segments = _segments(f, lo, hi)
-        if segments is None:
-            return None
-        upper, ends = segments
-        lower = None
-    if not np.isfinite(upper).all():
-        return None
-    lengths = np.diff(ends)
-
-    def knapsack(s):
-        order = np.argsort(-s, kind="stable")
-        return _Knapsack(s[order], lengths[order], order, ends)
-
-    top = knapsack(upper)
-    return top, top if lower is None else knapsack(lower)
-
-
-def _knapsack_sup(s: np.ndarray, lengths: np.ndarray, d) -> ExactSup | None:
-    """``exact_sup`` of the segments (s, lengths), steepest first."""
-    k = int(np.searchsorted(np.cumsum(lengths), d))  # segments taken whole
-    cut = float(s[k]) if k < len(s) else 0.0
-    taken, whole = lengths[:k], s[:k]
-    eps = sys.float_info.epsilon
-    tied = np.abs(s - cut) <= 8 * eps * cut
-    tied[k:k + 1] = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = cut * d + float(np.sum(taken * (whole - cut)))
-        rounding = ((k + 16) * (eps * (cut * d + float(np.sum(taken * whole)))
-                                + math.ulp(0.0))
-                    + 16 * eps * cut * float(np.sum(lengths[tied])))
-    if not math.isfinite(value + rounding):
-        return None
-    return ExactSup(value, rounding)
-
-
-def _bracket(knapsacks, d) -> ExactSup | None:
-    """``exact_sup`` from ``_knapsacks``: the knapsack itself where |f'| is
-    exact, else the midpoint and half-width of [Phi-, Phi+]."""
-    upper, lower = knapsacks
-    top = _knapsack_sup(upper.s, upper.lengths, d)
-    if top is None or lower is upper:
-        return top
-    bottom = _knapsack_sup(lower.s, lower.lengths, d)
-    if bottom is None:
-        return None
-    a, b = top.value + top.rounding, bottom.value - bottom.rounding
-    return ExactSup(0.5 * (a + b),
-                    0.5 * (a - b) + 4 * sys.float_info.epsilon
-                    * (abs(a) + abs(b)) + math.ulp(0.0))
-
-
-def _sup_fraction(f: FunctionSpec, lo, hi, d) -> Fraction:
-    """Phi(d) of a ``pwl`` or degree-one ``poly`` in exact rational
-    arithmetic: the knapsack on the exact slopes and lengths."""
-    slopes, ends = _segments(f, lo, hi, exact=True)
-    lengths = [b - a for a, b in zip(ends, ends[1:])]
-    left, total = Fraction(d), Fraction(0)
-    for slope, length in sorted(zip(slopes, lengths), reverse=True):
-        take = min(length, left)
-        total += slope * take
-        left -= take
-        if not left:
-            break
-    return total
-
-
-def _sup_below(f: FunctionSpec, lo, hi, d, epsilon,
-               sup: ExactSup) -> bool | None:
-    """Phi(d) < epsilon, from ``exact_sup``'s value where its rounding
-    decides, else in exact rational arithmetic; for a polynomial of degree
-    >= 2, by brackets on 4, 16 and 64 times as many cells (up to
-    _MAX_CELLS), and None if the last one still leaves it open."""
-    cells = _CELLS
-    while True:
-        if sup.value + sup.rounding < epsilon:
-            return True
-        if sup.value - sup.rounding > epsilon:
-            return False
-        if f.kind != POLY or len(f.coefficients) <= 2:
-            break
-        if cells >= _MAX_CELLS:
-            return None
-        cells *= 4
-        knapsacks = _knapsacks(f, lo, hi, cells)
-        sup = None if knapsacks is None else _bracket(knapsacks, d)
-        if sup is None:
-            return None
-    if f.kind == SQRT:
-        # sqrt(a) - sqrt(b) < e  <=>  a - b - e**2 < 2 e sqrt(b)
-        a = min(Fraction(lo) + Fraction(d), Fraction(hi))
-        b, e = Fraction(lo), Fraction(epsilon)
-        gap = a - b - e * e
-        return gap < 0 or gap * gap < 4 * e * e * b
-    return _sup_fraction(f, lo, hi, d) < epsilon
-
-
-def _sup_witness(f: FunctionSpec, lo, hi, d) -> IntervalCollection:
-    """A collection in [lo, hi] of total length below d that nearly reaches
-    Phi(d): the intervals that ``exact_sup``'s knapsack of lower bounds
-    takes, steepest first, the last one cut short (for sqrt, the one
-    interval from lo).  Each interval lies in one segment or in one cell
-    where |p'| stays above its positive bound, so its exact increment is
-    at least that bound times its length; the exact sum is at least Phi-
-    at the collection's total length.  The last interval is shortened, or
-    dropped, until ``IntervalCollection.total_length`` is below d."""
-    if f.kind == SQRT:
-        pairs = [(lo, min(lo + d, hi))]
-    else:
-        lower = _knapsacks(f, lo, hi)[1]
-        reach = np.cumsum(lower.lengths)
-        k = int(np.searchsorted(reach, d))  # intervals taken whole
-        at = lower.order[:k + 1]
-        left, right = lower.ends[at].tolist(), lower.ends[at + 1].tolist()
-        if k < len(reach):  # the cut interval takes what is left of d
-            right[k] = min(right[k], left[k] + (d - (reach[k - 1] if k
-                                                     else 0.0)))
-        pairs = list(zip(left, right))
-    while pairs:
-        excess = math.fsum(y - x for x, y in pairs) - d
-        x, y = pairs[-1]
-        if excess < 0 and x < y:
-            break
-        y = min(math.nextafter(y, x), y - excess)
-        if x < y:
-            pairs[-1] = (x, y)
-        else:
-            pairs.pop()
-    return IntervalCollection(tuple(sorted(p for p in pairs if p[0] < p[1])))
-
-
-def certificate_sup(f: FunctionSpec, cert: Certificate) -> tuple:
-    """(sup, below) on the certificate's window: sup is ``exact_sup`` at
-    delta_1 and below whether Phi(delta_1) < epsilon (``_sup_below``).
-    (None, None) where no Phi exists, and (sup, None) where a polynomial's
-    bracket leaves it open."""
-    lo, hi = cert.partition.points[0], cert.partition.points[-1]
-    sup = exact_sup(f, lo, hi, cert.delta1)
-    if sup is None:
-        return None, None
-    return sup, _sup_below(f, lo, hi, cert.delta1, cert.epsilon, sup)
 
 
 # ---------------------------------------------------------------------------
@@ -1236,35 +1225,42 @@ def verify_certificate(f: FunctionSpec, cert: Certificate, trials: int = 10000,
 
     Both paths build the adversarial collections of ``_glued_attack``, one
     glued interval per piece, which give the observed worst sum and its
-    witness.  Where ``certificate_sup`` decides Phi(delta_1) < epsilon on
-    the certificate's window (method "exact_sup"), the certificate passes
-    iff it does and no glued sum reaches epsilon.  Phi bounds every
-    collection on the window, so this is a proof that does not rest on the
-    detected pieces, and no random trial runs.  A refused certificate also
-    gets ``_sup_witness``'s collection of total length below delta_1, whose
-    sum is near Phi(delta_1), when it beats the glued ones.  Where no Phi
+    witness.  Where the certificate window's ``Phi`` decides
+    Phi(delta_1) < epsilon (method "exact_sup"), the certificate passes iff
+    it does and no glued sum reaches epsilon.  Phi bounds every collection
+    on the window, so this is a proof that does not rest on the detected
+    pieces, and no random trial runs.  A refused certificate also gets
+    ``Phi.witness``'s collection of total length below delta_1, whose sum
+    is near Phi(delta_1), when it beats the glued ones.  Where no Phi
     exists, or a polynomial's bracket stays open (method "sampled"),
     ``_sampled_attack`` adds ``trials`` random collections and a searched
     one, and the certificate passes iff the worst sum stays below epsilon.
+    Either way the report carries Phi's budget, ``delta1_opt``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sup, below = certificate_sup(f, cert)
+    phi = exact_phi(f, cert.partition.points[0], cert.partition.points[-1])
+    budget = below = None
+    if phi is not None:
+        budget = phi.budget(cert.epsilon)
+        below = phi.below(cert.delta1, cert.epsilon)
     if below is None:
         worst_sum, worst_c = _sampled_attack(f, cert, trials, seed)
         return VerificationReport(passed=worst_sum < cert.epsilon,
                                   worst_sum=worst_sum, worst_collection=worst_c,
-                                  method="sampled", trials=trials)
+                                  method="sampled", trials=trials,
+                                  delta1_opt=budget)
     worst_sum, worst_c = _glued_attack(f, cert)
     if not below:
-        lo, hi = cert.partition.points[0], cert.partition.points[-1]
-        witness = _sup_witness(f, lo, hi, cert.delta1)
+        witness = phi.witness(cert.delta1)
         witness_sum = ac_sum(f, witness)
         if witness_sum > worst_sum:
             worst_sum, worst_c = witness_sum, witness
     return VerificationReport(passed=below and worst_sum < cert.epsilon,
                               worst_sum=worst_sum, worst_collection=worst_c,
-                              method="exact_sup", trials=0, sup=sup.value)
+                              method="exact_sup", trials=0,
+                              sup=phi.sup(cert.delta1).value,
+                              delta1_opt=budget)
 
 
 def _glued_attack(f: FunctionSpec, cert: Certificate) -> tuple:

@@ -33,8 +33,7 @@ from .convexity import (
 from .continuity import (
     IntervalCollection,
     ac_certificate,
-    certificate_sup,
-    exact_budget,
+    exact_phi,
     gluing_bound_check,
     modulus_on_grid,
     split_collection_at_partition,
@@ -72,7 +71,7 @@ EXIT_IO = 5
 SCHEMA_VERSION = 3
 
 #: random collections per certificate verification in ``analyze``, for
-#: the kinds where ``exact_sup`` does not decide the certificate
+#: the kinds where Phi (``exact_phi``) does not decide the certificate
 VERIFY_TRIALS = 2000
 
 #: increment-curve samples per piece in ``analyze``
@@ -175,13 +174,14 @@ def analyze(fn_text: str, interval_text: str,
             })
         try:
             certificate = ac_certificate(f, result.pieces, settings.epsilon)
-            report["certificate"] = _certificate_block(f, certificate)
         except Unachievable as exc:
             report["certificate_error"] = str(exc)
     if certificate is not None:
         verification = verify_certificate(f, certificate,
                                           trials=VERIFY_TRIALS,
                                           seed=settings.seed)
+        report["certificate"] = _certificate_block(certificate,
+                                                   verification.delta1_opt)
         report["verification"] = {
             "passed": verification.passed,
             "method": verification.method,
@@ -228,14 +228,14 @@ def _modulus_curve(grid):
     return modulus_on_grid(grid, sorted(set(ladder)))
 
 
-def _certificate_block(f, cert) -> dict:
+def _certificate_block(cert, delta1_opt) -> dict:
     """The certificate's numbers, and delta1_opt: the largest budget that
     Phi proves on the certificate's window (None where Phi is unknown)."""
     points = cert.partition.points
     return {
         "epsilon": cert.epsilon,
         "delta1": cert.delta1,
-        "delta1_opt": exact_budget(f, points[0], points[-1], cert.epsilon),
+        "delta1_opt": delta1_opt,
         "per_piece_budget": cert.per_piece_budget,
         "partition": list(points),
     }
@@ -403,9 +403,14 @@ def cmd_certify(args) -> int:
         }).decode())
         return EXIT_VIOLATED
     cert = ac_certificate(f, result.pieces, args.epsilon)
-    sup, below = certificate_sup(f, cert)
+    phi = exact_phi(f, cert.partition.points[0], cert.partition.points[-1])
+    sup = below = budget = None
+    if phi is not None:
+        sup = phi.sup(cert.delta1)
+        below = phi.below(cert.delta1, cert.epsilon)
+        budget = phi.budget(cert.epsilon)
     sys.stdout.write(_dump_json({
-        **_certificate_block(f, cert),
+        **_certificate_block(cert, budget),
         "sup": None if sup is None else sup.value,
         "pieces": [{"interval": [p.interval.lo, p.interval.hi],
                     "shape": p.shape.value,
@@ -433,8 +438,8 @@ def cmd_suite(args) -> int:
     outputs = []  # (filename, bytes)
 
     for name, fn_text, interval_text, epsilon in _SUITE_ENTRIES:
-        settings = AnalysisSettings(epsilon=epsilon, seed=args.seed)
-        report = analyze(fn_text, interval_text, settings)
+        report = analyze(fn_text, interval_text,
+                         AnalysisSettings(epsilon=epsilon))
         outputs.append((f"{name}.json", _dump_json(report)))
         outputs.append((f"modulus_{name}.csv",
                         _dump_csv("delta,omega", report["modulus"])))
@@ -461,11 +466,9 @@ def cmd_suite(args) -> int:
                               _gsigma_table(sine, 0.0, 2.0 * math.pi,
                                             math.pi))))
 
-    results, all_passed = suite_checks.run_all(trials=args.trials)
+    results, all_passed = suite_checks.run_all()
     criteria_payload = {
         "schema": SCHEMA_VERSION,
-        "seed": args.seed,
-        "trials": args.trials,
         "all_passed": all_passed,
         "criteria": [{"id": r.ident, "name": r.name, "passed": r.passed,
                       "details": r.details} for r in results],
@@ -623,8 +626,6 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the demonstration suite")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=_at_least("--seed", 0), default=default_seed)
-    p.add_argument("--trials", type=_at_least("--trials", 1), default=10000)
     p.set_defaults(func=cmd_suite)
 
     return parser

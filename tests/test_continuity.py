@@ -34,8 +34,7 @@ from contana import (
     ac_sum,
     detect_partition,
     evaluate,
-    exact_budget,
-    exact_sup,
+    exact_phi,
     monotone_partition,
     glued_single_interval,
     gluing_bound_check,
@@ -52,8 +51,6 @@ from contana.continuity import (
     _dp_pairs,
     _glued_ends,
     _increment_step,
-    _sup_below,
-    _sup_fraction,
     _window_starts,
 )
 from contana.function_model import uniform_abscissae
@@ -1363,7 +1360,8 @@ class TestRandomAttack:
         # the kinds with a closed form are proved by it, and no sampled
         # sum, searched ones included, exceeds it
         lo, hi = cert.partition.points[0], cert.partition.points[-1]
-        sup = exact_sup(f, lo, hi, cert.delta1)
+        phi = exact_phi(f, lo, hi)
+        sup = None if phi is None else phi.sup(cert.delta1)
         ver = verify_certificate(f, cert, trials=500, seed=1)
         assert ver.method == ("sampled" if sup is None else "exact_sup")
         if sup is not None:
@@ -1418,7 +1416,7 @@ EPS = sys.float_info.epsilon
 
 
 def pair_rounding(f, lo, hi):
-    """exact_sup's stated bound on how far one pair's increment of evaluate()
+    """exact_phi's stated bound on how far one pair's increment of evaluate()
     values lies from the exact function's: 16 * eps * Y, or
     (4 n + 16) * eps * Y for a polynomial of degree n >= 2."""
     if f.kind == "sqrt":
@@ -1485,6 +1483,25 @@ def poly_windows(draw, degrees=(2, 5)):
     return f, lo, hi
 
 
+def rational_phi(f, lo, hi, d):
+    """Phi(d) of a pwl or a poly of degree at most one in exact rationals:
+    the knapsack on the exact slopes of its segments, clipped to
+    [lo, hi]."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if f.kind == "poly":
+        segments = [(abs(Fraction((*f.coefficients, 0.0)[1])), hi - lo)]
+    else:
+        knots = [(Fraction(x), Fraction(y)) for x, y in f.knots]
+        segments = [(abs(y1 - y0) / (x1 - x0), min(x1, hi) - max(x0, lo))
+                    for (x0, y0), (x1, y1) in zip(knots, knots[1:])]
+    left, total = Fraction(d), Fraction(0)
+    for slope, length in sorted(segments, reverse=True):
+        take = min(max(length, 0), left)
+        total += slope * take
+        left -= take
+    return total
+
+
 def quadratic_phi(f, lo, hi, d):
     """Phi(d) of a quadratic in exact rationals.  |p'| = L |x - v| with
     v = -c1 / (2 c2) and L = 2 |c2|, so on each side of v the window is
@@ -1528,7 +1545,8 @@ class TestExactSup:
     def test_no_collection_exceeds_phi(self, case, share, seed):
         f, lo, hi = case
         d = share * (hi - lo)
-        sup = exact_sup(f, lo, hi, d)
+        phi = exact_phi(f, lo, hi)
+        sup = phi.sup(d)
         per_pair = pair_rounding(f, lo, hi)
 
         def below(total, pairs):
@@ -1549,10 +1567,10 @@ class TestExactSup:
             rep = worst_ac_sum_oracle(grid, d, 8)
             assert below(rep.best_sum, len(rep.witness)), (rep, sup)
         # and the collection that Phi takes comes within the rounding of it
-        witness = continuity._sup_witness(f, lo, hi, d)
+        witness = phi.witness(d)
         total = witness.total_length
         assert total < d
-        at = exact_sup(f, lo, hi, total)
+        at = phi.sup(total)
         assert ac_sum(f, witness) >= (at.value - at.rounding
                                       - len(witness) * per_pair), (witness, at)
 
@@ -1561,25 +1579,25 @@ class TestExactSup:
            st.floats(0.0, 1.2), st.integers(0, 3))
     def test_float_phi_matches_the_rational_knapsack(self, case, share, cut):
         f, lo, hi = case
+        phi = exact_phi(f, lo, hi)
         d = share * (hi - lo)
         if cut:  # a budget that ends where some segments end, in float
-            lengths = np.sort(np.diff(continuity._segments(f, lo, hi)[1]))
+            lengths = np.sort(np.diff(phi.upper.ends))
             d = float(np.cumsum(lengths)[min(cut, len(lengths)) - 1])
-        sup = exact_sup(f, lo, hi, d)
-        exact = _sup_fraction(f, lo, hi, d)
+        sup = phi.sup(d)
+        exact = rational_phi(f, lo, hi, d)
         assert abs(Fraction(sup.value) - exact) <= Fraction(sup.rounding)
         # the rational decision agrees with the reference on both sides
         for epsilon in (sup.value, math.nextafter(sup.value, math.inf)):
             if epsilon > 0:
-                assert _sup_below(f, lo, hi, d, epsilon, sup) == (
-                    exact < Fraction(epsilon))
+                assert phi.below(d, epsilon) == (exact < Fraction(epsilon))
 
     @settings(max_examples=150, deadline=None)
     @given(poly_windows(degrees=(2, 2)), st.floats(0.0, 1.2))
     def test_quadratic_bracket_holds_the_rational_phi(self, case, share):
         f, lo, hi = case
         d = share * (hi - lo)
-        sup = exact_sup(f, lo, hi, d)
+        sup = exact_phi(f, lo, hi).sup(d)
         exact = quadratic_phi(f, lo, hi, d)
         assert abs(Fraction(sup.value) - exact) <= Fraction(sup.rounding)
 
@@ -1589,12 +1607,17 @@ class TestExactSup:
            st.floats(1e-6, 10.0))
     def test_budget_is_the_largest_proved_length(self, case, epsilon):
         f, lo, hi = case
-        d = exact_budget(f, lo, hi, epsilon)
-        sup = exact_sup(f, lo, hi, d)
+        phi = exact_phi(f, lo, hi)
+        d = phi.budget(epsilon)
+        sup = phi.sup(d)
         assert 0.0 <= d <= hi - lo
         assert sup.value + sup.rounding < epsilon
         if d < hi - lo:  # rounded down by no more than a few roundings
             assert epsilon - sup.value <= 16 * sup.rounding
+            # of the upper bound itself: a bracket's Phi+ gives up none of
+            # its half-width
+            top = phi.upper.sup(d)
+            assert epsilon - (sup.value + sup.rounding) <= 16 * top.rounding
 
     @settings(max_examples=25, deadline=None)
     @given(pwl_windows(), st.sampled_from([0.05, 0.1, 0.5]))
@@ -1613,22 +1636,24 @@ class TestExactSup:
             return
         ver = verify_certificate(f, cert, trials=20, seed=0)
         assert ver.method == "exact_sup"
-        exact = _sup_fraction(f, lo, hi, cert.delta1)
+        exact = rational_phi(f, lo, hi, cert.delta1)
         assert ver.passed == (exact < epsilon and ver.worst_sum < epsilon)
 
     def test_sqrt_straddle_is_decided_in_rationals(self):
         # sqrt(0.01) rounds to 0.1, but the float 0.01 lies above 1/100 by
         # less than the float 0.1 lies above 1/10
-        f = catalog.sqrt_on_unit()
-        sup = exact_sup(f, 0.0, 1.0, 0.01)
+        phi = exact_phi(catalog.sqrt_on_unit(), 0.0, 1.0)
+        sup = phi.sup(0.01)
         assert sup.value == 0.1
-        assert _sup_below(f, 0.0, 1.0, 0.01, 0.1, sup)
-        assert not _sup_below(f, 0.0, 1.0, 0.01, math.nextafter(0.1, 0), sup)
+        assert phi.below(0.01, 0.1)
+        assert not phi.below(0.01, math.nextafter(0.1, 0))
         # and the affine map 0.1 * x reaches the float 0.1 exactly at d = 1
-        f = FunctionSpec.affine(0.1, 0.0, IntervalSpec(0.0, 1.0))
-        sup = exact_sup(f, 0.0, 1.0, 1.0)
-        assert not _sup_below(f, 0.0, 1.0, 1.0, 0.1, sup)
-        assert _sup_below(f, 0.0, 1.0, 1.0, math.nextafter(0.1, 1), sup)
+        phi = exact_phi(FunctionSpec.affine(0.1, 0.0, IntervalSpec(0.0, 1.0)),
+                        0.0, 1.0)
+        sup = phi.sup(1.0)
+        assert abs(sup.value - 0.1) <= sup.rounding  # the float leaves it open
+        assert not phi.below(1.0, 0.1)
+        assert phi.below(1.0, math.nextafter(0.1, 1))
 
     def test_spike_between_grid_points_is_not_verified(self):
         # the grids see one increasing affine piece, whose glued interval
@@ -1640,7 +1665,8 @@ class TestExactSup:
         ver = verify_certificate(f, cert, trials=2000, seed=0)
         assert (ver.method, ver.trials, ver.passed) == ("exact_sup", 0, False)
         assert ver.sup == pytest.approx(9.489, abs=1e-3)
-        assert exact_budget(f, 0.0, 1.0, 0.1) < 1e-7 < cert.delta1
+        budget = exact_phi(f, 0.0, 1.0).budget(0.1)
+        assert ver.delta1_opt == budget < 1e-7 < cert.delta1
         # the glued interval misses the spike; the report shows the
         # collection that Phi takes: both sides of the spike and the rest
         # of delta1 on the slope-1 segments
@@ -1654,9 +1680,12 @@ class TestExactSup:
         FunctionSpec.x_squared_sin_inv(IntervalSpec(0.0, 1.0))],
         ids=["cantor", "x2sininv"])
     def test_other_kinds_have_no_closed_form(self, f):
-        lo, hi = f.domain.lo, f.domain.hi
-        assert exact_sup(f, lo, hi, 0.1) is None
-        assert exact_budget(f, lo, hi, 0.1) is None
+        assert exact_phi(f, f.domain.lo, f.domain.hi) is None
+        cert = Certificate(epsilon=0.5, delta1=0.1, monotone_pieces=(
+            ShapePiece(f.domain, Shape.CONCAVE, Monotonicity.INCREASING,
+                       0.0),))
+        ver = verify_certificate(f, cert, trials=50, seed=0)
+        assert (ver.method, ver.sup, ver.delta1_opt) == ("sampled", None, None)
 
     @pytest.mark.parametrize("f, epsilon, phi, top", [
         (catalog.squared(), 0.4, lambda d: 20 * d - d * d, 10.0),
@@ -1667,11 +1696,12 @@ class TestExactSup:
         # ends, so Phi is known; the bracket holds it, is narrow, and
         # proves the paper's certificate without a trial
         lo, hi = f.domain.lo, f.domain.hi
+        bracket = exact_phi(f, lo, hi)
         for d in (1e-3, 0.0179, 0.5, hi - lo):
-            sup = exact_sup(f, lo, hi, d)
+            sup = bracket.sup(d)
             assert abs(sup.value - phi(d)) <= sup.rounding
             assert sup.rounding <= 0.01 * top * d  # about r * M2 * d
-        budget = exact_budget(f, lo, hi, epsilon)
+        budget = bracket.budget(epsilon)
         assert phi(budget) < epsilon < phi(1.01 * budget)
         cert = ac_certificate(f, monotone_partition(f, 501).pieces, epsilon)
         assert budget > cert.delta1
@@ -1689,17 +1719,17 @@ class TestExactSup:
         d = 0.0179
         phi = 20 * d - d * d
         for cells in (1024, 4096, 65536):
-            sup = continuity._bracket(
-                continuity._knapsacks(f, 0.0, 10.0, cells), d)
+            sup = continuity._envelope_phi(f.coefficients, 0.0, 10.0,
+                                           cells).sup(d)
             assert abs(sup.value - phi) <= sup.rounding
         piece = ShapePiece(IntervalSpec(0.0, 10.0), Shape.CONVEX,
                            Monotonicity.INCREASING, 0.0)
         cert = Certificate(epsilon=phi, delta1=d, monotone_pieces=(piece,))
-        sup = exact_sup(f, 0.0, 10.0, d)
-        with mock.patch.object(continuity, "_knapsacks",
-                               wraps=continuity._knapsacks) as knapsacks:
-            assert _sup_below(f, 0.0, 10.0, d, phi, sup) is None
-        assert [c.args[3] for c in knapsacks.call_args_list] == [
+        bracket = exact_phi(f, 0.0, 10.0)
+        with mock.patch.object(continuity, "_envelope_phi",
+                               wraps=continuity._envelope_phi) as envelopes:
+            assert bracket.below(d, phi) is None
+        assert [c.args[3] for c in envelopes.call_args_list] == [
             4096, 16384, 65536]
         ver = verify_certificate(f, cert, trials=50, seed=0)
         assert (ver.method, ver.trials, ver.sup) == ("sampled", 50, None)
@@ -1710,8 +1740,7 @@ class TestExactSup:
         # certificate is attacked as for a kind without a closed form
         f = FunctionSpec.piecewise_linear(
             ((0.0, 0.0), (5e-324, 1.0), (1.0, 1.0)))
-        assert exact_sup(f, 0.0, 1.0, 0.5) is None
-        assert exact_budget(f, 0.0, 1.0, 0.5) is None
+        assert exact_phi(f, 0.0, 1.0) is None
         cert = Certificate(epsilon=2.0, delta1=0.5, monotone_pieces=(
             ShapePiece(IntervalSpec(0.0, 1.0), Shape.CONCAVE,
                        Monotonicity.INCREASING, 0.0),))
@@ -1722,6 +1751,6 @@ class TestExactSup:
         # |cos| rearranged: the steepest length d sits around 0, pi and
         # 2 pi, and Phi(d) = 4 sin(d / 4) up to the table's knot spacing
         f = catalog.sine_table()
-        sup = exact_sup(f, 0.0, 2 * math.pi, 0.4)
+        sup = exact_phi(f, 0.0, 2 * math.pi).sup(0.4)
         assert sup.value == pytest.approx(4 * math.sin(0.1), rel=1e-6)
         assert sup.rounding < 1e-12

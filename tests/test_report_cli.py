@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,9 @@ from contana import (
 )
 
 FAST = AnalysisSettings(epsilon=0.1, grid_m=501)
+
+#: a spike between the detection grids' points (ROADMAP item 1's repro)
+SPIKE = "pwl:0:0,0.300011:0.300011,0.300013:5,0.300015:0.300015,1:1"
 
 
 class TestAnalyze:
@@ -417,12 +421,16 @@ class TestCLI:
         units = math.floor(delta * (grid_m - 1) - 1.0 + 1e-9)
         assert payload["best_sum"] <= math.fsum(np.sort(steps)[-units:])
 
-    def test_suite_zero_trials_parse_error(self, tmp_path, capsys):
-        code = main(["suite", "--out", str(tmp_path / "s"), "--trials", "0"])
-        assert code == EXIT_PARSE
-        err = capsys.readouterr().err
-        assert err.startswith("parse error: ") and err.count("\n") == 1
-        assert not (tmp_path / "s").exists()
+    def test_suite_trials_and_seed_options_parse_error(self, tmp_path,
+                                                       capsys):
+        # every suite certificate is proved by Phi, so no trial count or
+        # seed reaches the suite's output: neither option exists
+        for option in ("--trials", "--seed"):
+            code = main(["suite", "--out", str(tmp_path / "s"), option, "7"])
+            assert code == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err.startswith("parse error: ") and err.count("\n") == 1
+            assert not (tmp_path / "s").exists()
 
     def test_modulus_stdout(self, capsys):
         code = main(["modulus", "--fn", "sqrt", "--interval", "[0,1]",
@@ -607,14 +615,37 @@ class TestCLI:
     def test_certify_refuses_what_phi_refuses(self, capsys):
         # the spike between grid points: certify prints sup = Phi(delta1)
         # and exits 1, as analyze does
-        code = main(["certify", "--fn",
-                     "pwl:0:0,0.300011:0.300011,0.300013:5,"
-                     "0.300015:0.300015,1:1",
-                     "--interval", "[0,1]", "--epsilon", "0.1"])
+        code = main(["certify", "--fn", SPIKE, "--interval", "[0,1]",
+                     "--epsilon", "0.1"])
         payload = json.loads(capsys.readouterr().out)
         assert code == EXIT_VIOLATED
         assert payload["sup"] == pytest.approx(9.489, abs=1e-3)
         assert payload["delta1_opt"] < 1e-7 < payload["delta1"]
+
+    @pytest.mark.parametrize("argv, knapsacks", [
+        (["analyze", "--fn", "pwl:0:0,0.3:0.6,0.7:0.2,1:0.5"], 1),
+        (["analyze", "--fn", SPIKE], 1),
+        (["analyze", "--fn", "sqrt"], 0),
+        (["certify", "--fn", SPIKE], 1),
+        (["certify", "--fn", "poly:0,0,0,1"], 2),
+    ], ids=["analyze-zigzag", "analyze-spike", "analyze-sqrt",
+            "certify-spike", "certify-cubic"])
+    def test_phi_is_built_once_per_command(self, capsys, argv, knapsacks):
+        # one Phi of the certificate window gives delta1_opt, sup and the
+        # verdict: one sorted knapsack for piecewise linear data, two for
+        # a polynomial's bracket, none for the square root
+        interval = "[-1,1]" if "poly" in argv[2] else "[0,1]"
+        spy = mock.patch.object(continuity, "exact_phi",
+                                wraps=continuity.exact_phi)
+        with spy as built, mock.patch.object(report_cli, "exact_phi", built), \
+                mock.patch.object(continuity._Knapsack, "build",
+                                  wraps=continuity._Knapsack.build) as sorts:
+            main(argv + ["--interval", interval, "--epsilon", "0.1"])
+        payload = json.loads(capsys.readouterr().out)
+        block = payload["certificate"] if argv[0] == "analyze" else payload
+        assert block["delta1_opt"] is not None
+        assert built.call_count == 1
+        assert sorts.call_count == knapsacks
 
     def test_certify_not_piecewise_convex(self, capsys):
         code = main(["certify", "--fn", "cantor", "--interval", "[0,1]",
