@@ -231,10 +231,12 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
     xs[j] - xs[j - L - 1] <= delta too, get exact starts and gathers.
 
     Cost: four O(m) passes per delta, plus O(e) for e exceptions.  The rows
-    of 2**k-point block maxima and minima are built as the lags ascend and
-    dropped below the current lag's row: a uniform grid keeps one or two
-    rows of 16 * m bytes, for a peak of a few arrays of m floats (under
-    8 MB at m = 100001); other grids keep the rows their exceptions read.
+    of 2**k-point block maxima and minima are built as the lags ascend, two
+    O(m) passes each, and dropped below the current lag's row: a uniform
+    grid keeps one or two rows of 16 * m bytes, for a peak of a few arrays
+    of m floats (under 8 MB at m = 100001); other grids keep the rows their
+    exceptions read.  On monotone values (``_trend``) a block's extrema are
+    its end values, so each row is a pair of slices of vs and none is built.
     """
     ds = list(deltas)
     if not ds:
@@ -252,6 +254,7 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
     gmin = 0.0 if xs.dtype == object else float(np.diff(xs).min())
     hi, lo = np.empty(m), np.empty(m)  # scratch: no m-float array per delta
     rows = {0: (vs, vs)}  # level k -> max and min of vs[i : i + 2**k]
+    trend = _trend(vs)
     best = 0.0
     samples = []
     for d in ds:
@@ -273,8 +276,13 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
         for k in range(max(rows), high):
             top, bottom = rows.pop(k) if k < level else rows[k]
             half = 1 << k
-            rows[k + 1] = (np.maximum(top[:-half], top[half:]),
-                           np.minimum(bottom[:-half], bottom[half:]))
+            if trend > 0:  # a block's ends are its extrema: rows are views
+                rows[k + 1] = (top[half:], bottom[:-half])
+            elif trend < 0:
+                rows[k + 1] = (top[:-half], bottom[half:])
+            else:
+                rows[k + 1] = (np.maximum(top[:-half], top[half:]),
+                               np.minimum(bottom[:-half], bottom[half:]))
         # windows [j - lag, j] for j >= lag: the blocks of row `level` at
         # columns j - lag and j - lag + shift, i.e. two contiguous slices
         n, shift = m - lag, lag + 1 - (1 << level)
@@ -285,6 +293,14 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
         best = max(best, *found)
         samples.append((d, best))
     return ModulusCurve(tuple(samples))
+
+
+def _trend(vs: np.ndarray) -> int:
+    """1 if vs never falls, -1 if it falls and never rises, else 0; one
+    comparison pass, in the direction its end values allow."""
+    if vs[-1] >= vs[0]:
+        return 1 if (vs[1:] >= vs[:-1]).all() else 0
+    return -1 if (vs[1:] <= vs[:-1]).all() else 0
 
 
 def _certified_lag(delta, gmin: float, gmax: float):

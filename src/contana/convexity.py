@@ -176,9 +176,7 @@ def detect_partition(grid: SampleGrid):
     dv = np.diff(vs)
     with np.errstate(over="ignore"):
         d2 = dv[1:] - dv[:-1]
-    signs = np.zeros(len(d2), dtype=np.int8)
-    signs[d2 > band] = 1
-    signs[d2 < -band] = -1
+    signs = (d2 > band).view(np.int8) - (d2 < -band).view(np.int8)
 
     # runs of nonzero sign over interior grid indices 1..m-2
     runs = _sign_runs(signs, DEFAULT_MAX_PIECES)
@@ -217,13 +215,18 @@ def _sign_runs(signs: np.ndarray, max_runs: int | None = None):
     """Maximal runs of equal nonzero signs, zeros skipped: (sign, first, last).
 
     With ``max_runs``, more runs than that are counted and not listed: the
-    result is then their number.
+    result is then their number.  The count comes first, from the nonzero
+    signs alone, so a count over the limit locates no run.
     """
+    run_signs = signs[signs != 0]
+    changes = run_signs[1:] != run_signs[:-1]
+    count = int(np.count_nonzero(changes)) + (len(run_signs) > 0)
+    if max_runs is not None and count > max_runs:
+        return count
+    if not count:
+        return []
     nonzero = np.flatnonzero(signs)
-    run_signs = signs[nonzero]
-    firsts = np.flatnonzero(np.diff(run_signs, prepend=0))
-    if max_runs is not None and len(firsts) > max_runs:
-        return len(firsts)
+    firsts = np.append(0, np.flatnonzero(changes) + 1)
     lasts = np.append(firsts[1:] - 1, len(nonzero) - 1)
     return [(int(run_signs[a]), int(nonzero[a]), int(nonzero[b]))
             for a, b in zip(firsts, lasts)]

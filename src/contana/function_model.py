@@ -25,6 +25,7 @@ by numpy in C, any other by the csv module, into the same values.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from bisect import bisect_right
@@ -377,6 +378,11 @@ class SampleGrid:
     finite, and so must their range max - min.  ``spacing`` is the
     largest gap between consecutive abscissae.  ``uniform`` says that the
     gaps are equal up to rounding: max gap - min gap <= 1e-9 * max gap.
+
+    The checks take one reduction each, the smallest gap and the values'
+    max and min, and look for an offending point only to name it: the
+    first non-finite value, else the first minimum and maximum, whose
+    difference overflows.
     """
 
     abscissae: np.ndarray
@@ -394,19 +400,20 @@ class SampleGrid:
         if len(xs) < 2:
             raise InsufficientData("a grid needs at least two points")
         gaps = np.diff(xs)
-        if np.any(gaps <= 0):
+        narrowest = gaps.min()
+        if not narrowest > 0:
             raise KindError("grid abscissae must be strictly increasing")
-        bad = np.flatnonzero(~np.isfinite(vs))
-        if len(bad):
-            i = bad[0]
-            raise DomainError(f"non-finite value {vs[i]} at x = {xs[i]}")
-        lo, hi = int(np.argmin(vs)), int(np.argmax(vs))
-        if math.isinf(float(vs[hi]) - float(vs[lo])):
+        if not math.isfinite(float(vs.max()) - float(vs.min())):
+            bad = np.flatnonzero(~np.isfinite(vs))
+            if len(bad):
+                i = bad[0]
+                raise DomainError(f"non-finite value {vs[i]} at x = {xs[i]}")
+            lo, hi = int(np.argmin(vs)), int(np.argmax(vs))
             raise DomainError(
                 f"values {vs[lo]} at x = {xs[lo]} and {vs[hi]} at "
                 f"x = {xs[hi]} are too far apart: their difference overflows")
         spacing = gaps.max()
-        uniform = float(spacing - gaps.min()) <= 1e-9 * float(spacing)
+        uniform = float(spacing - narrowest) <= 1e-9 * float(spacing)
         xs, vs = xs.view(), vs.view()
         xs.flags.writeable = vs.flags.writeable = False
         object.__setattr__(self, "abscissae", xs)
@@ -512,10 +519,10 @@ def _bulk_values(f: FunctionSpec, xs: np.ndarray) -> np.ndarray:
     built once with the spec and held for its lifetime, not per call.
     The points are evaluated BULK_BLOCK at a time, so besides the m-point
     output the working memory is at most 128 bytes per block point
-    (1 MiB).  With its grid (abscissae, values, and the gaps and flags of
-    SampleGrid's checks: 26 bytes per point), sample() at m points peaks
-    below 26*m + 128*BULK_BLOCK bytes.  Overflow to inf is silent, as in
-    scalar arithmetic.
+    (1 MiB; the Cantor scan, the largest, takes about 70 bytes).  With its grid
+    (abscissae, values, and the gaps of SampleGrid's checks: 24 bytes per
+    point), sample() at m points peaks below 24*m + 128*BULK_BLOCK bytes.
+    Overflow to inf is silent, as in scalar arithmetic.
     """
     out = np.empty(len(xs))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -543,15 +550,23 @@ def _bulk_values(f: FunctionSpec, xs: np.ndarray) -> np.ndarray:
 #: scan: 3n < 3 * 2**61 < 2**63
 _CANTOR_MAX_EXPONENT = 61
 
+#: ternary digits the Cantor scan reads per pass at exponent s (the index):
+#: the largest c <= 6 with 3**c * 2**s <= 2**64, so that a remainder below
+#: 2**s times 3**c fits in uint64
+_CANTOR_PASS_DIGITS = np.array((6,) * 55 + (5, 5, 4, 3, 3, 2, 1), np.int8)
+
 
 def _cantor_block(x: np.ndarray) -> np.ndarray:
     """eval_cantor on in-domain floats, bit for bit.
 
-    Each x is n / 2**s in lowest terms (from frexp), so one ternary digit
-    is (3n) >> s with remainder (3n) & (2**s - 1), exact in 64-bit integers
-    while s <= 61.  The binary accumulator is uint64: 64 digits fill all
-    64 bits.  A point leaves the scan at its first digit 1; points with
-    s > 61 (below about 2**-9, or subnormal) go through eval_cantor.
+    Each x is n / 2**s in lowest terms (from frexp), so its next c ternary
+    digits are (3**c * n) >> s with remainder (3**c * n) & (2**s - 1),
+    exact in uint64 while 3**c * 2**s <= 2**64: c is 6 up to s = 54 and
+    falls to 1 at s = 61 (``_CANTOR_PASS_DIGITS``).  The points are grouped
+    by c, and each group reads c digits per pass (``_cantor_scan``).  A
+    point leaves the scan at its first digit 1, or after CANTOR_DEPTH
+    digits; points with s > 61 (below about 2**-9, or subnormal) go through
+    eval_cantor.
     """
     out = np.where(x == 1.0, 1.0, 0.0)
     mant, exp = np.frexp(x)
@@ -565,27 +580,67 @@ def _cantor_block(x: np.ndarray) -> np.ndarray:
         out[j] = eval_cantor(float(x[j]))
     idx = np.flatnonzero(scan)
     num = (n[idx] >> tz[idx]).astype(np.uint64)
-    shift = s[idx].astype(np.uint64)
-    del n, tz, s, exp, interior, scan
+    s = s[idx]
+    del n, tz, exp, interior, scan
+    per_pass = _CANTOR_PASS_DIGITS[s]
+    counts = np.bincount(per_pass, minlength=7)
+    if counts.max() < len(idx):  # several digit counts: sort into groups
+        order = np.argsort(per_pass, kind="stable")
+        idx, num, s = idx[order], num[order], s[order]
+        del order
+    end = 0
+    for c in np.flatnonzero(counts).tolist():
+        start, end = end, end + counts[c]
+        _cantor_scan(out, idx[start:end], num[start:end], s[start:end], c)
+    return out
+
+
+def _cantor_scan(out: np.ndarray, idx: np.ndarray, num: np.ndarray,
+                 s: np.ndarray, c: int) -> None:
+    """Write eval_cantor of the points n / 2**s (n = num, odd) to out[idx],
+    reading c ternary digits per pass, fewer on the pass that reaches
+    CANTOR_DEPTH.  The binary accumulator is uint64: 64 digits fill all 64
+    bits.  A point that meets a digit 1 inside a pass takes that pass's
+    bits padded with zeros, and is divided by 2**(digits read) as if it had
+    stopped at the 1, which gives the same float."""
+    shift = s.astype(np.uint64)
     mask = (np.uint64(1) << shift) - np.uint64(1)
     acc = np.zeros(len(idx), np.uint64)
-    for bits in range(1, CANTOR_DEPTH + 1):
-        num *= np.uint64(3)
-        digit = num >> shift
+    bits = 0
+    while len(idx):
+        step = min(c, CANTOR_DEPTH - bits)
+        emitted, has_one = _cantor_digits(step)
+        num *= np.uint64(3 ** step)
+        digits = (num >> shift).view(np.int64)
         num &= mask
-        acc <<= np.uint64(1)
-        acc |= digit != 0
-        stop = digit == 1
-        if bits == CANTOR_DEPTH:
-            stop[:] = True
+        acc <<= np.uint64(step)
+        acc |= emitted[digits]
+        bits += step
+        stop = has_one[digits] if bits < CANTOR_DEPTH else np.ones(
+            len(idx), bool)
         if stop.any():
             out[idx[stop]] = acc[stop].astype(float) / 2.0**bits
             keep = ~stop
             idx, num, shift, mask, acc = (
                 idx[keep], num[keep], shift[keep], mask[keep], acc[keep])
-            if not len(idx):
-                break
-    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _cantor_digits(c: int) -> tuple:
+    """Read-only tables over the 3**c values of c ternary digits, the first
+    digit most significant: the binary digits they emit, up to and
+    including the first digit 1, padded with zeros to c bits; and whether
+    a digit 1 occurs.  Built on first use."""
+    value = np.arange(3 ** c)
+    emitted = np.zeros(3 ** c, np.uint64)
+    scanning = np.ones(3 ** c, bool)
+    for t in range(c - 1, -1, -1):
+        digit = value // 3 ** t % 3
+        emitted = emitted << np.uint64(1) | (scanning & (digit != 0))
+        scanning &= digit != 1
+    has_one = ~scanning
+    emitted.flags.writeable = has_one.flags.writeable = False
+    return emitted, has_one
 
 
 def _interp_block(kx: np.ndarray, ky: np.ndarray, x: np.ndarray) -> np.ndarray:

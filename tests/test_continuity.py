@@ -466,6 +466,63 @@ class TestConstantLagKernel:
                                                for k in range(7, 0, -1)
                                                for e in (-tiny, 0, tiny)])
 
+    @staticmethod
+    def monotone_grid(kind):
+        rng = np.random.default_rng(8)
+        m = 20001
+        xs = uniform_abscissae(0.0, 1.0, m)
+        rising = np.sort(rng.standard_normal(m))
+        if kind == "rising":
+            return SampleGrid(xs, rising)
+        if kind == "falling":
+            return SampleGrid(xs, -rising)
+        if kind == "signed-zeros":  # constant: 0.0 == -0.0
+            return SampleGrid(xs, np.where(rng.random(m) < 0.5, 0.0, -0.0))
+        if kind == "rising-signed-zeros":
+            return SampleGrid(xs, np.where(
+                abs(rising) < 0.5, np.where(rng.random(m) < 0.5, 0.0, -0.0),
+                rising))
+        if kind == "cantor":  # flat on the removed middle thirds
+            return sample(catalog.cantor_on_unit(), IntervalSpec(0.0, 1.0), m)
+        if kind == "sqrt-far":  # not uniform: exceptions read the rows
+            return sample(FunctionSpec.sqrt(), IntervalSpec(1e6, 1e6 + 1e-3), m)
+        dipped = rising.copy()  # rising but for one value one ulp down
+        dipped[m // 3] = np.nextafter(dipped[m // 3 - 1], -np.inf)
+        return SampleGrid(xs, dipped)
+
+    @pytest.mark.parametrize("kind", [
+        "rising", "falling", "signed-zeros", "rising-signed-zeros", "cantor",
+        "sqrt-far", "one-ulp-dip"])
+    def test_monotone_values(self, kind):
+        # monotone values take their block extrema from the block ends
+        grid = self.monotone_grid(kind)
+        self.assert_matches_reference(grid, self.tie_deltas(grid))
+
+    @pytest.mark.parametrize("kind", ["rising", "falling", "signed-zeros",
+                                      "cantor", "one-ulp-dip"])
+    def test_monotone_rows_are_views(self, monkeypatch, kind):
+        # the rows of a monotone grid are slices of its values: past the
+        # two scratch arrays the kernel allocates less than m floats (a
+        # generic ladder, so that no exception index is built)
+        grid = self.monotone_grid(kind)
+        m = len(grid)
+        generic = [2.6 * grid.span / (m - 1) * 1.2 ** i for i in range(33)]
+        rows = []
+        widest = continuity._widest_range
+        monkeypatch.setattr(continuity, "_widest_range",
+                            lambda row, *a: rows.append(row) or widest(row, *a))
+        tracemalloc.start()
+        try:
+            modulus_on_grid(grid, generic)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        shared = {np.shares_memory(a, grid.values) for row in rows for a in row}
+        if kind == "one-ulp-dip":
+            assert shared == {False} and peak > 3 * 8 * m
+        else:
+            assert shared == {True} and peak < 3 * 8 * m
+
     def test_no_gathers_off_the_grid_step(self, monkeypatch):
         # deltas between multiples of h: the gap extremes settle every lag,
         # so no exact slice test runs and no exception index is built

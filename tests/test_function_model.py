@@ -18,6 +18,7 @@ from contana import (
     IntervalSpec,
     KindError,
     ParseError,
+    SampleGrid,
     clip_window,
     eval_cantor,
     evaluate,
@@ -26,9 +27,16 @@ from contana import (
     sample,
 )
 from contana import catalog, function_model
-from contana.function_model import BULK_BLOCK, _bulk_values, evaluate_many
+from contana.function_model import (
+    BULK_BLOCK,
+    _CANTOR_MAX_EXPONENT,
+    _CANTOR_PASS_DIGITS,
+    _bulk_values,
+    evaluate_many,
+)
 
 INF = float("inf")
+NAN = float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +343,7 @@ class TestSample:
     ], ids=lambda v: getattr(v, "kind", ""))
     def test_memory_within_stated_bound(self, f, window):
         # _bulk_values' docstring: sample at m points peaks below
-        # 26*m + 128*BULK_BLOCK bytes (the spec holds its knot arrays)
+        # 24*m + 128*BULK_BLOCK bytes (the spec holds its knot arrays)
         m = 100001
         sample(f, window, 3)
         tracemalloc.start()
@@ -344,7 +352,44 @@ class TestSample:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 26 * m + 128 * BULK_BLOCK
+        assert peak <= 24 * m + 128 * BULK_BLOCK
+
+
+class TestSampleGrid:
+    """The grid checks take one reduction each and locate the offending
+    point only to name it."""
+
+    XS = [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("values, message", [
+        ([0.0, NAN, 1.0, NAN, 2.0], "non-finite value nan at x = 1.0"),
+        ([0.0, 1.0, -INF, 2.0, INF], "non-finite value -inf at x = 2.0"),
+        ([INF, 0.0, -INF, NAN, 1.0], "non-finite value inf at x = 0.0"),
+        ([0.0, -1e308, 1e308, -1e308, 1e308],
+         "values -1e+308 at x = 1.0 and 1e+308 at x = 2.0 are too far "
+         "apart: their difference overflows"),
+    ], ids=["first-nan", "both-infinities", "inf-before-nan", "overflow"])
+    def test_values_refused_with_the_first_offender(self, values, message):
+        with pytest.raises(DomainError) as got:
+            SampleGrid(self.XS, values)
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("xs", [
+        [0.0, 1.0, 1.0, 2.0, 3.0], [0.0, 2.0, 1.0, 3.0, 4.0],
+        [4.0, 3.0, 2.0, 1.0, 0.0], [0.0, 1.0, NAN, 3.0, 4.0],
+        [Fraction(0), Fraction(1, 3), Fraction(1, 3), Fraction(1), 2]])
+    def test_abscissae_must_increase(self, xs):
+        with pytest.raises(KindError,
+                           match="^grid abscissae must be strictly increasing$"):
+            SampleGrid(xs, [0.0, 1.0, 2.0, 3.0, 4.0])
+
+    def test_fraction_abscissae_stay_exact(self):
+        xs = [Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)]
+        grid = SampleGrid(xs, [0.0, 1.0, 0.5, 0.0])
+        assert grid.abscissae.dtype == object
+        assert grid.abscissae.tolist() == xs
+        assert grid.spacing == Fraction(1, 3) and grid.uniform
+        assert grid.span == 1
 
 
 ZIGZAG = FunctionSpec.piecewise_linear(
@@ -414,6 +459,48 @@ class TestBulkValues:
         with mock.patch.object(function_model, "BULK_BLOCK", block):
             got = _bulk_values(f, np.array(xs))
         assert got.tobytes() == np.array([evaluate(f, x) for x in xs]).tobytes()
+
+    @staticmethod
+    def assert_cantor_scan(xs, blocks=(1, 2, 3, 7, BULK_BLOCK)):
+        # bit for bit against eval_cantor, with block seams everywhere
+        xs = np.asarray(xs, dtype=float)
+        want = np.array([eval_cantor(x) for x in xs.tolist()]).tobytes()
+        for block in blocks:
+            with mock.patch.object(function_model, "BULK_BLOCK", block):
+                assert _bulk_values(FunctionSpec.cantor(), xs).tobytes() == want
+
+    def test_cantor_scan_every_digits_per_pass(self):
+        # n / 2**s (n odd) at every exponent of the integer scan, shuffled so
+        # that each block holds the groups of 1 to 6 digits per pass
+        limit = 1 << 64
+        for s, c in enumerate(_CANTOR_PASS_DIGITS.tolist()):
+            assert 3 ** c << s <= limit and (c == 6 or 3 ** (c + 1) << s > limit)
+        rng = np.random.default_rng(7)
+        exponents = rng.permutation(
+            np.repeat(np.arange(1, _CANTOR_MAX_EXPONENT + 1), 40))
+        assert set(_CANTOR_PASS_DIGITS[exponents].tolist()) == set(range(1, 7))
+        xs = [(2 * int(rng.integers(0, 1 << (min(s, 53) - 1))) + 1) / 2 ** s
+              for s in exponents.tolist()]
+        self.assert_cantor_scan(xs + [1 / 3, 2 / 3, 0.1, 0.9])
+
+    @pytest.mark.parametrize("widest", range(1, 7))
+    def test_cantor_scan_stops_at_the_depth_inside_a_pass(self, widest):
+        # 1/4 = 0.0202...(base 3) and 3/4 = 0.2020... never meet a digit 1:
+        # the 64-digit cap ends their scan inside a pass of 6, 5 or 3 digits
+        # (64 = 10*6 + 4 = 12*5 + 4 = 21*3 + 1).  Fewer digits per pass than
+        # the exponent allows are exact too, so each width is tested alone.
+        near = [math.nextafter(x, d) for x in (0.25, 0.75) for d in (0, 1)]
+        rng = np.random.default_rng(widest)
+        xs = [0.25, 0.75, *near, *rng.random(50).tolist(), 0.25, 0.75]
+        table = np.minimum(_CANTOR_PASS_DIGITS, widest)
+        with mock.patch.object(function_model, "_CANTOR_PASS_DIGITS", table):
+            self.assert_cantor_scan(xs)
+
+    @pytest.mark.parametrize("lo, m", [
+        (0.0, 1025), (0.0, 2001), (0.0, 4001), (0.0, 8193), (0.05, 100001)])
+    def test_cantor_scan_on_benchmark_grids(self, lo, m):
+        self.assert_cantor_scan(function_model.uniform_abscissae(lo, 1.0, m),
+                                blocks=(7, BULK_BLOCK))
 
     def test_sine_table(self):
         f = catalog.sine_table()
