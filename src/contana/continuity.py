@@ -496,7 +496,12 @@ def worst_ac_sum_oracle(grid: SampleGrid, delta,
     2 r tau <= BOUND_SLACK * bound of the bound, r being the number of band
     steps taken, in O(m) time and memory.  On an affine piece the steps tie
     up to rounding, so they form one glued interval, which by the gluing
-    bound dominates any collection there.  Otherwise a dynamic program
+    bound dominates any collection there.  When there are more runs but
+    fewer nonzero steps than `units`, the bound is the total of all steps,
+    and ``_bridged_runs`` glues neighbouring runs of one sign across the
+    shortest gaps of zero steps between them; if the nonzero steps and the
+    len(runs) - kmax gaps bridged fit in `units`, its kmax intervals reach
+    the bound exactly (method "OracleBound" too).  Otherwise a dynamic program
     (method "OracleDP", ``_dp_pairs``) searches states (grid index, units
     used, intervals used), with kmax = min(max_intervals, units).  It
     carries a rising open interval only if some step is > 0 and a falling
@@ -517,7 +522,9 @@ def worst_ac_sum_oracle(grid: SampleGrid, delta,
     v = grid.values
     # touching pairs (y_i = x_{i+1}) are legal, so up to `units` intervals fit
     kmax = min(max_intervals, units)
-    if len(pairs_idx) <= kmax:
+    if len(pairs_idx) > kmax:
+        pairs_idx = _bridged_runs(v, pairs_idx, units, kmax)
+    if pairs_idx is not None:
         method = "OracleBound"
     else:
         method = "OracleDP"
@@ -598,6 +605,41 @@ def _top_step_runs(values: np.ndarray, units: int):
     starts = np.flatnonzero(change & (sign[1:] != 0))
     ends = np.flatnonzero(change & (sign[:-1] != 0))
     return list(zip(starts.tolist(), ends.tolist())), bound
+
+
+def _bridged_runs(values: np.ndarray, runs: list, units: int, kmax: int):
+    """``_top_step_runs``'s runs merged into kmax intervals that reach the
+    step bound exactly, or None.
+
+    When the runs cover fewer than `units` steps, every nonzero step is in
+    one (the `units`-th largest |step| is 0, so no tie band applies), the
+    bound is their total, and only zero steps lie between runs.  Two
+    neighbouring runs of one sign then glue, across their gap of zero
+    steps, into one interval of the same increment, at the gap's length in
+    units.  Bridging the len(runs) - kmax shortest such gaps (lowest index
+    first among equal lengths) leaves kmax intervals; if the nonzero steps
+    and those gaps fit in `units`, they reach the bound.  That is the DP's
+    answer up to ties: a collection reaching the bound covers every
+    nonzero step with intervals of one sign each, so it bridges at least
+    as many gaps, and the shortest ones take the fewest units and, since
+    every gap costs a unit, the fewest intervals.  O(len(runs)) time.
+    """
+    starts, ends = np.array(runs, dtype=np.intp).T
+    spare = units - int(np.sum(ends - starts))
+    if spare <= 0:
+        return None
+    rising = values[ends] > values[starts]
+    gaps = starts[1:] - ends[:-1]
+    same = np.flatnonzero(rising[1:] == rising[:-1])
+    need = len(runs) - kmax
+    bridged = same[np.argsort(gaps[same], kind="stable")[:need]]
+    if len(bridged) < need or int(np.sum(gaps[bridged])) > spare:
+        return None
+    cut = np.ones(len(runs) - 1, bool)
+    cut[bridged] = False
+    cuts = np.flatnonzero(cut)
+    return list(zip(starts[np.append(0, cuts + 1)].tolist(),
+                    ends[np.append(cuts, len(runs) - 1)].tolist()))
 
 
 def _tie_tau(values, t) -> float:

@@ -16,10 +16,12 @@ point and works in fixed-size blocks, so its memory is bounded (stated in
 its docstring).
 
 Piecewise linear knots are checked once, when their spec is built, and
-held twice for the spec's lifetime: as the public tuple of float pairs
-that ``evaluate`` bisects, and as two read-only float64 arrays that
-``_bulk_values`` searches.  A ``table@`` file without quotes is parsed
-by numpy in C, any other by the csv module, into the same values.
+held for the spec's lifetime as two read-only float64 arrays (16 bytes
+per knot): ``_bulk_values`` searches them, and ``evaluate`` bisects them
+through memoryviews.  The public tuple of float pairs ``FunctionSpec.knots``
+is built from them only when it is read.  A ``table@`` file without
+quotes is parsed by numpy in C, any other by the csv module, into the same
+values.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import re
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -157,6 +160,28 @@ PWL = "pwl"
 _KINDS = (SQRT, X2SININV, CANTOR, POLY, PWL)
 
 
+class _KnotPairs:
+    """The ``knots`` field of FunctionSpec.
+
+    It keeps what ``__init__`` is given until ``__post_init__`` replaces
+    a piecewise linear spec's knots by its arrays; reading ``knots`` then
+    builds the tuple of float pairs from them, once, on first read.
+    """
+
+    def __get__(self, f, owner=None):
+        if f is None:
+            return ()  # the field's default
+        try:
+            return f.__dict__["knots"]
+        except KeyError:
+            pairs = tuple(zip(f._kx.tolist(), f._ky.tolist()))
+            f.__dict__["knots"] = pairs
+            return pairs
+
+    def __set__(self, f, knots) -> None:
+        f.__dict__["knots"] = knots
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     """A catalog member bound to a domain interval.
@@ -165,23 +190,24 @@ class FunctionSpec:
     for polynomials (ascending degree, so the affine map a*x + b is
     ``(b, a)``) and ``knots`` for piecewise linear data (sampled tables
     included).  ``knots`` may be given as (x, y) pairs or an (n, 2) array;
-    the spec keeps them as a tuple of float pairs, as the read-only arrays
-    ``_kx`` and ``_ky`` for bulk evaluation, and their abscissae as the
-    tuple ``_kx_tuple`` for scalar bisection.
+    the spec keeps them only as the read-only float64 arrays ``_kx`` and
+    ``_ky`` (16 bytes per knot), with a memoryview of each (``_views``)
+    for scalar bisection.  Reading ``knots`` gives them as a tuple of
+    float pairs, built on first read; equality, hash and repr read it, so
+    they compare the knots' values (0.0 == -0.0) as for any tuple.
     """
 
     kind: str
     domain: IntervalSpec
     coefficients: tuple = ()
-    knots: tuple = ()
+    knots: tuple = _KnotPairs()
     #: the knots' abscissae and ordinates, read-only float64 (kind pwl)
     _kx: np.ndarray | None = field(default=None, init=False, compare=False,
                                    repr=False)
     _ky: np.ndarray | None = field(default=None, init=False, compare=False,
                                    repr=False)
-    #: the knots' abscissae as a tuple of floats (kind pwl)
-    _kx_tuple: tuple = field(default=(), init=False, compare=False,
-                             repr=False)
+    #: memoryviews of _kx and _ky, whose items are Python floats (kind pwl)
+    _views: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -198,15 +224,21 @@ class FunctionSpec:
                 self, "coefficients", tuple(float(c) for c in self.coefficients)
             )
         if self.kind == PWL:
-            ks = (self.knots if isinstance(self.knots, _Knots)
-                  else _knot_arrays(self.knots))
+            given = self.__dict__.pop("knots")
+            ks = given if isinstance(given, _Knots) else _knot_arrays(given)
             if d.lo < ks.x[0] or d.hi > ks.x[-1]:
                 raise KindError("domain must lie within the knot span")
-            xs = tuple(ks.x.tolist())
-            object.__setattr__(self, "knots", tuple(zip(xs, ks.y.tolist())))
-            object.__setattr__(self, "_kx_tuple", xs)
             object.__setattr__(self, "_kx", ks.x)
             object.__setattr__(self, "_ky", ks.y)
+            object.__setattr__(self, "_views",
+                               (memoryview(ks.x), memoryview(ks.y)))
+
+    def __reduce__(self):
+        # memoryviews do not pickle: a copy is built anew from the fields,
+        # a piecewise linear one from its arrays as an (n, 2) array
+        knots = (np.column_stack((self._kx, self._ky)) if self.kind == PWL
+                 else self.knots)
+        return type(self), (self.kind, self.domain, self.coefficients, knots)
 
     # -- constructors -------------------------------------------------------
 
@@ -325,7 +357,12 @@ def eval_cantor(x) -> float:
 
 
 def evaluate(f: FunctionSpec, x) -> float:
-    """Exact pointwise evaluation; open endpoints are not evaluable."""
+    """Exact pointwise evaluation; open endpoints are not evaluable.
+
+    A piecewise linear spec is read by bisecting its knot arrays through
+    their memoryviews, which give Python floats: the same arithmetic, and
+    so the same bits, as ``_interp_block``.
+    """
     if not f.domain.contains(x):
         raise DomainError(f"{x!r} outside domain {f.domain}")
     kind = f.kind
@@ -350,17 +387,16 @@ def evaluate(f: FunctionSpec, x) -> float:
             acc = acc * xf + c
         return acc
     if kind == PWL:
-        return _interp_knots(f.knots, f._kx_tuple, float(x))
+        return _interp_knots(*f._views, float(x))
     raise KindError(f"unknown function kind {kind!r}")
 
 
-def _interp_knots(knots, kx: tuple, x: float) -> float:
+def _interp_knots(kx: memoryview, ky: memoryview, x: float) -> float:
     # domain validation guarantees kx[0] <= x <= kx[-1]
     idx = bisect_right(kx, x)
-    if idx > 0 and kx[idx - 1] == x:
-        return knots[idx - 1][1]
-    x0, y0 = knots[idx - 1]
-    x1, y1 = knots[idx]
+    if kx[idx - 1] == x:
+        return ky[idx - 1]
+    x0, y0, x1, y1 = kx[idx - 1], ky[idx - 1], kx[idx], ky[idx]
     return y0 + (y1 - y0) * ((x - x0) / (x1 - x0))
 
 
@@ -751,6 +787,15 @@ def _load_table(path: str) -> np.ndarray:
 _NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
 
 
+#: one line of a table and its ending, as csv.reader ends lines: \r\n, \r
+#: or \n
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)?")
+
+#: file names that numpy's loadtxt does not open as plain local files: it
+#: decompresses these endings and fetches URLs
+_NOT_PLAIN_NAMES = re.compile(r"(\.gz|\.bz2|\.xz|\.lzma)$|://")
+
+
 def _plain_table(path: str) -> np.ndarray | None:
     """_load_table's knots of a plain table, parsed in C; else None.
 
@@ -764,32 +809,61 @@ def _plain_table(path: str) -> np.ndarray | None:
     those characters, when loadtxt accepts every line after the header,
     it reads exactly the knots that _csv_table reads.  Every other table,
     and every table that fails, returns None.
+
+    The text is read once, as one string, and checked in place: the
+    characters by substring search, the line lengths by ``_lines_within``,
+    and the header on the lines up to the first nonblank one, so no other
+    line becomes a Python object.  loadtxt then reads the file itself, in
+    chunks, skipping the lines before the data; the text is dropped first,
+    so on an ASCII file the parse peaks at about two bytes per character
+    (the bytes read and their decoded text) besides the knots.
     """
+    if _NOT_PLAIN_NAMES.search(path):
+        return None
     try:
         with open(path, newline="") as fh:
-            lines = fh.readlines()
+            text = fh.read()
     except UnicodeDecodeError:
         return None
-    text = "".join(lines)
     if (any(c in text for c in _NOT_PLAIN)
-            or max(map(len, lines), default=0) > csv.field_size_limit()):
+            or not _lines_within(text, csv.field_size_limit())):
         return None
-    first = next((i for i, line in enumerate(lines)
-                  if line.replace(",", "").strip()), len(lines))
-    if first < len(lines):
-        cells = lines[first].split(",")
-        try:
-            float(cells[0]), float(cells[1])
-        except (ValueError, IndexError):
-            first += 1  # only the first nonblank row may be a header
+    skip = 0  # lines before the data
+    for line in _LINE.finditer(text):
+        if line.group().replace(",", "").strip():
+            break
+        skip += 1
+    else:
+        return None  # no nonblank line
+    cells = line.group().split(",")
+    try:
+        float(cells[0]), float(cells[1])
+    except (ValueError, IndexError):
+        skip += 1  # only the first nonblank row may be a header
+    del text, line
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # loadtxt warns on no data
         try:
-            knots = np.loadtxt(lines[first:], delimiter=",", comments=None,
-                               usecols=(0, 1), ndmin=2)
+            knots = np.loadtxt(path, delimiter=",", comments=None,
+                               usecols=(0, 1), ndmin=2, skiprows=skip)
         except ValueError:
             return None
     return knots if len(knots) >= 2 else None
+
+
+def _lines_within(text: str, limit: int) -> bool:
+    """Whether no line of text holds more than limit characters before its
+    ending.  It hops from a line start to just past the last line end
+    within limit + 1 characters, so it takes len(text) / limit steps on a
+    table of short lines."""
+    start = 0
+    while len(text) - start > limit:
+        stop = start + limit + 1
+        end = max(text.rfind("\n", start, stop), text.rfind("\r", start, stop))
+        if end < 0:
+            return False
+        start = end + 1
+    return True
 
 
 def _csv_table(path: str) -> np.ndarray:

@@ -193,6 +193,51 @@ def top_step_runs(values, units):
     return [tuple(run) for run in runs]
 
 
+def bridged_runs(values, units, kmax):
+    """The bridged answer, step by step: when fewer than `units` steps are
+    nonzero and their runs exceed kmax, bridge the len(runs) - kmax
+    shortest gaps between neighbouring runs of one sign, lowest index first
+    among equal lengths; None when there are too few such gaps, or they
+    and the nonzero steps do not fit in `units`."""
+    steps = [b - a for a, b in zip(values, values[1:])]
+    nonzero = sum(1 for s in steps if s != 0)
+    runs = top_step_runs(values, units)
+    if nonzero >= units or len(runs) <= kmax:
+        return None
+    gaps = sorted((runs[i + 1][0] - runs[i][1], i)
+                  for i in range(len(runs) - 1)
+                  if (steps[runs[i][0]] > 0) == (steps[runs[i + 1][0]] > 0))
+    need = len(runs) - kmax
+    if len(gaps) < need or nonzero + sum(g for g, _ in gaps[:need]) > units:
+        return None
+    bridged = {i for _, i in gaps[:need]}
+    merged = [list(runs[0])]
+    for i, (s, e) in enumerate(runs[1:]):
+        if i in bridged:
+            merged[-1][1] = e
+        else:
+            merged.append([s, e])
+    return [tuple(pair) for pair in merged]
+
+
+@st.composite
+def zero_run_values(draw):
+    """Values with integer steps, exact in floats, at most 90 of them: runs
+    of zero steps between runs of nonzero ones, all of one sign (monotone)
+    or of a sign drawn per run."""
+    monotone = draw(st.booleans())
+    sign = draw(st.sampled_from([1, -1]))
+    steps = []
+    for zeros, n in draw(st.lists(st.tuples(st.integers(0, 6),
+                                            st.integers(1, 4)),
+                                  min_size=3, max_size=16)):
+        s = sign if monotone else draw(st.sampled_from([1, -1]))
+        steps += [0] * zeros + [s * draw(st.integers(1, 3)) for _ in range(n)]
+    steps += [0] * draw(st.integers(0, 3))
+    offset = draw(st.sampled_from([0.0, -7.0, 1e6]))
+    return list(accumulate(map(float, steps[:89]), initial=offset))
+
+
 @st.composite
 def grids_with_deltas(draw):
     """(grid, ascending deltas): uniform float, near-uniform float jittered
@@ -767,7 +812,9 @@ class TestWorstSumOracle:
         want = brute_force_worst_sum(values, units, kmax)
         assert rep.best_sum == pytest.approx(want, rel=1e-12, abs=1e-12)
         runs = top_step_runs(values, units)
-        if len(runs) <= min(kmax, units):
+        if len(runs) > min(kmax, units):
+            runs = bridged_runs(values, units, min(kmax, units))
+        if runs is not None:
             assert rep.method == "OracleBound"
             assert rep.witness.pairs == tuple(
                 (xs[s], xs[e]) for s, e in runs)
@@ -780,6 +827,58 @@ class TestWorstSumOracle:
         dp = _dp_pairs(grid.values, units, min(kmax, units))
         assert math.fsum(abs(values[e] - values[s]) for s, e in dp) == \
             pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=zero_run_values(), data=st.data())
+    def test_bridged_runs_match_the_dp(self, values, data):
+        # where the bridged runs answer, they reach the DP's sum with its
+        # units and interval count (fewest units, then fewest intervals),
+        # and its pairs unless the gaps to bridge can be chosen in two ways
+        v = np.array(values)
+        m = len(v)
+        nonzero = int(np.count_nonzero(np.diff(v)))
+        units = m - 1 - data.draw(st.integers(0, max(m - 2 - nonzero, 0)))
+        kmax = min(data.draw(st.integers(1, 8)), units)
+        runs, bound = continuity._top_step_runs(v, units)
+        got = (continuity._bridged_runs(v, runs, units, kmax)
+               if len(runs) > kmax else None)
+        assert got == bridged_runs(values, units, kmax)
+        if got is None:
+            return
+        dp = _dp_pairs(v, units, kmax)
+        assert math.fsum(abs(v[e] - v[s]) for s, e in got) == bound == \
+            math.fsum(abs(v[e] - v[s]) for s, e in dp)
+        assert sum(e - s for s, e in got) == sum(e - s for s, e in dp)
+        assert len(got) == len(dp) == kmax
+        rising = [v[e] > v[s] for s, e in runs]
+        gaps = sorted(b[0] - a[1] for a, b, ra, rb
+                      in zip(runs, runs[1:], rising, rising[1:]) if ra == rb)
+        need = len(runs) - kmax
+        if need == len(gaps) or gaps[need - 1] < gaps[need]:
+            assert got == dp
+        delta = (units + 1) / (m - 1) * (1.0 + 1e-7)
+        grid = SampleGrid(uniform_abscissae(0.0, 1.0, m), v)
+        with mock.patch.object(continuity, "_dp_pairs",
+                               side_effect=AssertionError("DP ran")):
+            rep = worst_ac_sum_oracle(grid, delta, kmax)
+        assert rep.method == "OracleBound" and rep.best_sum == bound
+
+    @pytest.mark.parametrize("units", [248, 275, 303])
+    def test_bench_sized_cantor_bridges_without_the_dp(self, units):
+        # the benchmark's worstsum-cantor-m1025-k32 shape, whose budgets
+        # span 248-303 units: 154 nonzero steps in 46 runs, and the 14
+        # shortest zero gaps between them fit, so the bound answers with
+        # the pairs the DP finds
+        grid = sample(catalog.cantor_on_unit(), IntervalSpec(0.0, 1.0), 1025)
+        with mock.patch.object(continuity, "_dp_pairs",
+                               side_effect=AssertionError("DP ran")):
+            rep = worst_ac_sum_oracle(grid, (units + 1) / 1024, 32)
+        assert rep.method == "OracleBound"
+        assert rep.best_sum == rep.step_bound
+        dp = _dp_pairs(grid.values, units, 32)
+        assert rep.witness.pairs == tuple(
+            (grid.abscissae[s], grid.abscissae[e]) for s, e in dp)
+        assert len(dp) == 32
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
