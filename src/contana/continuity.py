@@ -15,16 +15,16 @@ search their increment sums sum |f(y_i) - f(x_i)|:
   dynamic programming over (grid index, budget units, interval count).
 * ``exact_phi`` builds Phi, the supremum Phi(d) of the increment sums
   over every collection of total length at most d, once per window: in
-  closed form for piecewise linear data, polynomials of degree at most one
-  and the square root, and as a certified bracket for polynomials of
-  higher degree.  Its methods give Phi(d), the largest d proved to have
-  Phi(d) < epsilon, that decision for a given d, and a collection that
-  nearly reaches Phi(d).
+  closed form for piecewise linear data, polynomials of degree at most one,
+  the square root and the Cantor staircase, and as a certified bracket for
+  polynomials of higher degree and x**2 sin(1/x).  Its methods give Phi(d),
+  the largest d proved to have Phi(d) < epsilon, that decision for a given
+  d, and a collection that nearly reaches Phi(d) or reaches epsilon.
 * ``ac_certificate`` / ``verify_certificate`` invert each piece's anchored
   increment into a concrete (epsilon, delta_1) certificate: every
   collection of total length below delta_1 has increment sum below epsilon.
-  Where Phi decides it, it proves or refuses the certificate; elsewhere
-  random and searched collections attack it.
+  Phi proves or refuses the certificate, or the report says that it could
+  not decide.
 """
 
 from __future__ import annotations
@@ -54,15 +54,14 @@ from .errors import (
     Unachievable,
 )
 from .function_model import (
+    CANTOR,
+    CANTOR_DEPTH,
     POLY,
-    PWL,
     SQRT,
+    X2SININV,
     FunctionSpec,
-    IntervalSpec,
     SampleGrid,
     evaluate,
-    evaluate_many,
-    sample,
 )
 
 #: default interval cap for the worst-sum search
@@ -78,9 +77,6 @@ DELTA1_SAFETY = 0.99
 #: 1 + BOUND_SLACK (the slack absorbs the rounding of the grid steps)
 BOUND_SLACK = 1e-9
 
-#: trials per block of verify_certificate's random attack; bounds its memory
-VERIFY_BLOCK = 4096
-
 #: the worst-sum oracle treats steps within _TIE_BAND * eps * max|v| of the
 #: `units`-th largest |step| as tied, capped so that the band never costs
 #: more than BOUND_SLACK (``_tie_tau``)
@@ -90,11 +86,14 @@ _TIE_BAND = 16
 #: rounding of the float gaps, of the differences and of the test's products
 _GAP_SLACK = 8 * sys.float_info.epsilon
 
-#: equal cells of the |p'| envelope that brackets Phi for a polynomial of
-#: degree >= 2; ``_envelope_phi`` refines them fourfold, up to _MAX_CELLS,
-#: while the bracket leaves Phi(d) < epsilon open
+#: equal cells of the |f'| envelope that brackets Phi for a polynomial of
+#: degree >= 2 and for x**2 sin(1/x); ``_envelope_phi`` refines them
+#: fourfold, up to _MAX_CELLS, while the bracket leaves Phi(d) < epsilon open
 _CELLS = 1024
 _MAX_CELLS = 65536
+
+#: finest stage of the Cantor witness's bricks: at most 2**12 intervals
+_CANTOR_STAGES = 12
 
 
 class Anchor(str, Enum):
@@ -183,16 +182,16 @@ class GluingCheck:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    passed: bool
+    #: Phi(delta_1) < epsilon proved (True) or refused (False); None where
+    #: Phi could not decide it
+    passed: bool | None
     #: the largest increment sum of the collections built, and one of them
     worst_sum: float
     worst_collection: IntervalCollection
-    #: "exact_sup" when Phi(delta_1) decided ``passed``, else "sampled"
+    #: "exact_sup" when Phi(delta_1) decided ``passed``, else "undecided"
     method: str
-    #: random trials run (0 on the exact path)
-    trials: int
-    #: Phi(delta_1) in float on the exact path (a bracket's midpoint for a
-    #: polynomial of degree >= 2), else None
+    #: Phi(delta_1) in float (a bracket's midpoint for a polynomial of
+    #: degree >= 2 or x**2 sin(1/x)), None where it overflows
     sup: float | None = None
     #: the largest length that Phi proves on the certificate's window
     #: (``Phi.budget``), None where no Phi exists
@@ -512,9 +511,9 @@ def worst_ac_sum_oracle(grid: SampleGrid, delta,
     O(m + (units + 1) * (kmax + 1)) floats; the folding does not change its
     answer.  Only the DP is limited by the state-space guard (BudgetError
     when 3 * m' * (units + 1) * (kmax + 1) > 4e8, whichever directions it
-    carries), and its result never exceeds the bound.  The witness's
-    endpoints are the grid's own abscissae, looked up by index, so a grid
-    of Fractions gives exact ones.
+    carries; its message names ``step_bound``), and its result never
+    exceeds the bound.  The witness's endpoints are the grid's own
+    abscissae, looked up by index, so a grid of Fractions gives exact ones.
     """
     if max_intervals < 1:
         raise ValueError("max_intervals must be >= 1")
@@ -528,7 +527,10 @@ def worst_ac_sum_oracle(grid: SampleGrid, delta,
         method = "OracleBound"
     else:
         method = "OracleDP"
-        pairs_idx = _dp_pairs(v, units, kmax)
+        try:
+            pairs_idx = _dp_pairs(v, units, kmax)
+        except BudgetError as exc:
+            raise BudgetError(f"{exc} (step_bound {bound!r})") from None
     # only the pairs' endpoints, as Python floats (or exact Fractions)
     idx = np.array(pairs_idx, dtype=np.intp).reshape(-1, 2)
     witness = IntervalCollection(
@@ -823,48 +825,55 @@ def glued_single_interval(f: FunctionSpec, piece: ShapePiece,
 # ---------------------------------------------------------------------------
 
 def exact_phi(f: FunctionSpec, lo: float, hi: float) -> Phi | None:
-    """Phi of f on the window [lo, hi], or None where none is known.
+    """Phi of f on the window [lo, hi], or None where a bound overflows.
 
     Phi(d) is the supremum of sum |f(b_i) - f(a_i)| over the collections of
     nonoverlapping intervals in [lo, hi] of total length at most d.  Each
     increment is at most the integral of |f'| over its interval, with
-    equality where f is monotone, so Phi(d) is the integral over [0, d] of
-    the decreasing rearrangement of |f'|: the steepest total length d of
-    the window, wherever it lies.  It bounds every collection, with no
-    reference to detected pieces.  This is the one place that tells the
-    kinds apart:
+    equality where f is monotone, so for an absolutely continuous f Phi(d)
+    is the integral over [0, d] of the decreasing rearrangement of |f'|:
+    the steepest total length d of the window, wherever it lies.  It bounds
+    every collection, with no reference to detected pieces.  This is the
+    one place that tells the kinds apart:
 
     * ``pwl`` (``table@`` included), and ``poly`` of degree at most one as
       one segment: one exact ``_Knapsack`` over the segments clipped to the
       window, its ties with epsilon decided in rationals;
-    * ``poly`` of degree n >= 2: a certified bracket (``_envelope_phi``);
+    * ``poly`` of degree n >= 2 and ``x2sininv``: a certified bracket
+      (``_envelope_phi`` on ``_poly_cells`` or ``_x2sininv_cells``);
     * ``sqrt``: sqrt(min(lo + d, hi)) - sqrt(lo) (``_SqrtCurve``);
-    * any other kind, or slopes or bounds that overflow: None.
+    * ``cantor``: the rise C(hi) - C(lo) for every d > 0 (``_CantorCurve``);
+    * slopes or bounds that overflow: None.
 
     Phi is that of the exact function: the knots' interpolant, the
-    polynomial or the square root.  An increment of ``evaluate`` values is
-    within 16 * eps * Y of the exact one, where Y is the largest |y| of the
-    knots of the segments that meet the window, sqrt(hi), or for ``poly``
+    polynomial, the square root, x**2 sin(1/x) or the staircase.  An
+    increment of ``evaluate`` values is within 16 * eps * Y of the exact
+    one, where Y is the largest |y| of the knots of the segments that meet
+    the window, sqrt(hi), R * (R + 1) for ``x2sininv`` with
+    R = max(|lo|, |hi|), 1 for ``cantor``, or for ``poly``
     sum |c_k| R**k, and within (4 n + 16) * eps * Y for a polynomial of
     degree n >= 2.  Cost: O(n log n) for the n segments or cells.
     """
     if f.kind == SQRT:
         curve = _SqrtCurve(lo, hi)
         return Phi(lo, hi, curve, curve, curve.settle)
+    if f.kind == CANTOR:
+        curve = _CantorCurve(lo, hi, evaluate(f, hi) - evaluate(f, lo))
+        return Phi(lo, hi, curve, curve, curve.settle)
+    if f.kind == X2SININV:
+        return _envelope_phi(_x2sininv_cells, lo, hi, _CELLS)
     if f.kind == POLY and len(f.coefficients) > 2:
-        return _envelope_phi(f.coefficients, lo, hi, _CELLS)
+        return _envelope_phi(_poly_cells(f.coefficients), lo, hi, _CELLS)
     if f.kind == POLY:  # one segment of slope c_1
         x, y = np.array([0.0, 1.0]), np.array([0.0, (*f.coefficients, 0.0)[1]])
         ends = np.array([lo, hi], dtype=float)
-    elif f.kind == PWL:
+    else:  # PWL
         kx, ky = f._kx, f._ky
         i = max(int(np.searchsorted(kx, lo, side="right")) - 1, 0)
         j = int(np.searchsorted(kx, hi, side="left"))
         x, y = kx[i:j + 1], ky[i:j + 1]
         ends = x.copy()
         ends[0], ends[-1] = lo, hi
-    else:
-        return None
     with np.errstate(over="ignore"):
         knapsack = _Knapsack.build(np.abs(np.diff(y)) / np.diff(x), ends)
     if knapsack is None:
@@ -880,15 +889,15 @@ class Phi:
     ``upper`` and ``lower`` bound the decreasing rearrangement of |f'| from
     above and from below (one object where it is exact); each gives
     sup(d), its own Phi with a rounding bound, invert(e), a d where that
-    Phi is about e, and pairs(d), the intervals it takes.
+    Phi is about e, and pairs(d, epsilon), the intervals it takes.
     ``settle(d, epsilon)`` decides Phi(d) < epsilon where the rounding
     leaves it open (True, False, or None where it cannot).
     """
 
     lo: float
     hi: float
-    upper: _Knapsack | _SqrtCurve
-    lower: _Knapsack | _SqrtCurve
+    upper: _Knapsack | _SqrtCurve | _CantorCurve
+    lower: _Knapsack | _SqrtCurve | _CantorCurve
     settle: Callable
 
     def sup(self, d) -> ExactSup | None:
@@ -940,20 +949,23 @@ class Phi:
             return False
         return self.settle(d, epsilon)
 
-    def witness(self, d) -> IntervalCollection:
+    def witness(self, d, epsilon) -> IntervalCollection:
         """A collection of total length below d whose sum nearly reaches
-        Phi(d): the lower bound's intervals, steepest first (``pairs``).
-        Each lies where that bound holds, so its exact increment is at
-        least the bound times its length; the exact sum is at least Phi- at
-        the collection's total length.  The last interval is shortened, or
-        dropped, until ``IntervalCollection.total_length`` is below d."""
-        pairs = self.lower.pairs(d)
+        Phi(d), or for the Cantor staircase reaches epsilon: the lower
+        bound's intervals (``pairs``).  A knapsack's or the square root's
+        lie where that bound holds, steepest first, so each exact increment
+        is at least the bound times its length, and the exact sum is at
+        least Phi- at the collection's total length.  The last interval is
+        shortened, or dropped, until ``IntervalCollection.total_length`` is
+        below d: by the excess and one ulp of d each time, as an ulp of y,
+        near 0, can be far below one of its length."""
+        pairs = self.lower.pairs(d, epsilon)
         while pairs:
             excess = math.fsum(y - x for x, y in pairs) - d
             x, y = pairs[-1]
             if excess < 0 and x < y:
                 break
-            y = min(math.nextafter(y, x), y - excess)
+            y = min(math.nextafter(y, x), y - excess - math.ulp(d))
             if x < y:
                 pairs[-1] = (x, y)
             else:
@@ -978,7 +990,8 @@ class _SqrtCurve(NamedTuple):
         top = e + math.sqrt(self.lo)
         return top * top - self.lo
 
-    def pairs(self, d) -> list:
+    def pairs(self, d, epsilon) -> list:
+        """[lo, lo + d], clamped to the window, whatever epsilon."""
         return [(self.lo, min(self.lo + d, self.hi))]
 
     def settle(self, d, epsilon) -> bool:
@@ -988,6 +1001,69 @@ class _SqrtCurve(NamedTuple):
         b, e = Fraction(self.lo), Fraction(epsilon)
         gap = a - b - e * e
         return gap < 0 or gap * gap < 4 * e * e * b
+
+
+class _CantorCurve(NamedTuple):
+    """The Cantor staircase C on [lo, hi], rising by ``rise``.
+
+    C is constant off the Cantor set, and the stage-k bricks, the 2**k
+    closed thirds left at step k of the middle-thirds cut, cover it with
+    total length (2/3)**k while C rises 2**-k across each.  So for every
+    d > 0 the bricks of some stage take the whole rise C(hi) - C(lo) within
+    total length d: Phi(d) is the rise for d > 0, and 0 at d = 0.
+    """
+
+    lo: float
+    hi: float
+    rise: float
+
+    def sup(self, d) -> ExactSup:
+        """The rise, within 2 * 2**-CANTOR_DEPTH (``eval_cantor``'s digit
+        depth, at each end) plus eps: the rounding of the two values, both
+        in [0, 1], to floats, and of their difference."""
+        if not d > 0:
+            return ExactSup(0.0, 0.0)
+        return ExactSup(self.rise, 2.0 ** (1 - CANTOR_DEPTH)
+                        + sys.float_info.epsilon)
+
+    def invert(self, e) -> float:
+        return 0.0 if e <= self.rise else math.inf
+
+    def pairs(self, d, epsilon) -> list:
+        """Stage-k bricks inside the window, each rounded outward to
+        floats, from the left: k is the least stage up to _CANTOR_STAGES at
+        which ceil(epsilon * 2**k) of them are shorter in total than d; []
+        if none is.  C is flat on the gaps beside each brick, so a brick
+        still rises exactly 2**-k, and their exact sum is at least epsilon.
+        The bricks come from ``catalog.cantor_stage_cover``, in rationals."""
+        from .catalog import cantor_stage_cover  # catalog imports this module
+        lo, hi = Fraction(self.lo), Fraction(self.hi)
+        for k in range(1, _CANTOR_STAGES + 1):
+            n = math.ceil(epsilon * 2 ** k)
+            if not n * 3.0 ** -k < d:  # too long before rounding
+                continue
+            inside = [(a, b) for a, b in cantor_stage_cover(k).pairs
+                      if lo <= a and b <= hi][:n]
+            pairs = [(_float_below(a), _float_above(b)) for a, b in inside]
+            if len(pairs) == n and math.fsum(y - x for x, y in pairs) < d:
+                return pairs
+        return []
+
+    def settle(self, d, epsilon) -> None:
+        """Never decides: C at a float is rational but not always dyadic
+        (C(1/4) = 1/3), and its ternary period can be 2**(q - 2) digits
+        long at p / 2**q, so no exact test of the rise is cheap."""
+        return None
+
+
+def _float_below(q: Fraction) -> float:
+    x = float(q)
+    return math.nextafter(x, -math.inf) if x > q else x
+
+
+def _float_above(q: Fraction) -> float:
+    x = float(q)
+    return math.nextafter(x, math.inf) if x < q else x
 
 
 class _Knapsack(NamedTuple):
@@ -1053,8 +1129,9 @@ class _Knapsack(NamedTuple):
             return float(e / self.s[0])
         return float(self.reach[k - 1] + (e - self.rises[k - 1]) / self.s[k])
 
-    def pairs(self, d) -> list:
-        """The intervals taken at budget d, the last one cut short."""
+    def pairs(self, d, epsilon) -> list:
+        """The intervals taken at budget d, the last one cut short, whatever
+        epsilon."""
         k = int(np.searchsorted(self.reach, d))  # intervals taken whole
         at = self.order[:k + 1]
         left, right = self.ends[at].tolist(), self.ends[at + 1].tolist()
@@ -1081,37 +1158,27 @@ def _rational_below(x, y, ends, d, epsilon) -> bool:
     return total < epsilon
 
 
-def _envelope_phi(c, lo, hi, cells: int) -> Phi | None:
-    """Phi of the polynomial with coefficients c, of degree n >= 2, as a
-    certified bracket.
+def _envelope_phi(cell_bounds, lo, hi, cells: int) -> Phi | None:
+    """Phi of a kind with per-cell bounds on |f'|, as a certified bracket.
 
-    The window is cut into ``cells`` equal cells, and on a cell of midpoint
-    m and half-width r |p'| lies within |p'(m)| +- (r * M2 + E), floored at
-    0 below, where M2 = sum k (k - 1) |c_k| R**(k - 2) bounds |p''| for
-    R = max(|lo|, |hi|) and E = 8 (n + 2) (eps * (M1 + r_max * M2)
-    + ulp(0)), with M1 = sum k |c_k| R**(k - 1), covers the Horner rounding
-    of p'(m) and of the bounds themselves.  The knapsack on the upper
-    bounds gives Phi+ >= Phi, and on the lower ones Phi- <= Phi; the width
-    is about 2 r M2 d.  Where the bracket leaves Phi(d) < epsilon open, it
-    is refined on 4 times as many cells, up to _MAX_CELLS.  None where a
-    bound overflows.
+    The window is cut into ``cells`` equal cells, and on a cell of
+    midpoint m and half-width r |f'| lies within |f'(m)| +- (r * M2 + E),
+    capped above and floored at 0 below, where M2 bounds |f''| on the cell
+    and E covers the rounding of |f'(m)| and of the bounds themselves.
+    ``cell_bounds(ends, mid, half)`` gives (|f'(m)|, r * M2, E, cap) for
+    every cell, each an array or one number (``_poly_cells``,
+    ``_x2sininv_cells``).  The knapsack on the upper bounds gives
+    Phi+ >= Phi, and on the lower ones Phi- <= Phi; the width is about
+    2 r M2 d.  Where the bracket leaves Phi(d) < epsilon open, it is
+    refined on 4 times as many cells, up to _MAX_CELLS.  None where a bound
+    overflows.
     """
-    n = len(c) - 1
-    d1 = [k * c[k] for k in range(1, n + 1)]  # p', from the constant up
-    d2 = [k * (k - 1) * c[k] for k in range(2, n + 1)]  # p''
-    reach = max(abs(lo), abs(hi))
-    eps = sys.float_info.epsilon
-    with np.errstate(over="ignore", invalid="ignore"):
-        m1 = _horner([abs(a) for a in d1], reach)
-        m2 = _horner([abs(a) for a in d2], reach)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ends = np.minimum(np.linspace(lo, hi, cells + 1), hi)
         mid = 0.5 * (ends[:-1] + ends[1:])
         half = np.maximum(mid - ends[:-1], ends[1:] - mid)
-        slope = np.abs(_horner(d1, mid))
-        spread = half * m2
-        slack = 8 * (n + 2) * (eps * (m1 + float(half.max()) * m2)
-                               + math.ulp(0.0))
-        upper = slope + spread + slack
+        slope, spread, slack, cap = cell_bounds(ends, mid, half)
+        upper = np.minimum(slope + spread + slack, cap)
         lower = np.maximum(slope - spread - slack, 0.0)
     top = _Knapsack.build(upper, ends)
     if top is None:
@@ -1119,10 +1186,59 @@ def _envelope_phi(c, lo, hi, cells: int) -> Phi | None:
 
     def refined_below(d, epsilon):
         finer = (None if cells >= _MAX_CELLS
-                 else _envelope_phi(c, lo, hi, 4 * cells))
+                 else _envelope_phi(cell_bounds, lo, hi, 4 * cells))
         return None if finer is None else finer.below(d, epsilon)
 
     return Phi(lo, hi, top, _Knapsack.build(lower, ends), refined_below)
+
+
+def _poly_cells(c):
+    """``_envelope_phi``'s cell bounds for the polynomial with coefficients
+    c, of degree n >= 2: M2 = sum k (k - 1) |c_k| R**(k - 2) bounds |p''|
+    for R = max(|lo|, |hi|) on every cell, E = 8 (n + 2) (eps * (M1 +
+    r_max * M2) + ulp(0)), with M1 = sum k |c_k| R**(k - 1), covers the
+    Horner rounding of p'(m) and of the bounds, and nothing caps them."""
+    n = len(c) - 1
+    d1 = [k * c[k] for k in range(1, n + 1)]  # p', from the constant up
+    d2 = [k * (k - 1) * c[k] for k in range(2, n + 1)]  # p''
+
+    def bounds(ends, mid, half):
+        reach = max(abs(float(ends[0])), abs(float(ends[-1])))
+        m1 = _horner([abs(a) for a in d1], reach)
+        m2 = _horner([abs(a) for a in d2], reach)
+        slack = 8 * (n + 2) * (sys.float_info.epsilon
+                               * (m1 + float(half.max()) * m2)
+                               + math.ulp(0.0))
+        return np.abs(_horner(d1, mid)), half * m2, slack, math.inf
+
+    return bounds
+
+
+def _x2sininv_cells(ends, mid, half):
+    """``_envelope_phi``'s cell bounds for f(x) = x**2 sin(1/x), whose
+    derivative is f'(x) = 2 x sin(1/x) - cos(1/x) (0 at 0).
+
+    |f'| <= 2 |x| + 1 everywhere: the cap, at the cell's largest |x|, R,
+    widened by 2 eps for its own rounding.  On a cell whose least |x| is
+    a > 0, |f''| = |2 sin(1/x) - 2 cos(1/x) / x - sin(1/x) / x**2|
+    <= 2 + 2 / a + 1 / a**2 = M2.  E = 8 eps (cap (1 + 1 / a) + r M2)
+    covers the rounding of 1 / m, which moves sin and cos by up to
+    eps / (2 |m|), of sin, cos and f'(m), and of the bounds: it grows like
+    eps / a, and where it swamps the local bound the cap wins.  A cell
+    that meets 0, or whose bounds overflow, gets [0, cap].
+    """
+    eps = sys.float_info.epsilon
+    left, right = np.abs(ends[:-1]), np.abs(ends[1:])
+    cap = (2.0 * np.maximum(left, right) + 1.0) * (1.0 + 2 * eps)
+    least = np.where((ends[:-1] > 0) | (ends[1:] < 0),
+                     np.minimum(left, right), 0.0)
+    inv = 1.0 / mid
+    slope = np.abs(2.0 * mid * np.sin(inv) - np.cos(inv))
+    spread = half * (2.0 + 2.0 / least + 1.0 / (least * least))
+    slack = 8 * eps * (cap * (1.0 + 1.0 / least) + spread)
+    loose = ~np.isfinite(slope + spread + slack)
+    return (np.where(loose, 0.0, slope), np.where(loose, cap, spread),
+            np.where(loose, 0.0, slack), cap)
 
 
 def _horner(coefficients, x):
@@ -1166,44 +1282,30 @@ def random_collection(rng, lo: float, hi: float, total: float,
                       n: int) -> IntervalCollection:
     """Seeded random collection of n nonoverlapping pairs with given total.
 
-    Draws n width and then n + 1 gap uniforms from rng and lays them out
-    with ``_collection_rows``, the kernel that ``verify_certificate`` runs
-    on many trials at once.
+    Draws n width and then n + 1 gap uniforms from rng, scales the widths
+    to total and the gaps to span - total, and walks from lo adding gap,
+    width, gap, width, ...; one ``np.cumsum`` adds them in that
+    left-to-right order, as a loop of ``pos += step`` would.  The last gap
+    is drawn but never walked.  Pair i runs from x_i to min(position, hi),
+    and the pairs no longer than 1e-13 * max(1, span) are dropped.
     """
+    lo, hi = float(lo), float(hi)
     span = hi - lo
     if not 0 < total < span:
         raise GeometryError(f"total {total} must lie in (0, {span})")
     if n < 1:
         raise ValueError("n must be >= 1")
-    w = rng.random((1, n))
-    g = rng.random((1, n + 1))
-    x, y, keep = _collection_rows(w, g, np.array([total]), float(lo),
-                                  float(hi))
-    return IntervalCollection(tuple(zip(x[keep].tolist(), y[keep].tolist())))
-
-
-def _collection_rows(w: np.ndarray, g: np.ndarray, totals: np.ndarray,
-                     lo: float, hi: float):
-    """(x, y, keep) of one random collection per row.
-
-    Row r scales its n width uniforms w[r] to total totals[r] and its
-    n + 1 gap uniforms g[r] to span - totals[r], then walks from lo
-    adding gap, width, gap, width, ...; one ``np.cumsum`` adds them in that
-    left-to-right order, as a loop of ``pos += step`` would.  The last gap
-    is drawn but never walked.  Pair i runs from x[r, i] to y[r, i] =
-    min(position, hi); keep[r, i] is False for the pairs it drops, those
-    no longer than 1e-13 * max(1, span).
-    """
-    span = hi - lo
-    n = w.shape[1]
-    walk = np.empty((len(w), 2 * n + 1))
-    walk[:, 0] = lo
-    walk[:, 1::2] = g[:, :n] * ((span - totals) / g.sum(axis=1))[:, None]
-    walk[:, 2::2] = w * (totals / w.sum(axis=1))[:, None]
-    pos = np.cumsum(walk, axis=1)
-    x, y = pos[:, 1::2], pos[:, 2::2]
+    w = rng.random(n)
+    g = rng.random(n + 1)
+    walk = np.empty(2 * n + 1)
+    walk[0] = lo
+    walk[1::2] = g[:n] * ((span - total) / g.sum())
+    walk[2::2] = w * (total / w.sum())
+    pos = np.cumsum(walk)
+    x, y = pos[1::2], pos[2::2]
     y = np.where(hi < y, hi, y)
-    return x, y, y - x > 1e-13 * max(1.0, span)
+    keep = y - x > 1e-13 * max(1.0, span)
+    return IntervalCollection(tuple(zip(x[keep].tolist(), y[keep].tolist())))
 
 
 def ac_certificate(f: FunctionSpec, pieces, epsilon: float) -> Certificate:
@@ -1276,49 +1378,41 @@ def _increment_step(f: FunctionSpec, piece: ShapePiece, budget: float) -> float:
     return a
 
 
-def verify_certificate(f: FunctionSpec, cert: Certificate, trials: int = 10000,
-                       seed: int = 0) -> VerificationReport:
-    """Prove or refuse a certificate by Phi(delta_1), or attack it where Phi
-    does not decide.
+def verify_certificate(f: FunctionSpec,
+                       cert: Certificate) -> VerificationReport:
+    """Prove or refuse a certificate by Phi(delta_1), or say that Phi
+    could not decide it.
 
-    Both paths build the adversarial collections of ``_glued_attack``, one
-    glued interval per piece, which give the observed worst sum and its
-    witness.  Where the certificate window's ``Phi`` decides
-    Phi(delta_1) < epsilon (method "exact_sup"), the certificate passes iff
-    it does and no glued sum reaches epsilon.  Phi bounds every collection
-    on the window, so this is a proof that does not rest on the detected
-    pieces, and no random trial runs.  A refused certificate also gets
-    ``Phi.witness``'s collection of total length below delta_1, whose sum
-    is near Phi(delta_1), when it beats the glued ones.  Where no Phi
-    exists, or a polynomial's bracket stays open (method "sampled"),
-    ``_sampled_attack`` adds ``trials`` random collections and a searched
-    one, and the certificate passes iff the worst sum stays below epsilon.
-    Either way the report carries Phi's budget, ``delta1_opt``.
+    The adversarial collections of ``_glued_attack``, one glued interval
+    per piece, give the observed worst sum and its witness.  Where the
+    certificate window's ``Phi`` decides Phi(delta_1) < epsilon (method
+    "exact_sup"), the certificate passes iff it does and no glued sum
+    reaches epsilon.  Phi bounds every collection on the window, so this is
+    a proof that does not rest on the detected pieces.  A refused
+    certificate also gets ``Phi.witness``'s collection of total length
+    below delta_1, whose sum is near Phi(delta_1) or at least epsilon, when
+    it beats the glued ones.  Where a bracket stays open at _MAX_CELLS
+    cells, or a bound overflows, nothing is proved: ``passed`` is None
+    (method "undecided").  The report carries Phi(delta_1) and Phi's
+    budget, ``delta1_opt``, where they are known.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     phi = exact_phi(f, cert.partition.points[0], cert.partition.points[-1])
-    budget = below = None
+    below = sup = budget = None
     if phi is not None:
-        budget = phi.budget(cert.epsilon)
         below = phi.below(cert.delta1, cert.epsilon)
-    if below is None:
-        worst_sum, worst_c = _sampled_attack(f, cert, trials, seed)
-        return VerificationReport(passed=worst_sum < cert.epsilon,
-                                  worst_sum=worst_sum, worst_collection=worst_c,
-                                  method="sampled", trials=trials,
-                                  delta1_opt=budget)
+        sup = phi.sup(cert.delta1)
+        budget = phi.budget(cert.epsilon)
     worst_sum, worst_c = _glued_attack(f, cert)
-    if not below:
-        witness = phi.witness(cert.delta1)
+    if below is False:
+        witness = phi.witness(cert.delta1, cert.epsilon)
         witness_sum = ac_sum(f, witness)
         if witness_sum > worst_sum:
             worst_sum, worst_c = witness_sum, witness
-    return VerificationReport(passed=below and worst_sum < cert.epsilon,
-                              worst_sum=worst_sum, worst_collection=worst_c,
-                              method="exact_sup", trials=0,
-                              sup=phi.sup(cert.delta1).value,
-                              delta1_opt=budget)
+    return VerificationReport(
+        passed=None if below is None else below and worst_sum < cert.epsilon,
+        worst_sum=worst_sum, worst_collection=worst_c,
+        method="undecided" if below is None else "exact_sup",
+        sup=None if sup is None else sup.value, delta1_opt=budget)
 
 
 def _glued_attack(f: FunctionSpec, cert: Certificate) -> tuple:
@@ -1341,118 +1435,3 @@ def _glued_attack(f: FunctionSpec, cert: Certificate) -> tuple:
             if rep.best_sum > worst_sum:
                 worst_sum, worst_c = rep.best_sum, rep.witness
     return worst_sum, worst_c
-
-
-def _sampled_attack(f: FunctionSpec, cert: Certificate, trials: int,
-                    seed: int) -> tuple:
-    """(worst sum, its collection) of the glued, random and searched
-    collections.
-
-    After ``_glued_attack``, ``trials`` random collections mix
-    many-small-interval and single-interval shapes: trial t is one row of
-    35 uniforms from ``np.random.default_rng(seed)``, which gives its pair
-    count (1 to 8, or 16, or 1, by t mod 5), its total and its widths and
-    gaps, and ``_random_blocks`` lays out every trial of a block at once.
-    Every sum is the exact ``math.fsum`` of the pair increments, equal to
-    ``ac_sum``; the first strictly largest one is the worst so far.
-
-    The worst-sum oracle searches a grid sized so the budget spans about
-    128 units, but only when it can win: its answer never exceeds the grid's
-    step-sum bound times 1 + BOUND_SLACK (``_step_bound``; the oracle
-    asserts it), so when that ceiling is at most the worst sum already
-    seen, the oracle could not replace it and is skipped.  A skipped oracle
-    raises nothing, such as the DP's state-space BudgetError.
-
-    The random attack works in blocks of VERIFY_BLOCK trials and holds at
-    most about 3 KB per trial of a block, ~12 MB at 4096 trials, on top of
-    the oracle's grid.
-    """
-    lo = cert.partition.points[0]
-    hi = cert.partition.points[-1]
-    span = hi - lo
-    d1 = cert.delta1
-    worst_sum, worst_c = _glued_attack(f, cert)
-    winner = None
-    for sums, rows in _random_blocks(f, np.random.default_rng(seed), lo, hi,
-                                     d1, trials):
-        top = int(np.argmax(sums))
-        if sums[top] > worst_sum:
-            worst_sum, winner = float(sums[top]), _row_pairs(rows, top)
-    if winner is not None:
-        worst_c = IntervalCollection(winner)
-
-    # about 128 grid steps per budget, sized in float: a subnormal d1 makes
-    # span / h infinite, or h itself 0
-    h = d1 / 128.0
-    m = max(257, int(min(8192.0, span / h if h > 0 else math.inf)) + 1)
-    grid = sample(f, IntervalSpec(lo, hi), m)
-    if d1 > grid.spacing:
-        bound = _step_bound(grid, d1)[2]
-        if bound * (1.0 + BOUND_SLACK) > worst_sum:
-            report = worst_ac_sum_oracle(grid, d1, DEFAULT_MAX_INTERVALS)
-            if report.best_sum > worst_sum:
-                worst_sum, worst_c = report.best_sum, report.witness
-    return worst_sum, worst_c
-
-
-def _random_blocks(f: FunctionSpec, rng, lo, hi, d1, trials: int):
-    """Yield (sums, rows) for each block of random trials that draws any.
-
-    Trial t is one row u of 35 uniforms; a block of VERIFY_BLOCK trials
-    draws its rows with one ``rng.random`` call, so the trials depend on
-    rng and trials only, not on the block size.  By t mod 5 the trial has
-    one pair (3), sixteen (4) or 1 + floor(8 u[0]) (else), and its total is
-    d1 times 0.9 + 0.099 u[1], 0.5 + 0.45 u[1] or 0.3 + 0.69 u[1], capped
-    at half the span; a trial whose total is not positive draws nothing.
-    Its n width and n + 1 gap uniforms are u[2:2n + 3], and every trial
-    with the same n is laid out at once by ``_collection_rows``; one
-    ``evaluate_many`` call evaluates the block's kept endpoints.  sums[i]
-    is the i-th drawing trial's increment sum, the exact ``math.fsum`` of
-    its pair increments (so it equals ``ac_sum``); rows holds (positions,
-    x, y, keep) per pair count as ``_collection_rows`` returns them,
-    positions being the indices into sums (``_row_pairs``).  Per trial a
-    block holds its 35 uniforms, the gathered width and gap rows, the walk
-    and its positions, and the kept endpoints and their values: under 3 KB.
-    """
-    half_span = (hi - lo) * 0.5
-    for t0 in range(0, trials, VERIFY_BLOCK):
-        mode = np.arange(t0, min(trials, t0 + VERIFY_BLOCK)) % 5
-        u = rng.random((len(mode), 35))  # 2 + 16 widths + 17 gaps
-        counts = np.where(mode < 3, 1 + (8.0 * u[:, 0]).astype(np.int64),
-                          np.array([0, 0, 0, 1, 16])[mode])
-        base = np.array([0.3, 0.3, 0.3, 0.9, 0.5])[mode]
-        scale = np.array([0.69, 0.69, 0.69, 0.099, 0.45])[mode]
-        totals = np.minimum(d1 * (base + scale * u[:, 1]), half_span)
-        live = np.flatnonzero(totals > 0)
-        if not len(live):
-            continue
-        counts, totals = counts[live], totals[live]
-        rows = []
-        for n in np.unique(counts).tolist():
-            at = np.flatnonzero(counts == n)
-            r = live[at]
-            rows.append((at,) + _collection_rows(
-                u[r, 2:n + 2], u[r, n + 2:2 * n + 3], totals[at], lo, hi))
-        ends = np.concatenate([x[keep] for _, x, _, keep in rows]
-                              + [y[keep] for _, _, y, keep in rows])
-        v = evaluate_many(f, ends)
-        steps = np.abs(v[len(v) // 2:] - v[:len(v) // 2])
-        sums = np.empty(len(counts))
-        done = 0
-        for at, x, _, keep in rows:
-            increments = np.zeros(x.shape)
-            increments[keep] = steps[done:done + np.count_nonzero(keep)]
-            done += np.count_nonzero(keep)
-            sums[at] = [math.fsum(r) for r in increments.tolist()]
-        yield sums, rows
-
-
-def _row_pairs(rows, i: int) -> tuple:
-    """The kept pairs of the trial at position i of a ``_random_blocks``
-    block."""
-    for at, x, y, keep in rows:
-        hit = np.flatnonzero(at == i)
-        if len(hit):
-            r = hit[0]
-            return tuple(zip(x[r, keep[r]].tolist(), y[r, keep[r]].tolist()))
-    raise IndexError(i)

@@ -1,11 +1,13 @@
 """Command-line front door: analysis reports, curves and the demo suite.
 
-Reports are deterministic given the seed: every number they contain can be
-recomputed from the embedded settings, floats are serialized with full
-round-trip precision, and files are written atomically.
+Reports are deterministic: every number they contain can be recomputed
+from the function, the window and the embedded settings, floats are
+serialized with full round-trip precision, and files are written
+atomically.
 
-Exit codes: 0 success, 1 property violated, 2 parse error, 3 unachievable
-certificate, 4 internal error, 5 I/O error.
+Exit codes: 0 success, 1 property violated or certificate refused or not
+proved, 2 parse error, 3 unachievable certificate, 4 internal error, 5 I/O
+error.
 """
 
 from __future__ import annotations
@@ -68,11 +70,7 @@ EXIT_UNACHIEVABLE = 3
 EXIT_INTERNAL = 4
 EXIT_IO = 5
 
-SCHEMA_VERSION = 3
-
-#: random collections per certificate verification in ``analyze``, for
-#: the kinds where Phi (``exact_phi``) does not decide the certificate
-VERIFY_TRIALS = 2000
+SCHEMA_VERSION = 4
 
 #: increment-curve samples per piece in ``analyze``
 GSIGMA_SAMPLES = 257
@@ -88,7 +86,6 @@ ORACLE_POINTS = 2001
 class AnalysisSettings:
     epsilon: float = 0.1
     grid_m: int = 4001
-    seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +121,7 @@ def analyze(fn_text: str, interval_text: str,
             "epsilon": settings.epsilon,
             "grid": settings.grid_m,
             "eta_scale": DEFAULT_ETA_SCALE,
-            "seed": settings.seed,
             "max_pieces": DEFAULT_MAX_PIECES,
-            "trials": VERIFY_TRIALS,
             "cantor_depth": CANTOR_DEPTH,
             "detection_resolutions": resolutions,
             "gsigma_samples": GSIGMA_SAMPLES,
@@ -177,9 +172,7 @@ def analyze(fn_text: str, interval_text: str,
         except Unachievable as exc:
             report["certificate_error"] = str(exc)
     if certificate is not None:
-        verification = verify_certificate(f, certificate,
-                                          trials=VERIFY_TRIALS,
-                                          seed=settings.seed)
+        verification = verify_certificate(f, certificate)
         report["certificate"] = _certificate_block(certificate,
                                                    verification.delta1_opt)
         report["verification"] = {
@@ -187,7 +180,6 @@ def analyze(fn_text: str, interval_text: str,
             "method": verification.method,
             "sup": verification.sup,
             "worst_sum": verification.worst_sum,
-            "trials": verification.trials,
             "worst_collection": [[float(x), float(y)] for x, y in
                                  verification.worst_collection.pairs],
         }
@@ -212,8 +204,10 @@ def analyze(fn_text: str, interval_text: str,
         # so Heine-Cantor proves it for every input analyze accepts
         "uniformly_continuous": True,
         "uniformly_continuous_reason": "continuous on a compact window",
-        "certificate_verified": (verification.passed
-                                 if verification is not None else "n/a"),
+        "certificate_verified": (
+            "n/a" if verification is None
+            else "undecided" if verification.passed is None
+            else verification.passed),
     }
     return report
 
@@ -288,13 +282,14 @@ def _probe_dir(path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    settings = AnalysisSettings(epsilon=args.epsilon, grid_m=args.grid,
-                                seed=args.seed)
+    # --seed is accepted and checked, but no number depends on it
+    settings = AnalysisSettings(epsilon=args.epsilon, grid_m=args.grid)
     report = analyze(args.fn, args.interval, settings)
     code = EXIT_OK
     if report["certificate_error"]:
         code = EXIT_UNACHIEVABLE
-    elif report["verification"] and not report["verification"]["passed"]:
+    elif report["verification"] and (
+            report["verification"]["passed"] is not True):
         code = EXIT_VIOLATED
     payload = _dump_json(report)
     if args.json:
@@ -319,7 +314,16 @@ def cmd_worst_sum(args) -> int:
     window = parse_interval(args.interval)
     f = parse_function(args.fn, window)
     grid = sample(f, window, args.grid)
-    rep = worst_ac_sum_oracle(grid, args.delta, args.max_intervals)
+    try:
+        rep = worst_ac_sum_oracle(grid, args.delta, args.max_intervals)
+    except BudgetError as exc:  # name Phi(delta), which bounds every answer
+        xs = grid.abscissae
+        phi = exact_phi(f, float(xs[0]), float(xs[-1]))
+        sup = None if phi is None else phi.sup(args.delta)
+        if sup is None:
+            raise
+        raise BudgetError(f"{exc}; Phi(delta) <= "
+                          f"{sup.value + sup.rounding!r}") from None
     payload = {
         "delta": float(rep.delta),
         "best_sum": rep.best_sum,
@@ -403,22 +407,17 @@ def cmd_certify(args) -> int:
         }).decode())
         return EXIT_VIOLATED
     cert = ac_certificate(f, result.pieces, args.epsilon)
-    phi = exact_phi(f, cert.partition.points[0], cert.partition.points[-1])
-    sup = below = budget = None
-    if phi is not None:
-        sup = phi.sup(cert.delta1)
-        below = phi.below(cert.delta1, cert.epsilon)
-        budget = phi.budget(cert.epsilon)
+    ver = verify_certificate(f, cert)
     sys.stdout.write(_dump_json({
-        **_certificate_block(cert, budget),
-        "sup": None if sup is None else sup.value,
+        **_certificate_block(cert, ver.delta1_opt),
+        "sup": ver.sup,
         "pieces": [{"interval": [p.interval.lo, p.interval.hi],
                     "shape": p.shape.value,
                     "monotonicity": p.monotonicity.value}
                    for p in cert.monotone_pieces],
     }).decode())
-    # Phi(delta1) >= epsilon refuses the certificate; an open bracket does not
-    return EXIT_VIOLATED if below is False else EXIT_OK
+    # analyze's verdict: refused or not proved exits 1
+    return EXIT_OK if ver.passed else EXIT_VIOLATED
 
 
 _SUITE_ENTRIES = (
@@ -565,11 +564,11 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
-@functools.lru_cache(maxsize=4)
-def build_parser(default_seed: int) -> argparse.ArgumentParser:
-    """The CLI parser, built once per default seed and reused: parsing
-    leaves no state in it, and building its seven subparsers costs more
-    than a short command's own work."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once and reused: parsing leaves no state in
+    it, and building its seven subparsers costs more than a short
+    command's own work."""
     parser = _Parser(
         prog="contana",
         description="Continuity analysis: convexity partitions, modulus "
@@ -584,7 +583,8 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--epsilon", type=_positive("--epsilon"), default=0.1)
     p.add_argument("--grid", type=_at_least("--grid", 3), default=4001)
-    p.add_argument("--seed", type=_at_least("--seed", 0), default=default_seed)
+    p.add_argument("--seed", type=_at_least("--seed", 0), default=0,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--json", default=None, help="write the report here")
     p.set_defaults(func=cmd_analyze)
 
@@ -633,8 +633,7 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        seed = _at_least("CONTANA_SEED", 0)(os.environ.get("CONTANA_SEED", "0"))
-        args = build_parser(seed).parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, KindError, DomainError, BudgetError,
             InsufficientData) as exc:

@@ -122,8 +122,7 @@ def test_criterion_7_split_dominance():
     assert elapsed < 10.0
 
 
-def test_criterion_8_suite_determinism(tmp_path, monkeypatch):
-    monkeypatch.setenv("CONTANA_SEED", "0")
+def test_criterion_8_suite_determinism(tmp_path):
     t0 = time.monotonic()
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"

@@ -30,7 +30,7 @@ def synopsis_options(text: str) -> dict:
 
 
 def parser_options() -> dict:
-    parser = build_parser(0)
+    parser = build_parser()
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
     return {name: {opt for action in p._actions for opt in action.option_strings

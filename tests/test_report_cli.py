@@ -42,7 +42,7 @@ SPIKE = "pwl:0:0,0.300011:0.300011,0.300013:5,0.300015:0.300015,1:1"
 class TestAnalyze:
     def test_sqrt_report(self):
         report = analyze("sqrt", "[0,1]", FAST)
-        assert report["schema"] == 3
+        assert report["schema"] == 4
         assert report["verdicts"]["piecewise_convex"] is True
         assert report["verdicts"]["uniformly_continuous"] is True
         assert report["verdicts"]["uniformly_continuous_reason"] == \
@@ -62,7 +62,7 @@ class TestAnalyze:
         s = report["settings"]
         assert s["epsilon"] == 0.1
         assert s["grid"] == 501
-        assert s["seed"] == 0
+        assert "seed" not in s and "trials" not in s
         assert s["eta_scale"] == 1e-8 and "eta" not in s
         assert s["max_pieces"] == 64
         assert s["cantor_depth"] == 64
@@ -91,24 +91,58 @@ class TestAnalyze:
         ("affine:3,1", "[0,5]", "exact_sup", (1.12, 1.13)),
         ("pwl:0:0,0.3:0.6,0.7:0.2,1:0.5", "[0,1]", "exact_sup", (4.4, 4.6)),
         ("poly:0,0,0,1", "[-1,1]", "exact_sup", (2.1, 2.3)),
-        ("x2sininv", "[0.05,1]", "sampled", None),
+        ("x2sininv", "[0.05,1]", "exact_sup", (22.1, 22.3)),
     ])
     def test_verification_path_follows_the_kind(self, fn, interval, method,
                                                 ratio):
-        # Phi proves the certificate where it exists (for the cubic, a
-        # bracket on it) and runs no trial; delta1_opt, the largest budget
+        # Phi proves the certificate for every kind (for the cubic and
+        # x^2 sin(1/x), a bracket on it); delta1_opt, the largest budget
         # Phi proves, sits next to the paper's delta1
         report = analyze(fn, interval, FAST)
         ver, cert = report["verification"], report["certificate"]
         assert ver["passed"] is True and ver["method"] == method
-        if method == "sampled":
-            assert ver["sup"] is None and ver["trials"] == 2000
-            assert cert["delta1_opt"] is None
-            return
-        assert ver["trials"] == 0
+        assert "trials" not in ver
         assert ver["worst_sum"] <= ver["sup"] < 0.1
         assert ratio[0] < cert["delta1_opt"] / cert["delta1"] < ratio[1]
-        assert report["settings"]["trials"] == 2000
+
+    @pytest.mark.parametrize("command", ["analyze", "certify"])
+    def test_cantor_coarse_grid_certificate_is_refused(self, capsys,
+                                                       command):
+        # at base grid 5 detection reads the staircase as six convex or
+        # concave pieces; Phi(delta1) is its whole rise 0.875, and the
+        # witness takes 128 stage-8 bricks: sum 0.5 within length 0.0195
+        argv = [command, "--fn", "cantor", "--interval", "[0.05,1]",
+                "--epsilon", "0.5", "--grid", "5"]
+        assert main(argv) == EXIT_VIOLATED
+        out = json.loads(capsys.readouterr().out)
+        ver = out.get("verification", out)
+        assert ver["sup"] == pytest.approx(0.875, abs=1e-15)
+        if command == "certify":
+            assert out["delta1_opt"] == 0.0
+            return
+        assert out["verdicts"]["certificate_verified"] is False
+        assert ver["method"] == "exact_sup" and ver["passed"] is False
+        witness = IntervalCollection(tuple(map(tuple,
+                                               ver["worst_collection"])))
+        f = parse_function("cantor", parse_interval("[0.05,1]"))
+        assert witness.total_length < out["certificate"]["delta1"]
+        assert ac_sum(f, witness) == ver["worst_sum"] == 0.5
+        assert len(witness) == 128
+
+    @pytest.mark.parametrize("command", ["analyze", "certify"])
+    def test_undecided_certificate_exits_1(self, capsys, command):
+        # where Phi decides nothing the certificate is not proved: the
+        # report says so, and the run exits 1
+        argv = [command, "--fn", "sqrt", "--interval", "[0,1]",
+                "--epsilon", "0.1", "--grid", "501"]
+        with mock.patch.object(continuity, "exact_phi", return_value=None):
+            assert main(argv) == EXIT_VIOLATED
+        out = json.loads(capsys.readouterr().out)
+        assert out.get("verification", out)["sup"] is None
+        if command == "analyze":
+            assert out["verdicts"]["certificate_verified"] == "undecided"
+            assert out["verification"]["passed"] is None
+            assert out["verification"]["method"] == "undecided"
 
     def test_deterministic(self):
         a = analyze("sqrt", "[0,1]", FAST)
@@ -401,6 +435,12 @@ class TestCLI:
         assert captured.err.startswith("parse error: ")
         assert "state space too large" in captured.err
         assert captured.err.count("\n") == 1
+        # the refusal names both bounds on the answer: the grid's step
+        # bound, and Phi(delta)'s upper end, from the 1024-cell bracket
+        step = float(captured.err.split("step_bound ")[1].split(")")[0])
+        upper = float(captured.err.split("Phi(delta) <= ")[1])
+        assert 0.0121 < step < 0.0122
+        assert 0.0122 < upper < 0.0128
 
     def test_worst_sum_guard_counts_kept_points(self, capsys):
         # 16385 grid points, but only 1144 lie outside Cantor's runs of
@@ -676,41 +716,50 @@ class TestCLI:
 
     @pytest.mark.parametrize("seed", ["-1", "seven"])
     def test_bad_env_seed_parse_error(self, monkeypatch, capsys, seed):
+        # CONTANA_SEED is no longer read, so a bad value there is ignored;
+        # the same value given to --seed is still a one-line parse error
         monkeypatch.setenv("CONTANA_SEED", seed)
-        code = main(["analyze", "--fn", "sqrt", "--interval", "[0,1]",
-                     "--grid", "101"])
-        assert code == EXIT_PARSE
+        argv = ["analyze", "--fn", "sqrt", "--interval", "[0,1]",
+                "--grid", "101"]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert main([*argv, "--seed", seed]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and err.count("\n") == 1
+        assert "--seed" in err
 
-    def test_env_seed_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CONTANA_SEED", "7")
-        out = tmp_path / "r.json"
-        code = main(["analyze", "--fn", "sqrt", "--interval", "[0,1]",
-                     "--grid", "501", "--json", str(out)])
-        assert code == EXIT_OK
-        assert json.loads(out.read_text())["settings"]["seed"] == 7
+    def test_seed_option_has_no_effect(self, tmp_path, monkeypatch):
+        # --seed is accepted and checked, and so is ignored CONTANA_SEED;
+        # neither reaches the report
+        monkeypatch.setenv("CONTANA_SEED", "seven")
+        reports = []
+        for seed in ([], ["--seed", "7"]):
+            out = tmp_path / f"r{len(reports)}.json"
+            code = main(["analyze", "--fn", "sqrt", "--interval", "[0,1]",
+                         "--grid", "501", "--json", str(out), *seed])
+            assert code == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert "seed" not in json.loads(reports[0])["settings"]
 
-    def test_cached_parser_matches_fresh_parsers(self, monkeypatch, capsys):
-        # main reuses one parser per default seed; consecutive commands,
-        # with parse errors between them and a changed CONTANA_SEED, must
-        # print what a freshly built parser prints
+    def test_cached_parser_matches_fresh_parsers(self, capsys):
+        # main reuses one parser; consecutive commands, with parse errors
+        # between them, must print what a freshly built parser prints
         sqrt = ["--fn", "sqrt", "--interval", "[0,1]"]
         calls = [
-            ("0", ["worst-sum", *sqrt, "--delta", "0.25", "--grid", "401"]),
-            ("0", ["worst-sum", *sqrt, "--grid", "401"]),
-            ("0", ["modulus", *sqrt, "--deltas", "0.01,0.25", "--grid", "401"]),
-            ("3", ["analyze", *sqrt, "--grid", "101"]),
-            ("3", ["certify", *sqrt, "--epsilon", "nan"]),
-            ("0", ["analyze", *sqrt, "--grid", "101"]),
-            ("0", ["check-glue", *sqrt, "--pairs", "0.1:0.2", "--grid", "101"]),
+            ["worst-sum", *sqrt, "--delta", "0.25", "--grid", "401"],
+            ["worst-sum", *sqrt, "--grid", "401"],
+            ["modulus", *sqrt, "--deltas", "0.01,0.25", "--grid", "401"],
+            ["analyze", *sqrt, "--grid", "101", "--seed", "3"],
+            ["certify", *sqrt, "--epsilon", "nan"],
+            ["analyze", *sqrt, "--grid", "101"],
+            ["check-glue", *sqrt, "--pairs", "0.1:0.2", "--grid", "101"],
         ]
 
         def run(fresh):
             build_parser.cache_clear()
             results = []
-            for seed, argv in calls:
-                monkeypatch.setenv("CONTANA_SEED", seed)
+            for argv in calls:
                 if fresh:
                     build_parser.cache_clear()
                 code = main(argv)
@@ -719,8 +768,7 @@ class TestCLI:
             return results
 
         reused = run(fresh=False)
-        assert build_parser(0) is build_parser(0)
+        assert build_parser() is build_parser()
         assert reused == run(fresh=True)
         assert [code for code, _, _ in reused] == [0, 2, 0, 0, 2, 0, 0]
-        assert json.loads(reused[3][1])["settings"]["seed"] == 3
-        assert json.loads(reused[5][1])["settings"]["seed"] == 0
+        assert reused[3][1] == reused[5][1]
