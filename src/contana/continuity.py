@@ -223,19 +223,22 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
     exact rational), made nondecreasing by a running maximum.  It is read as
     the largest max - min over the windows [s_j, j] within delta of x_j
     (float subtraction is monotone, so the values are a pair scan's).  On a
-    constant lag L the windows [j - L, j], j >= L, which contain the clipped
-    ones, are two contiguous slices of one row of block extrema.  L comes
-    from the grid's gap extremes (``_certified_lag``), or else from exact
-    slice tests (``_lag``), whose exceptions, the points with
-    xs[j] - xs[j - L - 1] <= delta too, get exact starts and gathers.
+    constant lag L the windows [j - L, j], j >= L, contain the clipped
+    ones.  L comes from bounds on the grid's L-step lengths
+    (``_certified_lag``), or else from exact slice tests (``_lag``), whose
+    exceptions, the points with xs[j] - xs[j - L - 1] <= delta too, get
+    exact starts and gathers.
 
-    Cost: four O(m) passes per delta, plus O(e) for e exceptions.  The rows
-    of 2**k-point block maxima and minima are built as the lags ascend, two
-    O(m) passes each, and dropped below the current lag's row: a uniform
-    grid keeps one or two rows of 16 * m bytes, for a peak of a few arrays
-    of m floats (under 8 MB at m = 100001); other grids keep the rows their
-    exceptions read.  On monotone values (``_trend``) a block's extrema are
-    its end values, so each row is a pair of slices of vs and none is built.
+    On monotone values (``_trend``) a window's range is its end difference:
+    each delta costs two O(m) passes, the largest +-(vs[j] - vs[j - L]),
+    plus O(e) for e exceptions, and no row is built: past the exact slice
+    tests the kernel holds one scratch array of m floats.  Other values
+    read the windows as two contiguous slices of one row of block extrema,
+    in four O(m) passes per delta.  The rows of 2**k-point block maxima and
+    minima are built as the lags ascend, two O(m) passes each, and dropped
+    below the current lag's row: a uniform grid keeps one or two rows of
+    16 * m bytes, for a peak of a few arrays of m floats (under 8 MB at
+    m = 100001); other grids keep the rows their exceptions read.
     """
     ds = list(deltas)
     if not ds:
@@ -250,18 +253,38 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
     xs, vs = grid.abscissae, grid.values
     m = len(vs)
     # a rational grid's lags are all settled exactly (gmin 0)
-    gmin = 0.0 if xs.dtype == object else float(np.diff(xs).min())
-    hi, lo = np.empty(m), np.empty(m)  # scratch: no m-float array per delta
-    rows = {0: (vs, vs)}  # level k -> max and min of vs[i : i + 2**k]
+    gmin = 0.0 if xs.dtype == object else grid.narrowest
+    gmax, h = float(grid.spacing), float(span) / (m - 1)
+    drift = math.inf  # measured when the gap extremes first settle no lag
+    scratch = np.empty(m)  # no m-float array per delta
     trend = _trend(vs)
+    if not trend:
+        lo = np.empty(m)
+        rows = {0: (vs, vs)}  # level k -> max and min of vs[i : i + 2**k]
     best = 0.0
     samples = []
     for d in ds:
-        lag = _certified_lag(d, gmin, grid.spacing)
-        groups = []  # exceptions by row: (level, first and last block columns)
+        lag = _certified_lag(d, gmin, gmax, h, drift)
+        if lag is None and drift == math.inf and gmin > 0:
+            drift = _drift(xs, h)
+            lag = _certified_lag(d, gmin, gmax, h, drift)
+        ends = ()
         if lag is None:
             lag, ends = _lag(grid, d)
             starts = _window_starts(grid, d, ends)
+        n = m - lag
+        if trend:
+            # the windows [j - lag, j] and the exceptions' [start, end]
+            up, down = (vs[lag:], vs[:n]) if trend > 0 else (vs[:n], vs[lag:])
+            found = [float(np.subtract(up, down, out=scratch[:n]).max())]
+            if len(ends):
+                up, down = (ends, starts) if trend > 0 else (starts, ends)
+                found.append(float((vs[up] - vs[down]).max()))
+            best = max(best, *found)
+            samples.append((d, best))
+            continue
+        groups = []  # exceptions by row: (level, first and last block columns)
+        if len(ends):
             levels = np.frexp(ends - starts + 1)[1] - 1  # floor(log2(length))
             for k in np.unique(levels).tolist():
                 at = levels == k
@@ -275,19 +298,14 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
         for k in range(max(rows), high):
             top, bottom = rows.pop(k) if k < level else rows[k]
             half = 1 << k
-            if trend > 0:  # a block's ends are its extrema: rows are views
-                rows[k + 1] = (top[half:], bottom[:-half])
-            elif trend < 0:
-                rows[k + 1] = (top[:-half], bottom[half:])
-            else:
-                rows[k + 1] = (np.maximum(top[:-half], top[half:]),
-                               np.minimum(bottom[:-half], bottom[half:]))
+            rows[k + 1] = (np.maximum(top[:-half], top[half:]),
+                           np.minimum(bottom[:-half], bottom[half:]))
         # windows [j - lag, j] for j >= lag: the blocks of row `level` at
         # columns j - lag and j - lag + shift, i.e. two contiguous slices
-        n, shift = m - lag, lag + 1 - (1 << level)
+        shift = lag + 1 - (1 << level)
         found = [_widest_range(rows[level], slice(0, n),
-                               slice(shift, shift + n), hi[:n], lo[:n])]
-        found += [_widest_range(rows[k], i, j, hi[:len(i)], lo[:len(i)])
+                               slice(shift, shift + n), scratch[:n], lo[:n])]
+        found += [_widest_range(rows[k], i, j, scratch[:len(i)], lo[:len(i)])
                   for k, i, j in groups]
         best = max(best, *found)
         samples.append((d, best))
@@ -302,18 +320,42 @@ def _trend(vs: np.ndarray) -> int:
     return -1 if (vs[1:] <= vs[:-1]).all() else 0
 
 
-def _certified_lag(delta, gmin: float, gmax: float):
-    """L = floor(delta / h) if L * gmax * (1 + s) <= delta and
-    delta < (L + 1) * gmin * (1 - s): every xs[j] - xs[j - L] is then within
-    delta and no xs[j] - xs[j - L - 1] is.  Else None, also for subnormal
-    gaps, whose products have no relative accuracy."""
+def _certified_lag(delta, gmin: float, gmax: float, h: float,
+                   drift: float = math.inf):
+    """L = floor(delta / h) if every xs[j] - xs[j - L] is provably within
+    delta and no xs[j] - xs[j - L - 1] is, else None.
+
+    A k-step length lies within [k gmin, k gmax] (the gap extremes) and
+    within k h +- 2 drift, drift bounding |xs[j] - (xs[0] + j h)|
+    (``_drift``).  The tighter bounds, with a relative slack s for the
+    rounding of the products and of the float differences, decide: the
+    gaps settle every lag off a tie near zero, the drift far from it,
+    where the gaps differ by their rounding (0.3% at 1e6 with h = 4e-8)
+    but each point is within a few ulps of its place.  None also for
+    subnormal gaps, whose products have no relative accuracy.
+    """
     if not gmin >= sys.float_info.min:
         return None
-    lag = math.floor(delta / (gmax * (1 + _GAP_SLACK)))
-    if lag * gmax * (1 + _GAP_SLACK) <= delta < (
-            (lag + 1) * gmin * (1 - _GAP_SLACK)):
+    lag = math.floor(delta / h)
+    longest = min(lag * gmax, lag * h + 2 * drift) * (1 + _GAP_SLACK)
+    shortest = max((lag + 1) * gmin, (lag + 1) * h - 2 * drift)
+    if longest <= delta < shortest * (1 - _GAP_SLACK):
         return lag
     return None
+
+
+def _drift(xs: np.ndarray, h: float) -> float:
+    """A bound on |xs[j] - (xs[0] + j h)| over a float grid, in one array
+    built in place: the largest computed distance, plus the rounding of
+    the line xs[0] + j h itself, half an ulp of j h and of the sum, under
+    2 ulps of max(max |x|, span)."""
+    line = np.arange(len(xs), dtype=float)
+    line *= h
+    line += xs[0]
+    line -= xs
+    top = max(-float(xs[0]), float(xs[-1]), float(xs[-1] - xs[0]))
+    return float(np.abs(line, out=line).max()) * (1 + _GAP_SLACK) + (
+        2 * math.ulp(top))
 
 
 def _lag(grid: SampleGrid, delta) -> tuple:
@@ -548,7 +590,10 @@ def _step_bound(grid: SampleGrid, delta):
     ``units`` is the number of grid steps that fit strictly below delta,
     and (runs, bound) are ``_top_step_runs`` of the grid's values for that
     many units: ``bound`` caps every grid-aligned collection's increment
-    sum, and ``worst_ac_sum_oracle``'s answer never exceeds it.
+    sum, and ``worst_ac_sum_oracle``'s answer never exceeds it.  Any
+    `units` steps are at most units * gmax long, which exceeds units * h by
+    the gaps' rounding, so `units` is also kept below
+    delta / (gmax (1 + s)): no witness's float length reaches delta.
     """
     m = len(grid)
     xs = grid.abscissae
@@ -559,7 +604,8 @@ def _step_bound(grid: SampleGrid, delta):
             f"delta {delta} must exceed the grid spacing {grid.spacing}")
     h = (xs[-1] - xs[0]) / (m - 1)
     units = int(math.floor(float(delta) / float(h) - 1.0 + 1e-9))
-    units = min(units, m - 1)
+    longest = float(grid.spacing) * (1 + _GAP_SLACK)
+    units = min(units, m - 1, math.ceil(float(delta) / longest) - 1)
     runs, bound = _top_step_runs(grid.values, units)
     return units, runs, bound
 

@@ -151,8 +151,12 @@ def detect_partition(grid: SampleGrid):
     steps (v[j+1] - v[j]) - (v[j] - v[j-1]), carry the curvature sign.  The
     zero band is the value-scale band eta = DEFAULT_ETA_SCALE * max |value|,
     rescaled by (h / L)^2 so that a given true curvature keeps the same
-    margin at every resolution, and floored at 16 ulps of the value scale
-    so rounding noise on exactly affine data never registers as curvature.
+    margin at every resolution, and floored at a noise floor so rounding
+    noise on exactly affine data never registers as curvature: 16 ulps of
+    the value scale, plus what the abscissae's rounding adds where their
+    gaps differ (by up to 4 ulps of max |x| far from zero, as
+    ``SampleGrid.uniform`` allows), twice the steepest step times
+    (max gap - min gap) / min gap, a product that cannot overflow.
     Near-zero entries are treated as locally affine and absorbed into the
     adjacent run (leftward ties).  Returns a PiecewiseConvexPartition, or
     NotPiecewiseConvex when the number of sign runs exceeds
@@ -168,12 +172,14 @@ def detect_partition(grid: SampleGrid):
     scale = float(np.max(np.abs(vs)))
     eta = DEFAULT_ETA_SCALE * scale
     length = float(xs[-1] - xs[0])
-    noise_floor = 16.0 * sys.float_info.epsilon * scale
-    band = max(eta * (h / length) ** 2, noise_floor)
-
     # differences of the steps stay finite wherever twice the value range
     # does; past that an entry overflows to an inf of the right sign
     dv = np.diff(vs)
+    gmin = float(grid.narrowest)
+    steepest = max(float(dv.max()), -float(dv.min()))
+    noise_floor = (16.0 * sys.float_info.epsilon * scale
+                   + 2.0 * (float(grid.spacing) - gmin) / gmin * steepest)
+    band = max(eta * (h / length) ** 2, noise_floor)
     with np.errstate(over="ignore"):
         d2 = dv[1:] - dv[:-1]
     signs = (d2 > band).view(np.int8) - (d2 < -band).view(np.int8)
@@ -256,8 +262,10 @@ def refine_to_monotone(f: FunctionSpec, piece: ShapePiece) -> tuple:
 
     The shape certificate makes the restriction unimodal, so ternary search
     localizes the extremum (minimum for convex, maximum for concave) to a
-    DEFAULT_EXTREMUM_TOL share of its length.  Monotone pieces are returned
-    unchanged; others as two monotone pieces tiling the input exactly.
+    DEFAULT_EXTREMUM_TOL share of its length, or to 4 ulps of its ends on a
+    piece far from zero, where that share is below the float spacing and
+    the search would never end.  Monotone pieces are returned unchanged;
+    others as two monotone pieces tiling the input exactly.
     """
     if piece.shape not in (Shape.CONVEX, Shape.CONCAVE, Shape.AFFINE):
         raise ShapeError(f"piece shape {piece.shape!r} is not certified")
@@ -267,7 +275,7 @@ def refine_to_monotone(f: FunctionSpec, piece: ShapePiece) -> tuple:
     if piece.shape is Shape.AFFINE:
         raise ShapeError("an affine piece cannot have mixed monotonicity")
     lo, hi = piece.interval.lo, piece.interval.hi
-    tol = DEFAULT_EXTREMUM_TOL * (hi - lo)
+    tol = max(DEFAULT_EXTREMUM_TOL * (hi - lo), 4 * math.ulp(max(-lo, hi)))
     find_min = piece.shape is Shape.CONVEX
     a, b = lo, hi
     while b - a > tol:

@@ -13,7 +13,10 @@ ints and fractions.Fraction alike.
 sets (``evaluate_many``) are evaluated in bulk by one vectorized evaluator
 per kind, ``_bulk_values``, which gives evaluate()'s bits at every float
 point and works in fixed-size blocks, so its memory is bounded (stated in
-its docstring).
+its docstring).  The Cantor staircase is read off a table of the 255
+middle thirds removed in its first eight stages, where it is constant;
+only the points left in the stage-8 cover (about 4% of a grid on [0, 1])
+are digit-scanned.
 
 Piecewise linear knots are checked once, when their spec is built, and
 held for the spec's lifetime as two read-only float64 arrays (16 bytes
@@ -412,8 +415,13 @@ class SampleGrid:
     is float64, or ``object`` dtype when the points are exact rationals
     (``fractions.Fraction``), which then stay exact.  The values must be
     finite, and so must their range max - min.  ``spacing`` is the
-    largest gap between consecutive abscissae.  ``uniform`` says that the
-    gaps are equal up to rounding: max gap - min gap <= 1e-9 * max gap.
+    largest gap between consecutive abscissae and ``narrowest`` the
+    smallest.  ``uniform`` says that the gaps are equal up to the
+    abscissae's rounding: max gap - min gap <= max(1e-9 * max gap,
+    4 ulp(max |x|)), the second term for float points only.  Points
+    lo + i * h rounded to floats meet it at any distance from zero; a
+    window whose gaps are subnormal, such as [0, 1e-310] at 2001 points,
+    does not.
 
     The checks take one reduction each, the smallest gap and the values'
     max and min, and look for an offending point only to name it: the
@@ -424,6 +432,7 @@ class SampleGrid:
     abscissae: np.ndarray
     values: np.ndarray
     spacing: float = field(init=False)
+    narrowest: float = field(init=False)
     uniform: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -449,13 +458,18 @@ class SampleGrid:
                 f"values {vs[lo]} at x = {xs[lo]} and {vs[hi]} at "
                 f"x = {xs[hi]} are too far apart: their difference overflows")
         spacing = gaps.max()
-        uniform = float(spacing - narrowest) <= 1e-9 * float(spacing)
+        rounding = 0.0 if xs.dtype == object else 4.0 * math.ulp(
+            max(-float(xs[0]), float(xs[-1])))
+        uniform = float(spacing - narrowest) <= max(1e-9 * float(spacing),
+                                                    rounding)
         xs, vs = xs.view(), vs.view()
         xs.flags.writeable = vs.flags.writeable = False
         object.__setattr__(self, "abscissae", xs)
         object.__setattr__(self, "values", vs)
-        object.__setattr__(self, "spacing",
-                           spacing if xs.dtype == object else float(spacing))
+        exact = xs.dtype == object
+        object.__setattr__(self, "spacing", spacing if exact else float(spacing))
+        object.__setattr__(self, "narrowest",
+                           narrowest if exact else float(narrowest))
         object.__setattr__(self, "uniform", uniform)
 
     def __len__(self) -> int:
@@ -513,9 +527,13 @@ def sample(f: FunctionSpec, window: IntervalSpec, m: int) -> SampleGrid:
 
 
 def uniform_abscissae(lo: float, hi: float, m: int) -> np.ndarray:
-    """m points lo + i * (hi - lo) / (m - 1), the last one exactly hi."""
-    step = (hi - lo) / (m - 1)
-    return np.append(lo + np.arange(m - 1) * step, hi)
+    """m points lo + i * (hi - lo) / (m - 1), the last one exactly hi; one
+    array, built in place."""
+    xs = np.arange(m, dtype=float)
+    xs *= (hi - lo) / (m - 1)
+    xs += lo
+    xs[-1] = hi
+    return xs
 
 
 def evaluate_many(f: FunctionSpec, xs) -> np.ndarray:
@@ -549,18 +567,23 @@ def _bulk_values(f: FunctionSpec, xs: np.ndarray) -> np.ndarray:
     Every kind is vectorized with the scalar formula's own operations:
     square roots and Horner polynomials; x*x*sin(1/x) with 0.0 where 1/x
     is infinite (x == 0, or |x| < 2**-1024, where x*x is 0 already); the
-    Cantor digit scan in integer arithmetic (``_cantor_block``); and
+    Cantor staircase from its removed middle thirds (``_cantor_gaps``),
+    then the digit scan in integer arithmetic (``_cantor_block``) on the
+    points in none, gathered over all blocks and scanned BULK_BLOCK at a
+    time (once on a grid on [0, 1] of up to about 200000 points); and
     piecewise linear interpolation from a binary search of the spec's knot
     arrays, with knot hits exact.  Those arrays (16 bytes per knot) are
     built once with the spec and held for its lifetime, not per call.
     The points are evaluated BULK_BLOCK at a time, so besides the m-point
     output the working memory is at most 128 bytes per block point
-    (1 MiB; the Cantor scan, the largest, takes about 70 bytes).  With its grid
+    (1 MiB; the Cantor scan, the largest, takes about 70 bytes), plus the
+    8-byte indices of the points left to the Cantor scan.  With its grid
     (abscissae, values, and the gaps of SampleGrid's checks: 24 bytes per
     point), sample() at m points peaks below 24*m + 128*BULK_BLOCK bytes.
     Overflow to inf is silent, as in scalar arithmetic.
     """
     out = np.empty(len(xs))
+    left = []  # Cantor: the points of each block in no removed third
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(0, len(xs), BULK_BLOCK):
             x = xs[i:i + BULK_BLOCK]
@@ -571,7 +594,8 @@ def _bulk_values(f: FunctionSpec, xs: np.ndarray) -> np.ndarray:
                 inv[np.isinf(inv)] = 0.0
                 v = x * x * np.sin(inv)
             elif f.kind == CANTOR:
-                v = _cantor_block(x)
+                v = _cantor_gaps(x)
+                left.append(np.flatnonzero(np.isnan(v)) + i)
             elif f.kind == POLY:
                 *rest, v = f.coefficients
                 for c in reversed(rest):
@@ -579,7 +603,81 @@ def _bulk_values(f: FunctionSpec, xs: np.ndarray) -> np.ndarray:
             else:
                 v = _interp_block(f._kx, f._ky, x)
             out[i:i + BULK_BLOCK] = v
+        if left:
+            left = np.concatenate(left)
+            for i in range(0, len(left), BULK_BLOCK):
+                j = left[i:i + BULK_BLOCK]
+                out[j] = _cantor_block(xs[j])
     return out
+
+
+#: stages of removed middle thirds tabulated for the Cantor staircase:
+#: 2**8 - 1 = 255 open gaps, which leave a (2/3)**8 share (3.9%) of [0, 1]
+_CANTOR_TABLE_STAGES = 8
+
+
+@functools.lru_cache(maxsize=None)
+def _cantor_thirds() -> tuple:
+    """The open middle thirds removed in stages 1 to _CANTOR_TABLE_STAGES,
+    ascending, as read-only arrays: their ends rounded inward to floats
+    (lefts, rights), and the segment values that ``_cantor_gaps`` repeats
+    (NaN, the value on gap 0, NaN, on gap 1, ..., NaN).  Built on first use.
+
+    Stage k removes ((3j + 1) / 3**k, (3j + 2) / 3**k) for each j < 3**(k-1)
+    whose ternary digits are 0 and 2; eval_cantor reads those digits, then
+    a 1, so the staircase there is (2b + 1) / 2**k, b being j's digits
+    read in binary (2 as 1).  An end p / 3**k is never a float, so the
+    float x lies in the gap iff lefts[i] <= x <= rights[i]: the left end
+    becomes the least float above p / 3**k, the right end the greatest
+    below, each found from the nearest float num / den by comparing the
+    integers num * 3**k and p * den.
+    """
+    gaps = []
+    digits = [(0, 0)]  # (j, b) for j with k - 1 ternary digits 0 and 2
+    for k in range(1, _CANTOR_TABLE_STAGES + 1):
+        q = 3 ** k
+        gaps += [(_float_inward(3 * j + 1, q, True),
+                  _float_inward(3 * j + 2, q, False), (2 * b + 1) / 2 ** k)
+                 for j, b in digits]
+        digits = [(3 * j + t, 2 * b + t // 2)
+                  for j, b in digits for t in (0, 2)]
+    lefts, rights, values = (np.array(a) for a in zip(*sorted(gaps)))
+    segments = np.full(2 * len(values) + 1, np.nan)
+    segments[1::2] = values
+    for a in (lefts, rights, segments):
+        a.flags.writeable = False
+    return lefts, rights, segments
+
+
+def _float_inward(p: int, q: int, above: bool) -> float:
+    """The least float above p / q (``above``) or the greatest below it,
+    for p / q that is not a float."""
+    x = p / q  # the nearest float
+    num, den = x.as_integer_ratio()
+    if (num * q < p * den) == above:
+        x = math.nextafter(x, math.inf if above else -math.inf)
+    return x
+
+
+def _cantor_gaps(x: np.ndarray) -> np.ndarray:
+    """The Cantor staircase at the points of x in a removed middle third of
+    ``_cantor_thirds``, NaN at the others; x in any order.
+
+    One stable argsort puts x in order (the identity on an ascending
+    grid); two searchsorted calls of the gap ends cut the ordered points
+    into segments that alternate between no gap and one gap, and one
+    np.repeat writes every segment's value, which is scattered back.
+    """
+    lefts, rights, segments = _cantor_thirds()
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    bounds = np.empty(len(segments) + 1, np.intp)
+    bounds[0], bounds[-1] = 0, len(x)
+    bounds[1:-1:2] = np.searchsorted(ordered, lefts, "left")
+    bounds[2:-1:2] = np.searchsorted(ordered, rights, "right")
+    v = np.empty(len(x))
+    v[order] = np.repeat(segments, np.diff(bounds))
+    return v
 
 
 #: largest denominator exponent s of x = n / 2**s for the integer Cantor
@@ -593,7 +691,8 @@ _CANTOR_PASS_DIGITS = np.array((6,) * 55 + (5, 5, 4, 3, 3, 2, 1), np.int8)
 
 
 def _cantor_block(x: np.ndarray) -> np.ndarray:
-    """eval_cantor on in-domain floats, bit for bit.
+    """eval_cantor on in-domain floats, bit for bit: the digit scan, which
+    ``_bulk_values`` runs on the points that ``_cantor_gaps`` leaves.
 
     Each x is n / 2**s in lowest terms (from frexp), so its next c ternary
     digits are (3**c * n) >> s with remainder (3**c * n) & (2**s - 1),

@@ -3,13 +3,14 @@
 import math
 import sys
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contana import (
@@ -544,10 +545,12 @@ class TestConstantLagKernel:
 
     @pytest.mark.parametrize("kind", ["rising", "falling", "signed-zeros",
                                       "cantor", "one-ulp-dip"])
-    def test_monotone_rows_are_views(self, monkeypatch, kind):
-        # the rows of a monotone grid are slices of its values: past the
-        # two scratch arrays the kernel allocates less than m floats (a
-        # generic ladder, so that no exception index is built)
+    def test_monotone_values_build_no_rows(self, monkeypatch, kind):
+        # monotone values answer each delta by end differences: no row of
+        # block extrema is read, and past one scratch array the kernel
+        # allocates less than m floats, so none is built (a generic ladder,
+        # so that no exception index is built either).  One value an ulp
+        # down makes the values non-monotone: they take the rows.
         grid = self.monotone_grid(kind)
         m = len(grid)
         generic = [2.6 * grid.span / (m - 1) * 1.2 ** i for i in range(33)]
@@ -557,15 +560,55 @@ class TestConstantLagKernel:
                             lambda row, *a: rows.append(row) or widest(row, *a))
         tracemalloc.start()
         try:
-            modulus_on_grid(grid, generic)
+            curve = modulus_on_grid(grid, generic)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        shared = {np.shares_memory(a, grid.values) for row in rows for a in row}
         if kind == "one-ulp-dip":
+            shared = {np.shares_memory(a, grid.values)
+                      for row in rows for a in row}
             assert shared == {False} and peak > 3 * 8 * m
         else:
-            assert shared == {True} and peak < 3 * 8 * m
+            assert rows == [] and peak < 2 * 8 * m
+        assert curve.samples == modulus_per_window(grid, generic)
+
+    @staticmethod
+    def exception_grid(kind):
+        """Small monotone grids whose lags leave exceptions: geometric float
+        abscissae, and the exact ends of the Cantor stage-7 bricks."""
+        if kind.startswith("geometric"):
+            xs = np.geomspace(1e-3, 1.0, 301)
+            vs = np.sort(np.random.default_rng(9).standard_normal(301))
+        else:
+            f = catalog.cantor_on_unit()
+            xs = sorted({x for pair in catalog.cantor_stage_cover(7).pairs
+                         for x in pair})
+            vs = function_model.evaluate_many(f, xs)
+        return SampleGrid(xs, vs if kind.endswith("rising") else -vs)
+
+    @pytest.mark.parametrize("kind", ["geometric-rising", "geometric-falling",
+                                      "fraction-rising", "fraction-falling"])
+    def test_monotone_exceptions_match_pair_scan(self, monkeypatch, kind):
+        # no lag is settled from the gaps (non-uniform or exact
+        # abscissae), so exact slice tests find the lags and the
+        # exceptions' windows [start, end] are read by their end values
+        grid = self.exception_grid(kind)
+        xs = grid.abscissae.tolist()
+        deltas = sorted({xs[j] - xs[i] for i, j in
+                         ((0, 1), (0, 5), (3, 40), (10, 100), (0, 200))}
+                        | {grid.span})
+        calls = []
+        starts = continuity._window_starts
+        monkeypatch.setattr(continuity, "_window_starts",
+                            lambda g, d, e: calls.append(len(e)) or
+                            starts(g, d, e))
+        monkeypatch.setattr(continuity, "_widest_range", None)
+        running, want = 0.0, []
+        for d in deltas:
+            running = max(running, omega_pair_scan(grid, d))
+            want.append((d, running))
+        assert modulus_on_grid(grid, deltas).samples == tuple(want)
+        assert len(calls) == len(deltas) and max(calls) > 0
 
     def test_no_gathers_off_the_grid_step(self, monkeypatch):
         # deltas between multiples of h: the gap extremes settle every lag,
@@ -604,6 +647,32 @@ class TestConstantLagKernel:
             modulus_per_window(grid, generic)
         assert calls == []
 
+    @pytest.mark.parametrize("m", [4001, 25001])
+    def test_far_ladder_settles_its_lags(self, monkeypatch, m):
+        # on [1e6, 1e6 + 1e-3] the gaps differ by 0.3%, so from a few
+        # hundred steps up the gap extremes settle no lag; the drift of the
+        # points from their line settles the rest.  Exact slice tests run
+        # only at the ties with the step (2h and the span) and where the
+        # rounding of the abscissae leaves exceptions.
+        f = FunctionSpec.x_squared_sin_inv(IntervalSpec(0.0, 2e6))
+        grid = sample(f, IntervalSpec(1e6, 1e6 + 1e-3), m)
+        assert grid.uniform
+        calls = []
+        lag = continuity._lag
+        monkeypatch.setattr(continuity, "_lag",
+                            lambda g, d: calls.append(d) or lag(g, d))
+        ladder = [d for d, _ in _modulus_curve(grid).samples]
+        calls.clear()
+        assert modulus_on_grid(grid, ladder).samples == \
+            modulus_per_window(grid, ladder)
+        h = grid.span / (m - 1)
+        ties = [d for d in calls if d in (ladder[0], ladder[-1])]
+        assert ties == [ladder[0], ladder[-1]]
+        assert math.isclose(ladder[0], 2 * h) and ladder[-1] == grid.span
+        for d in calls:
+            if d not in ties:
+                assert len(lag(grid, d)[1]) > 0, d / h
+
     def test_peak_memory(self):
         # rows are built lazily and dropped below the current lag's row:
         # the peak stays a few arrays of m floats, where a table of every
@@ -626,7 +695,7 @@ class TestConstantLagKernel:
         # uniform grids at magnitudes 1e-300 to 1e300, from zero, straddling
         # it or far from it, some jittered within the 1e-9 uniformity rule;
         # deltas generic and on and next to multiples of the step and of the
-        # extreme gaps
+        # extreme gaps; lags from the gap extremes alone and with the drift
         m = data.draw(st.integers(2, 300))
         span = data.draw(st.floats(1.0, 10.0)) * 10.0 ** data.draw(
             st.integers(-300, 299))
@@ -652,17 +721,19 @@ class TestConstantLagKernel:
         deltas += [e for k in ks for g in (gmin, gmax)
                    for e in (k * g, math.nextafter(k * g, 0.0),
                              math.nextafter(k * g, math.inf))]
+        step = float(grid.span) / (m - 1)
         for d in deltas:
             if not 0 < d <= grid.span:
                 continue
-            lag = continuity._certified_lag(d, gmin, gmax)
-            if lag is None:
-                continue
-            assert 0 <= lag <= m - 1
-            assert np.all(xs[lag:] - xs[:m - lag] <= d), d
-            assert np.all(xs[lag + 1:] - xs[:m - lag - 1] > d), d
-            exact, ends = continuity._lag(grid, d)
-            assert exact == lag and len(ends) == 0, d
+            for drift in (math.inf, continuity._drift(xs, step)):
+                lag = continuity._certified_lag(d, gmin, gmax, step, drift)
+                if lag is None:
+                    continue
+                assert 0 <= lag <= m - 1
+                assert np.all(xs[lag:] - xs[:m - lag] <= d), d
+                assert np.all(xs[lag + 1:] - xs[:m - lag - 1] > d), d
+                exact, ends = continuity._lag(grid, d)
+                assert exact == lag and len(ends) == 0, d
 
     def test_subnormal_gaps_take_the_exact_path(self):
         m = 201
@@ -672,9 +743,10 @@ class TestConstantLagKernel:
         assert gaps.max() < sys.float_info.min
         h = float(grid.span) / (m - 1)
         deltas = [2.5 * h, 10 * h, 77.5 * h, float(grid.span)]
+        drift = continuity._drift(grid.abscissae, h)
         for d in deltas:
             assert continuity._certified_lag(
-                d, float(gaps.min()), grid.spacing) is None
+                d, float(gaps.min()), grid.spacing, h, drift) is None
         curve = modulus_on_grid(grid, deltas)
         assert curve.samples == modulus_per_window(grid, deltas)
         for d, w in curve.samples:
@@ -777,6 +849,25 @@ class TestGlueChain:
 
 
 class TestWorstSumOracle:
+    @pytest.mark.parametrize("k", [9, 17, 33, 65])
+    def test_rounded_gaps_keep_witnesses_below_delta(self, k):
+        # 1e12 + i * 4.37 ulps rounds to gaps of 4 and 5 ulps: a uniform
+        # grid up to its rounding.  Steps that are large only across the
+        # wide gaps, alternating in sign, make a witness of single wide
+        # steps, units * gmax long; `units` stays below delta / gmax, so
+        # its float length stays below delta
+        lo = 1e12
+        xs = uniform_abscissae(lo, lo + 2000 * 4.37 * math.ulp(lo), 2001)
+        gaps = np.diff(xs)
+        steps = np.where(gaps == gaps.max(), 1.0, 1e-3) * (-1.0) ** np.arange(
+            2000)
+        grid = SampleGrid(xs, np.concatenate(([0.0], np.cumsum(steps))))
+        assert grid.uniform and gaps.max() == 1.25 * gaps.min()
+        delta = k * float(grid.span) / 2000
+        rep = worst_ac_sum_oracle(grid, delta)
+        assert len(rep.witness) > 1
+        assert rep.witness.total_length < delta
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         for trial in range(6):
@@ -1802,10 +1893,14 @@ class TestExactSup:
 
     @settings(max_examples=25, deadline=None)
     @given(pwl_windows(), st.sampled_from([0.05, 0.1, 0.5]))
+    @example(case=(FunctionSpec.piecewise_linear(((0.0, 0.0), (1.0, 0.0))),
+                   0.99999, 1.0), epsilon=0.05)
     def test_verified_pwl_certificates_are_sound(self, case, epsilon):
         # detection may miss a sub-grid spike and certify pieces it never
         # saw; a certificate verified anyway has Phi(delta1) < epsilon in
-        # exact arithmetic
+        # exact arithmetic.  Near 1 a 1e-5 window's 257 points have gaps
+        # that differ by more than 1e-9 relative but within their rounding:
+        # the grid is uniform and detection runs.
         f, lo, hi = case
         f = FunctionSpec.piecewise_linear(f.knots, IntervalSpec(lo, hi))
         result = monotone_partition(f, 65)
@@ -1819,6 +1914,59 @@ class TestExactSup:
         assert ver.method == "exact_sup"
         exact = rational_phi(f, lo, hi, cert.delta1)
         assert ver.passed == (exact < epsilon and ver.worst_sum < epsilon)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(1.0, 10.0), st.integers(0, 12), st.integers(22, 40),
+           st.sampled_from(["sqrt", "pwl"]),
+           st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+           st.floats(0.01, 2.0))
+    def test_far_windows_verify_only_proved_certificates(
+            self, mantissa, exponent, ulps, kind, ys, share):
+        # windows up to 1e12 from zero and 2**22 to 2**40 ulps wide: their
+        # grids' gaps differ by more than 1e-9 relative, within 4 ulps, so
+        # they are uniform.  A certificate verified there has Phi(delta1)
+        # < epsilon in exact arithmetic, and no worst-sum witness's float
+        # length reaches its budget.
+        lo = mantissa * 10.0 ** exponent
+        hi = lo + math.ulp(lo) * 2.0 ** ulps
+        window = IntervalSpec(lo, hi)
+        if kind == "sqrt":
+            f = FunctionSpec.sqrt(window)
+            rise = float(Decimal(hi).sqrt() - Decimal(lo).sqrt())
+        else:
+            mid = lo + (hi - lo) / 3
+            f = FunctionSpec.piecewise_linear(
+                ((lo, 0.0), (mid, ys[0]), (hi, ys[1])))
+            rise = abs(ys[0]) + abs(ys[1] - ys[0])
+        epsilon = share * rise
+        if not epsilon > 0:
+            return
+        result = monotone_partition(f, 65)
+        assert all(g.uniform for g in result.grids)
+        cert = None
+        if result.stable:
+            try:
+                cert = ac_certificate(f, result.pieces, epsilon)
+            except Unachievable:
+                pass
+        if cert is not None:
+            ver = verify_certificate(f, cert)
+            assert ver.method == "exact_sup"
+            if ver.passed:
+                if kind == "sqrt":
+                    with localcontext() as ctx:
+                        ctx.prec = 60
+                        d = min(Decimal(cert.delta1), Decimal(hi) - Decimal(lo))
+                        exact = (Decimal(lo) + d).sqrt() - Decimal(lo).sqrt()
+                    assert exact < Decimal(epsilon)
+                else:
+                    assert rational_phi(f, lo, hi, cert.delta1) < epsilon
+        grid = sample(f, window, 2001)
+        assert grid.uniform
+        budget = cert.delta1 if cert is not None else (hi - lo) / 7
+        if budget > grid.spacing:
+            rep = worst_ac_sum_oracle(grid, budget)
+            assert rep.witness.total_length < budget
 
     def test_sqrt_straddle_is_decided_in_rationals(self):
         # sqrt(0.01) rounds to 0.1, but the float 0.01 lies above 1/100 by

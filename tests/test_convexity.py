@@ -103,12 +103,37 @@ class TestDetectPartition:
 
     def test_uses_the_grid_uniformity_rule(self):
         # near 1000 the rounded abscissae of a 1e-3 window vary their gaps
-        # by ~2e-7 relative: within a 1e-6 band, but not SampleGrid.uniform
+        # by ~2e-7 relative, within 4 ulps of 1000: the grid is uniform up
+        # to its rounding, and the noise floor takes up the rounding's
+        # effect on the second differences.  Gaps spread wider than that
+        # are refused.
         grid = sample(FunctionSpec.sqrt(),
                       IntervalSpec(1000.0, 1000.001), 2001)
-        assert not grid.uniform
+        gaps = np.diff(grid.abscissae)
+        assert gaps.max() - gaps.min() > 1e-9 * gaps.max()
+        assert grid.uniform
+        assert [(s.shape, s.monotonicity) for s in
+                detect_partition(grid).shapes] == [
+            (Shape.AFFINE, Monotonicity.INCREASING)]
+        xs = grid.abscissae.copy()
+        for _ in range(5):  # two gaps move by 5 ulps each
+            xs[1000] = np.nextafter(xs[1000], np.inf)
+        skewed = SampleGrid(xs, grid.values)
+        assert not skewed.uniform
         with pytest.raises(InsufficientData, match="uniform grid"):
-            detect_partition(grid)
+            detect_partition(skewed)
+
+    @pytest.mark.parametrize("lo", [1000.0, 1e5, 1e8])
+    def test_affine_far_from_zero_is_one_piece(self, lo):
+        # x - lo on [lo, lo + 1]: each value carries its abscissa's rounding
+        # (an ulp of lo times the slope 1, above 16 ulps of the values), so
+        # without the gaps' spread in the noise floor the second
+        # differences changed sign thousands of times
+        f = FunctionSpec.affine(1.0, -lo, IntervalSpec(lo, lo + 1.0))
+        result = monotone_partition(f, 4001)
+        assert result.stable and result.sign_change_counts == [0, 0, 0]
+        assert [(p.shape, p.monotonicity) for p in result.pieces] == [
+            (Shape.AFFINE, Monotonicity.INCREASING)]
 
     def test_values_near_the_float_limit_keep_their_shapes(self):
         # twice the peaks overflows, while the steps and most of their

@@ -505,6 +505,80 @@ class TestBulkValues:
         self.assert_cantor_scan(function_model.uniform_abscissae(lo, 1.0, m),
                                 blocks=(7, BULK_BLOCK))
 
+    @staticmethod
+    def removed_thirds():
+        """The open middle thirds of stages 1 to 8 as exact rationals: the
+        gaps between consecutive stage-8 bricks."""
+        bricks = catalog.cantor_stage_cover(8).pairs
+        return [(a[1], b[0]) for a, b in zip(bricks, bricks[1:])]
+
+    def test_cantor_thirds_round_inward(self):
+        lefts, rights, segments = function_model._cantor_thirds()
+        thirds = self.removed_thirds()
+        assert len(thirds) == len(lefts) == len(rights) == 255
+        assert np.isnan(segments[::2]).all() and len(segments) == 511
+        for (p, q), left, right, value in zip(thirds, lefts.tolist(),
+                                              rights.tolist(),
+                                              segments[1::2].tolist()):
+            # the least float above p and the greatest below q
+            assert Fraction(math.nextafter(left, 0.0)) < p < Fraction(left)
+            assert Fraction(right) < q < Fraction(math.nextafter(right, 1.0))
+            assert value == eval_cantor((p + q) / 2)
+
+    @staticmethod
+    def table_points():
+        """Floats at and one ulp either side of every table end, with
+        points of the Cantor set (1/4 and 3/4 scan all 64 digits), points
+        below 2**-9 (the scalar scan), 0 and 1."""
+        lefts, rights, _ = function_model._cantor_thirds()
+        ends = lefts.tolist() + rights.tolist()
+        near = [e for x in ends for e in (math.nextafter(x, 0.0), x,
+                                          math.nextafter(x, 1.0))]
+        return st.one_of(
+            st.sampled_from(near), _unit_points(),
+            st.sampled_from([0.0, 1.0, 0.25, 0.75, 1 / 3, 2 / 3, 2.0**-10]),
+            st.floats(0.0, 2.0**-9))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from([1, 7, BULK_BLOCK]))
+    def test_cantor_table_matches_eval_cantor(self, data, block):
+        # bit for bit, in any order of the points and with block seams
+        xs = data.draw(st.lists(self.table_points(), min_size=1, max_size=60))
+        if data.draw(st.booleans()):
+            xs = sorted(xs)
+        with mock.patch.object(function_model, "BULK_BLOCK", block):
+            got = _bulk_values(FunctionSpec.cantor(), np.array(xs))
+        assert got.tobytes() == np.array(
+            [eval_cantor(x) for x in xs]).tobytes()
+
+    def test_cantor_table_every_end(self):
+        # every table end and its float neighbours, ascending and reversed
+        lefts, rights, _ = function_model._cantor_thirds()
+        xs = np.array(sorted({e for x in lefts.tolist() + rights.tolist()
+                              for e in (math.nextafter(x, 0.0), x,
+                                        math.nextafter(x, 1.0))}))
+        want = np.array([eval_cantor(x) for x in xs.tolist()])
+        f = FunctionSpec.cantor()
+        assert _bulk_values(f, xs).tobytes() == want.tobytes()
+        assert _bulk_values(f, xs[::-1]).tobytes() == want[::-1].tobytes()
+
+    def test_cantor_scan_runs_once_per_digit_count(self, monkeypatch):
+        # the table values about 96% of a grid on [0, 1]; the points left,
+        # gathered over all blocks, are scanned in one call, so each group
+        # of digits per pass is scanned once, not once per block
+        calls = []
+        scan = function_model._cantor_scan
+        monkeypatch.setattr(function_model, "_cantor_scan",
+                            lambda out, idx, num, s, c: calls.append(
+                                (c, len(idx))) or scan(out, idx, num, s, c))
+        m = 100001
+        grid = sample(FunctionSpec.cantor(), IntervalSpec(0.0, 1.0), m)
+        digit_counts = [c for c, _ in calls]
+        assert len(digit_counts) == len(set(digit_counts)) > 0
+        assert sum(n for _, n in calls) < 0.05 * m < BULK_BLOCK
+        assert grid.values.tobytes() == np.array(
+            [eval_cantor(x) for x in grid.abscissae.tolist()]).tobytes()
+
     def test_sine_table(self):
         f = catalog.sine_table()
         kx = [x for x, _ in f.knots]

@@ -263,20 +263,49 @@ class TestCLI:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [
-        ["analyze", "--fn", "sqrt", "--interval", "[1000,1000.001]",
+        ["analyze", "--fn", "sqrt", "--interval", "[0,1e-310]",
          "--grid", "2001"],
-        ["check-lemma1", "--fn", "sqrt", "--interval", "[1000,1000.1]",
-         "--sigma", "0.01"],
+        ["check-lemma1", "--fn", "sqrt", "--interval", "[0,1e-310]",
+         "--sigma", "1e-311"],
     ])
     def test_window_too_narrow_for_a_uniform_grid_parse_error(self, capsys,
                                                               argv):
-        # the abscissae round to unequal gaps, so detection refuses the
-        # grid before any certificate work
+        # the gaps are subnormal: the step's own rounding, repeated along
+        # the grid, spreads them by far more than 4 ulps of the window, so
+        # detection refuses the grid before any certificate work
         assert main(argv) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             "parse error: partition detection requires a uniform grid\n")
+
+    @pytest.mark.parametrize("interval, delta1", [
+        ("[1000,1001]", 0.5636069790419053),
+        ("[5000,5001]", 0.891),
+        ("[100000,100001]", 0.891),
+        ("[1000,1000.001]", 0.0008909999999789307),
+    ])
+    def test_windows_far_from_zero_certify(self, capsys, interval, delta1):
+        # the abscissae round to gaps that differ by more than 1e-9
+        # relative, but within 4 ulps of the window: the grids are uniform,
+        # and Phi proves the certificate
+        assert main(["analyze", "--fn", "sqrt", "--interval", interval,
+                     "--epsilon", "0.01"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdicts"]["certificate_verified"] is True
+        assert report["verification"]["method"] == "exact_sup"
+        assert report["certificate"]["delta1"] == delta1
+        lo = float(interval[1:-1].split(",")[0])
+        assert math.sqrt(lo + delta1) - math.sqrt(lo) < 0.01
+
+    def test_worst_sum_far_from_zero(self, capsys):
+        # the oracle's budget stays strictly below delta in float
+        assert main(["worst-sum", "--fn", "sqrt", "--interval",
+                     "[100000,100001]", "--delta", "0.1"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["method"] == "OracleBound"
+        assert out["witness_total_length"] < 0.1
+        assert math.fsum(y - x for x, y in out["witness"]) < 0.1
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--fn", "poly:nan,1", "--interval", "[0,1]"],
@@ -339,19 +368,20 @@ class TestCLI:
 
     def test_window_too_narrow_for_the_oracle_grid_fails_early(
             self, capsys, monkeypatch):
-        # detection's 5- to 17-point grids are uniform near 1000, but the
-        # 2001-point worst-sum grid is not: the run stops before any
-        # certificate work and names the window and the grid
+        # detection's 3- to 9-point grids are uniform on [0, 1e-310], but
+        # the subnormal gaps of the 2001-point worst-sum grid are not: the
+        # run stops before any certificate work and names the window and
+        # the grid
         def no_certificate(*args, **kwargs):
             raise AssertionError("certificate work ran")
 
         monkeypatch.setattr(report_cli, "ac_certificate", no_certificate)
-        assert main(["analyze", "--fn", "sqrt", "--interval", "[1000,1000.1]",
-                     "--grid", "5", "--epsilon", "0.001"]) == EXIT_PARSE
+        assert main(["analyze", "--fn", "sqrt", "--interval", "[0,1e-310]",
+                     "--grid", "3", "--epsilon", "0.001"]) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "parse error: the window [1000.0,1000.1] is too narrow for a "
+            "parse error: the window [0.0,1e-310] is too narrow for a "
             "uniform 2001-point grid (the worst-sum search needs one)\n")
 
     @pytest.mark.parametrize("rows, message", [
