@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .continuity import IntervalCollection
-from .function_model import FunctionSpec, IntervalSpec
+from .function_model import FunctionSpec, IntervalSpec, _cantor_bricks
 
 
 def sqrt_on_unit() -> FunctionSpec:
@@ -55,18 +55,13 @@ def cantor_on_unit() -> FunctionSpec:
 def cantor_stage_cover(k: int) -> IntervalCollection:
     """The 2**k closed thirds remaining at step k of the middle-thirds cut.
 
-    Endpoints are exact rationals: the staircase rises exactly 2**-k across
+    They are ``function_model._cantor_bricks(k)`` as exact rationals
+    [a / 3**k, (a + 1) / 3**k]: the staircase rises exactly 2**-k across
     each interval, so the increment sum over the cover is exactly 1 while
     the total length shrinks to (2/3)**k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    bricks = [(Fraction(0), Fraction(1))]
-    for _ in range(k):
-        nxt = []
-        for a, b in bricks:
-            third = (b - a) / 3
-            nxt.append((a, a + third))
-            nxt.append((b - third, b))
-        bricks = nxt
-    return IntervalCollection(tuple(bricks))
+    q = 3 ** k
+    return IntervalCollection(tuple((Fraction(a, q), Fraction(a + 1, q))
+                                    for a in _cantor_bricks(k)))

@@ -61,6 +61,9 @@ from .function_model import (
     X2SININV,
     FunctionSpec,
     SampleGrid,
+    _cantor_bricks,
+    _horner,
+    _round_rational,
     evaluate,
 )
 
@@ -254,7 +257,7 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
     m = len(vs)
     # a rational grid's lags are all settled exactly (gmin 0)
     gmin = 0.0 if xs.dtype == object else grid.narrowest
-    gmax, h = float(grid.spacing), float(span) / (m - 1)
+    gmax, h = float(grid.spacing), float(grid.step)
     drift = math.inf  # measured when the gap extremes first settle no lag
     scratch = np.empty(m)  # no m-float array per delta
     trend = _trend(vs)
@@ -413,7 +416,7 @@ def _window_starts(grid: SampleGrid, delta, ends=None) -> np.ndarray:
         ends = np.arange(m)
     ys = xs[ends]
     if grid.uniform:
-        starts = ends - math.floor(delta / (grid.span / (m - 1)))
+        starts = ends - math.floor(delta / grid.step)
         np.maximum(starts, 0, out=starts)
     else:
         starts = np.searchsorted(xs, ys - delta)
@@ -596,14 +599,12 @@ def _step_bound(grid: SampleGrid, delta):
     delta / (gmax (1 + s)): no witness's float length reaches delta.
     """
     m = len(grid)
-    xs = grid.abscissae
     if not grid.uniform:
         raise InsufficientData("the worst-sum search requires a uniform grid")
     if not delta > grid.spacing:
         raise BudgetError(
             f"delta {delta} must exceed the grid spacing {grid.spacing}")
-    h = (xs[-1] - xs[0]) / (m - 1)
-    units = int(math.floor(float(delta) / float(h) - 1.0 + 1e-9))
+    units = int(math.floor(float(delta) / float(grid.step) - 1.0 + 1e-9))
     longest = float(grid.spacing) * (1 + _GAP_SLACK)
     units = min(units, m - 1, math.ceil(float(delta) / longest) - 1)
     runs, bound = _top_step_runs(grid.values, units)
@@ -1081,16 +1082,20 @@ class _CantorCurve(NamedTuple):
         which ceil(epsilon * 2**k) of them are shorter in total than d; []
         if none is.  C is flat on the gaps beside each brick, so a brick
         still rises exactly 2**-k, and their exact sum is at least epsilon.
-        The bricks come from ``catalog.cantor_stage_cover``, in rationals."""
-        from .catalog import cantor_stage_cover  # catalog imports this module
-        lo, hi = Fraction(self.lo), Fraction(self.hi)
+        The bricks [a / 3**k, (a + 1) / 3**k] are ``_cantor_bricks(k)``,
+        kept when lo <= a / 3**k and (a + 1) / 3**k <= hi, both compared
+        in integers."""
+        lo_num, lo_den = self.lo.as_integer_ratio()
+        hi_num, hi_den = self.hi.as_integer_ratio()
         for k in range(1, _CANTOR_STAGES + 1):
             n = math.ceil(epsilon * 2 ** k)
             if not n * 3.0 ** -k < d:  # too long before rounding
                 continue
-            inside = [(a, b) for a, b in cantor_stage_cover(k).pairs
-                      if lo <= a and b <= hi][:n]
-            pairs = [(_float_below(a), _float_above(b)) for a, b in inside]
+            q = 3 ** k
+            inside = [a for a in _cantor_bricks(k) if lo_num * q <= a * lo_den
+                      and (a + 1) * hi_den <= hi_num * q][:n]
+            pairs = [(_round_rational(a, q, False),
+                      _round_rational(a + 1, q, True)) for a in inside]
             if len(pairs) == n and math.fsum(y - x for x, y in pairs) < d:
                 return pairs
         return []
@@ -1100,16 +1105,6 @@ class _CantorCurve(NamedTuple):
         (C(1/4) = 1/3), and its ternary period can be 2**(q - 2) digits
         long at p / 2**q, so no exact test of the rise is cheap."""
         return None
-
-
-def _float_below(q: Fraction) -> float:
-    x = float(q)
-    return math.nextafter(x, -math.inf) if x > q else x
-
-
-def _float_above(q: Fraction) -> float:
-    x = float(q)
-    return math.nextafter(x, math.inf) if x < q else x
 
 
 class _Knapsack(NamedTuple):
@@ -1285,15 +1280,6 @@ def _x2sininv_cells(ends, mid, half):
     loose = ~np.isfinite(slope + spread + slack)
     return (np.where(loose, 0.0, slope), np.where(loose, cap, spread),
             np.where(loose, 0.0, slack), cap)
-
-
-def _horner(coefficients, x):
-    """sum coefficients[k] * x**k by Horner's rule from the leading one, as
-    ``evaluate`` computes a polynomial."""
-    *rest, acc = coefficients
-    for c in reversed(rest):
-        acc = acc * x + c
-    return acc
 
 
 # ---------------------------------------------------------------------------

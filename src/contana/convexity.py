@@ -168,7 +168,7 @@ def detect_partition(grid: SampleGrid):
         raise InsufficientData("partition detection requires a uniform grid")
     xs = np.asarray(grid.abscissae, dtype=float)
     vs = grid.values
-    h = float(np.mean(np.diff(xs)))
+    h = float(grid.step)
     scale = float(np.max(np.abs(vs)))
     eta = DEFAULT_ETA_SCALE * scale
     length = float(xs[-1] - xs[0])

@@ -14,9 +14,9 @@ sets (``evaluate_many``) are evaluated in bulk by one vectorized evaluator
 per kind, ``_bulk_values``, which gives evaluate()'s bits at every float
 point and works in fixed-size blocks, so its memory is bounded (stated in
 its docstring).  The Cantor staircase is read off a table of the 255
-middle thirds removed in its first eight stages, where it is constant;
-only the points left in the stage-8 cover (about 4% of a grid on [0, 1])
-are digit-scanned.
+gaps between its 256 stage-8 bricks (``_cantor_bricks``, the one source
+of the bricks), on the i-th of which it is i / 2**8; only the points in
+a brick (about 4% of a grid on [0, 1]) are digit-scanned.
 
 Piecewise linear knots are checked once, when their spec is built, and
 held for the spec's lifetime as two read-only float64 arrays (16 bytes
@@ -36,6 +36,7 @@ import re
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -382,16 +383,20 @@ def evaluate(f: FunctionSpec, x) -> float:
     if kind == CANTOR:
         return eval_cantor(x)
     if kind == POLY:
-        # Horner from the leading coefficient: degree one gives exactly
-        # the bits of a*x + b, signed zeros included
-        xf = float(x)
-        *rest, acc = f.coefficients
-        for c in reversed(rest):
-            acc = acc * xf + c
-        return acc
+        return _horner(f.coefficients, float(x))
     if kind == PWL:
         return _interp_knots(*f._views, float(x))
     raise KindError(f"unknown function kind {kind!r}")
+
+
+def _horner(coefficients, x):
+    """sum coefficients[k] * x**k by Horner's rule from the leading one, x
+    a float or a float64 array: degree one gives exactly the bits of
+    a*x + b, signed zeros included."""
+    *rest, acc = coefficients
+    for c in reversed(rest):
+        acc = acc * x + c
+    return acc
 
 
 def _interp_knots(kx: memoryview, ky: memoryview, x: float) -> float:
@@ -478,6 +483,14 @@ class SampleGrid:
     @property
     def span(self):
         return self.abscissae[-1] - self.abscissae[0]
+
+    @property
+    def step(self):
+        """h = span / (m - 1) in the abscissae's own arithmetic: a float,
+        or an exact Fraction on rational points."""
+        if self.abscissae.dtype == object:
+            return Fraction(self.span) / (len(self) - 1)
+        return float(self.span / (len(self) - 1))
 
     @classmethod
     def from_abscissae(cls, f: FunctionSpec, xs) -> "SampleGrid":
@@ -567,7 +580,7 @@ def _bulk_values(f: FunctionSpec, xs: np.ndarray) -> np.ndarray:
     Every kind is vectorized with the scalar formula's own operations:
     square roots and Horner polynomials; x*x*sin(1/x) with 0.0 where 1/x
     is infinite (x == 0, or |x| < 2**-1024, where x*x is 0 already); the
-    Cantor staircase from its removed middle thirds (``_cantor_gaps``),
+    Cantor staircase from the gaps between its bricks (``_cantor_gaps``),
     then the digit scan in integer arithmetic (``_cantor_block``) on the
     points in none, gathered over all blocks and scanned BULK_BLOCK at a
     time (once on a grid on [0, 1] of up to about 200000 points); and
@@ -597,9 +610,7 @@ def _bulk_values(f: FunctionSpec, xs: np.ndarray) -> np.ndarray:
                 v = _cantor_gaps(x)
                 left.append(np.flatnonzero(np.isnan(v)) + i)
             elif f.kind == POLY:
-                *rest, v = f.coefficients
-                for c in reversed(rest):
-                    v = v * x + c
+                v = _horner(f.coefficients, x)
             else:
                 v = _interp_block(f._kx, f._ky, x)
             out[i:i + BULK_BLOCK] = v
@@ -611,56 +622,61 @@ def _bulk_values(f: FunctionSpec, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-#: stages of removed middle thirds tabulated for the Cantor staircase:
+#: stage of the Cantor bricks whose gaps are tabulated for the staircase:
 #: 2**8 - 1 = 255 open gaps, which leave a (2/3)**8 share (3.9%) of [0, 1]
 _CANTOR_TABLE_STAGES = 8
 
 
+def _cantor_bricks(k: int) -> list:
+    """The numerators a of the 2**k stage-k bricks [a / 3**k, (a + 1) / 3**k],
+    ascending: the closed thirds left after k middle-thirds cuts of [0, 1],
+    each cut keeping the first and last third of every brick."""
+    bricks = [0]
+    for _ in range(k):
+        bricks = [b for a in bricks for b in (3 * a, 3 * a + 2)]
+    return bricks
+
+
 @functools.lru_cache(maxsize=None)
 def _cantor_thirds() -> tuple:
-    """The open middle thirds removed in stages 1 to _CANTOR_TABLE_STAGES,
-    ascending, as read-only arrays: their ends rounded inward to floats
-    (lefts, rights), and the segment values that ``_cantor_gaps`` repeats
-    (NaN, the value on gap 0, NaN, on gap 1, ..., NaN).  Built on first use.
+    """The open gaps between consecutive stage-_CANTOR_TABLE_STAGES bricks
+    (``_cantor_bricks``), ascending, as read-only arrays: their ends rounded
+    inward to floats (lefts, rights), and the segment values that
+    ``_cantor_gaps`` repeats (NaN, the value on gap 1, NaN, on gap 2, ...,
+    NaN).  Built on first use.
 
-    Stage k removes ((3j + 1) / 3**k, (3j + 2) / 3**k) for each j < 3**(k-1)
-    whose ternary digits are 0 and 2; eval_cantor reads those digits, then
-    a 1, so the staircase there is (2b + 1) / 2**k, b being j's digits
-    read in binary (2 as 1).  An end p / 3**k is never a float, so the
-    float x lies in the gap iff lefts[i] <= x <= rights[i]: the left end
-    becomes the least float above p / 3**k, the right end the greatest
-    below, each found from the nearest float num / den by comparing the
-    integers num * 3**k and p * den.
+    The staircase rises 2**-k across each stage-k brick and is constant
+    between them, so on gap i, after the first i bricks, it is i / 2**k.
+    A gap end p / 3**k is never a float, so a float lies in a gap iff it
+    lies between the gap's rounded ends: the left end becomes the least
+    float above p / 3**k, the right end the greatest below
+    (``_round_rational``).
     """
-    gaps = []
-    digits = [(0, 0)]  # (j, b) for j with k - 1 ternary digits 0 and 2
-    for k in range(1, _CANTOR_TABLE_STAGES + 1):
-        q = 3 ** k
-        gaps += [(_float_inward(3 * j + 1, q, True),
-                  _float_inward(3 * j + 2, q, False), (2 * b + 1) / 2 ** k)
-                 for j, b in digits]
-        digits = [(3 * j + t, 2 * b + t // 2)
-                  for j, b in digits for t in (0, 2)]
-    lefts, rights, values = (np.array(a) for a in zip(*sorted(gaps)))
-    segments = np.full(2 * len(values) + 1, np.nan)
-    segments[1::2] = values
+    k = _CANTOR_TABLE_STAGES
+    q, bricks = 3 ** k, _cantor_bricks(k)
+    lefts = np.array([_round_rational(a + 1, q, True) for a in bricks[:-1]])
+    rights = np.array([_round_rational(a, q, False) for a in bricks[1:]])
+    segments = np.full(2 * len(bricks) - 1, np.nan)
+    segments[1::2] = np.arange(1, len(bricks)) / 2.0 ** k
     for a in (lefts, rights, segments):
         a.flags.writeable = False
     return lefts, rights, segments
 
 
-def _float_inward(p: int, q: int, above: bool) -> float:
-    """The least float above p / q (``above``) or the greatest below it,
-    for p / q that is not a float."""
-    x = p / q  # the nearest float
+def _round_rational(p: int, q: int, up: bool) -> float:
+    """The least float >= p / q (``up``) or the greatest float <= p / q,
+    for integers p and q > 0; p / q itself when it is a float.  The nearest
+    float num / den moves one step when it lies on the wrong side, which
+    the integers num * q and p * den tell."""
+    x = p / q
     num, den = x.as_integer_ratio()
-    if (num * q < p * den) == above:
-        x = math.nextafter(x, math.inf if above else -math.inf)
+    if num * q != p * den and (num * q < p * den) == up:
+        x = math.nextafter(x, math.inf if up else -math.inf)
     return x
 
 
 def _cantor_gaps(x: np.ndarray) -> np.ndarray:
-    """The Cantor staircase at the points of x in a removed middle third of
+    """The Cantor staircase at the points of x in a gap of
     ``_cantor_thirds``, NaN at the others; x in any order.
 
     One stable argsort puts x in order (the identity on an ascending

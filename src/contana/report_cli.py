@@ -214,9 +214,9 @@ def analyze(fn_text: str, interval_text: str,
 
 def _modulus_curve(grid):
     """The modulus on MODULUS_POINTS geometric deltas (duplicates dropped)
-    from two grid steps, 2 * span / (m - 1), up to the span."""
+    from two grid steps (``SampleGrid.step``) up to the span."""
     hi = float(grid.span)
-    lo = 2.0 * (hi / (len(grid) - 1))  # == hi at m = 3: one delta
+    lo = 2.0 * grid.step  # == hi at m = 3: one delta
     ratio = (hi / lo) ** (1.0 / (MODULUS_POINTS - 1))
     ladder = [lo * ratio ** i for i in range(MODULUS_POINTS - 1)] + [hi]
     return modulus_on_grid(grid, sorted(set(ladder)))

@@ -35,6 +35,8 @@ from contana.function_model import (
     _CANTOR_MAX_EXPONENT,
     _CANTOR_PASS_DIGITS,
     _bulk_values,
+    _cantor_bricks,
+    _round_rational,
     evaluate_many,
 )
 
@@ -394,6 +396,25 @@ class TestSampleGrid:
         assert grid.spacing == Fraction(1, 3) and grid.uniform
         assert grid.span == 1
 
+    @pytest.mark.parametrize("lo, hi, m", [
+        (0.0, 1.0, 4001), (-3.0, 7.5, 3), (1000.0, 1000.001, 2001),
+        (0.0, 1e-310, 2001), (1e6, 1e6 + 1.0, 100001)])
+    def test_step_on_float_grids(self, lo, hi, m):
+        grid = SampleGrid(function_model.uniform_abscissae(lo, hi, m),
+                          np.zeros(m))
+        assert type(grid.step) is float
+        assert grid.step == (hi - lo) / (m - 1)
+
+    @pytest.mark.parametrize("xs, step", [
+        ([Fraction(1, 7) + Fraction(i, 3) for i in range(5)], Fraction(1, 3)),
+        ([Fraction(0), Fraction(1, 10), Fraction(1)], Fraction(1, 2)),
+        ([0, Fraction(1, 3), 1], Fraction(1, 2)),
+    ], ids=["uniform", "non-uniform", "int-and-fraction"])
+    def test_step_on_fraction_grids(self, xs, step):
+        # exact: span / (m - 1) in rationals, never rounded to a float
+        grid = SampleGrid(xs, [0.0] * len(xs))
+        assert type(grid.step) is Fraction and grid.step == step
+
 
 ZIGZAG = FunctionSpec.piecewise_linear(
     ((0.0, 0.0), (0.3, 0.6), (0.7, 0.2), (1.0, 0.5)))
@@ -451,6 +472,55 @@ def specs_with_points(draw):
                            st.sampled_from([-0.0, 0.0]).filter(
                                lambda x: xs[0] <= x <= xs[-1]))
     return f, draw(st.lists(points, min_size=1, max_size=40))
+
+
+def stage_cover_by_thirds(k: int) -> list:
+    """The stage-k bricks by the Fraction recursion: cut every brick into
+    thirds and keep the first and the last, k times from [0, 1]."""
+    bricks = [(Fraction(0), Fraction(1))]
+    for _ in range(k):
+        nxt = []
+        for a, b in bricks:
+            third = (b - a) / 3
+            nxt += [(a, a + third), (b - third, b)]
+        bricks = nxt
+    return bricks
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_cantor_bricks_match_the_thirds_recursion(k):
+    q = 3 ** k
+    bricks = [(Fraction(a, q), Fraction(a + 1, q)) for a in _cantor_bricks(k)]
+    assert bricks == stage_cover_by_thirds(k)
+    assert list(catalog.cantor_stage_cover(k).pairs) == bricks
+
+
+#: (p, q) with q > 0: any ratio; brick ends a / 3**k, 0 and 1 among them;
+#: dyadic ratios, floats or not; and a float's own as_integer_ratio()
+_RATIOS = st.one_of(
+    st.tuples(st.integers(-2**80, 2**80), st.integers(1, 2**80)),
+    st.integers(0, 3**12).map(lambda a: (a, 3**12)),
+    st.integers(1, 3**12).map(lambda q: (0, q)),
+    st.integers(1, 3**12).map(lambda q: (q, q)),
+    st.builds(lambda n, k: (n, 2**k), st.integers(-2**60, 2**60),
+              st.integers(0, 1100)),
+    _FINITE.map(lambda x: x.as_integer_ratio()),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_RATIOS)
+def test_round_rational_brackets_the_ratio(ratio):
+    p, q = ratio
+    exact = Fraction(p, q)
+    up, down = _round_rational(p, q, True), _round_rational(p, q, False)
+    assert Fraction(down) <= exact <= Fraction(up)
+    # the least float above and the greatest below: no float lies between
+    below, above = math.nextafter(up, -INF), math.nextafter(down, INF)
+    assert below == -INF or Fraction(below) < exact
+    assert above == INF or Fraction(above) > exact
+    if Fraction(up) == exact:  # p / q is a float: both give it
+        assert up == down == p / q
 
 
 class TestBulkValues:
