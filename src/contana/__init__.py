@@ -53,7 +53,6 @@ from .continuity import (
     ac_certificate,
     ac_sum,
     exact_phi,
-    glued_single_interval,
     gluing_bound_check,
     modulus_on_grid,
     random_collection,

@@ -24,7 +24,7 @@ search their increment sums sum |f(y_i) - f(x_i)|:
   increment into a concrete (epsilon, delta_1) certificate: every
   collection of total length below delta_1 has increment sum below epsilon.
   Phi proves or refuses the certificate, or the report says that it could
-  not decide.
+  not decide, and its witness is the one collection that attacks it.
 """
 
 from __future__ import annotations
@@ -153,9 +153,8 @@ class ACWorstReport:
     witness: IntervalCollection
     method: str
     grid_spacing: float
-    #: the sum of the `units` largest grid steps, which caps best_sum (grid
-    #: searches only; None for a closed form)
-    step_bound: float | None = None
+    #: the sum of the `units` largest grid steps, which caps best_sum
+    step_bound: float
 
 
 @dataclass(frozen=True)
@@ -185,10 +184,12 @@ class GluingCheck:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    #: Phi(delta_1) < epsilon proved (True) or refused (False); None where
-    #: Phi could not decide it
+    #: Phi(delta_1) < epsilon proved and the witness's sum below epsilon
+    #: (True), or refused (False); None where Phi could not decide it
     passed: bool | None
-    #: the largest increment sum of the collections built, and one of them
+    #: ``Phi.witness``'s collection at delta_1 and its increment sum, a
+    #: lower bound just under Phi(delta_1); 0.0 and no interval where no
+    #: Phi exists
     worst_sum: float
     worst_collection: IntervalCollection
     #: "exact_sup" when Phi(delta_1) decided ``passed``, else "undecided"
@@ -850,23 +851,6 @@ def _backtrack(hist: np.ndarray, kept: list, gaps: list, u: int, k: int):
     return pairs
 
 
-def glued_single_interval(f: FunctionSpec, piece: ShapePiece,
-                          budget) -> ACWorstReport:
-    """Closed-form worst case on a monotone piece: one glued interval.
-
-    Anchors a single interval of length ``budget`` at the end of the piece
-    where increments are largest and reports its increment magnitude.
-    """
-    lo, hi = piece.interval.lo, piece.interval.hi
-    if not 0 < budget < hi - lo:
-        raise GeometryError(
-            f"budget {budget} must lie strictly inside (0, {hi - lo})")
-    witness = IntervalCollection((_favourable_interval(piece, budget),))
-    return ACWorstReport(delta=budget, best_sum=ac_sum(f, witness),
-                         witness=witness, method="GluedClosedForm",
-                         grid_spacing=0.0)
-
-
 # ---------------------------------------------------------------------------
 # The exact supremum Phi(d)
 # ---------------------------------------------------------------------------
@@ -921,8 +905,10 @@ def exact_phi(f: FunctionSpec, lo: float, hi: float) -> Phi | None:
         x, y = kx[i:j + 1], ky[i:j + 1]
         ends = x.copy()
         ends[0], ends[-1] = lo, hi
+    rise = np.diff(y)
     with np.errstate(over="ignore"):
-        knapsack = _Knapsack.build(np.abs(np.diff(y)) / np.diff(x), ends)
+        knapsack = _Knapsack.build(np.abs(rise) / np.diff(x), ends,
+                                   np.sign(rise))
     if knapsack is None:
         return None
     return Phi(lo, hi, knapsack, knapsack,
@@ -1002,10 +988,11 @@ class Phi:
         bound's intervals (``pairs``).  A knapsack's or the square root's
         lie where that bound holds, steepest first, so each exact increment
         is at least the bound times its length, and the exact sum is at
-        least Phi- at the collection's total length.  The last interval is
-        shortened, or dropped, until ``IntervalCollection.total_length`` is
-        below d: by the excess and one ulp of d each time, as an ulp of y,
-        near 0, can be far below one of its length."""
+        least Phi- at the collection's total length.  The last interval,
+        the least steep, is shortened, or dropped, until
+        ``IntervalCollection.total_length`` is below d: by the excess and
+        one ulp of d each time, as an ulp of y, near 0, can be far below
+        one of its length."""
         pairs = self.lower.pairs(d, epsilon)
         while pairs:
             excess = math.fsum(y - x for x, y in pairs) - d
@@ -1111,7 +1098,9 @@ class _Knapsack(NamedTuple):
     """Intervals tiling a window, steepest first: a bound s on |f'| over
     each (its exact |slope| on a linear segment), its length, and their
     running sums; interval order[i] runs from ends[order[i]] to
-    ends[order[i] + 1].
+    ends[order[i] + 1], and f keeps the direction dirs[i] (1 rising, -1
+    falling, 0 unknown or flat) on the i-th interval of the window: the
+    sign of a segment's slope, or of f' at a cell's midpoint.
 
     Its Phi is a fractional knapsack.  With the cut level c, the s of the
     interval the budget d ends in (0 when it covers them all), Phi is
@@ -1131,17 +1120,20 @@ class _Knapsack(NamedTuple):
     ends: np.ndarray
     reach: np.ndarray
     rises: np.ndarray
+    dirs: np.ndarray
 
     @classmethod
-    def build(cls, s: np.ndarray, ends: np.ndarray) -> _Knapsack | None:
-        """The knapsack of bounds s between ends; None if one is not finite."""
+    def build(cls, s: np.ndarray, ends: np.ndarray,
+              dirs: np.ndarray) -> _Knapsack | None:
+        """The knapsack of bounds s and directions dirs between ends; None
+        if a bound is not finite."""
         if not np.isfinite(s).all():
             return None
         order = np.argsort(-s, kind="stable")
         s, lengths = s[order], np.diff(ends)[order]
         with np.errstate(over="ignore"):
             return cls(s, lengths, order, ends, np.cumsum(lengths),
-                       np.cumsum(lengths * s))
+                       np.cumsum(lengths * s), dirs)
 
     def sup(self, d) -> ExactSup | None:
         s, lengths = self.s, self.lengths
@@ -1172,14 +1164,26 @@ class _Knapsack(NamedTuple):
 
     def pairs(self, d, epsilon) -> list:
         """The intervals taken at budget d, the last one cut short, whatever
-        epsilon."""
+        epsilon.  Touching intervals of one nonzero direction are glued
+        into one: f is monotone across them, so the exact sum is the same.
+        The glued run that holds the cut interval, the least steep, comes
+        last."""
         k = int(np.searchsorted(self.reach, d))  # intervals taken whole
         at = self.order[:k + 1]
-        left, right = self.ends[at].tolist(), self.ends[at + 1].tolist()
+        left, right = self.ends[at], self.ends[at + 1]
         if k < len(self.reach):  # the cut interval takes what is left of d
             right[k] = min(right[k], left[k] + (d - (self.reach[k - 1] if k
                                                      else 0.0)))
-        return list(zip(left, right))
+        place = np.argsort(at)  # the window's order
+        left, right, dirs = left[place], right[place], self.dirs[at[place]]
+        glue = ((right[:-1] == left[1:]) & (dirs[1:] == dirs[:-1])
+                & (dirs[1:] != 0))
+        first = np.flatnonzero(np.append(True, ~glue))
+        last = np.append(first[1:], len(at)) - 1
+        runs = list(zip(left[first].tolist(), right[last].tolist()))
+        runs.append(runs.pop(int(np.searchsorted(first, place.argmax(),
+                                                 side="right")) - 1))
+        return runs
 
 
 def _rational_below(x, y, ends, d, epsilon) -> bool:
@@ -1205,23 +1209,26 @@ def _envelope_phi(cell_bounds, lo, hi, cells: int) -> Phi | None:
     The window is cut into ``cells`` equal cells, and on a cell of
     midpoint m and half-width r |f'| lies within |f'(m)| +- (r * M2 + E),
     capped above and floored at 0 below, where M2 bounds |f''| on the cell
-    and E covers the rounding of |f'(m)| and of the bounds themselves.
-    ``cell_bounds(ends, mid, half)`` gives (|f'(m)|, r * M2, E, cap) for
+    and E covers the rounding of f'(m) and of the bounds themselves.
+    ``cell_bounds(ends, mid, half)`` gives (f'(m), r * M2, E, cap) for
     every cell, each an array or one number (``_poly_cells``,
     ``_x2sininv_cells``).  The knapsack on the upper bounds gives
     Phi+ >= Phi, and on the lower ones Phi- <= Phi; the width is about
-    2 r M2 d.  Where the bracket leaves Phi(d) < epsilon open, it is
-    refined on 4 times as many cells, up to _MAX_CELLS.  None where a bound
-    overflows.
+    2 r M2 d.  Where the lower bound is positive f' keeps the sign of
+    f'(m) across the cell, which is the cell's direction.  Where the
+    bracket leaves Phi(d) < epsilon open, it is refined on 4 times as many
+    cells, up to _MAX_CELLS.  None where a bound overflows.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ends = np.minimum(np.linspace(lo, hi, cells + 1), hi)
         mid = 0.5 * (ends[:-1] + ends[1:])
         half = np.maximum(mid - ends[:-1], ends[1:] - mid)
         slope, spread, slack, cap = cell_bounds(ends, mid, half)
-        upper = np.minimum(slope + spread + slack, cap)
-        lower = np.maximum(slope - spread - slack, 0.0)
-    top = _Knapsack.build(upper, ends)
+        steep = np.abs(slope)
+        upper = np.minimum(steep + spread + slack, cap)
+        lower = np.maximum(steep - spread - slack, 0.0)
+    dirs = np.where(lower > 0, np.sign(slope), 0.0)
+    top = _Knapsack.build(upper, ends, dirs)
     if top is None:
         return None
 
@@ -1230,7 +1237,7 @@ def _envelope_phi(cell_bounds, lo, hi, cells: int) -> Phi | None:
                  else _envelope_phi(cell_bounds, lo, hi, 4 * cells))
         return None if finer is None else finer.below(d, epsilon)
 
-    return Phi(lo, hi, top, _Knapsack.build(lower, ends), refined_below)
+    return Phi(lo, hi, top, _Knapsack.build(lower, ends, dirs), refined_below)
 
 
 def _poly_cells(c):
@@ -1250,7 +1257,7 @@ def _poly_cells(c):
         slack = 8 * (n + 2) * (sys.float_info.epsilon
                                * (m1 + float(half.max()) * m2)
                                + math.ulp(0.0))
-        return np.abs(_horner(d1, mid)), half * m2, slack, math.inf
+        return _horner(d1, mid), half * m2, slack, math.inf
 
     return bounds
 
@@ -1274,7 +1281,7 @@ def _x2sininv_cells(ends, mid, half):
     least = np.where((ends[:-1] > 0) | (ends[1:] < 0),
                      np.minimum(left, right), 0.0)
     inv = 1.0 / mid
-    slope = np.abs(2.0 * mid * np.sin(inv) - np.cos(inv))
+    slope = 2.0 * mid * np.sin(inv) - np.cos(inv)
     spread = half * (2.0 + 2.0 / least + 1.0 / (least * least))
     slack = 8 * eps * (cap * (1.0 + 1.0 / least) + spread)
     loose = ~np.isfinite(slope + spread + slack)
@@ -1415,55 +1422,30 @@ def verify_certificate(f: FunctionSpec,
     """Prove or refuse a certificate by Phi(delta_1), or say that Phi
     could not decide it.
 
-    The adversarial collections of ``_glued_attack``, one glued interval
-    per piece, give the observed worst sum and its witness.  Where the
-    certificate window's ``Phi`` decides Phi(delta_1) < epsilon (method
-    "exact_sup"), the certificate passes iff it does and no glued sum
-    reaches epsilon.  Phi bounds every collection on the window, so this is
-    a proof that does not rest on the detected pieces.  A refused
-    certificate also gets ``Phi.witness``'s collection of total length
-    below delta_1, whose sum is near Phi(delta_1) or at least epsilon, when
-    it beats the glued ones.  Where a bracket stays open at _MAX_CELLS
-    cells, or a bound overflows, nothing is proved: ``passed`` is None
-    (method "undecided").  The report carries Phi(delta_1) and Phi's
-    budget, ``delta1_opt``, where they are known.
+    Phi bounds every collection on the certificate's window, with no
+    reference to the detected pieces.  Where it decides Phi(delta_1) <
+    epsilon (method "exact_sup"), the certificate passes iff it does and
+    the sum of ``Phi.witness``'s collection, of total length below
+    delta_1, is below epsilon.  That collection is the report's worst one:
+    its sum lies just under Phi(delta_1), or reaches epsilon for the
+    Cantor staircase.  Where a bracket stays open at _MAX_CELLS cells, or
+    a bound overflows, nothing is proved: ``passed`` is None (method
+    "undecided"); where Phi(delta_1) itself overflows, or no Phi exists,
+    the worst sum is 0.0 on the empty collection.  The report carries
+    Phi(delta_1) and Phi's budget, ``delta1_opt``, where they are known.
     """
     phi = exact_phi(f, cert.partition.points[0], cert.partition.points[-1])
-    below = sup = budget = None
-    if phi is not None:
-        below = phi.below(cert.delta1, cert.epsilon)
-        sup = phi.sup(cert.delta1)
-        budget = phi.budget(cert.epsilon)
-    worst_sum, worst_c = _glued_attack(f, cert)
-    if below is False:
-        witness = phi.witness(cert.delta1, cert.epsilon)
-        witness_sum = ac_sum(f, witness)
-        if witness_sum > worst_sum:
-            worst_sum, worst_c = witness_sum, witness
+    budget = None if phi is None else phi.budget(cert.epsilon)
+    sup = None if phi is None else phi.sup(cert.delta1)
+    if sup is None:
+        return VerificationReport(passed=None, worst_sum=0.0,
+                                  worst_collection=IntervalCollection(()),
+                                  method="undecided", delta1_opt=budget)
+    below = phi.below(cert.delta1, cert.epsilon)
+    witness = phi.witness(cert.delta1, cert.epsilon)
+    worst_sum = ac_sum(f, witness)
     return VerificationReport(
         passed=None if below is None else below and worst_sum < cert.epsilon,
-        worst_sum=worst_sum, worst_collection=worst_c,
+        worst_sum=worst_sum, worst_collection=witness,
         method="undecided" if below is None else "exact_sup",
-        sup=None if sup is None else sup.value, delta1_opt=budget)
-
-
-def _glued_attack(f: FunctionSpec, cert: Certificate) -> tuple:
-    """(worst sum, its collection) of one glued interval per piece.
-
-    Each is of length 0.999 * min(delta_1, piece length) at the piece's
-    favourable end (``glued_single_interval``): by the increment lemma and
-    the gluing bound its increment dominates every collection of that total
-    length on the piece, split ones included.  The first strictly largest
-    sum wins; none gives (0.0, the empty collection).
-    """
-    worst_sum = 0.0
-    worst_c = IntervalCollection(())
-    for piece in cert.monotone_pieces:
-        plen = piece.interval.hi - piece.interval.lo
-        # a subnormal piece length can round 0.999 * plen back to plen
-        length = 0.999 * min(cert.delta1, plen)
-        if 0 < length < plen:
-            rep = glued_single_interval(f, piece, length)
-            if rep.best_sum > worst_sum:
-                worst_sum, worst_c = rep.best_sum, rep.witness
-    return worst_sum, worst_c
+        sup=sup.value, delta1_opt=budget)

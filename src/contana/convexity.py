@@ -196,7 +196,7 @@ def detect_partition(grid: SampleGrid):
     if not runs:
         piece = IntervalSpec(float(xs[0]), float(xs[-1]))
         shape = ShapePiece(piece, Shape.AFFINE,
-                           _monotonicity_of(vs, 0, m - 1, mono_band), tol)
+                           _monotonicity_of(dv, mono_band), tol)
         return PiecewiseConvexPartition(shapes=(shape,), sign_change_count=0)
 
     sign_changes = len(runs) - 1
@@ -211,7 +211,7 @@ def detect_partition(grid: SampleGrid):
         piece = IntervalSpec(float(xs[lo_idx]), float(xs[hi_idx]))
         shape = Shape.CONVEX if run[0] > 0 else Shape.CONCAVE
         shapes.append(ShapePiece(piece, shape,
-                                 _monotonicity_of(vs, lo_idx, hi_idx,
+                                 _monotonicity_of(dv[lo_idx:hi_idx],
                                                   mono_band), tol))
     return PiecewiseConvexPartition(shapes=tuple(shapes),
                                     sign_change_count=sign_changes)
@@ -238,9 +238,9 @@ def _sign_runs(signs: np.ndarray, max_runs: int | None = None):
             for a, b in zip(firsts, lasts)]
 
 
-def _monotonicity_of(vs: np.ndarray, lo_idx: int, hi_idx: int,
-                     band: float) -> Monotonicity:
-    d = np.diff(vs[lo_idx:hi_idx + 1])
+def _monotonicity_of(d: np.ndarray, band: float) -> Monotonicity:
+    """Monotonicity of a piece from its steps d, each within band of 0
+    counted as flat."""
     if len(d) == 0:
         return Monotonicity.CONSTANT
     dmin, dmax = float(np.min(d)), float(np.max(d))

@@ -28,7 +28,7 @@ from .convexity import (
 from .continuity import (
     ac_certificate,
     ac_sum,
-    glued_single_interval,
+    exact_phi,
     gluing_bound_check,
     modulus_on_grid,
     random_collection,
@@ -129,10 +129,10 @@ def check_gluing() -> CriterionResult:
 
 
 def check_oracle_agreement() -> CriterionResult:
-    """The searched worst sum agrees with the glued closed form."""
+    """The searched worst sum agrees with the closed form Phi of sqrt, the
+    increment of one interval glued at 0."""
     f = catalog.sqrt_on_unit()
     window = IntervalSpec(0.0, 1.0)
-    piece = _single_piece(f)
     grid = sample(f, window, 401)
     rep = worst_ac_sum_oracle(grid, 0.25)
     spacing = float(grid.spacing)
@@ -140,15 +140,15 @@ def check_oracle_agreement() -> CriterionResult:
     upper = 0.5
     slack = 1e-12
     in_range = lower - slack <= rep.best_sum <= upper + slack
-    glued = glued_single_interval(f, piece, rep.witness.total_length)
+    glued = exact_phi(f, 0.0, 1.0).sup(rep.witness.total_length).value
     omega_h = modulus_on_grid(grid, [spacing]).omegas[0]
-    agree = abs(rep.best_sum - glued.best_sum) <= omega_h + slack
+    agree = abs(rep.best_sum - glued) <= omega_h + slack
     witness_sum = ac_sum(f, rep.witness)
     recomputable = abs(witness_sum - rep.best_sum) <= 1e-12
     ok = in_range and agree and recomputable
     return CriterionResult(3, "oracle-theory agreement", ok,
                            {"best_sum": rep.best_sum, "lower": lower,
-                            "upper": upper, "glued": glued.best_sum,
+                            "upper": upper, "glued": glued,
                             "omega_spacing": omega_h,
                             "witness_pairs": len(rep.witness),
                             "witness_total": float(rep.witness.total_length),

@@ -36,7 +36,6 @@ from contana import (
     evaluate,
     exact_phi,
     monotone_partition,
-    glued_single_interval,
     gluing_bound_check,
     modulus_on_grid,
     random_collection,
@@ -49,6 +48,7 @@ from contana import (
 from contana import catalog, continuity, function_model
 from contana.continuity import (
     _dp_pairs,
+    _favourable_interval,
     _glued_ends,
     _increment_step,
     _window_starts,
@@ -1198,9 +1198,10 @@ class TestWorstSumOracle:
                            Monotonicity.INCREASING, 0.0)
         grid = sample(f, IntervalSpec(0.0, 1.0), 401)
         rep = worst_ac_sum_oracle(grid, 0.25)
-        glued = glued_single_interval(f, piece, rep.witness.total_length)
+        glued = ac_sum(f, IntervalCollection((
+            _favourable_interval(piece, rep.witness.total_length),)))
         omega_h = modulus_on_grid(grid, [grid.spacing]).omegas[0]
-        assert abs(rep.best_sum - glued.best_sum) <= omega_h + 1e-12
+        assert abs(rep.best_sum - glued) <= omega_h + 1e-12
 
 
 class TestSplitCollection:
@@ -1290,9 +1291,8 @@ class TestCertificates:
             ac_sum(f, ver.worst_collection), abs=1e-12)
 
     def test_subnormal_piece_gets_no_glued_interval(self):
-        # 0.999 * 5e-324 rounds back to the piece length, which
-        # glued_single_interval refuses; the piece is left to Phi, which
-        # bounds the whole window
+        # a subnormal piece needs no interval of its own: Phi bounds the
+        # whole window, and its witness is the one collection built
         f = catalog.sqrt_on_unit()
         cert = Certificate(epsilon=0.5, delta1=0.1, monotone_pieces=tuple(
             ShapePiece(IntervalSpec(lo, hi), Shape.CONCAVE,
@@ -1427,9 +1427,9 @@ class TestIncrementStep:
             assert w < budget
             assert anchored[k - 1] - tol <= w <= anchored[k] + tol
 
-        # the glued interval that verify_certificate attacks with dominates
-        # the 2-, 4- and 8-part layouts of its length at the same end, so
-        # those stay below the budget too
+        # the glued interval at the favourable end dominates the 2-, 4-
+        # and 8-part layouts of its length at the same end, so those stay
+        # below the budget too
         total = 0.999 * step
         for c in favourable_end_layouts(piece, left, total):
             chk = gluing_bound_check(f, piece, c)
@@ -1621,6 +1621,19 @@ def rational_phi(f, lo, hi, d):
     return total
 
 
+def exact_value(f, x):
+    """f at the float x in exact rationals: the knots' interpolant, or the
+    polynomial."""
+    x = Fraction(x)
+    if f.kind == "poly":
+        return sum(Fraction(c) * x ** k for k, c in enumerate(f.coefficients))
+    knots = [(Fraction(a), Fraction(b)) for a, b in f.knots]
+    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+        if x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    return knots[-1][1]
+
+
 def quadratic_phi(f, lo, hi, d):
     """Phi(d) of a quadratic in exact rationals.  |p'| = L |x - v| with
     v = -c1 / (2 c2) and L = 2 |c2|, so on each side of v the window is
@@ -1652,6 +1665,15 @@ def sqrt_windows(draw):
     lo = draw(st.sampled_from([0.0, draw(st.floats(0.0, 100.0))]))
     return FunctionSpec.sqrt(IntervalSpec(0.0, 200.0)), lo, \
         lo + draw(st.floats(1e-3, 100.0))
+
+
+@st.composite
+def cantor_windows(draw):
+    lo, hi = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2,
+                                  max_size=2)))
+    if not hi - lo > 1e-3:
+        lo, hi = 0.0, 1.0
+    return catalog.cantor_on_unit(), lo, hi
 
 
 @st.composite
@@ -1692,8 +1714,9 @@ class TestExactSup:
         for shape in (Shape.CONVEX, Shape.CONCAVE):  # right, left anchor
             piece = ShapePiece(window, shape, Monotonicity.INCREASING, 0.0)
             if 0 < 0.999 * d < hi - lo:
-                rep = glued_single_interval(f, piece, 0.999 * d)
-                assert below(rep.best_sum, 1), (rep, sup)
+                glued = ac_sum(f, IntervalCollection((
+                    _favourable_interval(piece, 0.999 * d),)))
+                assert below(glued, 1), (glued, sup)
         grid = sample(f, window, 257)
         if grid.uniform and d > grid.spacing:
             rep = worst_ac_sum_oracle(grid, d, 8)
@@ -1705,6 +1728,64 @@ class TestExactSup:
         at = phi.sup(total)
         assert ac_sum(f, witness) >= (at.value - at.rounding
                                       - len(witness) * per_pair), (witness, at)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(pwl_windows(), pwl_windows(ties=True),
+                     poly_windows(degrees=(2, 4))), st.floats(1e-3, 1.0))
+    def test_witness_glues_monotone_runs(self, case, share):
+        # touching intervals over which f keeps one direction become one:
+        # against the same knapsack without directions, the witness has no
+        # more intervals and the same exact sum, and the cut interval's
+        # run stays last, where Phi.witness trims it
+        f, lo, hi = case
+        d = share * (hi - lo)
+        phi = exact_phi(f, lo, hi)
+        knapsack = phi.lower
+        glued = knapsack.pairs(d, math.inf)
+        apart = knapsack._replace(dirs=np.zeros_like(knapsack.dirs)).pairs(
+            d, math.inf)
+        assert phi.witness(d, math.inf).total_length < d
+        assert len(glued) <= len(apart)
+
+        def exact_sum(pairs):
+            return sum(abs(exact_value(f, y) - exact_value(f, x))
+                       for x, y in pairs)
+
+        assert exact_sum(glued) == exact_sum(apart)
+        ends, dirs = knapsack.ends, knapsack.dirs
+        runs = sorted(glued)
+        for (_, y), (x, _) in zip(runs, runs[1:]):
+            if y == x:  # touching runs meet at an end of the window's cells
+                i = int(np.searchsorted(ends, x))
+                assert ends[i] == x
+                assert dirs[i - 1] == 0 or dirs[i - 1] != dirs[i]
+        k = min(int(np.searchsorted(knapsack.reach, d)), len(ends) - 2)
+        cut = ends[knapsack.order[k]]
+        assert glued[-1][0] <= cut <= glued[-1][1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(pwl_windows(), sqrt_windows(), poly_windows(),
+                     x2sininv_windows(), cantor_windows()),
+           st.floats(1e-3, 1.0), st.floats(1e-3, 10.0))
+    def test_decided_worst_sum_is_below_phi(self, case, share, epsilon):
+        # the report's worst collection is Phi's witness: its sum never
+        # passes Phi(delta1) by more than Phi's rounding and that of its
+        # increments, whatever the piece that the certificate names
+        f, lo, hi = case
+        d = share * (hi - lo)
+        cert = Certificate(epsilon=epsilon, delta1=d, monotone_pieces=(
+            ShapePiece(IntervalSpec(lo, hi), Shape.CONCAVE,
+                       Monotonicity.INCREASING, 0.0),))
+        ver = verify_certificate(f, cert)
+        if ver.method != "exact_sup":
+            return
+        sup = exact_phi(f, lo, hi).sup(d)
+        assert ver.worst_collection.total_length < d
+        assert ver.worst_sum <= (sup.value + sup.rounding
+                                 + len(ver.worst_collection)
+                                 * pair_rounding(f, lo, hi))
+        # and a proved certificate never shows a sum at epsilon
+        assert not ver.passed or ver.worst_sum < epsilon
 
     @pytest.mark.parametrize("f", [
         catalog.cubed(-0.5, 0.0),
@@ -1829,8 +1910,8 @@ class TestExactSup:
         (catalog.sqrt_on_unit(), 0.1), (ZIGZAG, 0.1)], ids=["sqrt", "zigzag"])
     def test_verification_builds_few_collections(self, f, epsilon,
                                                  monkeypatch):
-        # one glued interval per piece and the empty start are all that a
-        # proved certificate builds, and nothing is evaluated in bulk
+        # Phi's witness is the one collection that a proved certificate
+        # builds, and nothing is evaluated in bulk
         cert = ac_certificate(f, monotone_partition(f, 501).pieces, epsilon)
         built = []
         init = IntervalCollection.__post_init__
@@ -1843,7 +1924,7 @@ class TestExactSup:
         with mock.patch.object(function_model, "_bulk_values",
                                wraps=function_model._bulk_values) as bulk:
             assert verify_certificate(f, cert).passed
-        assert len(built) <= len(cert.monotone_pieces) + 1
+        assert len(built) == 1
         assert bulk.call_count == 0
 
     @settings(max_examples=150, deadline=None)
@@ -1985,8 +2066,9 @@ class TestExactSup:
         assert phi.below(1.0, math.nextafter(0.1, 1))
 
     def test_spike_between_grid_points_is_not_verified(self):
-        # the grids see one increasing affine piece, whose glued interval
-        # stays below epsilon; Phi takes both sides of the spike first
+        # the grids see one increasing affine piece, whose interval at
+        # the favourable end stays below epsilon; Phi takes both sides of
+        # the spike first
         f = FunctionSpec.piecewise_linear(
             ((0.0, 0.0), (0.300011, 0.300011), (0.300013, 5.0),
              (0.300015, 0.300015), (1.0, 1.0)))
@@ -1996,10 +2078,12 @@ class TestExactSup:
         assert ver.sup == pytest.approx(9.489, abs=1e-3)
         budget = exact_phi(f, 0.0, 1.0).budget(0.1)
         assert ver.delta1_opt == budget < 1e-7 < cert.delta1
-        # the glued interval misses the spike; the report shows the
-        # collection that Phi takes: both sides of the spike and the rest
-        # of delta1 on the slope-1 segments
-        assert continuity._glued_attack(f, cert)[0] < 0.1
+        # the report shows the collection that Phi takes: both sides of
+        # the spike, which f climbs and falls, so they stay two intervals,
+        # and the rest of delta1 on the first slope-1 segment
+        first, *spike = ver.worst_collection.pairs
+        assert spike == [(0.300011, 0.300013), (0.300013, 0.300015)]
+        assert first[0] == 0.0 and first[1] < cert.delta1
         assert ver.worst_collection.total_length < cert.delta1
         assert ver.worst_sum == ac_sum(f, ver.worst_collection)
         assert ver.worst_sum == pytest.approx(ver.sup, rel=1e-12)
@@ -2089,6 +2173,22 @@ class TestExactSup:
         ver = verify_certificate(f, cert)
         assert (ver.method, ver.passed, ver.sup, ver.delta1_opt) == (
             "undecided", None, None, None)
+
+    def test_overflowing_sup_builds_no_witness(self):
+        # finite slopes whose sum overflows: Phi(delta1) is not known, and
+        # the witness's sum would overflow too, so none is built
+        f = FunctionSpec.piecewise_linear(
+            ((0.0, 0.0), (1.0, 1e308), (2.0, 0.0), (3.0, 1e308), (4.0, 0.0)))
+        phi = exact_phi(f, 0.0, 4.0)
+        assert phi is not None and phi.sup(3.5) is None
+        cert = Certificate(epsilon=1.0, delta1=3.5, monotone_pieces=(
+            ShapePiece(IntervalSpec(0.0, 4.0), Shape.CONCAVE,
+                       Monotonicity.INCREASING, 0.0),))
+        ver = verify_certificate(f, cert)
+        assert (ver.method, ver.passed, ver.sup, ver.worst_sum) == (
+            "undecided", None, None, 0.0)
+        assert len(ver.worst_collection) == 0
+        assert ver.delta1_opt == phi.budget(1.0)
 
     def test_sine_table_window(self):
         # |cos| rearranged: the steepest length d sits around 0, pi and
