@@ -97,7 +97,12 @@ def analyze(fn_text: str, interval_text: str,
     """Full pipeline: clip, detect, refine, certify, verify; returns a report.
 
     Detection and its verdict are ``monotone_partition``'s, at base
-    resolution ``settings.grid_m``.
+    resolution ``settings.grid_m``.  The report is ``_verdict``'s, with
+    three tables added: the modulus curve of the base grid, the
+    increment-curve check of each piece (``gsigma``) and ``worst_sums``.
+    ``worst_sums`` is a worst-sum search at budget span/20 on an
+    ORACLE_POINTS grid, run only where no certificate exists; a
+    certificate's worst collection is Phi's witness, in ``verification``.
     """
     window = parse_interval(interval_text)
     f = parse_function(fn_text, window)  # its domain lies in the window
@@ -109,14 +114,55 @@ def analyze(fn_text: str, interval_text: str,
         raise InsufficientData(
             f"the window {clipped} is too narrow for a uniform "
             f"{ORACLE_POINTS}-point grid (the worst-sum search needs one)")
-    base_grid = result.grids[0]
-    resolutions = [len(grid) for grid in result.grids]
+    report = _verdict(fn_text, f, result, settings)
 
+    base_grid = result.grids[0]
+    report["modulus"] = [[d, w] for d, w in _modulus_curve(base_grid).samples]
+    report["gsigma"] = []
+    for i, piece in enumerate(result.pieces):  # empty unless stable
+        sigma = (piece.interval.hi - piece.interval.lo) / 4.0
+        rep = check_gsigma_monotone(f, piece, sigma, m=GSIGMA_SAMPLES)
+        report["gsigma"].append({
+            "piece": i,
+            "sigma": sigma,
+            "direction": rep.direction.value,
+            "max_violation": rep.max_violation,
+            "ok": rep.ok,
+        })
+    report["worst_sums"] = []
+    budget = float(base_grid.span) / 20.0
+    if report["certificate"] is None and budget > oracle_grid.spacing:
+        rep = worst_ac_sum_oracle(oracle_grid, budget)
+        report["worst_sums"].append({
+            "delta": float(rep.delta),
+            "best_sum": rep.best_sum,
+            "method": rep.method,
+            "grid_spacing": rep.grid_spacing,
+            "witness_intervals": len(rep.witness),
+            "witness_total_length": float(rep.witness.total_length),
+        })
+    return report
+
+
+def _verdict(fn_text: str, f, result, settings: AnalysisSettings) -> dict:
+    """The report of f without its tables, from ``monotone_partition``'s
+    result: detection, pieces, the certificate and its verification, and
+    the verdicts.
+
+    ``certify`` prints it as it is and ``analyze`` adds its tables.  It is
+    the one place that builds and verifies a certificate: where the
+    partition is stable, ``ac_certificate`` gives the certificate, or an
+    Unachievable whose message becomes ``certificate_error``, and
+    ``verify_certificate`` checks it with one Phi.  ``delta1_opt`` is the
+    largest budget that Phi proves on the certificate's window (None where
+    Phi is unknown).
+    """
+    resolutions = [len(grid) for grid in result.grids]
     report = {
         "schema": SCHEMA_VERSION,
         "tool": "contana",
         "function": fn_text.strip(),
-        "window": str(clipped),
+        "window": str(clip_window(f.domain)),
         "settings": {
             "epsilon": settings.epsilon,
             "grid": settings.grid_m,
@@ -134,18 +180,10 @@ def analyze(fn_text: str, interval_text: str,
         },
         "partition": None,
         "pieces": [],
-        "gsigma": [],
-        "modulus": [],
         "certificate": None,
         "certificate_error": None,
-        "worst_sums": [],
         "verification": None,
     }
-
-    span = float(base_grid.span)
-    report["modulus"] = [[d, w] for d, w in _modulus_curve(base_grid).samples]
-
-    certificate = None
     verification = None
     if result.stable:
         report["partition"] = list(result.partition.points)
@@ -156,48 +194,27 @@ def analyze(fn_text: str, interval_text: str,
              "tolerance": p.tolerance}
             for p in result.pieces
         ]
-        for i, piece in enumerate(result.pieces):
-            plen = piece.interval.hi - piece.interval.lo
-            sigma = plen / 4.0
-            rep = check_gsigma_monotone(f, piece, sigma, m=GSIGMA_SAMPLES)
-            report["gsigma"].append({
-                "piece": i,
-                "sigma": sigma,
-                "direction": rep.direction.value,
-                "max_violation": rep.max_violation,
-                "ok": rep.ok,
-            })
         try:
-            certificate = ac_certificate(f, result.pieces, settings.epsilon)
+            cert = ac_certificate(f, result.pieces, settings.epsilon)
         except Unachievable as exc:
             report["certificate_error"] = str(exc)
-    if certificate is not None:
-        verification = verify_certificate(f, certificate)
-        report["certificate"] = _certificate_block(certificate,
-                                                   verification.delta1_opt)
-        report["verification"] = {
-            "passed": verification.passed,
-            "method": verification.method,
-            "sup": verification.sup,
-            "worst_sum": verification.worst_sum,
-            "worst_collection": [[float(x), float(y)] for x, y in
-                                 verification.worst_collection.pairs],
-        }
-        budgets = [certificate.delta1]
-    else:
-        budgets = [span / 20.0]
-    for budget in budgets:
-        if budget > oracle_grid.spacing:
-            rep = worst_ac_sum_oracle(oracle_grid, budget)
-            report["worst_sums"].append({
-                "delta": float(rep.delta),
-                "best_sum": rep.best_sum,
-                "method": rep.method,
-                "grid_spacing": rep.grid_spacing,
-                "witness_intervals": len(rep.witness),
-                "witness_total_length": float(rep.witness.total_length),
-            })
-
+        else:
+            verification = verify_certificate(f, cert)
+            report["certificate"] = {
+                "epsilon": cert.epsilon,
+                "delta1": cert.delta1,
+                "delta1_opt": verification.delta1_opt,
+                "per_piece_budget": cert.per_piece_budget,
+                "partition": list(cert.partition.points),
+            }
+            report["verification"] = {
+                "passed": verification.passed,
+                "method": verification.method,
+                "sup": verification.sup,
+                "worst_sum": verification.worst_sum,
+                "worst_collection": [[float(x), float(y)] for x, y in
+                                     verification.worst_collection.pairs],
+            }
     report["verdicts"] = {
         "piecewise_convex": result.stable,
         # every kind is continuous and every window compact (clip_window),
@@ -212,6 +229,17 @@ def analyze(fn_text: str, interval_text: str,
     return report
 
 
+def _exit_code(report: dict) -> int:
+    """3 for an unachievable certificate, 1 for one that Phi refused or
+    could not decide, else 0."""
+    if report["certificate_error"]:
+        return EXIT_UNACHIEVABLE
+    verification = report["verification"]
+    if verification is not None and verification["passed"] is not True:
+        return EXIT_VIOLATED
+    return EXIT_OK
+
+
 def _modulus_curve(grid):
     """The modulus on MODULUS_POINTS geometric deltas (duplicates dropped)
     from two grid steps (``SampleGrid.step``) up to the span."""
@@ -220,19 +248,6 @@ def _modulus_curve(grid):
     ratio = (hi / lo) ** (1.0 / (MODULUS_POINTS - 1))
     ladder = [lo * ratio ** i for i in range(MODULUS_POINTS - 1)] + [hi]
     return modulus_on_grid(grid, sorted(set(ladder)))
-
-
-def _certificate_block(cert, delta1_opt) -> dict:
-    """The certificate's numbers, and delta1_opt: the largest budget that
-    Phi proves on the certificate's window (None where Phi is unknown)."""
-    points = cert.partition.points
-    return {
-        "epsilon": cert.epsilon,
-        "delta1": cert.delta1,
-        "delta1_opt": delta1_opt,
-        "per_piece_budget": cert.per_piece_budget,
-        "partition": list(points),
-    }
 
 
 def _gsigma_table(f, lo: float, hi: float, sigma: float):
@@ -285,18 +300,12 @@ def cmd_analyze(args) -> int:
     # --seed is accepted and checked, but no number depends on it
     settings = AnalysisSettings(epsilon=args.epsilon, grid_m=args.grid)
     report = analyze(args.fn, args.interval, settings)
-    code = EXIT_OK
-    if report["certificate_error"]:
-        code = EXIT_UNACHIEVABLE
-    elif report["verification"] and (
-            report["verification"]["passed"] is not True):
-        code = EXIT_VIOLATED
     payload = _dump_json(report)
     if args.json:
         _atomic_write(args.json, payload)
     else:
         sys.stdout.write(payload.decode())
-    return code
+    return _exit_code(report)
 
 
 def cmd_modulus(args) -> int:
@@ -399,25 +408,11 @@ def cmd_check_glue(args) -> int:
 def cmd_certify(args) -> int:
     f = parse_function(args.fn, parse_interval(args.interval))
     result = monotone_partition(f, args.grid)
-    if not result.stable:
-        sys.stdout.write(_dump_json({
-            "certificate": None,
-            "reason": "not piecewise convex at this resolution",
-            "sign_change_count": result.sign_change_counts[-1],
-        }).decode())
-        return EXIT_VIOLATED
-    cert = ac_certificate(f, result.pieces, args.epsilon)
-    ver = verify_certificate(f, cert)
-    sys.stdout.write(_dump_json({
-        **_certificate_block(cert, ver.delta1_opt),
-        "sup": ver.sup,
-        "pieces": [{"interval": [p.interval.lo, p.interval.hi],
-                    "shape": p.shape.value,
-                    "monotonicity": p.monotonicity.value}
-                   for p in cert.monotone_pieces],
-    }).decode())
-    # analyze's verdict: refused or not proved exits 1
-    return EXIT_OK if ver.passed else EXIT_VIOLATED
+    report = _verdict(args.fn, f, result,
+                      AnalysisSettings(epsilon=args.epsilon, grid_m=args.grid))
+    sys.stdout.write(_dump_json(report).decode())
+    # with no stable partition there is no certificate to print: exit 1
+    return _exit_code(report) if result.stable else EXIT_VIOLATED
 
 
 _SUITE_ENTRIES = (
@@ -641,9 +636,6 @@ def main(argv=None) -> int:
         # a uniform grid at the requested size: not an internal failure
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except Unachievable as exc:
-        sys.stderr.write(f"unachievable: {exc}\n")
-        return EXIT_UNACHIEVABLE
     except OSError as exc:
         sys.stderr.write(f"I/O error: {exc}\n")
         return EXIT_IO
