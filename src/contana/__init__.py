@@ -4,7 +4,6 @@ from .errors import (
     BudgetError,
     ContanaError,
     DomainError,
-    EmptyCollection,
     GeometryError,
     InsufficientData,
     KindError,

@@ -4,10 +4,10 @@ The central objects are finite collections of nonoverlapping subintervals
 {(x_i, y_i)} with a total-length budget.  Four complementary tools bound or
 search their increment sums sum |f(y_i) - f(x_i)|:
 
-* ``gluing_bound_check`` packs a collection into one
-  contiguous interval of the same total length, anchored at the end where
-  increments are largest; on monotone convex/concave pieces the packed
-  increment dominates the collection's sum.
+* ``gluing_bound_check`` glues a collection of total length L into one
+  interval, [x_1, x_1 + L] or [y_n - L, y_n] at the end where increments
+  are largest, clamped into the piece; on monotone convex/concave pieces
+  its increment dominates the collection's sum.
 * ``worst_ac_sum_oracle`` finds the grid-aligned collection with the largest
   increment sum: in closed form when the largest grid steps within the
   budget, rounding-level ties taken lowest index first so that a linear
@@ -47,7 +47,6 @@ from .convexity import (
 )
 from .errors import (
     BudgetError,
-    EmptyCollection,
     GeometryError,
     InsufficientData,
     PreconditionError,
@@ -432,33 +431,6 @@ def _window_starts(grid: SampleGrid, delta, ends=None) -> np.ndarray:
 # Gluing
 # ---------------------------------------------------------------------------
 
-def _glued_ends(c: IntervalCollection, anchor: Anchor) -> tuple:
-    """Ends (z_1, z_{n+1}) of the collection packed into one interval.
-
-    Left-anchored: z_1 = x_1 and the pair lengths are added one by one from
-    the left.  Right-anchored: z_{n+1} = y_n and they are subtracted one by
-    one from the right.  Every partial sum must move the running end.
-    """
-    if len(c) == 0:
-        raise EmptyCollection("cannot glue an empty collection")
-    sigmas = [y - x for x, y in c.pairs]
-    if anchor is Anchor.LEFT:
-        start = end = c.pairs[0][0]
-        for s in sigmas:
-            end, previous = end + s, end
-            if not end > previous:
-                raise GeometryError(
-                    "chain breakpoints collapsed; lengths too small")
-    else:
-        start = end = c.pairs[-1][1]
-        for s in reversed(sigmas):
-            start, previous = start - s, start
-            if not start < previous:
-                raise GeometryError(
-                    "chain breakpoints collapsed; lengths too small")
-    return start, end
-
-
 def _anchor_for(piece: ShapePiece) -> Anchor:
     direction = expected_direction(piece)
     if direction is Direction.NONDECREASING:
@@ -477,38 +449,34 @@ def _favourable_interval(piece: ShapePiece, d):
     return max(lo, hi - d), hi
 
 
-def _clamp_into(x, lo, hi, slack):
-    if x < lo:
-        if lo - x > slack:
-            raise GeometryError(f"chain point {x} escapes piece [{lo}, {hi}]")
-        return lo
-    if x > hi:
-        if x - hi > slack:
-            raise GeometryError(f"chain point {x} escapes piece [{lo}, {hi}]")
-        return hi
-    return x
+def _glued_interval(c: IntervalCollection, anchor: Anchor, lo, hi) -> tuple:
+    """The nonempty collection packed into one interval of its total length
+    L (``fsum`` of the pair lengths), clamped into [lo, hi]: (x_1, x_1 + L)
+    when left-anchored, (y_n - L, y_n) when right-anchored."""
+    (x, _), (_, y) = c.pairs[0], c.pairs[-1]
+    if anchor is Anchor.LEFT:
+        return x, min(hi, x + c.total_length)
+    return max(lo, y - c.total_length), y
 
 
 def gluing_bound_check(f: FunctionSpec, piece: ShapePiece, c: IntervalCollection,
                        tol: float | None = None) -> GluingCheck:
     """Check that the glued single increment dominates the collection sum.
 
-    The chain is anchored at the end where increments are largest: left when
-    the increment curve is nonincreasing, right when nondecreasing.  Reports
-    lhs = sum |f(y_i) - f(x_i)| and rhs = |f(z_{n+1}) - f(z_1)|.
+    The glued interval (``_glued_interval``) is anchored at the end where
+    increments are largest: left when the increment curve is nonincreasing,
+    right when nondecreasing.  Reports lhs = sum |f(y_i) - f(x_i)| and rhs,
+    its increment; both are 0 for an empty collection.
     """
     lo, hi = piece.interval.lo, piece.interval.hi
     for x, y in c.pairs:
         if x < lo or y > hi:
             raise GeometryError(f"pair ({x}, {y}) leaves the piece [{lo}, {hi}]")
     anchor = _anchor_for(piece)
-    z_first, z_last = _glued_ends(c, anchor)
-    span = hi - lo
-    slack = 16.0 * sys.float_info.epsilon * (abs(lo) + abs(hi) + span) * max(1, len(c))
-    z_first = _clamp_into(z_first, lo, hi, slack)
-    z_last = _clamp_into(z_last, lo, hi, slack)
-    lhs = ac_sum(f, c)
-    rhs = abs(evaluate(f, z_last) - evaluate(f, z_first))
+    lhs, rhs = ac_sum(f, c), 0.0
+    if c.pairs:
+        z_first, z_last = _glued_interval(c, anchor, lo, hi)
+        rhs = abs(evaluate(f, z_last) - evaluate(f, z_first))
     if tol is None:
         tol = 1e-9 * max(1.0, abs(lhs), abs(rhs))
     return GluingCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol,

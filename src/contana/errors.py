@@ -37,10 +37,6 @@ class BudgetError(ContanaError):
     """A length budget is unusable (too small for the grid, or too large)."""
 
 
-class EmptyCollection(ContanaError):
-    """An interval collection was empty where at least one pair is required."""
-
-
 class Unachievable(ContanaError):
     """No positive step size meets the requested increment bound."""
 

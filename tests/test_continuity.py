@@ -1,5 +1,6 @@
 """Tests for the modulus, gluing, worst-sum search and certificates."""
 
+import functools
 import math
 import sys
 import tracemalloc
@@ -10,16 +11,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contana import (
     Anchor,
     BudgetError,
     Certificate,
-    EmptyCollection,
     FunctionSpec,
     GeometryError,
+    InsufficientData,
     IntervalCollection,
     IntervalSpec,
     Monotonicity,
@@ -49,12 +50,13 @@ from contana import catalog, continuity, function_model
 from contana.continuity import (
     _dp_pairs,
     _favourable_interval,
-    _glued_ends,
+    _glued_interval,
     _increment_step,
     _window_starts,
 )
 from contana.function_model import uniform_abscissae
 from contana.report_cli import _modulus_curve
+from contana.suite_checks import _direction_cases, _single_piece
 
 
 # ---------------------------------------------------------------------------
@@ -813,28 +815,71 @@ class TestGluingBound:
             gluing_bound_check(f, piece, IntervalCollection(((0.4, 0.6),)))
 
 
+def glued_ends_chain(c, anchor, lo, hi):
+    """The glued interval by the proof's chain, the reference for the closed
+    form: from z_1 = x_1 the pair lengths are added one by one
+    (left-anchored), or from z_{n+1} = y_n subtracted one by one
+    (right-anchored), and both ends are then clamped into [lo, hi]."""
+    sigmas = [y - x for x, y in c.pairs]
+    if anchor is Anchor.LEFT:
+        start = end = c.pairs[0][0]
+        for s in sigmas:
+            end += s
+    else:
+        start = end = c.pairs[-1][1]
+        for s in reversed(sigmas):
+            start -= s
+    return min(max(start, lo), hi), min(max(end, lo), hi)
+
+
+@st.composite
+def collections_in(draw, lo, hi):
+    """1-32 sorted pairs in [lo, hi]: distinct drawn points taken two at a
+    time, or all touching, each pair starting where the last one ends."""
+    points = sorted(set(draw(st.lists(st.floats(lo, hi), min_size=2,
+                                      max_size=64))))
+    assume(len(points) >= 2)
+    if draw(st.booleans()):
+        pairs = list(zip(points, points[1:]))
+    else:
+        pairs = list(zip(points[::2], points[1::2]))
+    return IntervalCollection(tuple(pairs[:32]))
+
+
+GLUE_WINDOWS = ((0.0, 1.0), (0.05, 1.0), (1e6, 1e6 + 1.0))
+
+
+@functools.cache
+def criterion_2_piece(name):
+    """Suite criterion 2's function of that name and its one piece."""
+    f = next(f for n, f, _ in _direction_cases() if n == name)
+    return f, _single_piece(f)
+
+
 class TestGlueChain:
     def test_left_anchored(self):
         c = IntervalCollection(((0.0, 0.1), (0.3, 0.4)))
-        start, end = _glued_ends(c, Anchor.LEFT)
+        start, end = _glued_interval(c, Anchor.LEFT, 0.0, 1.0)
         assert start == 0.0
         assert end == pytest.approx(0.2, abs=1e-15)
 
     def test_right_anchored(self):
         c = IntervalCollection(((0.0, 0.1), (0.3, 0.4)))
-        start, end = _glued_ends(c, Anchor.RIGHT)
+        start, end = _glued_interval(c, Anchor.RIGHT, 0.0, 1.0)
         assert end == 0.4
         assert start == pytest.approx(0.2, abs=1e-15)
 
     def test_single_pair_identity(self):
         c = IntervalCollection(((0.2, 0.7),))
         for anchor in (Anchor.LEFT, Anchor.RIGHT):
-            assert _glued_ends(c, anchor) == (0.2, 0.7)
+            assert _glued_interval(c, anchor, 0.0, 1.0) == (0.2, 0.7)
 
     def test_empty(self):
-        for anchor in (Anchor.LEFT, Anchor.RIGHT):
-            with pytest.raises(EmptyCollection):
-                _glued_ends(IntervalCollection(()), anchor)
+        # an empty collection glues to nothing: lhs = rhs = 0, which holds
+        f, pieces = sqrt_on_unit_pieces()
+        chk = gluing_bound_check(f, pieces[0], IntervalCollection(()))
+        assert (chk.lhs, chk.rhs, chk.holds) == (0.0, 0.0, True)
+        assert chk.direction_used is Anchor.LEFT
 
     def test_glued_length_is_total_length(self):
         rng = np.random.default_rng(3)
@@ -843,9 +888,51 @@ class TestGlueChain:
             if len(c) == 0:
                 continue
             for anchor in (Anchor.LEFT, Anchor.RIGHT):
-                start, end = _glued_ends(c, anchor)
+                start, end = _glued_interval(c, anchor, 0.0, 1.0)
                 assert abs((end - start) - c.total_length) <= (
                     len(c) * math.ulp(max(abs(start), abs(end))))
+
+    @pytest.mark.parametrize("lo, hi", GLUE_WINDOWS)
+    @given(data=st.data())
+    def test_matches_the_chain(self, lo, hi, data):
+        c = data.draw(collections_in(lo, hi))
+        # the chain rounds once per pair, the closed form twice in all
+        tol = len(c) * math.ulp(max(abs(lo), abs(hi)))
+        for anchor in (Anchor.LEFT, Anchor.RIGHT):
+            start, end = _glued_interval(c, anchor, lo, hi)
+            ref_start, ref_end = glued_ends_chain(c, anchor, lo, hi)
+            assert abs(start - ref_start) <= tol
+            assert abs(end - ref_end) <= tol
+            assert lo <= start <= end <= hi
+
+    @pytest.mark.parametrize("name", [name for name, _, _ in _direction_cases()])
+    @given(data=st.data())
+    @settings(max_examples=50)
+    def test_holds_matches_the_chain(self, name, data):
+        f, piece = criterion_2_piece(name)
+        lo, hi = piece.interval.lo, piece.interval.hi
+        c = data.draw(collections_in(lo, hi))
+        chk = gluing_bound_check(f, piece, c, tol=1e-9)
+        start, end = glued_ends_chain(c, chk.direction_used, lo, hi)
+        ref_rhs = abs(evaluate(f, end) - evaluate(f, start))
+        assert chk.holds == (chk.lhs <= ref_rhs + 1e-9)
+
+    @pytest.mark.parametrize("lo, hi, pairs", [
+        # x_1 + L rounds one ulp above hi, 1.0000000000000002
+        (0.0, 1.0, ((0.11, 0.41), (0.41, 1.0))),
+        # on a window far from zero the lengths are exact, so the glued
+        # end lands on hi
+        (1e6, 1e6 + 1.0, ((1e6, 1e6 + 0.3), (1e6 + 0.3, 1e6 + 1.0))),
+    ])
+    def test_end_at_hi_clamps(self, lo, hi, pairs):
+        c = IntervalCollection(pairs)
+        assert _glued_interval(c, Anchor.LEFT, lo, hi) == (pairs[0][0], hi)
+        f = catalog.affine_fn(3.0, 1.0, lo, hi)
+        piece = ShapePiece(IntervalSpec(lo, hi), Shape.AFFINE,
+                           Monotonicity.INCREASING, 0.0)
+        chk = gluing_bound_check(f, piece, c)
+        assert chk.direction_used is Anchor.LEFT
+        assert chk.holds
 
 
 class TestWorstSumOracle:
@@ -1446,6 +1533,45 @@ class TestRandomCollection:
             assert float(c.total_length) <= 0.2 + 1e-12
             for x, y in c.pairs:
                 assert 0.25 <= x < y <= 1.5
+
+
+def sqrt_pieces_with_a_gap():
+    """sqrt's one piece split into [0, 0.25] and [0.5, 1], leaving a gap."""
+    return tuple(ShapePiece(IntervalSpec(lo, hi), Shape.CONCAVE,
+                            Monotonicity.INCREASING, 0.0)
+                 for lo, hi in ((0.0, 0.25), (0.5, 1.0)))
+
+
+def sqrt_unit_grid(xs=(0.0, 0.25, 0.5, 0.75, 1.0)):
+    xs = np.array(xs)
+    return SampleGrid(xs, np.sqrt(xs))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ac_certificate(catalog.sqrt_on_unit(),
+                            sqrt_on_unit_pieces()[1], 0.0),
+     ValueError, "epsilon must be positive"),
+    (lambda: ac_certificate(catalog.sqrt_on_unit(), (), 0.1),
+     PreconditionError, "at least one piece is required"),
+    (lambda: ac_certificate(catalog.sqrt_on_unit(),
+                            sqrt_pieces_with_a_gap(), 0.1),
+     PreconditionError, "pieces do not tile the window contiguously"),
+    (lambda: worst_ac_sum_oracle(sqrt_unit_grid(), 0.5, max_intervals=0),
+     ValueError, "max_intervals must be >= 1"),
+    (lambda: worst_ac_sum_oracle(sqrt_unit_grid((0.0, 0.1, 0.5, 1.0)), 0.5),
+     InsufficientData, "the worst-sum search requires a uniform grid"),
+    (lambda: modulus_on_grid(sqrt_unit_grid(), []),
+     InsufficientData, "at least one delta is required"),
+    (lambda: random_collection(np.random.default_rng(0), 0.0, 1.0, 1.5, 3),
+     GeometryError, "total 1.5 must lie in (0, 1.0)"),
+    (lambda: random_collection(np.random.default_rng(0), 0.0, 1.0, 0.5, 0),
+     ValueError, "n must be >= 1"),
+], ids=["epsilon-0", "no-pieces", "gap", "max-intervals-0", "non-uniform",
+        "no-deltas", "total-over-span", "n-0"])
+def test_bad_input_raises(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def layout(w, g, total, lo, hi):

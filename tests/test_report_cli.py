@@ -395,6 +395,33 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err == f"parse error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--fn", "poly:1,abc", "--interval", "[0,1]"],
+         "bad number 'abc'"),
+        (["analyze", "--fn", "pwl:0:0,1", "--interval", "[0,1]"],
+         "bad pair '1', expected x:y"),
+        (["check-glue", "--fn", "sqrt", "--interval", "[0,1]",
+          "--pairs", "0.1:0.1"], "degenerate pair (0.1, 0.1)"),
+        (["check-glue", "--fn", "sqrt", "--interval", "[0,0.5]",
+          "--pairs", "0.4:0.6"], "pairs must lie inside the window [0.0,0.5]"),
+    ])
+    def test_bad_spec_or_pairs_parse_error(self, capsys, argv, message):
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {message}\n"
+
+    def test_check_lemma1_skips_pieces_no_longer_than_sigma(self, capsys):
+        # the zigzag's two middle pieces are 0.2 long
+        code = main(["check-lemma1", "--fn", "pwl:0:0,0.3:0.6,0.7:0.2,1:0.5",
+                     "--interval", "[0,1]", "--sigma", "0.25"])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        assert sum(line.endswith(": skipped (length <= sigma)")
+                   for line in lines) == 2
+        assert lines[0].endswith(" OK") and lines[3].endswith(" OK")
+
     def test_missing_table_io_error(self, tmp_path, capsys):
         code = main(["analyze", "--fn", f"table@{tmp_path / 'missing.csv'}",
                      "--interval", "[0,1]", "--grid", "101"])
