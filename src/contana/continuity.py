@@ -222,15 +222,14 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
     """Modulus curve on an explicit grid, exact at every grid size.
 
     omega(delta) is the largest |v_j - v_i| over grid pairs with
-    x_j - x_i <= delta, compared in the abscissae's own arithmetic (float or
-    exact rational), made nondecreasing by a running maximum.  It is read as
-    the largest max - min over the windows [s_j, j] within delta of x_j
-    (float subtraction is monotone, so the values are a pair scan's).  On a
-    constant lag L the windows [j - L, j], j >= L, contain the clipped
-    ones.  L comes from bounds on the grid's L-step lengths
-    (``_certified_lag``), or else from exact slice tests (``_lag``), whose
-    exceptions, the points with xs[j] - xs[j - L - 1] <= delta too, get
-    exact starts and gathers.
+    x_j - x_i <= delta, compared in float arithmetic, made nondecreasing by
+    a running maximum.  It is read as the largest max - min over the
+    windows [s_j, j] within delta of x_j (float subtraction is monotone, so
+    the values are a pair scan's).  On a constant lag L the windows
+    [j - L, j], j >= L, contain the clipped ones.  L comes from bounds on
+    the grid's L-step lengths (``_certified_lag``), or else from exact
+    slice tests (``_lag``), whose exceptions, the points with
+    xs[j] - xs[j - L - 1] <= delta too, get exact starts and gathers.
 
     On monotone values (``_trend``) a window's range is its end difference:
     each delta costs two O(m) passes, the largest +-(vs[j] - vs[j - L]),
@@ -255,9 +254,7 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
         raise BudgetError(f"delta exceeds the window length {span}")
     xs, vs = grid.abscissae, grid.values
     m = len(vs)
-    # a rational grid's lags are all settled exactly (gmin 0)
-    gmin = 0.0 if xs.dtype == object else grid.narrowest
-    gmax, h = float(grid.spacing), float(grid.step)
+    gmin, gmax, h = grid.narrowest, grid.spacing, grid.step
     drift = math.inf  # measured when the gap extremes first settle no lag
     scratch = np.empty(m)  # no m-float array per delta
     trend = _trend(vs)
@@ -268,7 +265,7 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
     samples = []
     for d in ds:
         lag = _certified_lag(d, gmin, gmax, h, drift)
-        if lag is None and drift == math.inf and gmin > 0:
+        if lag is None and drift == math.inf:
             drift = _drift(xs, h)
             lag = _certified_lag(d, gmin, gmax, h, drift)
         ends = ()
@@ -399,8 +396,8 @@ def _widest_range(row: tuple, i, j, hi, lo) -> float:
     return float(np.subtract(hi, lo, out=hi).max())
 
 
-def _window_starts(grid: SampleGrid, delta, ends=None) -> np.ndarray:
-    """For every j in ``ends`` (default: every index), the smallest i with
+def _window_starts(grid: SampleGrid, delta, ends: np.ndarray) -> np.ndarray:
+    """For every index j in ``ends``, the smallest i with
     xs[j] - xs[i] <= delta.
 
     The first guess is j - floor(delta / h), clipped at 0, on a uniform grid
@@ -411,9 +408,6 @@ def _window_starts(grid: SampleGrid, delta, ends=None) -> np.ndarray:
     xs[j] - delta rounds differently from xs[j] - xs[i].
     """
     xs = grid.abscissae
-    m = len(xs)
-    if ends is None:
-        ends = np.arange(m)
     ys = xs[ends]
     if grid.uniform:
         starts = ends - math.floor(delta / grid.step)
@@ -527,7 +521,7 @@ def worst_ac_sum_oracle(grid: SampleGrid, delta,
     when 3 * m' * (units + 1) * (kmax + 1) > 4e8, whichever directions it
     carries; its message names ``step_bound``), and its result never
     exceeds the bound.  The witness's endpoints are the grid's own
-    abscissae, looked up by index, so a grid of Fractions gives exact ones.
+    abscissae, looked up by index.
     """
     if max_intervals < 1:
         raise ValueError("max_intervals must be >= 1")
@@ -545,14 +539,14 @@ def worst_ac_sum_oracle(grid: SampleGrid, delta,
             pairs_idx = _dp_pairs(v, units, kmax)
         except BudgetError as exc:
             raise BudgetError(f"{exc} (step_bound {bound!r})") from None
-    # only the pairs' endpoints, as Python floats (or exact Fractions)
+    # only the pairs' endpoints, as Python floats
     idx = np.array(pairs_idx, dtype=np.intp).reshape(-1, 2)
     witness = IntervalCollection(
         tuple(map(tuple, grid.abscissae[idx].tolist())))
     best_sum = math.fsum(abs(v[e] - v[s]) for s, e in pairs_idx)
     assert best_sum <= bound * (1.0 + BOUND_SLACK), (best_sum, bound)
     return ACWorstReport(delta=delta, best_sum=best_sum, witness=witness,
-                         method=method, grid_spacing=float(grid.spacing),
+                         method=method, grid_spacing=grid.spacing,
                          step_bound=bound)
 
 
@@ -573,9 +567,9 @@ def _step_bound(grid: SampleGrid, delta):
     if not delta > grid.spacing:
         raise BudgetError(
             f"delta {delta} must exceed the grid spacing {grid.spacing}")
-    units = int(math.floor(float(delta) / float(grid.step) - 1.0 + 1e-9))
-    longest = float(grid.spacing) * (1 + _GAP_SLACK)
-    units = min(units, m - 1, math.ceil(float(delta) / longest) - 1)
+    units = int(math.floor(delta / grid.step - 1.0 + 1e-9))
+    longest = grid.spacing * (1 + _GAP_SLACK)
+    units = min(units, m - 1, math.ceil(delta / longest) - 1)
     runs, bound = _top_step_runs(grid.values, units)
     return units, runs, bound
 

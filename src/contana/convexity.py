@@ -166,19 +166,19 @@ def detect_partition(grid: SampleGrid):
         raise InsufficientData("partition detection needs at least 3 points")
     if not grid.uniform:
         raise InsufficientData("partition detection requires a uniform grid")
-    xs = np.asarray(grid.abscissae, dtype=float)
+    xs = grid.abscissae
     vs = grid.values
-    h = float(grid.step)
+    h = grid.step
     scale = float(np.max(np.abs(vs)))
     eta = DEFAULT_ETA_SCALE * scale
-    length = float(xs[-1] - xs[0])
+    length = grid.span
     # differences of the steps stay finite wherever twice the value range
     # does; past that an entry overflows to an inf of the right sign
     dv = np.diff(vs)
-    gmin = float(grid.narrowest)
+    gmin = grid.narrowest
     steepest = max(float(dv.max()), -float(dv.min()))
     noise_floor = (16.0 * sys.float_info.epsilon * scale
-                   + 2.0 * (float(grid.spacing) - gmin) / gmin * steepest)
+                   + 2.0 * (grid.spacing - gmin) / gmin * steepest)
     band = max(eta * (h / length) ** 2, noise_floor)
     with np.errstate(over="ignore"):
         d2 = dv[1:] - dv[:-1]
@@ -191,7 +191,7 @@ def detect_partition(grid: SampleGrid):
     runs = [(s, first + 1, last + 1) for s, first, last in runs]
 
     m = len(grid)
-    tol = float(grid.spacing)
+    tol = grid.spacing
     mono_band = max(eta * (h / length), 8.0 * sys.float_info.epsilon * scale)
     if not runs:
         piece = IntervalSpec(float(xs[0]), float(xs[-1]))
@@ -217,17 +217,17 @@ def detect_partition(grid: SampleGrid):
                                     sign_change_count=sign_changes)
 
 
-def _sign_runs(signs: np.ndarray, max_runs: int | None = None):
+def _sign_runs(signs: np.ndarray, max_runs: int):
     """Maximal runs of equal nonzero signs, zeros skipped: (sign, first, last).
 
-    With ``max_runs``, more runs than that are counted and not listed: the
-    result is then their number.  The count comes first, from the nonzero
-    signs alone, so a count over the limit locates no run.
+    More runs than ``max_runs`` are counted and not listed: the result is
+    then their number.  The count comes first, from the nonzero signs
+    alone, so a count over the limit locates no run.
     """
     run_signs = signs[signs != 0]
     changes = run_signs[1:] != run_signs[:-1]
     count = int(np.count_nonzero(changes)) + (len(run_signs) > 0)
-    if max_runs is not None and count > max_runs:
+    if count > max_runs:
         return count
     if not count:
         return []

@@ -36,7 +36,6 @@ import re
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -416,17 +415,16 @@ def _interp_knots(kx: memoryview, ky: memoryview, x: float) -> float:
 class SampleGrid:
     """Strictly increasing abscissae with their function values.
 
-    Both are read-only numpy arrays.  ``values`` is float64; ``abscissae``
-    is float64, or ``object`` dtype when the points are exact rationals
-    (``fractions.Fraction``), which then stay exact.  The values must be
-    finite, and so must their range max - min.  ``spacing`` is the
-    largest gap between consecutive abscissae and ``narrowest`` the
+    Both are read-only float64 arrays; other points, exact rationals
+    (``fractions.Fraction``) among them, are converted to floats, and exact
+    arithmetic is left to ``evaluate`` and ``IntervalCollection``.  The
+    values must be finite, and so must their range max - min.  ``spacing``
+    is the largest gap between consecutive abscissae and ``narrowest`` the
     smallest.  ``uniform`` says that the gaps are equal up to the
     abscissae's rounding: max gap - min gap <= max(1e-9 * max gap,
-    4 ulp(max |x|)), the second term for float points only.  Points
-    lo + i * h rounded to floats meet it at any distance from zero; a
-    window whose gaps are subnormal, such as [0, 1e-310] at 2001 points,
-    does not.
+    4 ulp(max |x|)).  Points lo + i * h rounded to floats meet it at any
+    distance from zero; a window whose gaps are subnormal, such as
+    [0, 1e-310] at 2001 points, does not.
 
     The checks take one reduction each, the smallest gap and the values'
     max and min, and look for an offending point only to name it: the
@@ -441,9 +439,7 @@ class SampleGrid:
     uniform: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        xs = np.asarray(self.abscissae)
-        if xs.dtype != object:
-            xs = xs.astype(float, copy=False)
+        xs = np.asarray(self.abscissae, dtype=float)
         vs = np.asarray(self.values, dtype=float)
         if xs.ndim != 1 or xs.shape != vs.shape:
             raise KindError("abscissae and values must have equal length")
@@ -462,40 +458,28 @@ class SampleGrid:
             raise DomainError(
                 f"values {vs[lo]} at x = {xs[lo]} and {vs[hi]} at "
                 f"x = {xs[hi]} are too far apart: their difference overflows")
-        spacing = gaps.max()
-        rounding = 0.0 if xs.dtype == object else 4.0 * math.ulp(
-            max(-float(xs[0]), float(xs[-1])))
-        uniform = float(spacing - narrowest) <= max(1e-9 * float(spacing),
-                                                    rounding)
+        spacing, narrowest = float(gaps.max()), float(narrowest)
+        rounding = 4.0 * math.ulp(max(-float(xs[0]), float(xs[-1])))
+        uniform = spacing - narrowest <= max(1e-9 * spacing, rounding)
         xs, vs = xs.view(), vs.view()
         xs.flags.writeable = vs.flags.writeable = False
         object.__setattr__(self, "abscissae", xs)
         object.__setattr__(self, "values", vs)
-        exact = xs.dtype == object
-        object.__setattr__(self, "spacing", spacing if exact else float(spacing))
-        object.__setattr__(self, "narrowest",
-                           narrowest if exact else float(narrowest))
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "narrowest", narrowest)
         object.__setattr__(self, "uniform", uniform)
 
     def __len__(self) -> int:
         return len(self.abscissae)
 
     @property
-    def span(self):
-        return self.abscissae[-1] - self.abscissae[0]
+    def span(self) -> float:
+        return float(self.abscissae[-1] - self.abscissae[0])
 
     @property
-    def step(self):
-        """h = span / (m - 1) in the abscissae's own arithmetic: a float,
-        or an exact Fraction on rational points."""
-        if self.abscissae.dtype == object:
-            return Fraction(self.span) / (len(self) - 1)
-        return float(self.span / (len(self) - 1))
-
-    @classmethod
-    def from_abscissae(cls, f: FunctionSpec, xs) -> "SampleGrid":
-        xs = np.asarray(list(xs))
-        return cls(xs, evaluate_many(f, xs))
+    def step(self) -> float:
+        """h = span / (m - 1)."""
+        return self.span / (len(self) - 1)
 
 
 def clip_window(domain: IntervalSpec) -> IntervalSpec:
@@ -552,15 +536,11 @@ def uniform_abscissae(lo: float, hi: float, m: int) -> np.ndarray:
 def evaluate_many(f: FunctionSpec, xs) -> np.ndarray:
     """evaluate() at every point of xs, as one float64 array.
 
-    Every point is checked against the domain as evaluate() checks it,
-    and the first one outside raises the same DomainError.  Float points
-    are then evaluated in bulk; exact points (``fractions.Fraction``, an
-    ``object`` array) go through evaluate() one by one and stay exact.
+    The points are converted to floats and checked against the domain as
+    evaluate() checks it; the first one outside raises the same
+    DomainError.  They are then evaluated in bulk.
     """
-    xs = np.asarray(xs)
-    if xs.dtype == object:
-        return np.fromiter((evaluate(f, x) for x in xs.tolist()), float, len(xs))
-    xs = xs.astype(float, copy=False)
+    xs = np.asarray(xs, dtype=float)
     d = f.domain
     inside = (xs > d.lo) | ((xs == d.lo) & d.lo_closed)
     inside &= (xs < d.hi) | ((xs == d.hi) & d.hi_closed)

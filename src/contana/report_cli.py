@@ -130,7 +130,7 @@ def analyze(fn_text: str, interval_text: str,
             "ok": rep.ok,
         })
     report["worst_sums"] = []
-    budget = float(base_grid.span) / 20.0
+    budget = base_grid.span / 20.0
     if report["certificate"] is None and budget > oracle_grid.spacing:
         rep = worst_ac_sum_oracle(oracle_grid, budget)
         report["worst_sums"].append({
@@ -242,9 +242,10 @@ def _exit_code(report: dict) -> int:
 
 def _modulus_curve(grid):
     """The modulus on MODULUS_POINTS geometric deltas (duplicates dropped)
-    from two grid steps (``SampleGrid.step``) up to the span."""
-    hi = float(grid.span)
-    lo = 2.0 * grid.step  # == hi at m = 3: one delta
+    from two grid steps (``SampleGrid.step``), or the span if shorter, up
+    to the span."""
+    hi = grid.span
+    lo = min(2.0 * grid.step, hi)  # the span at m = 3: one delta
     ratio = (hi / lo) ** (1.0 / (MODULUS_POINTS - 1))
     ladder = [lo * ratio ** i for i in range(MODULUS_POINTS - 1)] + [hi]
     return modulus_on_grid(grid, sorted(set(ladder)))

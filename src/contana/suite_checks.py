@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,7 +35,13 @@ from .continuity import (
     verify_certificate,
     worst_ac_sum_oracle,
 )
-from .function_model import FunctionSpec, IntervalSpec, SampleGrid, sample
+from .function_model import (
+    FunctionSpec,
+    IntervalSpec,
+    SampleGrid,
+    evaluate,
+    sample,
+)
 
 
 @dataclass(frozen=True)
@@ -135,7 +140,7 @@ def check_oracle_agreement() -> CriterionResult:
     window = IntervalSpec(0.0, 1.0)
     grid = sample(f, window, 401)
     rep = worst_ac_sum_oracle(grid, 0.25)
-    spacing = float(grid.spacing)
+    spacing = grid.spacing
     lower = math.sqrt(0.25 - spacing)
     upper = 0.5
     slack = 1e-12
@@ -220,17 +225,20 @@ def check_cantor_witness() -> CriterionResult:
         rows.append({"k": k, "intervals": len(cover), "total_length": total,
                      "f_sum": s, "ok": good})
 
-    endpoints = sorted({x for pair in catalog.cantor_stage_cover(6).pairs
-                        for x in pair})
-    grid = SampleGrid.from_abscissae(f, endpoints)
-    deltas = [Fraction(1, 3 ** k) for k in range(6, 0, -1)]
-    curve = modulus_on_grid(grid, deltas)
+    # the stage-6 brick ends a / 3**6 as the integers a, with the values at
+    # the exact ends: every abscissa, pair distance and delta 3**(6 - k) is
+    # an exact float, and each delta is reported as 3**-k correctly rounded
+    ends = sorted({x for pair in catalog.cantor_stage_cover(6).pairs
+                   for x in pair})
+    grid = SampleGrid([float(x * 3 ** 6) for x in ends],
+                      [evaluate(f, x) for x in ends])
+    curve = modulus_on_grid(grid, [3.0 ** (6 - k) for k in range(6, 0, -1)])
     modulus_rows = []
     for (d, w), k in zip(curve.samples, range(6, 0, -1)):
         err = abs(w - 2.0 ** -k)
         good = err <= 1e-12
         ok = ok and good
-        modulus_rows.append({"k": k, "delta": float(d), "omega": w,
+        modulus_rows.append({"k": k, "delta": d / 3 ** 6, "omega": w,
                              "error": err, "ok": good})
     return CriterionResult(5, "cantor non-certificate witness", ok,
                            {"stage_sums": rows, "modulus": modulus_rows})

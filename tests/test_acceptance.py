@@ -89,7 +89,7 @@ def test_criterion_5_cantor_witness():
         assert row["total_length"] == pytest.approx(
             (2.0 / 3.0) ** row["k"], rel=1e-12)
     for row in result.details["modulus"]:
-        assert row["error"] <= 1e-12, row
+        assert row["error"] == 0.0, row
     assert result.passed
     assert elapsed < 30.0
 

@@ -245,12 +245,12 @@ def grids_with_deltas(draw):
     """(grid, ascending deltas): uniform float, near-uniform float jittered
     by a few ulps, nonuniform float, skewed float (a dense run, then wide
     gaps, so that a guess j - floor(delta / mean step) is off by many
-    points) or Fraction abscissae.  Deltas mix pair distances, their float
-    neighbours and arbitrary lengths; the first pair may carry the extreme
-    values, so that omega changes exactly when the window boundary crosses
-    it."""
+    points) or integer abscissae, whose distances are exact.  Deltas mix
+    pair distances, their float neighbours and arbitrary lengths; the first
+    pair may carry the extreme values, so that omega changes exactly when
+    the window boundary crosses it."""
     kind = draw(st.sampled_from(
-        ["uniform", "jittered", "nonuniform", "skewed", "fraction"]))
+        ["uniform", "jittered", "nonuniform", "skewed", "integer"]))
     m = draw(st.integers(20 if kind == "skewed" else 2, 40))
     values = draw(st.lists(
         st.one_of(st.sampled_from([0.0, 1.0, -1.0]),
@@ -277,10 +277,9 @@ def grids_with_deltas(draw):
                 + [draw(st.floats(0.5, 10.0))] * (m - 1 - dense))
         xs = list(accumulate(gaps, initial=lo / 3))
     else:
-        gaps = draw(st.lists(st.fractions(Fraction(1, 60), 3,
-                                          max_denominator=60),
-                             min_size=m - 1, max_size=m - 1))
-        xs = list(accumulate(gaps, initial=Fraction(lo, 3)))
+        gaps = draw(st.lists(st.integers(1, 180), min_size=m - 1,
+                             max_size=m - 1))
+        xs = list(accumulate(map(float, gaps), initial=20.0 * lo))
     pairs = draw(st.lists(st.tuples(st.integers(0, m - 1),
                                     st.integers(0, m - 1)), max_size=6))
     pairs = [(min(i, j), max(i, j)) for i, j in pairs]
@@ -290,10 +289,8 @@ def grids_with_deltas(draw):
     deltas = set()
     for i, j in pairs:
         d = xs[j] - xs[i]
-        deltas.add(d)
-        if kind != "fraction":
-            # one ulp either side: where x_j - delta and x_j - x_i round apart
-            deltas.update((math.nextafter(d, 0.0), math.nextafter(d, math.inf)))
+        # one ulp either side: where x_j - delta and x_j - x_i round apart
+        deltas.update((d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)))
     span = xs[-1] - xs[0]
     for share in draw(st.lists(st.integers(1, 1000), max_size=4)):
         deltas.add(span * share / 1000)
@@ -304,11 +301,34 @@ def grids_with_deltas(draw):
     return grid, deltas
 
 
+def cantor_brick_grid(k):
+    """The ends a / 3**k of the Cantor stage-k bricks as the integers a,
+    with the staircase's values at the exact ends: every pair distance and
+    every delta 3**j is an exact float."""
+    f = catalog.cantor_on_unit()
+    ends = sorted({x for pair in catalog.cantor_stage_cover(k).pairs
+                   for x in pair})
+    return SampleGrid([float(x * 3 ** k) for x in ends],
+                      [evaluate(f, x) for x in ends])
+
+
 def sqrt_on_unit_pieces():
     f = catalog.sqrt_on_unit()
     res = detect_partition(sample(f, IntervalSpec(0.0, 1.0), 2001))
     pieces = [p for s in res.shapes for p in refine_to_monotone(f, s)]
     return f, tuple(pieces)
+
+
+class TestPhiWithoutAnswer:
+    @pytest.mark.parametrize("answer", [
+        # epsilon equal to the rise: Phi(d) < epsilon cannot be decided
+        lambda: exact_phi(catalog.cantor_on_unit(), 0.0, 1.0).below(0.5, 1.0),
+        # a slope bound that overflows: no Phi
+        lambda: exact_phi(FunctionSpec.polynomial((0.0, 0.0, 1e308)),
+                          0.0, 10.0),
+    ], ids=["cantor-epsilon-at-the-rise", "poly-slope-overflows"])
+    def test_none(self, answer):
+        assert answer() is None
 
 
 class TestIntervalCollection:
@@ -341,11 +361,8 @@ class TestModulus:
         assert curve.omegas[0] == pytest.approx(0.2, abs=1e-12)
 
     def test_cantor_self_similarity_exact(self):
-        f = catalog.cantor_on_unit()
-        endpoints = sorted({x for pair in catalog.cantor_stage_cover(6).pairs
-                            for x in pair})
-        grid = SampleGrid.from_abscissae(f, endpoints)
-        deltas = [Fraction(1, 3 ** k) for k in range(6, 0, -1)]
+        grid = cantor_brick_grid(6)
+        deltas = [3.0 ** (6 - k) for k in range(6, 0, -1)]
         curve = modulus_on_grid(grid, deltas)
         for (d, w), k in zip(curve.samples, range(6, 0, -1)):
             assert w == 2.0 ** -k
@@ -383,7 +400,7 @@ class TestModulus:
         subset = np.unique(np.random.default_rng(len(xs)).integers(
             0, len(xs), 200))
         for d in deltas:
-            s = _window_starts(grid, d)
+            s = _window_starts(grid, d, np.arange(len(xs)))
             assert np.all(xs - xs[s] <= d), d
             inner = s > 0
             assert np.all(xs[inner] - xs[s[inner] - 1] > d), d
@@ -423,24 +440,21 @@ class TestModulus:
         # a guess from the mean step would be off by thousands of points
         mean_guess = np.maximum(
             np.arange(m) - math.floor(0.01 / (grid.span / (m - 1))), 0)
-        assert np.max(np.abs(_window_starts(grid, 0.01) - mean_guess)) > 1000
+        starts = _window_starts(grid, 0.01, np.arange(m))
+        assert np.max(np.abs(starts - mean_guess)) > 1000
 
-    def test_window_starts_fraction_grids(self):
-        uniform = SampleGrid([Fraction(k, 3000) for k in range(3001)],
-                             np.zeros(3001))
+    def test_window_starts_integer_grids(self):
+        # integer abscissae: the deltas k tie exactly with pair distances
+        uniform = SampleGrid(np.arange(3001.0), np.zeros(3001))
         assert uniform.uniform
-        tiny = Fraction(1, 10 ** 9)
         self.assert_exact_starts(uniform, [
-            e for k in (1, 2, 17, 1000, 2999)
-            for e in (Fraction(k, 3000) - tiny, Fraction(k, 3000),
-                      Fraction(k, 3000) + tiny)] + [0.5])
-        ends = sorted({x for pair in catalog.cantor_stage_cover(7).pairs
-                       for x in pair})
-        cantor = SampleGrid(ends, np.zeros(len(ends)))
+            k + e for k in (1, 2, 17, 1000, 2999)
+            for e in (-1e-6, 0.0, 1e-6)] + [1500.0])
+        cantor = cantor_brick_grid(7)
         assert not cantor.uniform
-        self.assert_exact_starts(cantor, [Fraction(1, 3 ** k) + e
+        self.assert_exact_starts(cantor, [3.0 ** (7 - k) + e
                                           for k in range(7, 0, -1)
-                                          for e in (-tiny, 0, tiny)])
+                                          for e in (-1e-6, 0.0, 1e-6)])
 
     def test_large_grid_matches_pair_scan(self):
         # windows of a few dozen points on a 24001-point oscillating grid
@@ -497,21 +511,16 @@ class TestConstantLagKernel:
         assert not grid.uniform
         self.assert_matches_reference(grid, self.tie_deltas(grid))
 
-    def test_fraction_grids(self):
-        tiny = Fraction(1, 10 ** 9)
-        uniform = SampleGrid([Fraction(k, 3000) for k in range(3001)],
+    def test_integer_grids(self):
+        # integer abscissae: the deltas k tie exactly with pair distances
+        uniform = SampleGrid(np.arange(3001.0),
                              np.random.default_rng(4).standard_normal(3001))
         self.assert_matches_reference(uniform, [
-            e for k in (1, 2, 17, 1000, 2999)
-            for e in (Fraction(k, 3000) - tiny, Fraction(k, 3000),
-                      Fraction(k, 3000) + tiny)] + [Fraction(1)])
-        f = catalog.cantor_on_unit()
-        ends = sorted({x for pair in catalog.cantor_stage_cover(7).pairs
-                       for x in pair})
-        cantor = SampleGrid.from_abscissae(f, ends)
-        self.assert_matches_reference(cantor, [Fraction(1, 3 ** k) + e
-                                               for k in range(7, 0, -1)
-                                               for e in (-tiny, 0, tiny)])
+            k + e for k in (1, 2, 17, 1000, 2999)
+            for e in (-1e-6, 0.0, 1e-6)] + [3000.0])
+        self.assert_matches_reference(cantor_brick_grid(7), [
+            3.0 ** (7 - k) + e for k in range(7, 0, -1)
+            for e in (-1e-6, 0.0, 1e-6)])
 
     @staticmethod
     def monotone_grid(kind):
@@ -577,7 +586,8 @@ class TestConstantLagKernel:
     @staticmethod
     def exception_grid(kind):
         """Small monotone grids whose lags leave exceptions: geometric float
-        abscissae, and the exact ends of the Cantor stage-7 bricks."""
+        abscissae, and the ends a / 3**7 of the Cantor stage-7 bricks, given
+        as Fractions and rounded to floats."""
         if kind.startswith("geometric"):
             xs = np.geomspace(1e-3, 1.0, 301)
             vs = np.sort(np.random.default_rng(9).standard_normal(301))
@@ -591,9 +601,9 @@ class TestConstantLagKernel:
     @pytest.mark.parametrize("kind", ["geometric-rising", "geometric-falling",
                                       "fraction-rising", "fraction-falling"])
     def test_monotone_exceptions_match_pair_scan(self, monkeypatch, kind):
-        # no lag is settled from the gaps (non-uniform or exact
-        # abscissae), so exact slice tests find the lags and the
-        # exceptions' windows [start, end] are read by their end values
+        # no lag is settled from the gaps (non-uniform abscissae), so exact
+        # slice tests find the lags and the exceptions' windows
+        # [start, end] are read by their end values
         grid = self.exception_grid(kind)
         xs = grid.abscissae.tolist()
         deltas = sorted({xs[j] - xs[i] for i, j in
@@ -961,7 +971,7 @@ class TestWorstSumOracle:
             values = [float(v) for v in rng.normal(size=12)]
             knots = tuple((i / 11.0, v) for i, v in enumerate(values))
             f = FunctionSpec.piecewise_linear(knots)
-            grid = SampleGrid.from_abscissae(f, [k[0] for k in knots])
+            grid = SampleGrid([x for x, _ in knots], values)
             h = grid.spacing
             for units, kmax in ((3, 2), (5, 3), (7, 12)):
                 delta = (units + 1) * h
@@ -1262,16 +1272,20 @@ class TestWorstSumOracle:
         assert float(rep.witness.total_length) == pytest.approx(0.14, abs=1e-12)
 
     def test_cantor_stage3_cover(self):
+        # the points i / 27 as the integers i, with the values at i / 27
         f = catalog.cantor_on_unit()
-        xs = [Fraction(i, 27) for i in range(28)]
-        grid = SampleGrid.from_abscissae(f, xs)
-        rep = worst_ac_sum_oracle(grid, Fraction(1, 3))
+        grid = SampleGrid(np.arange(28.0),
+                          [evaluate(f, Fraction(i, 27)) for i in range(28)])
+        rep = worst_ac_sum_oracle(grid, 9.0)
         assert rep.best_sum == 1.0
-        assert rep.witness.total_length <= Fraction(8, 27)
-        assert ac_sum(f, rep.witness) == 1.0
-        # the witness's endpoints are the grid's own Fractions
-        assert all(type(x) is Fraction and x in xs
-                   for pair in rep.witness.pairs for x in pair)
+        assert rep.witness.total_length <= 8
+        # the witness's endpoints are the grid's own abscissae
+        xs = grid.abscissae.tolist()
+        assert all(x in xs for pair in rep.witness.pairs for x in pair)
+        cover = IntervalCollection(tuple(
+            (Fraction(int(a), 27), Fraction(int(b), 27))
+            for a, b in rep.witness.pairs))
+        assert ac_sum(f, cover) == 1.0
 
     def test_budget_error(self):
         f = catalog.sqrt_on_unit()

@@ -156,7 +156,8 @@ class TestDetectPartition:
 
     @given(st.lists(st.sampled_from([-1, 0, 1]), max_size=60))
     def test_sign_runs_match_scalar_scan(self, signs):
-        assert _sign_runs(np.array(signs, dtype=np.int8)) == \
+        # a limit above any run count lists every run
+        assert _sign_runs(np.array(signs, dtype=np.int8), len(signs)) == \
             sign_runs_loop(signs)
 
     @given(st.lists(st.sampled_from([-1, 0, 1]), max_size=400),

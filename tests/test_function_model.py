@@ -130,6 +130,23 @@ class TestFunctionSpec:
         with pytest.raises(KindError):
             FunctionSpec("mystery", IntervalSpec(0.0, 1.0))
 
+    @pytest.mark.parametrize("call, want", [
+        (lambda: str(clip_window(parse_function(
+            "poly:0,1", parse_interval("(-inf,5]")).domain)), "[-5.0,5.0]"),
+        (lambda: eval_cantor(NAN),
+         (DomainError, "cannot take exact ratio of nan")),
+        (lambda: FunctionSpec.piecewise_linear([(0, 1, 2), (1, 2, 3)]),
+         (KindError, "knots must be (x, y) pairs")),
+    ], ids=["window-below-inf", "cantor-nan", "knots-not-pairs"])
+    def test_rare_inputs(self, call, want):
+        # a window open at -inf is cut 10 wide; bad values name themselves
+        if isinstance(want, str):
+            assert call() == want
+            return
+        with pytest.raises(want[0]) as got:
+            call()
+        assert str(got.value) == want[1]
+
     def test_non_finite_knots(self):
         nan = float("nan")
         for knots in (((0.0, nan), (1.0, 1.0)),
@@ -388,13 +405,14 @@ class TestSampleGrid:
                            match="^grid abscissae must be strictly increasing$"):
             SampleGrid(xs, [0.0, 1.0, 2.0, 3.0, 4.0])
 
-    def test_fraction_abscissae_stay_exact(self):
+    def test_fraction_abscissae_become_float64(self):
+        # grids are float64: exact rationals are rounded to floats
         xs = [Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)]
         grid = SampleGrid(xs, [0.0, 1.0, 0.5, 0.0])
-        assert grid.abscissae.dtype == object
-        assert grid.abscissae.tolist() == xs
-        assert grid.spacing == Fraction(1, 3) and grid.uniform
-        assert grid.span == 1
+        assert grid.abscissae.dtype == np.float64
+        assert grid.abscissae.tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
+        assert type(grid.spacing) is float and grid.uniform
+        assert grid.span == 1.0
 
     @pytest.mark.parametrize("lo, hi, m", [
         (0.0, 1.0, 4001), (-3.0, 7.5, 3), (1000.0, 1000.001, 2001),
@@ -411,9 +429,11 @@ class TestSampleGrid:
         ([0, Fraction(1, 3), 1], Fraction(1, 2)),
     ], ids=["uniform", "non-uniform", "int-and-fraction"])
     def test_step_on_fraction_grids(self, xs, step):
-        # exact: span / (m - 1) in rationals, never rounded to a float
+        # the points are rounded to floats first: the float grid's step
         grid = SampleGrid(xs, [0.0] * len(xs))
-        assert type(grid.step) is Fraction and grid.step == step
+        floats = SampleGrid([float(x) for x in xs], [0.0] * len(xs))
+        assert type(grid.step) is float and grid.step == floats.step
+        assert grid.step == pytest.approx(step, rel=1e-15)
 
 
 ZIGZAG = FunctionSpec.piecewise_linear(
@@ -675,10 +695,13 @@ class TestBulkValues:
                 evaluate(f, bad)
             assert str(got.value) == str(want.value)
 
-    def test_evaluate_many_keeps_fractions_exact(self):
+    def test_evaluate_many_rounds_fractions_to_floats(self):
         f = FunctionSpec.cantor()
         xs = [Fraction(1, 3), Fraction(1, 4), Fraction(2, 9)]
-        assert evaluate_many(f, xs).tolist() == [evaluate(f, x) for x in xs]
+        got = evaluate_many(f, xs).tolist()
+        assert got == [evaluate(f, float(x)) for x in xs]
+        # 1/3 rounds down, below the plateau at 1/2 that starts there
+        assert got[0] < evaluate(f, Fraction(1, 3)) == 0.5
 
 
 class TestParseFunction:

@@ -1,8 +1,10 @@
 """Tests for the analysis pipeline, report schema and CLI plumbing."""
 
+import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -12,6 +14,7 @@ import pytest
 
 from contana import continuity, report_cli
 from contana.report_cli import (
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
@@ -32,6 +35,7 @@ from contana import (
     parse_interval,
     sample,
 )
+from contana.errors import ShapeError
 
 FAST = AnalysisSettings(epsilon=0.1, grid_m=501)
 
@@ -798,6 +802,61 @@ class TestCLI:
         code = main(["suite", "--out", "/proc/contana-nope/x"])
         assert code == EXIT_IO
         assert not os.path.exists("/proc/contana-nope")
+
+    @pytest.mark.parametrize("case, code, message", [
+        ("table-not-utf-8", EXIT_PARSE, r"parse error: unreadable table \S+: "
+         r"'utf-8' codec can't decode byte 0xff .*"),
+        ("suite-third-write", EXIT_IO, r"I/O error: \[Errno 28\] .*"),
+        ("suite-replace", EXIT_IO, r"I/O error: \[Errno 18\] .*"),
+        ("shape-error", EXIT_INTERNAL, r"internal error: escaped"),
+        ("runtime-error", EXIT_INTERNAL,
+         r"Traceback .*\nRuntimeError: escaped"),
+    ])
+    def test_rare_failures_exit_with_their_code(self, tmp_path, monkeypatch,
+                                                capsys, case, code, message):
+        # a failed suite write removes the files already written and leaves
+        # no temporary file; only a genuine fault prints a traceback
+        argv = ["analyze", "--fn", "sqrt", "--interval", "[0,1]",
+                "--grid", "101"]
+        out = tmp_path / "out"
+        if case == "table-not-utf-8":
+            table = tmp_path / "t.csv"
+            table.write_bytes(b"x,y\n0,\xff\n1,2\n")
+            argv[2] = f"table@{table}"
+        elif case == "suite-third-write":
+            argv = ["suite", "--out", str(out)]
+            write, paths = report_cli._atomic_write, []
+
+            def third_fails(path, data):
+                paths.append(path)
+                if len(paths) == 3:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                write(path, data)
+            monkeypatch.setattr(report_cli, "_atomic_write", third_fails)
+        elif case == "suite-replace":
+            argv = ["suite", "--out", str(out)]
+            monkeypatch.setattr(report_cli.os, "replace", mock.Mock(
+                side_effect=OSError(errno.EXDEV, os.strerror(errno.EXDEV))))
+        else:
+            fault = (ShapeError if case == "shape-error" else RuntimeError)
+            monkeypatch.setattr(report_cli, "analyze",
+                                mock.Mock(side_effect=fault("escaped")))
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(message + "\n", captured.err, re.S)
+        if case != "runtime-error":
+            assert captured.err.count("\n") == 1
+        if case.startswith("suite"):
+            assert os.listdir(out) == []
+
+    def test_modulus_ladder_clamps_to_the_span(self):
+        # at 3 points on [0, 1e-310] two subnormal steps round above the
+        # span, so the ladder's one delta is the span itself
+        grid = sample(parse_function("sqrt"), parse_interval("[0,1e-310]"), 3)
+        assert 2.0 * grid.step > grid.span
+        assert report_cli._modulus_curve(grid).samples == (
+            (1e-310, math.sqrt(1e-310)),)
 
     def test_no_scipy_import(self):
         # numpy is the only runtime dependency: loading the CLI pulls in
