@@ -20,11 +20,11 @@ search their increment sums sum |f(y_i) - f(x_i)|:
   polynomials of higher degree and x**2 sin(1/x).  Its methods give Phi(d),
   the largest d proved to have Phi(d) < epsilon, that decision for a given
   d, and a collection that nearly reaches Phi(d) or reaches epsilon.
-* ``ac_certificate`` / ``verify_certificate`` invert each piece's anchored
-  increment into a concrete (epsilon, delta_1) certificate: every
-  collection of total length below delta_1 has increment sum below epsilon.
-  Phi proves or refuses the certificate, or the report says that it could
-  not decide, and its witness is the one collection that attacks it.
+* ``ac_certificate`` inverts each piece's Phi into a concrete
+  (epsilon, delta_1) certificate: every collection of total length below
+  delta_1 has increment sum below epsilon.  ``verify_certificate``'s Phi,
+  on the whole window, proves or refuses it, or the report says that it
+  could not decide, and its witness is the one collection that attacks it.
 """
 
 from __future__ import annotations
@@ -68,9 +68,6 @@ from .function_model import (
 
 #: default interval cap for the worst-sum search
 DEFAULT_MAX_INTERVALS = 32
-
-#: ac_certificate shrinks each piece's inverted step by this factor
-MODULUS_SAFETY = 0.9
 
 #: delta_1 keeps this fraction of the per-piece bound
 DELTA1_SAFETY = 0.99
@@ -430,17 +427,6 @@ def _anchor_for(piece: ShapePiece) -> Anchor:
     if direction is Direction.NONDECREASING:
         return Anchor.RIGHT
     return Anchor.LEFT
-
-
-def _favourable_interval(piece: ShapePiece, d):
-    """The interval of length d at the piece's favourable end, clamped to
-    the piece: (lo, lo + d) when left-anchored, (hi - d, hi) when
-    right-anchored.  By the increment lemma its increment is the largest of
-    any interval of length d in the piece."""
-    lo, hi = piece.interval.lo, piece.interval.hi
-    if _anchor_for(piece) is Anchor.LEFT:
-        return lo, min(hi, lo + d)
-    return max(lo, hi - d), hi
 
 
 def _glued_interval(c: IntervalCollection, anchor: Anchor, lo, hi) -> tuple:
@@ -1069,11 +1055,13 @@ class _Knapsack(NamedTuple):
     summed as its LP dual c * d + sum of L_i * (s_i - c) over the k
     intervals taken whole, whose terms are nonnegative.  The rounding is at
     most (k + 16) * eps * (c * d + sum L_i * s_i over those k)
-    + 16 * eps * c * T + (k + 16) * ulp(0), eps being the float epsilon
-    and T the length of the other intervals whose s is within 8 * eps * c
-    of c.  It covers the rounding of the slopes, the lengths and the sum,
-    and a cut that their rounding, or that of the running lengths, puts on
-    a neighbouring interval.
+    + 16 * eps * c * min(T, d) + (k + 16) * ulp(0), eps being the float
+    epsilon and T the length of the other intervals whose s is within
+    8 * eps * c of c.  It covers the rounding of the slopes, the lengths and
+    the sum, and a cut that their rounding, or that of the running lengths,
+    puts on a neighbouring interval: the tied intervals taken under either
+    order add up to length d at most, so the two choices differ on at most
+    min(T, d) of length, at levels within 16 * eps * c of each other.
     """
 
     s: np.ndarray
@@ -1110,7 +1098,8 @@ class _Knapsack(NamedTuple):
             rounding = ((k + 16) * (eps * (cut * d
                                            + float(np.sum(taken * whole)))
                                     + math.ulp(0.0))
-                        + 16 * eps * cut * float(np.sum(lengths[tied])))
+                        + 16 * eps * cut * min(float(np.sum(lengths[tied])),
+                                               d))
         if not math.isfinite(value + rounding):
             return None
         return ExactSup(value, rounding)
@@ -1129,7 +1118,8 @@ class _Knapsack(NamedTuple):
         epsilon.  Touching intervals of one nonzero direction are glued
         into one: f is monotone across them, so the exact sum is the same.
         The glued run that holds the cut interval, the least steep, comes
-        last."""
+        last, and nothing is glued to the cut interval's right, so
+        ``Phi.witness`` trims the least steep length first."""
         k = int(np.searchsorted(self.reach, d))  # intervals taken whole
         at = self.order[:k + 1]
         left, right = self.ends[at], self.ends[at + 1]
@@ -1137,13 +1127,15 @@ class _Knapsack(NamedTuple):
             right[k] = min(right[k], left[k] + (d - (self.reach[k - 1] if k
                                                      else 0.0)))
         place = np.argsort(at)  # the window's order
+        cut = int(place.argmax())  # the cut interval's place in it
         left, right, dirs = left[place], right[place], self.dirs[at[place]]
         glue = ((right[:-1] == left[1:]) & (dirs[1:] == dirs[:-1])
                 & (dirs[1:] != 0))
+        glue[cut:cut + 1] = False
         first = np.flatnonzero(np.append(True, ~glue))
         last = np.append(first[1:], len(at)) - 1
         runs = list(zip(left[first].tolist(), right[last].tolist()))
-        runs.append(runs.pop(int(np.searchsorted(first, place.argmax(),
+        runs.append(runs.pop(int(np.searchsorted(first, cut,
                                                  side="right")) - 1))
         return runs
 
@@ -1312,18 +1304,16 @@ def random_collection(rng, lo: float, hi: float, total: float,
 def ac_certificate(f: FunctionSpec, pieces, epsilon: float) -> Certificate:
     """Synthesize an (epsilon, delta_1) certificate from monotone pieces.
 
-    With N monotone convex/concave pieces, each piece receives budget
-    epsilon / N.  By the increment lemma the exact modulus of such a piece
-    is its increment anchored at the favourable end, so the largest step
-    whose anchored increment stays below the budget is found by bisection
-    with exact evaluation (``_increment_step``).  delta_1 is
-    0.99 * min(0.9 * step, min piece length); any collection of total
-    length below delta_1 then has increment sum below epsilon.
-
-    The inversion is exact, but each piece's shape and monotonicity are
-    certified only at the detection resolution, so the 0.9 factor
-    (MODULUS_SAFETY) is kept as a margin against shape changes finer than
-    that resolution.
+    With N pieces, each receives budget epsilon / N, and its step is the
+    largest length that its own Phi proves below that budget
+    (``exact_phi(f, lo, hi).budget``).  On a monotone convex/concave piece
+    that is the increment anchored at the favourable end, by the increment
+    lemma, but the step holds whatever the pieces' labels say.  delta_1 is
+    0.99 * the smallest step; each step is at most its piece's length.  A
+    collection of total length below delta_1, split at the partition
+    points, puts less than each piece's step in that piece, so its
+    increment sum is below N * epsilon / N = epsilon.  Unachievable names
+    the first piece whose Phi is unknown or proves no positive step.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -1338,45 +1328,18 @@ def ac_certificate(f: FunctionSpec, pieces, epsilon: float) -> Certificate:
             raise PreconditionError("pieces do not tile the window contiguously")
 
     budget = epsilon / len(pieces)
-    min_len = min(piece.interval.hi - piece.interval.lo for piece in pieces)
-    step = min(_increment_step(f, piece, budget) for piece in pieces)
-    delta1 = DELTA1_SAFETY * min(MODULUS_SAFETY * step, min_len)
-    return Certificate(epsilon=float(epsilon), delta1=float(delta1),
+    steps = []
+    for piece in pieces:
+        lo, hi = piece.interval.lo, piece.interval.hi
+        phi = exact_phi(f, lo, hi)
+        step = None if phi is None else phi.budget(budget)
+        if not step:
+            raise Unachievable(f"no positive step keeps Phi on [{lo}, {hi}] "
+                               f"below {budget}")
+        steps.append(step)
+    return Certificate(epsilon=float(epsilon),
+                       delta1=float(DELTA1_SAFETY * min(steps)),
                        monotone_pieces=pieces)
-
-
-def _increment_step(f: FunctionSpec, piece: ShapePiece, budget: float) -> float:
-    """Largest step whose increment anchored at the favourable end is < budget.
-
-    The anchored increment is |f(lo + d) - f(lo)| for a left-anchored piece
-    and |f(hi) - f(hi - d)| for a right-anchored one; on a monotone piece it
-    is nondecreasing in d.  Returns the piece length when the whole piece
-    qualifies, else bisects (0, length) until the midpoint no longer splits
-    the bracket.  Raises Unachievable when no positive step qualifies.
-    """
-    lo, hi = piece.interval.lo, piece.interval.hi
-    length = hi - lo
-
-    def increment(d):
-        x, y = _favourable_interval(piece, d)
-        return abs(evaluate(f, y) - evaluate(f, x))
-
-    if increment(length) < budget:
-        return length
-    a, b = 0.0, length
-    while a < (mid := 0.5 * (a + b)) < b:
-        if increment(mid) < budget:
-            a = mid
-        else:
-            b = mid
-    # below float resolution at the anchor (a = 0 included) the increment
-    # tested was that of a degenerate interval, a rounded 0
-    x, y = _favourable_interval(piece, a)
-    if not x < y:
-        raise Unachievable(
-            f"no positive step keeps the anchored increment on "
-            f"[{lo}, {hi}] below {budget}")
-    return a
 
 
 def verify_certificate(f: FunctionSpec,

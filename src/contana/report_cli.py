@@ -98,8 +98,9 @@ def analyze(fn_text: str, interval_text: str,
 
     Detection and its verdict are ``monotone_partition``'s, at base
     resolution ``settings.grid_m``.  The report is ``_verdict``'s, with
-    three tables added: the modulus curve of the base grid, the
-    increment-curve check of each piece (``gsigma``) and ``worst_sums``.
+    three tables added, and their two sizes under ``settings``: the modulus
+    curve of the base grid, the increment-curve check of each piece
+    (``gsigma``) and ``worst_sums``.
     ``worst_sums`` is a worst-sum search at budget span/20 on an
     ORACLE_POINTS grid, run only where no certificate exists; a
     certificate's worst collection is Phi's witness, in ``verification``.
@@ -115,6 +116,8 @@ def analyze(fn_text: str, interval_text: str,
             f"the window {clipped} is too narrow for a uniform "
             f"{ORACLE_POINTS}-point grid (the worst-sum search needs one)")
     report = _verdict(fn_text, f, result, settings)
+    report["settings"].update(gsigma_samples=GSIGMA_SAMPLES,
+                              modulus_points=MODULUS_POINTS)
 
     base_grid = result.grids[0]
     report["modulus"] = [[d, w] for d, w in _modulus_curve(base_grid).samples]
@@ -170,8 +173,6 @@ def _verdict(fn_text: str, f, result, settings: AnalysisSettings) -> dict:
             "max_pieces": DEFAULT_MAX_PIECES,
             "cantor_depth": CANTOR_DEPTH,
             "detection_resolutions": resolutions,
-            "gsigma_samples": GSIGMA_SAMPLES,
-            "modulus_points": MODULUS_POINTS,
         },
         "detection": {
             "resolutions": resolutions,

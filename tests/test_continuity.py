@@ -49,9 +49,7 @@ from contana import (
 from contana import catalog, continuity, function_model
 from contana.continuity import (
     _dp_pairs,
-    _favourable_interval,
     _glued_interval,
-    _increment_step,
     _window_starts,
 )
 from contana.function_model import uniform_abscissae
@@ -1294,13 +1292,12 @@ class TestWorstSumOracle:
             worst_ac_sum_oracle(grid, 0.005)
 
     def test_glued_closed_form_agreement(self):
+        # sqrt's favourable end is 0: the glued interval starts there
         f = catalog.sqrt_on_unit()
-        piece = ShapePiece(IntervalSpec(0.0, 1.0), Shape.CONCAVE,
-                           Monotonicity.INCREASING, 0.0)
         grid = sample(f, IntervalSpec(0.0, 1.0), 401)
         rep = worst_ac_sum_oracle(grid, 0.25)
         glued = ac_sum(f, IntervalCollection((
-            _favourable_interval(piece, rep.witness.total_length),)))
+            (0.0, min(1.0, rep.witness.total_length)),)))
         omega_h = modulus_on_grid(grid, [grid.spacing]).omegas[0]
         assert abs(rep.best_sum - glued) <= omega_h + 1e-12
 
@@ -1367,8 +1364,8 @@ class TestCertificates:
         res = detect_partition(sample(f, IntervalSpec(0.0, 1.0), 2001))
         pieces = [p for s in res.shapes for p in refine_to_monotone(f, s)]
         cert = ac_certificate(f, pieces, 0.1)
-        # linear modulus: delta1 ~ 0.99 * 0.9 * (0.1 / 3)
-        assert 0.023 <= cert.delta1 <= 0.0333
+        # linear modulus: delta1 = 0.99 * (0.1 / 3), up to Phi's rounding
+        assert cert.delta1 == pytest.approx(0.99 * 0.1 / 3, rel=1e-12)
 
     def test_verify_sqrt_passes(self):
         f, pieces = sqrt_on_unit_pieces()
@@ -1412,20 +1409,26 @@ class TestCertificates:
             pieces = [p for s in res.shapes for p in refine_to_monotone(f, s)]
             return f, ac_certificate(f, pieces, 0.5)
 
-        # one concave increasing piece of initial slope 1e7: the anchored
-        # increment reaches the budget 0.5 at 5e-8, however steep that is
+        # one concave increasing piece of initial slope 1e7: its Phi
+        # reaches the budget 0.5 at 5e-8, however steep that is
         f, cert = certify(1e-7)
-        assert cert.delta1 == pytest.approx(0.99 * 0.9 * 0.5 / 1e7, rel=1e-6)
+        assert cert.delta1 == pytest.approx(0.99 * 0.5 / 1e7, rel=1e-6)
         assert verify_certificate(f, cert).passed
-        # a jump at float resolution: every positive step overshoots
-        with pytest.raises(Unachievable):
+        # a jump at float resolution: its slope overflows, so the piece has
+        # no Phi, and the message names the piece
+        with pytest.raises(Unachievable, match=r"Phi on \[0\.0, 1\.0\] "
+                                               r"below 0\.5$"):
             certify(5e-324)
-        # steps below the resolution at -1e150 leave lo + a == lo: the
-        # increment tested is a rounded 0, not a certified one
+        # x^2 on [-1e150, 1e150]: each piece's Phi proves a step of about
+        # 0.05 / 1e150, far below the resolution at its ends, and the
+        # window's Phi proves the certificate
         f = FunctionSpec.polynomial((0.0, 0.0, 1.0),
                                     IntervalSpec(-1e150, 1e150))
-        with pytest.raises(Unachievable, match=r"\[-1e\+150, "):
-            ac_certificate(f, monotone_partition(f, 501).pieces, 0.1)
+        cert = ac_certificate(f, monotone_partition(f, 501).pieces, 0.1)
+        assert cert.delta1 == pytest.approx(2.475e-152, rel=1e-9)
+        ver = verify_certificate(f, cert)
+        assert (ver.method, ver.passed) == ("exact_sup", True)
+        assert cert.delta1 < ver.delta1_opt
 
     def test_certificate_bound_is_semantic(self):
         # the certified guarantee: every collection under the budget stays
@@ -1484,8 +1487,68 @@ def favourable_end_layouts(piece, left, length):
         yield IntervalCollection(tuple(sorted(pairs)))
 
 
+def anchored_increment(f, piece, left):
+    """d -> |f(z) - f(end)|, z being d away from the piece's favourable end
+    (clamped to the piece)."""
+    lo, hi = piece.interval.lo, piece.interval.hi
+    end = evaluate(f, lo if left else hi)
+    return lambda d: abs(evaluate(f, min(hi, lo + d) if left
+                                  else max(lo, hi - d)) - end)
+
+
+def increment_step(f, piece, left, budget):
+    """Reference inversion of the increment lemma: the largest step whose
+    anchored increment stays below budget, by bisection on exact
+    evaluation until the midpoint no longer splits the bracket; the piece
+    length when the whole piece qualifies."""
+    length = piece.interval.hi - piece.interval.lo
+    inc = anchored_increment(f, piece, left)
+    if inc(length) < budget:
+        return length
+    a, b = 0.0, length
+    while a < (mid := 0.5 * (a + b)) < b:
+        if inc(mid) < budget:
+            a = mid
+        else:
+            b = mid
+    return a
+
+
 class TestIncrementStep:
-    """The closed-form step against the increment it inverts and a grid scan."""
+    """The increment lemma on monotone convex/concave pieces: the piece's
+    Phi is its increment anchored at the favourable end, Phi.budget inverts
+    it, and a grid scan agrees with that inversion."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(monotone_pieces(), st.floats(0.0, 1.0))
+    def test_phi_is_the_anchored_increment(self, case, share):
+        f, piece, left = case
+        lo, hi = piece.interval.lo, piece.interval.hi
+        d = share * (hi - lo)
+        inc = anchored_increment(f, piece, left)(d)
+        sup = exact_phi(f, lo, hi).sup(d)
+        # the evaluated increment rounds too (exact_phi's 16 eps Y)
+        assert abs(sup.value - inc) <= sup.rounding + 1e-13 * max(1.0, inc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(monotone_pieces(), st.floats(0.01, 1.2))
+    def test_budget_inverts_the_anchored_increment(self, case, fraction):
+        f, piece, left = case
+        lo, hi = piece.interval.lo, piece.interval.hi
+        inc = anchored_increment(f, piece, left)
+        budget = fraction * inc(hi - lo)
+        step = increment_step(f, piece, left, budget)
+        phi = exact_phi(f, lo, hi)
+        got = phi.budget(budget)
+        assert 0.0 < got <= step
+        if f.kind != "poly":  # sqrt and the sine table: exact
+            assert got >= step * (1 - 1e-9)
+        # short of the whole piece, the increment at Phi's budget falls
+        # short of the budget by no more than Phi's rounding there: a few
+        # ulps, or the bracket's width for a polynomial of degree >= 2
+        if got < hi - lo:
+            sup = phi.sup(got)
+            assert inc(got) >= budget - 2 * sup.rounding - 1e-13 * budget
 
     @settings(max_examples=60, deadline=None)
     @given(monotone_pieces(), st.floats(0.01, 1.2), st.integers(1, 60))
@@ -1497,11 +1560,9 @@ class TestIncrementStep:
         def at(d):  # the point d away from the favourable end
             return min(hi, lo + d) if left else max(lo, hi - d)
 
-        def inc(d):
-            return abs(evaluate(f, at(d)) - evaluate(f, at(0.0)))
-
+        inc = anchored_increment(f, piece, left)
         budget = fraction * inc(length)
-        step = _increment_step(f, piece, budget)
+        step = increment_step(f, piece, left, budget)
         assert 0.0 < step <= length
         assert inc(step) < budget
         if step < length:
@@ -1835,6 +1896,13 @@ class TestExactSup:
     @given(st.one_of(pwl_windows(), sqrt_windows(), poly_windows(),
                      x2sininv_windows()),
            st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
+    # the whole window: the least steep segment, the last one Phi takes,
+    # touches a steep one of its direction on its right, and the witness
+    # trims it, not the steep one, to stay below d
+    @example(case=(FunctionSpec.piecewise_linear(
+        ((0.0, 1.0), (0.5, 0.0), (0.500010316020404, -1.0),
+         (0.500020632040808, 0.0), (0.502, 1.0), (1.0, 0.0))), 0.0, 1.0),
+        share=1.0, seed=0)
     def test_no_collection_exceeds_phi(self, case, share, seed):
         # every kind with a window strategy; x^2 sin(1/x) on windows right
         # of 0, left of it and across it
@@ -1851,11 +1919,10 @@ class TestExactSup:
             s = ac_sum(f, IntervalCollection(pairs))
             assert below(s, len(pairs)), (s, sup)
         window = IntervalSpec(lo, hi)
-        for shape in (Shape.CONVEX, Shape.CONCAVE):  # right, left anchor
-            piece = ShapePiece(window, shape, Monotonicity.INCREASING, 0.0)
-            if 0 < 0.999 * d < hi - lo:
-                glued = ac_sum(f, IntervalCollection((
-                    _favourable_interval(piece, 0.999 * d),)))
+        # one interval of length 0.999 d at either end of the window
+        for pair in ((lo, lo + 0.999 * d), (hi - 0.999 * d, hi)):
+            if pair[0] < pair[1]:
+                glued = ac_sum(f, IntervalCollection((pair,)))
                 assert below(glued, 1), (glued, sup)
         grid = sample(f, window, 257)
         if grid.uniform and d > grid.spacing:
@@ -1873,10 +1940,11 @@ class TestExactSup:
     @given(st.one_of(pwl_windows(), pwl_windows(ties=True),
                      poly_windows(degrees=(2, 4))), st.floats(1e-3, 1.0))
     def test_witness_glues_monotone_runs(self, case, share):
-        # touching intervals over which f keeps one direction become one:
-        # against the same knapsack without directions, the witness has no
-        # more intervals and the same exact sum, and the cut interval's
-        # run stays last, where Phi.witness trims it
+        # touching intervals over which f keeps one direction become one,
+        # except on the cut interval's right: against the same knapsack
+        # without directions, the witness has no more intervals and the
+        # same exact sum, and the cut interval's run stays last and ends
+        # with it, where Phi.witness trims it
         f, lo, hi = case
         d = share * (hi - lo)
         phi = exact_phi(f, lo, hi)
@@ -1895,13 +1963,15 @@ class TestExactSup:
         ends, dirs = knapsack.ends, knapsack.dirs
         runs = sorted(glued)
         for (_, y), (x, _) in zip(runs, runs[1:]):
-            if y == x:  # touching runs meet at an end of the window's cells
+            # touching runs meet at an end of the window's cells
+            if y == x and y != glued[-1][1]:
                 i = int(np.searchsorted(ends, x))
                 assert ends[i] == x
                 assert dirs[i - 1] == 0 or dirs[i - 1] != dirs[i]
         k = min(int(np.searchsorted(knapsack.reach, d)), len(ends) - 2)
         cut = ends[knapsack.order[k]]
-        assert glued[-1][0] <= cut <= glued[-1][1]
+        assert glued[-1][0] <= cut < glued[-1][1]
+        assert glued[-1][1] <= ends[knapsack.order[k] + 1]
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(pwl_windows(), sqrt_windows(), poly_windows(),
@@ -2085,6 +2155,28 @@ class TestExactSup:
             if epsilon > 0:
                 assert phi.below(d, epsilon) == (exact < Fraction(epsilon))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(-20, 500), st.floats(1e-3, 1e3),
+           st.floats(1e-15, 1e-6))
+    def test_tied_slopes_cost_at_most_d(self, teeth, scale, height, share):
+        # 2**teeth segments of one exact |slope| over [-2**scale,
+        # 2**scale]: every segment ties with the cut, but the tied
+        # intervals taken add up to d at most, so Phi(d)'s rounding stays
+        # a few ulps of Phi(d) however long the window; the rational
+        # decision holds Phi inside it
+        n, half = 2 ** teeth, 2.0 ** scale
+        xs = [-half + k * (2 * half / n) for k in range(n + 1)]
+        f = FunctionSpec.piecewise_linear(tuple(
+            (x, height * (k % 2)) for k, x in enumerate(xs)))
+        phi = exact_phi(f, -half, half)
+        d = share * 2 * half
+        sup = phi.sup(d)
+        assert sup.rounding <= 1e-13 * sup.value
+        exact = rational_phi(f, -half, half, d)
+        assert abs(Fraction(sup.value) - exact) <= Fraction(sup.rounding)
+        assert phi.settle(d, sup.value + sup.rounding) is True
+        assert phi.settle(d, sup.value - sup.rounding) is False
+
     @settings(max_examples=150, deadline=None)
     @given(poly_windows(degrees=(2, 2)), st.floats(0.0, 1.2))
     def test_quadratic_bracket_holds_the_rational_phi(self, case, share):
@@ -2207,16 +2299,23 @@ class TestExactSup:
 
     def test_spike_between_grid_points_is_not_verified(self):
         # the grids see one increasing affine piece, whose interval at
-        # the favourable end stays below epsilon; Phi takes both sides of
-        # the spike first
+        # the favourable end stays below epsilon up to 0.1; Phi takes both
+        # sides of the spike first, so a certificate at that length fails
         f = FunctionSpec.piecewise_linear(
             ((0.0, 0.0), (0.300011, 0.300011), (0.300013, 5.0),
              (0.300015, 0.300015), (1.0, 1.0)))
-        cert = ac_certificate(f, monotone_partition(f, 4001).pieces, 0.1)
+        pieces = monotone_partition(f, 4001).pieces
+        assert [(p.shape, p.monotonicity) for p in pieces] == [
+            (Shape.AFFINE, Monotonicity.INCREASING)]  # the false label
+        budget = exact_phi(f, 0.0, 1.0).budget(0.1)
+        # ac_certificate reads the piece's Phi, not its label: proved
+        proved = ac_certificate(f, pieces, 0.1)
+        assert proved.delta1 == pytest.approx(0.99 * budget, rel=1e-12)
+        assert verify_certificate(f, proved).passed
+        cert = Certificate(epsilon=0.1, delta1=0.0891, monotone_pieces=pieces)
         ver = verify_certificate(f, cert)
         assert (ver.method, ver.passed) == ("exact_sup", False)
         assert ver.sup == pytest.approx(9.489, abs=1e-3)
-        budget = exact_phi(f, 0.0, 1.0).budget(0.1)
         assert ver.delta1_opt == budget < 1e-7 < cert.delta1
         # the report shows the collection that Phi takes: both sides of
         # the spike, which f climbs and falls, so they stay two intervals,
@@ -2274,7 +2373,12 @@ class TestExactSup:
         assert budget > cert.delta1
         ver = verify_certificate(f, cert)
         assert (ver.method, ver.passed) == ("exact_sup", True)
-        assert ver.worst_sum < ver.sup < epsilon
+        # sup is the bracket's midpoint, so the witness's sum may pass it;
+        # both lie within the bracket around Phi(delta1), below epsilon
+        sup = bracket.sup(cert.delta1)
+        assert ver.sup == sup.value
+        assert ver.worst_sum <= sup.value + sup.rounding < epsilon
+        assert ver.worst_sum <= phi(cert.delta1) * (1 + 1e-12)
 
     def test_open_bracket_is_undecided(self):
         # epsilon at Phi(delta1) itself: every refinement of the cells

@@ -267,6 +267,21 @@ class TestRefineToMonotone:
         assert out[0].monotonicity is Monotonicity.INCREASING
         assert out[1].monotonicity is Monotonicity.DECREASING
 
+    def test_extremum_next_to_an_end_keeps_one_piece(self):
+        # the minimum at 1e-15 lies within twice the search tolerance of
+        # 0, so the piece is not split but labelled by its end values:
+        # "Decreasing", although f rises on all of it but the first 1e-15
+        # (a known false label, ROADMAP item 5)
+        f = FunctionSpec.piecewise_linear(
+            ((0.0, 1.0), (1e-15, 0.0), (1.0, 0.5)))
+        piece = ShapePiece(IntervalSpec(0.0, 1.0), Shape.CONVEX,
+                           Monotonicity.MIXED, 0.0)
+        assert refine_to_monotone(f, piece) == (
+            ShapePiece(IntervalSpec(0.0, 1.0), Shape.CONVEX,
+                       Monotonicity.DECREASING, 1e-10),)
+        assert monotone_partition(f, 4001).pieces == refine_to_monotone(
+            f, piece)
+
     def test_uncertified_shape_rejected(self):
         piece = ShapePiece(IntervalSpec(0.0, 1.0), Shape.AFFINE,
                            Monotonicity.MIXED, 0.0)

@@ -26,14 +26,17 @@ from contana.report_cli import (
     main,
 )
 from contana import (
+    Certificate,
     IntervalCollection,
     ac_sum,
     clip_window,
+    exact_phi,
     detect_partition,
     monotone_partition,
     parse_function,
     parse_interval,
     sample,
+    verify_certificate,
 )
 from contana.errors import ShapeError
 
@@ -91,53 +94,76 @@ class TestAnalyze:
         assert report["worst_sums"][0]["best_sum"] > 0.25
 
     @pytest.mark.parametrize("fn, interval, method, ratio", [
-        ("sqrt", "[0,1]", "exact_sup", (1.12, 1.13)),
-        ("affine:3,1", "[0,5]", "exact_sup", (1.12, 1.13)),
-        ("pwl:0:0,0.3:0.6,0.7:0.2,1:0.5", "[0,1]", "exact_sup", (4.4, 4.6)),
-        ("poly:0,0,0,1", "[-1,1]", "exact_sup", (2.1, 2.3)),
-        ("x2sininv", "[0.05,1]", "exact_sup", (22.1, 22.3)),
+        ("sqrt", "[0,1]", "exact_sup", (1.01, 1.02)),
+        ("affine:3,1", "[0,5]", "exact_sup", (1.01, 1.02)),
+        ("pwl:0:0,0.3:0.6,0.7:0.2,1:0.5", "[0,1]", "exact_sup", (4.0, 4.1)),
+        ("poly:0,0,0,1", "[-1,1]", "exact_sup", (2.0, 2.05)),
+        ("x2sininv", "[0.05,1]", "exact_sup", (19.9, 20.1)),
     ])
     def test_verification_path_follows_the_kind(self, fn, interval, method,
                                                 ratio):
         # Phi proves the certificate for every kind (for the cubic and
         # x^2 sin(1/x), a bracket on it); delta1_opt, the largest budget
-        # Phi proves, sits next to the paper's delta1
+        # Phi proves on the window, is 1 / 0.99 of delta1 on one piece,
+        # and more on several, whose budgets epsilon / N add up
         report = analyze(fn, interval, FAST)
         ver, cert = report["verification"], report["certificate"]
         assert ver["passed"] is True and ver["method"] == method
         assert "trials" not in ver
-        assert ver["worst_sum"] <= ver["sup"] < 0.1
+        # sup is Phi(delta1) in float, or a bracket's midpoint: the
+        # witness's sum may pass it, but not its rounding
+        window = parse_interval(report["window"])
+        phi = exact_phi(parse_function(fn, window), window.lo, window.hi)
+        sup = phi.sup(cert["delta1"])
+        assert ver["sup"] == sup.value
+        assert ver["worst_sum"] <= sup.value + sup.rounding < 0.1
         assert ratio[0] < cert["delta1_opt"] / cert["delta1"] < ratio[1]
 
     @pytest.mark.parametrize("command", ["analyze", "certify"])
     def test_cantor_coarse_grid_certificate_is_refused(self, capsys,
                                                        command):
         # at base grid 5 detection reads the staircase as six convex or
-        # concave pieces; Phi(delta1) is its whole rise 0.875, and the
-        # witness takes 128 stage-8 bricks: sum 0.5 within length 0.0195
+        # concave pieces; the first piece's Phi is its whole rise at every
+        # positive length, so no step is proved, and the run exits 3
         argv = [command, "--fn", "cantor", "--interval", "[0.05,1]",
                 "--epsilon", "0.5", "--grid", "5"]
-        assert main(argv) == EXIT_VIOLATED
-        out = json.loads(capsys.readouterr().out)
-        ver = out["verification"]
-        assert ver["sup"] == pytest.approx(0.875, abs=1e-15)
-        assert out["certificate"]["delta1_opt"] == 0.0
-        assert out["verdicts"]["certificate_verified"] is False
-        assert ver["method"] == "exact_sup" and ver["passed"] is False
-        witness = IntervalCollection(tuple(map(tuple,
-                                               ver["worst_collection"])))
+        assert main(argv) == EXIT_UNACHIEVABLE
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert len(out["pieces"]) == 6
+        assert out["certificate"] is None and out["verification"] is None
+        assert out["certificate_error"] == (
+            "no positive step keeps Phi on [0.05, 0.16875] below "
+            f"{0.5 / 6!r}")
+        assert out["verdicts"]["certificate_verified"] == "n/a"
+        # a certificate built on those pieces by hand is refused: the
+        # window's Phi(delta1) is the whole rise 0.875, and the witness
+        # takes 128 stage-8 bricks, sum 0.5 within length 0.0195
         f = parse_function("cantor", parse_interval("[0.05,1]"))
-        assert witness.total_length < out["certificate"]["delta1"]
-        assert ac_sum(f, witness) == ver["worst_sum"] == 0.5
-        assert len(witness) == 128
+        pieces = monotone_partition(f, 5).pieces
+        ver = verify_certificate(f, Certificate(epsilon=0.5, delta1=0.02475,
+                                                monotone_pieces=pieces))
+        assert ver.sup == pytest.approx(0.875, abs=1e-15)
+        assert ver.delta1_opt == 0.0
+        assert ver.method == "exact_sup" and ver.passed is False
+        assert ver.worst_collection.total_length < 0.02475
+        assert ac_sum(f, ver.worst_collection) == ver.worst_sum == 0.5
+        assert len(ver.worst_collection) == 128
 
     @pytest.mark.parametrize("command", ["analyze", "certify"])
     def test_undecided_certificate_exits_1(self, capsys, command):
-        # where Phi decides nothing the certificate is not proved: the
-        # report says so, and the run exits 1
+        # where the window's Phi decides nothing the certificate is not
+        # proved: the report says so, and the run exits 1
         argv = [command, "--fn", "sqrt", "--interval", "[0,1]",
                 "--epsilon", "0.1", "--grid", "501"]
-        with mock.patch.object(continuity, "exact_phi", return_value=None):
+
+        def without_phi(f, cert):  # the pieces' Phis still give delta1
+            with mock.patch.object(continuity, "exact_phi",
+                                   return_value=None):
+                return verify_certificate(f, cert)
+
+        with mock.patch.object(report_cli, "verify_certificate", without_phi):
             assert main(argv) == EXIT_VIOLATED
         out = json.loads(capsys.readouterr().out)
         assert out["verification"]["sup"] is None
@@ -281,10 +307,10 @@ class TestCLI:
             "parse error: partition detection requires a uniform grid\n")
 
     @pytest.mark.parametrize("interval, delta1", [
-        ("[1000,1001]", 0.5636069790419053),
-        ("[5000,5001]", 0.891),
-        ("[100000,100001]", 0.891),
-        ("[1000,1000.001]", 0.0008909999999789307),
+        ("[1000,1001]", 0.6262299767097954),
+        ("[5000,5001]", 0.99),
+        ("[100000,100001]", 0.99),
+        ("[1000,1000.001]", 0.0009899999999765897),
     ])
     def test_windows_far_from_zero_certify(self, capsys, interval, delta1):
         # the abscissae round to gaps that differ by more than 1e-9
@@ -360,12 +386,17 @@ class TestCLI:
     @pytest.mark.filterwarnings("error")
     def test_values_near_the_float_limit_analyze_quietly(self, capsys):
         # twice the peaks overflows; detection still reads the curvature
-        # signs, and the certificate step, not a warning, ends the run
+        # signs without a warning, and each piece's Phi and the window's
+        # prove a subnormal delta1
         assert main(["analyze", "--fn", "pwl:0:0,1:1e308,2:0,3:1e308,4:0",
-                     "--interval", "[0,4]"]) == EXIT_UNACHIEVABLE
+                     "--interval", "[0,4]"]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert json.loads(captured.out)["certificate"] is None
+        report = json.loads(captured.out)
+        cert = report["certificate"]
+        assert cert["delta1"] == pytest.approx(1.65e-310, rel=1e-9)
+        assert cert["delta1"] < cert["delta1_opt"]
+        assert report["verdicts"]["certificate_verified"] is True
 
     def test_window_too_narrow_for_the_oracle_grid_fails_early(
             self, capsys, monkeypatch):
@@ -449,22 +480,29 @@ class TestCLI:
         assert payload["verdicts"]["certificate_verified"] is True
 
     def test_step_below_float_resolution_is_unachievable(self, capsys):
+        # slope 1e308 at epsilon 1e-300: the step, 1e-608, rounds to 0,
+        # so Phi proves no positive step
+        argv = ["--fn", "poly:0,1e308", "--interval", "[0,1]",
+                "--epsilon", "1e-300"]
+        for command in ("analyze", "certify"):
+            assert main([command] + argv) == EXIT_UNACHIEVABLE
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            payload = json.loads(captured.out)
+            assert payload["certificate"] is None
+            assert payload["certificate_error"] == (
+                "no positive step keeps Phi on [0.0, 1.0] below 1e-300")
+        # a step far below the resolution at the window's ends is a float
+        # all the same: x^2 on [-1e150, 1e150] is proved
         argv = ["--fn", "poly:0,0,1", "--interval", "[-1e150,1e150]",
                 "--epsilon", "0.1"]
-        assert main(["analyze"] + argv) == EXIT_UNACHIEVABLE
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        payload = json.loads(captured.out)
-        assert payload["certificate"] is None
-        assert payload["certificate_error"].startswith(
-            "no positive step keeps the anchored increment on [-1e+150, ")
-        assert main(["certify"] + argv) == EXIT_UNACHIEVABLE
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        payload = json.loads(captured.out)
-        assert payload["certificate"] is None
-        assert payload["certificate_error"].startswith(
-            "no positive step keeps the anchored increment on [-1e+150, ")
+        for command in ("analyze", "certify"):
+            assert main([command] + argv) == EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            cert = json.loads(captured.out)["certificate"]
+            assert cert["delta1"] == pytest.approx(2.475e-152, rel=1e-9)
+            assert cert["delta1_opt"] == pytest.approx(5e-152, rel=1e-9)
 
     def test_worst_sum_state_guard_limits_only_the_dp(self, capsys):
         # 3 * 5001 * 1250 * 33 states exceed the DP's guard; the top steps
@@ -643,7 +681,7 @@ class TestCLI:
 
     def test_certify_matches_analyze(self, capsys):
         # one path: certify prints analyze's report without its three
-        # tables, and exits as analyze does, except where no partition is
+        # tables and their sizes, and exits as analyze does, except where no partition is
         # stable (certify has no certificate to print) and where only
         # analyze's 2001-point worst-sum grid is too narrow; on the suite's
         # entries and the repros that the CI runs
@@ -652,10 +690,10 @@ class TestCLI:
                  if fn not in ("x2sininv", "cantor")] + [
             ("x2sininv", "[0,1]", 0.1, 4001, EXIT_OK, EXIT_VIOLATED),
             ("cantor", "[0,1]", 0.5, 4001, EXIT_OK, EXIT_VIOLATED),
-            (SPIKE, "[0,1]", 0.1, 4001, EXIT_VIOLATED, EXIT_VIOLATED),
-            ("cantor", "[0.05,1]", 0.5, 5, EXIT_VIOLATED, EXIT_VIOLATED),
-            ("poly:0,0,1", "[-1e150,1e150]", 0.1, 4001, EXIT_UNACHIEVABLE,
+            (SPIKE, "[0,1]", 0.1, 4001, EXIT_OK, EXIT_OK),
+            ("cantor", "[0.05,1]", 0.5, 5, EXIT_UNACHIEVABLE,
              EXIT_UNACHIEVABLE),
+            ("poly:0,0,1", "[-1e150,1e150]", 0.1, 4001, EXIT_OK, EXIT_OK),
             ("sqrt", "[1000,1001]", 0.01, 4001, EXIT_OK, EXIT_OK),
             ("sqrt", "[0,1e-310]", 0.001, 3, EXIT_PARSE, EXIT_OK),
         ]
@@ -671,19 +709,21 @@ class TestCLI:
             payload = json.loads(certified.out)
             if analyze_code == EXIT_PARSE:
                 assert analyzed.out == ""
-                assert payload["certificate"]["delta1"] == 8.91e-311
+                assert payload["certificate"]["delta1"] == 9.9e-311
                 assert payload["verdicts"]["certificate_verified"] is True
                 continue
             report = json.loads(analyzed.out)
             for table in ("gsigma", "modulus", "worst_sums"):
                 del report[table]
+            for size in ("gsigma_samples", "modulus_points"):
+                del report["settings"][size]
             assert payload == report, fn
 
     @pytest.mark.parametrize("fn, interval, epsilon, grid, searches", [
         ("sqrt", "[0,1]", 0.1, 4001, 0),
         ("pwl:0:0,0.3:0.6,0.7:0.2,1:0.5", "[0,1]", 0.1, 4001, 0),
         (SPIKE, "[0,1]", 0.1, 4001, 0),
-        ("cantor", "[0.05,1]", 0.5, 5, 0),
+        ("cantor", "[0.05,1]", 0.5, 5, 1),  # unachievable
         # the shapes that the benchmark's reject workload checks
         ("x2sininv", "[0,0.9]", 0.1, 4001, 1),
         ("x2sininv", "[0,0.9]", 0.1, 25001, 1),
@@ -731,11 +771,19 @@ class TestCLI:
     def test_analyze_failed_verification_exits_violated(self, tmp_path,
                                                         capsys):
         # a spike between the points of the 3-, 5- and 9-point grids: the
-        # function reads as one increasing affine piece; verification breaks
-        # the certificate, and the report is still written
+        # function reads as one increasing affine piece.  Its Phi proves
+        # the certificate that analyze builds, so the certificate here is
+        # built by hand at the length 0.0891 that the slope-1 label would
+        # allow; verification breaks it, and the report is still written
         out = tmp_path / "r.json"
-        code = main(["analyze", "--fn", "pwl:0:0,0.55:0.55,0.555:3,0.56:0.56,1:1",
-                     "--interval", "[0,1]", "--grid", "3", "--json", str(out)])
+        argv = ["analyze", "--fn", "pwl:0:0,0.55:0.55,0.555:3,0.56:0.56,1:1",
+                "--interval", "[0,1]", "--grid", "3", "--json", str(out)]
+        assert main(argv) == EXIT_OK
+        by_label = mock.patch.object(
+            report_cli, "ac_certificate",
+            lambda f, pieces, epsilon: Certificate(epsilon, 0.0891, pieces))
+        with by_label:
+            code = main(argv)
         assert code == EXIT_VIOLATED
         report = json.loads(out.read_text())
         assert [(p["shape"], p["monotonicity"]) for p in report["pieces"]] == [
@@ -754,11 +802,38 @@ class TestCLI:
             report["certificate"]["delta1"])
         assert report["verdicts"]["certificate_verified"] is False
 
+    def test_extremum_next_to_an_end_is_proved(self, capsys):
+        # the one piece reads "Convex Decreasing", a false label (see
+        # test_convexity's near-end refinement); its Phi proves a step of
+        # 1e-16 all the same, and the window's Phi the certificate
+        assert main(["analyze", "--fn", "pwl:0:1,1e-15:0,1:0.5",
+                     "--interval", "[0,1]", "--epsilon", "0.1"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert [(p["shape"], p["monotonicity"]) for p in report["pieces"]] \
+            == [("Convex", "Decreasing")]
+        cert, ver = report["certificate"], report["verification"]
+        assert cert["delta1"] == pytest.approx(9.9e-17, rel=1e-9)
+        assert cert["delta1"] < cert["delta1_opt"] == pytest.approx(
+            1e-16, rel=1e-9)
+        assert (ver["passed"], ver["method"]) == (True, "exact_sup")
+
     def test_certify_refuses_what_phi_refuses(self, capsys):
-        # the spike between grid points: certify prints sup = Phi(delta1)
-        # and exits 1, as analyze does
-        code = main(["certify", "--fn", SPIKE, "--interval", "[0,1]",
-                     "--epsilon", "0.1"])
+        # the spike between grid points: its one piece's Phi proves
+        # delta1 4.2e-8, under the window's budget.  A certificate built
+        # by hand at the length 0.0891 that its affine label would allow
+        # is refused: certify prints sup = Phi(delta1) and exits 1, as
+        # analyze does
+        argv = ["certify", "--fn", SPIKE, "--interval", "[0,1]",
+                "--epsilon", "0.1"]
+        assert main(argv) == EXIT_OK
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert cert["delta1"] == pytest.approx(4.2128e-8, rel=1e-4)
+        assert cert["delta1"] < cert["delta1_opt"] < 1e-7
+        by_label = mock.patch.object(
+            report_cli, "ac_certificate",
+            lambda f, pieces, epsilon: Certificate(epsilon, 0.0891, pieces))
+        with by_label:
+            code = main(argv)
         payload = json.loads(capsys.readouterr().out)
         assert code == EXIT_VIOLATED
         assert payload["verification"]["sup"] == pytest.approx(9.489,
@@ -775,9 +850,10 @@ class TestCLI:
     ], ids=["analyze-zigzag", "analyze-spike", "analyze-sqrt",
             "certify-spike", "certify-cubic"])
     def test_phi_is_built_once_per_command(self, capsys, argv, knapsacks):
-        # one Phi of the certificate window gives delta1_opt, sup and the
-        # verdict: one sorted knapsack for piecewise linear data, two for
-        # a polynomial's bracket, none for the square root
+        # each piece's Phi gives its step, and one Phi of the certificate
+        # window gives delta1_opt, sup and the verdict: N + 1 Phis for N
+        # pieces, each with one sorted knapsack for piecewise linear
+        # data, two for a polynomial's bracket, none for the square root
         interval = "[-1,1]" if "poly" in argv[2] else "[0,1]"
         spy = mock.patch.object(continuity, "exact_phi",
                                 wraps=continuity.exact_phi)
@@ -787,8 +863,12 @@ class TestCLI:
             main(argv + ["--interval", interval, "--epsilon", "0.1"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["certificate"]["delta1_opt"] is not None
-        assert built.call_count == 1
-        assert sorts.call_count == knapsacks
+        windows = [tuple(map(float, call.args[1:])) for call in
+                   built.call_args_list]
+        points = payload["certificate"]["partition"]
+        assert windows == list(zip(points, points[1:])) + [
+            (points[0], points[-1])]
+        assert sorts.call_count == knapsacks * len(windows)
 
     def test_certify_not_piecewise_convex(self, capsys):
         code = main(["certify", "--fn", "cantor", "--interval", "[0,1]",
