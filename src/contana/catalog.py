@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .continuity import IntervalCollection
-from .function_model import FunctionSpec, IntervalSpec, _cantor_bricks
+from .function_model import FunctionSpec, IntervalSpec, cantor_bricks
 
 
 def sqrt_on_unit() -> FunctionSpec:
@@ -55,7 +55,7 @@ def cantor_on_unit() -> FunctionSpec:
 def cantor_stage_cover(k: int) -> IntervalCollection:
     """The 2**k closed thirds remaining at step k of the middle-thirds cut.
 
-    They are ``function_model._cantor_bricks(k)`` as exact rationals
+    They are ``function_model.cantor_bricks(k)`` as exact rationals
     [a / 3**k, (a + 1) / 3**k]: the staircase rises exactly 2**-k across
     each interval, so the increment sum over the cover is exactly 1 while
     the total length shrinks to (2/3)**k.
@@ -64,4 +64,4 @@ def cantor_stage_cover(k: int) -> IntervalCollection:
         raise ValueError("k must be >= 1")
     q = 3 ** k
     return IntervalCollection(tuple((Fraction(a, q), Fraction(a + 1, q))
-                                    for a in _cantor_bricks(k)))
+                                    for a in cantor_bricks(k)))

@@ -2,7 +2,8 @@
 
 The central objects are finite collections of nonoverlapping subintervals
 {(x_i, y_i)} with a total-length budget.  Four complementary tools bound or
-search their increment sums sum |f(y_i) - f(x_i)|:
+search their increment sums sum |f(y_i) - f(x_i)|; none reads the
+function's kind, which only ``function_model`` tells apart:
 
 * ``gluing_bound_check`` glues a collection of total length L into one
   interval, [x_1, x_1 + L] or [y_n - L, y_n] at the end where increments
@@ -13,13 +14,11 @@ search their increment sums sum |f(y_i) - f(x_i)|:
   budget, rounding-level ties taken lowest index first so that a linear
   piece yields one glued run, form few enough same-sign runs, else by
   dynamic programming over (grid index, budget units, interval count).
-* ``exact_phi`` builds Phi, the supremum Phi(d) of the increment sums
-  over every collection of total length at most d, once per window: in
-  closed form for piecewise linear data, polynomials of degree at most one,
-  the square root and the Cantor staircase, and as a certified bracket for
-  polynomials of higher degree and x**2 sin(1/x).  Its methods give Phi(d),
-  the largest d proved to have Phi(d) < epsilon, that decision for a given
-  d, and a collection that nearly reaches Phi(d) or reaches epsilon.
+* ``exact_phi`` (``function_model``) builds Phi, the supremum Phi(d) of
+  the increment sums over every collection of total length at most d,
+  once per window.  Its methods give Phi(d), the largest d proved to have
+  Phi(d) < epsilon, that decision for a given d, and a collection that
+  nearly reaches Phi(d) or reaches epsilon.
 * ``ac_certificate`` inverts each piece's Phi into a concrete
   (epsilon, delta_1) certificate: every collection of total length below
   delta_1 has increment sum below epsilon.  ``verify_certificate``'s Phi,
@@ -29,13 +28,10 @@ search their increment sums sum |f(y_i) - f(x_i)|:
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,17 +49,11 @@ from .errors import (
     Unachievable,
 )
 from .function_model import (
-    CANTOR,
-    CANTOR_DEPTH,
-    POLY,
-    SQRT,
-    X2SININV,
     FunctionSpec,
+    IntervalCollection,
     SampleGrid,
-    _cantor_bricks,
-    _horner,
-    _round_rational,
     evaluate,
+    exact_phi,
 )
 
 #: default interval cap for the worst-sum search
@@ -85,15 +75,6 @@ _TIE_BAND = 16
 #: rounding of the float gaps, of the differences and of the test's products
 _GAP_SLACK = 8 * sys.float_info.epsilon
 
-#: equal cells of the |f'| envelope that brackets Phi for a polynomial of
-#: degree >= 2 and for x**2 sin(1/x); ``_envelope_phi`` refines them
-#: fourfold, up to _MAX_CELLS, while the bracket leaves Phi(d) < epsilon open
-_CELLS = 1024
-_MAX_CELLS = 65536
-
-#: finest stage of the Cantor witness's bricks: at most 2**12 intervals
-_CANTOR_STAGES = 12
-
 
 class Anchor(str, Enum):
     LEFT = "LeftAnchored"
@@ -103,33 +84,6 @@ class Anchor(str, Enum):
 # ---------------------------------------------------------------------------
 # Data types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IntervalCollection:
-    """Sorted nonoverlapping pairs (x_i, y_i) with x_i < y_i, y_i <= x_{i+1}."""
-
-    pairs: tuple
-
-    def __post_init__(self) -> None:
-        ps = tuple((x, y) for x, y in self.pairs)
-        for x, y in ps:
-            if not x < y:
-                raise GeometryError(f"degenerate pair ({x}, {y})")
-        for (_, y0), (x1, _) in zip(ps, ps[1:]):
-            if y0 > x1:
-                raise GeometryError("pairs overlap or are unsorted")
-        object.__setattr__(self, "pairs", ps)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def total_length(self):
-        lens = [y - x for x, y in self.pairs]
-        if all(isinstance(l, float) for l in lens):
-            return math.fsum(lens)
-        return sum(lens)
-
 
 @dataclass(frozen=True)
 class ModulusCurve:
@@ -196,14 +150,6 @@ class VerificationReport:
     #: the largest length that Phi proves on the certificate's window
     #: (``Phi.budget``), None where no Phi exists
     delta1_opt: float | None = None
-
-
-class ExactSup(NamedTuple):
-    """Phi(d) in float and a bound on its rounding:
-    |value - Phi(d)| <= rounding."""
-
-    value: float
-    rounding: float
 
 
 def ac_sum(f: FunctionSpec, c: IntervalCollection) -> float:
@@ -797,450 +743,6 @@ def _backtrack(hist: np.ndarray, kept: list, gaps: list, u: int, k: int):
             j -= 1
     pairs.reverse()
     return pairs
-
-
-# ---------------------------------------------------------------------------
-# The exact supremum Phi(d)
-# ---------------------------------------------------------------------------
-
-def exact_phi(f: FunctionSpec, lo: float, hi: float) -> Phi | None:
-    """Phi of f on the window [lo, hi], or None where a bound overflows.
-
-    Phi(d) is the supremum of sum |f(b_i) - f(a_i)| over the collections of
-    nonoverlapping intervals in [lo, hi] of total length at most d.  Each
-    increment is at most the integral of |f'| over its interval, with
-    equality where f is monotone, so for an absolutely continuous f Phi(d)
-    is the integral over [0, d] of the decreasing rearrangement of |f'|:
-    the steepest total length d of the window, wherever it lies.  It bounds
-    every collection, with no reference to detected pieces.  This is the
-    one place that tells the kinds apart:
-
-    * ``pwl`` (``table@`` included), and ``poly`` of degree at most one as
-      one segment: one exact ``_Knapsack`` over the segments clipped to the
-      window, its ties with epsilon decided in rationals;
-    * ``poly`` of degree n >= 2 and ``x2sininv``: a certified bracket
-      (``_envelope_phi`` on ``_poly_cells`` or ``_x2sininv_cells``);
-    * ``sqrt``: sqrt(min(lo + d, hi)) - sqrt(lo) (``_SqrtCurve``);
-    * ``cantor``: the rise C(hi) - C(lo) for every d > 0 (``_CantorCurve``);
-    * slopes or bounds that overflow: None.
-
-    Phi is that of the exact function: the knots' interpolant, the
-    polynomial, the square root, x**2 sin(1/x) or the staircase.  An
-    increment of ``evaluate`` values is within 16 * eps * Y of the exact
-    one, where Y is the largest |y| of the knots of the segments that meet
-    the window, sqrt(hi), R * (R + 1) for ``x2sininv`` with
-    R = max(|lo|, |hi|), 1 for ``cantor``, or for ``poly``
-    sum |c_k| R**k, and within (4 n + 16) * eps * Y for a polynomial of
-    degree n >= 2.  Cost: O(n log n) for the n segments or cells.
-    """
-    if f.kind == SQRT:
-        curve = _SqrtCurve(lo, hi)
-        return Phi(lo, hi, curve, curve, curve.settle)
-    if f.kind == CANTOR:
-        curve = _CantorCurve(lo, hi, evaluate(f, hi) - evaluate(f, lo))
-        return Phi(lo, hi, curve, curve, curve.settle)
-    if f.kind == X2SININV:
-        return _envelope_phi(_x2sininv_cells, lo, hi, _CELLS)
-    if f.kind == POLY and len(f.coefficients) > 2:
-        return _envelope_phi(_poly_cells(f.coefficients), lo, hi, _CELLS)
-    if f.kind == POLY:  # one segment of slope c_1
-        x, y = np.array([0.0, 1.0]), np.array([0.0, (*f.coefficients, 0.0)[1]])
-        ends = np.array([lo, hi], dtype=float)
-    else:  # PWL
-        kx, ky = f._kx, f._ky
-        i = max(int(np.searchsorted(kx, lo, side="right")) - 1, 0)
-        j = int(np.searchsorted(kx, hi, side="left"))
-        x, y = kx[i:j + 1], ky[i:j + 1]
-        ends = x.copy()
-        ends[0], ends[-1] = lo, hi
-    rise = np.diff(y)
-    with np.errstate(over="ignore"):
-        knapsack = _Knapsack.build(np.abs(rise) / np.diff(x), ends,
-                                   np.sign(rise))
-    if knapsack is None:
-        return None
-    return Phi(lo, hi, knapsack, knapsack,
-               functools.partial(_rational_below, x, y, ends))
-
-
-@dataclass(frozen=True, eq=False)
-class Phi:
-    """Phi on one window [lo, hi] of one f, built by ``exact_phi``.
-
-    ``upper`` and ``lower`` bound the decreasing rearrangement of |f'| from
-    above and from below (one object where it is exact); each gives
-    sup(d), its own Phi with a rounding bound, invert(e), a d where that
-    Phi is about e, and pairs(d, epsilon), the intervals it takes.
-    ``settle(d, epsilon)`` decides Phi(d) < epsilon where the rounding
-    leaves it open (True, False, or None where it cannot).
-    """
-
-    lo: float
-    hi: float
-    upper: _Knapsack | _SqrtCurve | _CantorCurve
-    lower: _Knapsack | _SqrtCurve | _CantorCurve
-    settle: Callable
-
-    def sup(self, d) -> ExactSup | None:
-        """Phi(d) in float and a bound on its rounding; None where it
-        overflows.  From two bounds, the midpoint and half-width of
-        [Phi-, Phi+], each widened by its own rounding, plus
-        4 * eps * (|Phi+| + |Phi-|) + ulp(0)."""
-        top = self.upper.sup(d)
-        if top is None or self.lower is self.upper:
-            return top
-        bottom = self.lower.sup(d)
-        if bottom is None:
-            return None
-        a, b = top.value + top.rounding, bottom.value - bottom.rounding
-        return ExactSup(0.5 * (a + b),
-                        0.5 * (a - b) + 4 * sys.float_info.epsilon
-                        * (abs(a) + abs(b)) + math.ulp(0.0))
-
-    def budget(self, epsilon) -> float | None:
-        """delta1_opt: the largest d <= hi - lo with Phi(d) < epsilon,
-        rounded down by a few roundings of the upper bound.
-
-        The upper bound is inverted at epsilon - m, and the first d whose
-        ``sup`` is below epsilon with its rounding is returned; m starts at
-        0 and then grows to twice itself plus the upper bound's own
-        rounding at d (not a bracket's half-width), and 0 is returned once
-        m reaches epsilon.  None where ``sup`` overflows.
-        """
-        span = self.hi - self.lo
-        margin = 0.0
-        while margin < epsilon:
-            d = min(max(self.upper.invert(epsilon - margin), 0.0), span)
-            sup = self.sup(d)
-            if sup is None:
-                return None
-            if d == 0.0 or sup.value + sup.rounding < epsilon:
-                return d
-            margin = 2.0 * (margin + self.upper.sup(d).rounding)
-        return 0.0
-
-    def below(self, d, epsilon) -> bool | None:
-        """Phi(d) < epsilon by ``sup``, else ``settle``; None if neither."""
-        sup = self.sup(d)
-        if sup is None:
-            return None
-        if sup.value + sup.rounding < epsilon:
-            return True
-        if sup.value - sup.rounding > epsilon:
-            return False
-        return self.settle(d, epsilon)
-
-    def witness(self, d, epsilon) -> IntervalCollection:
-        """A collection of total length below d whose sum nearly reaches
-        Phi(d), or for the Cantor staircase reaches epsilon: the lower
-        bound's intervals (``pairs``).  A knapsack's or the square root's
-        lie where that bound holds, steepest first, so each exact increment
-        is at least the bound times its length, and the exact sum is at
-        least Phi- at the collection's total length.  The last interval,
-        the least steep, is shortened, or dropped, until
-        ``IntervalCollection.total_length`` is below d: by the excess and
-        one ulp of d each time, as an ulp of y, near 0, can be far below
-        one of its length."""
-        pairs = self.lower.pairs(d, epsilon)
-        while pairs:
-            excess = math.fsum(y - x for x, y in pairs) - d
-            x, y = pairs[-1]
-            if excess < 0 and x < y:
-                break
-            y = min(math.nextafter(y, x), y - excess - math.ulp(d))
-            if x < y:
-                pairs[-1] = (x, y)
-            else:
-                pairs.pop()
-        return IntervalCollection(tuple(sorted(p for p in pairs if p[0] < p[1])))
-
-
-class _SqrtCurve(NamedTuple):
-    """sqrt on [lo, hi]: |f'| decreases, so Phi takes [lo, lo + d]."""
-
-    lo: float
-    hi: float
-
-    def sup(self, d) -> ExactSup:
-        """sqrt(min(lo + d, hi)) - sqrt(lo), rounded by at most
-        4 * eps * sqrt(min(lo + d, hi)) + ulp(0)."""
-        top = math.sqrt(min(self.lo + d, self.hi))
-        return ExactSup(top - math.sqrt(self.lo),
-                        4 * sys.float_info.epsilon * top + math.ulp(0.0))
-
-    def invert(self, e) -> float:
-        top = e + math.sqrt(self.lo)
-        return top * top - self.lo
-
-    def pairs(self, d, epsilon) -> list:
-        """[lo, lo + d], clamped to the window, whatever epsilon."""
-        return [(self.lo, min(self.lo + d, self.hi))]
-
-    def settle(self, d, epsilon) -> bool:
-        """Phi(d) < epsilon in rationals: sqrt(a) - sqrt(b) < e iff
-        a - b - e**2 < 2 e sqrt(b)."""
-        a = min(Fraction(self.lo) + Fraction(d), Fraction(self.hi))
-        b, e = Fraction(self.lo), Fraction(epsilon)
-        gap = a - b - e * e
-        return gap < 0 or gap * gap < 4 * e * e * b
-
-
-class _CantorCurve(NamedTuple):
-    """The Cantor staircase C on [lo, hi], rising by ``rise``.
-
-    C is constant off the Cantor set, and the stage-k bricks, the 2**k
-    closed thirds left at step k of the middle-thirds cut, cover it with
-    total length (2/3)**k while C rises 2**-k across each.  So for every
-    d > 0 the bricks of some stage take the whole rise C(hi) - C(lo) within
-    total length d: Phi(d) is the rise for d > 0, and 0 at d = 0.
-    """
-
-    lo: float
-    hi: float
-    rise: float
-
-    def sup(self, d) -> ExactSup:
-        """The rise, within 2 * 2**-CANTOR_DEPTH (``eval_cantor``'s digit
-        depth, at each end) plus eps: the rounding of the two values, both
-        in [0, 1], to floats, and of their difference."""
-        if not d > 0:
-            return ExactSup(0.0, 0.0)
-        return ExactSup(self.rise, 2.0 ** (1 - CANTOR_DEPTH)
-                        + sys.float_info.epsilon)
-
-    def invert(self, e) -> float:
-        return 0.0 if e <= self.rise else math.inf
-
-    def pairs(self, d, epsilon) -> list:
-        """Stage-k bricks inside the window, each rounded outward to
-        floats, from the left: k is the least stage up to _CANTOR_STAGES at
-        which ceil(epsilon * 2**k) of them are shorter in total than d; []
-        if none is.  C is flat on the gaps beside each brick, so a brick
-        still rises exactly 2**-k, and their exact sum is at least epsilon.
-        The bricks [a / 3**k, (a + 1) / 3**k] are ``_cantor_bricks(k)``,
-        kept when lo <= a / 3**k and (a + 1) / 3**k <= hi, both compared
-        in integers."""
-        lo_num, lo_den = self.lo.as_integer_ratio()
-        hi_num, hi_den = self.hi.as_integer_ratio()
-        for k in range(1, _CANTOR_STAGES + 1):
-            n = math.ceil(epsilon * 2 ** k)
-            if not n * 3.0 ** -k < d:  # too long before rounding
-                continue
-            q = 3 ** k
-            inside = [a for a in _cantor_bricks(k) if lo_num * q <= a * lo_den
-                      and (a + 1) * hi_den <= hi_num * q][:n]
-            pairs = [(_round_rational(a, q, False),
-                      _round_rational(a + 1, q, True)) for a in inside]
-            if len(pairs) == n and math.fsum(y - x for x, y in pairs) < d:
-                return pairs
-        return []
-
-    def settle(self, d, epsilon) -> None:
-        """Never decides: C at a float is rational but not always dyadic
-        (C(1/4) = 1/3), and its ternary period can be 2**(q - 2) digits
-        long at p / 2**q, so no exact test of the rise is cheap."""
-        return None
-
-
-class _Knapsack(NamedTuple):
-    """Intervals tiling a window, steepest first: a bound s on |f'| over
-    each (its exact |slope| on a linear segment), its length, and their
-    running sums; interval order[i] runs from ends[order[i]] to
-    ends[order[i] + 1], and f keeps the direction dirs[i] (1 rising, -1
-    falling, 0 unknown or flat) on the i-th interval of the window: the
-    sign of a segment's slope, or of f' at a cell's midpoint.
-
-    Its Phi is a fractional knapsack.  With the cut level c, the s of the
-    interval the budget d ends in (0 when it covers them all), Phi is
-    summed as its LP dual c * d + sum of L_i * (s_i - c) over the k
-    intervals taken whole, whose terms are nonnegative.  The rounding is at
-    most (k + 16) * eps * (c * d + sum L_i * s_i over those k)
-    + 16 * eps * c * min(T, d) + (k + 16) * ulp(0), eps being the float
-    epsilon and T the length of the other intervals whose s is within
-    8 * eps * c of c.  It covers the rounding of the slopes, the lengths and
-    the sum, and a cut that their rounding, or that of the running lengths,
-    puts on a neighbouring interval: the tied intervals taken under either
-    order add up to length d at most, so the two choices differ on at most
-    min(T, d) of length, at levels within 16 * eps * c of each other.
-    """
-
-    s: np.ndarray
-    lengths: np.ndarray
-    order: np.ndarray
-    ends: np.ndarray
-    reach: np.ndarray
-    rises: np.ndarray
-    dirs: np.ndarray
-
-    @classmethod
-    def build(cls, s: np.ndarray, ends: np.ndarray,
-              dirs: np.ndarray) -> _Knapsack | None:
-        """The knapsack of bounds s and directions dirs between ends; None
-        if a bound is not finite."""
-        if not np.isfinite(s).all():
-            return None
-        order = np.argsort(-s, kind="stable")
-        s, lengths = s[order], np.diff(ends)[order]
-        with np.errstate(over="ignore"):
-            return cls(s, lengths, order, ends, np.cumsum(lengths),
-                       np.cumsum(lengths * s), dirs)
-
-    def sup(self, d) -> ExactSup | None:
-        s, lengths = self.s, self.lengths
-        k = int(np.searchsorted(self.reach, d))  # intervals taken whole
-        cut = float(s[k]) if k < len(s) else 0.0
-        taken, whole = lengths[:k], s[:k]
-        eps = sys.float_info.epsilon
-        tied = np.abs(s - cut) <= 8 * eps * cut
-        tied[k:k + 1] = False
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = cut * d + float(np.sum(taken * (whole - cut)))
-            rounding = ((k + 16) * (eps * (cut * d
-                                           + float(np.sum(taken * whole)))
-                                    + math.ulp(0.0))
-                        + 16 * eps * cut * min(float(np.sum(lengths[tied])),
-                                               d))
-        if not math.isfinite(value + rounding):
-            return None
-        return ExactSup(value, rounding)
-
-    def invert(self, e) -> float:
-        """The d at which the knapsack's rise reaches e (inf past it)."""
-        k = int(np.searchsorted(self.rises, e, side="right"))  # whole below e
-        if k == len(self.s):
-            return math.inf
-        if k == 0:
-            return float(e / self.s[0])
-        return float(self.reach[k - 1] + (e - self.rises[k - 1]) / self.s[k])
-
-    def pairs(self, d, epsilon) -> list:
-        """The intervals taken at budget d, the last one cut short, whatever
-        epsilon.  Touching intervals of one nonzero direction are glued
-        into one: f is monotone across them, so the exact sum is the same.
-        The glued run that holds the cut interval, the least steep, comes
-        last, and nothing is glued to the cut interval's right, so
-        ``Phi.witness`` trims the least steep length first."""
-        k = int(np.searchsorted(self.reach, d))  # intervals taken whole
-        at = self.order[:k + 1]
-        left, right = self.ends[at], self.ends[at + 1]
-        if k < len(self.reach):  # the cut interval takes what is left of d
-            right[k] = min(right[k], left[k] + (d - (self.reach[k - 1] if k
-                                                     else 0.0)))
-        place = np.argsort(at)  # the window's order
-        cut = int(place.argmax())  # the cut interval's place in it
-        left, right, dirs = left[place], right[place], self.dirs[at[place]]
-        glue = ((right[:-1] == left[1:]) & (dirs[1:] == dirs[:-1])
-                & (dirs[1:] != 0))
-        glue[cut:cut + 1] = False
-        first = np.flatnonzero(np.append(True, ~glue))
-        last = np.append(first[1:], len(at)) - 1
-        runs = list(zip(left[first].tolist(), right[last].tolist()))
-        runs.append(runs.pop(int(np.searchsorted(first, cut,
-                                                 side="right")) - 1))
-        return runs
-
-
-def _rational_below(x, y, ends, d, epsilon) -> bool:
-    """Phi(d) < epsilon in rationals: the knapsack on the exact slopes of
-    the segments between the knots (x, y) and their lengths between ends."""
-    x, y, ends = ([Fraction(v) for v in a.tolist()] for a in (x, y, ends))
-    slopes = [abs(y1 - y0) / (x1 - x0)
-              for x0, x1, y0, y1 in zip(x, x[1:], y, y[1:])]
-    lengths = [b - a for a, b in zip(ends, ends[1:])]
-    left, total = Fraction(d), Fraction(0)
-    for slope, length in sorted(zip(slopes, lengths), reverse=True):
-        take = min(length, left)
-        total += slope * take
-        left -= take
-        if not left:
-            break
-    return total < epsilon
-
-
-def _envelope_phi(cell_bounds, lo, hi, cells: int) -> Phi | None:
-    """Phi of a kind with per-cell bounds on |f'|, as a certified bracket.
-
-    The window is cut into ``cells`` equal cells, and on a cell of
-    midpoint m and half-width r |f'| lies within |f'(m)| +- (r * M2 + E),
-    capped above and floored at 0 below, where M2 bounds |f''| on the cell
-    and E covers the rounding of f'(m) and of the bounds themselves.
-    ``cell_bounds(ends, mid, half)`` gives (f'(m), r * M2, E, cap) for
-    every cell, each an array or one number (``_poly_cells``,
-    ``_x2sininv_cells``).  The knapsack on the upper bounds gives
-    Phi+ >= Phi, and on the lower ones Phi- <= Phi; the width is about
-    2 r M2 d.  Where the lower bound is positive f' keeps the sign of
-    f'(m) across the cell, which is the cell's direction.  Where the
-    bracket leaves Phi(d) < epsilon open, it is refined on 4 times as many
-    cells, up to _MAX_CELLS.  None where a bound overflows.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ends = np.minimum(np.linspace(lo, hi, cells + 1), hi)
-        mid = 0.5 * (ends[:-1] + ends[1:])
-        half = np.maximum(mid - ends[:-1], ends[1:] - mid)
-        slope, spread, slack, cap = cell_bounds(ends, mid, half)
-        steep = np.abs(slope)
-        upper = np.minimum(steep + spread + slack, cap)
-        lower = np.maximum(steep - spread - slack, 0.0)
-    dirs = np.where(lower > 0, np.sign(slope), 0.0)
-    top = _Knapsack.build(upper, ends, dirs)
-    if top is None:
-        return None
-
-    def refined_below(d, epsilon):
-        finer = (None if cells >= _MAX_CELLS
-                 else _envelope_phi(cell_bounds, lo, hi, 4 * cells))
-        return None if finer is None else finer.below(d, epsilon)
-
-    return Phi(lo, hi, top, _Knapsack.build(lower, ends, dirs), refined_below)
-
-
-def _poly_cells(c):
-    """``_envelope_phi``'s cell bounds for the polynomial with coefficients
-    c, of degree n >= 2: M2 = sum k (k - 1) |c_k| R**(k - 2) bounds |p''|
-    for R = max(|lo|, |hi|) on every cell, E = 8 (n + 2) (eps * (M1 +
-    r_max * M2) + ulp(0)), with M1 = sum k |c_k| R**(k - 1), covers the
-    Horner rounding of p'(m) and of the bounds, and nothing caps them."""
-    n = len(c) - 1
-    d1 = [k * c[k] for k in range(1, n + 1)]  # p', from the constant up
-    d2 = [k * (k - 1) * c[k] for k in range(2, n + 1)]  # p''
-
-    def bounds(ends, mid, half):
-        reach = max(abs(float(ends[0])), abs(float(ends[-1])))
-        m1 = _horner([abs(a) for a in d1], reach)
-        m2 = _horner([abs(a) for a in d2], reach)
-        slack = 8 * (n + 2) * (sys.float_info.epsilon
-                               * (m1 + float(half.max()) * m2)
-                               + math.ulp(0.0))
-        return _horner(d1, mid), half * m2, slack, math.inf
-
-    return bounds
-
-
-def _x2sininv_cells(ends, mid, half):
-    """``_envelope_phi``'s cell bounds for f(x) = x**2 sin(1/x), whose
-    derivative is f'(x) = 2 x sin(1/x) - cos(1/x) (0 at 0).
-
-    |f'| <= 2 |x| + 1 everywhere: the cap, at the cell's largest |x|, R,
-    widened by 2 eps for its own rounding.  On a cell whose least |x| is
-    a > 0, |f''| = |2 sin(1/x) - 2 cos(1/x) / x - sin(1/x) / x**2|
-    <= 2 + 2 / a + 1 / a**2 = M2.  E = 8 eps (cap (1 + 1 / a) + r M2)
-    covers the rounding of 1 / m, which moves sin and cos by up to
-    eps / (2 |m|), of sin, cos and f'(m), and of the bounds: it grows like
-    eps / a, and where it swamps the local bound the cap wins.  A cell
-    that meets 0, or whose bounds overflow, gets [0, cap].
-    """
-    eps = sys.float_info.epsilon
-    left, right = np.abs(ends[:-1]), np.abs(ends[1:])
-    cap = (2.0 * np.maximum(left, right) + 1.0) * (1.0 + 2 * eps)
-    least = np.where((ends[:-1] > 0) | (ends[1:] < 0),
-                     np.minimum(left, right), 0.0)
-    inv = 1.0 / mid
-    slope = 2.0 * mid * np.sin(inv) - np.cos(inv)
-    spread = half * (2.0 + 2.0 / least + 1.0 / (least * least))
-    slack = 8 * eps * (cap * (1.0 + 1.0 / least) + spread)
-    loose = ~np.isfinite(slope + spread + slack)
-    return (np.where(loose, 0.0, slope), np.where(loose, cap, spread),
-            np.where(loose, 0.0, slack), cap)
 
 
 # ---------------------------------------------------------------------------

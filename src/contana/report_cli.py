@@ -102,19 +102,14 @@ def analyze(fn_text: str, interval_text: str,
     curve of the base grid, the increment-curve check of each piece
     (``gsigma``) and ``worst_sums``.
     ``worst_sums`` is a worst-sum search at budget span/20 on an
-    ORACLE_POINTS grid, run only where no certificate exists; a
-    certificate's worst collection is Phi's witness, in ``verification``.
+    ORACLE_POINTS grid, sampled and run only where no certificate exists;
+    a certificate's worst collection is Phi's witness, in ``verification``.
     """
     window = parse_interval(interval_text)
     f = parse_function(fn_text, window)  # its domain lies in the window
     clipped = clip_window(f.domain)
 
     result = monotone_partition(f, settings.grid_m)  # checks its own grids
-    oracle_grid = sample(f, clipped, ORACLE_POINTS)
-    if not oracle_grid.uniform:  # refused before any certificate work
-        raise InsufficientData(
-            f"the window {clipped} is too narrow for a uniform "
-            f"{ORACLE_POINTS}-point grid (the worst-sum search needs one)")
     report = _verdict(fn_text, f, result, settings)
     report["settings"].update(gsigma_samples=GSIGMA_SAMPLES,
                               modulus_points=MODULUS_POINTS)
@@ -133,17 +128,23 @@ def analyze(fn_text: str, interval_text: str,
             "ok": rep.ok,
         })
     report["worst_sums"] = []
-    budget = base_grid.span / 20.0
-    if report["certificate"] is None and budget > oracle_grid.spacing:
-        rep = worst_ac_sum_oracle(oracle_grid, budget)
-        report["worst_sums"].append({
-            "delta": float(rep.delta),
-            "best_sum": rep.best_sum,
-            "method": rep.method,
-            "grid_spacing": rep.grid_spacing,
-            "witness_intervals": len(rep.witness),
-            "witness_total_length": float(rep.witness.total_length),
-        })
+    if report["certificate"] is None:
+        oracle_grid = sample(f, clipped, ORACLE_POINTS)
+        if not oracle_grid.uniform:
+            raise InsufficientData(
+                f"the window {clipped} is too narrow for a uniform "
+                f"{ORACLE_POINTS}-point grid (the worst-sum search needs one)")
+        budget = base_grid.span / 20.0
+        if budget > oracle_grid.spacing:
+            rep = worst_ac_sum_oracle(oracle_grid, budget)
+            report["worst_sums"].append({
+                "delta": float(rep.delta),
+                "best_sum": rep.best_sum,
+                "method": rep.method,
+                "grid_spacing": rep.grid_spacing,
+                "witness_intervals": len(rep.witness),
+                "witness_total_length": float(rep.witness.total_length),
+            })
     return report
 
 

@@ -2025,8 +2025,8 @@ class TestExactSup:
         # fivefold (cells near 0 take the cap at every size)
         f = FunctionSpec.x_squared_sin_inv(IntervalSpec(-1.0, 1.0))
         coarse = exact_phi(f, lo, hi).sup(d)
-        fine = continuity._envelope_phi(continuity._x2sininv_cells, lo, hi,
-                                        65536).sup(d)
+        fine = function_model._envelope_phi(function_model._x2sininv_cells,
+                                            lo, hi, 65536).sup(d)
         for sup in (coarse, fine):
             assert abs(sup.value - reference) <= sup.rounding + 1e-7
         assert fine.rounding < 0.2 * coarse.rounding
@@ -2387,16 +2387,16 @@ class TestExactSup:
         f = catalog.squared()
         d = 0.0179
         phi = 20 * d - d * d
-        cells = continuity._poly_cells(f.coefficients)
+        cells = function_model._poly_cells(f.coefficients)
         for n in (1024, 4096, 65536):
-            sup = continuity._envelope_phi(cells, 0.0, 10.0, n).sup(d)
+            sup = function_model._envelope_phi(cells, 0.0, 10.0, n).sup(d)
             assert abs(sup.value - phi) <= sup.rounding
         piece = ShapePiece(IntervalSpec(0.0, 10.0), Shape.CONVEX,
                            Monotonicity.INCREASING, 0.0)
         cert = Certificate(epsilon=phi, delta1=d, monotone_pieces=(piece,))
         bracket = exact_phi(f, 0.0, 10.0)
-        with mock.patch.object(continuity, "_envelope_phi",
-                               wraps=continuity._envelope_phi) as envelopes:
+        with mock.patch.object(function_model, "_envelope_phi",
+                               wraps=function_model._envelope_phi) as envelopes:
             assert bracket.below(d, phi) is None
         assert [c.args[3] for c in envelopes.call_args_list] == [
             4096, 16384, 65536]

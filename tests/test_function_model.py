@@ -35,8 +35,8 @@ from contana.function_model import (
     _CANTOR_MAX_EXPONENT,
     _CANTOR_PASS_DIGITS,
     _bulk_values,
-    _cantor_bricks,
     _round_rational,
+    cantor_bricks,
     evaluate_many,
 )
 
@@ -510,7 +510,7 @@ def stage_cover_by_thirds(k: int) -> list:
 @pytest.mark.parametrize("k", range(1, 11))
 def test_cantor_bricks_match_the_thirds_recursion(k):
     q = 3 ** k
-    bricks = [(Fraction(a, q), Fraction(a + 1, q)) for a in _cantor_bricks(k)]
+    bricks = [(Fraction(a, q), Fraction(a + 1, q)) for a in cantor_bricks(k)]
     assert bricks == stage_cover_by_thirds(k)
     assert list(catalog.cantor_stage_cover(k).pairs) == bricks
 

@@ -1,17 +1,21 @@
-"""Source hygiene: no library module imports a name it never uses, and no
-module imports inside a function body.
+"""Source hygiene: no library module imports a name it never uses, no
+module imports inside a function body, and only ``function_model`` tells
+the function kinds apart.
 
 No linter ships with the toolchain, so these stdlib ``ast`` scans stand in
 for one.  ``__init__`` is exempt from the first: its imports are the
 package's exports.  The second keeps import cycles out: a module that
 needs another at call time imports it at the top, or the two share a
-lower module.
+lower module.  The third keeps every per-kind fact in one module, so that
+a new fact or a new kind changes that module only.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from contana import function_model
 
 ALL_SOURCES = sorted((Path(__file__).parents[1] / "src" / "contana")
                      .glob("*.py"))
@@ -67,3 +71,50 @@ def test_scan_flags_a_nested_import():
               "    import os\n"
               "    return math.pi\n")
     assert nested_imports(source) == [4, 5]
+
+
+#: the names of function_model's kind constants (SQRT ... PWL)
+KIND_CONSTANTS = {name for name, value in vars(function_model).items()
+                  if isinstance(value, str) and value in function_model._KINDS}
+
+
+def kind_reads(source: str) -> list:
+    """Lines that tell function kinds apart: a comparison with a ``.kind``,
+    a read of a spec's knot arrays (``_kx``, ``_ky``, ``_views``), or an
+    import of a kind constant or a private name from ``function_model``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            if any(isinstance(side, ast.Attribute) and side.attr == "kind"
+                   for side in (node.left, *node.comparators)):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute):
+            if node.attr in ("_kx", "_ky", "_views"):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "function_model":
+                lines.update(alias.lineno for alias in node.names
+                             if alias.name in KIND_CONSTANTS
+                             or alias.name.startswith("_"))
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_SOURCES if p.name != "function_model.py"],
+    ids=lambda p: p.name)
+def test_only_function_model_reads_the_kind(path):
+    assert kind_reads(path.read_text()) == []
+
+
+def test_scan_flags_a_kind_read():
+    source = ("from .function_model import (\n"
+              "    CANTOR_DEPTH,\n"
+              "    SQRT,\n"
+              "    _horner,\n"
+              "    evaluate,\n"
+              ")\n"
+              "def g(f):\n"
+              "    if f.kind in ('poly', 'pwl'):\n"
+              "        return f._kx\n"
+              "    raise ValueError(f'no {f.kind}')\n")
+    assert kind_reads(source) == [3, 4, 8, 9]

@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from contana import continuity, report_cli
+from contana import continuity, function_model, report_cli
 from contana.report_cli import (
     EXIT_INTERNAL,
     EXIT_IO,
@@ -277,17 +277,27 @@ class TestCLI:
         assert captured.err.startswith("parse error: ")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("grid", ["3", "4001"])
-    def test_x2sininv_underflow_window_parse_error(self, capsys, grid):
-        # x^2 sin(1/x) is 0 where 1/x overflows; the window is then too
-        # narrow for a uniform grid, which is bad input, not a crash
+    @pytest.mark.parametrize("grid, code", [("3", EXIT_OK),
+                                            ("4001", EXIT_PARSE)],
+                             ids=["3", "4001"])
+    def test_x2sininv_underflow_window_parse_error(self, capsys, grid, code):
+        # x^2 sin(1/x) is 0 where 1/x overflows; at 4001 points the window
+        # is too narrow for a uniform detection grid, which is bad input,
+        # not a crash.  At 3 points detection's grids are uniform, and Phi
+        # proves the certificate, so no worst-sum grid is sampled
         assert main(["analyze", "--fn", "x2sininv", "--interval", "[0,1e-310]",
-                     "--grid", grid]) == EXIT_PARSE
+                     "--grid", grid]) == code
         captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code == EXIT_OK:
+            report = json.loads(captured.out)
+            assert report["certificate"]["delta1"] == 9.9e-311
+            assert report["verification"]["method"] == "exact_sup"
+            assert report["verdicts"]["certificate_verified"] is True
+            return
         assert captured.out == ""
         assert captured.err.startswith("parse error: ")
         assert captured.err.count("\n") == 1
-        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--fn", "sqrt", "--interval", "[0,1e-310]",
@@ -305,6 +315,38 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err == (
             "parse error: partition detection requires a uniform grid\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--interval", "[1e17,inf)"], "the window "
+         "[1e+17,1.0000000000000002e+17] is too narrow for 16001 distinct "
+         "grid points"),
+        (["modulus", "--interval", "[1e17,inf)", "--deltas", "1"], "the "
+         "window [1e+17,1.0000000000000002e+17] is too narrow for 4001 "
+         "distinct grid points"),
+        (["worst-sum", "--interval", "[1e17,inf)", "--delta", "1"], "the "
+         "window [1e+17,1.0000000000000002e+17] is too narrow for 2001 "
+         "distinct grid points"),
+        (["check-lemma1", "--interval", "[1e17,inf)", "--sigma", "1"], "the "
+         "window [1e+17,1.0000000000000002e+17] is too narrow for 16001 "
+         "distinct grid points"),
+        (["analyze", "--interval", "[1e15,1.0000000000000001e15]"], "the "
+         "window [1000000000000000.0,1000000000000000.1] is too narrow for "
+         "16001 distinct grid points"),
+        (["analyze", "--interval", "[1e300,inf)"], "window [1e+300,inf) "
+         "collapsed after clipping: truncation to width 10.0"),
+        (["analyze", "--interval", "(0,1e-13)"], "window (0.0,1e-13) "
+         "collapsed after clipping: open-end margin 1e-12"),
+    ], ids=["analyze-far", "modulus-far", "worst-sum-far", "lemma1-far",
+            "analyze-ulp-wide", "analyze-truncation", "analyze-margin"])
+    def test_window_too_narrow_for_its_grid_or_clipping(self, capsys, argv,
+                                                        message):
+        # far from 0 the grid's points round onto each other, or the
+        # truncated or pulled-in window rounds to one point: the message
+        # names the window and the grid size, or what collapsed it
+        assert main(argv[:1] + ["--fn", "sqrt"] + argv[1:]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {message}\n"
 
     @pytest.mark.parametrize("interval, delta1", [
         ("[1000,1001]", 0.6262299767097954),
@@ -399,22 +441,22 @@ class TestCLI:
         assert report["verdicts"]["certificate_verified"] is True
 
     def test_window_too_narrow_for_the_oracle_grid_fails_early(
-            self, capsys, monkeypatch):
+            self, capsys):
         # detection's 3- to 9-point grids are uniform on [0, 1e-310], but
-        # the subnormal gaps of the 2001-point worst-sum grid are not: the
-        # run stops before any certificate work and names the window and
-        # the grid
-        def no_certificate(*args, **kwargs):
-            raise AssertionError("certificate work ran")
-
-        monkeypatch.setattr(report_cli, "ac_certificate", no_certificate)
-        assert main(["analyze", "--fn", "sqrt", "--interval", "[0,1e-310]",
-                     "--grid", "3", "--epsilon", "0.001"]) == EXIT_PARSE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "parse error: the window [0.0,1e-310] is too narrow for a "
-            "uniform 2001-point grid (the worst-sum search needs one)\n")
+        # the subnormal gaps of the 2001-point worst-sum grid are not; the
+        # search runs only where no certificate exists (certify exits 3
+        # here), and its refusal names the window and the grid
+        for fn, epsilon in (("cantor", "1e-250"), ("pwl:0:0,1e-310:1", "0.1")):
+            argv = ["--fn", fn, "--interval", "[0,1e-310]", "--grid", "3",
+                    "--epsilon", epsilon]
+            assert main(["certify"] + argv) == EXIT_UNACHIEVABLE
+            capsys.readouterr()
+            assert main(["analyze"] + argv) == EXIT_PARSE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "parse error: the window [0.0,1e-310] is too narrow for a "
+                "uniform 2001-point grid (the worst-sum search needs one)\n")
 
     @pytest.mark.parametrize("rows, message", [
         ("x,y\n0,0\n1,nan\n2,1\n", "knots must be finite: knot 1 is (1.0, nan)"),
@@ -681,10 +723,9 @@ class TestCLI:
 
     def test_certify_matches_analyze(self, capsys):
         # one path: certify prints analyze's report without its three
-        # tables and their sizes, and exits as analyze does, except where no partition is
-        # stable (certify has no certificate to print) and where only
-        # analyze's 2001-point worst-sum grid is too narrow; on the suite's
-        # entries and the repros that the CI runs
+        # tables and their sizes, and exits as analyze does, except where
+        # no partition is stable (certify has no certificate to print); on
+        # the suite's entries and the repros that the CI runs
         cases = [(fn, interval, epsilon, 4001, EXIT_OK, EXIT_OK)
                  for _, fn, interval, epsilon in report_cli._SUITE_ENTRIES
                  if fn not in ("x2sininv", "cantor")] + [
@@ -695,7 +736,7 @@ class TestCLI:
              EXIT_UNACHIEVABLE),
             ("poly:0,0,1", "[-1e150,1e150]", 0.1, 4001, EXIT_OK, EXIT_OK),
             ("sqrt", "[1000,1001]", 0.01, 4001, EXIT_OK, EXIT_OK),
-            ("sqrt", "[0,1e-310]", 0.001, 3, EXIT_PARSE, EXIT_OK),
+            ("sqrt", "[0,1e-310]", 0.001, 3, EXIT_OK, EXIT_OK),
         ]
         assert len(cases) == 12
         for fn, interval, epsilon, grid, analyze_code, certify_code in cases:
@@ -707,11 +748,9 @@ class TestCLI:
             certified = capsys.readouterr()
             assert certified.err == "", fn
             payload = json.loads(certified.out)
-            if analyze_code == EXIT_PARSE:
-                assert analyzed.out == ""
+            if interval == "[0,1e-310]":
                 assert payload["certificate"]["delta1"] == 9.9e-311
                 assert payload["verdicts"]["certificate_verified"] is True
-                continue
             report = json.loads(analyzed.out)
             for table in ("gsigma", "modulus", "worst_sums"):
                 del report[table]
@@ -858,8 +897,8 @@ class TestCLI:
         spy = mock.patch.object(continuity, "exact_phi",
                                 wraps=continuity.exact_phi)
         with spy as built, mock.patch.object(report_cli, "exact_phi", built), \
-                mock.patch.object(continuity._Knapsack, "build",
-                                  wraps=continuity._Knapsack.build) as sorts:
+                mock.patch.object(function_model._Knapsack, "build",
+                                  wraps=function_model._Knapsack.build) as sorts:
             main(argv + ["--interval", interval, "--epsilon", "0.1"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["certificate"]["delta1_opt"] is not None
