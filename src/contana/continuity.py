@@ -806,16 +806,17 @@ def random_collection(rng, lo: float, hi: float, total: float,
 def ac_certificate(f: FunctionSpec, pieces, epsilon: float) -> Certificate:
     """Synthesize an (epsilon, delta_1) certificate from monotone pieces.
 
-    With N pieces, each receives budget epsilon / N, and its step is the
-    largest length that its own Phi proves below that budget
-    (``exact_phi(f, lo, hi).budget``).  On a monotone convex/concave piece
-    that is the increment anchored at the favourable end, by the increment
-    lemma, but the step holds whatever the pieces' labels say.  delta_1 is
-    0.99 * the smallest step; each step is at most its piece's length.  A
-    collection of total length below delta_1, split at the partition
-    points, puts less than each piece's step in that piece, so its
-    increment sum is below N * epsilon / N = epsilon.  Unachievable names
-    the first piece whose Phi is unknown or proves no positive step.
+    With N pieces, each receives budget epsilon / N.  A piece whose own Phi
+    proves Phi(hi - lo) below it is skipped, and every other one gets a
+    step: the largest length that its Phi proves below the budget
+    (``exact_phi(f, lo, hi).budget``), on a monotone convex/concave piece
+    the increment anchored at the favourable end, by the increment lemma,
+    whatever the labels say.  delta_1 is 0.99 * the smallest step, or of
+    the window's span if none.  A collection of total length below delta_1,
+    split at the partition points, puts less than its step in each piece
+    or lies in a skipped one, so its sum is below N * epsilon / N.
+    Unachievable names the first piece whose Phi is unknown or proves no
+    positive step.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -830,10 +831,12 @@ def ac_certificate(f: FunctionSpec, pieces, epsilon: float) -> Certificate:
             raise PreconditionError("pieces do not tile the window contiguously")
 
     budget = epsilon / len(pieces)
-    steps = []
+    steps = [span]
     for piece in pieces:
         lo, hi = piece.interval.lo, piece.interval.hi
         phi = exact_phi(f, lo, hi)
+        if phi is not None and phi.below(hi - lo, budget):
+            continue
         step = None if phi is None else phi.budget(budget)
         if not step:
             raise Unachievable(f"no positive step keeps Phi on [{lo}, {hi}] "

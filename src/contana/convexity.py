@@ -4,14 +4,16 @@ A function that is monotone and convex (or concave) on an interval has a
 monotone increment curve: for a fixed step sigma > 0, x |-> |f(x+sigma) -
 f(x)| never changes direction.  This module detects a finite convex/concave
 partition from samples, decides by resolution whether it is stable, refines
-it to monotone pieces, and certifies the increment-curve direction on each.
+it to monotone pieces by each kind's exact slope sign
+(``function_model.slope_sign``), and certifies the increment-curve
+direction on each.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -19,6 +21,7 @@ import numpy as np
 from .errors import (
     GeometryError,
     InsufficientData,
+    KindError,
     ShapeError,
 )
 from .function_model import (
@@ -29,6 +32,7 @@ from .function_model import (
     evaluate,
     evaluate_many,
     sample,
+    slope_sign,
     uniform_abscissae,
 )
 
@@ -38,9 +42,6 @@ DEFAULT_MAX_PIECES = 64
 #: zero band for second differences: eta = DEFAULT_ETA_SCALE * max |value|
 DEFAULT_ETA_SCALE = 1e-8
 
-#: ternary-search tolerance: fraction of the piece length
-DEFAULT_EXTREMUM_TOL = 1e-10
-
 
 class Shape(str, Enum):
     CONVEX = "Convex"
@@ -49,6 +50,9 @@ class Shape(str, Enum):
 
 
 class Monotonicity(str, Enum):
+    """A piece's direction; MIXED marks a detected piece whose direction
+    ``refine_to_monotone`` decides."""
+
     INCREASING = "Increasing"
     DECREASING = "Decreasing"
     CONSTANT = "Constant"
@@ -160,7 +164,8 @@ def detect_partition(grid: SampleGrid):
     Near-zero entries are treated as locally affine and absorbed into the
     adjacent run (leftward ties).  Returns a PiecewiseConvexPartition, or
     NotPiecewiseConvex when the number of sign runs exceeds
-    DEFAULT_MAX_PIECES.
+    DEFAULT_MAX_PIECES.  Detection reads curvature only: its pieces are
+    Monotonicity.MIXED, and ``refine_to_monotone`` decides their direction.
     """
     if len(grid) < 3:
         raise InsufficientData("partition detection needs at least 3 points")
@@ -188,33 +193,18 @@ def detect_partition(grid: SampleGrid):
     runs = _sign_runs(signs, DEFAULT_MAX_PIECES)
     if isinstance(runs, int):
         return NotPiecewiseConvex(sign_change_count=runs - 1)
-    runs = [(s, first + 1, last + 1) for s, first, last in runs]
+    # one piece per run (no run: one affine piece), cut midway between runs
+    runs = [(s, first + 1, last + 1) for s, first, last in runs] or [(0, 0, 0)]
+    ends = [0] + [(a[2] + b[1] + 1) // 2 for a, b in zip(runs, runs[1:])]
+    shapes = tuple(
+        ShapePiece(IntervalSpec(float(xs[i]), float(xs[j])), _BY_CURVATURE[s],
+                   Monotonicity.MIXED, grid.spacing)
+        for (s, _, _), i, j in zip(runs, ends, ends[1:] + [len(grid) - 1]))
+    return PiecewiseConvexPartition(shapes, sign_change_count=len(runs) - 1)
 
-    m = len(grid)
-    tol = grid.spacing
-    mono_band = max(eta * (h / length), 8.0 * sys.float_info.epsilon * scale)
-    if not runs:
-        piece = IntervalSpec(float(xs[0]), float(xs[-1]))
-        shape = ShapePiece(piece, Shape.AFFINE,
-                           _monotonicity_of(dv, mono_band), tol)
-        return PiecewiseConvexPartition(shapes=(shape,), sign_change_count=0)
 
-    sign_changes = len(runs) - 1
-
-    boundaries = [0]
-    for left, right in zip(runs, runs[1:]):
-        boundaries.append((left[2] + right[1] + 1) // 2)
-    boundaries.append(m - 1)
-
-    shapes = []
-    for run, lo_idx, hi_idx in zip(runs, boundaries, boundaries[1:]):
-        piece = IntervalSpec(float(xs[lo_idx]), float(xs[hi_idx]))
-        shape = Shape.CONVEX if run[0] > 0 else Shape.CONCAVE
-        shapes.append(ShapePiece(piece, shape,
-                                 _monotonicity_of(dv[lo_idx:hi_idx],
-                                                  mono_band), tol))
-    return PiecewiseConvexPartition(shapes=tuple(shapes),
-                                    sign_change_count=sign_changes)
+#: the shape of curvature sign s is _BY_CURVATURE[s]
+_BY_CURVATURE = (Shape.AFFINE, Shape.CONVEX, Shape.CONCAVE)
 
 
 def _sign_runs(signs: np.ndarray, max_runs: int):
@@ -238,72 +228,57 @@ def _sign_runs(signs: np.ndarray, max_runs: int):
             for a, b in zip(firsts, lasts)]
 
 
-def _monotonicity_of(d: np.ndarray, band: float) -> Monotonicity:
-    """Monotonicity of a piece from its steps d, each within band of 0
-    counted as flat."""
-    if len(d) == 0:
-        return Monotonicity.CONSTANT
-    dmin, dmax = float(np.min(d)), float(np.max(d))
-    if dmax <= band and dmin >= -band:
-        return Monotonicity.CONSTANT
-    if dmin >= -band:
-        return Monotonicity.INCREASING
-    if dmax <= band:
-        return Monotonicity.DECREASING
-    return Monotonicity.MIXED
-
-
 # ---------------------------------------------------------------------------
 # Monotone refinement
 # ---------------------------------------------------------------------------
 
 def refine_to_monotone(f: FunctionSpec, piece: ShapePiece) -> tuple:
-    """Split a certified convex/concave piece at its interior extremum.
+    """Split a convex, concave or affine piece where f' changes sign.
 
-    The shape certificate makes the restriction unimodal, so ternary search
-    localizes the extremum (minimum for convex, maximum for concave) to a
-    DEFAULT_EXTREMUM_TOL share of its length, or to 4 ulps of its ends on a
-    piece far from zero, where that share is below the float spacing and
-    the search would never end.  Monotone pieces are returned unchanged;
-    others as two monotone pieces tiling the input exactly.
+    Its ends' directions are ``slope_sign`` just inside it.  Strictly
+    opposite signs split it at the least float x where the sign just right
+    of x leaves its value at lo (``_sign_leaves``): where f turns, as f' is
+    monotone on a convex or concave piece.  Otherwise, or where that float
+    is hi, it stays whole, labelled by its nonzero end sign (Constant when
+    both are 0).  The parts keep the piece's shape and tolerance.
     """
     if piece.shape not in (Shape.CONVEX, Shape.CONCAVE, Shape.AFFINE):
         raise ShapeError(f"piece shape {piece.shape!r} is not certified")
-    if piece.monotonicity in (Monotonicity.INCREASING, Monotonicity.DECREASING,
-                              Monotonicity.CONSTANT):
-        return (piece,)
-    if piece.shape is Shape.AFFINE:
-        raise ShapeError("an affine piece cannot have mixed monotonicity")
     lo, hi = piece.interval.lo, piece.interval.hi
-    tol = max(DEFAULT_EXTREMUM_TOL * (hi - lo), 4 * math.ulp(max(-lo, hi)))
-    find_min = piece.shape is Shape.CONVEX
-    a, b = lo, hi
-    while b - a > tol:
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        f1, f2 = evaluate(f, m1), evaluate(f, m2)
-        if (f1 > f2) if find_min else (f1 < f2):
-            a = m1
-        else:
-            b = m2
-    split = 0.5 * (a + b)
-    if split - lo <= 2.0 * tol or hi - split <= 2.0 * tol:
-        flo, fhi = evaluate(f, lo), evaluate(f, hi)
-        if flo < fhi:
-            mono = Monotonicity.INCREASING
-        elif flo > fhi:
-            mono = Monotonicity.DECREASING
-        else:
-            mono = Monotonicity.CONSTANT
-        return (ShapePiece(piece.interval, piece.shape, mono, tol),)
-    if find_min:
-        flags = (Monotonicity.DECREASING, Monotonicity.INCREASING)
-    else:
-        flags = (Monotonicity.INCREASING, Monotonicity.DECREASING)
-    return (
-        ShapePiece(IntervalSpec(lo, split), piece.shape, flags[0], tol),
-        ShapePiece(IntervalSpec(split, hi), piece.shape, flags[1], tol),
-    )
+    first, last = slope_sign(f, lo), slope_sign(f, hi, right=False)
+    split = _sign_leaves(f, lo, hi, first) if first * last < 0 else hi
+    if split == hi:
+        return (replace(piece, monotonicity=_BY_SIGN[first or last]),)
+    return (replace(piece, interval=IntervalSpec(lo, split),
+                    monotonicity=_BY_SIGN[first]),
+            replace(piece, interval=IntervalSpec(split, hi),
+                    monotonicity=_BY_SIGN[last]))
+
+
+#: the label of slope sign s is _BY_SIGN[s]
+_BY_SIGN = (Monotonicity.CONSTANT, Monotonicity.INCREASING,
+            Monotonicity.DECREASING)
+
+
+def _sign_leaves(f: FunctionSpec, lo: float, hi: float, sign: int) -> float:
+    """The least float in (lo, hi] whose ``slope_sign`` is not sign, its
+    sign at lo, or hi if none below hi: a bisection over the floats'
+    ranks (``_rank``), so at most 64 ``slope_sign`` calls."""
+    a, b = (_rank(n) for n in np.array([lo, hi]).view(np.int64).tolist())
+    while b - a > 1:
+        mid = (a + b) // 2
+        a, b = (mid, b) if slope_sign(f, _ranked_float(mid)) == sign else (a, mid)
+    return _ranked_float(b)
+
+
+def _rank(bits: int) -> int:
+    """A float's int64 bit pattern to its rank among the floats, counted
+    from 0.0 (which -0.0 shares), and a rank back to its bit pattern."""
+    return bits if bits >= 0 else -(1 << 63) - bits
+
+
+def _ranked_float(rank: int) -> float:
+    return float(np.int64(_rank(rank)).view(np.float64))
 
 
 def monotone_partition(f: FunctionSpec, m: int) -> MonotonePartition:
@@ -316,7 +291,11 @@ def monotone_partition(f: FunctionSpec, m: int) -> MonotonePartition:
     sign-change count grows by at most 2 from each resolution to the
     next; only then is the finest partition refined to monotone pieces.
     """
-    fine = sample(f, clip_window(f.domain), 4 * (m - 1) + 1)
+    try:
+        fine = sample(f, clip_window(f.domain), 4 * (m - 1) + 1)
+    except KindError as exc:  # too narrow a window: name the user's M
+        raise KindError(f"{exc} (detection samples 4(M-1)+1 at --grid {m})"
+                        ) from exc
     grids = tuple(SampleGrid(fine.abscissae[::s], fine.values[::s])
                   for s in (4, 2)) + (fine,)
     detections = tuple(detect_partition(grid) for grid in grids)
@@ -388,9 +367,9 @@ def check_gsigma_monotone(f: FunctionSpec, piece: ShapePiece, sigma: float,
     """Certify the direction of the increment curve on a monotone piece.
 
     Builds an m-point increment curve and reports the certified direction
-    with the largest adjacent-pair violation against it.  Ambiguous
-    (constant) pieces are tested in both directions and the smaller
-    violation wins.
+    with the largest adjacent-pair violation against it.  On an affine or
+    constant piece (both end slopes 0, so f is constant where it is convex
+    or concave) the curve is flat, and every change violates.
     """
     if m < 3:
         raise ValueError("the increment curve needs m >= 3 samples")
@@ -403,18 +382,8 @@ def check_gsigma_monotone(f: FunctionSpec, piece: ShapePiece, sigma: float,
     diffs = [b - a for a, b in zip(values, values[1:])]
     viol_ni = max(0.0, max(diffs))       # violations of nonincreasing
     viol_nd = max(0.0, -min(diffs))      # violations of nondecreasing
-    direction = expected
-    if expected is Direction.NONINCREASING:
-        violation = viol_ni
-    elif expected is Direction.NONDECREASING:
-        violation = viol_nd
-    elif piece.shape is Shape.AFFINE:
-        violation = max(abs(d) for d in diffs)
-    elif viol_ni == viol_nd:
-        violation = viol_ni
-    elif viol_ni < viol_nd:
-        direction, violation = Direction.NONINCREASING, viol_ni
-    else:
-        direction, violation = Direction.NONDECREASING, viol_nd
-    return GSigmaReport(direction, violation,
+    violation = {Direction.NONINCREASING: viol_ni,
+                 Direction.NONDECREASING: viol_nd}.get(
+                     expected, max(viol_ni, viol_nd))
+    return GSigmaReport(expected, violation,
                         violation <= 1e-9 * max(1.0, max(values)))

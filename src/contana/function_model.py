@@ -35,7 +35,7 @@ import math
 import re
 import sys
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -413,6 +413,33 @@ def _interp_knots(kx: memoryview, ky: memoryview, x: float) -> float:
         return ky[idx - 1]
     x0, y0, x1, y1 = kx[idx - 1], ky[idx - 1], kx[idx], ky[idx]
     return y0 + (y1 - y0) * ((x - x0) / (x1 - x0))
+
+
+def slope_sign(f: FunctionSpec, x: float, right: bool = True) -> int:
+    """The sign (-1, 0 or 1) of f' just right of x, or just left of it.
+
+    Exact for ``pwl`` (the sign of the segment's float rise, which rounding
+    cannot flip; ``evaluate`` is monotone along it) and for ``poly`` (p'(x)
+    by Horner's rule in Fraction, so 0 at a root of p'; floats underflow
+    near a double root).  In floats for ``x2sininv``, 0 where 1/x
+    overflows, as ``evaluate`` reads f as 0 there; 1 for ``sqrt`` and
+    ``cantor``, which never fall.
+    """
+    if f.kind == PWL:
+        kx, ky = f._views
+        i = (bisect_right if right else bisect_left)(kx, x)
+        i = min(max(i, 1), len(kx) - 1)
+        rise = ky[i] - ky[i - 1]
+    elif f.kind == POLY:
+        rise = 0
+        for k in range(len(f.coefficients) - 1, 0, -1):
+            rise = rise * Fraction(x) + k * Fraction(f.coefficients[k])
+    elif f.kind == X2SININV:
+        inv = 1.0 / x if x else INF
+        rise = 0.0 if math.isinf(inv) else 2 * x * math.sin(inv) - math.cos(inv)
+    else:  # SQRT, CANTOR
+        return 1
+    return (rise > 0) - (rise < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1430,6 +1430,55 @@ class TestCertificates:
         assert (ver.method, ver.passed) == ("exact_sup", True)
         assert cert.delta1 < ver.delta1_opt
 
+    def test_a_sliver_below_its_share_imposes_no_step(self):
+        # x^2 on [-1e-12, 1] splits at 0 exactly; the sliver's whole Phi,
+        # about 1e-24, stays below its share epsilon / 2, so the [0, 1]
+        # piece's step alone sets delta1, 1e10 times the sliver's length
+        f = FunctionSpec.polynomial((0.0, 0.0, 1.0), IntervalSpec(-1e-12, 1.0))
+        pieces = monotone_partition(f, 501).pieces
+        assert [p.interval for p in pieces] == [IntervalSpec(-1e-12, 0.0),
+                                                IntervalSpec(0.0, 1.0)]
+        sliver = exact_phi(f, -1e-12, 0.0)
+        assert sliver.sup(1e-12).value < 2e-24
+        assert sliver.below(1e-12, 0.05)
+        cert = ac_certificate(f, pieces, 0.1)
+        assert cert.delta1 == 0.99 * exact_phi(f, 0.0, 1.0).budget(0.05)
+        # Phi on [0, 1] is 1 - (1 - d)**2, within its bracket
+        assert cert.delta1 == pytest.approx(0.99 * (1 - math.sqrt(0.95)),
+                                            rel=2e-3)
+        ver = verify_certificate(f, cert)
+        assert (ver.method, ver.passed) == ("exact_sup", True)
+
+    @pytest.mark.parametrize("f", [
+        FunctionSpec.affine(1.0, 0.0, IntervalSpec(0.0, 0.05)),
+        FunctionSpec.polynomial((0.0, 0.0, 1.0), IntervalSpec(-0.2, 0.1)),
+    ], ids=["one-piece", "two-pieces"])
+    def test_every_piece_below_its_share_gives_the_span(self, f):
+        pieces = monotone_partition(f, 101).pieces
+        cert = ac_certificate(f, pieces, 0.1)
+        span = f.domain.hi - f.domain.lo
+        assert cert.delta1 == 0.99 * span
+        ver = verify_certificate(f, cert)
+        assert (ver.method, ver.passed) == ("exact_sup", True)
+
+    def test_unknown_or_zero_step_is_named(self):
+        # no Phi: a slope bound that overflows
+        f = FunctionSpec.polynomial((0.0, 0.0, 1e308), IntervalSpec(0.0, 10.0))
+        piece = ShapePiece(f.domain, Shape.CONVEX, Monotonicity.INCREASING)
+        with pytest.raises(Unachievable, match=r"Phi on \[0\.0, 10\.0\] "
+                                               r"below 0\.1$"):
+            ac_certificate(f, (piece,), 0.1)
+        # zero budget: the staircase's Phi is its rise at every positive
+        # length; the first piece, whose rise is below its share, is
+        # skipped, and the second is named
+        f = catalog.cantor_on_unit()
+        pieces = tuple(ShapePiece(IntervalSpec(lo, hi), Shape.CONCAVE,
+                                  Monotonicity.INCREASING)
+                       for lo, hi in ((0.0, 0.01), (0.01, 1.0)))
+        with pytest.raises(Unachievable, match=r"Phi on \[0\.01, 1\.0\] "
+                                               r"below 0\.25$"):
+            ac_certificate(f, pieces, 0.5)
+
     def test_certificate_bound_is_semantic(self):
         # the certified guarantee: every collection under the budget stays
         # below epsilon, checked against the exact worst case sqrt(delta1)

@@ -2,10 +2,12 @@
 
 import math
 import warnings
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contana import (
@@ -65,21 +67,26 @@ class TestDetectPartition:
         assert [s.shape for s in res.shapes] == [Shape.CONCAVE, Shape.CONVEX]
 
     def test_sqrt_single_concave_piece(self):
-        # oracle: second derivative -x^(-3/2)/4 is negative everywhere
+        # oracle: second derivative -x^(-3/2)/4 is negative everywhere;
+        # detection reads curvature only, and refinement the direction
         f = FunctionSpec.sqrt(IntervalSpec(1e-6, 1.0))
         res = detect_partition(sample(f, IntervalSpec(1e-6, 1.0), 1001))
         assert isinstance(res, PiecewiseConvexPartition)
         assert len(res.shapes) == 1
         assert res.shapes[0].shape is Shape.CONCAVE
-        assert res.shapes[0].monotonicity is Monotonicity.INCREASING
+        assert res.shapes[0].monotonicity is Monotonicity.MIXED
+        assert [(p.shape, p.monotonicity) for p in monotone_pieces(f)] == [
+            (Shape.CONCAVE, Monotonicity.INCREASING)]
 
     def test_affine_whole_grid(self):
         f = FunctionSpec.affine(2.0, 1.0, IntervalSpec(0.0, 1.0))
         res = detect_partition(sample(f, IntervalSpec(0.0, 1.0), 101))
         assert len(res.shapes) == 1
         assert res.shapes[0].shape is Shape.AFFINE
-        assert res.shapes[0].monotonicity is Monotonicity.INCREASING
+        assert res.shapes[0].monotonicity is Monotonicity.MIXED
         assert res.sign_change_count == 0
+        assert [(p.shape, p.monotonicity) for p in monotone_pieces(f)] == [
+            (Shape.AFFINE, Monotonicity.INCREASING)]
 
     def test_oscillation_defeats_detection(self):
         # inflection points of x^2 sin(1/x) accumulate toward 0: finer grids
@@ -114,7 +121,10 @@ class TestDetectPartition:
         assert grid.uniform
         assert [(s.shape, s.monotonicity) for s in
                 detect_partition(grid).shapes] == [
-            (Shape.AFFINE, Monotonicity.INCREASING)]
+            (Shape.AFFINE, Monotonicity.MIXED)]
+        f = FunctionSpec.sqrt(IntervalSpec(1000.0, 1000.001))
+        assert [(p.shape, p.monotonicity) for p in monotone_pieces(f, 501)
+                ] == [(Shape.AFFINE, Monotonicity.INCREASING)]
         xs = grid.abscissae.copy()
         for _ in range(5):  # two gaps move by 5 ulps each
             xs[1000] = np.nextafter(xs[1000], np.inf)
@@ -229,20 +239,108 @@ class TestMonotonePartition:
         assert len(result.pieces) == 12
 
 
+@st.composite
+def convex_pwl_pieces(draw):
+    """Knots of a convex (or, negated, concave) interpolant whose slopes
+    change sign, all integers times powers of two, so exact floats; a piece
+    from inside its first segment to inside its last; and the knot where
+    the slope leaves the sign it has at the piece's start."""
+    n = draw(st.integers(2, 8))
+    slopes = sorted(draw(st.lists(st.integers(-50, 50), min_size=n,
+                                  max_size=n)))
+    slopes[0], slopes[-1] = min(slopes[0], -1), max(slopes[-1], 1)
+    gaps = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+    sx = 2.0 ** draw(st.integers(-60, 60))
+    sy = 2.0 ** draw(st.integers(-60, 60)) * draw(st.sampled_from([1, -1]))
+    xs, ys = [draw(st.integers(-100, 100))], [draw(st.integers(-100, 100))]
+    for slope, gap in zip(slopes, gaps):
+        xs.append(xs[-1] + gap)
+        ys.append(ys[-1] + slope * gap)
+    knots = [(x * sx, y * sy) for x, y in zip(xs, ys)]
+    lo = (xs[0] + draw(st.fractions(0, 1)) * gaps[0] / 2) * sx
+    hi = (xs[-1] - draw(st.fractions(0, 1)) * gaps[-1] / 2) * sx
+    turn = next(x for x, s in zip(xs, slopes) if s >= 0) * sx
+    return knots, float(lo), float(hi), float(turn), sy < 0
+
+
 class TestRefineToMonotone:
+    @settings(max_examples=200, deadline=None)
+    @given(convex_pwl_pieces())
+    def test_pwl_splits_at_the_knot_where_the_slope_turns(self, case):
+        knots, lo, hi, turn, concave = case
+        f = FunctionSpec.piecewise_linear(knots)
+        piece = ShapePiece(IntervalSpec(lo, hi),
+                           Shape.CONCAVE if concave else Shape.CONVEX,
+                           Monotonicity.MIXED, 0.5)
+        falls, rises = Monotonicity.DECREASING, Monotonicity.INCREASING
+        if concave:
+            falls, rises = rises, falls
+        assert refine_to_monotone(f, piece) == (
+            ShapePiece(IntervalSpec(lo, turn), piece.shape, falls, 0.5),
+            ShapePiece(IntervalSpec(turn, hi), piece.shape, rises, 0.5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3),
+                    min_size=2, max_size=7),
+           st.floats(-1e3, 1e3), st.floats(1e-300, 1e3))
+    def test_poly_splits_where_the_exact_derivative_turns(self, c, lo, width):
+        hi = lo + width
+        if not lo < hi:
+            return
+        f = FunctionSpec.polynomial(c, IntervalSpec(lo, hi))
+
+        def sign(x):  # p'(x) term by term in Fractions
+            t = Fraction(x)
+            d = sum(k * Fraction(ck) * t ** (k - 1)
+                    for k, ck in enumerate(c) if k)
+            return (d > 0) - (d < 0)
+
+        first, last = sign(lo), sign(hi)
+        out = refine_to_monotone(f, ShapePiece(IntervalSpec(lo, hi),
+                                               Shape.CONVEX,
+                                               Monotonicity.MIXED))
+        labels = {1: Monotonicity.INCREASING, -1: Monotonicity.DECREASING,
+                  0: Monotonicity.CONSTANT}
+        if len(out) == 1:
+            assert first * last >= 0 or sign(math.nextafter(hi, lo)) == first
+            assert out[0].monotonicity is labels[first or last]
+            return
+        split = out[0].interval.hi
+        assert first * last < 0 and lo < split < hi
+        assert sign(math.nextafter(split, lo)) == first
+        assert sign(split) != first
+        assert [p.monotonicity for p in out] == [labels[first], labels[last]]
+
     def test_square_splits_at_zero(self):
         f = FunctionSpec.polynomial((0.0, 0.0, 1.0), IntervalSpec(-1.0, 1.0))
         piece = ShapePiece(IntervalSpec(-1.0, 1.0), Shape.CONVEX,
                            Monotonicity.MIXED, 0.0)
         out = refine_to_monotone(f, piece)
         assert len(out) == 2
-        assert abs(out[0].interval.hi) <= 1e-9
+        assert out[0].interval.hi == 0.0
         assert out[0].monotonicity is Monotonicity.DECREASING
         assert out[1].monotonicity is Monotonicity.INCREASING
         # exact tiling
         assert out[0].interval.lo == -1.0
         assert out[0].interval.hi == out[1].interval.lo
         assert out[1].interval.hi == 1.0
+
+    def test_far_window_splits_at_zero_in_64_steps(self):
+        # the bisection runs over the ordered float bit patterns, so from
+        # -1e150 to 1e150 it takes at most 64 slope signs after the ends'
+        f = FunctionSpec.polynomial((0.0, 0.0, 1.0),
+                                    IntervalSpec(-1e150, 1e150))
+        piece = ShapePiece(f.domain, Shape.CONVEX, Monotonicity.MIXED)
+        with mock.patch.object(convexity, "slope_sign",
+                               wraps=convexity.slope_sign) as spy:
+            out = refine_to_monotone(f, piece)
+        assert spy.call_count <= 2 + 64
+        assert [(p.interval, p.monotonicity) for p in out] == [
+            (IntervalSpec(-1e150, 0.0), Monotonicity.DECREASING),
+            (IntervalSpec(0.0, 1e150), Monotonicity.INCREASING)]
+        assert [(p.interval, p.monotonicity)
+                for p in monotone_partition(f, 501).pieces] == [
+            (p.interval, p.monotonicity) for p in out]
 
     def test_sqrt_already_monotone(self):
         piece = ShapePiece(IntervalSpec(0.0, 1.0), Shape.CONCAVE,
@@ -268,26 +366,36 @@ class TestRefineToMonotone:
         assert out[1].monotonicity is Monotonicity.DECREASING
 
     def test_extremum_next_to_an_end_keeps_one_piece(self):
-        # the minimum at 1e-15 lies within twice the search tolerance of
-        # 0, so the piece is not split but labelled by its end values:
-        # "Decreasing", although f rises on all of it but the first 1e-15
-        # (a known false label, ROADMAP item 5)
+        # the minimum at 1e-15, next to the end 0, is a knot: the slope
+        # signs split the piece there exactly, so f falls on the first
+        # part and rises on the second, with the piece's shape and
+        # tolerance
         f = FunctionSpec.piecewise_linear(
             ((0.0, 1.0), (1e-15, 0.0), (1.0, 0.5)))
         piece = ShapePiece(IntervalSpec(0.0, 1.0), Shape.CONVEX,
-                           Monotonicity.MIXED, 0.0)
+                           Monotonicity.MIXED, 0.25)
         assert refine_to_monotone(f, piece) == (
-            ShapePiece(IntervalSpec(0.0, 1.0), Shape.CONVEX,
-                       Monotonicity.DECREASING, 1e-10),)
-        assert monotone_partition(f, 4001).pieces == refine_to_monotone(
-            f, piece)
+            ShapePiece(IntervalSpec(0.0, 1e-15), Shape.CONVEX,
+                       Monotonicity.DECREASING, 0.25),
+            ShapePiece(IntervalSpec(1e-15, 1.0), Shape.CONVEX,
+                       Monotonicity.INCREASING, 0.25))
+        assert [(p.interval, p.monotonicity) for p in
+                monotone_partition(f, 4001).pieces] == [
+            (IntervalSpec(0.0, 1e-15), Monotonicity.DECREASING),
+            (IntervalSpec(1e-15, 1.0), Monotonicity.INCREASING)]
 
     def test_uncertified_shape_rejected(self):
+        # an affine piece is refined like any other: its one slope sign
+        # labels it; only a shape outside Convex/Concave/Affine raises
+        f = FunctionSpec.affine(1.0, 0.0, IntervalSpec(0.0, 1.0))
         piece = ShapePiece(IntervalSpec(0.0, 1.0), Shape.AFFINE,
                            Monotonicity.MIXED, 0.0)
-        with pytest.raises(ShapeError):
-            refine_to_monotone(FunctionSpec.affine(1.0, 0.0,
-                                                   IntervalSpec(0.0, 1.0)), piece)
+        assert refine_to_monotone(f, piece) == (
+            ShapePiece(IntervalSpec(0.0, 1.0), Shape.AFFINE,
+                       Monotonicity.INCREASING, 0.0),)
+        with pytest.raises(ShapeError, match="not certified"):
+            refine_to_monotone(f, ShapePiece(IntervalSpec(0.0, 1.0), "Wavy",
+                                             Monotonicity.MIXED, 0.0))
 
 
 class TestGSigma:
@@ -351,6 +459,20 @@ class TestCheckGSigmaMonotone:
         _, values = gsigma_curve(f, 0.0, 5.0, 0.25, 60)
         assert values[0] == pytest.approx(0.75, abs=1e-12)
         assert rep.max_violation <= 1e-12 and rep.ok
+
+    def test_constant_label_needs_a_flat_curve(self):
+        # a Constant label means both end slopes are 0, so f is constant
+        # on a convex or concave piece and its increment curve is flat: a
+        # curve that moves violates it, in whichever direction
+        piece = ShapePiece(IntervalSpec(0.0, 1.0), Shape.CONCAVE,
+                           Monotonicity.CONSTANT)
+        flat = FunctionSpec.polynomial((2.0,), IntervalSpec(0.0, 1.0))
+        rep = check_gsigma_monotone(flat, piece, 0.25)
+        assert (rep.direction, rep.max_violation, rep.ok) == (
+            Direction.CONSTANT, 0.0, True)
+        rep = check_gsigma_monotone(FunctionSpec.sqrt(IntervalSpec(0.0, 1.0)),
+                                    piece, 0.25)
+        assert rep.direction is Direction.CONSTANT and not rep.ok
 
     def test_piece_shorter_than_sigma(self):
         piece = ShapePiece(IntervalSpec(0.0, 0.25), Shape.CONCAVE,

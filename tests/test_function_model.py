@@ -38,6 +38,7 @@ from contana.function_model import (
     _round_rational,
     cantor_bricks,
     evaluate_many,
+    slope_sign,
 )
 
 INF = float("inf")
@@ -211,6 +212,128 @@ class TestEvaluate:
         f = FunctionSpec.x_squared_sin_inv()
         vals = {evaluate(f, 0.123456) for _ in range(10)}
         assert len(vals) == 1
+
+
+def _sign(q) -> int:
+    return (q > 0) - (q < 0)
+
+
+def exact_pwl_slope_sign(knots, x: float, right: bool) -> int:
+    """Reference: the sign of the exact interpolant's change over eta just
+    right (or left) of x, in Fractions, eta a quarter of the least
+    distance from x to another knot."""
+    ks = [(Fraction(a), Fraction(b)) for a, b in knots]
+
+    def value(t):
+        for (x0, y0), (x1, y1) in zip(ks, ks[1:]):
+            if x0 <= t <= x1:
+                return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+
+    t = Fraction(x)
+    eta = min(abs(k - t) for k, _ in ks if k != t) / 4
+    return _sign(value(t + eta) - value(t) if right else
+                 value(t) - value(t - eta))
+
+
+def exact_poly_slope_sign(coefficients, x: float) -> int:
+    """Reference: the sign of p'(x) = sum k c_k x**(k-1), term by term in
+    Fractions."""
+    t = Fraction(x)
+    return _sign(sum(k * Fraction(c) * t ** (k - 1)
+                     for k, c in enumerate(coefficients) if k))
+
+
+@st.composite
+def pwl_points(draw):
+    """Knots (ties among the ordinates included), and points at the knots
+    and inside the segments."""
+    xs = sorted(set(draw(st.lists(st.floats(-1e3, 1e3), min_size=2,
+                                  max_size=8))))
+    if len(xs) < 2:
+        xs = [xs[0], xs[0] + 1.0]
+    ys = draw(st.lists(st.sampled_from([0.0, 1.0, -2.5]) | st.floats(-1e3, 1e3),
+                       min_size=len(xs), max_size=len(xs)))
+    points = list(xs)
+    for a, b in zip(xs, xs[1:]):
+        t = draw(st.floats(0.0, 1.0))
+        points.append(min(max(a + (b - a) * t, a), b))
+    return list(zip(xs, ys)), points
+
+
+@st.composite
+def poly_points(draw):
+    """Coefficients of degree 1-6 and points: anywhere, far from zero, and
+    next to a root of p' of multiplicity k - 1 from p = a (x - r)**k, r a
+    dyadic, whose coefficients are exact floats."""
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 6))
+        a = draw(st.sampled_from([1.0, -1.0, 0.5, -2.0]))
+        r = draw(st.integers(-40, 40)) / 8.0
+        coefficients = [a * math.comb(k, j) * (-r) ** (k - j)
+                        for j in range(k + 1)]
+        near = [r]
+        for _ in range(3):
+            near.append(r + draw(st.floats(-1e-6, 1e-6)))
+            near.append(r + draw(st.integers(-4, 4)) * math.ulp(r or 1.0))
+    else:
+        coefficients = draw(st.lists(
+            st.sampled_from([0.0, 1.0, -3.0]) | st.floats(-1e3, 1e3),
+            min_size=2, max_size=7))
+        near = []
+    far = draw(st.floats(1e100, 1e150)) * draw(st.sampled_from([1.0, -1.0]))
+    points = [draw(st.floats(-1e3, 1e3)), far, 0.0] + near
+    return coefficients, points
+
+
+class TestSlopeSign:
+    @settings(max_examples=200, deadline=None)
+    @given(pwl_points())
+    def test_pwl_matches_the_exact_slope(self, case):
+        knots, points = case
+        f = FunctionSpec.piecewise_linear(knots)
+        (first, _), (last, _) = knots[0], knots[-1]
+        for x in points:
+            if x < last:
+                assert slope_sign(f, x) == exact_pwl_slope_sign(knots, x,
+                                                                True)
+            if x > first:
+                assert slope_sign(f, x, right=False) == \
+                    exact_pwl_slope_sign(knots, x, False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(poly_points())
+    def test_poly_matches_the_exact_derivative(self, case):
+        coefficients, points = case
+        f = FunctionSpec.polynomial(coefficients)
+        for x in points:
+            want = exact_poly_slope_sign(coefficients, x)
+            assert slope_sign(f, x) == slope_sign(f, x, right=False) == want
+
+    def test_poly_double_root_is_exact_where_floats_cancel(self):
+        # p'(x) = 3 (x - 0.1)**2 in float coefficients: float Horner
+        # cancels to 0 or below at points where the exact value is positive
+        c = (0.0, 3 * 0.1 ** 2, -3 * 0.1, 1.0)
+        f = FunctionSpec.polynomial(c)
+        xs = [0.1 + k * math.ulp(0.1) for k in range(-64, 65)]
+        floats = [3.0 * x * x + 2.0 * c[2] * x + c[1] for x in xs]
+        assert any(v <= 0.0 for v in floats)
+        assert [slope_sign(f, x) for x in xs] == [
+            exact_poly_slope_sign(c, x) for x in xs]
+
+    @pytest.mark.parametrize("x, sign", [
+        (0.0, 0),
+        (1e-320, 0),  # 1/x overflows: evaluate reads f as 0 there
+        (1.0 / (2.0 * math.pi), -1),  # f' = -cos(2 pi) = -1
+        (1.0 / math.pi, 1),  # f' = 2x sin(pi) - cos(pi) = 1
+    ])
+    def test_x2sininv_in_floats(self, x, sign):
+        f = FunctionSpec.x_squared_sin_inv(IntervalSpec(-1.0, 1.0))
+        assert slope_sign(f, x) == slope_sign(f, x, right=False) == sign
+
+    @pytest.mark.parametrize("f", [FunctionSpec.sqrt(), FunctionSpec.cantor()])
+    def test_sqrt_and_cantor_never_fall(self, f):
+        for x in (0.0, 0.5, 1.0):
+            assert slope_sign(f, x) == slope_sign(f, x, right=False) == 1
 
 
 class TestEvalCantor:

@@ -98,14 +98,16 @@ class TestAnalyze:
         ("affine:3,1", "[0,5]", "exact_sup", (1.01, 1.02)),
         ("pwl:0:0,0.3:0.6,0.7:0.2,1:0.5", "[0,1]", "exact_sup", (4.0, 4.1)),
         ("poly:0,0,0,1", "[-1,1]", "exact_sup", (2.0, 2.05)),
-        ("x2sininv", "[0.05,1]", "exact_sup", (19.9, 20.1)),
+        ("x2sininv", "[0.05,1]", "exact_sup", (12.0, 12.2)),
     ])
     def test_verification_path_follows_the_kind(self, fn, interval, method,
                                                 ratio):
         # Phi proves the certificate for every kind (for the cubic and
         # x^2 sin(1/x), a bracket on it); delta1_opt, the largest budget
         # Phi proves on the window, is 1 / 0.99 of delta1 on one piece,
-        # and more on several, whose budgets epsilon / N add up
+        # and more on several, whose budgets epsilon / N add up (the
+        # pieces of x^2 sin(1/x) whose whole Phi stays below their share
+        # impose no step)
         report = analyze(fn, interval, FAST)
         ver, cert = report["verification"], report["certificate"]
         assert ver["passed"] is True and ver["method"] == method
@@ -319,7 +321,7 @@ class TestCLI:
     @pytest.mark.parametrize("argv, message", [
         (["analyze", "--interval", "[1e17,inf)"], "the window "
          "[1e+17,1.0000000000000002e+17] is too narrow for 16001 distinct "
-         "grid points"),
+         "grid points (detection samples 4(M-1)+1 at --grid 4001)"),
         (["modulus", "--interval", "[1e17,inf)", "--deltas", "1"], "the "
          "window [1e+17,1.0000000000000002e+17] is too narrow for 4001 "
          "distinct grid points"),
@@ -328,21 +330,28 @@ class TestCLI:
          "distinct grid points"),
         (["check-lemma1", "--interval", "[1e17,inf)", "--sigma", "1"], "the "
          "window [1e+17,1.0000000000000002e+17] is too narrow for 16001 "
-         "distinct grid points"),
+         "distinct grid points (detection samples 4(M-1)+1 at --grid 4001)"),
+        (["certify", "--interval", "[1e17,inf)", "--epsilon", "0.1",
+          "--grid", "101"], "the "
+         "window [1e+17,1.0000000000000002e+17] is too narrow for 401 "
+         "distinct grid points (detection samples 4(M-1)+1 at --grid 101)"),
         (["analyze", "--interval", "[1e15,1.0000000000000001e15]"], "the "
          "window [1000000000000000.0,1000000000000000.1] is too narrow for "
-         "16001 distinct grid points"),
+         "16001 distinct grid points (detection samples 4(M-1)+1 at --grid "
+         "4001)"),
         (["analyze", "--interval", "[1e300,inf)"], "window [1e+300,inf) "
          "collapsed after clipping: truncation to width 10.0"),
         (["analyze", "--interval", "(0,1e-13)"], "window (0.0,1e-13) "
          "collapsed after clipping: open-end margin 1e-12"),
     ], ids=["analyze-far", "modulus-far", "worst-sum-far", "lemma1-far",
-            "analyze-ulp-wide", "analyze-truncation", "analyze-margin"])
+            "certify-far-grid", "analyze-ulp-wide", "analyze-truncation", "analyze-margin"])
     def test_window_too_narrow_for_its_grid_or_clipping(self, capsys, argv,
                                                         message):
         # far from 0 the grid's points round onto each other, or the
         # truncated or pulled-in window rounds to one point: the message
-        # names the window and the grid size, or what collapsed it
+        # names the window and the grid size, or what collapsed it; for
+        # the commands that detect, it names the --grid M that the finest
+        # detection grid, 4(M-1)+1 points, comes from
         assert main(argv[:1] + ["--fn", "sqrt"] + argv[1:]) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -842,16 +851,20 @@ class TestCLI:
         assert report["verdicts"]["certificate_verified"] is False
 
     def test_extremum_next_to_an_end_is_proved(self, capsys):
-        # the one piece reads "Convex Decreasing", a false label (see
-        # test_convexity's near-end refinement); its Phi proves a step of
-        # 1e-16 all the same, and the window's Phi the certificate
+        # the slope signs split the piece at its knot 1e-15 (see
+        # test_convexity's near-end refinement): f falls on the sliver and
+        # rises on the rest.  The sliver's share epsilon / 2 is reached
+        # after 5e-17, so delta1 is 0.99 of that, and the window's Phi
+        # proves the certificate
         assert main(["analyze", "--fn", "pwl:0:1,1e-15:0,1:0.5",
                      "--interval", "[0,1]", "--epsilon", "0.1"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
-        assert [(p["shape"], p["monotonicity"]) for p in report["pieces"]] \
-            == [("Convex", "Decreasing")]
+        assert [(p["interval"], p["shape"], p["monotonicity"])
+                for p in report["pieces"]] == [
+            ([0.0, 1e-15], "Convex", "Decreasing"),
+            ([1e-15, 1.0], "Convex", "Increasing")]
         cert, ver = report["certificate"], report["verification"]
-        assert cert["delta1"] == pytest.approx(9.9e-17, rel=1e-9)
+        assert cert["delta1"] == pytest.approx(4.95e-17, rel=1e-9)
         assert cert["delta1"] < cert["delta1_opt"] == pytest.approx(
             1e-16, rel=1e-9)
         assert (ver["passed"], ver["method"]) == (True, "exact_sup")
