@@ -109,19 +109,16 @@ class ACWorstReport:
 
 @dataclass(frozen=True)
 class Certificate:
-    """(epsilon, delta_1) certificate; partition and budget follow the pieces."""
+    """(epsilon, delta_1) certificate on a partition of its window; each of
+    its N pieces has budget epsilon / N."""
 
     epsilon: float
     delta1: float
-    monotone_pieces: tuple
-
-    @property
-    def partition(self) -> Partition:
-        return Partition.from_pieces(self.monotone_pieces)
+    partition: Partition
 
     @property
     def per_piece_budget(self) -> float:
-        return self.epsilon / len(self.monotone_pieces)
+        return self.epsilon / (len(self.partition.points) - 1)
 
 
 @dataclass(frozen=True)
@@ -803,48 +800,38 @@ def random_collection(rng, lo: float, hi: float, total: float,
     return IntervalCollection(tuple(zip(x[keep].tolist(), y[keep].tolist())))
 
 
-def ac_certificate(f: FunctionSpec, pieces, epsilon: float) -> Certificate:
-    """Synthesize an (epsilon, delta_1) certificate from monotone pieces.
+def ac_certificate(f: FunctionSpec, partition: Partition,
+                   epsilon: float) -> Certificate:
+    """Synthesize an (epsilon, delta_1) certificate on a partition.
 
-    With N pieces, each receives budget epsilon / N.  A piece whose own Phi
-    proves Phi(hi - lo) below it is skipped, and every other one gets a
-    step: the largest length that its Phi proves below the budget
+    With N pieces [a_{i-1}, a_i], each receives budget epsilon / N, and
+    its step is the largest length that its Phi proves below the budget
     (``exact_phi(f, lo, hi).budget``), on a monotone convex/concave piece
-    the increment anchored at the favourable end, by the increment lemma,
-    whatever the labels say.  delta_1 is 0.99 * the smallest step, or of
-    the window's span if none.  A collection of total length below delta_1,
-    split at the partition points, puts less than its step in each piece
-    or lies in a skipped one, so its sum is below N * epsilon / N.
-    Unachievable names the first piece whose Phi is unknown or proves no
-    positive step.
+    the increment anchored at the favourable end, by the increment lemma.
+    A piece whose step is its whole length is skipped: no collection
+    inside it reaches its share.  delta_1 is 0.99 * the smallest other
+    step, or of the window's span if none.  A collection of total length
+    below delta_1, split at the partition points, puts less than its step
+    in each piece or lies in a skipped one, so its sum is below
+    N * epsilon / N, wherever the partition's points lie.  Unachievable
+    names the first piece whose Phi is unknown or proves no positive step.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    pieces = tuple(pieces)
-    if not pieces:
-        raise PreconditionError("at least one piece is required")
-    for piece in pieces:
-        expected_direction(piece)  # raises ShapeError if not certified
-    span = pieces[-1].interval.hi - pieces[0].interval.lo
-    for a, b in zip(pieces, pieces[1:]):
-        if abs(a.interval.hi - b.interval.lo) > 1e-9 * span:
-            raise PreconditionError("pieces do not tile the window contiguously")
-
-    budget = epsilon / len(pieces)
-    steps = [span]
-    for piece in pieces:
-        lo, hi = piece.interval.lo, piece.interval.hi
+    points = partition.points
+    budget = epsilon / (len(points) - 1)
+    steps = [points[-1] - points[0]]
+    for lo, hi in zip(points, points[1:]):
         phi = exact_phi(f, lo, hi)
-        if phi is not None and phi.below(hi - lo, budget):
-            continue
         step = None if phi is None else phi.budget(budget)
         if not step:
             raise Unachievable(f"no positive step keeps Phi on [{lo}, {hi}] "
                                f"below {budget}")
-        steps.append(step)
+        if step < hi - lo:
+            steps.append(step)
     return Certificate(epsilon=float(epsilon),
                        delta1=float(DELTA1_SAFETY * min(steps)),
-                       monotone_pieces=pieces)
+                       partition=partition)
 
 
 def verify_certificate(f: FunctionSpec,

@@ -129,7 +129,8 @@ class MonotonePartition:
 
     ``grids``, ``detections`` and their ``sign_change_counts`` run from the
     coarsest resolution to the finest; ``pieces`` are the monotone pieces
-    of the finest partition, empty unless the verdict is ``stable``.
+    of the finest partition, empty unless the verdict is ``stable``, and
+    ``partition`` is where they end, None unless it is.
     """
 
     grids: tuple
@@ -139,8 +140,8 @@ class MonotonePartition:
     pieces: tuple
 
     @property
-    def partition(self) -> Partition:
-        return self.detections[-1].partition
+    def partition(self) -> Partition | None:
+        return Partition.from_pieces(self.pieces) if self.stable else None
 
 
 # ---------------------------------------------------------------------------

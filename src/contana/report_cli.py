@@ -27,7 +27,6 @@ from . import catalog, suite_checks
 from .convexity import (
     DEFAULT_ETA_SCALE,
     DEFAULT_MAX_PIECES,
-    Partition,
     check_gsigma_monotone,
     gsigma_curve,
     monotone_partition,
@@ -70,7 +69,7 @@ EXIT_UNACHIEVABLE = 3
 EXIT_INTERNAL = 4
 EXIT_IO = 5
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: increment-curve samples per piece in ``analyze``
 GSIGMA_SAMPLES = 257
@@ -150,8 +149,8 @@ def analyze(fn_text: str, interval_text: str,
 
 def _verdict(fn_text: str, f, result, settings: AnalysisSettings) -> dict:
     """The report of f without its tables, from ``monotone_partition``'s
-    result: detection, pieces, the certificate and its verification, and
-    the verdicts.
+    result: detection, the partition and its pieces, the certificate and
+    its verification, and the verdicts.
 
     ``certify`` prints it as it is and ``analyze`` adds its tables.  It is
     the one place that builds and verifies a certificate: where the
@@ -161,7 +160,6 @@ def _verdict(fn_text: str, f, result, settings: AnalysisSettings) -> dict:
     largest budget that Phi proves on the certificate's window (None where
     Phi is unknown).
     """
-    resolutions = [len(grid) for grid in result.grids]
     report = {
         "schema": SCHEMA_VERSION,
         "tool": "contana",
@@ -173,12 +171,10 @@ def _verdict(fn_text: str, f, result, settings: AnalysisSettings) -> dict:
             "eta_scale": DEFAULT_ETA_SCALE,
             "max_pieces": DEFAULT_MAX_PIECES,
             "cantor_depth": CANTOR_DEPTH,
-            "detection_resolutions": resolutions,
         },
         "detection": {
-            "resolutions": resolutions,
+            "resolutions": [len(grid) for grid in result.grids],
             "sign_change_counts": result.sign_change_counts,
-            "stable": result.stable,
         },
         "partition": None,
         "pieces": [],
@@ -197,7 +193,7 @@ def _verdict(fn_text: str, f, result, settings: AnalysisSettings) -> dict:
             for p in result.pieces
         ]
         try:
-            cert = ac_certificate(f, result.pieces, settings.epsilon)
+            cert = ac_certificate(f, result.partition, settings.epsilon)
         except Unachievable as exc:
             report["certificate_error"] = str(exc)
         else:
@@ -207,7 +203,6 @@ def _verdict(fn_text: str, f, result, settings: AnalysisSettings) -> dict:
                 "delta1": cert.delta1,
                 "delta1_opt": verification.delta1_opt,
                 "per_piece_budget": cert.per_piece_budget,
-                "partition": list(cert.partition.points),
             }
             report["verification"] = {
                 "passed": verification.passed,
@@ -389,8 +384,7 @@ def cmd_check_glue(args) -> int:
     if not result.stable:
         return _not_piecewise_convex(result)
     try:
-        split = split_collection_at_partition(
-            c, Partition.from_pieces(result.pieces))
+        split = split_collection_at_partition(c, result.partition)
     except PreconditionError as exc:
         raise ParseError(str(exc)) from exc
     violated = False

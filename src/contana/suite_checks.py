@@ -52,15 +52,15 @@ class CriterionResult:
     details: dict = field(default_factory=dict)
 
 
-def _monotone_pieces(f: FunctionSpec, m: int = 1001):
+def _stable(f: FunctionSpec, m: int = 1001):
     result = monotone_partition(f, m)
     if not result.stable:
         raise AssertionError(f"expected a convex partition for {f.kind}")
-    return result.pieces
+    return result
 
 
 def _single_piece(f: FunctionSpec):
-    pieces = _monotone_pieces(f, 251)
+    pieces = _stable(f, 251).pieces
     if len(pieces) != 1:
         raise AssertionError(f"expected a single monotone piece for {f.kind}")
     return pieces[0]
@@ -168,41 +168,42 @@ def check_certificates() -> CriterionResult:
     ok = True
 
     f = catalog.sqrt_on_unit()
-    pieces = _monotone_pieces(f)
+    result = _stable(f)
     sqrt_delta1 = None
     for eps in (0.4, 0.1, 0.02):
-        cert = ac_certificate(f, pieces, eps)
+        cert = ac_certificate(f, result.partition, eps)
         ver = verify_certificate(f, cert)
         if eps == 0.1:
             sqrt_delta1 = cert.delta1
         good = ver.passed and ver.method == "exact_sup"
         ok = ok and good
         rows.append({"function": "sqrt", "epsilon": eps, "delta1": cert.delta1,
-                     "pieces": len(pieces), "worst_sum": ver.worst_sum,
+                     "pieces": len(result.pieces), "worst_sum": ver.worst_sum,
                      "method": ver.method, "passed": ver.passed})
 
     delta1_in_range = sqrt_delta1 is not None and 0.006 <= sqrt_delta1 <= 0.01
     ok = ok and delta1_in_range
 
     f = catalog.sine_table()
-    pieces = _monotone_pieces(f)
-    cert = ac_certificate(f, pieces, 0.4)
+    result = _stable(f)
+    cert = ac_certificate(f, result.partition, 0.4)
     ver = verify_certificate(f, cert)
-    sine_ok = ver.passed and ver.method == "exact_sup" and len(pieces) == 4
+    sine_ok = (ver.passed and ver.method == "exact_sup"
+               and len(result.pieces) == 4)
     ok = ok and sine_ok
     rows.append({"function": "sine", "epsilon": 0.4, "delta1": cert.delta1,
-                 "pieces": len(pieces), "worst_sum": ver.worst_sum,
+                 "pieces": len(result.pieces), "worst_sum": ver.worst_sum,
                  "method": ver.method, "passed": ver.passed})
 
     f = catalog.cubed(-1.0, 1.0)
-    pieces = _monotone_pieces(f)
-    cert = ac_certificate(f, pieces, 0.1)
+    result = _stable(f)
+    cert = ac_certificate(f, result.partition, 0.1)
     ver = verify_certificate(f, cert)
     split_at_zero = any(abs(p) <= 1e-3 for p in cert.partition.points)
     cubed_ok = ver.passed and ver.method == "exact_sup" and split_at_zero
     ok = ok and cubed_ok
     rows.append({"function": "xcubed", "epsilon": 0.1, "delta1": cert.delta1,
-                 "pieces": len(pieces), "worst_sum": ver.worst_sum,
+                 "pieces": len(result.pieces), "worst_sum": ver.worst_sum,
                  "method": ver.method, "passed": ver.passed})
 
     return CriterionResult(4, "certificate soundness", ok,

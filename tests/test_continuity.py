@@ -1341,19 +1341,35 @@ class TestSplitCollection:
             assert ac_sum(f, out) >= ac_sum(f, c) - 1e-12
 
 
+@st.composite
+def pwl_and_a_partition(draw):
+    """(piecewise linear f on [0, 1], a partition of [0, 1] whose 0 to 5
+    interior points are none of f's knots)."""
+    n = draw(st.integers(0, 5))
+    cuts = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True,
+                                   exclude_max=True), min_size=n, max_size=n))
+    xs = sorted({k / 1000 for k in draw(st.lists(st.integers(1, 999),
+                                                 max_size=6))} | {0.0, 1.0})
+    ys = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(xs),
+                       max_size=len(xs)))
+    f = FunctionSpec.piecewise_linear(tuple(zip(xs, ys)))
+    return f, Partition((0.0, *sorted(set(cuts) - set(xs)), 1.0))
+
+
 class TestCertificates:
     def test_sqrt_delta1_band(self):
         f, pieces = sqrt_on_unit_pieces()
-        cert = ac_certificate(f, pieces, 0.1)
+        cert = ac_certificate(f, Partition.from_pieces(pieces), 0.1)
         assert 0.006 <= cert.delta1 <= 0.01
         assert cert.per_piece_budget == pytest.approx(0.1)
         assert cert.delta1 < cert.partition.min_piece_length
 
     def test_partition_and_budget_follow_the_pieces(self):
         f = catalog.sine_table()
-        pieces = monotone_partition(f, 1001).pieces
-        cert = ac_certificate(f, pieces, 0.4)
-        assert cert.partition == Partition.from_pieces(cert.monotone_pieces)
+        result = monotone_partition(f, 1001)
+        pieces = result.pieces
+        cert = ac_certificate(f, result.partition, 0.4)
+        assert cert.partition == Partition.from_pieces(pieces)
         assert cert.partition.points[0] == pieces[0].interval.lo
         assert cert.partition.points[-1] == pieces[-1].interval.hi
         assert len(cert.partition.points) == len(pieces) + 1 == 5
@@ -1363,13 +1379,13 @@ class TestCertificates:
         f = FunctionSpec.affine(3.0, 0.0, IntervalSpec(0.0, 1.0))
         res = detect_partition(sample(f, IntervalSpec(0.0, 1.0), 2001))
         pieces = [p for s in res.shapes for p in refine_to_monotone(f, s)]
-        cert = ac_certificate(f, pieces, 0.1)
+        cert = ac_certificate(f, Partition.from_pieces(pieces), 0.1)
         # linear modulus: delta1 = 0.99 * (0.1 / 3), up to Phi's rounding
         assert cert.delta1 == pytest.approx(0.99 * 0.1 / 3, rel=1e-12)
 
     def test_verify_sqrt_passes(self):
         f, pieces = sqrt_on_unit_pieces()
-        cert = ac_certificate(f, pieces, 0.1)
+        cert = ac_certificate(f, Partition.from_pieces(pieces), 0.1)
         ver = verify_certificate(f, cert)
         assert ver.passed
         assert ver.worst_sum < 0.1
@@ -1378,10 +1394,8 @@ class TestCertificates:
 
     def test_fabricated_cantor_certificate_fails(self):
         f = catalog.cantor_on_unit()
-        fake = Certificate(
-            epsilon=0.5, delta1=(2.0 / 3.0) ** 6,
-            monotone_pieces=(ShapePiece(IntervalSpec(0.0, 1.0), Shape.CONCAVE,
-                                        Monotonicity.INCREASING, 0.0),))
+        fake = Certificate(epsilon=0.5, delta1=(2.0 / 3.0) ** 6,
+                           partition=Partition((0.0, 1.0)))
         ver = verify_certificate(f, fake)
         assert not ver.passed
         assert ver.worst_sum >= 0.5
@@ -1392,10 +1406,8 @@ class TestCertificates:
         # a subnormal piece needs no interval of its own: Phi bounds the
         # whole window, and its witness is the one collection built
         f = catalog.sqrt_on_unit()
-        cert = Certificate(epsilon=0.5, delta1=0.1, monotone_pieces=tuple(
-            ShapePiece(IntervalSpec(lo, hi), Shape.CONCAVE,
-                       Monotonicity.INCREASING, 0.0)
-            for lo, hi in ((0.0, 5e-324), (5e-324, 1.0))))
+        cert = Certificate(epsilon=0.5, delta1=0.1,
+                           partition=Partition((0.0, 5e-324, 1.0)))
         ver = verify_certificate(f, cert)
         assert ver.passed
         assert ver.worst_sum == ac_sum(f, ver.worst_collection)
@@ -1407,7 +1419,7 @@ class TestCertificates:
             res = detect_partition(sample(f, IntervalSpec(0.0, 1.0), 2001))
             assert isinstance(res, PiecewiseConvexPartition)
             pieces = [p for s in res.shapes for p in refine_to_monotone(f, s)]
-            return f, ac_certificate(f, pieces, 0.5)
+            return f, ac_certificate(f, Partition.from_pieces(pieces), 0.5)
 
         # one concave increasing piece of initial slope 1e7: its Phi
         # reaches the budget 0.5 at 5e-8, however steep that is
@@ -1424,7 +1436,7 @@ class TestCertificates:
         # window's Phi proves the certificate
         f = FunctionSpec.polynomial((0.0, 0.0, 1.0),
                                     IntervalSpec(-1e150, 1e150))
-        cert = ac_certificate(f, monotone_partition(f, 501).pieces, 0.1)
+        cert = ac_certificate(f, monotone_partition(f, 501).partition, 0.1)
         assert cert.delta1 == pytest.approx(2.475e-152, rel=1e-9)
         ver = verify_certificate(f, cert)
         assert (ver.method, ver.passed) == ("exact_sup", True)
@@ -1441,7 +1453,7 @@ class TestCertificates:
         sliver = exact_phi(f, -1e-12, 0.0)
         assert sliver.sup(1e-12).value < 2e-24
         assert sliver.below(1e-12, 0.05)
-        cert = ac_certificate(f, pieces, 0.1)
+        cert = ac_certificate(f, Partition.from_pieces(pieces), 0.1)
         assert cert.delta1 == 0.99 * exact_phi(f, 0.0, 1.0).budget(0.05)
         # Phi on [0, 1] is 1 - (1 - d)**2, within its bracket
         assert cert.delta1 == pytest.approx(0.99 * (1 - math.sqrt(0.95)),
@@ -1454,8 +1466,7 @@ class TestCertificates:
         FunctionSpec.polynomial((0.0, 0.0, 1.0), IntervalSpec(-0.2, 0.1)),
     ], ids=["one-piece", "two-pieces"])
     def test_every_piece_below_its_share_gives_the_span(self, f):
-        pieces = monotone_partition(f, 101).pieces
-        cert = ac_certificate(f, pieces, 0.1)
+        cert = ac_certificate(f, monotone_partition(f, 101).partition, 0.1)
         span = f.domain.hi - f.domain.lo
         assert cert.delta1 == 0.99 * span
         ver = verify_certificate(f, cert)
@@ -1464,27 +1475,57 @@ class TestCertificates:
     def test_unknown_or_zero_step_is_named(self):
         # no Phi: a slope bound that overflows
         f = FunctionSpec.polynomial((0.0, 0.0, 1e308), IntervalSpec(0.0, 10.0))
-        piece = ShapePiece(f.domain, Shape.CONVEX, Monotonicity.INCREASING)
         with pytest.raises(Unachievable, match=r"Phi on \[0\.0, 10\.0\] "
                                                r"below 0\.1$"):
-            ac_certificate(f, (piece,), 0.1)
+            ac_certificate(f, Partition((0.0, 10.0)), 0.1)
         # zero budget: the staircase's Phi is its rise at every positive
         # length; the first piece, whose rise is below its share, is
         # skipped, and the second is named
         f = catalog.cantor_on_unit()
-        pieces = tuple(ShapePiece(IntervalSpec(lo, hi), Shape.CONCAVE,
-                                  Monotonicity.INCREASING)
-                       for lo, hi in ((0.0, 0.01), (0.01, 1.0)))
         with pytest.raises(Unachievable, match=r"Phi on \[0\.01, 1\.0\] "
                                                r"below 0\.25$"):
-            ac_certificate(f, pieces, 0.5)
+            ac_certificate(f, Partition((0.0, 0.01, 1.0)), 0.5)
 
     def test_certificate_bound_is_semantic(self):
         # the certified guarantee: every collection under the budget stays
         # below epsilon, checked against the exact worst case sqrt(delta1)
         f, pieces = sqrt_on_unit_pieces()
-        cert = ac_certificate(f, pieces, 0.1)
+        cert = ac_certificate(f, Partition.from_pieces(pieces), 0.1)
         assert math.sqrt(cert.delta1) < 0.1
+
+    @settings(max_examples=200, deadline=None)
+    @given(pwl_and_a_partition(), st.floats(1e-3, 2.0))
+    @example((FunctionSpec.piecewise_linear(
+        ((0.0, 1.0), (0.011, 1.0), (1.0, 1.3644639245359348e-198))),
+        Partition((0.0, 1.0))), 1.0)
+    def test_sound_on_any_partition(self, case, epsilon):
+        # a certificate reads where its pieces end, not what they are: on
+        # any partition the window's Phi proves it, or Unachievable names
+        # one of its pieces.  In the example Phi(1) = 1 - 1.4e-198 is
+        # below epsilon only in rationals, and the witness's float sum
+        # rounds to 1.0: the piece gets a step, not a skip
+        f, partition = case
+        points = partition.points
+        try:
+            cert = ac_certificate(f, partition, epsilon)
+        except Unachievable as exc:
+            assert any(f"Phi on [{lo}, {hi}] below " in str(exc)
+                       for lo, hi in zip(points, points[1:]))
+            return
+        assert exact_phi(f, 0.0, 1.0).below(cert.delta1, epsilon) is True
+        assert verify_certificate(f, cert).passed is True
+
+    def test_detected_mixed_pieces_are_certified(self):
+        # detection cuts the zigzag once, at 0.5, into two pieces that
+        # each rise and fall; each piece's Phi still gives its step, the
+        # slope-2 segment's 0.025 for the share 0.05
+        res = detect_partition(sample(ZIGZAG, IntervalSpec(0.0, 1.0), 501))
+        assert res.partition.points == (0.0, 0.5, 1.0)
+        assert {p.monotonicity for p in res.shapes} == {Monotonicity.MIXED}
+        cert = ac_certificate(ZIGZAG, res.partition, 0.1)
+        assert cert.delta1 == pytest.approx(0.02475, rel=1e-12)
+        ver = verify_certificate(ZIGZAG, cert)
+        assert (ver.method, ver.passed) == ("exact_sup", True)
 
 
 SINE = catalog.sine_table(knots=2001)
@@ -1659,27 +1700,15 @@ class TestRandomCollection:
                 assert 0.25 <= x < y <= 1.5
 
 
-def sqrt_pieces_with_a_gap():
-    """sqrt's one piece split into [0, 0.25] and [0.5, 1], leaving a gap."""
-    return tuple(ShapePiece(IntervalSpec(lo, hi), Shape.CONCAVE,
-                            Monotonicity.INCREASING, 0.0)
-                 for lo, hi in ((0.0, 0.25), (0.5, 1.0)))
-
-
 def sqrt_unit_grid(xs=(0.0, 0.25, 0.5, 0.75, 1.0)):
     xs = np.array(xs)
     return SampleGrid(xs, np.sqrt(xs))
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: ac_certificate(catalog.sqrt_on_unit(),
-                            sqrt_on_unit_pieces()[1], 0.0),
+    (lambda: ac_certificate(catalog.sqrt_on_unit(), Partition((0.0, 1.0)),
+                            0.0),
      ValueError, "epsilon must be positive"),
-    (lambda: ac_certificate(catalog.sqrt_on_unit(), (), 0.1),
-     PreconditionError, "at least one piece is required"),
-    (lambda: ac_certificate(catalog.sqrt_on_unit(),
-                            sqrt_pieces_with_a_gap(), 0.1),
-     PreconditionError, "pieces do not tile the window contiguously"),
     (lambda: worst_ac_sum_oracle(sqrt_unit_grid(), 0.5, max_intervals=0),
      ValueError, "max_intervals must be >= 1"),
     (lambda: worst_ac_sum_oracle(sqrt_unit_grid((0.0, 0.1, 0.5, 1.0)), 0.5),
@@ -1690,7 +1719,7 @@ def sqrt_unit_grid(xs=(0.0, 0.25, 0.5, 0.75, 1.0)):
      GeometryError, "total 1.5 must lie in (0, 1.0)"),
     (lambda: random_collection(np.random.default_rng(0), 0.0, 1.0, 0.5, 0),
      ValueError, "n must be >= 1"),
-], ids=["epsilon-0", "no-pieces", "gap", "max-intervals-0", "non-uniform",
+], ids=["epsilon-0", "max-intervals-0", "non-uniform",
         "no-deltas", "total-over-span", "n-0"])
 def test_bad_input_raises(call, error, message):
     with pytest.raises(error) as info:
@@ -2032,9 +2061,8 @@ class TestExactSup:
         # increments, whatever the piece that the certificate names
         f, lo, hi = case
         d = share * (hi - lo)
-        cert = Certificate(epsilon=epsilon, delta1=d, monotone_pieces=(
-            ShapePiece(IntervalSpec(lo, hi), Shape.CONCAVE,
-                       Monotonicity.INCREASING, 0.0),))
+        cert = Certificate(epsilon=epsilon, delta1=d,
+                           partition=Partition((lo, hi)))
         ver = verify_certificate(f, cert)
         if ver.method != "exact_sup":
             return
@@ -2136,13 +2164,10 @@ class TestExactSup:
         # its rounding, and the staircase's fabricated certificate is
         # refused with a witness of sum >= epsilon
         if epsilon is None:
-            cert = Certificate(
-                epsilon=0.5, delta1=(2.0 / 3.0) ** 6,
-                monotone_pieces=(ShapePiece(
-                    IntervalSpec(0.0, 1.0), Shape.CONCAVE,
-                    Monotonicity.INCREASING, 0.0),))
+            cert = Certificate(epsilon=0.5, delta1=(2.0 / 3.0) ** 6,
+                               partition=Partition((0.0, 1.0)))
         else:
-            cert = ac_certificate(f, monotone_partition(f, 501).pieces,
+            cert = ac_certificate(f, monotone_partition(f, 501).partition,
                                   epsilon)
         lo, hi = cert.partition.points[0], cert.partition.points[-1]
         d1 = cert.delta1
@@ -2171,7 +2196,8 @@ class TestExactSup:
                                                  monkeypatch):
         # Phi's witness is the one collection that a proved certificate
         # builds, and nothing is evaluated in bulk
-        cert = ac_certificate(f, monotone_partition(f, 501).pieces, epsilon)
+        cert = ac_certificate(f, monotone_partition(f, 501).partition,
+                              epsilon)
         built = []
         init = IntervalCollection.__post_init__
 
@@ -2269,7 +2295,7 @@ class TestExactSup:
         if not result.stable:
             return
         try:
-            cert = ac_certificate(f, result.pieces, epsilon)
+            cert = ac_certificate(f, result.partition, epsilon)
         except Unachievable:
             return
         ver = verify_certificate(f, cert)
@@ -2308,7 +2334,7 @@ class TestExactSup:
         cert = None
         if result.stable:
             try:
-                cert = ac_certificate(f, result.pieces, epsilon)
+                cert = ac_certificate(f, result.partition, epsilon)
             except Unachievable:
                 pass
         if cert is not None:
@@ -2358,10 +2384,11 @@ class TestExactSup:
             (Shape.AFFINE, Monotonicity.INCREASING)]  # the false label
         budget = exact_phi(f, 0.0, 1.0).budget(0.1)
         # ac_certificate reads the piece's Phi, not its label: proved
-        proved = ac_certificate(f, pieces, 0.1)
+        proved = ac_certificate(f, Partition.from_pieces(pieces), 0.1)
         assert proved.delta1 == pytest.approx(0.99 * budget, rel=1e-12)
         assert verify_certificate(f, proved).passed
-        cert = Certificate(epsilon=0.1, delta1=0.0891, monotone_pieces=pieces)
+        cert = Certificate(epsilon=0.1, delta1=0.0891,
+                           partition=Partition.from_pieces(pieces))
         ver = verify_certificate(f, cert)
         assert (ver.method, ver.passed) == ("exact_sup", False)
         assert ver.sup == pytest.approx(9.489, abs=1e-3)
@@ -2386,9 +2413,8 @@ class TestExactSup:
         # budget is proved; x^2 sin(1/x) is Lipschitz, and its bracket
         # proves a budget of 0.0752 at epsilon 0.1
         phi = exact_phi(f, f.domain.lo, f.domain.hi)
-        cert = Certificate(epsilon=0.5, delta1=0.1, monotone_pieces=(
-            ShapePiece(f.domain, Shape.CONCAVE, Monotonicity.INCREASING,
-                       0.0),))
+        cert = Certificate(epsilon=0.5, delta1=0.1,
+                           partition=Partition((f.domain.lo, f.domain.hi)))
         ver = verify_certificate(f, cert)
         assert (ver.method, ver.passed) == ("exact_sup", passed)
         assert sup[0] <= ver.sup <= sup[1]
@@ -2418,7 +2444,8 @@ class TestExactSup:
             assert sup.rounding <= 0.01 * top * d  # about r * M2 * d
         budget = bracket.budget(epsilon)
         assert phi(budget) < epsilon < phi(1.01 * budget)
-        cert = ac_certificate(f, monotone_partition(f, 501).pieces, epsilon)
+        cert = ac_certificate(f, monotone_partition(f, 501).partition,
+                              epsilon)
         assert budget > cert.delta1
         ver = verify_certificate(f, cert)
         assert (ver.method, ver.passed) == ("exact_sup", True)
@@ -2440,9 +2467,8 @@ class TestExactSup:
         for n in (1024, 4096, 65536):
             sup = function_model._envelope_phi(cells, 0.0, 10.0, n).sup(d)
             assert abs(sup.value - phi) <= sup.rounding
-        piece = ShapePiece(IntervalSpec(0.0, 10.0), Shape.CONVEX,
-                           Monotonicity.INCREASING, 0.0)
-        cert = Certificate(epsilon=phi, delta1=d, monotone_pieces=(piece,))
+        cert = Certificate(epsilon=phi, delta1=d,
+                           partition=Partition((0.0, 10.0)))
         bracket = exact_phi(f, 0.0, 10.0)
         with mock.patch.object(function_model, "_envelope_phi",
                                wraps=function_model._envelope_phi) as envelopes:
@@ -2460,9 +2486,8 @@ class TestExactSup:
         f = FunctionSpec.piecewise_linear(
             ((0.0, 0.0), (5e-324, 1.0), (1.0, 1.0)))
         assert exact_phi(f, 0.0, 1.0) is None
-        cert = Certificate(epsilon=2.0, delta1=0.5, monotone_pieces=(
-            ShapePiece(IntervalSpec(0.0, 1.0), Shape.CONCAVE,
-                       Monotonicity.INCREASING, 0.0),))
+        cert = Certificate(epsilon=2.0, delta1=0.5,
+                           partition=Partition((0.0, 1.0)))
         ver = verify_certificate(f, cert)
         assert (ver.method, ver.passed, ver.sup, ver.delta1_opt) == (
             "undecided", None, None, None)
@@ -2474,9 +2499,8 @@ class TestExactSup:
             ((0.0, 0.0), (1.0, 1e308), (2.0, 0.0), (3.0, 1e308), (4.0, 0.0)))
         phi = exact_phi(f, 0.0, 4.0)
         assert phi is not None and phi.sup(3.5) is None
-        cert = Certificate(epsilon=1.0, delta1=3.5, monotone_pieces=(
-            ShapePiece(IntervalSpec(0.0, 4.0), Shape.CONCAVE,
-                       Monotonicity.INCREASING, 0.0),))
+        cert = Certificate(epsilon=1.0, delta1=3.5,
+                           partition=Partition((0.0, 4.0)))
         ver = verify_certificate(f, cert)
         assert (ver.method, ver.passed, ver.sup, ver.worst_sum) == (
             "undecided", None, None, 0.0)

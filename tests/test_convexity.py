@@ -18,6 +18,7 @@ from contana import (
     IntervalSpec,
     Monotonicity,
     NotPiecewiseConvex,
+    Partition,
     PiecewiseConvexPartition,
     SampleGrid,
     Shape,
@@ -235,8 +236,30 @@ class TestMonotonePartition:
         result = monotone_partition(f, 251)
         assert result.sign_change_counts == [5, 6, 6]
         assert result.stable
-        assert result.partition == result.detections[-1].partition
         assert len(result.pieces) == 12
+        # refinement only splits detected pieces: detection's cut points
+        # are among the 13 ends of the monotone pieces
+        points = result.partition.points
+        assert len(points) == 13
+        assert set(result.detections[-1].partition.points) <= set(points)
+
+    @pytest.mark.parametrize("f", [
+        FunctionSpec.x_squared_sin_inv(IntervalSpec(0.0, 1.0)),
+        catalog.cantor_on_unit()], ids=["x2sininv", "cantor"])
+    def test_unstable_verdict_has_no_partition(self, f):
+        result = monotone_partition(f, 4001)
+        assert not result.stable
+        assert result.partition is None
+
+    def test_partition_is_where_the_monotone_pieces_end(self):
+        # the zigzag's detection cuts it once, at 0.5; its partition is
+        # that of its four monotone pieces, split at the knots 0.3 and 0.7
+        f = FunctionSpec.piecewise_linear(
+            ((0.0, 0.0), (0.3, 0.6), (0.7, 0.2), (1.0, 0.5)))
+        result = monotone_partition(f, 501)
+        assert result.detections[-1].partition.points == (0.0, 0.5, 1.0)
+        assert result.partition == Partition.from_pieces(result.pieces)
+        assert result.partition.points == (0.0, 0.3, 0.5, 0.7, 1.0)
 
 
 @st.composite

@@ -1,8 +1,10 @@
-"""Docs hygiene: the README's CLI synopsis names the parser's options.
+"""Docs hygiene: the README's CLI synopsis names the parser's options, and
+its library sketch runs.
 
 Each subcommand line in the code block under ``## CLI`` (with its
 indented continuation lines) must list exactly the ``--options`` that
-``build_parser`` gives that subcommand, ``--help`` aside.
+``build_parser`` gives that subcommand, ``--help`` aside.  The python
+block under ``## Library sketch`` runs as it is, asserts included.
 """
 
 import argparse
@@ -47,3 +49,13 @@ def test_synopsis_reader_joins_continuation_lines():
             "          [--z-w Z]\ncontana b\n```\n")
     assert synopsis_options("\n" + text) == {"a": {"--x", "--y", "--z-w"},
                                              "b": set()}
+
+
+def library_sketch(text: str) -> str:
+    """The first python code block under ## Library sketch."""
+    section = text.split("\n## Library sketch\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_library_sketch_runs():
+    exec(compile(library_sketch(README.read_text()), "README.md", "exec"), {})

@@ -49,7 +49,7 @@ SPIKE = "pwl:0:0,0.300011:0.300011,0.300013:5,0.300015:0.300015,1:1"
 class TestAnalyze:
     def test_sqrt_report(self):
         report = analyze("sqrt", "[0,1]", FAST)
-        assert report["schema"] == 4
+        assert report["schema"] == 5
         assert report["verdicts"]["piecewise_convex"] is True
         assert report["verdicts"]["uniformly_continuous"] is True
         assert report["verdicts"]["uniformly_continuous_reason"] == \
@@ -73,7 +73,11 @@ class TestAnalyze:
         assert s["eta_scale"] == 1e-8 and "eta" not in s
         assert s["max_pieces"] == 64
         assert s["cantor_depth"] == 64
-        assert s["detection_resolutions"] == [501, 1001, 2001]
+        # each fact once: the resolutions under detection, the verdict
+        # under verdicts
+        assert "detection_resolutions" not in s
+        assert report["detection"]["resolutions"] == [501, 1001, 2001]
+        assert "stable" not in report["detection"]
 
     def test_oscillating_counterexample(self):
         report = analyze("x2sininv", "[0,1]",
@@ -143,9 +147,9 @@ class TestAnalyze:
         # window's Phi(delta1) is the whole rise 0.875, and the witness
         # takes 128 stage-8 bricks, sum 0.5 within length 0.0195
         f = parse_function("cantor", parse_interval("[0.05,1]"))
-        pieces = monotone_partition(f, 5).pieces
+        partition = monotone_partition(f, 5).partition
         ver = verify_certificate(f, Certificate(epsilon=0.5, delta1=0.02475,
-                                                monotone_pieces=pieces))
+                                                partition=partition))
         assert ver.sup == pytest.approx(0.875, abs=1e-15)
         assert ver.delta1_opt == 0.0
         assert ver.method == "exact_sup" and ver.passed is False
@@ -726,8 +730,8 @@ class TestCLI:
                      "--epsilon", "0.1", "--grid", "501"])
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
-        assert payload["certificate"]["partition"][1] == pytest.approx(
-            0.0, abs=1e-2)
+        assert payload["partition"][1] == pytest.approx(0.0, abs=1e-2)
+        assert "partition" not in payload["certificate"]
         assert 0.005 < payload["certificate"]["delta1"] < 0.05
 
     def test_certify_matches_analyze(self, capsys):
@@ -829,7 +833,8 @@ class TestCLI:
         assert main(argv) == EXIT_OK
         by_label = mock.patch.object(
             report_cli, "ac_certificate",
-            lambda f, pieces, epsilon: Certificate(epsilon, 0.0891, pieces))
+            lambda f, partition, epsilon: Certificate(epsilon, 0.0891,
+                                                      partition))
         with by_label:
             code = main(argv)
         assert code == EXIT_VIOLATED
@@ -883,7 +888,8 @@ class TestCLI:
         assert cert["delta1"] < cert["delta1_opt"] < 1e-7
         by_label = mock.patch.object(
             report_cli, "ac_certificate",
-            lambda f, pieces, epsilon: Certificate(epsilon, 0.0891, pieces))
+            lambda f, partition, epsilon: Certificate(epsilon, 0.0891,
+                                                      partition))
         with by_label:
             code = main(argv)
         payload = json.loads(capsys.readouterr().out)
@@ -917,7 +923,7 @@ class TestCLI:
         assert payload["certificate"]["delta1_opt"] is not None
         windows = [tuple(map(float, call.args[1:])) for call in
                    built.call_args_list]
-        points = payload["certificate"]["partition"]
+        points = payload["partition"]
         assert windows == list(zip(points, points[1:])) + [
             (points[0], points[-1])]
         assert sorts.call_count == knapsacks * len(windows)
