@@ -1189,13 +1189,16 @@ class _Knapsack(NamedTuple):
         into one: f is monotone across them, so the exact sum is the same.
         The glued run that holds the cut interval, the least steep, comes
         last, and nothing is glued to the cut interval's right, so
-        ``Phi.witness`` trims the least steep length first."""
+        ``Phi.witness`` trims the least steep length first.  The cut
+        interval keeps at least one ulp, so that run is never empty."""
         k = int(np.searchsorted(self.reach, d))  # intervals taken whole
         at = self.order[:k + 1]
         left, right = self.ends[at], self.ends[at + 1]
-        if k < len(self.reach):  # the cut interval takes what is left of d
-            right[k] = min(right[k], left[k] + (d - (self.reach[k - 1] if k
-                                                     else 0.0)))
+        if k < len(self.reach):  # the cut interval takes what is left of d,
+            # at least one ulp: left[k] + a sliver can round to left[k]
+            rest = d - (self.reach[k - 1] if k else 0.0)
+            right[k] = min(right[k], max(left[k] + rest,
+                                         math.nextafter(left[k], math.inf)))
         place = np.argsort(at)  # the window's order
         cut = int(place.argmax())  # the cut interval's place in it
         left, right, dirs = left[place], right[place], self.dirs[at[place]]

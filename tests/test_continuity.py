@@ -2017,6 +2017,11 @@ class TestExactSup:
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(pwl_windows(), pwl_windows(ties=True),
                      poly_windows(degrees=(2, 4))), st.floats(1e-3, 1.0))
+    # d passes the intervals taken whole by less than an ulp of the cut
+    # interval's left end
+    @example(case=(FunctionSpec.polynomial(
+        (0.0, 0.0, 1.0), IntervalSpec(1 / 3, 2 / 3)), 1 / 3, 2 / 3),
+        share=0.5)
     def test_witness_glues_monotone_runs(self, case, share):
         # touching intervals over which f keeps one direction become one,
         # except on the cut interval's right: against the same knapsack
