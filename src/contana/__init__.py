@@ -8,7 +8,6 @@ from .errors import (
     InsufficientData,
     KindError,
     ParseError,
-    PreconditionError,
     ShapeError,
     Unachievable,
 )
@@ -43,7 +42,6 @@ from .convexity import (
 )
 from .continuity import (
     ACWorstReport,
-    Anchor,
     Certificate,
     GluingCheck,
     IntervalCollection,

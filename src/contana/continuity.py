@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -45,7 +44,6 @@ from .errors import (
     BudgetError,
     GeometryError,
     InsufficientData,
-    PreconditionError,
     Unachievable,
 )
 from .function_model import (
@@ -74,11 +72,6 @@ _TIE_BAND = 16
 #: relative slack of the modulus kernel's gap-extreme lag test: it covers the
 #: rounding of the float gaps, of the differences and of the test's products
 _GAP_SLACK = 8 * sys.float_info.epsilon
-
-
-class Anchor(str, Enum):
-    LEFT = "LeftAnchored"
-    RIGHT = "RightAnchored"
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +119,9 @@ class GluingCheck:
     lhs: float
     rhs: float
     holds: bool
-    direction_used: Anchor
+    #: the piece's increment-curve direction; the glued interval sits at
+    #: the right end when it is NONDECREASING, else at the left
+    direction_used: Direction
 
 
 @dataclass(frozen=True)
@@ -365,45 +360,40 @@ def _window_starts(grid: SampleGrid, delta, ends: np.ndarray) -> np.ndarray:
 # Gluing
 # ---------------------------------------------------------------------------
 
-def _anchor_for(piece: ShapePiece) -> Anchor:
-    direction = expected_direction(piece)
-    if direction is Direction.NONDECREASING:
-        return Anchor.RIGHT
-    return Anchor.LEFT
-
-
-def _glued_interval(c: IntervalCollection, anchor: Anchor, lo, hi) -> tuple:
+def _glued_interval(c: IntervalCollection, direction: Direction,
+                    lo, hi) -> tuple:
     """The nonempty collection packed into one interval of its total length
-    L (``fsum`` of the pair lengths), clamped into [lo, hi]: (x_1, x_1 + L)
-    when left-anchored, (y_n - L, y_n) when right-anchored."""
+    L (``fsum`` of the pair lengths), clamped into [lo, hi]: (y_n - L, y_n)
+    where the increment curve is nondecreasing, else (x_1, x_1 + L)."""
     (x, _), (_, y) = c.pairs[0], c.pairs[-1]
-    if anchor is Anchor.LEFT:
-        return x, min(hi, x + c.total_length)
-    return max(lo, y - c.total_length), y
+    if direction is Direction.NONDECREASING:
+        return max(lo, y - c.total_length), y
+    return x, min(hi, x + c.total_length)
 
 
 def gluing_bound_check(f: FunctionSpec, piece: ShapePiece, c: IntervalCollection,
                        tol: float | None = None) -> GluingCheck:
     """Check that the glued single increment dominates the collection sum.
 
-    The glued interval (``_glued_interval``) is anchored at the end where
-    increments are largest: left when the increment curve is nonincreasing,
-    right when nondecreasing.  Reports lhs = sum |f(y_i) - f(x_i)| and rhs,
-    its increment; both are 0 for an empty collection.
+    The glued interval (``_glued_interval``) sits at the end where
+    increments are largest, by Lemma 1 (``expected_direction``): right when
+    the increment curve is nondecreasing, left otherwise.  Reports
+    lhs = sum |f(y_i) - f(x_i)| and rhs, its increment; both are 0 for an
+    empty collection.
     """
     lo, hi = piece.interval.lo, piece.interval.hi
     for x, y in c.pairs:
         if x < lo or y > hi:
             raise GeometryError(f"pair ({x}, {y}) leaves the piece [{lo}, {hi}]")
-    anchor = _anchor_for(piece)
+    direction = expected_direction(piece)
     lhs, rhs = ac_sum(f, c), 0.0
     if c.pairs:
-        z_first, z_last = _glued_interval(c, anchor, lo, hi)
+        z_first, z_last = _glued_interval(c, direction, lo, hi)
         rhs = abs(evaluate(f, z_last) - evaluate(f, z_first))
     if tol is None:
         tol = 1e-9 * max(1.0, abs(lhs), abs(rhs))
     return GluingCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol,
-                       direction_used=anchor)
+                       direction_used=direction)
 
 
 # ---------------------------------------------------------------------------
@@ -748,25 +738,17 @@ def _backtrack(hist: np.ndarray, kept: list, gaps: list, u: int, k: int):
 
 def split_collection_at_partition(c: IntervalCollection,
                                   p: Partition) -> IntervalCollection:
-    """Split pairs at the single partition point they may contain.
+    """Cut every pair at each interior partition point that it contains.
 
-    Requires every pair to contain at most one interior partition point (a
-    consequence of total_length < min piece length).  Total length is
+    Each output pair lies in one piece, the exact total length is
     preserved and, by the triangle inequality, the increment sum of the
     output dominates the input's for any function.
     """
     inner = p.points[1:-1]
     out = []
     for x, y in c.pairs:
-        hits = [a for a in inner if x < a < y]
-        if len(hits) > 1:
-            raise PreconditionError(
-                f"pair ({x}, {y}) straddles {len(hits)} partition points")
-        if hits:
-            out.append((x, hits[0]))
-            out.append((hits[0], y))
-        else:
-            out.append((x, y))
+        cuts = [x, *(a for a in inner if x < a < y), y]
+        out.extend(zip(cuts, cuts[1:]))
     return IntervalCollection(tuple(out))
 
 

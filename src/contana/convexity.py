@@ -39,9 +39,6 @@ from .function_model import (
 #: partitions with more pieces than this are reported as not piecewise convex
 DEFAULT_MAX_PIECES = 64
 
-#: zero band for second differences: eta = DEFAULT_ETA_SCALE * max |value|
-DEFAULT_ETA_SCALE = 1e-8
-
 
 class Shape(str, Enum):
     CONVEX = "Convex"
@@ -154,11 +151,9 @@ def detect_partition(grid: SampleGrid):
     Works on uniform grids (``SampleGrid.uniform``; any other grid raises
     InsufficientData): raw second differences, taken as differences of the
     steps (v[j+1] - v[j]) - (v[j] - v[j-1]), carry the curvature sign.  The
-    zero band is the value-scale band eta = DEFAULT_ETA_SCALE * max |value|,
-    rescaled by (h / L)^2 so that a given true curvature keeps the same
-    margin at every resolution, and floored at a noise floor so rounding
-    noise on exactly affine data never registers as curvature: 16 ulps of
-    the value scale, plus what the abscissae's rounding adds where their
+    zero band is the rounding noise floor, so that rounding noise on
+    exactly affine data never registers as curvature: 16 ulps of the value
+    scale max |value|, plus what the abscissae's rounding adds where their
     gaps differ (by up to 4 ulps of max |x| far from zero, as
     ``SampleGrid.uniform`` allows), twice the steepest step times
     (max gap - min gap) / min gap, a product that cannot overflow.
@@ -174,18 +169,14 @@ def detect_partition(grid: SampleGrid):
         raise InsufficientData("partition detection requires a uniform grid")
     xs = grid.abscissae
     vs = grid.values
-    h = grid.step
     scale = float(np.max(np.abs(vs)))
-    eta = DEFAULT_ETA_SCALE * scale
-    length = grid.span
     # differences of the steps stay finite wherever twice the value range
     # does; past that an entry overflows to an inf of the right sign
     dv = np.diff(vs)
     gmin = grid.narrowest
     steepest = max(float(dv.max()), -float(dv.min()))
-    noise_floor = (16.0 * sys.float_info.epsilon * scale
-                   + 2.0 * (grid.spacing - gmin) / gmin * steepest)
-    band = max(eta * (h / length) ** 2, noise_floor)
+    band = (16.0 * sys.float_info.epsilon * scale
+            + 2.0 * (grid.spacing - gmin) / gmin * steepest)
     with np.errstate(over="ignore"):
         d2 = dv[1:] - dv[:-1]
     signs = (d2 > band).view(np.int8) - (d2 < -band).view(np.int8)
@@ -343,24 +334,24 @@ def gsigma_curve(f: FunctionSpec, lo: float, hi: float, sigma: float,
     return xs.tolist(), np.abs(v[:m] - v[m:]).tolist()
 
 
-#: (monotonicity, shape) -> certified increment-curve direction
-_DIRECTION_TABLE = {
-    (Monotonicity.INCREASING, Shape.CONCAVE): Direction.NONINCREASING,
-    (Monotonicity.DECREASING, Shape.CONVEX): Direction.NONINCREASING,
-    (Monotonicity.INCREASING, Shape.CONVEX): Direction.NONDECREASING,
-    (Monotonicity.DECREASING, Shape.CONCAVE): Direction.NONDECREASING,
-}
-
-
 def expected_direction(piece: ShapePiece) -> Direction:
-    """Increment-curve direction predicted by the (monotonicity, shape) pair."""
+    """The increment-curve direction of Lemma 1 on a monotone piece.
+
+    Constant on an affine or constant piece; otherwise nondecreasing iff
+    the piece is increasing and convex or decreasing and concave, and
+    nonincreasing on the other two.  A Mixed piece, or a shape outside
+    Convex/Concave/Affine, raises ShapeError.
+    """
     if piece.shape is Shape.AFFINE or piece.monotonicity is Monotonicity.CONSTANT:
         return Direction.CONSTANT
-    try:
-        return _DIRECTION_TABLE[(piece.monotonicity, piece.shape)]
-    except KeyError:
-        raise ShapeError(
-            f"piece is not certified monotone: {piece.monotonicity!r}")
+    if (piece.monotonicity is Monotonicity.MIXED
+            or piece.shape not in (Shape.CONVEX, Shape.CONCAVE)):
+        raise ShapeError(f"piece is not certified monotone: "
+                         f"{piece.monotonicity!r}, {piece.shape!r}")
+    rising = piece.monotonicity is Monotonicity.INCREASING
+    if rising == (piece.shape == Shape.CONVEX):
+        return Direction.NONDECREASING
+    return Direction.NONINCREASING
 
 
 def check_gsigma_monotone(f: FunctionSpec, piece: ShapePiece, sigma: float,

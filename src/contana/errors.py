@@ -39,7 +39,3 @@ class BudgetError(ContanaError):
 
 class Unachievable(ContanaError):
     """No positive step size meets the requested increment bound."""
-
-
-class PreconditionError(ContanaError):
-    """A documented operation precondition was violated by the inputs."""

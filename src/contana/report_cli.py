@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from . import catalog, suite_checks
 from .convexity import (
-    DEFAULT_ETA_SCALE,
     DEFAULT_MAX_PIECES,
     check_gsigma_monotone,
     gsigma_curve,
@@ -49,7 +48,6 @@ from .errors import (
     InsufficientData,
     KindError,
     ParseError,
-    PreconditionError,
     Unachievable,
 )
 from .function_model import (
@@ -168,7 +166,6 @@ def _verdict(fn_text: str, f, result, settings: AnalysisSettings) -> dict:
         "settings": {
             "epsilon": settings.epsilon,
             "grid": settings.grid_m,
-            "eta_scale": DEFAULT_ETA_SCALE,
             "max_pieces": DEFAULT_MAX_PIECES,
             "cantor_depth": CANTOR_DEPTH,
         },
@@ -383,10 +380,7 @@ def cmd_check_glue(args) -> int:
     result = monotone_partition(f, args.grid)
     if not result.stable:
         return _not_piecewise_convex(result)
-    try:
-        split = split_collection_at_partition(c, result.partition)
-    except PreconditionError as exc:
-        raise ParseError(str(exc)) from exc
+    split = split_collection_at_partition(c, result.partition)
     violated = False
     for piece in result.pieces:
         lo, hi = piece.interval.lo, piece.interval.hi

@@ -15,9 +15,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contana import (
-    Anchor,
     BudgetError,
     Certificate,
+    Direction,
     FunctionSpec,
     GeometryError,
     InsufficientData,
@@ -26,7 +26,6 @@ from contana import (
     Monotonicity,
     Partition,
     PiecewiseConvexPartition,
-    PreconditionError,
     SampleGrid,
     Shape,
     ShapePiece,
@@ -39,6 +38,7 @@ from contana import (
     monotone_partition,
     gluing_bound_check,
     modulus_on_grid,
+    parse_function,
     random_collection,
     refine_to_monotone,
     sample,
@@ -785,7 +785,7 @@ class TestGluingBound:
                            Monotonicity.INCREASING, 0.0)
         c = IntervalCollection(((0.0, 0.1), (0.3, 0.4)))
         chk = gluing_bound_check(f, piece, c)
-        assert chk.direction_used is Anchor.LEFT
+        assert chk.direction_used is Direction.NONINCREASING
         assert chk.lhs == pytest.approx(
             math.sqrt(0.1) + math.sqrt(0.4) - math.sqrt(0.3), abs=1e-12)
         assert chk.rhs == pytest.approx(math.sqrt(0.2), abs=1e-12)
@@ -797,7 +797,7 @@ class TestGluingBound:
                            Monotonicity.INCREASING, 0.0)
         c = IntervalCollection(((1.0, 2.0), (5.0, 6.0)))
         chk = gluing_bound_check(f, piece, c)
-        assert chk.direction_used is Anchor.RIGHT
+        assert chk.direction_used is Direction.NONDECREASING
         assert chk.lhs == pytest.approx(14.0, abs=1e-12)
         assert chk.rhs == pytest.approx(20.0, abs=1e-12)
         assert chk.holds
@@ -823,13 +823,13 @@ class TestGluingBound:
             gluing_bound_check(f, piece, IntervalCollection(((0.4, 0.6),)))
 
 
-def glued_ends_chain(c, anchor, lo, hi):
+def glued_ends_chain(c, direction, lo, hi):
     """The glued interval by the proof's chain, the reference for the closed
-    form: from z_1 = x_1 the pair lengths are added one by one
-    (left-anchored), or from z_{n+1} = y_n subtracted one by one
-    (right-anchored), and both ends are then clamped into [lo, hi]."""
+    form: from z_{n+1} = y_n the pair lengths are subtracted one by one
+    where the increment curve is nondecreasing, else from z_1 = x_1 added
+    one by one, and both ends are then clamped into [lo, hi]."""
     sigmas = [y - x for x, y in c.pairs]
-    if anchor is Anchor.LEFT:
+    if direction is not Direction.NONDECREASING:
         start = end = c.pairs[0][0]
         for s in sigmas:
             end += s
@@ -867,27 +867,27 @@ def criterion_2_piece(name):
 class TestGlueChain:
     def test_left_anchored(self):
         c = IntervalCollection(((0.0, 0.1), (0.3, 0.4)))
-        start, end = _glued_interval(c, Anchor.LEFT, 0.0, 1.0)
+        start, end = _glued_interval(c, Direction.NONINCREASING, 0.0, 1.0)
         assert start == 0.0
         assert end == pytest.approx(0.2, abs=1e-15)
 
     def test_right_anchored(self):
         c = IntervalCollection(((0.0, 0.1), (0.3, 0.4)))
-        start, end = _glued_interval(c, Anchor.RIGHT, 0.0, 1.0)
+        start, end = _glued_interval(c, Direction.NONDECREASING, 0.0, 1.0)
         assert end == 0.4
         assert start == pytest.approx(0.2, abs=1e-15)
 
     def test_single_pair_identity(self):
         c = IntervalCollection(((0.2, 0.7),))
-        for anchor in (Anchor.LEFT, Anchor.RIGHT):
-            assert _glued_interval(c, anchor, 0.0, 1.0) == (0.2, 0.7)
+        for direction in Direction:
+            assert _glued_interval(c, direction, 0.0, 1.0) == (0.2, 0.7)
 
     def test_empty(self):
         # an empty collection glues to nothing: lhs = rhs = 0, which holds
         f, pieces = sqrt_on_unit_pieces()
         chk = gluing_bound_check(f, pieces[0], IntervalCollection(()))
         assert (chk.lhs, chk.rhs, chk.holds) == (0.0, 0.0, True)
-        assert chk.direction_used is Anchor.LEFT
+        assert chk.direction_used is Direction.NONINCREASING
 
     def test_glued_length_is_total_length(self):
         rng = np.random.default_rng(3)
@@ -895,8 +895,8 @@ class TestGlueChain:
             c = random_collection(rng, 0.0, 1.0, 0.3, 5)
             if len(c) == 0:
                 continue
-            for anchor in (Anchor.LEFT, Anchor.RIGHT):
-                start, end = _glued_interval(c, anchor, 0.0, 1.0)
+            for direction in Direction:
+                start, end = _glued_interval(c, direction, 0.0, 1.0)
                 assert abs((end - start) - c.total_length) <= (
                     len(c) * math.ulp(max(abs(start), abs(end))))
 
@@ -906,9 +906,9 @@ class TestGlueChain:
         c = data.draw(collections_in(lo, hi))
         # the chain rounds once per pair, the closed form twice in all
         tol = len(c) * math.ulp(max(abs(lo), abs(hi)))
-        for anchor in (Anchor.LEFT, Anchor.RIGHT):
-            start, end = _glued_interval(c, anchor, lo, hi)
-            ref_start, ref_end = glued_ends_chain(c, anchor, lo, hi)
+        for direction in Direction:
+            start, end = _glued_interval(c, direction, lo, hi)
+            ref_start, ref_end = glued_ends_chain(c, direction, lo, hi)
             assert abs(start - ref_start) <= tol
             assert abs(end - ref_end) <= tol
             assert lo <= start <= end <= hi
@@ -934,12 +934,13 @@ class TestGlueChain:
     ])
     def test_end_at_hi_clamps(self, lo, hi, pairs):
         c = IntervalCollection(pairs)
-        assert _glued_interval(c, Anchor.LEFT, lo, hi) == (pairs[0][0], hi)
+        assert _glued_interval(c, Direction.CONSTANT, lo, hi) == (
+            pairs[0][0], hi)
         f = catalog.affine_fn(3.0, 1.0, lo, hi)
         piece = ShapePiece(IntervalSpec(lo, hi), Shape.AFFINE,
                            Monotonicity.INCREASING, 0.0)
         chk = gluing_bound_check(f, piece, c)
-        assert chk.direction_used is Anchor.LEFT
+        assert chk.direction_used is Direction.CONSTANT
         assert chk.holds
 
 
@@ -1315,11 +1316,34 @@ class TestSplitCollection:
             IntervalCollection(((0.45, 0.55), (0.7, 0.8))), p)
         assert out.pairs == ((0.45, 0.5), (0.5, 0.55), (0.7, 0.8))
 
-    def test_straddle_rejected(self):
+    def test_straddle_split_at_every_point(self):
         p = Partition((0.0, 0.4, 0.6, 1.0))
-        with pytest.raises(PreconditionError):
-            split_collection_at_partition(
-                IntervalCollection(((0.3, 0.7),)), p)
+        out = split_collection_at_partition(
+            IntervalCollection(((0.3, 0.7), (0.8, 0.9))), p)
+        assert out.pairs == ((0.3, 0.4), (0.4, 0.6), (0.6, 0.7), (0.8, 0.9))
+
+    @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    max_size=12, unique=True),
+           collections_in(0.0, 1.0))
+    def test_any_partition(self, inner, c):
+        # pairs may cross any number of partition points: each output pair
+        # lies in one piece, the exact total length is kept and, by the
+        # triangle inequality, the increment sum dominates
+        p = Partition((0.0, *sorted(inner), 1.0))
+        out = split_collection_at_partition(c, p)
+        ends = p.points
+        for x, y in out.pairs:
+            i = int(np.searchsorted(ends, x, side="right")) - 1
+            assert ends[i] <= x < y <= ends[i + 1]
+
+        def exact_length(pairs):
+            return sum(Fraction(y) - Fraction(x) for x, y in pairs)
+
+        assert exact_length(out.pairs) == exact_length(c.pairs)
+        f = parse_function("pwl:0:0,0.3:0.6,0.7:0.2,1:0.5",
+                           IntervalSpec(0.0, 1.0))
+        tol = len(out) * math.ulp(1.0)
+        assert ac_sum(f, out) >= ac_sum(f, c) - tol
 
     def test_length_preserved_and_sum_dominates(self):
         f = catalog.sqrt_on_unit()
@@ -1577,13 +1601,29 @@ def favourable_end_layouts(piece, left, length):
         yield IntervalCollection(tuple(sorted(pairs)))
 
 
+def anchored_point(piece, left, d):
+    """The float z nearest d away from the piece's favourable end (clamped
+    to the piece) that is no farther than d from it, and that distance,
+    the length z realizes: lo + d or hi - d rounds to a float that may lie
+    farther, or, within half an ulp of the end, onto the end itself."""
+    lo, hi = piece.interval.lo, piece.interval.hi
+    if left:
+        z = min(hi, lo + d)
+        if z - lo > d:
+            z = math.nextafter(z, lo)
+        return z, z - lo
+    z = max(lo, hi - d)
+    if hi - z > d:
+        z = math.nextafter(z, hi)
+    return z, hi - z
+
+
 def anchored_increment(f, piece, left):
-    """d -> |f(z) - f(end)|, z being d away from the piece's favourable end
-    (clamped to the piece)."""
+    """d -> |f(z) - f(end)| at z = ``anchored_point``: the increment at the
+    length z realizes, which is at most d."""
     lo, hi = piece.interval.lo, piece.interval.hi
     end = evaluate(f, lo if left else hi)
-    return lambda d: abs(evaluate(f, min(hi, lo + d) if left
-                                  else max(lo, hi - d)) - end)
+    return lambda d: abs(evaluate(f, anchored_point(piece, left, d)[0]) - end)
 
 
 def increment_step(f, piece, left, budget):
@@ -1611,13 +1651,19 @@ class TestIncrementStep:
 
     @settings(max_examples=60, deadline=None)
     @given(monotone_pieces(), st.floats(0.0, 1.0))
+    # x^4 on [3, 5]: hi - d rounds to hi, so the point realizes length 0
+    @example((FunctionSpec.polynomial((0.0, 0.0, 0.0, 0.0, 1.0),
+                                      IntervalSpec(3.0, 5.0)),
+              ShapePiece(IntervalSpec(3.0, 5.0), Shape.CONVEX,
+                         Monotonicity.INCREASING), False), 2.0 ** -52)
     def test_phi_is_the_anchored_increment(self, case, share):
         f, piece, left = case
         lo, hi = piece.interval.lo, piece.interval.hi
-        d = share * (hi - lo)
-        inc = anchored_increment(f, piece, left)(d)
+        # Phi at the length that the float point z realizes, against the
+        # exact increment there
+        z, d = anchored_point(piece, left, share * (hi - lo))
+        inc = float(abs(exact_value(f, z) - exact_value(f, lo if left else hi)))
         sup = exact_phi(f, lo, hi).sup(d)
-        # the evaluated increment rounds too (exact_phi's 16 eps Y)
         assert abs(sup.value - inc) <= sup.rounding + 1e-13 * max(1.0, inc)
 
     @settings(max_examples=60, deadline=None)
@@ -1647,9 +1693,6 @@ class TestIncrementStep:
         lo, hi = piece.interval.lo, piece.interval.hi
         length = hi - lo
 
-        def at(d):  # the point d away from the favourable end
-            return min(hi, lo + d) if left else max(lo, hi - d)
-
         inc = anchored_increment(f, piece, left)
         budget = fraction * inc(length)
         step = increment_step(f, piece, left, budget)
@@ -1664,7 +1707,7 @@ class TestIncrementStep:
         h = step / per_step
         n = min(int(length / h), 2 * per_step) + 1
         anchored = [inc(k * h) for k in range(n)]
-        xs = [at(k * h) for k in range(n)]
+        xs = [anchored_point(piece, left, k * h)[0] for k in range(n)]
         vs = [evaluate(f, x) for x in xs]
         if not left:
             xs.reverse()
@@ -1902,7 +1945,9 @@ def rational_phi(f, lo, hi, d):
 
 def exact_value(f, x):
     """f at the float x in exact rationals: the knots' interpolant, or the
-    polynomial."""
+    polynomial; sqrt's value is its correctly rounded float."""
+    if f.kind == "sqrt":
+        return Fraction(evaluate(f, x))
     x = Fraction(x)
     if f.kind == "poly":
         return sum(Fraction(c) * x ** k for k, c in enumerate(f.coefficients))

@@ -261,6 +261,17 @@ class TestMonotonePartition:
         assert result.partition == Partition.from_pieces(result.pieces)
         assert result.partition.points == (0.0, 0.3, 0.5, 0.7, 1.0)
 
+    def test_slight_curvature_is_read_at_a_coarse_grid(self):
+        # second differences 2e-9 h^2, 2e-13 at 101 points and 1.2e-14 at
+        # 401, all stand above the rounding noise floor of 3.8e-15: the
+        # parabola is convex at every resolution, not affine
+        f = FunctionSpec.polynomial((0.0, 1.0, 1e-9), IntervalSpec(0.0, 1.0))
+        result = monotone_partition(f, 101)
+        assert result.stable and len(result.pieces) == 1
+        piece = result.pieces[0]
+        assert (piece.shape, piece.monotonicity) == (Shape.CONVEX,
+                                                     Monotonicity.INCREASING)
+
 
 @st.composite
 def convex_pwl_pieces(draw):
@@ -525,6 +536,27 @@ class TestCheckGSigmaMonotone:
                 scale = max(1.0, max(values))
                 assert rep.direction is want
                 assert rep.max_violation <= 1e-9 * scale and rep.ok
+
+    @pytest.mark.parametrize("monotonicity, shape, want", [
+        (Monotonicity.INCREASING, Shape.CONVEX, Direction.NONDECREASING),
+        (Monotonicity.DECREASING, Shape.CONCAVE, Direction.NONDECREASING),
+        (Monotonicity.INCREASING, Shape.CONCAVE, Direction.NONINCREASING),
+        (Monotonicity.DECREASING, Shape.CONVEX, Direction.NONINCREASING),
+        (Monotonicity.CONSTANT, Shape.CONVEX, Direction.CONSTANT),
+        (Monotonicity.DECREASING, Shape.AFFINE, Direction.CONSTANT),
+    ])
+    def test_lemma_1_sign_rule(self, monotonicity, shape, want):
+        # nondecreasing iff (increasing) == (convex); flat on an affine or
+        # constant piece
+        piece = ShapePiece(IntervalSpec(0.0, 1.0), shape, monotonicity)
+        assert expected_direction(piece) is want
+
+    @pytest.mark.parametrize("monotonicity, shape", [
+        (Monotonicity.MIXED, Shape.CONVEX), (Monotonicity.INCREASING, "Wavy")])
+    def test_uncertified_piece_has_no_direction(self, monotonicity, shape):
+        piece = ShapePiece(IntervalSpec(0.0, 1.0), shape, monotonicity)
+        with pytest.raises(ShapeError, match="not certified monotone"):
+            expected_direction(piece)
 
     def test_decreasing_concave_is_nondecreasing(self):
         # falling branch of the sine arch

@@ -70,7 +70,7 @@ class TestAnalyze:
         assert s["epsilon"] == 0.1
         assert s["grid"] == 501
         assert "seed" not in s and "trials" not in s
-        assert s["eta_scale"] == 1e-8 and "eta" not in s
+        assert "eta_scale" not in s and "eta" not in s
         assert s["max_pieces"] == 64
         assert s["cantor_depth"] == 64
         # each fact once: the resolutions under detection, the verdict
@@ -703,15 +703,23 @@ class TestCLI:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: contana analyze")
 
-    def test_check_glue_pair_over_two_boundaries_parse_error(self, capsys):
+    def test_check_glue_pair_over_three_boundaries_splits(self, capsys):
+        # the pair crosses 0.3, 0.5 and 0.7: it is cut at each, and every
+        # piece checks its part, glued at the end its direction names
         code = main(["check-glue", "--fn", "pwl:0:0,0.3:0.6,0.7:0.2,1:0.5",
                      "--interval", "[0,1]", "--pairs", "0.2:0.8",
                      "--grid", "501"])
-        assert code == EXIT_PARSE
+        assert code == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("parse error: ")
-        assert captured.err.count("\n") == 1
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "piece [0.0,0.3]", "piece [0.3,0.5]", "piece [0.5,0.7]",
+            "piece [0.7,1.0]"]
+        assert [line.split()[-2] for line in lines] == [
+            "direction=Nonincreasing", "direction=Nondecreasing",
+            "direction=Nonincreasing", "direction=Nondecreasing"]
+        assert all(line.endswith(" HOLDS") for line in lines)
 
     @pytest.mark.parametrize("sigma", ["1", "2"])
     def test_check_lemma1_sigma_covering_every_piece_parse_error(self, capsys,
