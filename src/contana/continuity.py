@@ -161,9 +161,9 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
     a running maximum.  It is read as the largest max - min over the
     windows [s_j, j] within delta of x_j (float subtraction is monotone, so
     the values are a pair scan's).  On a constant lag L the windows
-    [j - L, j], j >= L, contain the clipped ones.  L comes from bounds on
-    the grid's L-step lengths (``_certified_lag``), or else from exact
-    slice tests (``_lag``), whose exceptions, the points with
+    [j - L, j], j >= L, contain the clipped ones.  ``_lag`` makes one call
+    per delta: the gap extremes give L off a tie with the grid step, exact
+    slice tests elsewhere, and the exceptions, the points with
     xs[j] - xs[j - L - 1] <= delta too, get exact starts and gathers.
 
     On monotone values (``_trend``) a window's range is its end difference:
@@ -187,10 +187,8 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
     span = grid.span
     if any(d > span for d in ds):
         raise BudgetError(f"delta exceeds the window length {span}")
-    xs, vs = grid.abscissae, grid.values
+    vs = grid.values
     m = len(vs)
-    gmin, gmax, h = grid.narrowest, grid.spacing, grid.step
-    drift = math.inf  # measured when the gap extremes first settle no lag
     scratch = np.empty(m)  # no m-float array per delta
     trend = _trend(vs)
     if not trend:
@@ -199,13 +197,8 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
     best = 0.0
     samples = []
     for d in ds:
-        lag = _certified_lag(d, gmin, gmax, h, drift)
-        if lag is None and drift == math.inf:
-            drift = _drift(xs, h)
-            lag = _certified_lag(d, gmin, gmax, h, drift)
-        ends = ()
-        if lag is None:
-            lag, ends = _lag(grid, d)
+        lag, ends = _lag(grid, d)
+        if len(ends):
             starts = _window_starts(grid, d, ends)
         n = m - lag
         if trend:
@@ -255,71 +248,40 @@ def _trend(vs: np.ndarray) -> int:
     return -1 if (vs[1:] <= vs[:-1]).all() else 0
 
 
-def _certified_lag(delta, gmin: float, gmax: float, h: float,
-                   drift: float = math.inf):
-    """L = floor(delta / h) if every xs[j] - xs[j - L] is provably within
-    delta and no xs[j] - xs[j - L - 1] is, else None.
-
-    A k-step length lies within [k gmin, k gmax] (the gap extremes) and
-    within k h +- 2 drift, drift bounding |xs[j] - (xs[0] + j h)|
-    (``_drift``).  The tighter bounds, with a relative slack s for the
-    rounding of the products and of the float differences, decide: the
-    gaps settle every lag off a tie near zero, the drift far from it,
-    where the gaps differ by their rounding (0.3% at 1e6 with h = 4e-8)
-    but each point is within a few ulps of its place.  None also for
-    subnormal gaps, whose products have no relative accuracy.
-    """
-    if not gmin >= sys.float_info.min:
-        return None
-    lag = math.floor(delta / h)
-    longest = min(lag * gmax, lag * h + 2 * drift) * (1 + _GAP_SLACK)
-    shortest = max((lag + 1) * gmin, (lag + 1) * h - 2 * drift)
-    if longest <= delta < shortest * (1 - _GAP_SLACK):
-        return lag
-    return None
-
-
-def _drift(xs: np.ndarray, h: float) -> float:
-    """A bound on |xs[j] - (xs[0] + j h)| over a float grid, in one array
-    built in place: the largest computed distance, plus the rounding of
-    the line xs[0] + j h itself, half an ulp of j h and of the sum, under
-    2 ulps of max(max |x|, span)."""
-    line = np.arange(len(xs), dtype=float)
-    line *= h
-    line += xs[0]
-    line -= xs
-    top = max(-float(xs[0]), float(xs[-1]), float(xs[-1] - xs[0]))
-    return float(np.abs(line, out=line).max()) * (1 + _GAP_SLACK) + (
-        2 * math.ulp(top))
-
-
 def _lag(grid: SampleGrid, delta) -> tuple:
     """The largest lag L with xs[j] - xs[j - L] <= delta for every j >= L,
     and the exceptions: the indices j > L with xs[j] - xs[j - L - 1] <= delta
     as well, whose windows reach further back.
 
-    floor(delta / (gmax * (1 + s))) is a valid lag on every grid, since
-    ``_GAP_SLACK`` absorbs the rounding of the quotient; the search gallops
-    up from it, then bisects, with one contiguous slice test per probe (the
-    test is monotone in the lag).
+    The first guess L = floor(delta / (gmax (1 + s))), clipped at m - 1, is
+    valid on every grid, s = ``_GAP_SLACK`` absorbing the rounding.  It is
+    the answer, with no exception and no slice test, at m - 1 or where the
+    gaps are normal floats and delta < (L + 1) gmin (1 - s); else the search
+    gallops up from it, then bisects, one slice test (``_fits``) per probe.
     """
     xs = grid.abscissae
     m = len(xs)
-
-    def fits(k):
-        return k < m and (xs[k:] - xs[:m - k]).max() <= delta
-
     lag = min(math.floor(delta / (grid.spacing * (1 + _GAP_SLACK))), m - 1)
+    gmin = grid.narrowest
+    if lag == m - 1 or (gmin >= sys.float_info.min
+                        and delta < (lag + 1) * gmin * (1 - _GAP_SLACK)):
+        return lag, np.empty(0, np.intp)
     step = 1
-    while fits(lag + step):
+    while _fits(xs, lag + step, delta):
         lag += step
         step *= 2
     while step > 1:  # lag fits and lag + step does not
         step //= 2
-        if fits(lag + step):
+        if _fits(xs, lag + step, delta):
             lag += step
     reach = xs[lag + 1:] - xs[:m - lag - 1]  # empty at lag m - 1
     return lag, np.flatnonzero(reach <= delta) + (lag + 1)
+
+
+def _fits(xs: np.ndarray, k: int, delta) -> bool:
+    """Slice test: every k-step length xs[j] - xs[j - k] is within delta."""
+    m = len(xs)
+    return k < m and (xs[k:] - xs[:m - k]).max() <= delta
 
 
 def _widest_range(row: tuple, i, j, hi, lo) -> float:
@@ -404,10 +366,10 @@ def worst_ac_sum_oracle(grid: SampleGrid, delta,
                         max_intervals: int = DEFAULT_MAX_INTERVALS) -> ACWorstReport:
     """Maximize the increment sum over grid-aligned collections.
 
-    Interval endpoints are restricted to the (uniform) grid, so every
-    interval length is an exact multiple of the grid unit and the strict
-    total-length constraint `< delta` becomes the exact unit budget
-    `<= delta - one unit`.
+    Interval endpoints are restricted to the (uniform) grid, and the strict
+    total-length constraint `< delta` becomes a budget of `units` grid
+    steps, the most whose float length stays below delta
+    (``_step_bound``).
 
     Splitting an interval never lowers its increment sum, and touching
     pairs are legal, so the sum of the `units` largest steps
@@ -472,23 +434,21 @@ def worst_ac_sum_oracle(grid: SampleGrid, delta,
 def _step_bound(grid: SampleGrid, delta):
     """(units, runs, bound) of a budget delta on a uniform grid.
 
-    ``units`` is the number of grid steps that fit strictly below delta,
-    and (runs, bound) are ``_top_step_runs`` of the grid's values for that
-    many units: ``bound`` caps every grid-aligned collection's increment
-    sum, and ``worst_ac_sum_oracle``'s answer never exceeds it.  Any
-    `units` steps are at most units * gmax long, which exceeds units * h by
-    the gaps' rounding, so `units` is also kept below
-    delta / (gmax (1 + s)): no witness's float length reaches delta.
+    ``units`` is the most grid steps whose float length stays below delta:
+    any u steps are at most u * gmax long, so units = min(m - 1,
+    ceil(delta / (gmax (1 + s))) - 1), s = ``_GAP_SLACK`` covering the
+    rounding of the quotient and of the lengths.  (runs, bound) are
+    ``_top_step_runs`` of the grid's values for that many units: ``bound``
+    caps every grid-aligned collection's increment sum, and
+    ``worst_ac_sum_oracle``'s answer never exceeds it.
     """
-    m = len(grid)
     if not grid.uniform:
         raise InsufficientData("the worst-sum search requires a uniform grid")
     if not delta > grid.spacing:
         raise BudgetError(
             f"delta {delta} must exceed the grid spacing {grid.spacing}")
-    units = int(math.floor(delta / grid.step - 1.0 + 1e-9))
     longest = grid.spacing * (1 + _GAP_SLACK)
-    units = min(units, m - 1, math.ceil(delta / longest) - 1)
+    units = min(len(grid) - 1, math.ceil(delta / longest) - 1)
     runs, bound = _top_step_runs(grid.values, units)
     return units, runs, bound
 

@@ -131,17 +131,15 @@ def analyze(fn_text: str, interval_text: str,
             raise InsufficientData(
                 f"the window {clipped} is too narrow for a uniform "
                 f"{ORACLE_POINTS}-point grid (the worst-sum search needs one)")
-        budget = base_grid.span / 20.0
-        if budget > oracle_grid.spacing:
-            rep = worst_ac_sum_oracle(oracle_grid, budget)
-            report["worst_sums"].append({
-                "delta": float(rep.delta),
-                "best_sum": rep.best_sum,
-                "method": rep.method,
-                "grid_spacing": rep.grid_spacing,
-                "witness_intervals": len(rep.witness),
-                "witness_total_length": float(rep.witness.total_length),
-            })
+        rep = worst_ac_sum_oracle(oracle_grid, base_grid.span / 20.0)
+        report["worst_sums"].append({
+            "delta": float(rep.delta),
+            "best_sum": rep.best_sum,
+            "method": rep.method,
+            "grid_spacing": rep.grid_spacing,
+            "witness_intervals": len(rep.witness),
+            "witness_total_length": float(rep.witness.total_length),
+        })
     return report
 
 

@@ -35,6 +35,7 @@ from .continuity import (
     verify_certificate,
     worst_ac_sum_oracle,
 )
+from .errors import InsufficientData
 from .function_model import (
     FunctionSpec,
     IntervalSpec,
@@ -294,7 +295,7 @@ def check_split_dominance() -> CriterionResult:
             points = (lo, *map(float, inner), hi)
             try:
                 p = Partition(points)
-            except Exception:
+            except InsufficientData:
                 continue
             min_len = p.min_piece_length
             total = min_len * (0.1 + 0.8 * rng.random())

@@ -596,6 +596,21 @@ class TestConstantLagKernel:
             vs = function_model.evaluate_many(f, xs)
         return SampleGrid(xs, vs if kind.endswith("rising") else -vs)
 
+    @staticmethod
+    def slice_tested(monkeypatch) -> list:
+        """The deltas whose lags ``_lag`` finds by slice tests (``_fits``),
+        each listed once, in call order."""
+        tested = []
+        fits = continuity._fits
+
+        def counted(xs, k, delta):
+            if delta not in tested:
+                tested.append(delta)
+            return fits(xs, k, delta)
+
+        monkeypatch.setattr(continuity, "_fits", counted)
+        return tested
+
     @pytest.mark.parametrize("kind", ["geometric-rising", "geometric-falling",
                                       "fraction-rising", "fraction-falling"])
     def test_monotone_exceptions_match_pair_scan(self, monkeypatch, kind):
@@ -607,6 +622,7 @@ class TestConstantLagKernel:
         deltas = sorted({xs[j] - xs[i] for i, j in
                          ((0, 1), (0, 5), (3, 40), (10, 100), (0, 200))}
                         | {grid.span})
+        tested = self.slice_tested(monkeypatch)
         calls = []
         starts = continuity._window_starts
         monkeypatch.setattr(continuity, "_window_starts",
@@ -618,7 +634,7 @@ class TestConstantLagKernel:
             running = max(running, omega_pair_scan(grid, d))
             want.append((d, running))
         assert modulus_on_grid(grid, deltas).samples == tuple(want)
-        assert len(calls) == len(deltas) and max(calls) > 0
+        assert tested == deltas and max(calls) > 0
 
     def test_no_gathers_off_the_grid_step(self, monkeypatch):
         # deltas between multiples of h: the gap extremes settle every lag,
@@ -633,7 +649,7 @@ class TestConstantLagKernel:
         def forbidden(*args, **kwargs):
             raise AssertionError("exact path taken")
 
-        monkeypatch.setattr(continuity, "_lag", forbidden)
+        monkeypatch.setattr(continuity, "_fits", forbidden)
         monkeypatch.setattr(continuity, "_window_starts", forbidden)
         assert modulus_on_grid(grid, deltas).samples == expected
 
@@ -644,44 +660,33 @@ class TestConstantLagKernel:
         # 20h, 200h and 2000h tie as well.  A generic ladder never ties.
         f = FunctionSpec.x_squared_sin_inv(IntervalSpec(0.0, 1.0))
         grid = sample(f, IntervalSpec(0.0, 0.93), m)
-        calls = []
-        lag = continuity._lag
-        monkeypatch.setattr(continuity, "_lag",
-                            lambda g, d: calls.append(d) or lag(g, d))
+        tested = self.slice_tested(monkeypatch)
         ladder = _modulus_curve(grid).samples
-        assert len(ladder) == 33 and len(calls) == exact
+        assert len(ladder) == 33 and len(tested) == exact
         h = 0.93 / (m - 1)
         generic = [2.6 * h * 1.2 ** i for i in range(33)]
-        calls.clear()
+        tested.clear()
         assert modulus_on_grid(grid, generic).samples == \
             modulus_per_window(grid, generic)
-        assert calls == []
+        assert tested == []
 
     @pytest.mark.parametrize("m", [4001, 25001])
     def test_far_ladder_settles_its_lags(self, monkeypatch, m):
         # on [1e6, 1e6 + 1e-3] the gaps differ by 0.3%, so from a few
-        # hundred steps up the gap extremes settle no lag; the drift of the
-        # points from their line settles the rest.  Exact slice tests run
-        # only at the ties with the step (2h and the span) and where the
-        # rounding of the abscissae leaves exceptions.
+        # hundred steps up the gap extremes settle no lag and exact slice
+        # tests find them, as they do at the ties with the step (2h and
+        # the span); the curve is the pair scan's
         f = FunctionSpec.x_squared_sin_inv(IntervalSpec(0.0, 2e6))
         grid = sample(f, IntervalSpec(1e6, 1e6 + 1e-3), m)
         assert grid.uniform
-        calls = []
-        lag = continuity._lag
-        monkeypatch.setattr(continuity, "_lag",
-                            lambda g, d: calls.append(d) or lag(g, d))
         ladder = [d for d, _ in _modulus_curve(grid).samples]
-        calls.clear()
+        tested = self.slice_tested(monkeypatch)
         assert modulus_on_grid(grid, ladder).samples == \
             modulus_per_window(grid, ladder)
         h = grid.span / (m - 1)
-        ties = [d for d in calls if d in (ladder[0], ladder[-1])]
+        ties = [d for d in tested if d in (ladder[0], ladder[-1])]
         assert ties == [ladder[0], ladder[-1]]
         assert math.isclose(ladder[0], 2 * h) and ladder[-1] == grid.span
-        for d in calls:
-            if d not in ties:
-                assert len(lag(grid, d)[1]) > 0, d / h
 
     def test_peak_memory(self):
         # rows are built lazily and dropped below the current lag's row:
@@ -701,11 +706,12 @@ class TestConstantLagKernel:
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
-    def test_certified_lag_agrees_with_slice_tests(self, data):
+    def test_lag_agrees_with_slice_tests(self, data):
         # uniform grids at magnitudes 1e-300 to 1e300, from zero, straddling
         # it or far from it, some jittered within the 1e-9 uniformity rule;
         # deltas generic and on and next to multiples of the step and of the
-        # extreme gaps; lags from the gap extremes alone and with the drift
+        # extreme gaps.  The reference reads the lag and its exceptions off
+        # the longest k-step length for every k, one slice each
         m = data.draw(st.integers(2, 300))
         span = data.draw(st.floats(1.0, 10.0)) * 10.0 ** data.draw(
             st.integers(-300, 299))
@@ -731,21 +737,18 @@ class TestConstantLagKernel:
         deltas += [e for k in ks for g in (gmin, gmax)
                    for e in (k * g, math.nextafter(k * g, 0.0),
                              math.nextafter(k * g, math.inf))]
-        step = float(grid.span) / (m - 1)
+        longest = np.array([0.0] + [float((xs[k:] - xs[:m - k]).max())
+                                    for k in range(1, m)])
         for d in deltas:
             if not 0 < d <= grid.span:
                 continue
-            for drift in (math.inf, continuity._drift(xs, step)):
-                lag = continuity._certified_lag(d, gmin, gmax, step, drift)
-                if lag is None:
-                    continue
-                assert 0 <= lag <= m - 1
-                assert np.all(xs[lag:] - xs[:m - lag] <= d), d
-                assert np.all(xs[lag + 1:] - xs[:m - lag - 1] > d), d
-                exact, ends = continuity._lag(grid, d)
-                assert exact == lag and len(ends) == 0, d
+            want = int(np.flatnonzero(longest <= d)[-1])
+            reach = xs[want + 1:] - xs[:m - want - 1]
+            lag, ends = continuity._lag(grid, d)
+            assert lag == want, d
+            assert np.array_equal(ends, np.flatnonzero(reach <= d) + want + 1)
 
-    def test_subnormal_gaps_take_the_exact_path(self):
+    def test_subnormal_gaps_take_the_exact_path(self, monkeypatch):
         m = 201
         grid = SampleGrid(uniform_abscissae(0.0, 1e-306, m),
                           np.random.default_rng(6).standard_normal(m))
@@ -753,11 +756,9 @@ class TestConstantLagKernel:
         assert gaps.max() < sys.float_info.min
         h = float(grid.span) / (m - 1)
         deltas = [2.5 * h, 10 * h, 77.5 * h, float(grid.span)]
-        drift = continuity._drift(grid.abscissae, h)
-        for d in deltas:
-            assert continuity._certified_lag(
-                d, float(gaps.min()), grid.spacing, h, drift) is None
+        tested = self.slice_tested(monkeypatch)
         curve = modulus_on_grid(grid, deltas)
+        assert tested == deltas
         assert curve.samples == modulus_per_window(grid, deltas)
         for d, w in curve.samples:
             assert w == omega_pair_scan(grid, d)
@@ -975,7 +976,8 @@ class TestWorstSumOracle:
             for units, kmax in ((3, 2), (5, 3), (7, 12)):
                 delta = (units + 1) * h
                 rep = worst_ac_sum_oracle(grid, delta * 1.0000001, kmax)
-                want = brute_force_worst_sum(values, units, kmax)
+                # units + 1 steps stay below the budget
+                want = brute_force_worst_sum(values, units + 1, kmax)
                 assert rep.best_sum == pytest.approx(want, abs=1e-12), (
                     trial, units, kmax)
 
@@ -994,6 +996,7 @@ class TestWorstSumOracle:
         f = FunctionSpec.piecewise_linear(tuple(zip(xs.tolist(), values)))
         grid = SampleGrid(xs, values)
         delta = (units + 1) / (m - 1) * (1.0 + 1e-7)
+        units = min(units + 1, m - 1)  # the steps that stay below delta
         rep = worst_ac_sum_oracle(grid, delta, kmax)
         want = brute_force_worst_sum(values, units, kmax)
         assert rep.best_sum == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -1013,6 +1016,30 @@ class TestWorstSumOracle:
         dp = _dp_pairs(grid.values, units, min(kmax, units))
         assert math.fsum(abs(values[e] - values[s]) for s, e in dp) == \
             pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_units_count_every_step_below_delta(self, data):
+        # delta strictly between multiples of h, near zero and far from it:
+        # `units` is the largest u with u * gmax * (1 + s) < delta, the
+        # answer is the brute force's at that many steps, and the witness
+        # is shorter than delta
+        values = [float(v) for v in data.draw(st.lists(
+            st.one_of(st.integers(-3, 3), st.floats(-4.0, 4.0)),
+            min_size=3, max_size=9))]
+        m = len(values)
+        lo = data.draw(st.sampled_from([0.0, -0.5, 1e6]))
+        grid = SampleGrid(uniform_abscissae(lo, lo + 1.0, m), values)
+        kmax = data.draw(st.integers(1, 4))
+        delta = (data.draw(st.integers(1, m - 1))
+                 + data.draw(st.floats(0.01, 0.99))) * grid.step
+        units = continuity._step_bound(grid, delta)[0]
+        longest = grid.spacing * (1 + continuity._GAP_SLACK)
+        assert units == max(u for u in range(m) if u * longest < delta)
+        rep = worst_ac_sum_oracle(grid, delta, kmax)
+        want = brute_force_worst_sum(values, units, kmax)
+        assert rep.best_sum == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert float(rep.witness.total_length) < delta
 
     @settings(max_examples=300, deadline=None)
     @given(values=zero_run_values(), data=st.data())
@@ -1042,7 +1069,7 @@ class TestWorstSumOracle:
         need = len(runs) - kmax
         if need == len(gaps) or gaps[need - 1] < gaps[need]:
             assert got == dp
-        delta = (units + 1) / (m - 1) * (1.0 + 1e-7)
+        delta = (units + 0.5) / (m - 1)  # `units` steps stay below it
         grid = SampleGrid(uniform_abscissae(0.0, 1.0, m), v)
         with mock.patch.object(continuity, "_dp_pairs",
                                side_effect=AssertionError("DP ran")):
@@ -1085,6 +1112,7 @@ class TestWorstSumOracle:
         units = data.draw(st.integers(0, m - 1))
         kmax = data.draw(st.integers(1, 4))
         delta = (units + 1) / (m - 1) * (1.0 + 1e-7)
+        units = min(units + 1, m - 1)  # the steps that stay below delta
         rep = worst_ac_sum_oracle(grid, delta, kmax)
         want = brute_force_worst_sum(values, units, kmax)
         steps = np.abs(np.diff(values))
@@ -1178,6 +1206,9 @@ class TestWorstSumOracle:
         grid = sample(f, IntervalSpec(0.0, 1.0), m)
         v = grid.values
         for units, kmax in ((97, 32), (286, 4)):
+            delta = (units + 1) / (m - 1) * (1.0 + 1e-7)
+            if name == "zigzag":  # units + 1 steps stay below delta
+                units += 1
             with mock.patch.object(continuity, "_backtrack",
                                    wraps=continuity._backtrack) as walk:
                 pairs = _dp_pairs(v, units, kmax)
@@ -1185,8 +1216,8 @@ class TestWorstSumOracle:
             assert len(hist) == len(kept)
             if name == "zigzag":
                 assert len(kept) == m
-                _, _, bound = continuity._step_bound(
-                    grid, (units + 1) / (m - 1) * (1.0 + 1e-7))
+                steps, _, bound = continuity._step_bound(grid, delta)
+                assert steps == units
                 assert math.fsum(abs(v[e] - v[s]) for s, e in pairs) == \
                     pytest.approx(bound, rel=1e-12)
             else:
@@ -1195,7 +1226,8 @@ class TestWorstSumOracle:
     @pytest.mark.parametrize("units, kmax", [(97, 32), (286, 4)])
     def test_bench_sized_zigzag_glues_without_the_dp(self, units, kmax):
         # the zigzag's steepest piece is linear: its steps tie up to
-        # rounding, so the top ones form one glued interval at its start
+        # rounding, so the top ones, units + 1 of them below delta, form one
+        # glued interval at its start
         f = FunctionSpec.piecewise_linear(
             ((0.0, 0.0), (0.3, 0.6), (0.7, 0.2), (1.0, 0.5)))
         m = 8193
@@ -1205,7 +1237,7 @@ class TestWorstSumOracle:
                                side_effect=AssertionError("DP ran")):
             rep = worst_ac_sum_oracle(grid, delta, kmax)
         assert rep.method == "OracleBound"
-        assert rep.witness.pairs == ((0.0, grid.abscissae[units]),)
+        assert rep.witness.pairs == ((0.0, grid.abscissae[units + 1]),)
         assert rep.best_sum == pytest.approx(rep.step_bound, rel=1e-12)
 
     @pytest.mark.parametrize("m, kmax", [(501, 32), (2001, 32), (2001, 4)])

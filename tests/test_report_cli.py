@@ -380,6 +380,15 @@ class TestCLI:
         lo = float(interval[1:-1].split(",")[0])
         assert math.sqrt(lo + delta1) - math.sqrt(lo) < 0.01
 
+    def test_worst_sum_counts_steps_off_a_grid_multiple(self, capsys):
+        # delta = 2.5 steps of the 11-point grid: [0, 0.2] is on the grid
+        # and 0.2 < 0.25 long, so two steps fit, and they reach the bound
+        assert main(["worst-sum", "--fn", "sqrt", "--interval", "[0,1]",
+                     "--grid", "11", "--delta", "0.25"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["witness"] == [[0.0, 0.2]]
+        assert out["best_sum"] == out["step_bound"] == 0.4472135954999579
+
     def test_worst_sum_far_from_zero(self, capsys):
         # the oracle's budget stays strictly below delta in float
         assert main(["worst-sum", "--fn", "sqrt", "--interval",
@@ -598,7 +607,7 @@ class TestCLI:
 
     def test_worst_sum_guard_counts_kept_points(self, capsys):
         # 16385 grid points, but only 1144 lie outside Cantor's runs of
-        # zero steps: 3 * 1144 * 819 * 33 states fit under the guard
+        # zero steps: 3 * 1144 * 820 * 33 states fit under the guard
         grid_m, delta = 16385, 0.05
         argv = ["worst-sum", "--fn", "cantor", "--interval", "[0,1]",
                 "--grid", str(grid_m), "--delta", str(delta)]
@@ -612,8 +621,9 @@ class TestCLI:
         assert float(witness.total_length) < delta
         assert 0 < len(witness) <= 32
         steps = np.abs(np.diff(sample(f, window, grid_m).values))
-        units = math.floor(delta * (grid_m - 1) - 1.0 + 1e-9)
-        assert payload["best_sum"] <= math.fsum(np.sort(steps)[-units:])
+        units = 819  # 819 / 16384 < delta < 820 / 16384
+        assert payload["step_bound"] == math.fsum(np.sort(steps)[-units:])
+        assert payload["best_sum"] <= payload["step_bound"]
 
     def test_suite_trials_and_seed_options_parse_error(self, tmp_path,
                                                        capsys):
@@ -657,16 +667,18 @@ class TestCLI:
         assert "HOLDS" in capsys.readouterr().out
 
     def test_check_glue_splits_pairs_at_piece_boundaries(self, capsys):
-        # ternary search puts the zigzag's peak at 0.3000000000045896, inside
-        # the pair (0.3, 0.35): each side is checked on its own piece
+        # the zigzag's first piece ends at its knot 0.3, inside the pair
+        # (0.25, 0.35): each side is checked on its own piece, so the first
+        # piece sums 0.1:0.2 and 0.25:0.3
         code = main(["check-glue", "--fn", "pwl:0:0,0.3:0.6,0.7:0.2,1:0.5",
-                     "--interval", "[0,1]", "--pairs", "0.1:0.2,0.3:0.35",
+                     "--interval", "[0,1]", "--pairs", "0.1:0.2,0.25:0.35",
                      "--grid", "3"])
         assert code == EXIT_OK
         captured = capsys.readouterr()
         assert captured.err == ""
         lines = captured.out.splitlines()
         assert len(lines) == 2
+        assert lines[0].startswith("piece [0.0,0.3]: lhs=0.3 ")
         assert all(line.endswith(" HOLDS") for line in lines)
 
     def test_check_glue_pairs_may_start_with_minus(self, capsys):
