@@ -437,7 +437,9 @@ def _step_bound(grid: SampleGrid, delta):
     ``units`` is the most grid steps whose float length stays below delta:
     any u steps are at most u * gmax long, so units = min(m - 1,
     ceil(delta / (gmax (1 + s))) - 1), s = ``_GAP_SLACK`` covering the
-    rounding of the quotient and of the lengths.  (runs, bound) are
+    rounding of the quotient and of the lengths.  A delta above m - 1 such
+    lengths takes all m - 1 steps without the quotient, which overflows
+    where the step is subnormal.  (runs, bound) are
     ``_top_step_runs`` of the grid's values for that many units: ``bound``
     caps every grid-aligned collection's increment sum, and
     ``worst_ac_sum_oracle``'s answer never exceeds it.
@@ -448,7 +450,9 @@ def _step_bound(grid: SampleGrid, delta):
         raise BudgetError(
             f"delta {delta} must exceed the grid spacing {grid.spacing}")
     longest = grid.spacing * (1 + _GAP_SLACK)
-    units = min(len(grid) - 1, math.ceil(delta / longest) - 1)
+    units = len(grid) - 1
+    if not delta > units * longest:
+        units = min(units, math.ceil(delta / longest) - 1)
     runs, bound = _top_step_runs(grid.values, units)
     return units, runs, bound
 

@@ -283,8 +283,9 @@ def monotone_partition(f: FunctionSpec, m: int) -> MonotonePartition:
     sign-change count grows by at most 2 from each resolution to the
     next; only then is the finest partition refined to monotone pieces.
     """
+    window = clip_window(f.domain)  # names a collapsed or too wide window
     try:
-        fine = sample(f, clip_window(f.domain), 4 * (m - 1) + 1)
+        fine = sample(f, window, 4 * (m - 1) + 1)
     except KindError as exc:  # too narrow a window: name the user's M
         raise KindError(f"{exc} (detection samples 4(M-1)+1 at --grid {m})"
                         ) from exc

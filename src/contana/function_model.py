@@ -205,7 +205,9 @@ class FunctionSpec:
     ``_ky`` (16 bytes per knot), with a memoryview of each (``_views``)
     for scalar bisection.  Reading ``knots`` gives them as a tuple of
     float pairs, built on first read; equality, hash and repr read it, so
-    they compare the knots' values (0.0 == -0.0) as for any tuple.
+    they compare the knots' values (0.0 == -0.0) as for any tuple.  The
+    spec also holds the last Phi that ``exact_phi`` built on it, for one
+    window, outside its fields.
     """
 
     kind: str
@@ -522,7 +524,8 @@ def clip_window(domain: IntervalSpec) -> IntervalSpec:
 
     Infinite endpoints are truncated DEFAULT_WINDOW_WIDTH away from the
     finite side (symmetrically about 0 when both are infinite); open finite
-    endpoints are pulled inward (see RELATIVE_MARGIN).
+    endpoints are pulled inward (see RELATIVE_MARGIN).  A window whose
+    width hi - lo overflows is refused: no grid or step on it is finite.
     """
     lo, hi = domain.lo, domain.hi
     lo_open = not domain.lo_closed
@@ -536,6 +539,9 @@ def clip_window(domain: IntervalSpec) -> IntervalSpec:
     elif math.isinf(hi):
         hi = lo + DEFAULT_WINDOW_WIDTH
         hi_open = False
+    if math.isinf(hi - lo):
+        raise KindError(f"window {domain} is too wide: its width "
+                        f"{hi!r} - ({lo!r}) overflows")
     margin = max(RELATIVE_MARGIN * (hi - lo), MARGIN_FLOOR)
     if lo_open:
         lo = lo + margin
@@ -901,8 +907,27 @@ def exact_phi(f: FunctionSpec, lo: float, hi: float) -> Phi | None:
     the window, sqrt(hi), R * (R + 1) for ``x2sininv`` with
     R = max(|lo|, |hi|), 1 for ``cantor``, or for ``poly``
     sum |c_k| R**k, and within (4 n + 16) * eps * Y for a polynomial of
-    degree n >= 2.  Cost: O(n log n) for the n segments or cells.
+    degree n >= 2.
+
+    Building Phi costs O(n log n) for the n segments or cells, once per
+    window: the spec keeps the last Phi built on it, for one window, so
+    the pieces' and the certificate's calls on a one-piece partition share
+    one build.  That slot is keyed on the reprs of lo and hi, which tell
+    0.0 from -0.0 and an int from a float, as the witness's ends do.  Each
+    query (``sup``, ``budget``'s steps) then costs O(log n) for a knapsack
+    and O(1) for the curves.
     """
+    window = (repr(lo), repr(hi))
+    last = f.__dict__.get("_phi")
+    if last is not None and last[0] == window:
+        return last[1]
+    phi = _build_phi(f, lo, hi)
+    f.__dict__["_phi"] = (window, phi)
+    return phi
+
+
+def _build_phi(f: FunctionSpec, lo: float, hi: float) -> Phi | None:
+    """``exact_phi``'s Phi, built anew."""
     if f.kind == SQRT:
         curve = _SqrtCurve(lo, hi)
         return Phi(lo, hi, curve, curve, curve.settle)
@@ -1120,18 +1145,39 @@ class _Knapsack(NamedTuple):
     falling, 0 unknown or flat) on the i-th interval of the window: the
     sign of a segment's slope, or of f' at a cell's midpoint.
 
-    Its Phi is a fractional knapsack.  With the cut level c, the s of the
-    interval the budget d ends in (0 when it covers them all), Phi is
-    summed as its LP dual c * d + sum of L_i * (s_i - c) over the k
-    intervals taken whole, whose terms are nonnegative.  The rounding is at
-    most (k + 16) * eps * (c * d + sum L_i * s_i over those k)
+    Its Phi is a fractional knapsack.  The budget d takes whole the k
+    intervals with reach[k - 1] < d, and c, the cut level, is the s of the
+    interval it ends in (0 when it covers them all).  Phi is summed as its
+    LP dual c * d + sum of L_i * (s_i - c) over those k, whose terms are
+    nonnegative, read off the running sums: c * d + (R - c * reach[k - 1])
+    with R = rises[k - 1].  ``build`` sorts once, O(n log n) for n
+    intervals; ``sup`` and ``invert`` are binary searches, O(log n) a
+    query, with no O(n) temporary.
+
+    The rounding of ``sup`` is at most (k + 16) * eps * (c * d + R)
     + 16 * eps * c * min(T, d) + (k + 16) * ulp(0), eps being the float
     epsilon and T the length of the other intervals whose s is within
-    8 * eps * c of c.  It covers the rounding of the slopes, the lengths and
-    the sum, and a cut that their rounding, or that of the running lengths,
-    puts on a neighbouring interval: the tied intervals taken under either
-    order add up to length d at most, so the two choices differ on at most
-    min(T, d) of length, at levels within 16 * eps * c of each other.
+    8 * eps * c of c.  With u = eps / 2, each product errs by u relative or
+    ulp(0) / 2 where it underflows, and each sum by u relative (a sum that
+    is subnormal is exact).  The running sums are sequential: R is within
+    k * u * R of its exact value, and reach[k - 1], below d, within
+    (k - 1) * u * d, so c * reach[k - 1] within k * u * c * d.  Where that
+    rounding puts d past reach[k - 1] only in floats, c is one level too
+    low, and the dual there exceeds Phi by at most (k - 1) * u * R.  With
+    the last three operations and the rounding of the slopes and lengths
+    that is within (k + 4) * eps * (c * d + R) and k + 2 underflows.  The
+    tied term covers a cut that the rounding of the slopes puts on a
+    neighbouring interval: the tied intervals taken under either order add
+    up to length d at most, so the two choices differ on at most min(T, d)
+    of length, at levels within 16 * eps * c of each other.  The tied
+    intervals are one index range of the descending s, found by searching
+    ``key`` (-s) for the levels c +- 8 * eps * c, each rounded to nearest,
+    so the range holds every s within 8 * eps * c of c (the rounding can
+    only widen it).  T is read off reach, as the range's length less the
+    cut interval's, and widened by j * eps * reach[j - 1] for the range's
+    end j, which bounds the rounding of the running sums there and of the
+    two differences; where a huge cut interval swamps the other tied
+    lengths in reach, that widening reaches d.
     """
 
     s: np.ndarray
@@ -1141,6 +1187,8 @@ class _Knapsack(NamedTuple):
     reach: np.ndarray
     rises: np.ndarray
     dirs: np.ndarray
+    #: -s, ascending: the key of the tie search
+    key: np.ndarray
 
     @classmethod
     def build(cls, s: np.ndarray, ends: np.ndarray,
@@ -1149,27 +1197,31 @@ class _Knapsack(NamedTuple):
         if a bound is not finite."""
         if not np.isfinite(s).all():
             return None
-        order = np.argsort(-s, kind="stable")
-        s, lengths = s[order], np.diff(ends)[order]
+        key = -s
+        order = np.argsort(key, kind="stable")
+        s, lengths, key = s[order], np.diff(ends)[order], key[order]
         with np.errstate(over="ignore"):
             return cls(s, lengths, order, ends, np.cumsum(lengths),
-                       np.cumsum(lengths * s), dirs)
+                       np.cumsum(lengths * s), dirs, key)
 
     def sup(self, d) -> ExactSup | None:
-        s, lengths = self.s, self.lengths
-        k = int(np.searchsorted(self.reach, d))  # intervals taken whole
-        cut = float(s[k]) if k < len(s) else 0.0
-        taken, whole = lengths[:k], s[:k]
-        eps = sys.float_info.epsilon
-        tied = np.abs(s - cut) <= 8 * eps * cut
-        tied[k:k + 1] = False
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = cut * d + float(np.sum(taken * (whole - cut)))
-            rounding = ((k + 16) * (eps * (cut * d
-                                           + float(np.sum(taken * whole)))
-                                    + math.ulp(0.0))
-                        + 16 * eps * cut * min(float(np.sum(lengths[tied])),
-                                               d))
+        d, reach, eps = float(d), self.reach, sys.float_info.epsilon
+        k = int(np.searchsorted(reach, d))  # intervals taken whole
+        whole, below = ((float(self.rises[k - 1]), float(reach[k - 1]))
+                        if k else (0.0, 0.0))
+        cut = tied = 0.0
+        if k < len(reach):
+            cut = float(self.s[k])
+            band = 8 * eps * cut
+            first = int(np.searchsorted(self.key, -(cut + band)))
+            last = int(np.searchsorted(self.key, -(cut - band), side="right"))
+            top = float(reach[last - 1])
+            tied = (top - (float(reach[first - 1]) if first else 0.0)
+                    - float(self.lengths[k]) + last * eps * top)
+            tied = max(tied, 0.0) if tied < d else d
+        value = cut * d + (whole - cut * below)
+        rounding = ((k + 16) * (eps * (cut * d + whole) + math.ulp(0.0))
+                    + 16 * eps * cut * tied)
         if not math.isfinite(value + rounding):
             return None
         return ExactSup(value, rounding)

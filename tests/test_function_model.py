@@ -5,13 +5,15 @@ import csv
 import gc
 import math
 import pickle
+import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contana import (
@@ -25,6 +27,7 @@ from contana import (
     clip_window,
     eval_cantor,
     evaluate,
+    exact_phi,
     parse_function,
     parse_interval,
     sample,
@@ -34,6 +37,8 @@ from contana.function_model import (
     BULK_BLOCK,
     _CANTOR_MAX_EXPONENT,
     _CANTOR_PASS_DIGITS,
+    Phi,
+    _Knapsack,
     _bulk_values,
     _round_rational,
     cantor_bricks,
@@ -404,6 +409,13 @@ class TestClipWindow:
         assert math.isfinite(got.lo) and math.isfinite(got.hi)
         assert got.lo_closed and got.hi_closed
         assert iv.lo <= got.lo < got.hi <= iv.hi
+
+    @pytest.mark.parametrize("closed", [True, False])
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.7e308, 1e307)])
+    def test_width_overflow_is_named(self, lo, hi, closed):
+        with pytest.raises(KindError, match=r"too wide: its width .* "
+                                            r"overflows$"):
+            clip_window(IntervalSpec(lo, hi, closed, closed))
 
 
 class TestSample:
@@ -1185,3 +1197,133 @@ class TestLoadTable:
         assert plain is not None
         want = [(x.hex(), y.hex()) for x, y in reference_table(path)]
         assert [(x.hex(), y.hex()) for x, y in plain.tolist()] == want
+
+
+# ---------------------------------------------------------------------------
+# Phi's knapsack and the spec's one Phi
+# ---------------------------------------------------------------------------
+
+_EPS = sys.float_info.epsilon
+
+
+def knapsack_sup_by_mask(knapsack, d):
+    """The O(n) sum that ``_Knapsack.sup`` answered with before it read
+    its running sums: (value, rounding), or None where it overflows."""
+    s, lengths = knapsack.s, knapsack.lengths
+    k = int(np.searchsorted(knapsack.reach, d))
+    cut = float(s[k]) if k < len(s) else 0.0
+    taken, whole = lengths[:k], s[:k]
+    tied = np.abs(s - cut) <= 8 * _EPS * cut
+    tied[k:k + 1] = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = cut * d + float(np.sum(taken * (whole - cut)))
+        rounding = ((k + 16) * (_EPS * (cut * d + float(np.sum(taken * whole)))
+                                + math.ulp(0.0))
+                    + 16 * _EPS * cut * min(float(np.sum(lengths[tied])), d))
+    if not math.isfinite(value + rounding):
+        return None
+    return value, rounding
+
+
+def exact_knapsack(s, ends, d) -> Fraction:
+    """The fractional knapsack in rationals: the bounds s as given, the
+    exact lengths between ends, steepest first, up to total length d."""
+    lengths = [Fraction(b) - Fraction(a)
+               for a, b in zip(ends.tolist(), ends[1:].tolist())]
+    left, total = Fraction(d), Fraction(0)
+    for slope, length in sorted(zip(map(Fraction, s.tolist()), lengths),
+                                reverse=True):
+        take = min(length, left)
+        total += slope * take
+        left -= take
+    return total
+
+
+@st.composite
+def knapsack_budgets(draw):
+    """(s, ends, d): bounds tied within 8 eps of a level, zero, huge and
+    subnormal; lengths huge and subnormal; d at 0, at, next to and between
+    the running lengths, and past them all (every interval taken)."""
+    level = draw(st.sampled_from([1.0, 3.7, 0.5, 1e-300, 2.5e-320, 1e300]))
+    bound = st.one_of(
+        st.integers(-8, 8).map(lambda j: level * (1 + j * _EPS)),
+        st.just(0.0),
+        st.floats(0.0, 1e300),
+        st.sampled_from([5e-324, 1e-310, 1e300]))
+    length = st.one_of(st.floats(1e-3, 1e3),
+                       st.sampled_from([5e-324, 1e-310, 1e-200, 1e200, 1e300]))
+    ends = [draw(st.sampled_from([0.0, -1.0, 1e-310, 7.25]))]
+    for step in draw(st.lists(length, min_size=1, max_size=10)):
+        if ends[-1] < ends[-1] + step < INF:
+            ends.append(ends[-1] + step)
+    if len(ends) == 1:
+        ends.append(ends[0] + 1.0)
+    s = np.array([draw(bound) for _ in ends[1:]])
+    ends = np.array(ends)
+    reach = np.cumsum(np.diff(ends)[np.argsort(-s, kind="stable")])
+    r = float(reach[draw(st.integers(0, len(reach) - 1))])
+    d = draw(st.sampled_from([0.0, r, math.nextafter(r, 0.0),
+                              math.nextafter(r, INF), 0.5 * r,
+                              r * (1 - 1e-15), 2.0 * float(reach[-1])]))
+    return s, ends, d
+
+
+class TestKnapsack:
+    @settings(max_examples=600, deadline=None)
+    @given(knapsack_budgets())
+    @example((np.array([1.0, 1.0 + _EPS, 1.0 - 8 * _EPS]),
+              np.array([0.0, 1.0, 2.0, 3.0]), 0.5))   # k = 0, two tied
+    @example((np.array([0.0, 2.0]), np.array([0.0, 1e-310, 1.0]), 5.0))
+    @example((np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 2.0, 1e200]),
+              1.0000000000000002))  # the cut interval swamps a tied one
+    def test_sup_matches_rationals(self, case):
+        # sup from the running sums lies within its stated rounding of the
+        # knapsack in rationals, and states at least the rounding of the
+        # O(n) sum it replaced, whose tied mask its tie search covers
+        s, ends, d = case
+        knapsack = _Knapsack.build(s, ends, np.zeros(len(s)))
+        got = knapsack.sup(d)
+        exact = exact_knapsack(s, ends, d)
+        old = knapsack_sup_by_mask(knapsack, d)
+        if got is None:
+            assert old is None or exact > sys.float_info.max / 4
+            return
+        assert abs(Fraction(got.value) - exact) <= Fraction(got.rounding)
+        assert old is not None
+        value, rounding = old
+        assert abs(Fraction(got.value) - Fraction(value)) <= (
+            Fraction(got.rounding) + Fraction(rounding))
+        assert got.rounding >= rounding * (1 - 6 * len(s) * _EPS)
+
+
+class TestPhiSlot:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["sqrt", "cantor", "poly:0,0,1",
+                            "pwl:0:0,0.3:0.6,0.7:0.2,1:0.5", "affine:3,1"]),
+           st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5]),
+                              st.sampled_from([0.75, 1.0])),
+                    min_size=1, max_size=6))
+    def test_a_spec_holds_one_phi(self, fn, windows):
+        # the spec keeps the last Phi built on it, for its window only: a
+        # repeated window gets the same Phi, a new one drops the old
+        f = parse_function(fn, IntervalSpec(0.0, 1.0))
+        built = []
+        for lo, hi in windows:
+            phi = exact_phi(f, lo, hi)
+            assert exact_phi(f, lo, hi) is phi
+            built.append(weakref.ref(phi))
+            del phi
+            held = [v for v in vars(f).values()
+                    if isinstance(v, tuple) and v and isinstance(v[-1], Phi)]
+            assert len(held) == 1
+            assert {id(ref()) for ref in built if ref() is not None} == {
+                id(held[0][-1])}
+            assert built[-1]() is held[0][-1]
+
+    def test_signed_zero_windows_do_not_share(self):
+        # -0.0 == 0.0, but a witness starting at -0.0 prints differently
+        f = FunctionSpec.sqrt(IntervalSpec(0.0, 1.0))
+        assert exact_phi(f, 0.0, 1.0) is not exact_phi(f, -0.0, 1.0)
+        for lo in (0.0, -0.0):
+            start = exact_phi(f, lo, 1.0).witness(0.5, 0.1).pairs[0][0]
+            assert repr(start) == repr(lo)

@@ -398,6 +398,41 @@ class TestCLI:
         assert out["witness_total_length"] < 0.1
         assert math.fsum(y - x for x, y in out["witness"]) < 0.1
 
+    @pytest.mark.parametrize("fn, witness, best_sum", [
+        ("sqrt", [[0.0, 1e-310]], 9.999999999999986e-156),
+        ("affine:1e17,1e150", [], 0.0),
+    ])
+    def test_worst_sum_on_a_subnormal_step(self, capsys, fn, witness,
+                                           best_sum):
+        # delta / step overflows on a subnormal grid step: every one of
+        # the 100 steps fits below delta, with no quotient taken
+        assert main(["worst-sum", "--fn", fn, "--interval", "[0,1e-310]",
+                     "--delta", "1", "--grid", "101"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert out["witness"] == witness
+        assert out["best_sum"] == out["step_bound"] == best_sum
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--epsilon", "0.1"],
+        ["certify", "--epsilon", "0.1"],
+        ["modulus", "--deltas", "1"],
+        ["check-lemma1", "--sigma", "1"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.filterwarnings("error")
+    def test_window_width_overflow_parse_error(self, capsys, argv):
+        # 1e308 - (-1e308) overflows: the window is named as too wide, in
+        # one line, before any grid on it warns
+        assert main(argv[:1] + ["--fn", "affine:2.5,0.5", "--interval",
+                                "[-1e308,1e308]", "--grid", "11"]
+                    + argv[1:]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "parse error: window [-1e+308,1e+308] is too wide: its width "
+            "1e+308 - (-1e+308) overflows\n")
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--fn", "poly:nan,1", "--interval", "[0,1]"],
         ["analyze", "--fn", "affine:1e308,0", "--interval", "[0,1e10]"],
@@ -929,9 +964,10 @@ class TestCLI:
             "certify-spike", "certify-cubic"])
     def test_phi_is_built_once_per_command(self, capsys, argv, knapsacks):
         # each piece's Phi gives its step, and one Phi of the certificate
-        # window gives delta1_opt, sup and the verdict: N + 1 Phis for N
-        # pieces, each with one sorted knapsack for piecewise linear
-        # data, two for a polynomial's bracket, none for the square root
+        # window gives delta1_opt, sup and the verdict: N + 1 windows for
+        # N pieces, each Phi built once, with one sorted knapsack for
+        # piecewise linear data, two for a polynomial's bracket, none for
+        # the square root; a one-piece partition's two calls share a Phi
         interval = "[-1,1]" if "poly" in argv[2] else "[0,1]"
         spy = mock.patch.object(continuity, "exact_phi",
                                 wraps=continuity.exact_phi)
@@ -946,7 +982,25 @@ class TestCLI:
         points = payload["partition"]
         assert windows == list(zip(points, points[1:])) + [
             (points[0], points[-1])]
-        assert sorts.call_count == knapsacks * len(windows)
+        assert sorts.call_count == knapsacks * len(set(windows))
+
+    @pytest.mark.parametrize("fn, interval, pieces", [
+        ("sqrt", "[0,1]", 1),
+        ("affine:3,1", "[0,5]", 1),
+        ("poly:0,0,1", "[0,1]", 1),
+        ("poly:0,0,1", "[-1,1]", 2),
+        ("pwl:0:0,0.3:0.6,0.7:0.2,1:0.5", "[0,1]", 4),
+    ])
+    def test_one_phi_per_window(self, capsys, fn, interval, pieces):
+        # a one-piece partition's piece and certificate share one window,
+        # and so one Phi; N > 1 pieces build N + 1
+        with mock.patch.object(function_model, "_build_phi",
+                               wraps=function_model._build_phi) as built:
+            assert main(["analyze", "--fn", fn, "--interval", interval,
+                         "--epsilon", "0.1"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["partition"]) == pieces + 1
+        assert built.call_count == (1 if pieces == 1 else pieces + 1)
 
     def test_certify_not_piecewise_convex(self, capsys):
         code = main(["certify", "--fn", "cantor", "--interval", "[0,1]",
