@@ -444,8 +444,7 @@ def _step_bound(grid: SampleGrid, delta):
     caps every grid-aligned collection's increment sum, and
     ``worst_ac_sum_oracle``'s answer never exceeds it.
     """
-    if not grid.uniform:
-        raise InsufficientData("the worst-sum search requires a uniform grid")
+    grid.require_uniform("the worst-sum search")
     if not delta > grid.spacing:
         raise BudgetError(
             f"delta {delta} must exceed the grid spacing {grid.spacing}")

@@ -148,8 +148,8 @@ class MonotonePartition:
 def detect_partition(grid: SampleGrid):
     """Detect a convex/concave partition from second differences.
 
-    Works on uniform grids (``SampleGrid.uniform``; any other grid raises
-    InsufficientData): raw second differences, taken as differences of the
+    Works on uniform grids (``SampleGrid.require_uniform`` refuses any
+    other): raw second differences, taken as differences of the
     steps (v[j+1] - v[j]) - (v[j] - v[j-1]), carry the curvature sign.  The
     zero band is the rounding noise floor, so that rounding noise on
     exactly affine data never registers as curvature: 16 ulps of the value
@@ -165,8 +165,7 @@ def detect_partition(grid: SampleGrid):
     """
     if len(grid) < 3:
         raise InsufficientData("partition detection needs at least 3 points")
-    if not grid.uniform:
-        raise InsufficientData("partition detection requires a uniform grid")
+    grid.require_uniform("partition detection")
     xs = grid.abscissae
     vs = grid.values
     scale = float(np.max(np.abs(vs)))

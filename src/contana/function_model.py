@@ -513,6 +513,15 @@ class SampleGrid:
     def span(self) -> float:
         return float(self.abscissae[-1] - self.abscissae[0])
 
+    def require_uniform(self, purpose: str) -> None:
+        """InsufficientData unless ``uniform``, in one line that names the
+        purpose, the point count, the window and the range of the gaps."""
+        if not self.uniform:
+            window = IntervalSpec(*map(float, self.abscissae[[0, -1]]))
+            raise InsufficientData(
+                f"{purpose} needs a uniform grid, but its {len(self)} points on "
+                f"{window} have gaps from {self.narrowest!r} to {self.spacing!r}")
+
     @property
     def step(self) -> float:
         """h = span / (m - 1)."""

@@ -31,6 +31,7 @@ from .convexity import (
     monotone_partition,
 )
 from .continuity import (
+    DEFAULT_MAX_INTERVALS,
     IntervalCollection,
     ac_certificate,
     exact_phi,
@@ -52,7 +53,6 @@ from .errors import (
 )
 from .function_model import (
     CANTOR_DEPTH,
-    IntervalSpec,
     clip_window,
     parse_function,
     parse_interval,
@@ -104,8 +104,6 @@ def analyze(fn_text: str, interval_text: str,
     """
     window = parse_interval(interval_text)
     f = parse_function(fn_text, window)  # its domain lies in the window
-    clipped = clip_window(f.domain)
-
     result = monotone_partition(f, settings.grid_m)  # checks its own grids
     report = _verdict(fn_text, f, result, settings)
     report["settings"].update(gsigma_samples=GSIGMA_SAMPLES,
@@ -126,11 +124,7 @@ def analyze(fn_text: str, interval_text: str,
         })
     report["worst_sums"] = []
     if report["certificate"] is None:
-        oracle_grid = sample(f, clipped, ORACLE_POINTS)
-        if not oracle_grid.uniform:
-            raise InsufficientData(
-                f"the window {clipped} is too narrow for a uniform "
-                f"{ORACLE_POINTS}-point grid (the worst-sum search needs one)")
+        oracle_grid = sample(f, f.domain, ORACLE_POINTS)  # clipped by sample
         rep = worst_ac_sum_oracle(oracle_grid, base_grid.span / 20.0)
         report["worst_sums"].append({
             "delta": float(rep.delta),
@@ -302,20 +296,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_modulus(args) -> int:
-    window = parse_interval(args.interval)
-    f = parse_function(args.fn, window)
-    grid = sample(f, window, args.grid)
+    f = parse_function(args.fn, parse_interval(args.interval))
+    grid = sample(f, f.domain, args.grid)
     curve = modulus_on_grid(grid, args.deltas)
-    sys.stdout.write("delta,omega\n")
-    for d, w in curve.samples:
-        sys.stdout.write(f"{float(d)!r},{w!r}\n")
+    sys.stdout.write(_dump_csv("delta,omega", curve.samples).decode())
     return EXIT_OK
 
 
 def cmd_worst_sum(args) -> int:
-    window = parse_interval(args.interval)
-    f = parse_function(args.fn, window)
-    grid = sample(f, window, args.grid)
+    f = parse_function(args.fn, parse_interval(args.interval))
+    grid = sample(f, f.domain, args.grid)
     try:
         rep = worst_ac_sum_oracle(grid, args.delta, args.max_intervals)
     except BudgetError as exc:  # name Phi(delta), which bounds every answer
@@ -433,15 +423,10 @@ def cmd_suite(args) -> int:
                         _dump_csv("x,g_sigma",
                                   _gsigma_table(f, window.lo, window.hi,
                                                 sigma))))
-        rows = [(w["delta"], w["best_sum"], w["witness_intervals"],
-                 w["witness_total_length"]) for w in report["worst_sums"]]
-        outputs.append((f"worstsum_{name}.csv",
-                        _dump_csv("delta,best_sum,intervals,total_length",
-                                  rows)))
 
-    sine = catalog.sine_table()
-    sine_window = IntervalSpec(0.0, 2.0 * math.pi)
-    sine_curve = _modulus_curve(sample(sine, sine_window, 4001))
+    sine = catalog.sine_table()  # its domain is its knots' span, [0, 2 pi]
+    sine_curve = _modulus_curve(sample(sine, sine.domain,
+                                        AnalysisSettings().grid_m))
     outputs.append(("modulus_sine.csv",
                     _dump_csv("delta,omega", sine_curve.samples)))
     outputs.append(("gsigma_sine.csv",
@@ -559,15 +544,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "curves, worst-sum search and certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = AnalysisSettings()
+
     def add_common(p):
         p.add_argument("--fn", required=True, help="function spec string")
         p.add_argument("--interval", required=True, help="interval, e.g. [0,1]")
 
+    def add_grid(p, low=3, default=defaults.grid_m):  # 3: detection's floor
+        p.add_argument("--grid", type=_at_least("--grid", low), default=default)
+
     p = sub.add_parser("analyze", help="full pipeline with JSON report")
     add_common(p)
-    p.add_argument("--epsilon", type=_positive("--epsilon"), default=0.1)
-    p.add_argument("--grid", type=_at_least("--grid", 3), default=4001)
-    p.add_argument("--seed", type=_at_least("--seed", 0), default=0,
+    p.add_argument("--epsilon", type=_positive("--epsilon"),
+                   default=defaults.epsilon)
+    add_grid(p)
+    p.add_argument("--seed", type=_at_least("--seed", 0),
                    help="accepted for compatibility; has no effect")
     p.add_argument("--json", default=None, help="write the report here")
     p.set_defaults(func=cmd_analyze)
@@ -578,34 +569,34 @@ def build_parser() -> argparse.ArgumentParser:
         "--deltas", lambda text: [float(t) for t in text.split(",") if t.strip()],
         "a list of positive finite numbers",
         lambda ds: ds and all(0 < d < math.inf for d in ds)))
-    p.add_argument("--grid", type=_at_least("--grid", 2), default=4001)
+    add_grid(p, 2)
     p.set_defaults(func=cmd_modulus)
 
     p = sub.add_parser("worst-sum", help="search the worst increment sum")
     add_common(p)
     p.add_argument("--delta", type=_positive("--delta"), required=True)
-    p.add_argument("--grid", type=_at_least("--grid", 2), default=2001)
+    add_grid(p, 2, ORACLE_POINTS)
     p.add_argument("--max-intervals", type=_at_least("--max-intervals", 1),
-                   default=32)
+                   default=DEFAULT_MAX_INTERVALS)
     p.set_defaults(func=cmd_worst_sum)
 
     p = sub.add_parser("check-lemma1",
                        help="certify increment-curve directions per piece")
     add_common(p)
     p.add_argument("--sigma", type=_positive("--sigma"), required=True)
-    p.add_argument("--grid", type=_at_least("--grid", 3), default=4001)
+    add_grid(p)
     p.set_defaults(func=cmd_check_lemma1)
 
     p = sub.add_parser("check-glue", help="check the gluing bound on pairs")
     add_common(p)
     p.add_argument("--pairs", required=True, help="x1:y1,x2:y2,...")
-    p.add_argument("--grid", type=_at_least("--grid", 3), default=4001)
+    add_grid(p)
     p.set_defaults(func=cmd_check_glue)
 
     p = sub.add_parser("certify", help="synthesize a certificate")
     add_common(p)
     p.add_argument("--epsilon", type=_positive("--epsilon"), required=True)
-    p.add_argument("--grid", type=_at_least("--grid", 3), default=4001)
+    add_grid(p)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("suite", help="run the demonstration suite")
@@ -621,8 +612,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParseError, KindError, DomainError, BudgetError,
             InsufficientData) as exc:
-        # bad function/interval/delta arguments, or a window too narrow for
-        # a uniform grid at the requested size: not an internal failure
+        # bad function/interval/delta arguments, or a grid of the requested
+        # size that is not uniform on the window: not an internal failure
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
     except OSError as exc:

@@ -1787,7 +1787,8 @@ def sqrt_unit_grid(xs=(0.0, 0.25, 0.5, 0.75, 1.0)):
     (lambda: worst_ac_sum_oracle(sqrt_unit_grid(), 0.5, max_intervals=0),
      ValueError, "max_intervals must be >= 1"),
     (lambda: worst_ac_sum_oracle(sqrt_unit_grid((0.0, 0.1, 0.5, 1.0)), 0.5),
-     InsufficientData, "the worst-sum search requires a uniform grid"),
+     InsufficientData, "the worst-sum search needs a uniform grid, but its 4 "
+     "points on [0.0,1.0] have gaps from 0.1 to 0.5"),
     (lambda: modulus_on_grid(sqrt_unit_grid(), []),
      InsufficientData, "at least one delta is required"),
     (lambda: random_collection(np.random.default_rng(0), 0.0, 1.0, 1.5, 3),

@@ -1,13 +1,16 @@
 """Source hygiene: no library module imports a name it never uses, no
-module imports inside a function body, and only ``function_model`` tells
-the function kinds apart.
+module imports inside a function body, only ``function_model`` tells
+the function kinds apart, and no CLI default is a number of its own.
 
 No linter ships with the toolchain, so these stdlib ``ast`` scans stand in
 for one.  ``__init__`` is exempt from the first: its imports are the
 package's exports.  The second keeps import cycles out: a module that
 needs another at call time imports it at the top, or the two share a
 lower module.  The third keeps every per-kind fact in one module, so that
-a new fact or a new kind changes that module only.
+a new fact or a new kind changes that module only.  The fourth keeps each
+CLI default where the library keeps it (``AnalysisSettings``,
+``ORACLE_POINTS``, ``DEFAULT_MAX_INTERVALS``), so the two cannot drift
+apart.
 """
 
 import ast
@@ -118,3 +121,34 @@ def test_scan_flags_a_kind_read():
               "        return f._kx\n"
               "    raise ValueError(f'no {f.kind}')\n")
     assert kind_reads(source) == [3, 4, 8, 9]
+
+
+REPORT_CLI = Path(__file__).parents[1] / "src" / "contana" / "report_cli.py"
+
+
+def numeric_defaults(source: str, function: str) -> list:
+    """Lines of ``function`` that pass a numeric literal as ``default=``."""
+    def numeric(node):
+        if isinstance(node, ast.UnaryOp):
+            node = node.operand
+        return (isinstance(node, ast.Constant)
+                and type(node.value) in (int, float, complex))
+    body = next(node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return sorted(keyword.value.lineno for node in ast.walk(body)
+                  if isinstance(node, ast.Call) for keyword in node.keywords
+                  if keyword.arg == "default" and numeric(keyword.value))
+
+
+def test_cli_defaults_come_from_the_library():
+    assert numeric_defaults(REPORT_CLI.read_text(), "build_parser") == []
+
+
+def test_scan_flags_a_numeric_default():
+    source = ("def build_parser():\n"
+              "    p.add_argument('--grid', default=4001)\n"
+              "    p.add_argument('--shift', default=-0.5)\n"
+              "    p.add_argument('--epsilon', default=defaults.epsilon)\n"
+              "    p.add_argument('--json', default=None)\n"
+              "    p.add_argument('--quiet', default=False)\n")
+    assert numeric_defaults(source, "build_parser") == [2, 3]

@@ -310,17 +310,30 @@ class TestCLI:
          "--grid", "2001"],
         ["check-lemma1", "--fn", "sqrt", "--interval", "[0,1e-310]",
          "--sigma", "1e-311"],
+        ["worst-sum", "--fn", "sqrt", "--interval", "[0,1e-310]",
+         "--delta", "1", "--grid", "2001"],
     ])
     def test_window_too_narrow_for_a_uniform_grid_parse_error(self, capsys,
                                                               argv):
         # the gaps are subnormal: the step's own rounding, repeated along
         # the grid, spreads them by far more than 4 ulps of the window, so
-        # detection refuses the grid before any certificate work
+        # detection, or the worst-sum search, refuses the grid before any
+        # other work, in one line that names the grid and its gaps
+        message = {
+            "analyze": "partition detection needs a uniform grid, but its "
+                       "2001 points on [0.0,1e-310] have gaps from "
+                       "4.9999999993e-314 to 5.0000013486e-314",
+            "check-lemma1": "partition detection needs a uniform grid, but "
+                            "its 4001 points on [0.0,1e-310] have gaps from "
+                            "2.4999999997e-314 to 2.500001349e-314",
+            "worst-sum": "the worst-sum search needs a uniform grid, but its "
+                         "2001 points on [0.0,1e-310] have gaps from 5e-314 "
+                         "to 5.000000361e-314",
+        }[argv[0]]
         assert main(argv) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "parse error: partition detection requires a uniform grid\n")
+        assert captured.err == f"parse error: {message}\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["analyze", "--interval", "[1e17,inf)"], "the window "
@@ -512,8 +525,9 @@ class TestCLI:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == (
-                "parse error: the window [0.0,1e-310] is too narrow for a "
-                "uniform 2001-point grid (the worst-sum search needs one)\n")
+                "parse error: the worst-sum search needs a uniform grid, but "
+                "its 2001 points on [0.0,1e-310] have gaps from 5e-314 to "
+                "5.000000361e-314\n")
 
     @pytest.mark.parametrize("rows, message", [
         ("x,y\n0,0\n1,nan\n2,1\n", "knots must be finite: knot 1 is (1.0, nan)"),
