@@ -19,32 +19,28 @@ def sqrt_on_unit() -> FunctionSpec:
     return FunctionSpec.sqrt(IntervalSpec(0.0, 1.0))
 
 
-def squared(lo: float = 0.0, hi: float = 10.0) -> FunctionSpec:
-    return FunctionSpec.polynomial((0.0, 0.0, 1.0), IntervalSpec(lo, hi))
+def squared() -> FunctionSpec:
+    return FunctionSpec.polynomial((0.0, 0.0, 1.0), IntervalSpec(0.0, 10.0))
 
 
 def cubed(lo: float = -1.0, hi: float = 1.0) -> FunctionSpec:
     return FunctionSpec.polynomial((0.0, 0.0, 0.0, 1.0), IntervalSpec(lo, hi))
 
 
-def affine_fn(slope: float = 3.0, intercept: float = 1.0,
-              lo: float = 0.0, hi: float = 5.0) -> FunctionSpec:
-    return FunctionSpec.affine(slope, intercept, IntervalSpec(lo, hi))
+def affine_fn() -> FunctionSpec:
+    return FunctionSpec.affine(3.0, 1.0, IntervalSpec(0.0, 5.0))
 
 
-def reciprocal_table(lo: float = 0.1, hi: float = 10.0,
-                     knots: int = 40001) -> FunctionSpec:
-    """Dense piecewise-linear version of 1/x: decreasing and convex."""
-    xs = [lo + i * (hi - lo) / (knots - 1) for i in range(knots - 1)]
-    xs.append(hi)
+def reciprocal_table() -> FunctionSpec:
+    """Dense piecewise-linear 1/x on [0.1, 10]: decreasing and convex."""
+    xs = [0.1 + i * (10.0 - 0.1) / 40000 for i in range(40000)] + [10.0]
     return FunctionSpec.piecewise_linear(tuple((x, 1.0 / x) for x in xs))
 
 
-def sine_table(knots: int = 20001) -> FunctionSpec:
-    """Dense piecewise-linear version of sin on [0, 2*pi]."""
+def sine_table() -> FunctionSpec:
+    """Dense piecewise-linear sin on [0, 2*pi]."""
     hi = 2.0 * math.pi
-    xs = [i * hi / (knots - 1) for i in range(knots - 1)]
-    xs.append(hi)
+    xs = [i * hi / 20000 for i in range(20000)] + [hi]
     return FunctionSpec.piecewise_linear(tuple((x, math.sin(x)) for x in xs))
 
 

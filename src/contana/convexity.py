@@ -39,6 +39,9 @@ from .function_model import (
 #: partitions with more pieces than this are reported as not piecewise convex
 DEFAULT_MAX_PIECES = 64
 
+#: points of an increment curve, wherever the CLI draws or checks one
+GSIGMA_SAMPLES = 257
+
 
 class Shape(str, Enum):
     CONVEX = "Convex"
@@ -321,7 +324,7 @@ def gsigma_abscissae(lo: float, hi: float, sigma: float, m: int) -> np.ndarray:
 
 
 def gsigma_curve(f: FunctionSpec, lo: float, hi: float, sigma: float,
-                 m: int) -> tuple:
+                 m: int = GSIGMA_SAMPLES) -> tuple:
     """The increment curve at the m gsigma_abscissae: lists (xs, g_sigma).
 
     f(x + sigma) and f(x) come from one bulk evaluation, with the bits of
@@ -355,7 +358,7 @@ def expected_direction(piece: ShapePiece) -> Direction:
 
 
 def check_gsigma_monotone(f: FunctionSpec, piece: ShapePiece, sigma: float,
-                          m: int = 100) -> GSigmaReport:
+                          m: int = GSIGMA_SAMPLES) -> GSigmaReport:
     """Certify the direction of the increment curve on a monotone piece.
 
     Builds an m-point increment curve and reports the certified direction

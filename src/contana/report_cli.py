@@ -13,6 +13,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from . import catalog, suite_checks
 from .convexity import (
     DEFAULT_MAX_PIECES,
+    GSIGMA_SAMPLES,
     check_gsigma_monotone,
     gsigma_curve,
     monotone_partition,
@@ -69,9 +71,6 @@ EXIT_IO = 5
 
 SCHEMA_VERSION = 5
 
-#: increment-curve samples per piece in ``analyze``
-GSIGMA_SAMPLES = 257
-
 #: deltas per tabulated modulus curve
 MODULUS_POINTS = 33
 
@@ -114,7 +113,7 @@ def analyze(fn_text: str, interval_text: str,
     report["gsigma"] = []
     for i, piece in enumerate(result.pieces):  # empty unless stable
         sigma = (piece.interval.hi - piece.interval.lo) / 4.0
-        rep = check_gsigma_monotone(f, piece, sigma, m=GSIGMA_SAMPLES)
+        rep = check_gsigma_monotone(f, piece, sigma)
         report["gsigma"].append({
             "piece": i,
             "sigma": sigma,
@@ -238,7 +237,7 @@ def _modulus_curve(grid):
 
 
 def _gsigma_table(f, lo: float, hi: float, sigma: float):
-    return list(zip(*gsigma_curve(f, lo, hi, sigma, 201)))
+    return list(zip(*gsigma_curve(f, lo, hi, sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,27 +255,37 @@ def _dump_csv(header: str, rows) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".contana-")
+@contextlib.contextmanager
+def _temp_beside(path: str):
+    """(fd, name) of a new temporary file in path's directory, removed if
+    the block fails; an OSError names path, not the temporary file."""
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                   prefix=".contana-")
+        try:
+            yield fd, tmp
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
+def _atomic_write(path: str, data: bytes) -> None:
+    """Write data to path through a temporary file beside it."""
+    with _temp_beside(path) as (fd, tmp):
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
-def _probe_dir(path: str) -> None:
-    """Create directory path if needed and check that files can be made in it."""
-    os.makedirs(path, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path, prefix=".contana-")
-    os.close(fd)
-    os.unlink(tmp)
+def _probe(path: str) -> None:
+    """Check, before any work, that ``_atomic_write`` can make its
+    temporary file for path; the directory is not created."""
+    with _temp_beside(path) as (fd, tmp):
+        os.close(fd)
+        os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +295,8 @@ def _probe_dir(path: str) -> None:
 def cmd_analyze(args) -> int:
     # --seed is accepted and checked, but no number depends on it
     settings = AnalysisSettings(epsilon=args.epsilon, grid_m=args.grid)
+    if args.json:
+        _probe(args.json)  # an unwritable --json fails before any work
     report = analyze(args.fn, args.interval, settings)
     payload = _dump_json(report)
     if args.json:
@@ -407,15 +418,15 @@ _SUITE_ENTRIES = (
 
 def cmd_suite(args) -> int:
     out_dir = args.out
-    _probe_dir(out_dir)  # an unwritable --out fails before any work
+    os.makedirs(out_dir, exist_ok=True)
+    # an unwritable --out fails before any work
+    _probe(os.path.join(out_dir, "criteria.json"))
     outputs = []  # (filename, bytes)
 
     for name, fn_text, interval_text, epsilon in _SUITE_ENTRIES:
         report = analyze(fn_text, interval_text,
                          AnalysisSettings(epsilon=epsilon))
         outputs.append((f"{name}.json", _dump_json(report)))
-        outputs.append((f"modulus_{name}.csv",
-                        _dump_csv("delta,omega", report["modulus"])))
         window = parse_interval(report["window"])
         f = parse_function(fn_text, window)
         sigma = (window.hi - window.lo) / 2.0

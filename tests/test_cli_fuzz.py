@@ -40,6 +40,7 @@ from contana.report_cli import (
     EXIT_VIOLATED,
     main,
 )
+from rational import rational_phi
 
 #: good tables and their knots; TABLES adds the odd ones
 GOOD_TABLES = {
@@ -229,22 +230,6 @@ def run(argv):
     return code, out.getvalue(), err.getvalue(), issued
 
 
-def pwl_phi(knots, lo, hi, d):
-    """Phi(d) of the knots' interpolant on [lo, hi], in rationals: the
-    fractional knapsack of the segments' |slopes| over their lengths."""
-    segments = []
-    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
-        a, b = max(x0, lo), min(x1, hi)
-        if a < b:
-            segments.append((abs((y1 - y0) / (x1 - x0)), b - a))
-    total = Fraction(0)
-    for slope, length in sorted(segments, reverse=True):
-        take = min(length, d)
-        total += slope * take
-        d -= take
-    return total
-
-
 def sqrt_phi_below(lo, hi, d, epsilon):
     """Whether sqrt(lo + d) - sqrt(lo) < epsilon, with d capped at the
     window, in rationals: d - epsilon**2 < 2 epsilon sqrt(lo)."""
@@ -272,7 +257,7 @@ def assert_proved(fn, report):
     if fn == "sqrt":
         assert sqrt_phi_below(lo, hi, delta1, epsilon), report
     else:
-        assert pwl_phi(knots_of(fn), lo, hi, delta1) < epsilon, report
+        assert rational_phi(knots_of(fn), lo, hi, delta1) < epsilon, report
 
 
 @settings(max_examples=300, deadline=timedelta(seconds=2))

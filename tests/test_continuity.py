@@ -55,6 +55,7 @@ from contana.continuity import (
 from contana.function_model import uniform_abscissae
 from contana.report_cli import _modulus_curve
 from contana.suite_checks import _direction_cases, _single_piece
+from rational import rational_phi
 
 
 # ---------------------------------------------------------------------------
@@ -937,7 +938,7 @@ class TestGlueChain:
         c = IntervalCollection(pairs)
         assert _glued_interval(c, Direction.CONSTANT, lo, hi) == (
             pairs[0][0], hi)
-        f = catalog.affine_fn(3.0, 1.0, lo, hi)
+        f = FunctionSpec.affine(3.0, 1.0, IntervalSpec(lo, hi))
         piece = ShapePiece(IntervalSpec(lo, hi), Shape.AFFINE,
                            Monotonicity.INCREASING, 0.0)
         chk = gluing_bound_check(f, piece, c)
@@ -1584,7 +1585,9 @@ class TestCertificates:
         assert (ver.method, ver.passed) == ("exact_sup", True)
 
 
-SINE = catalog.sine_table(knots=2001)
+SINE = FunctionSpec.piecewise_linear(tuple(
+    (x, math.sin(x))
+    for x in [i * (2.0 * math.pi) / 2000 for i in range(2000)] + [2.0 * math.pi]))
 SINE_QUARTERS = (
     (Shape.CONCAVE, Monotonicity.INCREASING),
     (Shape.CONCAVE, Monotonicity.DECREASING),
@@ -1957,25 +1960,6 @@ def poly_windows(draw, degrees=(2, 5)):
     return f, lo, hi
 
 
-def rational_phi(f, lo, hi, d):
-    """Phi(d) of a pwl or a poly of degree at most one in exact rationals:
-    the knapsack on the exact slopes of its segments, clipped to
-    [lo, hi]."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if f.kind == "poly":
-        segments = [(abs(Fraction((*f.coefficients, 0.0)[1])), hi - lo)]
-    else:
-        knots = [(Fraction(x), Fraction(y)) for x, y in f.knots]
-        segments = [(abs(y1 - y0) / (x1 - x0), min(x1, hi) - max(x0, lo))
-                    for (x0, y0), (x1, y1) in zip(knots, knots[1:])]
-    left, total = Fraction(d), Fraction(0)
-    for slope, length in sorted(segments, reverse=True):
-        take = min(max(length, 0), left)
-        total += slope * take
-        left -= take
-    return total
-
-
 def exact_value(f, x):
     """f at the float x in exact rationals: the knots' interpolant, or the
     polynomial; sqrt's value is its correctly rounded float."""
@@ -2306,7 +2290,7 @@ class TestExactSup:
             lengths = np.sort(np.diff(phi.upper.ends))
             d = float(np.cumsum(lengths)[min(cut, len(lengths)) - 1])
         sup = phi.sup(d)
-        exact = rational_phi(f, lo, hi, d)
+        exact = rational_phi(f.knots, lo, hi, d)
         assert abs(Fraction(sup.value) - exact) <= Fraction(sup.rounding)
         # the rational decision agrees with the reference on both sides
         for epsilon in (sup.value, math.nextafter(sup.value, math.inf)):
@@ -2330,7 +2314,7 @@ class TestExactSup:
         d = share * 2 * half
         sup = phi.sup(d)
         assert sup.rounding <= 1e-13 * sup.value
-        exact = rational_phi(f, -half, half, d)
+        exact = rational_phi(f.knots, -half, half, d)
         assert abs(Fraction(sup.value) - exact) <= Fraction(sup.rounding)
         assert phi.settle(d, sup.value + sup.rounding) is True
         assert phi.settle(d, sup.value - sup.rounding) is False
@@ -2383,7 +2367,7 @@ class TestExactSup:
             return
         ver = verify_certificate(f, cert)
         assert ver.method == "exact_sup"
-        exact = rational_phi(f, lo, hi, cert.delta1)
+        exact = rational_phi(f.knots, lo, hi, cert.delta1)
         assert ver.passed == (exact < epsilon and ver.worst_sum < epsilon)
 
     @settings(max_examples=30, deadline=None)
@@ -2431,7 +2415,7 @@ class TestExactSup:
                         exact = (Decimal(lo) + d).sqrt() - Decimal(lo).sqrt()
                     assert exact < Decimal(epsilon)
                 else:
-                    assert rational_phi(f, lo, hi, cert.delta1) < epsilon
+                    assert rational_phi(f.knots, lo, hi, cert.delta1) < epsilon
         grid = sample(f, window, 2001)
         assert grid.uniform
         budget = cert.delta1 if cert is not None else (hi - lo) / 7

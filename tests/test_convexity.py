@@ -199,7 +199,7 @@ class TestDetectPartition:
 
 class TestMonotonePartition:
     def test_refines_every_shape(self):
-        f = catalog.squared(-1.0, 2.0)
+        f = FunctionSpec.polynomial((0.0, 0.0, 1.0), IntervalSpec(-1.0, 2.0))
         result = monotone_partition(f, 251)
         assert result.stable
         assert [len(g) for g in result.grids] == [251, 501, 1001]

@@ -1029,11 +1029,31 @@ class TestCLI:
         assert code == EXIT_IO
         assert not os.path.exists("/proc/contana-nope")
 
+    def test_json_in_a_missing_directory_fails_before_analysis(
+            self, tmp_path, monkeypatch, capsys):
+        # the directory is not created: the error names the --json path,
+        # not a temporary file beside it, so every run prints the same line
+        path = tmp_path / "missing" / "r.json"
+        monkeypatch.setattr(report_cli, "analyze", mock.Mock())
+        errs = []
+        for _ in range(2):
+            assert main(["analyze", "--fn", "sqrt", "--interval", "[0,1]",
+                         "--json", str(path)]) == EXIT_IO
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errs.append(captured.err)
+        assert errs == [f"I/O error: [Errno {errno.ENOENT}] "
+                        f"{os.strerror(errno.ENOENT)}: '{path}'\n"] * 2
+        report_cli.analyze.assert_not_called()
+        assert not path.parent.exists()
+
     @pytest.mark.parametrize("case, code, message", [
         ("table-not-utf-8", EXIT_PARSE, r"parse error: unreadable table \S+: "
          r"'utf-8' codec can't decode byte 0xff .*"),
         ("suite-third-write", EXIT_IO, r"I/O error: \[Errno 28\] .*"),
-        ("suite-replace", EXIT_IO, r"I/O error: \[Errno 18\] .*"),
+        # the failed replace names the file asked for, not its temporary
+        ("suite-replace", EXIT_IO, r"I/O error: \[Errno 18\] "
+         + re.escape(os.strerror(errno.EXDEV)) + r": '{out}/sqrt\.json'"),
         ("shape-error", EXIT_INTERNAL, r"internal error: escaped"),
         ("runtime-error", EXIT_INTERNAL,
          r"Traceback .*\nRuntimeError: escaped"),
@@ -1070,6 +1090,7 @@ class TestCLI:
         assert main(argv) == code
         captured = capsys.readouterr()
         assert captured.out == ""
+        message = message.replace("{out}", re.escape(str(out)))
         assert re.fullmatch(message + "\n", captured.err, re.S)
         if case != "runtime-error":
             assert captured.err.count("\n") == 1
