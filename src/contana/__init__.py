@@ -1,5 +1,7 @@
 """Numeric toolkit for uniform/absolute continuity analysis of real functions."""
 
+from types import ModuleType as _Module
+
 from .errors import (
     BudgetError,
     ContanaError,
@@ -14,11 +16,13 @@ from .errors import (
 from .function_model import (
     CANTOR_DEPTH,
     FunctionSpec,
+    IntervalCollection,
     IntervalSpec,
     SampleGrid,
     clip_window,
     eval_cantor,
     evaluate,
+    exact_phi,
     parse_function,
     parse_interval,
     sample,
@@ -44,12 +48,9 @@ from .continuity import (
     ACWorstReport,
     Certificate,
     GluingCheck,
-    IntervalCollection,
-    ModulusCurve,
     VerificationReport,
     ac_certificate,
     ac_sum,
-    exact_phi,
     gluing_bound_check,
     modulus_on_grid,
     random_collection,
@@ -60,4 +61,6 @@ from .continuity import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: every public name but the submodules that the imports above bind
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _Module))

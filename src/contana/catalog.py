@@ -11,8 +11,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .continuity import IntervalCollection
-from .function_model import FunctionSpec, IntervalSpec, cantor_bricks
+from .function_model import (
+    FunctionSpec,
+    IntervalCollection,
+    IntervalSpec,
+    cantor_bricks,
+)
 
 
 def sqrt_on_unit() -> FunctionSpec:

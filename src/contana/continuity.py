@@ -79,17 +79,6 @@ _GAP_SLACK = 8 * sys.float_info.epsilon
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ModulusCurve:
-    """Tabulated (delta, omega) pairs with delta strictly increasing."""
-
-    samples: tuple
-
-    @property
-    def omegas(self) -> tuple:
-        return tuple(w for _, w in self.samples)
-
-
-@dataclass(frozen=True)
 class ACWorstReport:
     delta: float
     best_sum: float
@@ -153,8 +142,9 @@ def ac_sum(f: FunctionSpec, c: IntervalCollection) -> float:
 # Modulus of continuity
 # ---------------------------------------------------------------------------
 
-def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
-    """Modulus curve on an explicit grid, exact at every grid size.
+def modulus_on_grid(grid: SampleGrid, deltas) -> tuple:
+    """Modulus curve on an explicit grid, exact at every grid size: a
+    tuple of (delta, omega) pairs, one per delta, in the order given.
 
     omega(delta) is the largest |v_j - v_i| over grid pairs with
     x_j - x_i <= delta, compared in float arithmetic, made nondecreasing by
@@ -237,7 +227,7 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> ModulusCurve:
                   for k, i, j in groups]
         best = max(best, *found)
         samples.append((d, best))
-    return ModulusCurve(tuple(samples))
+    return tuple(samples)
 
 
 def _trend(vs: np.ndarray) -> int:

@@ -101,9 +101,6 @@ class IntervalSpec:
             return False
         return True
 
-    def closure_contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
     def intersect(self, other: "IntervalSpec") -> "IntervalSpec | None":
         """Intersection, or None when empty or a single point."""
         if self.lo > other.lo:
@@ -125,15 +122,7 @@ class IntervalSpec:
     def __str__(self) -> str:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
-        return f"{left}{_fmt_endpoint(self.lo)},{_fmt_endpoint(self.hi)}{right}"
-
-
-def _fmt_endpoint(v: float) -> str:
-    if v == INF:
-        return "inf"
-    if v == -INF:
-        return "-inf"
-    return repr(v)
+        return f"{left}{self.lo!r},{self.hi!r}{right}"
 
 
 def parse_interval(text: str) -> IntervalSpec:
@@ -393,9 +382,7 @@ def evaluate(f: FunctionSpec, x) -> float:
         return eval_cantor(x)
     if kind == POLY:
         return _horner(f.coefficients, float(x))
-    if kind == PWL:
-        return _interp_knots(*f._views, float(x))
-    raise KindError(f"unknown function kind {kind!r}")
+    return _interp_knots(*f._views, float(x))  # PWL
 
 
 def _horner(coefficients, x):

@@ -34,9 +34,7 @@ from .convexity import (
 )
 from .continuity import (
     DEFAULT_MAX_INTERVALS,
-    IntervalCollection,
     ac_certificate,
-    exact_phi,
     gluing_bound_check,
     modulus_on_grid,
     split_collection_at_partition,
@@ -55,7 +53,9 @@ from .errors import (
 )
 from .function_model import (
     CANTOR_DEPTH,
+    IntervalCollection,
     clip_window,
+    exact_phi,
     parse_function,
     parse_interval,
     parse_pairs,
@@ -109,7 +109,7 @@ def analyze(fn_text: str, interval_text: str,
                               modulus_points=MODULUS_POINTS)
 
     base_grid = result.grids[0]
-    report["modulus"] = [[d, w] for d, w in _modulus_curve(base_grid).samples]
+    report["modulus"] = [[d, w] for d, w in _modulus_curve(base_grid)]
     report["gsigma"] = []
     for i, piece in enumerate(result.pieces):  # empty unless stable
         sigma = (piece.interval.hi - piece.interval.lo) / 4.0
@@ -310,7 +310,7 @@ def cmd_modulus(args) -> int:
     f = parse_function(args.fn, parse_interval(args.interval))
     grid = sample(f, f.domain, args.grid)
     curve = modulus_on_grid(grid, args.deltas)
-    sys.stdout.write(_dump_csv("delta,omega", curve.samples).decode())
+    sys.stdout.write(_dump_csv("delta,omega", curve).decode())
     return EXIT_OK
 
 
@@ -373,8 +373,8 @@ def cmd_check_glue(args) -> int:
     except GeometryError as exc:
         raise ParseError(str(exc)) from exc
     window = clip_window(f.domain)  # the window the pieces tile
-    if not (window.closure_contains(c.pairs[0][0])
-            and window.closure_contains(c.pairs[-1][1])):
+    if not (window.contains(c.pairs[0][0])
+            and window.contains(c.pairs[-1][1])):
         raise ParseError(f"pairs must lie inside the window {window}")
     result = monotone_partition(f, args.grid)
     if not result.stable:
@@ -427,8 +427,8 @@ def cmd_suite(args) -> int:
         report = analyze(fn_text, interval_text,
                          AnalysisSettings(epsilon=epsilon))
         outputs.append((f"{name}.json", _dump_json(report)))
-        window = parse_interval(report["window"])
-        f = parse_function(fn_text, window)
+        f = parse_function(fn_text, parse_interval(interval_text))
+        window = clip_window(f.domain)
         sigma = (window.hi - window.lo) / 2.0
         outputs.append((f"gsigma_{name}.csv",
                         _dump_csv("x,g_sigma",
@@ -439,7 +439,7 @@ def cmd_suite(args) -> int:
     sine_curve = _modulus_curve(sample(sine, sine.domain,
                                         AnalysisSettings().grid_m))
     outputs.append(("modulus_sine.csv",
-                    _dump_csv("delta,omega", sine_curve.samples)))
+                    _dump_csv("delta,omega", sine_curve)))
     outputs.append(("gsigma_sine.csv",
                     _dump_csv("x,g_sigma",
                               _gsigma_table(sine, 0.0, 2.0 * math.pi,
@@ -460,14 +460,11 @@ def cmd_suite(args) -> int:
             path = os.path.join(out_dir, filename)
             _atomic_write(path, data)
             written.append(path)
-    except OSError as exc:
+    except OSError:  # main reports it; no half-written suite is left
         for path in written:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(path)
-            except OSError:
-                pass
-        sys.stderr.write(f"I/O error: {exc}\n")
-        return EXIT_IO
+        raise
 
     for r in results:
         sys.stdout.write(

@@ -27,7 +27,6 @@ from .convexity import (
 from .continuity import (
     ac_certificate,
     ac_sum,
-    exact_phi,
     gluing_bound_check,
     modulus_on_grid,
     random_collection,
@@ -41,6 +40,7 @@ from .function_model import (
     IntervalSpec,
     SampleGrid,
     evaluate,
+    exact_phi,
     sample,
 )
 
@@ -147,7 +147,7 @@ def check_oracle_agreement() -> CriterionResult:
     slack = 1e-12
     in_range = lower - slack <= rep.best_sum <= upper + slack
     glued = exact_phi(f, 0.0, 1.0).sup(rep.witness.total_length).value
-    omega_h = modulus_on_grid(grid, [spacing]).omegas[0]
+    omega_h = modulus_on_grid(grid, [spacing])[0][1]
     agree = abs(rep.best_sum - glued) <= omega_h + slack
     witness_sum = ac_sum(f, rep.witness)
     recomputable = abs(witness_sum - rep.best_sum) <= 1e-12
@@ -221,7 +221,7 @@ def check_cantor_witness() -> CriterionResult:
                       [evaluate(f, x) for x in ends])
     curve = modulus_on_grid(grid, [3.0 ** (6 - k) for k in range(6, 0, -1)])
     modulus_rows = []
-    for (d, w), k in zip(curve.samples, range(6, 0, -1)):
+    for (d, w), k in zip(curve, range(6, 0, -1)):
         err = abs(w - 2.0 ** -k)
         good = err <= 1e-12
         ok = ok and good
@@ -248,13 +248,13 @@ def check_converse_counterexample() -> CriterionResult:
     grid = sample(f, window, 100001)
     deltas = [1e-3, 3e-3, 1e-2, 3e-2, 0.1]
     curve = modulus_on_grid(grid, deltas)
-    lipschitz_ok = all(w <= 4.0 * d for d, w in curve.samples)
+    lipschitz_ok = all(w <= 4.0 * d for d, w in curve)
     ok = increasing and rejected and exceeded and lipschitz_ok
     return CriterionResult(6, "oscillating converse counterexample", ok,
                            {"sign_change_counts": counts,
                             "max_pieces": DEFAULT_MAX_PIECES,
                             "final_rejected": rejected,
-                            "modulus": [[d, w] for d, w in curve.samples],
+                            "modulus": [[d, w] for d, w in curve],
                             "lipschitz_bound_ok": lipschitz_ok})
 
 

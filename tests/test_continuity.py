@@ -350,20 +350,20 @@ class TestModulus:
         f = catalog.sqrt_on_unit()
         grid = sample(f, IntervalSpec(0.0, 1.0), 401)
         curve = modulus_on_grid(grid, [0.01, 0.04, 0.25])
-        for (d, w) in curve.samples:
+        for (d, w) in curve:
             assert w == omega_pair_scan(grid, d)
-        assert curve.samples[-1][1] == 0.5
+        assert curve[-1][1] == 0.5
 
     def test_affine_linear_law(self):
         f = FunctionSpec.affine(2.0, 0.0, IntervalSpec(0.0, 1.0))
         curve = modulus_on_grid(sample(f, IntervalSpec(0.0, 1.0), 101), [0.1])
-        assert curve.omegas[0] == pytest.approx(0.2, abs=1e-12)
+        assert curve[0][1] == pytest.approx(0.2, abs=1e-12)
 
     def test_cantor_self_similarity_exact(self):
         grid = cantor_brick_grid(6)
         deltas = [3.0 ** (6 - k) for k in range(6, 0, -1)]
         curve = modulus_on_grid(grid, deltas)
-        for (d, w), k in zip(curve.samples, range(6, 0, -1)):
+        for (d, w), k in zip(curve, range(6, 0, -1)):
             assert w == 2.0 ** -k
             assert w == omega_pair_scan(grid, d)
 
@@ -378,16 +378,17 @@ class TestModulus:
         f = catalog.cantor_on_unit()
         curve = modulus_on_grid(sample(f, IntervalSpec(0.0, 1.0), 801),
                                 [0.001, 0.01, 0.1, 0.3, 0.9])
-        assert all(b >= a for a, b in zip(curve.omegas, curve.omegas[1:]))
+        omegas = [w for _, w in curve]
+        assert all(b >= a for a, b in zip(omegas, omegas[1:]))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_matches_pair_scan(self, data):
         grid, deltas = data.draw(grids_with_deltas())
         curve = modulus_on_grid(grid, deltas)
-        assert [d for d, _ in curve.samples] == list(deltas)
+        assert [d for d, _ in curve] == list(deltas)
         running = 0.0
-        for d, w in curve.samples:
+        for d, w in curve:
             running = max(running, omega_pair_scan(grid, d))
             assert w == running, d
 
@@ -410,7 +411,7 @@ class TestModulus:
 
     @staticmethod
     def ladder_with_neighbours(grid):
-        ladder = [d for d, _ in _modulus_curve(grid).samples]
+        ladder = [d for d, _ in _modulus_curve(grid)]
         return sorted({e for d in ladder for e in
                        (math.nextafter(d, 0.0), d, math.nextafter(d, math.inf))})
 
@@ -463,7 +464,7 @@ class TestModulus:
         deltas = [h, 7.5 * h, 30 * h]
         curve = modulus_on_grid(grid, deltas)
         running = 0.0
-        for d, w in curve.samples:
+        for d, w in curve:
             running = max(running, omega_pair_scan(grid, d))
             assert w == running, d
 
@@ -477,17 +478,17 @@ class TestConstantLagKernel:
     def tie_deltas(grid):
         m, span = len(grid), grid.span
         h = span / (m - 1)
-        ladder = [d for d, _ in _modulus_curve(grid).samples]
+        ladder = [d for d, _ in _modulus_curve(grid)]
         near = {e for d in ladder for e in (math.nextafter(d, 0.0), d,
                                             math.nextafter(d, math.inf))}
         near |= {min(k * h, span) for k in (1, 2, 3, 7, 1000, m - 1)}
         return sorted(d for d in near if d <= span)
 
     def assert_matches_reference(self, grid, deltas):
-        assert modulus_on_grid(grid, deltas).samples == \
+        assert modulus_on_grid(grid, deltas) == \
             modulus_per_window(grid, deltas)
         for d in deltas[:4] + deltas[-2:]:
-            assert modulus_on_grid(grid, [d]).samples == \
+            assert modulus_on_grid(grid, [d]) == \
                 modulus_per_window(grid, [d])
 
     @pytest.mark.parametrize("m", [20000, 20001, 25001, 100001])
@@ -580,7 +581,7 @@ class TestConstantLagKernel:
             assert shared == {False} and peak > 3 * 8 * m
         else:
             assert rows == [] and peak < 2 * 8 * m
-        assert curve.samples == modulus_per_window(grid, generic)
+        assert curve == modulus_per_window(grid, generic)
 
     @staticmethod
     def exception_grid(kind):
@@ -634,7 +635,7 @@ class TestConstantLagKernel:
         for d in deltas:
             running = max(running, omega_pair_scan(grid, d))
             want.append((d, running))
-        assert modulus_on_grid(grid, deltas).samples == tuple(want)
+        assert modulus_on_grid(grid, deltas) == tuple(want)
         assert tested == deltas and max(calls) > 0
 
     def test_no_gathers_off_the_grid_step(self, monkeypatch):
@@ -652,7 +653,7 @@ class TestConstantLagKernel:
 
         monkeypatch.setattr(continuity, "_fits", forbidden)
         monkeypatch.setattr(continuity, "_window_starts", forbidden)
-        assert modulus_on_grid(grid, deltas).samples == expected
+        assert modulus_on_grid(grid, deltas) == expected
 
     @pytest.mark.parametrize("m, exact", [(4001, 2), (25001, 2), (20001, 5)])
     def test_exact_lags_only_at_ties(self, monkeypatch, m, exact):
@@ -662,12 +663,12 @@ class TestConstantLagKernel:
         f = FunctionSpec.x_squared_sin_inv(IntervalSpec(0.0, 1.0))
         grid = sample(f, IntervalSpec(0.0, 0.93), m)
         tested = self.slice_tested(monkeypatch)
-        ladder = _modulus_curve(grid).samples
+        ladder = _modulus_curve(grid)
         assert len(ladder) == 33 and len(tested) == exact
         h = 0.93 / (m - 1)
         generic = [2.6 * h * 1.2 ** i for i in range(33)]
         tested.clear()
-        assert modulus_on_grid(grid, generic).samples == \
+        assert modulus_on_grid(grid, generic) == \
             modulus_per_window(grid, generic)
         assert tested == []
 
@@ -680,9 +681,9 @@ class TestConstantLagKernel:
         f = FunctionSpec.x_squared_sin_inv(IntervalSpec(0.0, 2e6))
         grid = sample(f, IntervalSpec(1e6, 1e6 + 1e-3), m)
         assert grid.uniform
-        ladder = [d for d, _ in _modulus_curve(grid).samples]
+        ladder = [d for d, _ in _modulus_curve(grid)]
         tested = self.slice_tested(monkeypatch)
-        assert modulus_on_grid(grid, ladder).samples == \
+        assert modulus_on_grid(grid, ladder) == \
             modulus_per_window(grid, ladder)
         h = grid.span / (m - 1)
         ties = [d for d in tested if d in (ladder[0], ladder[-1])]
@@ -696,7 +697,7 @@ class TestConstantLagKernel:
         m = 100001
         f = FunctionSpec.x_squared_sin_inv(IntervalSpec(0.0, 1.0))
         grid = sample(f, IntervalSpec(0.0, 1.0), m)
-        ladder = [d for d, _ in _modulus_curve(grid).samples]
+        ladder = [d for d, _ in _modulus_curve(grid)]
         tracemalloc.start()
         try:
             modulus_on_grid(grid, ladder)
@@ -760,8 +761,8 @@ class TestConstantLagKernel:
         tested = self.slice_tested(monkeypatch)
         curve = modulus_on_grid(grid, deltas)
         assert tested == deltas
-        assert curve.samples == modulus_per_window(grid, deltas)
-        for d, w in curve.samples:
+        assert curve == modulus_per_window(grid, deltas)
+        for d, w in curve:
             assert w == omega_pair_scan(grid, d)
 
     @pytest.mark.parametrize("xs", [uniform_abscissae(0.0, 1.0, 20001),
@@ -1332,7 +1333,7 @@ class TestWorstSumOracle:
         rep = worst_ac_sum_oracle(grid, 0.25)
         glued = ac_sum(f, IntervalCollection((
             (0.0, min(1.0, rep.witness.total_length)),)))
-        omega_h = modulus_on_grid(grid, [grid.spacing]).omegas[0]
+        omega_h = modulus_on_grid(grid, [grid.spacing])[0][1]
         assert abs(rep.best_sum - glued) <= omega_h + 1e-12
 
 
@@ -1753,7 +1754,7 @@ class TestIncrementStep:
             if k * h > step:
                 break
             # a delta beyond the span admits the same pairs as the span
-            w = modulus_on_grid(grid, [min(k * h, grid.span)]).omegas[0]
+            w = modulus_on_grid(grid, [min(k * h, grid.span)])[0][1]
             assert w < budget
             assert anchored[k - 1] - tol <= w <= anchored[k] + tol
 

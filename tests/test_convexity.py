@@ -585,3 +585,29 @@ class TestChainedSlopeInequalities:
             through = (fys - fx) / (y - x + s)
             assert through <= (fxs - fx) / s + 1e-9
             assert (fys - fy) / s <= through + 1e-9
+
+
+_SQRT = FunctionSpec.sqrt(IntervalSpec(0.0, 1.0))
+_SQRT_PIECE = ShapePiece(IntervalSpec(0.0, 1.0), Shape.CONCAVE,
+                         Monotonicity.INCREASING)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Partition((0.5,)), InsufficientData,
+     "a partition needs at least two points"),
+    (lambda: Partition((0.0, 0.5, 0.5, 1.0)), InsufficientData,
+     "partition points must be strictly increasing"),
+    (lambda: Partition((0.0, 1.0, 0.5)), InsufficientData,
+     "partition points must be strictly increasing"),
+    (lambda: g_sigma(_SQRT, 0.5, 0.0), GeometryError,
+     "sigma must be positive"),
+    (lambda: gsigma_curve(_SQRT, 0.0, 1.0, -0.25), GeometryError,
+     "sigma must be positive"),
+    (lambda: check_gsigma_monotone(_SQRT, _SQRT_PIECE, 0.25, m=2), ValueError,
+     "the increment curve needs m >= 3 samples"),
+], ids=["one-point", "repeated-point", "unsorted", "g_sigma-sigma-0",
+        "gsigma_curve-sigma-negative", "check-m-2"])
+def test_bad_input_is_refused(call, error, message):
+    with pytest.raises(error) as got:
+        call()
+    assert str(got.value) == message

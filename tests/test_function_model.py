@@ -20,6 +20,7 @@ from contana import (
     CANTOR_DEPTH,
     DomainError,
     FunctionSpec,
+    InsufficientData,
     IntervalSpec,
     KindError,
     ParseError,
@@ -143,10 +144,28 @@ class TestFunctionSpec:
          (DomainError, "cannot take exact ratio of nan")),
         (lambda: FunctionSpec.piecewise_linear([(0, 1, 2), (1, 2, 3)]),
          (KindError, "knots must be (x, y) pairs")),
-    ], ids=["window-below-inf", "cantor-nan", "knots-not-pairs"])
+        (lambda: FunctionSpec.piecewise_linear([(0, 0), (1,)]),
+         (KindError, "knots must be (x, y) pairs")),
+        (lambda: FunctionSpec.piecewise_linear([("a", 0), (1, 1)]),
+         (KindError, "knots must be (x, y) pairs")),
+        (lambda: FunctionSpec.piecewise_linear([0.0, 1.0]),
+         (KindError, "knots must be (x, y) pairs")),
+        (lambda: [IntervalSpec(0.0, 1.0, hi_closed=False).contains(x)
+                  for x in (1.0, 0.5, 0.0)], [False, True, True]),
+        (lambda: SampleGrid([0.0, 1.0, 2.0], [0.0, 1.0]),
+         (KindError, "abscissae and values must have equal length")),
+        (lambda: SampleGrid([0.0], [0.0]),
+         (InsufficientData, "a grid needs at least two points")),
+        (lambda: sample(FunctionSpec.cantor(), IntervalSpec(0.0, 1.0), 1),
+         (InsufficientData, "sampling needs m >= 2")),
+    ], ids=["window-below-inf", "cantor-nan", "knots-not-pairs",
+            "knots-ragged", "knots-not-numbers", "knots-flat",
+            "open-upper-end", "grid-unequal-lengths", "grid-one-point",
+            "sample-one-point"])
     def test_rare_inputs(self, call, want):
-        # a window open at -inf is cut 10 wide; bad values name themselves
-        if isinstance(want, str):
+        # a window open at -inf is cut 10 wide; an open end is not in the
+        # interval; bad values name themselves
+        if not isinstance(want, tuple):
             assert call() == want
             return
         with pytest.raises(want[0]) as got:
@@ -648,6 +667,13 @@ def test_cantor_bricks_match_the_thirds_recursion(k):
     bricks = [(Fraction(a, q), Fraction(a + 1, q)) for a in cantor_bricks(k)]
     assert bricks == stage_cover_by_thirds(k)
     assert list(catalog.cantor_stage_cover(k).pairs) == bricks
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_cantor_stage_cover_starts_at_stage_1(k):
+    with pytest.raises(ValueError) as got:
+        catalog.cantor_stage_cover(k)
+    assert str(got.value) == "k must be >= 1"
 
 
 #: (p, q) with q > 0: any ratio; brick ends a / 3**k, 0 and 1 among them;

@@ -1,23 +1,27 @@
 """Source hygiene: no library module imports a name it never uses, no
-module imports inside a function body, only ``function_model`` tells
-the function kinds apart, and no CLI default is a number of its own.
+module imports inside a function body, every name is imported from the
+module that defines it, only ``function_model`` tells the function kinds
+apart, and no CLI default is a number of its own.
 
 No linter ships with the toolchain, so these stdlib ``ast`` scans stand in
 for one.  ``__init__`` is exempt from the first: its imports are the
 package's exports.  The second keeps import cycles out: a module that
 needs another at call time imports it at the top, or the two share a
-lower module.  The third keeps every per-kind fact in one module, so that
-a new fact or a new kind changes that module only.  The fourth keeps each
-CLI default where the library keeps it (``AnalysisSettings``,
-``ORACLE_POINTS``, ``DEFAULT_MAX_INTERVALS``), so the two cannot drift
-apart.
+lower module.  The third gives each name one home, so that a move
+changes its importers, not a chain of re-exports.  The fourth keeps every
+per-kind fact in one module, so that a new fact or a new kind changes
+that module only.  The fifth keeps each CLI default where the library
+keeps it (``AnalysisSettings``, ``ORACLE_POINTS``,
+``DEFAULT_MAX_INTERVALS``), so the two cannot drift apart.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
 
+import contana
 from contana import function_model
 
 ALL_SOURCES = sorted((Path(__file__).parents[1] / "src" / "contana")
@@ -74,6 +78,73 @@ def test_scan_flags_a_nested_import():
               "    import os\n"
               "    return math.pi\n")
     assert nested_imports(source) == [4, 5]
+
+
+def module_level_names(source: str) -> set:
+    """Names that a module's top-level def, class or assignment binds; an
+    import binds none of them."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def borrowed_imports(source: str, modules: dict) -> list:
+    """(line, module, name) of each ``from .module import name`` where the
+    sibling module does not define name itself; ``modules`` maps each
+    sibling's name to its source.  ``from . import name`` must name a
+    sibling."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        for alias in node.names:
+            if node.module is None:
+                if alias.name not in modules:
+                    found.append((node.lineno, ".", alias.name))
+            elif alias.name not in module_level_names(modules[node.module]):
+                found.append((node.lineno, node.module, alias.name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_names_are_imported_from_their_owner(path):
+    modules = {p.stem: p.read_text() for p in ALL_SOURCES}
+    assert borrowed_imports(path.read_text(), modules) == []
+
+
+def test_scan_flags_a_borrowed_name():
+    modules = {
+        "errors": "class KindError(Exception):\n    pass\n",
+        "model": ("from .errors import KindError\n"
+                  "LIMIT: int = 3\n"
+                  "A, (B, C) = 1, (2, 3)\n"
+                  "def sample():\n"
+                  "    raise KindError(LIMIT)\n"),
+    }
+    source = ("from . import errors, model, missing\n"
+              "from .model import (\n"
+              "    A,\n"
+              "    C,\n"
+              "    KindError,\n"
+              "    LIMIT,\n"
+              "    sample,\n"
+              ")\n"
+              "from .errors import KindError as Refused\n")
+    assert borrowed_imports(source, modules) == [
+        (1, ".", "missing"), (2, "model", "KindError")]
+
+
+def test_all_exports_no_module():
+    assert [name for name in contana.__all__
+            if isinstance(getattr(contana, name), types.ModuleType)] == []
 
 
 #: the names of function_model's kind constants (SQRT ... PWL)
