@@ -156,16 +156,31 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> tuple:
     slice tests elsewhere, and the exceptions, the points with
     xs[j] - xs[j - L - 1] <= delta too, get exact starts and gathers.
 
-    On monotone values (``_trend``) a window's range is its end difference:
-    each delta costs two O(m) passes, the largest +-(vs[j] - vs[j - L]),
-    plus O(e) for e exceptions, and no row is built: past the exact slice
-    tests the kernel holds one scratch array of m floats.  Other values
-    read the windows as two contiguous slices of one row of block extrema,
-    in four O(m) passes per delta.  The rows of 2**k-point block maxima and
-    minima are built as the lags ascend, two O(m) passes each, and dropped
-    below the current lag's row: a uniform grid keeps one or two rows of
-    16 * m bytes, for a peak of a few arrays of m floats (under 8 MB at
-    m = 100001); other grids keep the rows their exceptions read.
+    Three paths read the windows, chosen once per grid by ``_trend``:
+
+    * end windows (Lemma 1): on monotone values whose steps, taken along
+      the trend, strictly fall and then strictly rise (a tie only between
+      the two smallest), omega is the larger end difference of the windows
+      [0, L] and [m - 1 - L, m - 1], plus O(e) gathers for e exceptions:
+      O(1) per delta past ``_lag``, and no O(m) pass.  It is exact, bit for
+      bit: rounding is monotone, so a strict float inequality between two
+      steps holds between the exact steps; a window sum of a sequence that
+      falls and then rises is largest at an end; and float subtraction is
+      monotone in its exact result.
+    * monotone scan: on other monotone values a window's range is its end
+      difference, the largest +-(vs[j] - vs[j - L]) in two O(m) passes
+      (``_largest_difference``) plus O(e).
+    * block extrema: other values read the windows as two contiguous slices
+      of one row of block extrema, in four O(m) passes per delta.  The rows
+      of 2**k-point block maxima and minima are built as the lags ascend,
+      two O(m) passes each, and dropped below the current lag's row: a
+      uniform grid keeps one or two rows of 16 * m bytes, for a peak of a
+      few arrays of m floats (under 8 MB at m = 100001); other grids keep
+      the rows their exceptions read.
+
+    ``_trend`` writes the steps into the kernel's one scratch array of m
+    floats.  The first two paths build no row: past the exact slice tests
+    and the exceptions' gathers they hold that one array.
     """
     ds = list(deltas)
     if not ds:
@@ -179,8 +194,8 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> tuple:
         raise BudgetError(f"delta exceeds the window length {span}")
     vs = grid.values
     m = len(vs)
-    scratch = np.empty(m)  # no m-float array per delta
-    trend = _trend(vs)
+    scratch = np.empty(m)  # the steps, then no m-float array per delta
+    trend, valley = _trend(vs, scratch)
     if not trend:
         lo = np.empty(m)
         rows = {0: (vs, vs)}  # level k -> max and min of vs[i : i + 2**k]
@@ -194,7 +209,11 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> tuple:
         if trend:
             # the windows [j - lag, j] and the exceptions' [start, end]
             up, down = (vs[lag:], vs[:n]) if trend > 0 else (vs[:n], vs[lag:])
-            found = [float(np.subtract(up, down, out=scratch[:n]).max())]
+            if valley:
+                found = [up.item(0) - down.item(0),
+                         up.item(-1) - down.item(-1)]
+            else:
+                found = [_largest_difference(up, down, scratch[:n])]
             if len(ends):
                 up, down = (ends, starts) if trend > 0 else (starts, ends)
                 found.append(float((vs[up] - vs[down]).max()))
@@ -230,12 +249,37 @@ def modulus_on_grid(grid: SampleGrid, deltas) -> tuple:
     return tuple(samples)
 
 
-def _trend(vs: np.ndarray) -> int:
-    """1 if vs never falls, -1 if it falls and never rises, else 0; one
-    comparison pass, in the direction its end values allow."""
-    if vs[-1] >= vs[0]:
-        return 1 if (vs[1:] >= vs[:-1]).all() else 0
-    return -1 if (vs[1:] <= vs[:-1]).all() else 0
+def _trend(vs: np.ndarray, out: np.ndarray) -> tuple:
+    """(trend, valley), which choose ``modulus_on_grid``'s path.
+
+    trend is 1 if vs never falls, -1 if it falls and never rises, else 0
+    (block extrema).  valley says that the float steps trend * (vs[i + 1] -
+    vs[i]) strictly fall and then strictly rise, with no tie but one between
+    the two smallest: then the end windows answer (Lemma 1), else a
+    monotone vs takes the monotone scan.  The exact steps then fall and rise
+    too, since rounding is monotone; at a tied bottom both tied steps lie
+    strictly below their outer neighbours, whichever of the two is smaller.
+    Any other tie could hide a rise inside the falling run, or a fall
+    inside the rising one.
+
+    One diff, written into the scratch array out and negated in place when
+    vs[-1] < vs[0], gives both: its first minimum decides the trend and
+    splits the steps into the falling and the rising run, one comparison
+    pass each, the second skipped when the first fails.  No m-float
+    temporary is made.
+    """
+    steps = np.subtract(vs[1:], vs[:-1], out=out[:-1])
+    trend = 1 if vs[-1] >= vs[0] else -1
+    if trend < 0:
+        np.negative(steps, out=steps)
+    k = int(steps.argmin())
+    if not steps[k] >= 0:
+        return 0, False
+    tied = k + 1 < len(steps) and steps[k + 1] == steps[k]
+    rise = k + 1 if tied else k  # the rising run starts past a tied bottom
+    valley = bool((steps[1:k + 1] < steps[:k]).all()
+                  and (steps[rise + 1:] > steps[rise:-1]).all())
+    return trend, valley
 
 
 def _lag(grid: SampleGrid, delta) -> tuple:
@@ -274,13 +318,20 @@ def _fits(xs: np.ndarray, k: int, delta) -> bool:
     return k < m and (xs[k:] - xs[:m - k]).max() <= delta
 
 
+def _largest_difference(up: np.ndarray, down: np.ndarray, out) -> float:
+    """The largest up[j] - down[j], through the scratch array out: the one
+    O(m) scan of a delta's windows that the monotone scan and the block
+    extrema share (the end windows never call it)."""
+    return float(np.subtract(up, down, out=out).max())
+
+
 def _widest_range(row: tuple, i, j, hi, lo) -> float:
     """The largest max - min over the windows covered by the blocks of `row`
     at columns i and j (slices or index arrays); hi and lo are scratch."""
     top, bottom = row
     np.maximum(top[i], top[j], out=hi)
     np.minimum(bottom[i], bottom[j], out=lo)
-    return float(np.subtract(hi, lo, out=hi).max())
+    return _largest_difference(hi, lo, hi)
 
 
 def _window_starts(grid: SampleGrid, delta, ends: np.ndarray) -> np.ndarray:

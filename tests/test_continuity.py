@@ -540,15 +540,50 @@ class TestConstantLagKernel:
                 rising))
         if kind == "cantor":  # flat on the removed middle thirds
             return sample(catalog.cantor_on_unit(), IntervalSpec(0.0, 1.0), m)
-        if kind == "sqrt-far":  # not uniform: exceptions read the rows
-            return sample(FunctionSpec.sqrt(), IntervalSpec(1e6, 1e6 + 1e-3), m)
+        if kind in TestConstantLagKernel.SAMPLED:
+            f, lo, hi, m = TestConstantLagKernel.SAMPLED[kind]
+            return sample(f, IntervalSpec(lo, hi), m)
+        if kind == "sqrt-geometric":  # exceptions from exact slice tests
+            xs = np.geomspace(1e-6, 1.0, m)
+            return SampleGrid(xs, np.sqrt(xs))
+        if kind.startswith("tied-"):
+            # whole-number steps (i - c + 1/2)**2 sum exactly: they fall,
+            # then rise, their two smallest tied; a second tie in the
+            # falling run leaves the end windows
+            steps = (np.arange(m - 1.0) - m // 3 + 0.5) ** 2
+            if kind == "tied-falling":
+                steps[m // 6 + 1] = steps[m // 6]
+            return SampleGrid(xs, np.concatenate(([0.0], np.cumsum(steps))))
         dipped = rising.copy()  # rising but for one value one ulp down
         dipped[m // 3] = np.nextafter(dipped[m // 3 - 1], -np.inf)
         return SampleGrid(xs, dipped)
 
-    @pytest.mark.parametrize("kind", [
-        "rising", "falling", "signed-zeros", "rising-signed-zeros", "cantor",
-        "sqrt-far", "one-ulp-dip"])
+    #: sampled kinds: the function, its window and the grid size
+    SAMPLED = {
+        "sqrt": (FunctionSpec.sqrt(), 0.0, 1.0, 20001),
+        "x-squared": (FunctionSpec.polynomial((0, 0, 1)), 0.0, 1.0, 20001),
+        "x-cubed": (FunctionSpec.polynomial((0, 0, 0, 1)), -1.0, 1.0, 20001),
+        "x-cubed-skew": (FunctionSpec.polynomial((0, 0, 0, 1)), -0.95, 1.05,
+                         4001),
+        "falling-convex": (FunctionSpec.polynomial((1, -2, 1)), 0.0, 1.0,
+                           20001),
+        "two-points": (FunctionSpec.sqrt(), 0.0, 1.0, 2),
+        "three-points": (FunctionSpec.sqrt(), 0.0, 1.0, 3),
+        # steps tied by rounding: the monotone scan
+        "affine": (FunctionSpec.affine(2.0, 0.5), 0.0, 1.0, 20001),
+        "sqrt-far": (FunctionSpec.sqrt(), 1e6, 1e6 + 1e-3, 20001),
+    }
+
+    #: monotone values whose steps fall, then rise: the end windows
+    VALLEYS = ["sqrt", "x-squared", "x-cubed", "x-cubed-skew",
+               "falling-convex", "sqrt-geometric", "tied-bottom",
+               "two-points", "three-points"]
+
+    #: the kinds that scan every window, monotone or not
+    SCANNED = ["rising", "falling", "signed-zeros", "rising-signed-zeros",
+               "cantor", "affine", "sqrt-far", "tied-falling", "one-ulp-dip"]
+
+    @pytest.mark.parametrize("kind", VALLEYS + SCANNED)
     def test_monotone_values(self, kind):
         # monotone values take their block extrema from the block ends
         grid = self.monotone_grid(kind)
@@ -582,6 +617,66 @@ class TestConstantLagKernel:
         else:
             assert rows == [] and peak < 2 * 8 * m
         assert curve == modulus_per_window(grid, generic)
+
+    @pytest.mark.parametrize("kind", VALLEYS + SCANNED)
+    def test_valley_steps_read_the_end_windows(self, monkeypatch, kind):
+        # steps that fall, then rise, never scan a delta's windows: each is
+        # read at its two ends (Lemma 1), exceptions aside; every other
+        # grid scans them once per delta at least
+        grid = self.monotone_grid(kind)
+        deltas = self.tie_deltas(grid)
+        scans = []
+        largest = continuity._largest_difference
+        monkeypatch.setattr(continuity, "_largest_difference",
+                            lambda *a: scans.append(len(a[0])) or largest(*a))
+        curve = modulus_on_grid(grid, deltas)
+        if kind in self.VALLEYS:
+            assert scans == []
+        else:
+            assert len(scans) >= len(deltas)
+        assert curve == modulus_per_window(grid, deltas)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_valley_steps_match_pair_scan(self, data):
+        # random steps that fall, then rise, of either trend, on uniform or
+        # random abscissae.  Whole-number steps sum exactly, so the grid's
+        # float steps are the drawn ones and read the end windows; scaled
+        # and shifted values round, may tie, and take whichever path
+        # ``_trend`` finds
+        m = data.draw(st.integers(2, 2000))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        bottom = data.draw(st.integers(0, m - 2))
+        rises = rng.integers(1, 1000, m - 1).astype(float)
+        steps = np.empty(m - 1)
+        steps[bottom:] = np.cumsum(rises[bottom:])
+        steps[:bottom] = steps[bottom] + np.cumsum(rises[:bottom][::-1])[::-1]
+        if bottom + 2 < m and data.draw(st.booleans()):
+            steps[bottom + 1] = steps[bottom]  # a tied bottom
+        trend = data.draw(st.sampled_from([1, -1]))
+        vs = trend * np.concatenate(([0.0], np.cumsum(steps)))
+        exact = data.draw(st.booleans())
+        if not exact:
+            vs = vs * data.draw(st.floats(1e-9, 1e3)) + data.draw(
+                st.sampled_from([0.0, 1.0, -1e3, 1e6]))
+        if data.draw(st.booleans()):
+            xs = uniform_abscissae(0.0, data.draw(st.floats(1e-3, 10.0)), m)
+        else:
+            xs = np.cumsum(rng.uniform(1e-3, 1.0, m))
+        grid = SampleGrid(xs, vs)
+        if exact:
+            assert continuity._trend(grid.values, np.empty(m)) == (trend, True)
+        h = grid.span / (m - 1)
+        ks = data.draw(st.lists(st.integers(1, m - 1), max_size=2))
+        deltas = {min(k * h, grid.span) for k in ks}
+        deltas |= {grid.span * data.draw(st.floats(1e-4, 1.0))
+                   for _ in range(2)}
+        deltas = sorted(d for d in deltas if d > 0)
+        running, want = 0.0, []
+        for d in deltas:
+            running = max(running, omega_pair_scan(grid, d))
+            want.append((d, running))
+        assert modulus_on_grid(grid, deltas) == tuple(want)
 
     @staticmethod
     def exception_grid(kind):
